@@ -64,10 +64,10 @@ def addition_coefficient(n: int, k: int, alpha: Fraction) -> Fraction:
     )
 
 
-def _rhs_terms(inst: AdditionInstance, with_t_factor: bool) -> list[SurdPoly]:
+def _rhs(inst: AdditionInstance, with_t_factor: bool) -> SurdPoly:
     n, alpha = inst.n, inst.alpha
     u, v = SurdPoly.variable("u"), SurdPoly.variable("v")
-    terms = []
+    total = SurdPoly.zero()
     for k in range(n + 1):
         term = SurdPoly.constant(addition_coefficient(n, k, alpha))
         term = term * u.pow(k)
@@ -78,8 +78,8 @@ def _rhs_terms(inst: AdditionInstance, with_t_factor: bool) -> list[SurdPoly]:
             term = term * SurdPoly.from_unipoly(
                 jacobi_r(k, alpha - _HALF, alpha - _HALF), "t"
             )
-        terms.append(term)
-    return terms
+        total = total + term
+    return total
 
 
 def addition_rhs(inst: AdditionInstance) -> SurdPoly:
@@ -88,10 +88,7 @@ def addition_rhs(inst: AdditionInstance) -> SurdPoly:
     The factor (1-x^2)^{k/2} enters as u^k (reduced canonically), the
     t-dependence through Gegenbauer polynomials of parameter alpha - 1/2.
     """
-    total = SurdPoly.zero()
-    for term in _rhs_terms(inst, with_t_factor=True):
-        total = total + term
-    return total
+    return _rhs(inst, with_t_factor=True)
 
 
 def addition_residual(inst: AdditionInstance) -> SurdPoly:
@@ -107,15 +104,9 @@ def product_formula_residual(inst: AdditionInstance) -> SurdPoly:
     """
     if inst.alpha <= -_HALF:
         raise DomainError("product formula requires alpha > -1/2")
-    lhs = addition_lhs(inst)
-    averaged: dict = {}
-    for (a, b, c, e, f), coeff in lhs.terms.items():
-        if c % 2 == 1:
-            continue
-        moment = even_moment(c // 2, inst.alpha - _HALF)
-        key = (a, b, 0, e, f)
-        averaged[key] = averaged.get(key, Fraction(0)) + coeff * moment
-    integral = SurdPoly(averaged)
+    integral = addition_lhs(inst).map_t_powers(
+        lambda c: 0 if c % 2 else even_moment(c // 2, inst.alpha - _HALF)
+    )
     product = SurdPoly.from_unipoly(
         gegenbauer_r(inst.n, inst.alpha), "x"
     ) * SurdPoly.from_unipoly(gegenbauer_r(inst.n, inst.alpha), "y")
@@ -124,10 +115,7 @@ def product_formula_residual(inst: AdditionInstance) -> SurdPoly:
 
 def t_one_rhs(inst: AdditionInstance) -> SurdPoly:
     """Expansion side of the t = 1 addition formula (the t-factor is 1 there)."""
-    total = SurdPoly.zero()
-    for term in _rhs_terms(inst, with_t_factor=False):
-        total = total + term
-    return total
+    return _rhs(inst, with_t_factor=False)
 
 
 def t_one_residual(inst: AdditionInstance) -> SurdPoly:

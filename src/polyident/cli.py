@@ -175,9 +175,10 @@ def cmd_eval(args) -> int:
 
 def cmd_list(args) -> int:
     width = max(len(identity) for identity in REGISTRY)
-    suite_w = max(len(suite) for suite, _ in REGISTRY.values())
-    for identity, (suite, description) in sorted(REGISTRY.items()):
-        print(f"{identity.ljust(width)}  {suite.ljust(suite_w)}  {description}")
+    suite_w = max(len(declared.suite) for declared in REGISTRY.values())
+    for identity, declared in sorted(REGISTRY.items()):
+        suite = declared.suite.ljust(suite_w)
+        print(f"{identity.ljust(width)}  {suite}  {declared.description}")
     return 0
 
 

@@ -152,27 +152,35 @@ class ConicalArgs:
             raise DomainError(f"g must be positive, got {self.g}")
 
 
-def conical_f(args: ConicalArgs, prec: int = DEFAULT_PREC):
-    """Conical function F(g; r, 2k), checked along two evaluation routes.
+def _conical_routes(args: ConicalArgs, prec: int):
+    """The two evaluations of F(g; r, 2k), at the caller's working precision.
 
     Route one evaluates the gamma prefactor times the Jacobi function
     phi_k^{(g-1/2,-1/2)}(r); route two uses the Gauss series at argument
     -sinh^2(r/2) (the two agree through the quadratic argument transform).
-    Disagreement beyond 10^{-prec+10} raises PrecisionError.
+    """
+    g = to_mpf(args.g, prec)
+    r = to_mpf(args.r, prec)
+    k = to_mpf(args.k, prec)
+    pre = mp.e ** (
+        log_gamma(g + 1j * k, prec)
+        + log_gamma(g - 1j * k, prec)
+        - log_gamma(2 * g, prec)
+    ) / 2
+    route_phi = pre * phi(k, g - mp.mpf(1) / 2, -mp.mpf(1) / 2, r, prec)
+    route_gauss = pre * gauss_2f1(
+        g + 1j * k, g - 1j * k, g + mp.mpf(1) / 2, -mp.sinh(r / 2) ** 2, prec
+    )
+    return route_phi, route_gauss
+
+
+def conical_f(args: ConicalArgs, prec: int = DEFAULT_PREC):
+    """Conical function F(g; r, 2k), checked along two evaluation routes.
+
+    Disagreement of the routes beyond 10^{-prec+10} raises PrecisionError.
     """
     with mp.workdps(prec + _GUARD):
-        g = to_mpf(args.g, prec)
-        r = to_mpf(args.r, prec)
-        k = to_mpf(args.k, prec)
-        pre = mp.e ** (
-            log_gamma(g + 1j * k, prec)
-            + log_gamma(g - 1j * k, prec)
-            - log_gamma(2 * g, prec)
-        ) / 2
-        route_phi = pre * phi(k, g - mp.mpf(1) / 2, -mp.mpf(1) / 2, r, prec)
-        route_gauss = pre * gauss_2f1(
-            g + 1j * k, g - 1j * k, g + mp.mpf(1) / 2, -mp.sinh(r / 2) ** 2, prec
-        )
+        route_phi, route_gauss = _conical_routes(args, prec)
         if abs(route_phi - route_gauss) > mp.mpf(10) ** (-prec + 10) * (
             1 + abs(route_gauss)
         ):
@@ -186,18 +194,7 @@ def conical_f(args: ConicalArgs, prec: int = DEFAULT_PREC):
 def conical_route_residual(args: ConicalArgs, prec: int = DEFAULT_PREC) -> mp.mpf:
     """|difference| of the two conical evaluation routes (for reporting)."""
     with mp.workdps(prec + _GUARD):
-        g = to_mpf(args.g, prec)
-        r = to_mpf(args.r, prec)
-        k = to_mpf(args.k, prec)
-        pre = mp.e ** (
-            log_gamma(g + 1j * k, prec)
-            + log_gamma(g - 1j * k, prec)
-            - log_gamma(2 * g, prec)
-        ) / 2
-        route_phi = pre * phi(k, g - mp.mpf(1) / 2, -mp.mpf(1) / 2, r, prec)
-        route_gauss = pre * gauss_2f1(
-            g + 1j * k, g - 1j * k, g + mp.mpf(1) / 2, -mp.sinh(r / 2) ** 2, prec
-        )
+        route_phi, route_gauss = _conical_routes(args, prec)
         return abs(route_phi - route_gauss)
 
 
@@ -304,6 +301,26 @@ def wilson_weight(nu, lam, mu, alpha, prec: int = DEFAULT_PREC) -> mp.mpf:
         return mp.e ** (2 * log_total)
 
 
+def _gamma_prefactor(n: int, lam, mu, alpha, prec: int, variant: str = "corrected"):
+    """Gamma(n+alpha+1/2)^2 |Gamma(n+alpha+1/2+2i lam)|^2
+    |Gamma(n+alpha+1/2+2i mu)|^2 / Gamma(2n+2 alpha+1) for mpf lam, mu, alpha.
+
+    variant="printed" puts the historical Gamma(alpha+1/2)^2 in front,
+    smaller by ((alpha+1/2)_n)^2; the two agree at n = 0.
+    """
+    if variant not in ("corrected", "printed"):
+        raise DomainError(f"unknown variant {variant!r}")
+    with mp.workdps(prec + _GUARD):
+        half = mp.mpf(1) / 2
+        front = n + alpha + half if variant == "corrected" else alpha + half
+        return (
+            gamma_abs_sq(front, prec)
+            * gamma_abs_sq(mp.mpc(n + alpha + half, 2 * lam), prec)
+            * gamma_abs_sq(mp.mpc(n + alpha + half, 2 * mu), prec)
+            / mp.gamma(2 * n + 2 * alpha + 1)
+        )
+
+
 def wilson_norm(
     n: int, lam, mu, alpha, prec: int = DEFAULT_PREC, variant: str = "corrected"
 ) -> mp.mpf:
@@ -319,18 +336,8 @@ def wilson_norm(
         lam = to_mpf(lam, prec)
         mu = to_mpf(mu, prec)
         alpha = to_mpf(alpha, prec)
-        half = mp.mpf(1) / 2
-        if variant == "corrected":
-            gamma_sq = mp.e ** (2 * mp.re(log_gamma(n + alpha + half, prec)))
-        elif variant == "printed":
-            gamma_sq = mp.e ** (2 * mp.re(log_gamma(alpha + half, prec)))
-        else:
-            raise DomainError(f"unknown norm variant {variant!r}")
         return (
-            gamma_sq
-            * gamma_abs_sq(mp.mpc(n + alpha + half, 2 * lam), prec)
-            * gamma_abs_sq(mp.mpc(n + alpha + half, 2 * mu), prec)
-            / mp.gamma(2 * n + 2 * alpha + 1)
+            _gamma_prefactor(n, lam, mu, alpha, prec, variant)
             * mp.rf(n + 2 * alpha, n)
             * mp.factorial(n)
         )
@@ -438,10 +445,7 @@ def dual_product_residual(
         t = to_mpf(t, prec)
         half = mp.mpf(1) / 2
         lhs = (
-            mp.e ** (2 * mp.re(log_gamma(ctx.alpha + half, prec)))
-            * gamma_abs_sq(mp.mpc(ctx.alpha + half, 2 * ctx.lam), prec)
-            * gamma_abs_sq(mp.mpc(ctx.alpha + half, 2 * ctx.mu), prec)
-            / mp.gamma(2 * ctx.alpha + 1)
+            _gamma_prefactor(0, ctx.lam, ctx.mu, ctx.alpha, prec)
             * mp.re(phi(2 * ctx.lam, ctx.alpha, -half, t, prec))
             * mp.re(phi(2 * ctx.mu, ctx.alpha, -half, t, prec))
         )
@@ -528,17 +532,8 @@ def dual_integral_closed_form_residual(
     with mp.workdps(prec + _GUARD):
         t = to_mpf(t, prec)
         half = mp.mpf(1) / 2
-        if variant == "corrected":
-            gamma_sq = mp.e ** (2 * mp.re(log_gamma(n + ctx.alpha + half, prec)))
-        elif variant == "printed":
-            gamma_sq = mp.e ** (2 * mp.re(log_gamma(ctx.alpha + half, prec)))
-        else:
-            raise DomainError(f"unknown variant {variant!r}")
         closed = (
-            gamma_sq
-            * gamma_abs_sq(mp.mpc(n + ctx.alpha + half, 2 * ctx.lam), prec)
-            * gamma_abs_sq(mp.mpc(n + ctx.alpha + half, 2 * ctx.mu), prec)
-            / mp.gamma(2 * n + 2 * ctx.alpha + 1)
+            _gamma_prefactor(n, ctx.lam, ctx.mu, ctx.alpha, prec, variant)
             * mp.sinh(t) ** (2 * n)
             / mp.rf(ctx.alpha + 1, n)
             * mp.re(phi(2 * ctx.lam, ctx.alpha + n, -half, t, prec))

@@ -129,21 +129,20 @@ def s_closed_prefactor(n: int, s: DualSetting) -> Fraction:
     )
 
 
-def s_closed(n: int, s: DualSetting) -> UniPoly:
-    """Closed form of the sum S:
+def _product_basis(n: int, s: DualSetting) -> UniPoly:
+    """(x^2-1)^n R_{l-n}^{(alpha+n)}(x) R_{m-n}^{(alpha+n)}(x)."""
+    al = s.alpha
+    return gegenbauer_r(s.l - n, al + n) * gegenbauer_r(s.m - n, al + n) * _X2M1.pow(n)
 
-        prefactor * (x^2-1)^n R_{l-n}^{(alpha+n)}(x) R_{m-n}^{(alpha+n)}(x).
+
+def s_closed(n: int, s: DualSetting) -> UniPoly:
+    """Closed form of the sum S: prefactor times the n-th product basis
+    polynomial (x^2-1)^n R_{l-n}^{(alpha+n)}(x) R_{m-n}^{(alpha+n)}(x).
 
     Must equal s_direct coefficientwise.
     """
     _check_j(n, s)
-    al, l, m = s.alpha, s.l, s.m
-    poly = (
-        gegenbauer_r(l - n, al + n)
-        * gegenbauer_r(m - n, al + n)
-        * _X2M1.pow(n)
-    )
-    return poly.scale(s_closed_prefactor(n, s))
+    return _product_basis(n, s).scale(s_closed_prefactor(n, s))
 
 
 def _expansion_factor(n: int, alpha: Fraction) -> Fraction:
@@ -153,13 +152,13 @@ def _expansion_factor(n: int, alpha: Fraction) -> Fraction:
     return (alpha + n) / (alpha + Fraction(n, 2))
 
 
-def dual_addition_term(n: int, j: int, s: DualSetting) -> UniPoly:
-    """The degree-n term of the dual addition expansion of R_{l+m-2j}."""
+def dual_addition_coeff(n: int, j: int, s: DualSetting) -> Fraction:
+    """Coefficient of the n-th product basis polynomial in the dual addition
+    expansion of R_{l+m-2j}."""
     _check_j(n, s)
     _check_j(j, s)
     al, l, m = s.alpha, s.l, s.m
-    sys = specialized_racah(s)
-    coeff = (
+    return (
         _expansion_factor(n, al)
         * pochhammer(Fraction(-l), n)
         * pochhammer(Fraction(-m), n)
@@ -169,58 +168,27 @@ def dual_addition_term(n: int, j: int, s: DualSetting) -> UniPoly:
             * pochhammer(al + 1, n) ** 2
             * math.factorial(n)
         )
-        * racah_eval(n, j, sys)
+        * racah_eval(n, j, specialized_racah(s))
     )
-    poly = (
-        gegenbauer_r(l - n, al + n)
-        * gegenbauer_r(m - n, al + n)
-        * _X2M1.pow(n)
-    )
-    return poly.scale(coeff)
+
+
+def dual_addition_term(n: int, j: int, s: DualSetting) -> UniPoly:
+    """The degree-n term of the dual addition expansion of R_{l+m-2j}."""
+    coeff = dual_addition_coeff(n, j, s)
+    return _product_basis(n, s).scale(coeff)
 
 
 def dual_addition_residual(j: int, s: DualSetting) -> UniPoly:
-    """R_{l+m-2j} minus its dual addition expansion; must be zero."""
+    """R_{l+m-2j} minus its dual addition expansion; must be zero.
+
+    At l = m and j = m the left side is R_0 = 1, and the expansion is the
+    constant-function expansion (a partition of unity).
+    """
     _check_j(j, s)
     rhs = UniPoly.zero()
     for n in range(s.m + 1):
         rhs = rhs + dual_addition_term(n, j, s)
     return gegenbauer_r(s.l + s.m - 2 * j, s.alpha) - rhs
-
-
-def self_dual_terms(m: int, alpha: Fraction) -> list[UniPoly]:
-    """Term sequence of the constant-function expansion (the l = m, j = m case):
-
-        1 = sum_n C(m,n) (alpha+n)/(alpha+n/2)
-            (m+2 alpha+1)_n (2 alpha+1)_n / (2^{2n} (alpha+1)_n^2)
-            (1-x^2)^n (R_{m-n}^{(alpha+n)})^2.
-    """
-    alpha = Fraction(alpha)
-    if alpha <= -_HALF:
-        raise DomainError(f"alpha must exceed -1/2, got {alpha}")
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
-    one_minus_x2 = UniPoly((Fraction(1), Fraction(0), Fraction(-1)))
-    terms = []
-    for n in range(m + 1):
-        coeff = (
-            Fraction(math.comb(m, n))
-            * _expansion_factor(n, alpha)
-            * pochhammer(m + 2 * alpha + 1, n)
-            * pochhammer(2 * alpha + 1, n)
-            / (Fraction(2 ** (2 * n)) * pochhammer(alpha + 1, n) ** 2)
-        )
-        poly = gegenbauer_r(m - n, alpha + n)
-        terms.append((one_minus_x2.pow(n) * poly * poly).scale(coeff))
-    return terms
-
-
-def self_dual_residual(m: int, alpha: Fraction) -> UniPoly:
-    """1 minus the constant-function expansion; must be zero."""
-    total = UniPoly.zero()
-    for term in self_dual_terms(m, alpha):
-        total = total + term
-    return UniPoly.one() - total
 
 
 def integral_identity_residual(n: int, j: int, s: DualSetting) -> Fraction:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DegenerateParameterError, DomainError, RelationViolationError
 
@@ -309,14 +309,7 @@ class SurdPoly:
         return _raw(out)
 
     def __sub__(self, other: "SurdPoly") -> "SurdPoly":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            new = out.get(mono, Fraction(0)) - coeff
-            if new == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = new
-        return _raw(out)
+        return self + (-other)
 
     def __neg__(self) -> "SurdPoly":
         return _raw({m: -c for m, c in self.terms.items()})
@@ -370,9 +363,16 @@ class SurdPoly:
     def set_t(self, value: Fraction | int) -> "SurdPoly":
         """Substitute a rational value for t, staying in the ring."""
         value = Fraction(value)
+        return self.map_t_powers(lambda c: value**c)
+
+    def map_t_powers(self, weight: Callable[[int], Fraction]) -> "SurdPoly":
+        """Replace each power t^c by the rational weight(c), staying in the ring.
+
+        With the moments of a measure in t as weights, this integrates t out.
+        """
         out: dict[Monomial, Fraction] = {}
         for (a, b, c, e, f), q in self.terms.items():
-            _accumulate_reduced(out, (a, b, 0, e, f), q * value**c)
+            _accumulate_reduced(out, (a, b, 0, e, f), q * weight(c))
         return _raw({m: c for m, c in out.items() if c != 0})
 
     def identify_y_with_x(self) -> "SurdPoly":

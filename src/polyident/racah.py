@@ -206,9 +206,12 @@ def endpoint_value_residual(n: int, sys: RacahSystem) -> Fraction:
     return racah_eval(n, sys.N, sys) - _endpoint_closed(n, al, be, de)
 
 
-def _shifted(sys: RacahSystem) -> tuple:
+def _shifted_term(n: int, x: int, sys: RacahSystem) -> Fraction:
+    """Weight (without normalization) times degree n-1 value at x, both of
+    the shifted system (alpha+1, beta+1, gamma+1, delta)."""
     al, be, ga, de = sys.as_tuple()
-    return (al + 1, be + 1, ga + 1, de)
+    shifted = (al + 1, be + 1, ga + 1, de)
+    return _weight_quotient(x, *shifted) * _eval_raw(n - 1, x, *shifted)
 
 
 def backward_shift_residual(n: int, x: int, sys: RacahSystem) -> Fraction:
@@ -225,18 +228,13 @@ def backward_shift_residual(n: int, x: int, sys: RacahSystem) -> Fraction:
         raise DomainError(f"backward shift needs n >= 1, got {n}")
     _check_index(n, sys.N, "degree n")
     _check_index(x, sys.N, "lattice index x")
-    s_al, s_be, s_ga, s_de = _shifted(sys)
 
     lhs = racah_weight(x, sys) * racah_eval(n, x, sys)
     rhs = Fraction(0)
     if x < sys.N:
-        rhs += _weight_quotient(x, s_al, s_be, s_ga, s_de) * _eval_raw(
-            n - 1, x, s_al, s_be, s_ga, s_de
-        )
+        rhs += _shifted_term(n, x, sys)
     if x > 0:
-        rhs -= _weight_quotient(x - 1, s_al, s_be, s_ga, s_de) * _eval_raw(
-            n - 1, x - 1, s_al, s_be, s_ga, s_de
-        )
+        rhs -= _shifted_term(n, x - 1, sys)
     return lhs - rhs
 
 
@@ -252,18 +250,13 @@ def sum_by_parts_residual(n: int, f: Sequence[Rational], sys: RacahSystem) -> Fr
     if len(f) != sys.N + 1:
         raise DomainError(f"f must have {sys.N + 1} values, got {len(f)}")
     fv = [Fraction(v) for v in f]
-    s_al, s_be, s_ga, s_de = _shifted(sys)
     lhs = sum(
         racah_weight(x, sys) * racah_eval(n, x, sys) * fv[x]
         for x in range(sys.N + 1)
     )
     rhs = Fraction(0)
     for x in range(sys.N):
-        rhs += (
-            _weight_quotient(x, s_al, s_be, s_ga, s_de)
-            * _eval_raw(n - 1, x, s_al, s_be, s_ga, s_de)
-            * (fv[x] - fv[x + 1])
-        )
+        rhs += _shifted_term(n, x, sys) * (fv[x] - fv[x + 1])
     return lhs - rhs
 
 

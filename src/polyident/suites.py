@@ -1,9 +1,10 @@
 """Verification suites: parameter grids, task dispatch, report assembly.
 
-Each suite enumerates task specifications (identity id plus a flat string
-parameter map), and a dispatcher executes one task at a time.  Tasks are
-pure, so suites can fan out over a process pool; reports are sorted
-before emission, making output independent of execution order.
+Each identity is declared once, by :func:`identity` on the handler that
+checks it.  Each suite enumerates task specifications (identity id plus a
+flat string parameter map), and a dispatcher executes one task at a time.
+Tasks are pure, so suites can fan out over a process pool; reports are
+sorted before emission, making output independent of execution order.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 import mpmath as mp
 
@@ -55,6 +57,24 @@ class SuiteConfig:
     jobs: int = 0
     timings: bool = False
 
+    def __post_init__(self):
+        """Reject settings that empty a grid or do not parse."""
+        for name in ("l_max", "m_max", "addition_n_max", "hermite_lm_max",
+                     "biorthogonality_max", "limit_lm_max"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ConfigError(f"{name} must be >= 0, got {value}")
+        if not self.alphas or not self.alpha_powers:
+            raise ConfigError("alphas and alpha_powers must not be empty")
+        for name, parse in (("t_max", Fraction), ("integral_tolerance", mp.mpf),
+                            ("pointwise_tolerance", mp.mpf)):
+            value = getattr(self, name)
+            try:
+                if value is not None:
+                    parse(value)
+            except (TypeError, ValueError, ZeroDivisionError) as exc:
+                raise ConfigError(f"bad value for {name}: {value!r}") from exc
+
     def lm_pairs(self):
         m_cap = self.l_max if self.m_max is None else self.m_max
         for l in range(self.l_max + 1):
@@ -72,60 +92,35 @@ class SuiteConfig:
         return mp.mpf(10) ** (-self.precision_digits + 10)
 
 
-#: identity id -> (suite, human description).  The ids are the wire format
-#: of the report stream and the `list` subcommand.
-REGISTRY: dict[str, tuple[str, str]] = {
-    "eq17": ("dual-addition", "linearization coefficients are normalized Racah weights"),
-    "eq18": ("dual-addition", "linearization coefficients: positivity and unit sum"),
-    "eq40": ("dual-addition", "dual addition formula (Racah expansion of R_{l+m-2j})"),
-    "eq43": ("dual-addition", "constant-function expansion (j = m specialization)"),
-    "eq43-eq49": ("dual-addition", "term-by-term match of the two partition-of-unity expansions"),
-    "eq45": ("dual-addition", "weighted Racah sum equals its closed product form"),
-    "eq58": ("dual-addition", "Fourier coefficient integral of the weighted sum"),
-    "whipple": ("dual-addition", "triple-product integral proportional to both 4F3 forms"),
-    "eq23": ("classical-addition", "two-step difference formula for Gegenbauer polynomials"),
-    "eq28": ("classical-addition", "leading coefficient closed form"),
-    "eq41": ("classical-addition", "product formula via exact moment integration"),
-    "eq42": ("classical-addition", "addition formula in the surd ring"),
-    "eq44": ("classical-addition", "addition formula at t = 1"),
-    "eq49": ("classical-addition", "partition of unity (t = 1, x = y)"),
-    "eq50": ("classical-addition", "power-series vs hypergeometric construction"),
-    "eq57": ("classical-addition", "orthogonality and norms in the Gegenbauer weight"),
-    "r-bound": ("classical-addition", "|R_n| <= 1 on rational circle points"),
-    "chebyshev-t": ("classical-addition", "parameter -1/2 polynomials hit cos(k phi)"),
-    "eq20": ("racah", "backward shift identity (boundary conventions included)"),
-    "eq21": ("racah", "summation by parts against arbitrary lattice functions"),
-    "eq25": ("racah", "endpoint evaluation closed form"),
-    "eq29": ("racah", "total weight mass: closed form vs direct sum"),
-    "eq30": ("racah", "full Gram matrix diagonal with closed-form norms"),
-    "eq46": ("hermite", "dual addition formula for Hermite polynomials"),
-    "eq47": ("hermite", "inverse (Fourier-type) Hermite expansion"),
-    "eq48-corrected": ("hermite", "corrected biorthogonality kernel gives delta"),
-    "eq48-printed": ("hermite", "printed biorthogonality kernel fails at (2,1): pinned"),
-    "hermite-addition": ("hermite", "Hermite argument-mixing expansion"),
-    "hermite-product": ("hermite", "Hermite product via Gaussian moments"),
-    "eq52": ("hermite", "Hermite limit of scaled Gegenbauer polynomials"),
-    "eq53": ("hermite", "monomial limit of Gegenbauer polynomials"),
-    "eq54j": ("hermite", "Racah value limit, j-scaling"),
-    "eq54n": ("hermite", "Racah value limit, n-scaling"),
-    "eq55": ("hermite", "Racah weight limit"),
-    "eq56": ("hermite", "Racah norm limit"),
-    "eq30-limit": ("hermite", "Racah orthogonality degenerates to biorthogonality"),
-    "eq40-to-eq46": ("hermite", "dual addition formula degenerates to its Hermite form"),
-    "eq4": ("continuous", "conical function: two evaluation routes agree"),
-    "eq6": ("continuous", "dual product formula in conical-function form"),
-    "eq7": ("continuous", "dual product formula for Gegenbauer functions"),
-    "eq8": ("continuous", "Wilson orthogonality (corrected norm) by quadrature"),
-    "eq8-printed": ("continuous", "printed Wilson norm off by ((alpha+1/2)_n)^2: pinned"),
-    "eq13": ("continuous", "closed form of the phi-weighted Wilson integral (corrected)"),
-    "eq13-printed": ("continuous", "printed closed form off by ((alpha+1/2)_n)^2: pinned"),
-    "eq15": ("continuous", "dual addition expansion for Gegenbauer functions"),
-    "eq16": ("continuous", "quadratic argument transform of Gegenbauer functions"),
-    "eq32": ("continuous", "|phi| <= 1 bound on sampled spectral points"),
-    "eq33": ("continuous", "Wilson backward shift identity, pointwise"),
-    "eq34": ("continuous", "spectral-shift contiguous relation"),
-    "exact-float-oracle": ("continuous", "terminating series: exact rationals vs big floats"),
-}
+@dataclass(frozen=True)
+class Identity:
+    """One identity check: its suite, the description `list` prints, and
+    the handler that runs one task of it."""
+
+    suite: str
+    description: str
+    handler: Callable[[dict[str, str], SuiteConfig], TaskResult]
+
+    @property
+    def mode(self) -> str:
+        return "numeric" if self.suite == "continuous" else "exact"
+
+
+#: identity id -> declaration, filled by :func:`identity`.  The ids are the
+#: wire format of the report stream and the `list` subcommand.
+REGISTRY: dict[str, Identity] = {}
+
+
+def identity(identity_id: str, suite: str, description: str):
+    """Declare the decorated handler as the check of ``identity_id``."""
+
+    def declare(handler):
+        if identity_id in REGISTRY:
+            raise ValueError(f"identity {identity_id!r} declared twice")
+        REGISTRY[identity_id] = Identity(suite, description, handler)
+        return handler
+
+    return declare
 
 
 def default_racah_systems(config: SuiteConfig) -> list[tuple[str, int]]:
@@ -151,32 +146,29 @@ def default_racah_systems(config: SuiteConfig) -> list[tuple[str, int]]:
 
 @dataclass
 class TaskResult:
-    mode: str
     residual: str
     passed: bool
     extra: dict[str, str] = field(default_factory=dict)
 
 
-def _exact_result(value, extra: dict[str, str] | None = None) -> TaskResult:
-    """Result for an exact check: value is a Fraction or UniPoly/SurdPoly."""
+def _magnitude(value) -> Fraction:
+    """|value| of a Fraction; the largest |coefficient| of a UniPoly/SurdPoly."""
     if isinstance(value, UniPoly):
-        residual = value.max_abs_coeff()
-    elif isinstance(value, SurdPoly):
-        residual = max((abs(c) for c in value.terms.values()), default=Fraction(0))
-    else:
-        residual = abs(value)
-    return TaskResult(
-        mode="exact",
-        residual=format_rational(residual),
-        passed=residual == 0,
-        extra=extra or {},
-    )
+        return value.max_abs_coeff()
+    if isinstance(value, SurdPoly):
+        return max((abs(c) for c in value.terms.values()), default=Fraction(0))
+    return abs(value)
+
+
+def _exact_result(*values) -> TaskResult:
+    """Result for an exact check: the residual is the largest magnitude."""
+    residual = max(map(_magnitude, values), default=Fraction(0))
+    return TaskResult(residual=format_rational(residual), passed=residual == 0)
 
 
 def _numeric_result(value, tolerance, extra: dict[str, str] | None = None) -> TaskResult:
     value = mp.mpf(value)
     return TaskResult(
-        mode="numeric",
         residual=mp.nstr(value, 8),
         passed=value <= mp.mpf(tolerance),
         extra=dict(extra or {}, tolerance=mp.nstr(mp.mpf(tolerance), 3)),
@@ -195,123 +187,136 @@ def _dual_setting(params: dict[str, str]) -> dual_addition.DualSetting:
     )
 
 
+def _addition_instance(params: dict[str, str]) -> addition.AdditionInstance:
+    return addition.AdditionInstance(int(params["n"]), parse_rational(params["alpha"]))
+
+
 def run_task(identity_id: str, params: dict[str, str], config: SuiteConfig) -> TaskResult:
     """Execute one identity check; exceptions propagate to the runner."""
-    handler = _HANDLERS.get(identity_id)
-    if handler is None:
+    declared = REGISTRY.get(identity_id)
+    if declared is None:
         raise ConfigError(f"no handler for identity {identity_id!r}")
-    return handler(params, config)
+    return declared.handler(params, config)
 
 
 # -- racah suite handlers
 
 
+@identity("eq29", "racah", "total weight mass: closed form vs direct sum")
 def _task_eq29(params, config):
     sys = _parse_system(params)
     direct = sum(racah.racah_weight(x, sys) for x in range(sys.N + 1))
     return _exact_result(racah.racah_h0(sys) - direct)
 
 
+@identity("eq30", "racah", "full Gram matrix diagonal with closed-form norms")
 def _task_eq30(params, config):
     sys = _parse_system(params)
     gram = racah.gram_matrix(sys)
     h0 = racah.racah_h0(sys)
-    worst = Fraction(0)
-    for a in range(sys.N + 1):
-        for b in range(sys.N + 1):
-            target = h0 * racah.racah_norm_ratio(a, sys) if a == b else Fraction(0)
-            worst = max(worst, abs(gram[a][b] - target))
-    return _exact_result(worst)
+    return _exact_result(*(
+        gram[a][b] - (h0 * racah.racah_norm_ratio(a, sys) if a == b else 0)
+        for a in range(sys.N + 1)
+        for b in range(sys.N + 1)
+    ))
 
 
+@identity("eq25", "racah", "endpoint evaluation closed form")
 def _task_eq25(params, config):
     sys = _parse_system(params)
     return _exact_result(racah.endpoint_value_residual(int(params["n"]), sys))
 
 
+@identity("eq20", "racah", "backward shift identity (boundary conventions included)")
 def _task_eq20(params, config):
     sys = _parse_system(params)
     n = int(params["n"])
-    worst = Fraction(0)
-    for x in range(sys.N + 1):
-        worst = max(worst, abs(racah.backward_shift_residual(n, x, sys)))
-    return _exact_result(worst)
+    return _exact_result(
+        *(racah.backward_shift_residual(n, x, sys) for x in range(sys.N + 1))
+    )
 
 
+@identity("eq21", "racah", "summation by parts against arbitrary lattice functions")
 def _task_eq21(params, config):
     sys = _parse_system(params)
     n = int(params["n"])
     rng = random.Random(f"eq21:{params['system']}:{sys.N}:{n}")
-    worst = Fraction(0)
-    for _ in range(5):
-        f = [Fraction(rng.randint(-9, 9)) for _ in range(sys.N + 1)]
-        worst = max(worst, abs(racah.sum_by_parts_residual(n, f, sys)))
-    return _exact_result(worst)
+    trials = [[Fraction(rng.randint(-9, 9)) for _ in range(sys.N + 1)] for _ in range(5)]
+    return _exact_result(*(racah.sum_by_parts_residual(n, f, sys) for f in trials))
 
 
 # -- dual-addition suite handlers
 
 
+@identity("eq45", "dual-addition", "weighted Racah sum equals its closed product form")
 def _task_eq45(params, config):
     s = _dual_setting(params)
-    worst = Fraction(0)
-    for n in range(s.m + 1):
-        diff = dual_addition.s_direct(n, s) - dual_addition.s_closed(n, s)
-        worst = max(worst, diff.max_abs_coeff())
-    return _exact_result(worst)
+    return _exact_result(*(
+        dual_addition.s_direct(n, s) - dual_addition.s_closed(n, s)
+        for n in range(s.m + 1)
+    ))
 
 
+@identity("eq40", "dual-addition", "dual addition formula (Racah expansion of R_{l+m-2j})")
 def _task_eq40(params, config):
     s = _dual_setting(params)
     return _exact_result(dual_addition.dual_addition_residual(int(params["j"]), s))
 
 
+@identity("eq17", "dual-addition", "linearization coefficients are normalized Racah weights")
 def _task_eq17(params, config):
     s = _dual_setting(params)
-    worst = Fraction(0)
-    for j in range(s.m + 1):
-        worst = max(worst, abs(dual_addition.coeff_as_racah_weight_residual(j, s)))
-    return _exact_result(worst)
+    return _exact_result(
+        *(dual_addition.coeff_as_racah_weight_residual(j, s) for j in range(s.m + 1))
+    )
 
 
+@identity("eq18", "dual-addition", "linearization coefficients: positivity and unit sum")
 def _task_eq18(params, config):
     s = _dual_setting(params)
     coeffs = [dual_addition.linearization_coeff(j, s) for j in range(s.m + 1)]
-    violation = Fraction(0)
-    if any(c <= 0 for c in coeffs):
-        violation = Fraction(1)  # strict positivity required
-    violation = max(violation, abs(sum(coeffs) - 1))
-    return _exact_result(violation)
+    positivity = 0 if all(c > 0 for c in coeffs) else 1  # strict positivity required
+    return _exact_result(Fraction(positivity), sum(coeffs) - 1)
 
 
-def _task_eq43(params, config):
-    alpha = parse_rational(params["alpha"])
-    return _exact_result(dual_addition.self_dual_residual(int(params["m"]), alpha))
-
-
-def _task_eq43_eq49(params, config):
-    alpha = parse_rational(params["alpha"])
+def _self_dual_setting(params) -> dual_addition.DualSetting:
+    # the constant-function expansion is the dual addition formula at l = m
+    # and j = m, where the left side R_{l+m-2j} is R_0 = 1
     m = int(params["m"])
-    dual_terms = dual_addition.self_dual_terms(m, alpha)
-    square_terms = addition.sum_of_squares_terms(m, alpha)
-    worst = Fraction(0)
-    for uni, surd in zip(dual_terms, square_terms):
-        diff = SurdPoly.from_unipoly(uni, "x") - surd
-        worst = max(
-            worst, max((abs(c) for c in diff.terms.values()), default=Fraction(0))
-        )
-    return _exact_result(worst)
+    return dual_addition.DualSetting(parse_rational(params["alpha"]), m, m)
 
 
+@identity("eq43", "dual-addition", "constant-function expansion (j = m specialization)")
+def _task_eq43(params, config):
+    s = _self_dual_setting(params)
+    return _exact_result(dual_addition.dual_addition_residual(s.m, s))
+
+
+@identity(
+    "eq43-eq49", "dual-addition",
+    "term-by-term match of the two partition-of-unity expansions",
+)
+def _task_eq43_eq49(params, config):
+    s = _self_dual_setting(params)
+    square_terms = addition.sum_of_squares_terms(s.m, s.alpha)
+    return _exact_result(*(
+        SurdPoly.from_unipoly(dual_addition.dual_addition_term(n, s.m, s), "x")
+        - square_terms[n]
+        for n in range(s.m + 1)
+    ))
+
+
+@identity("eq58", "dual-addition", "Fourier coefficient integral of the weighted sum")
 def _task_eq58(params, config):
     s = _dual_setting(params)
-    worst = Fraction(0)
-    for n in range(s.m + 1):
-        for j in range(s.m + 1):
-            worst = max(worst, abs(dual_addition.integral_identity_residual(n, j, s)))
-    return _exact_result(worst)
+    return _exact_result(*(
+        dual_addition.integral_identity_residual(n, j, s)
+        for n in range(s.m + 1)
+        for j in range(s.m + 1)
+    ))
 
 
+@identity("whipple", "dual-addition", "triple-product integral proportional to both 4F3 forms")
 def _task_whipple(params, config):
     s = _dual_setting(params)
     for n in range(s.m + 1):
@@ -322,31 +327,34 @@ def _task_whipple(params, config):
 # -- classical-addition suite handlers
 
 
+@identity("eq42", "classical-addition", "addition formula in the surd ring")
 def _task_eq42(params, config):
-    inst = addition.AdditionInstance(int(params["n"]), parse_rational(params["alpha"]))
-    return _exact_result(addition.addition_residual(inst))
+    return _exact_result(addition.addition_residual(_addition_instance(params)))
 
 
+@identity("eq41", "classical-addition", "product formula via exact moment integration")
 def _task_eq41(params, config):
-    inst = addition.AdditionInstance(int(params["n"]), parse_rational(params["alpha"]))
-    return _exact_result(addition.product_formula_residual(inst))
+    return _exact_result(addition.product_formula_residual(_addition_instance(params)))
 
 
+@identity("eq44", "classical-addition", "addition formula at t = 1")
 def _task_eq44(params, config):
-    inst = addition.AdditionInstance(int(params["n"]), parse_rational(params["alpha"]))
-    return _exact_result(addition.t_one_residual(inst))
+    return _exact_result(addition.t_one_residual(_addition_instance(params)))
 
 
+@identity("eq49", "classical-addition", "partition of unity (t = 1, x = y)")
 def _task_eq49(params, config):
     alpha = parse_rational(params["alpha"])
     return _exact_result(addition.sum_of_squares_residual(int(params["n"]), alpha))
 
 
+@identity("eq23", "classical-addition", "two-step difference formula for Gegenbauer polynomials")
 def _task_eq23(params, config):
     alpha = parse_rational(params["alpha"])
     return _exact_result(classical.difference_residual(int(params["n"]), alpha))
 
 
+@identity("eq50", "classical-addition", "power-series vs hypergeometric construction")
 def _task_eq50(params, config):
     alpha = parse_rational(params["alpha"])
     n = int(params["n"])
@@ -354,6 +362,7 @@ def _task_eq50(params, config):
     return _exact_result(diff)
 
 
+@identity("eq28", "classical-addition", "leading coefficient closed form")
 def _task_eq28(params, config):
     alpha = parse_rational(params["alpha"])
     n = int(params["n"])
@@ -364,93 +373,88 @@ def _task_eq28(params, config):
     return _exact_result(poly.coeff(n) - lead)
 
 
+@identity("eq57", "classical-addition", "orthogonality and norms in the Gegenbauer weight")
 def _task_eq57(params, config):
     alpha = parse_rational(params["alpha"])
-    worst = Fraction(0)
     polys = [classical.gegenbauer_r(n, alpha) for n in range(11)]
-    for m in range(11):
-        for n in range(m, 11):
-            value = classical.inner_product(polys[m], polys[n], alpha)
-            target = classical.norm_ratio(n, alpha) if m == n else Fraction(0)
-            worst = max(worst, abs(value - target))
-    return _exact_result(worst)
+    return _exact_result(*(
+        classical.inner_product(polys[m], polys[n], alpha)
+        - (classical.norm_ratio(n, alpha) if m == n else 0)
+        for m in range(11)
+        for n in range(m, 11)
+    ))
 
 
+@identity("r-bound", "classical-addition", "|R_n| <= 1 on rational circle points")
 def _task_r_bound(params, config):
     alpha = parse_rational(params["alpha"])
     n = int(params["n"])
     poly = classical.gegenbauer_r(n, alpha)
-    worst = Fraction(0)
     rng = random.Random(f"r-bound:{params['alpha']}:{n}")
-    for _ in range(50):
-        s = Fraction(rng.randint(-999, 999), 1000)
-        x, _u = pythagorean_point(s)
-        worst = max(worst, max(abs(poly(x)) - 1, Fraction(0)))
-    return _exact_result(worst)
+    points = [pythagorean_point(Fraction(rng.randint(-999, 999), 1000))[0] for _ in range(50)]
+    return _exact_result(*(max(abs(poly(x)) - 1, Fraction(0)) for x in points))
 
 
+@identity("chebyshev-t", "classical-addition", "parameter -1/2 polynomials hit cos(k phi)")
 def _task_chebyshev(params, config):
     k = int(params["k"])
     poly = classical.jacobi_r(k, -_HALF, -_HALF)
-    worst = Fraction(0)
     rng = random.Random(f"chebyshev:{k}")
+    residuals = []
     for _ in range(20):
         s = Fraction(rng.randint(-99, 99), 100)
         cos_phi, sin_phi = pythagorean_point(s)
         re, im = Fraction(1), Fraction(0)
         for _i in range(k):  # (cos + i sin)^k, exactly
             re, im = re * cos_phi - im * sin_phi, re * sin_phi + im * cos_phi
-        worst = max(worst, abs(poly(cos_phi) - re))
-    return _exact_result(worst)
+        residuals.append(poly(cos_phi) - re)
+    return _exact_result(*residuals)
 
 
 # -- hermite suite handlers
 
 
+@identity("hermite-addition", "hermite", "Hermite argument-mixing expansion")
 def _task_hermite_addition(params, config):
     return _exact_result(hermite_limit.hermite_addition_residual(int(params["n"])))
 
 
+@identity("hermite-product", "hermite", "Hermite product via Gaussian moments")
 def _task_hermite_product(params, config):
     return _exact_result(hermite_limit.hermite_product_residual(int(params["n"])))
 
 
+@identity("eq46", "hermite", "dual addition formula for Hermite polynomials")
 def _task_eq46(params, config):
     s = hermite_limit.HermiteSetting(int(params["l"]), int(params["m"]))
-    worst = Fraction(0)
-    for j in range(s.m + 1):
-        worst = max(
-            worst, hermite_limit.hermite_dual_addition_residual(j, s).max_abs_coeff()
-        )
-    return _exact_result(worst)
+    return _exact_result(
+        *(hermite_limit.hermite_dual_addition_residual(j, s) for j in range(s.m + 1))
+    )
 
 
+@identity("eq47", "hermite", "inverse (Fourier-type) Hermite expansion")
 def _task_eq47(params, config):
     s = hermite_limit.HermiteSetting(int(params["l"]), int(params["m"]))
-    worst = Fraction(0)
-    for n in range(s.m + 1):
-        worst = max(
-            worst, hermite_limit.hermite_dual_inverse_residual(n, s).max_abs_coeff()
-        )
-    return _exact_result(worst)
+    return _exact_result(
+        *(hermite_limit.hermite_dual_inverse_residual(n, s) for n in range(s.m + 1))
+    )
 
 
+@identity("eq48-corrected", "hermite", "corrected biorthogonality kernel gives delta")
 def _task_eq48_corrected(params, config):
     n = int(params["n"])
-    worst = Fraction(0)
-    for k in range(config.biorthogonality_max + 1):
-        value = hermite_limit.biorthogonality_value(n, k, "corrected")
-        target = Fraction(1) if n == k else Fraction(0)
-        worst = max(worst, abs(value - target))
-    return _exact_result(worst)
+    return _exact_result(*(
+        hermite_limit.biorthogonality_value(n, k, "corrected") - (1 if n == k else 0)
+        for k in range(config.biorthogonality_max + 1)
+    ))
 
 
+@identity("eq48-printed", "hermite", "printed biorthogonality kernel fails at (2,1): pinned")
 def _task_eq48_printed(params, config):
     n, k = int(params["n"]), int(params["k"])
     value = hermite_limit.biorthogonality_value(n, k, "as-printed")
     expected = parse_rational(params["expected"])
     return TaskResult(
-        mode="exact",
         residual=format_rational(value),
         passed=value == expected,
         extra={"expected": format_rational(expected)},
@@ -458,19 +462,10 @@ def _task_eq48_printed(params, config):
 
 
 def _limit_result(report: hermite_limit.LimitReport) -> TaskResult:
-    worst_excess = Fraction(0)
-    for earlier, later in zip(report.deviations, report.deviations[1:]):
-        if later > hermite_limit.DECAY_RATIO * earlier:
-            if earlier == 0:
-                worst_excess = max(worst_excess, later)
-            else:
-                worst_excess = max(
-                    worst_excess, later / earlier - hermite_limit.DECAY_RATIO
-                )
+    excess = report.excess
     return TaskResult(
-        mode="exact",
-        residual=format_rational(worst_excess),
-        passed=worst_excess == 0,
+        residual=format_rational(excess),
+        passed=excess == 0,
         extra={
             "final_deviation": format_rational(report.deviations[-1]),
             "limit": report.limit_description,
@@ -478,6 +473,12 @@ def _limit_result(report: hermite_limit.LimitReport) -> TaskResult:
     )
 
 
+@identity("eq52", "hermite", "Hermite limit of scaled Gegenbauer polynomials")
+@identity("eq53", "hermite", "monomial limit of Gegenbauer polynomials")
+@identity("eq54j", "hermite", "Racah value limit, j-scaling")
+@identity("eq54n", "hermite", "Racah value limit, n-scaling")
+@identity("eq55", "hermite", "Racah weight limit")
+@identity("eq56", "hermite", "Racah norm limit")
 def _task_limit(params, config):
     target = params["target"]
     indices = {
@@ -490,6 +491,7 @@ def _task_limit(params, config):
     return _limit_result(report)
 
 
+@identity("eq30-limit", "hermite", "Racah orthogonality degenerates to biorthogonality")
 def _task_eq30_limit(params, config):
     report = hermite_limit.racah_to_biorthogonality_limit(
         int(params["n"]), int(params["k"]), int(params["l"]), int(params["m"]),
@@ -498,6 +500,7 @@ def _task_eq30_limit(params, config):
     return _limit_result(report)
 
 
+@identity("eq40-to-eq46", "hermite", "dual addition formula degenerates to its Hermite form")
 def _task_eq40_to_eq46(params, config):
     report = hermite_limit.dual_addition_hermite_limit(
         int(params["j"]), int(params["l"]), int(params["m"]), config.alpha_powers,
@@ -522,6 +525,7 @@ def _wilson_context(lam: str, mu: str, alpha: str, prec: int) -> continuous.Wils
     return ctx
 
 
+@identity("eq8", "continuous", "Wilson orthogonality (corrected norm) by quadrature")
 def _task_eq8(params, config):
     prec = config.precision_digits
     ctx = _wilson_context(params["lambda"], params["mu"], params["alpha"], prec)
@@ -532,6 +536,9 @@ def _task_eq8(params, config):
     return _numeric_result(value, config.integral_tol())
 
 
+@identity(
+    "eq8-printed", "continuous", "printed Wilson norm off by ((alpha+1/2)_n)^2: pinned",
+)
 def _task_eq8_printed(params, config):
     prec = config.precision_digits
     n = int(params["n"])
@@ -555,6 +562,7 @@ def _task_eq8_printed(params, config):
     )
 
 
+@identity("eq7", "continuous", "dual product formula for Gegenbauer functions")
 def _task_eq7(params, config):
     prec = config.precision_digits
     ctx = _wilson_context(params["lambda"], params["mu"], params["alpha"], prec)
@@ -565,6 +573,7 @@ def _task_eq7(params, config):
     return _numeric_result(value, config.integral_tol())
 
 
+@identity("eq6", "continuous", "dual product formula in conical-function form")
 def _task_eq6(params, config):
     value = continuous.conical_product_residual(
         parse_rational(params["t"]),
@@ -577,6 +586,9 @@ def _task_eq6(params, config):
     return _numeric_result(value, config.integral_tol())
 
 
+@identity(
+    "eq13", "continuous", "closed form of the phi-weighted Wilson integral (corrected)",
+)
 def _task_eq13(params, config):
     prec = config.precision_digits
     ctx = _wilson_context(params["lambda"], params["mu"], params["alpha"], prec)
@@ -588,6 +600,9 @@ def _task_eq13(params, config):
     return _numeric_result(value, tol)
 
 
+@identity(
+    "eq13-printed", "continuous", "printed closed form off by ((alpha+1/2)_n)^2: pinned",
+)
 def _task_eq13_printed(params, config):
     prec = config.precision_digits
     n = int(params["n"])
@@ -614,6 +629,7 @@ def _task_eq13_printed(params, config):
     )
 
 
+@identity("eq33", "continuous", "Wilson backward shift identity, pointwise")
 def _task_eq33(params, config):
     value = continuous.wilson_backward_shift_residual(
         int(params["n"]),
@@ -627,7 +643,9 @@ def _task_eq33(params, config):
     return _numeric_result(value, tol)
 
 
+@identity("eq15", "continuous", "dual addition expansion for Gegenbauer functions")
 def _task_eq15(params, config):
+    tol = config.integral_tol() * mp.mpf(10) ** 5
     result = continuous.dual_addition_function_residual(
         parse_rational(params["t"]),
         parse_rational(params["nu"]),
@@ -636,9 +654,8 @@ def _task_eq15(params, config):
         parse_rational(params["alpha"]),
         truncation_budget=config.truncation_budget,
         prec=config.precision_digits,
-        tolerance=config.integral_tol() * mp.mpf(10) ** 5,
+        tolerance=tol,
     )
-    tol = config.integral_tol() * mp.mpf(10) ** 5
     out = _numeric_result(
         result.residual, tol,
         extra={"terms": str(result.terms_used),
@@ -651,6 +668,7 @@ def _task_eq15(params, config):
     return out
 
 
+@identity("eq16", "continuous", "quadratic argument transform of Gegenbauer functions")
 def _task_eq16(params, config):
     prec = config.precision_digits
     with mp.workdps(prec + 10):
@@ -664,6 +682,7 @@ def _task_eq16(params, config):
     return _numeric_result(value, config.pointwise_tol())
 
 
+@identity("eq34", "continuous", "spectral-shift contiguous relation")
 def _task_eq34(params, config):
     prec = config.precision_digits
     value = abs(
@@ -678,6 +697,7 @@ def _task_eq34(params, config):
     return _numeric_result(value, config.pointwise_tol())
 
 
+@identity("eq32", "continuous", "|phi| <= 1 bound on sampled spectral points")
 def _task_eq32(params, config):
     prec = config.precision_digits
     alpha = parse_rational(params["alpha"])
@@ -696,6 +716,7 @@ def _task_eq32(params, config):
     return _numeric_result(worst, mp.mpf(10) ** (-config.precision_digits + 10))
 
 
+@identity("eq4", "continuous", "conical function: two evaluation routes agree")
 def _task_eq4(params, config):
     value = continuous.conical_route_residual(
         continuous.ConicalArgs(
@@ -709,6 +730,9 @@ def _task_eq4(params, config):
     return _numeric_result(value, tol)
 
 
+@identity(
+    "exact-float-oracle", "continuous", "terminating series: exact rationals vs big floats",
+)
 def _task_exact_float_oracle(params, config):
     prec = config.precision_digits
     case = params["case"]
@@ -748,60 +772,6 @@ def _task_exact_float_oracle(params, config):
         else:
             raise ConfigError(f"unknown oracle case {case!r}")
     return _numeric_result(value, mp.mpf(10) ** (-prec + 5))
-
-
-_HANDLERS = {
-    "eq29": _task_eq29,
-    "eq30": _task_eq30,
-    "eq25": _task_eq25,
-    "eq20": _task_eq20,
-    "eq21": _task_eq21,
-    "eq45": _task_eq45,
-    "eq40": _task_eq40,
-    "eq17": _task_eq17,
-    "eq18": _task_eq18,
-    "eq43": _task_eq43,
-    "eq43-eq49": _task_eq43_eq49,
-    "eq58": _task_eq58,
-    "whipple": _task_whipple,
-    "eq42": _task_eq42,
-    "eq41": _task_eq41,
-    "eq44": _task_eq44,
-    "eq49": _task_eq49,
-    "eq23": _task_eq23,
-    "eq50": _task_eq50,
-    "eq28": _task_eq28,
-    "eq57": _task_eq57,
-    "r-bound": _task_r_bound,
-    "chebyshev-t": _task_chebyshev,
-    "hermite-addition": _task_hermite_addition,
-    "hermite-product": _task_hermite_product,
-    "eq46": _task_eq46,
-    "eq47": _task_eq47,
-    "eq48-corrected": _task_eq48_corrected,
-    "eq48-printed": _task_eq48_printed,
-    "eq52": _task_limit,
-    "eq53": _task_limit,
-    "eq54j": _task_limit,
-    "eq54n": _task_limit,
-    "eq55": _task_limit,
-    "eq56": _task_limit,
-    "eq30-limit": _task_eq30_limit,
-    "eq40-to-eq46": _task_eq40_to_eq46,
-    "eq8": _task_eq8,
-    "eq8-printed": _task_eq8_printed,
-    "eq7": _task_eq7,
-    "eq6": _task_eq6,
-    "eq13": _task_eq13,
-    "eq13-printed": _task_eq13_printed,
-    "eq33": _task_eq33,
-    "eq15": _task_eq15,
-    "eq16": _task_eq16,
-    "eq34": _task_eq34,
-    "eq32": _task_eq32,
-    "eq4": _task_eq4,
-    "exact-float-oracle": _task_exact_float_oracle,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -1008,16 +978,16 @@ def _execute(task, config: SuiteConfig) -> VerificationReport:
     try:
         result = run_task(identity_id, params, config)
         status = "pass" if result.passed else "fail"
-        mode, residual = result.mode, result.residual
-        extra = result.extra
+        residual, extra = result.residual, result.extra
     except PolyidentError as exc:
-        status, mode, residual = "error", "exact", "n/a"
+        status, residual = "error", "n/a"
         extra = {"error": f"{type(exc).__name__}: {exc}"}
     elapsed = int((time.monotonic() - start) * 1000) if config.timings else 0
+    declared = REGISTRY.get(identity_id)
     return VerificationReport(
         identity_id=identity_id,
         parameters={**params, **extra},
-        mode=mode,
+        mode=declared.mode if declared else "exact",
         residual=residual,
         status=status,
         elapsed=elapsed,

@@ -9,14 +9,13 @@ from polyident.dual_addition import (
     DualSetting,
     coeff_as_racah_weight_residual,
     dual_addition_residual,
+    dual_addition_term,
     integral_identity_residual,
     linearization_coeff,
     s_closed,
     s_closed_prefactor,
     s_direct,
     second_hyp_form,
-    self_dual_residual,
-    self_dual_terms,
     specialized_racah,
     whipple_factor,
     whipple_proportionality,
@@ -175,25 +174,28 @@ class TestDualAdditionFormula:
 
 
 class TestSelfDual:
+    """The constant-function expansion: the dual addition formula at l = m, j = m."""
+
     def test_trivial_case(self):
-        assert self_dual_residual(0, Fraction(0)).is_zero
+        assert dual_addition_residual(0, DualSetting(Fraction(0), 0, 0)).is_zero
 
     def test_hand_case(self):
         # 1 = x^2 + (1 - x^2)
-        assert self_dual_residual(1, Fraction(0)).is_zero
+        assert dual_addition_residual(1, DualSetting(Fraction(0), 1, 1)).is_zero
 
     @pytest.mark.parametrize("m,alpha", [(3, HALF), (5, Fraction(7, 3)), (8, Fraction(1))])
     def test_zero_residual(self, m, alpha):
-        assert self_dual_residual(m, alpha).is_zero
+        assert dual_addition_residual(m, DualSetting(alpha, m, m)).is_zero
 
     def test_terms_match_partition_of_unity_termwise(self):
         # not just equal sums: the term sequences are identical
         for alpha in GRID_ALPHAS:
             for m in range(9):
-                dual_terms = self_dual_terms(m, alpha)
+                s = DualSetting(alpha, m, m)
                 square_terms = sum_of_squares_terms(m, alpha)
-                assert len(dual_terms) == len(square_terms)
-                for uni, surd in zip(dual_terms, square_terms):
+                assert len(square_terms) == m + 1
+                for n, surd in enumerate(square_terms):
+                    uni = dual_addition_term(n, m, s)
                     assert SurdPoly.from_unipoly(uni, "x") == surd
 
 

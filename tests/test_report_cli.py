@@ -17,7 +17,8 @@ from polyident.report import (
     exit_status,
     sort_reports,
 )
-from polyident.suites import REGISTRY, SuiteConfig, run_suite, suite_tasks
+from polyident import suites
+from polyident.suites import REGISTRY, SUITE_NAMES, SuiteConfig, run_suite, suite_tasks
 
 
 def record(identity="eq40", status="pass", residual="0", **params):
@@ -112,10 +113,23 @@ SMALL = dict(alphas=(Fraction(0), Fraction(1, 2)), l_max=3, jobs=1)
 class TestSuites:
     def test_registry_covers_all_task_ids(self):
         config = SuiteConfig(**SMALL)
-        for suite in ("racah", "dual-addition", "classical-addition", "hermite"):
+        for suite in SUITE_NAMES:
             for identity, _params in suite_tasks(suite, config):
                 assert identity in REGISTRY
-                assert REGISTRY[identity][0] == suite
+                assert REGISTRY[identity].suite == suite
+        # no dead declarations: the default grids produce every declared id
+        produced = {
+            (identity, suite)
+            for suite in SUITE_NAMES
+            for identity, _params in suite_tasks(suite, SuiteConfig())
+        }
+        assert produced == {(i, d.suite) for i, d in REGISTRY.items()}
+
+    def test_error_record_mode_follows_declaration(self):
+        # g = 0 is outside the conical domain: an error record of a numeric check
+        report = suites._execute(("eq4", {"g": "0", "r": "1", "k": "1"}), SuiteConfig())
+        assert report.status == "error"
+        assert report.mode == "numeric"
 
     def test_unknown_suite(self):
         with pytest.raises(ConfigError):
@@ -237,6 +251,22 @@ class TestCli:
         cfg.write_text("shiny = 1\n")
         with pytest.raises(ConfigError):
             load_config_file(str(cfg))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "dual-addition", "--l-max=-1"],
+            ["verify", "dual-addition", "--l-max", "2", "--m-max=-1"],
+            ["verify", "continuous", "--t-max", "abc"],
+            ["verify", "racah", "--integral-tolerance", "abc"],
+            ["verify", "hermite", "--alpha-powers", "5..4"],
+        ],
+        ids=["empty-grid", "empty-pair-grid", "unparseable-t-max",
+             "unparseable-tolerance", "empty-alpha-powers"],
+    )
+    def test_rejected_config_exits_two(self, argv, capsys):
+        assert main(argv + ["--jobs", "1", "--format", "json-lines"]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
