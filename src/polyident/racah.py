@@ -21,7 +21,7 @@ from functools import lru_cache
 from typing import Sequence
 
 from .errors import DegenerateParameterError, DomainError
-from .exact import Rational, parse_rational, poch_quotient
+from .exact import Rational, parse_rational, poch_quotient, terminating_hyp
 
 
 @dataclass(frozen=True)
@@ -152,21 +152,9 @@ def _check_index(value: int, hi: int, what: str) -> None:
 
 def _eval_raw(n: int, x: int, al, be, ga, de) -> Fraction:
     """Terminating 4F3 sum defining the polynomial at lattice index x."""
-    total = Fraction(0)
-    term = Fraction(1)
-    for k in range(n + 1):
-        total += term
-        top = (
-            (Fraction(-n) + k)
-            * (n + al + be + 1 + k)
-            * (Fraction(-x) + k)
-            * (x + ga + de + 1 + k)
-        )
-        if top == 0:
-            break
-        bot = (al + 1 + k) * (be + de + 1 + k) * (ga + 1 + k) * (k + 1)
-        term *= top / bot
-    return total
+    return terminating_hyp(
+        [-n, n + al + be + 1, -x, x + ga + de + 1], [al + 1, be + de + 1, ga + 1], n
+    )
 
 
 @lru_cache(maxsize=None)

@@ -58,14 +58,23 @@ class SuiteConfig:
     timings: bool = False
 
     def __post_init__(self):
-        """Reject settings that empty a grid or do not parse."""
-        for name in ("l_max", "m_max", "addition_n_max", "hermite_lm_max",
-                     "biorthogonality_max", "limit_lm_max"):
+        """Reject settings that empty a grid, do not parse or make a check vacuous."""
+        # The precision floor keeps every default tolerance well below 1: the
+        # loosest, eq13's 10^-(P-40), is 1e-5 at P = 45 and 1 at P = 40.
+        floors = {"l_max": 0, "m_max": 0, "addition_n_max": 0, "hermite_lm_max": 0,
+                  "biorthogonality_max": 0, "limit_lm_max": 0, "jobs": 0,
+                  "truncation_budget": 1, "precision_digits": 45}
+        for name, floor in floors.items():
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ConfigError(f"{name} must be >= 0, got {value}")
+            if value is not None and value < floor:
+                raise ConfigError(f"{name} must be >= {floor}, got {value}")
         if not self.alphas or not self.alpha_powers:
             raise ConfigError("alphas and alpha_powers must not be empty")
+        # the limit checks read alpha = 2^s as a doubling sequence
+        if any(a >= b for a, b in zip(self.alpha_powers, self.alpha_powers[1:])):
+            raise ConfigError(
+                f"alpha_powers must be strictly increasing, got {self.alpha_powers}"
+            )
         for name, parse in (("t_max", Fraction), ("integral_tolerance", mp.mpf),
                             ("pointwise_tolerance", mp.mpf)):
             value = getattr(self, name)

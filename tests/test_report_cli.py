@@ -260,13 +260,26 @@ class TestCli:
             ["verify", "continuous", "--t-max", "abc"],
             ["verify", "racah", "--integral-tolerance", "abc"],
             ["verify", "hermite", "--alpha-powers", "5..4"],
+            ["verify", "continuous", "--precision-digits", "20"],
+            ["verify", "hermite", "--alpha-powers", "5,4"],
+            ["verify", "continuous", "--truncation-budget=-1"],
+            ["verify", "racah", "--jobs=-1"],
         ],
         ids=["empty-grid", "empty-pair-grid", "unparseable-t-max",
-             "unparseable-tolerance", "empty-alpha-powers"],
+             "unparseable-tolerance", "empty-alpha-powers", "vacuous-precision",
+             "decreasing-alpha-powers", "no-truncation-budget", "negative-jobs"],
     )
     def test_rejected_config_exits_two(self, argv, capsys):
-        assert main(argv + ["--jobs", "1", "--format", "json-lines"]) == 2
+        # the case's own flags come last, so they win over these defaults
+        command, suite, *flags = argv
+        assert main([command, suite, "--jobs", "1", "--format", "json-lines", *flags]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_eval_precision_error_exits_two(self, capsys):
+        assert main(["eval", "phi", "4000", "3/2", "1/2", "22/25"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "PrecisionError" in captured.err
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
