@@ -92,6 +92,7 @@ def hermite(n: int) -> UniPoly:
     return UniPoly(coeffs)
 
 
+@lru_cache(maxsize=None)
 def even_moment(k: int, alpha: Fraction) -> Fraction:
     """Normalized moment of x^{2k} against (1-x^2)^alpha on [-1, 1].
 

@@ -133,9 +133,41 @@ def _eval_rational_list(values) -> str:
     return ", ".join(format_rational(v) for v in values)
 
 
+#: eval function -> names of its positional arguments
+_EVAL_ARGUMENTS = {
+    "gegenbauer": ("n", "alpha"),
+    "hermite": ("n",),
+    "racah": ("n", "x", "alpha", "beta", "gamma", "delta"),
+    "phi": ("lambda", "alpha", "beta", "t"),
+    "wilson": ("n", "x^2", "lambda", "mu", "alpha"),
+}
+
+
+def _eval_arguments(args) -> tuple[list[str], int]:
+    """The function's arguments and the precision in digits.
+
+    ``--precision-digits`` may also follow the arguments, which reach here
+    unparsed so that negative rationals such as -1/2 stay arguments.
+    """
+    tail = argparse.ArgumentParser(prog=f"polyident eval {args.fn}", add_help=False)
+    tail.add_argument("--precision-digits", dest="precision_digits", type=int,
+                      default=args.precision_digits)
+    known, rest = tail.parse_known_args(args.args)
+    prec = 60 if known.precision_digits is None else known.precision_digits
+    if prec < 1:
+        raise ConfigError(f"--precision-digits must be a positive integer, got {prec}")
+    names = _EVAL_ARGUMENTS[args.fn]
+    if len(rest) != len(names):
+        raise ConfigError(
+            f"eval {args.fn} takes {len(names)} argument(s) ({' '.join(names)}), "
+            f"got {len(rest)}: {' '.join(rest)}"
+        )
+    return rest, prec
+
+
 def cmd_eval(args) -> int:
     fn = args.fn
-    rest = args.args
+    rest, prec = _eval_arguments(args)
     try:
         if fn == "gegenbauer":
             n, alpha = int(rest[0]), parse_rational(rest[1])
@@ -152,7 +184,6 @@ def cmd_eval(args) -> int:
             print(format_rational(racah.racah_eval(n, x, sys_)))
         elif fn == "phi":
             lam, alpha, beta, t = (parse_rational(p) for p in rest[:4])
-            prec = args.precision_digits or 60
             value = continuous.phi(
                 continuous.to_mpf(lam, prec), alpha, beta, t, prec
             )
@@ -162,13 +193,12 @@ def cmd_eval(args) -> int:
         elif fn == "wilson":
             n = int(rest[0])
             xsq, lam, mu, alpha = (parse_rational(p) for p in rest[1:5])
-            prec = args.precision_digits or 60
             params = continuous.WilsonParams.from_spectral(lam, mu, alpha, prec)
             value = continuous.wilson_poly(n, xsq, params, prec)
             print(mp.nstr(value, prec))
         else:
             raise ConfigError(f"unknown function {fn!r}")
-    except (IndexError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"bad arguments for {fn}: {exc}") from exc
     return 0
 
@@ -218,7 +248,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_eval = sub.add_parser("eval", help="evaluate one function")
-    p_eval.add_argument("fn", choices=("gegenbauer", "hermite", "racah", "phi", "wilson"))
+    p_eval.add_argument("fn", choices=tuple(_EVAL_ARGUMENTS))
     p_eval.add_argument("args", nargs=argparse.REMAINDER)
     p_eval.add_argument("--precision-digits", dest="precision_digits", type=int)
     p_eval.set_defaults(func=cmd_eval)

@@ -102,6 +102,7 @@ def coeff_as_racah_weight_residual(j: int, s: DualSetting) -> Fraction:
     return linearization_coeff(j, s) - racah_weight(j, sys) / racah_h0(sys)
 
 
+@lru_cache(maxsize=None)
 def s_direct(n: int, s: DualSetting) -> UniPoly:
     """The weighted sum S: over j, w(j) R_{l+m-2j} times the Racah value at j."""
     _check_j(n, s)
@@ -129,6 +130,7 @@ def s_closed_prefactor(n: int, s: DualSetting) -> Fraction:
     )
 
 
+@lru_cache(maxsize=None)
 def _product_basis(n: int, s: DualSetting) -> UniPoly:
     """(x^2-1)^n R_{l-n}^{(alpha+n)}(x) R_{m-n}^{(alpha+n)}(x)."""
     al = s.alpha
@@ -264,8 +266,8 @@ def whipple_proportionality(n: int, s: DualSetting) -> tuple[Fraction, Fraction]
     al, l, m = s.alpha, s.l, s.m
     sys = specialized_racah(s)
     ratios: tuple[list[Fraction], list[Fraction]] = ([], [])
+    poly = gegenbauer_r(l - n, al + n) * gegenbauer_r(m - n, al + n)
     for j in range(m + 1):
-        poly = gegenbauer_r(l - n, al + n) * gegenbauer_r(m - n, al + n)
         integral = inner_product(poly, gegenbauer_r(l + m - 2 * j, al), al + n)
         base = racah_weight(j, sys) * norm_ratio(l + m - 2 * j, al)
         checks = (

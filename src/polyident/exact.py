@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DegenerateParameterError, DomainError, RelationViolationError
 
 Rational = Fraction
+
+_ZERO = Fraction(0)
 
 #: Variable order of the surd ring; monomial keys are exponent tuples
 #: (a, b, c, e, f) for x^a y^b t^c u^e v^f with e, f in {0, 1}.
@@ -43,10 +46,12 @@ def pochhammer(a: Fraction | int, n: int) -> Fraction:
     """Shifted factorial a (a+1) ... (a+n-1); empty product for n = 0."""
     if n < 0:
         raise DomainError(f"pochhammer needs n >= 0, got {n}")
-    out = Fraction(1)
+    # with a = p/q the product is prod (p + i q) / q^n: one reduction, not n
+    p, q = a.numerator, a.denominator
+    num = 1
     for i in range(n):
-        out *= a + i
-    return out
+        num *= p + i * q
+    return Fraction(num, q**n)
 
 
 def poch_quotient(
@@ -136,7 +141,7 @@ class UniPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -166,7 +171,7 @@ class UniPoly:
         return len(self.coeffs) - 1
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else Fraction(0)
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else _ZERO
 
     def __eq__(self, other) -> bool:
         return isinstance(other, UniPoly) and self.coeffs == other.coeffs
@@ -175,12 +180,10 @@ class UniPoly:
         return hash(self.coeffs)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.coeff(i) + other.coeff(i) for i in range(n))
+        return UniPoly(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=_ZERO))
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.coeff(i) - other.coeff(i) for i in range(n))
+        return UniPoly(a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=_ZERO))
 
     def __neg__(self) -> "UniPoly":
         return UniPoly(-c for c in self.coeffs)
@@ -247,7 +250,8 @@ class SurdPoly:
             for mono, coeff in terms.items():
                 if coeff == 0:
                     continue
-                _accumulate_reduced(reduced, mono, Fraction(coeff))
+                c = coeff if type(coeff) is Fraction else Fraction(coeff)
+                _accumulate_reduced(reduced, mono, c)
             for mono in [m for m, c in reduced.items() if c == 0]:
                 del reduced[mono]
         object.__setattr__(self, "terms", reduced)
@@ -413,6 +417,10 @@ def _raw(terms: dict[Monomial, Fraction]) -> SurdPoly:
 def _accumulate_reduced(out: dict[Monomial, Fraction], mono: Monomial, coeff: Fraction) -> None:
     """Add coeff * mono to ``out``, rewriting u^2 -> 1-x^2 and v^2 -> 1-y^2."""
     a, b, c, e, f = mono
+    if e < 2 and f < 2:  # nothing to rewrite
+        prev = out.get(mono)
+        out[mono] = coeff if prev is None else prev + coeff
+        return
     ku, kv = e // 2, f // 2
     e %= 2
     f %= 2
@@ -422,7 +430,7 @@ def _accumulate_reduced(out: dict[Monomial, Fraction], mono: Monomial, coeff: Fr
         for j in range(kv + 1):
             cij = ci * math.comb(kv, j) * (-1) ** j
             key = (a + 2 * i, b + 2 * j, c, e, f)
-            out[key] = out.get(key, Fraction(0)) + cij
+            out[key] = out.get(key, _ZERO) + cij
 
 
 def pythagorean_point(s: Fraction | int) -> tuple[Fraction, Fraction]:

@@ -20,7 +20,7 @@ from typing import Callable
 import mpmath as mp
 
 from . import addition, classical, continuous, dual_addition, hermite_limit, racah
-from .errors import ConfigError, PolyidentError
+from .errors import ConfigError
 from .exact import (
     SurdPoly,
     UniPoly,
@@ -988,7 +988,7 @@ def _execute(task, config: SuiteConfig) -> VerificationReport:
         result = run_task(identity_id, params, config)
         status = "pass" if result.passed else "fail"
         residual, extra = result.residual, result.extra
-    except PolyidentError as exc:
+    except Exception as exc:  # a PolyidentError or an unexpected fault alike
         status, residual = "error", "n/a"
         extra = {"error": f"{type(exc).__name__}: {exc}"}
     elapsed = int((time.monotonic() - start) * 1000) if config.timings else 0

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from polyident.classical import gegenbauer_r, inner_product, norm_ratio
+from polyident.classical import even_moment, gegenbauer_r, inner_product, norm_ratio
 from polyident.dual_addition import (
     DualSetting,
+    _product_basis,
     coeff_as_racah_weight_residual,
     dual_addition_residual,
     dual_addition_term,
@@ -24,6 +25,7 @@ from polyident.errors import DomainError
 from polyident.exact import SurdPoly, UniPoly
 from polyident.racah import racah_eval, racah_h0, racah_norm_ratio, racah_weight
 from polyident.addition import sum_of_squares_terms
+from polyident.suites import SuiteConfig
 
 HALF = Fraction(1, 2)
 GRID_ALPHAS = [Fraction(0), HALF, Fraction(1), Fraction(7, 3)]
@@ -276,3 +278,28 @@ def pochhammerq(a: Fraction, n: int) -> Fraction:
     for i in range(n):
         out *= a + i
     return out
+
+
+class TestCaches:
+    @pytest.mark.parametrize("alpha", [Fraction(0), Fraction(7, 3)], ids=["0", "7/3"])
+    def test_cached_values_match_fresh_computation(self, alpha):
+        # the memoised functions return what an uncached call computes, on
+        # the default (l, m, n) grid and the shifted alphas whipple uses
+        config = SuiteConfig()
+        for l, m in config.lm_pairs():
+            s = DualSetting(alpha, l, m)
+            for n in range(m + 1):
+                assert s_direct(n, s) == s_direct.__wrapped__(n, s)
+                assert _product_basis(n, s) == _product_basis.__wrapped__(n, s)
+        for shift in range(config.l_max + 1):
+            for k in range(2 * config.l_max + 1):
+                cached = even_moment(k, alpha + shift)
+                assert cached == even_moment.__wrapped__(k, alpha + shift)
+                assert type(cached) is Fraction
+
+    def test_closed_form_is_not_the_cached_sum(self):
+        # s_closed shares a cache with dual_addition_term, never with s_direct
+        s = DualSetting(Fraction(1, 2), 4, 3)
+        for n in range(s.m + 1):
+            assert s_closed(n, s) is not s_direct(n, s)
+            assert s_closed(n, s) == s_direct.__wrapped__(n, s)

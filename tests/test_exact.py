@@ -60,6 +60,16 @@ class TestPochhammer:
     def test_addition_law(self, a, m, n):
         assert pochhammer(a, m + n) == pochhammer(a, m) * pochhammer(a + m, n)
 
+    @given(a=rationals | st.integers(-20, 20), n=st.integers(0, 30))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_termwise_product(self, a, n):
+        expected = Fraction(1)
+        for i in range(n):
+            expected *= a + i
+        value = pochhammer(a, n)
+        assert value == expected
+        assert type(value) is Fraction
+
 
 class TestPochQuotient:
     def test_plain_ratio(self):
@@ -104,6 +114,38 @@ class TestUniPoly:
         assert (p * q).coeffs == (0, 0, 3, 6)
         assert (p + q - q) == p
         assert p(Fraction(1, 2)) == 2
+
+    @pytest.mark.parametrize(
+        "coeffs,expected",
+        [
+            ([1, 2, 3], (1, 2, 3)),
+            ([Fraction(1, 2), 2, Fraction(-3)], (Fraction(1, 2), 2, -3)),
+            ([1, Fraction(0), 0, Fraction(0)], (1,)),
+            ([0, Fraction(0)], ()),
+        ],
+        ids=["ints", "mixed", "trailing-zeros", "all-zero"],
+    )
+    def test_constructor_stores_fractions_without_trailing_zeros(self, coeffs, expected):
+        p = UniPoly(coeffs)
+        assert p.coeffs == expected
+        assert all(type(c) is Fraction for c in p.coeffs)
+
+    def test_add_sub_unequal_lengths(self):
+        long, short = UniPoly([1, 2, 3]), UniPoly([Fraction(1, 2)])
+        assert (long + short).coeffs == (Fraction(3, 2), 2, 3)
+        assert (short + long).coeffs == (Fraction(3, 2), 2, 3)
+        assert (long - short).coeffs == (Fraction(1, 2), 2, 3)
+        assert (short - long).coeffs == (Fraction(-1, 2), -2, -3)
+        for p in (long + short, short - long):
+            assert all(type(c) is Fraction for c in p.coeffs)
+
+    def test_full_cancellation_is_zero(self):
+        p = UniPoly([1, Fraction(2, 3), 3])
+        assert (p - p).coeffs == ()
+        assert (p + (-p)).is_zero
+        assert (p - p) == UniPoly.zero()
+        # the leading terms cancel and the degree drops
+        assert (p - UniPoly([0, 0, 3])).coeffs == (1, Fraction(2, 3))
 
     def test_immutability(self):
         p = UniPoly([1])

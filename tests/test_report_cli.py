@@ -131,6 +131,26 @@ class TestSuites:
         assert report.status == "error"
         assert report.mode == "numeric"
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unexpected_exception_is_an_error_record(self, jobs, monkeypatch):
+        # a fault outside PolyidentError becomes an error record, in the
+        # pool as in one process, and the run exits 2
+        def broken(params, config):
+            return Fraction(1) / 0
+
+        declared = REGISTRY["eq40"]
+        monkeypatch.setitem(
+            REGISTRY, "eq40", suites.Identity(declared.suite, declared.description, broken)
+        )
+        reports = run_suite("dual-addition", SuiteConfig(**dict(SMALL, jobs=jobs)))
+        broken_records = [r for r in reports if r.identity_id == "eq40"]
+        assert broken_records
+        for r in broken_records:
+            assert r.status == "error"
+            assert r.parameters["error"] == "ZeroDivisionError: Fraction(1, 0)"
+        assert all(r.status == "pass" for r in reports if r.identity_id != "eq40")
+        assert exit_status(reports) == 2
+
     def test_unknown_suite(self):
         with pytest.raises(ConfigError):
             suite_tasks("nope", SuiteConfig())
@@ -280,6 +300,29 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "PrecisionError" in captured.err
+
+    def test_eval_precision_after_arguments(self, capsys):
+        # a trailing --precision-digits is an option, not an argument, and
+        # the negative rational -1/2 stays an argument
+        assert main(["eval", "phi", "7/10", "1", "-1/2", "3/10", "--precision-digits", "5"]) == 0
+        assert capsys.readouterr().out.strip() == "0.96972"
+
+    @pytest.mark.parametrize("digits", ["0", "-5"])
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_eval_nonpositive_precision_exits_two(self, digits, where, capsys):
+        flag = ["--precision-digits", digits]
+        fn_args = ["phi", "7/10", "1", "-1/2", "3/10"]
+        argv = ["eval", *flag, *fn_args] if where == "before" else ["eval", *fn_args, *flag]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--precision-digits must be a positive integer, got {digits}" in captured.err
+
+    def test_eval_surplus_arguments_exit_two(self, capsys):
+        assert main(["eval", "gegenbauer", "3", "1/2", "extra"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "takes 2 argument(s)" in captured.err
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
