@@ -111,12 +111,12 @@ def inner_product(p: UniPoly, q: UniPoly, alpha: Fraction) -> Fraction:
     alpha = Fraction(alpha)
     _require_alpha(alpha, Fraction(-1), "inner_product")
     prod = p * q
+    nums = prod.nums
     total = Fraction(0)
-    for i in range(0, prod.degree + 1, 2):
-        c = prod.coeff(i)
-        if c != 0:
-            total += c * even_moment(i // 2, alpha)
-    return total
+    for i in range(0, len(nums), 2):
+        if nums[i]:
+            total += nums[i] * even_moment(i // 2, alpha)
+    return total / prod.den
 
 
 def norm_ratio(n: int, alpha: Fraction) -> Fraction:

@@ -1,18 +1,26 @@
 """Exact rational arithmetic, shifted factorials and the surd quotient ring.
 
-Everything here is pure and immutable: ``Fraction`` carries all rational
-values, ``UniPoly`` is a dense univariate polynomial over the rationals,
-and ``SurdPoly`` is an element of the quotient ring
+Everything here is pure and immutable: ``Fraction`` carries the rational
+values that cross the API, ``UniPoly`` is a dense univariate polynomial
+over the rationals, and ``SurdPoly`` is an element of the quotient ring
 
     Q[x, y, t, u, v] / (u^2 - (1 - x^2), v^2 - (1 - y^2)),
 
 whose canonical form keeps u- and v-exponents in {0, 1}.  Identities with
 half-integer powers of 1 - x^2 live in this ring as honest polynomials.
+
+The hot kernels are fraction-free.  A ``UniPoly`` is an integer vector over
+one positive common denominator, reduced by its content (von zur Gathen &
+Gerhard, *Modern Computer Algebra*, ch. 6), so its arithmetic runs on ints
+with one gcd per result instead of one per coefficient operation.
+``pochhammer``, ``poch_quotient`` and ``terminating_hyp`` likewise multiply
+integer numerators and denominators and build one ``Fraction`` at the end.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
 from typing import Callable, Iterable, Mapping, Sequence
@@ -22,6 +30,9 @@ from .errors import DegenerateParameterError, DomainError, RelationViolationErro
 Rational = Fraction
 
 _ZERO = Fraction(0)
+
+#: the factor 0 as a reduced (numerator, denominator) pair
+_ZERO_FACTOR = (0, 1)
 
 #: Variable order of the surd ring; monomial keys are exponent tuples
 #: (a, b, c, e, f) for x^a y^b t^c u^e v^f with e, f in {0, 1}.
@@ -71,33 +82,36 @@ def poch_quotient(
     Raises :class:`DegenerateParameterError` if a zero denominator factor
     survives cancellation.
     """
-    num_vals: list[Fraction] = []
-    for base, length in numerators:
-        num_vals.extend(base + i for i in range(length))
-    den_vals: list[Fraction] = []
-    for base, length in denominators:
-        den_vals.extend(base + i for i in range(length))
-
-    remaining_den = list(den_vals)
-    remaining_num: list[Fraction] = []
-    for v in num_vals:
-        try:
-            remaining_den.remove(v)
-        except ValueError:
-            remaining_num.append(v)
-
-    dead = [v for v in remaining_den if v == 0]
-    if dead:
+    num_vals = _linear_factors(numerators)
+    den_vals = _linear_factors(denominators)
+    remaining_num = num_vals - den_vals
+    remaining_den = den_vals - num_vals
+    if remaining_den[_ZERO_FACTOR]:
         raise DegenerateParameterError(
             "zero denominator factor survives cancellation",
-            factors=[format_rational(v) for v in den_vals if v == 0],
+            factors=[format_rational(_ZERO)] * den_vals[_ZERO_FACTOR],
         )
-    out = Fraction(1)
-    for v in remaining_num:
-        out *= v
-    for v in remaining_den:
-        out /= v
-    return out
+    num = den = 1
+    for (p, q), k in remaining_num.items():
+        num *= p**k
+        den *= q**k
+    for (p, q), k in remaining_den.items():
+        num *= q**k
+        den *= p**k
+    return Fraction(num, den)
+
+
+def _linear_factors(pairs: Iterable[tuple[Fraction, int]]) -> Counter:
+    """Multiset of the factors base + i, i < length, as reduced (p, q) pairs.
+
+    With base = p/q in lowest terms, (p + i q)/q is in lowest terms too, so
+    equal values give equal pairs.
+    """
+    return Counter(
+        (base.numerator + i * base.denominator, base.denominator)
+        for base, length in pairs
+        for i in range(length)
+    )
 
 
 def terminating_hyp(
@@ -113,38 +127,57 @@ def terminating_hyp(
     integer >= -max_terms) and pole-free lower parameters on that range;
     a zero running numerator stops the loop early.
     """
-    total = Fraction(0)
-    term = Fraction(1)
+    # Term k is num/den and the total is total/den: each step multiplies den
+    # by the term ratio's denominator, and one Fraction reduces at the end.
+    ups = [(a.numerator, a.denominator) for a in uppers]
+    lows = [(b.numerator, b.denominator) for b in lowers]
+    # the ratio's constant parts: z and the parameter denominators
+    top_c, bot_c = z.numerator, z.denominator
+    for _, q in lows:
+        top_c *= q
+    for _, q in ups:
+        bot_c *= q
+    num, den, total = 1, 1, 0
     for k in range(max_terms + 1):
-        total += term
-        top = Fraction(1)
-        for a in uppers:
-            top *= a + k
+        total += num
+        top = 1
+        for p, q in ups:
+            top *= p + k * q
         if top == 0:
             break
-        bot = Fraction(k + 1)
-        for b in lowers:
-            bot *= b + k
+        bot = (k + 1) * bot_c
+        for p, q in lows:
+            bot *= p + k * q
         if bot == 0:
             raise DomainError(f"lower parameter pole at term {k + 1}")
-        term *= top * z / bot
-    return total
+        num *= top * top_c
+        den *= bot
+        total *= bot
+    return Fraction(total, den)
 
 
 class UniPoly:
     """Dense univariate polynomial over the rationals.
 
-    Coefficients are stored degree-ascending with no trailing zeros;
-    the zero polynomial has an empty coefficient tuple.
+    Stored as integer numerators ``nums`` (degree-ascending, no trailing
+    zeros) over one positive common denominator ``den``, reduced so that
+    gcd(content(nums), den) = 1; the zero polynomial is ``nums == ()`` over
+    1.  Each rational polynomial has exactly one such form (``den`` is the
+    least common denominator of its coefficients), so equal polynomials
+    have equal ``(nums, den)`` and ``==`` is a proof of equality.
+    ``coeffs`` gives the coefficients as ``Fraction``s.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = [c if type(c) is Fraction or type(c) is int else Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in cs))
+        # over the least common denominator the content is already coprime to it
+        nums = [c.numerator * (den // c.denominator) for c in cs]
+        while nums and nums[-1] == 0:
+            nums.pop()
+        _set(self, nums, den if nums else 1)
 
     def __setattr__(self, name, value):
         raise AttributeError("UniPoly is immutable")
@@ -162,46 +195,62 @@ class UniPoly:
         return UniPoly((Fraction(0), Fraction(1)))
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Degree-ascending ``Fraction`` coefficients, no trailing zeros."""
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def coeff(self, i: int) -> Fraction:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else _ZERO
+        return Fraction(self.nums[i], self.den) if 0 <= i < len(self.nums) else _ZERO
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
+        return isinstance(other, UniPoly) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
+
+    def _combine(self, other: "UniPoly", sign: int) -> "UniPoly":
+        """self + sign * other over the least common denominator."""
+        da, db = self.den, other.den
+        g = math.gcd(da, db)
+        ma, mb = db // g, sign * (da // g)
+        nums = [a * ma + b * mb for a, b in zip_longest(self.nums, other.nums, fillvalue=0)]
+        return _reduced(nums, da * ma)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        return UniPoly(a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=_ZERO))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return UniPoly(a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=_ZERO))
+        return self._combine(other, -1)
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(-c for c in self.coeffs)
+        return _set(UniPoly.__new__(UniPoly), [-n for n in self.nums], self.den)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
-        if self.is_zero or other.is_zero:
+        a_nums, b_nums = self.nums, other.nums
+        if not a_nums or not b_nums:
             return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
+        out = [0] * (len(a_nums) + len(b_nums) - 1)
+        for i, a in enumerate(a_nums):
+            if a:
+                for j, b in enumerate(b_nums, i):
+                    out[j] += a * b
+        return _reduced(out, self.den * other.den)
 
     def scale(self, c: Fraction | int) -> "UniPoly":
-        c = Fraction(c)
-        return UniPoly(a * c for a in self.coeffs)
+        if type(c) is not Fraction and type(c) is not int:
+            c = Fraction(c)
+        p, q = c.numerator, c.denominator
+        return _reduced([n * p for n in self.nums], self.den * q)
 
     def pow(self, k: int) -> "UniPoly":
         out = UniPoly.one()
@@ -211,13 +260,15 @@ class UniPoly:
 
     def __call__(self, x: Fraction | int) -> Fraction:
         """Exact Horner evaluation."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        # with x = p/q: sum n_i p^i q^(d-i) over den q^d, for degree d
+        p, q = x.numerator, x.denominator
+        acc = 0
+        for i, n in enumerate(reversed(self.nums)):
+            acc = acc * p + n * q**i
+        return Fraction(acc, self.den * q ** max(self.degree, 0))
 
     def max_abs_coeff(self) -> Fraction:
-        return max((abs(c) for c in self.coeffs), default=Fraction(0))
+        return Fraction(max(map(abs, self.nums)), self.den) if self.nums else Fraction(0)
 
     def serialize(self) -> list[str]:
         """Dense degree-ascending list of "p/q" strings."""
@@ -225,6 +276,27 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly([{', '.join(self.serialize())}])"
+
+
+def _set(poly: UniPoly, nums: list[int], den: int) -> UniPoly:
+    """Store an already-reduced (nums, den) pair on ``poly``."""
+    object.__setattr__(poly, "nums", tuple(nums))
+    object.__setattr__(poly, "den", den)
+    return poly
+
+
+def _reduced(nums: list[int], den: int) -> UniPoly:
+    """The UniPoly nums/den, for den > 0: trailing zeros stripped and
+    nums and den divided by their one common gcd."""
+    while nums and nums[-1] == 0:
+        nums.pop()
+    if not nums:
+        return _set(UniPoly.__new__(UniPoly), nums, 1)
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums = [n // g for n in nums]
+        den //= g
+    return _set(UniPoly.__new__(UniPoly), nums, den)
 
 
 Monomial = tuple[int, int, int, int, int]

@@ -36,6 +36,14 @@ SUITE_NAMES = ("dual-addition", "classical-addition", "racah", "hermite", "conti
 
 _HALF = Fraction(1, 2)
 
+#: lowest accepted precision_digits.  It keeps every default tolerance below
+#: 1e-5: the loosest, eq13's 10^-(P-40), is 1e-6 at P = 46 (eq13-printed's,
+#: ((alpha+1/2)_n)^2 times that, at most 2.25e-6), but 1e-5 at P = 45.
+PRECISION_FLOOR = 46
+
+#: default tolerance of each tolerance setting: 10^-(P - offset)
+_TOLERANCE_OFFSETS = {"integral_tolerance": 35, "pointwise_tolerance": 10}
+
 
 @dataclass(frozen=True)
 class SuiteConfig:
@@ -59,11 +67,9 @@ class SuiteConfig:
 
     def __post_init__(self):
         """Reject settings that empty a grid, do not parse or make a check vacuous."""
-        # The precision floor keeps every default tolerance well below 1: the
-        # loosest, eq13's 10^-(P-40), is 1e-5 at P = 45 and 1 at P = 40.
         floors = {"l_max": 0, "m_max": 0, "addition_n_max": 0, "hermite_lm_max": 0,
                   "biorthogonality_max": 0, "limit_lm_max": 0, "jobs": 0,
-                  "truncation_budget": 1, "precision_digits": 45}
+                  "truncation_budget": 1, "precision_digits": PRECISION_FLOOR}
         for name, floor in floors.items():
             value = getattr(self, name)
             if value is not None and value < floor:
@@ -83,6 +89,16 @@ class SuiteConfig:
                     parse(value)
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ConfigError(f"bad value for {name}: {value!r}") from exc
+        # An explicit tolerance may be no looser than its default at the floor.
+        for name, offset in _TOLERANCE_OFFSETS.items():
+            value = getattr(self, name)
+            loosest = f"1e{offset - PRECISION_FLOOR}"
+            if value is not None and not (
+                mp.isfinite(mp.mpf(value)) and 0 < mp.mpf(value) <= mp.mpf(loosest)
+            ):
+                raise ConfigError(
+                    f"{name} must be finite, positive and at most {loosest}, got {value!r}"
+                )
 
     def lm_pairs(self):
         m_cap = self.l_max if self.m_max is None else self.m_max
@@ -93,12 +109,12 @@ class SuiteConfig:
     def integral_tol(self) -> mp.mpf:
         if self.integral_tolerance is not None:
             return mp.mpf(self.integral_tolerance)
-        return mp.mpf(10) ** (-self.precision_digits + 35)
+        return mp.mpf(10) ** (-self.precision_digits + _TOLERANCE_OFFSETS["integral_tolerance"])
 
     def pointwise_tol(self) -> mp.mpf:
         if self.pointwise_tolerance is not None:
             return mp.mpf(self.pointwise_tolerance)
-        return mp.mpf(10) ** (-self.precision_digits + 10)
+        return mp.mpf(10) ** (-self.precision_digits + _TOLERANCE_OFFSETS["pointwise_tolerance"])
 
 
 @dataclass(frozen=True)

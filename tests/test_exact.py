@@ -1,5 +1,6 @@
 """Exact-core tests: rationals, shifted factorials, the surd ring."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -256,3 +257,191 @@ class TestPythagoreanPoint:
         x, u = pythagorean_point(s)
         assert u * u == 1 - x * x
         assert -1 <= x <= 1
+
+
+# ---------------------------------------------------------------------------
+# Oracles for the fraction-free kernels: plain Fraction-list references
+# written here, sharing no code with polyident.exact.
+
+wide_rationals = st.fractions(min_value=-50, max_value=50, max_denominator=1000)
+coeff_lists = st.lists(rationals | wide_rationals, max_size=7)
+
+
+def _ref_trim(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(a, b, sign=1):
+    size = max(len(a), len(b))
+    padded_a = list(a) + [Fraction(0)] * (size - len(a))
+    padded_b = list(b) + [Fraction(0)] * (size - len(b))
+    return _ref_trim(x + sign * y for x, y in zip(padded_a, padded_b))
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _ref_value(a, x):
+    return sum((c * Fraction(x) ** i for i, c in enumerate(a)), Fraction(0))
+
+
+def _ref_poch(a, k):
+    out = Fraction(1)
+    for i in range(k):
+        out *= a + i
+    return out
+
+
+def _ref_hyp(uppers, lowers, n, z):
+    total = Fraction(0)
+    for k in range(n + 1):
+        term = Fraction(z) ** k
+        for a in uppers:
+            term *= _ref_poch(Fraction(a), k)
+        for b in lowers:
+            term /= _ref_poch(Fraction(b), k)
+        for i in range(1, k + 1):
+            term /= i
+        total += term
+    return total
+
+
+def _factors(pairs):
+    return [Fraction(base) + i for base, length in pairs for i in range(length)]
+
+
+def _product(values):
+    out = Fraction(1)
+    for v in values:
+        out *= v
+    return out
+
+
+class TestUniPolyOracle:
+    @given(a=coeff_lists, b=coeff_lists)
+    @settings(max_examples=150, deadline=None)
+    def test_ring_operations_match_reference(self, a, b):
+        ra, rb = _ref_trim(a), _ref_trim(b)
+        p, q = UniPoly(a), UniPoly(b)
+        cases = [
+            (p + q, _ref_add(ra, rb)),
+            (p - q, _ref_add(ra, rb, -1)),
+            (-p, _ref_trim(-c for c in ra)),
+            (p * q, _ref_mul(ra, rb)),
+        ]
+        for got, expected in cases:
+            assert got.coeffs == expected
+            assert all(type(c) is Fraction for c in got.coeffs)
+            assert got == UniPoly(expected)
+            assert hash(got) == hash(UniPoly(expected))
+
+    @given(a=coeff_lists, c=rationals | wide_rationals, k=st.integers(0, 4),
+           x=rationals | wide_rationals | st.integers(-9, 9))
+    @settings(max_examples=150, deadline=None)
+    def test_scale_pow_call_and_accessors_match_reference(self, a, c, k, x):
+        ra = _ref_trim(a)
+        p = UniPoly(a)
+        assert p.scale(c).coeffs == _ref_trim(v * c for v in ra)
+        power = (Fraction(1),)
+        for _ in range(k):
+            power = _ref_mul(power, ra)
+        assert p.pow(k).coeffs == power
+        value = p(x)
+        assert value == _ref_value(ra, x)
+        assert type(value) is Fraction
+        assert p.degree == len(ra) - 1
+        assert p.is_zero == (not ra)
+        for i in range(-1, len(ra) + 2):
+            got = p.coeff(i)
+            assert got == (ra[i] if 0 <= i < len(ra) else 0)
+            assert type(got) is Fraction
+        biggest = p.max_abs_coeff()
+        assert biggest == max((abs(v) for v in ra), default=Fraction(0))
+        assert type(biggest) is Fraction
+        assert p.serialize() == [format_rational(v) for v in ra]
+
+    @given(a=coeff_lists, b=coeff_lists, c=rationals | wide_rationals)
+    @settings(max_examples=150, deadline=None)
+    def test_construction_routes_compare_and_hash_equal(self, a, b, c):
+        p, q = UniPoly(a), UniPoly(b)
+        routes = [
+            ((p * q).scale(c), p.scale(c) * q),
+            ((p + q).scale(c), p.scale(c) + q.scale(c)),
+            ((p + q) - q, p),
+            (p * q, q * p),
+            (-(p - q), q - p),
+        ]
+        for left, right in routes:
+            assert left == right
+            assert hash(left) == hash(right)
+        # the stored form is the canonical one: positive den, content coprime to it
+        for poly in (p, q, p * q, (p * q).scale(c), p - q):
+            assert poly.den > 0
+            assert not poly.nums or poly.nums[-1] != 0
+            assert math.gcd(poly.den, *poly.nums) == 1
+
+    def test_constructor_accepts_strings_like_fraction(self):
+        assert UniPoly(["1/2", "0", "-3/4"]).coeffs == (Fraction(1, 2), 0, Fraction(-3, 4))
+
+
+# bases whose factors may vanish: negative integers make parameter ties
+tie_bases = st.integers(-6, 3).map(Fraction) | rationals
+pair_lists = st.lists(st.tuples(tie_bases, st.integers(0, 5)), max_size=4)
+nonvanishing_pairs = st.lists(
+    st.tuples(rationals, st.integers(0, 5)), max_size=3
+).filter(lambda pairs: 0 not in _factors(pairs))
+
+
+class TestPochQuotientOracle:
+    @given(shared=pair_lists, extra_num=pair_lists, extra_den=nonvanishing_pairs)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_direct_product_at_parameter_ties(self, shared, extra_num, extra_den):
+        # the shared block cancels whatever zeros it holds; what is left is
+        # a direct product with a denominator that cannot vanish
+        value = poch_quotient(shared + extra_num, extra_den + shared)
+        assert value == _product(_factors(extra_num)) / _product(_factors(extra_den))
+        assert type(value) is Fraction
+
+    @given(num=nonvanishing_pairs, shared=pair_lists)
+    @settings(max_examples=80, deadline=None)
+    def test_surviving_zero_raises_with_every_zero_factor(self, num, shared):
+        # (-2)_4 and (-1)_2 each hold a zero; (-3)_4 in the numerator cancels one
+        numerators = num + shared + [(Fraction(-3), 4)]
+        denominators = shared + [(Fraction(-2), 4), (Fraction(-1), 2)]
+        zeros = _factors(denominators).count(0)
+        with pytest.raises(DegenerateParameterError) as info:
+            poch_quotient(numerators, denominators)
+        assert info.value.factors == ["0"] * zeros
+
+
+lower_params = rationals.filter(lambda b: b.denominator > 1 or b > 0)
+
+
+class TestTerminatingHypOracle:
+    @pytest.mark.parametrize("z", [Fraction(1), Fraction(-4, 7), Fraction(3)])
+    @given(n=st.integers(0, 8), uppers=st.lists(rationals | st.integers(-9, 9), max_size=3),
+           lowers=st.lists(lower_params, max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_plain_loop(self, z, n, uppers, lowers):
+        value = terminating_hyp([Fraction(-n), *uppers], lowers, n, z=z)
+        assert value == _ref_hyp([-n, *uppers], lowers, n, z)
+        assert type(value) is Fraction
+
+    @pytest.mark.parametrize("z", [Fraction(1), Fraction(-4, 7), Fraction(3)])
+    def test_lower_pole_raises_domain_error(self, z):
+        # -2 + k vanishes at k = 2, so term 3 would divide by zero
+        with pytest.raises(DomainError, match="lower parameter pole at term 3"):
+            terminating_hyp([Fraction(-5), Fraction(1, 3)], [Fraction(-2)], 5, z=z)
+
+    def test_zero_upper_stops_before_a_later_pole(self):
+        # the upper -1 ends the series after term 1, before the lower -3 reaches 0
+        z = Fraction(-4, 7)
+        assert terminating_hyp([-1], [Fraction(-3)], 5, z=z) == 1 + z / 3

@@ -284,10 +284,17 @@ class TestCli:
             ["verify", "hermite", "--alpha-powers", "5,4"],
             ["verify", "continuous", "--truncation-budget=-1"],
             ["verify", "racah", "--jobs=-1"],
+            ["verify", "racah", "--precision-digits", "45"],
+            ["verify", "racah", "--integral-tolerance", "1"],
+            ["verify", "racah", "--integral-tolerance", "inf"],
+            ["verify", "racah", "--pointwise-tolerance=-1"],
+            ["verify", "racah", "--pointwise-tolerance", "0"],
         ],
         ids=["empty-grid", "empty-pair-grid", "unparseable-t-max",
              "unparseable-tolerance", "empty-alpha-powers", "vacuous-precision",
-             "decreasing-alpha-powers", "no-truncation-budget", "negative-jobs"],
+             "decreasing-alpha-powers", "no-truncation-budget", "negative-jobs",
+             "precision-at-1e-5", "loose-tolerance", "infinite-tolerance",
+             "negative-tolerance", "zero-tolerance"],
     )
     def test_rejected_config_exits_two(self, argv, capsys):
         # the case's own flags come last, so they win over these defaults
