@@ -1,11 +1,13 @@
 """High-precision side: Jacobi/Gegenbauer functions and Wilson polynomials.
 
 Arbitrary-precision reals and complexes are mpmath's mpf/mpc; every
-routine takes a decimal working precision ``prec`` (default 60) and
-computes with ten guard digits.  Every Jacobi, Gegenbauer and conical
-function here is a Gauss function 2F1 at an argument -sinh^2 t <= 0,
-evaluated by ``mpmath.hyp2f1`` (DLMF 15.8 argument transformations with
-adaptive internal precision).
+routine takes a decimal working precision ``prec`` (default 60), or reads
+it from the ``WilsonContext`` it is given, and computes with ten guard
+digits.  A residual that integrates or sums a truncated series takes its
+``tolerance`` as a required argument and refines to 1e-3 of it.  Every
+Jacobi, Gegenbauer and conical function here is a Gauss function 2F1 at
+an argument -sinh^2 t <= 0, evaluated by ``mpmath.hyp2f1`` (DLMF 15.8
+argument transformations with adaptive internal precision).
 
 Two printed closed forms are handled in both a "printed" and a
 "corrected" variant: the Wilson norm and the closed form of the
@@ -373,14 +375,7 @@ class WilsonContext:
 
 
 def wilson_orthogonality_residual(
-    m: int,
-    n: int,
-    lam,
-    mu,
-    alpha,
-    prec: int = DEFAULT_PREC,
-    tolerance=None,
-    context: WilsonContext | None = None,
+    m: int, n: int, ctx: WilsonContext, tolerance: mp.mpf
 ) -> mp.mpf:
     """Relative residual of the Wilson orthogonality relation.
 
@@ -388,8 +383,7 @@ def wilson_orthogonality_residual(
     4 pi) is compared against delta_{m,n} times the corrected closed-form
     norm; the difference is scaled by sqrt(norm_m norm_n).
     """
-    ctx = context or WilsonContext(lam, mu, alpha, prec)
-    tolerance = _default_tol(tolerance, prec)
+    prec = ctx.prec
     with mp.workdps(prec + _GUARD):
         value = ctx.integrate(
             lambda nu: ctx.poly(m, nu) * ctx.poly(n, nu) * ctx.weight(nu),
@@ -405,23 +399,14 @@ def wilson_orthogonality_residual(
         return abs(value - target) / scale
 
 
-def dual_product_residual(
-    t,
-    lam,
-    mu,
-    alpha,
-    prec: int = DEFAULT_PREC,
-    tolerance=None,
-    context: WilsonContext | None = None,
-) -> mp.mpf:
+def dual_product_residual(t, ctx: WilsonContext, tolerance: mp.mpf) -> mp.mpf:
     """Relative residual of the dual product formula.
 
     The product of two Jacobi functions of the same argument, carrying its
     gamma prefactor, must equal the gamma-weight integral of the spectral
     Jacobi function.
     """
-    ctx = context or WilsonContext(lam, mu, alpha, prec)
-    tolerance = _default_tol(tolerance, prec)
+    prec = ctx.prec
     with mp.workdps(prec + _GUARD):
         t = to_mpf(t, prec)
         half = mp.mpf(1) / 2
@@ -438,7 +423,7 @@ def dual_product_residual(
 
 
 def conical_product_residual(
-    t, lam, mu, alpha, prec: int = DEFAULT_PREC, tolerance=None
+    t, lam, mu, alpha, tolerance: mp.mpf, prec: int = DEFAULT_PREC
 ) -> mp.mpf:
     """Relative residual of the conical-function form of the dual product.
 
@@ -447,7 +432,6 @@ def conical_product_residual(
     g = alpha+1/2, p = 2 lam, q = 2 mu.  Numerically equivalent to the
     Jacobi-function form but exercises the conical prefactors.
     """
-    tolerance = _default_tol(tolerance, prec)
     with mp.workdps(prec + _GUARD):
         g = to_mpf(alpha, prec) + mp.mpf(1) / 2
         t = to_mpf(t, prec)
@@ -486,15 +470,7 @@ def conical_product_residual(
 
 
 def dual_integral_closed_form_residual(
-    n: int,
-    t,
-    lam,
-    mu,
-    alpha,
-    prec: int = DEFAULT_PREC,
-    tolerance=None,
-    variant: str = "corrected",
-    context: WilsonContext | None = None,
+    n: int, t, ctx: WilsonContext, tolerance: mp.mpf, variant: str = "corrected"
 ) -> mp.mpf:
     """Relative residual of the closed form of the phi-weighted Wilson integral.
 
@@ -508,8 +484,7 @@ def dual_integral_closed_form_residual(
 
     variant="printed" uses the historical Gamma(alpha+1/2)^2 prefactor.
     """
-    ctx = context or WilsonContext(lam, mu, alpha, prec)
-    tolerance = _default_tol(tolerance, prec)
+    prec = ctx.prec
     with mp.workdps(prec + _GUARD):
         t = to_mpf(t, prec)
         half = mp.mpf(1) / 2
@@ -590,9 +565,9 @@ def dual_addition_function_residual(
     lam,
     mu,
     alpha,
+    tolerance: mp.mpf,
     truncation_budget: int = 64,
     prec: int = DEFAULT_PREC,
-    tolerance=None,
 ) -> TruncatedExpansionResult:
     """Truncated dual addition expansion for Gegenbauer functions.
 
@@ -606,7 +581,6 @@ def dual_addition_function_residual(
     runs out); the last five term magnitudes must be decreasing, otherwise
     the result is flagged as (formally) divergent rather than raising.
     """
-    tolerance = _default_tol(tolerance, prec)
     with mp.workdps(prec + _GUARD):
         t = to_mpf(t, prec)
         nu = to_mpf(nu, prec)
@@ -650,9 +624,3 @@ def phi_bound_violation(
     with mp.workdps(prec + _GUARD):
         value = abs(phi(lam, alpha, beta, t, prec))
         return max(value - 1, mp.mpf(0))
-
-
-def _default_tol(tolerance, prec: int):
-    if tolerance is None:
-        return mp.mpf(10) ** (-prec + 35)
-    return mp.mpf(tolerance)

@@ -36,13 +36,13 @@ SUITE_NAMES = ("dual-addition", "classical-addition", "racah", "hermite", "conti
 
 _HALF = Fraction(1, 2)
 
-#: lowest accepted precision_digits.  It keeps every default tolerance below
+#: lowest accepted precision_digits.  It keeps every declared tolerance below
 #: 1e-5: the loosest, eq13's 10^-(P-40), is 1e-6 at P = 46 (eq13-printed's,
 #: ((alpha+1/2)_n)^2 times that, at most 2.25e-6), but 1e-5 at P = 45.
 PRECISION_FLOOR = 46
 
-#: default tolerance of each tolerance setting: 10^-(P - offset)
-_TOLERANCE_OFFSETS = {"integral_tolerance": 35, "pointwise_tolerance": 10}
+#: tolerance kind -> offset of its default 10^-(P - offset)
+_TOLERANCE_OFFSETS = {"integral": 35, "pointwise": 10}
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ class SuiteConfig:
     alpha_powers: tuple[int, ...] = tuple(range(4, 17))
     limit_lm_max: int = 4
     precision_digits: int = 60
-    integral_tolerance: str | None = None  # default: 10^-(P-35), 1e-25 at P=60
-    pointwise_tolerance: str | None = None  # default: 10^-(P-10), 1e-50 at P=60
+    integral_tolerance: str | None = None  # integral kind; default 10^-(P-35), 1e-25 at P=60
+    pointwise_tolerance: str | None = None  # pointwise kind; default 10^-(P-10), 1e-50 at P=60
     t_max: str = "0.2"
     truncation_budget: int = 64
     jobs: int = 0
@@ -81,21 +81,23 @@ class SuiteConfig:
             raise ConfigError(
                 f"alpha_powers must be strictly increasing, got {self.alpha_powers}"
             )
-        for name, parse in (("t_max", Fraction), ("integral_tolerance", mp.mpf),
-                            ("pointwise_tolerance", mp.mpf)):
+        try:
+            Fraction(self.t_max)
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ConfigError(f"bad value for t_max: {self.t_max!r}") from exc
+        # An explicit tolerance must parse and be no looser than its default
+        # at the floor.
+        for kind, offset in _TOLERANCE_OFFSETS.items():
+            name = f"{kind}_tolerance"
             value = getattr(self, name)
+            if value is None:
+                continue
             try:
-                if value is not None:
-                    parse(value)
+                tolerance = mp.mpf(value)
             except (TypeError, ValueError, ZeroDivisionError) as exc:
                 raise ConfigError(f"bad value for {name}: {value!r}") from exc
-        # An explicit tolerance may be no looser than its default at the floor.
-        for name, offset in _TOLERANCE_OFFSETS.items():
-            value = getattr(self, name)
             loosest = f"1e{offset - PRECISION_FLOOR}"
-            if value is not None and not (
-                mp.isfinite(mp.mpf(value)) and 0 < mp.mpf(value) <= mp.mpf(loosest)
-            ):
+            if not (mp.isfinite(tolerance) and 0 < tolerance <= mp.mpf(loosest)):
                 raise ConfigError(
                     f"{name} must be finite, positive and at most {loosest}, got {value!r}"
                 )
@@ -106,29 +108,33 @@ class SuiteConfig:
             for m in range(min(l, m_cap) + 1):
                 yield l, m
 
-    def integral_tol(self) -> mp.mpf:
-        if self.integral_tolerance is not None:
-            return mp.mpf(self.integral_tolerance)
-        return mp.mpf(10) ** (-self.precision_digits + _TOLERANCE_OFFSETS["integral_tolerance"])
-
-    def pointwise_tol(self) -> mp.mpf:
-        if self.pointwise_tolerance is not None:
-            return mp.mpf(self.pointwise_tolerance)
-        return mp.mpf(10) ** (-self.precision_digits + _TOLERANCE_OFFSETS["pointwise_tolerance"])
+    def tolerance(self, kind: str) -> mp.mpf:
+        """The explicit tolerance of ``kind``, else its default 10^-(P - offset)."""
+        value = getattr(self, f"{kind}_tolerance")
+        if value is not None:
+            return mp.mpf(value)
+        return mp.mpf(10) ** (-self.precision_digits + _TOLERANCE_OFFSETS[kind])
 
 
 @dataclass(frozen=True)
 class Identity:
-    """One identity check: its suite, the description `list` prints, and
-    the handler that runs one task of it."""
+    """One identity check: its suite, the description `list` prints, the
+    handler that runs one task of it and, for a numeric check, its tolerance
+    as (kind, e): the kind's tolerance times 10^e."""
 
     suite: str
     description: str
-    handler: Callable[[dict[str, str], SuiteConfig], TaskResult]
+    handler: Callable[..., TaskResult]
+    tolerance: tuple[str, int] | None = None
 
     @property
     def mode(self) -> str:
-        return "numeric" if self.suite == "continuous" else "exact"
+        return "exact" if self.tolerance is None else "numeric"
+
+    def threshold(self, config: SuiteConfig) -> mp.mpf:
+        """The declared tolerance under ``config``."""
+        kind, exponent = self.tolerance
+        return config.tolerance(kind) * mp.mpf(10) ** exponent
 
 
 #: identity id -> declaration, filled by :func:`identity`.  The ids are the
@@ -136,13 +142,18 @@ class Identity:
 REGISTRY: dict[str, Identity] = {}
 
 
-def identity(identity_id: str, suite: str, description: str):
-    """Declare the decorated handler as the check of ``identity_id``."""
+def identity(identity_id: str, suite: str, description: str,
+             tolerance: tuple[str, int] | None = None):
+    """Declare the decorated handler as the check of ``identity_id``.
+
+    A numeric check declares ``tolerance``; its handler is called as
+    ``handler(params, config, threshold)`` with the declared threshold.
+    """
 
     def declare(handler):
         if identity_id in REGISTRY:
             raise ValueError(f"identity {identity_id!r} declared twice")
-        REGISTRY[identity_id] = Identity(suite, description, handler)
+        REGISTRY[identity_id] = Identity(suite, description, handler, tolerance)
         return handler
 
     return declare
@@ -221,7 +232,9 @@ def run_task(identity_id: str, params: dict[str, str], config: SuiteConfig) -> T
     declared = REGISTRY.get(identity_id)
     if declared is None:
         raise ConfigError(f"no handler for identity {identity_id!r}")
-    return declared.handler(params, config)
+    if declared.tolerance is None:
+        return declared.handler(params, config)
+    return declared.handler(params, config, declared.threshold(config))
 
 
 # -- racah suite handlers
@@ -539,123 +552,120 @@ def _task_eq40_to_eq46(params, config):
 _WILSON_CONTEXTS: dict[tuple, continuous.WilsonContext] = {}
 
 
-def _wilson_context(lam: str, mu: str, alpha: str, prec: int) -> continuous.WilsonContext:
-    key = (lam, mu, alpha, prec)
+def _wilson_context(params: dict[str, str], prec: int) -> continuous.WilsonContext:
+    key = (params["lambda"], params["mu"], params["alpha"], prec)
     ctx = _WILSON_CONTEXTS.get(key)
     if ctx is None:
-        ctx = continuous.WilsonContext(
-            parse_rational(lam), parse_rational(mu), parse_rational(alpha), prec
-        )
+        ctx = continuous.WilsonContext(*map(parse_rational, key[:3]), prec)
         _WILSON_CONTEXTS[key] = ctx
     return ctx
 
 
-@identity("eq8", "continuous", "Wilson orthogonality (corrected norm) by quadrature")
-def _task_eq8(params, config):
-    prec = config.precision_digits
-    ctx = _wilson_context(params["lambda"], params["mu"], params["alpha"], prec)
+def _pinned_ratio(params, prec: int) -> mp.mpf:
+    """((alpha+1/2)_n)^2, the factor a printed Gamma(alpha+1/2)^2 is off by."""
+    alpha = parse_rational(params["alpha"])
+    return continuous.to_mpf(pochhammer(alpha + _HALF, int(params["n"])) ** 2, prec)
+
+
+@identity("eq8", "continuous", "Wilson orthogonality (corrected norm) by quadrature",
+          tolerance=("integral", 0))
+def _task_eq8(params, config, tolerance):
+    ctx = _wilson_context(params, config.precision_digits)
     value = continuous.wilson_orthogonality_residual(
-        int(params["m"]), int(params["n"]), None, None, None,
-        prec=prec, tolerance=config.integral_tol(), context=ctx,
+        int(params["m"]), int(params["n"]), ctx, tolerance
     )
-    return _numeric_result(value, config.integral_tol())
+    return _numeric_result(value, tolerance)
 
 
 @identity(
     "eq8-printed", "continuous", "printed Wilson norm off by ((alpha+1/2)_n)^2: pinned",
+    tolerance=("integral", 0),
 )
-def _task_eq8_printed(params, config):
+def _task_eq8_printed(params, config, tolerance):
     prec = config.precision_digits
     n = int(params["n"])
-    alpha = parse_rational(params["alpha"])
-    ctx = _wilson_context(params["lambda"], params["mu"], params["alpha"], prec)
+    ctx = _wilson_context(params, prec)
     with mp.workdps(prec + 10):
         integral = ctx.integrate(
             lambda nu: ctx.poly(n, nu) ** 2 * ctx.weight(nu),
-            config.integral_tol() * mp.mpf(10) ** -3,
+            config.tolerance("integral") * mp.mpf(10) ** -3,
         )
         printed = continuous.wilson_norm(
             n, ctx.lam, ctx.mu, ctx.alpha, prec, variant="printed"
         )
-        expected_ratio = continuous.to_mpf(pochhammer(alpha + _HALF, n) ** 2, prec)
+        expected_ratio = _pinned_ratio(params, prec)
         discrepancy = abs(integral / printed - expected_ratio)
     return _numeric_result(
         discrepancy,
-        config.integral_tol() * expected_ratio,
+        tolerance * expected_ratio,
         extra={"measured_over_printed": mp.nstr(integral / printed, 8),
                "expected_ratio": mp.nstr(expected_ratio, 8)},
     )
 
 
-@identity("eq7", "continuous", "dual product formula for Gegenbauer functions")
-def _task_eq7(params, config):
-    prec = config.precision_digits
-    ctx = _wilson_context(params["lambda"], params["mu"], params["alpha"], prec)
-    value = continuous.dual_product_residual(
-        parse_rational(params["t"]), None, None, None,
-        prec=prec, tolerance=config.integral_tol(), context=ctx,
-    )
-    return _numeric_result(value, config.integral_tol())
+@identity("eq7", "continuous", "dual product formula for Gegenbauer functions",
+          tolerance=("integral", 0))
+def _task_eq7(params, config, tolerance):
+    ctx = _wilson_context(params, config.precision_digits)
+    value = continuous.dual_product_residual(parse_rational(params["t"]), ctx, tolerance)
+    return _numeric_result(value, tolerance)
 
 
-@identity("eq6", "continuous", "dual product formula in conical-function form")
-def _task_eq6(params, config):
+@identity("eq6", "continuous", "dual product formula in conical-function form",
+          tolerance=("integral", 0))
+def _task_eq6(params, config, tolerance):
     value = continuous.conical_product_residual(
         parse_rational(params["t"]),
         parse_rational(params["lambda"]),
         parse_rational(params["mu"]),
         parse_rational(params["alpha"]),
+        tolerance,
         prec=config.precision_digits,
-        tolerance=config.integral_tol(),
     )
-    return _numeric_result(value, config.integral_tol())
+    return _numeric_result(value, tolerance)
 
 
 @identity(
     "eq13", "continuous", "closed form of the phi-weighted Wilson integral (corrected)",
+    tolerance=("integral", 5),
 )
-def _task_eq13(params, config):
-    prec = config.precision_digits
-    ctx = _wilson_context(params["lambda"], params["mu"], params["alpha"], prec)
-    tol = config.integral_tol() * mp.mpf(10) ** 5  # stated: 1e-20 at P=60
+def _task_eq13(params, config, tolerance):
+    ctx = _wilson_context(params, config.precision_digits)
     value = continuous.dual_integral_closed_form_residual(
-        int(params["n"]), parse_rational(params["t"]), None, None, None,
-        prec=prec, tolerance=tol, context=ctx,
+        int(params["n"]), parse_rational(params["t"]), ctx, tolerance
     )
-    return _numeric_result(value, tol)
+    return _numeric_result(value, tolerance)
 
 
 @identity(
     "eq13-printed", "continuous", "printed closed form off by ((alpha+1/2)_n)^2: pinned",
+    tolerance=("integral", 5),
 )
-def _task_eq13_printed(params, config):
+def _task_eq13_printed(params, config, tolerance):
     prec = config.precision_digits
     n = int(params["n"])
-    alpha = parse_rational(params["alpha"])
-    ctx = _wilson_context(params["lambda"], params["mu"], params["alpha"], prec)
+    ctx = _wilson_context(params, prec)
     t = parse_rational(params["t"])
     with mp.workdps(prec + 10):
-        corrected = continuous.dual_integral_closed_form_residual(
-            n, t, None, None, None, prec=prec,
-            tolerance=config.integral_tol(), context=ctx, variant="corrected",
-        )
+        # both variants integrate 1e5 tighter than the check they feed
+        base = config.tolerance("integral")
+        corrected = continuous.dual_integral_closed_form_residual(n, t, ctx, base)
         printed = continuous.dual_integral_closed_form_residual(
-            n, t, None, None, None, prec=prec,
-            tolerance=config.integral_tol(), context=ctx, variant="printed",
+            n, t, ctx, base, variant="printed"
         )
-        expected_ratio = continuous.to_mpf(pochhammer(alpha + _HALF, n) ** 2, prec)
+        expected_ratio = _pinned_ratio(params, prec)
         # printed residual = |I - closed/ratio| / (closed/ratio) = ratio - 1 when corrected holds
         discrepancy = abs(printed - (expected_ratio - 1))
-        tol = config.integral_tol() * mp.mpf(10) ** 5 * expected_ratio
     return _numeric_result(
-        discrepancy, tol,
+        discrepancy, tolerance * expected_ratio,
         extra={"corrected_residual": mp.nstr(corrected, 8),
                "expected_ratio": mp.nstr(expected_ratio, 8)},
     )
 
 
-@identity("eq33", "continuous", "Wilson backward shift identity, pointwise")
-def _task_eq33(params, config):
+@identity("eq33", "continuous", "Wilson backward shift identity, pointwise",
+          tolerance=("pointwise", 20))
+def _task_eq33(params, config, tolerance):
     value = continuous.wilson_backward_shift_residual(
         int(params["n"]),
         parse_rational(params["x"]),
@@ -664,25 +674,24 @@ def _task_eq33(params, config):
         parse_rational(params["alpha"]),
         prec=config.precision_digits,
     )
-    tol = mp.mpf(10) ** (-config.precision_digits + 30)
-    return _numeric_result(value, tol)
+    return _numeric_result(value, tolerance)
 
 
-@identity("eq15", "continuous", "dual addition expansion for Gegenbauer functions")
-def _task_eq15(params, config):
-    tol = config.integral_tol() * mp.mpf(10) ** 5
+@identity("eq15", "continuous", "dual addition expansion for Gegenbauer functions",
+          tolerance=("integral", 5))
+def _task_eq15(params, config, tolerance):
     result = continuous.dual_addition_function_residual(
         parse_rational(params["t"]),
         parse_rational(params["nu"]),
         parse_rational(params["lambda"]),
         parse_rational(params["mu"]),
         parse_rational(params["alpha"]),
+        tolerance,
         truncation_budget=config.truncation_budget,
         prec=config.precision_digits,
-        tolerance=tol,
     )
     out = _numeric_result(
-        result.residual, tol,
+        result.residual, tolerance,
         extra={"terms": str(result.terms_used),
                "tail_decreasing": str(result.tail_decreasing).lower()},
     )
@@ -693,8 +702,9 @@ def _task_eq15(params, config):
     return out
 
 
-@identity("eq16", "continuous", "quadratic argument transform of Gegenbauer functions")
-def _task_eq16(params, config):
+@identity("eq16", "continuous", "quadratic argument transform of Gegenbauer functions",
+          tolerance=("pointwise", 0))
+def _task_eq16(params, config, tolerance):
     prec = config.precision_digits
     with mp.workdps(prec + 10):
         alpha = continuous.to_mpf(parse_rational(params["alpha"]), prec)
@@ -704,11 +714,12 @@ def _task_eq16(params, config):
             continuous.phi(2 * lam, alpha, alpha, t, prec)
             - continuous.phi(lam, alpha, -mp.mpf(1) / 2, 2 * t, prec)
         )
-    return _numeric_result(value, config.pointwise_tol())
+    return _numeric_result(value, tolerance)
 
 
-@identity("eq34", "continuous", "spectral-shift contiguous relation")
-def _task_eq34(params, config):
+@identity("eq34", "continuous", "spectral-shift contiguous relation",
+          tolerance=("pointwise", 0))
+def _task_eq34(params, config, tolerance):
     prec = config.precision_digits
     value = abs(
         continuous.contiguous_residual(
@@ -719,11 +730,12 @@ def _task_eq34(params, config):
             prec,
         )
     )
-    return _numeric_result(value, config.pointwise_tol())
+    return _numeric_result(value, tolerance)
 
 
-@identity("eq32", "continuous", "|phi| <= 1 bound on sampled spectral points")
-def _task_eq32(params, config):
+@identity("eq32", "continuous", "|phi| <= 1 bound on sampled spectral points",
+          tolerance=("pointwise", 0))
+def _task_eq32(params, config, tolerance):
     prec = config.precision_digits
     alpha = parse_rational(params["alpha"])
     beta = parse_rational(params["beta"])
@@ -738,11 +750,12 @@ def _task_eq32(params, config):
                 continuous.to_mpf(lam, prec), alpha, beta, t, prec
             ),
         )
-    return _numeric_result(worst, mp.mpf(10) ** (-config.precision_digits + 10))
+    return _numeric_result(worst, tolerance)
 
 
-@identity("eq4", "continuous", "conical function: two evaluation routes agree")
-def _task_eq4(params, config):
+@identity("eq4", "continuous", "conical function: two evaluation routes agree",
+          tolerance=("pointwise", 0))
+def _task_eq4(params, config, tolerance):
     value = continuous.conical_route_residual(
         continuous.ConicalArgs(
             parse_rational(params["g"]),
@@ -751,14 +764,14 @@ def _task_eq4(params, config):
         ),
         prec=config.precision_digits,
     )
-    tol = mp.mpf(10) ** (-config.precision_digits + 10)
-    return _numeric_result(value, tol)
+    return _numeric_result(value, tolerance)
 
 
 @identity(
     "exact-float-oracle", "continuous", "terminating series: exact rationals vs big floats",
+    tolerance=("pointwise", -5),
 )
-def _task_exact_float_oracle(params, config):
+def _task_exact_float_oracle(params, config, tolerance):
     prec = config.precision_digits
     case = params["case"]
     with mp.workdps(prec + 10):
@@ -796,7 +809,7 @@ def _task_exact_float_oracle(params, config):
             value = abs(continuous.to_mpf(exact, prec) - numeric)
         else:
             raise ConfigError(f"unknown oracle case {case!r}")
-    return _numeric_result(value, mp.mpf(10) ** (-prec + 5))
+    return _numeric_result(value, tolerance)
 
 
 # ---------------------------------------------------------------------------

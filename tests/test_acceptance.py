@@ -201,9 +201,7 @@ def test_criterion_8_continuous_suite():
     ctx = continuous.WilsonContext(Fraction(1, 5), Fraction(2, 5), 1, prec=prec)
     for m in range(4):
         for n in range(m, 4):
-            residual = continuous.wilson_orthogonality_residual(
-                m, n, None, None, None, prec=prec, tolerance=int_tol, context=ctx
-            )
+            residual = continuous.wilson_orthogonality_residual(m, n, ctx, int_tol)
             if residual > int_tol:
                 failures.append(("eq8", m, n, mp.nstr(residual, 5)))
 
@@ -211,18 +209,14 @@ def test_criterion_8_continuous_suite():
         point_ctx = continuous.WilsonContext(
             Fraction(lam), Fraction(mu), Fraction(alpha), prec=prec
         )
-        residual = continuous.dual_product_residual(
-            Fraction(t), None, None, None, prec=prec,
-            tolerance=int_tol, context=point_ctx,
-        )
+        residual = continuous.dual_product_residual(Fraction(t), point_ctx, int_tol)
         if residual > int_tol:
             failures.append(("eq7", t, lam, mu, alpha, mp.nstr(residual, 5)))
 
     ctx13 = continuous.WilsonContext(Fraction(3, 10), Fraction(1, 2), 1, prec=prec)
     for n in range(4):
         residual = continuous.dual_integral_closed_form_residual(
-            n, Fraction(1, 5), None, None, None, prec=prec,
-            tolerance=mid_tol, context=ctx13,
+            n, Fraction(1, 5), ctx13, mid_tol
         )
         if residual > mid_tol:
             failures.append(("eq13", n, mp.nstr(residual, 5)))

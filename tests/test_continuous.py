@@ -273,10 +273,7 @@ class TestWilsonOrthogonality:
         ctx = WilsonContext(Fraction(1, 5), Fraction(2, 5), 1, prec=prec)
         for m in range(3):
             for n in range(m, 3):
-                residual = wilson_orthogonality_residual(
-                    m, n, None, None, None, prec=prec,
-                    tolerance=tol(20), context=ctx,
-                )
+                residual = wilson_orthogonality_residual(m, n, ctx, tol(20))
                 assert residual < tol(15)
 
     def test_norm_variants_ratio(self):
@@ -304,18 +301,13 @@ class TestDualProduct:
     def test_residual_small(self):
         prec = 40
         ctx = WilsonContext(Fraction(2, 5), Fraction(7, 10), 1, prec=prec)
-        residual = dual_product_residual(
-            Fraction(3, 10), None, None, None, prec=prec,
-            tolerance=tol(18), context=ctx,
-        )
+        residual = dual_product_residual(Fraction(3, 10), ctx, tol(18))
         assert residual < tol(15)
 
     def test_t_zero_matches_degree_zero_norm(self):
         prec = 40
         ctx = WilsonContext(Fraction(3, 10), Fraction(2, 5), 1, prec=prec)
-        residual = dual_product_residual(
-            0, None, None, None, prec=prec, tolerance=tol(18), context=ctx
-        )
+        residual = dual_product_residual(0, ctx, tol(18))
         assert residual < tol(15)
 
 
@@ -323,31 +315,21 @@ class TestDualIntegralClosedForm:
     def test_degree_zero_equals_dual_product(self):
         prec = 40
         ctx = WilsonContext(Fraction(3, 10), Fraction(1, 2), 1, prec=prec)
-        r_product = dual_product_residual(
-            Fraction(1, 5), None, None, None, prec=prec,
-            tolerance=tol(18), context=ctx,
-        )
-        r_integral = dual_integral_closed_form_residual(
-            0, Fraction(1, 5), None, None, None, prec=prec,
-            tolerance=tol(18), context=ctx,
-        )
+        r_product = dual_product_residual(Fraction(1, 5), ctx, tol(18))
+        r_integral = dual_integral_closed_form_residual(0, Fraction(1, 5), ctx, tol(18))
         assert r_product < tol(15) and r_integral < tol(15)
 
     def test_degree_one(self):
         prec = 40
         ctx = WilsonContext(Fraction(3, 10), Fraction(1, 2), 1, prec=prec)
-        residual = dual_integral_closed_form_residual(
-            1, Fraction(1, 5), None, None, None, prec=prec,
-            tolerance=tol(18), context=ctx,
-        )
+        residual = dual_integral_closed_form_residual(1, Fraction(1, 5), ctx, tol(18))
         assert residual < tol(15)
 
     def test_printed_variant_discrepancy(self):
         prec = 40
         ctx = WilsonContext(Fraction(3, 10), Fraction(1, 2), 1, prec=prec)
         printed = dual_integral_closed_form_residual(
-            1, Fraction(1, 5), None, None, None, prec=prec,
-            tolerance=tol(18), context=ctx, variant="printed",
+            1, Fraction(1, 5), ctx, tol(18), variant="printed"
         )
         expected = to_mpf(pochhammer(Fraction(3, 2), 1) ** 2) - 1  # 5/4
         assert abs(printed - expected) < tol(12)

@@ -3,12 +3,14 @@
 import json
 from fractions import Fraction
 
+import mpmath as mp
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polyident.cli import load_config_file, main
 from polyident.errors import ConfigError
+from polyident.exact import pochhammer
 from polyident.report import (
     VerificationReport,
     emit,
@@ -109,6 +111,8 @@ class TestEmission:
 
 SMALL = dict(alphas=(Fraction(0), Fraction(1, 2)), l_max=3, jobs=1)
 
+NUMERIC = {i: d for i, d in REGISTRY.items() if d.mode == "numeric"}
+
 
 class TestSuites:
     def test_registry_covers_all_task_ids(self):
@@ -124,6 +128,65 @@ class TestSuites:
             for identity, _params in suite_tasks(suite, SuiteConfig())
         }
         assert produced == {(i, d.suite) for i, d in REGISTRY.items()}
+
+    def test_numeric_checks_declare_a_tolerance(self):
+        # a check is numeric exactly when it declares a tolerance, and every
+        # continuous check does
+        for identity, declared in REGISTRY.items():
+            numeric = declared.suite == "continuous"
+            assert (declared.tolerance is not None) == numeric, identity
+            assert declared.mode == ("numeric" if numeric else "exact"), identity
+
+    def test_thresholds_track_precision(self):
+        at_60, at_80 = SuiteConfig(precision_digits=60), SuiteConfig(precision_digits=80)
+        for identity, declared in NUMERIC.items():
+            expected = declared.threshold(at_60) * mp.mpf(10) ** -20
+            assert mp.almosteq(declared.threshold(at_80), expected, rel_eps=1e-14), identity
+
+    @pytest.mark.parametrize(
+        "flags",
+        [{}, {"integral_tolerance": "1e-11", "pointwise_tolerance": "1e-36"}],
+        ids=["defaults", "loosest-explicit"],
+    )
+    def test_thresholds_at_the_floor_stay_below_1e_5(self, flags):
+        config = SuiteConfig(precision_digits=suites.PRECISION_FLOOR, **flags)
+        # the pinned checks scale their threshold by their task's ((alpha+1/2)_n)^2
+        ratios = {
+            identity: pochhammer(Fraction(params["alpha"]) + Fraction(1, 2),
+                                 int(params["n"])) ** 2
+            for identity, params in suite_tasks("continuous", config)
+            if identity.endswith("-printed")
+        }
+        assert ratios == {"eq8-printed": Fraction(225, 16), "eq13-printed": Fraction(9, 4)}
+        for identity, declared in NUMERIC.items():
+            ratio = ratios.get(identity, 1)
+            assert declared.threshold(config) * ratio < mp.mpf("1e-5"), identity
+
+    def test_explicit_pointwise_tolerance_reaches_every_pointwise_check(self):
+        config = SuiteConfig(pointwise_tolerance="1e-55", jobs=1)
+        expected = {"eq16": "1.0e-55", "eq34": "1.0e-55", "eq32": "1.0e-55",
+                    "eq4": "1.0e-55", "eq33": "1.0e-35", "exact-float-oracle": "1.0e-60"}
+        assert set(expected) == {
+            i for i, d in NUMERIC.items() if d.tolerance[0] == "pointwise"
+        }
+        seen = set()
+        for task in suite_tasks("continuous", config):
+            if task[0] in expected:
+                report = suites._execute(task, config)
+                assert report.parameters["tolerance"] == expected[task[0]], task
+                seen.add(task[0])
+        assert seen == set(expected)
+
+    def test_explicit_integral_tolerance_reaches_every_integral_check(self):
+        config = SuiteConfig(integral_tolerance="1e-30")
+        expected = {"eq8": "1.0e-30", "eq8-printed": "1.0e-30", "eq7": "1.0e-30",
+                    "eq6": "1.0e-30", "eq13": "1.0e-25", "eq13-printed": "1.0e-25",
+                    "eq15": "1.0e-25"}
+        assert set(expected) == {
+            i for i, d in NUMERIC.items() if d.tolerance[0] == "integral"
+        }
+        for identity, threshold in expected.items():
+            assert mp.nstr(NUMERIC[identity].threshold(config), 3) == threshold, identity
 
     def test_error_record_mode_follows_declaration(self):
         # g = 0 is outside the conical domain: an error record of a numeric check
