@@ -19,6 +19,7 @@ silently fixing it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
@@ -141,14 +142,15 @@ def _conical_routes(args: ConicalArgs, prec: int):
     Route one evaluates the gamma prefactor times the Jacobi function
     phi_k^{(g-1/2,-1/2)}(r); route two uses the Gauss series at argument
     -sinh^2(r/2) (the two agree through the quadratic argument transform).
+    The prefactor Gamma(g+ik) Gamma(g-ik) / (2 Gamma(2g)) takes one complex
+    log-gamma: g +- ik are conjugate, and Re log Gamma(conj z) = Re log Gamma(z),
+    so the pair is exp(2 Re log Gamma(g+ik)).
     """
     g = to_mpf(args.g, prec)
     r = to_mpf(args.r, prec)
     k = to_mpf(args.k, prec)
     pre = mp.e ** (
-        log_gamma(g + 1j * k, prec)
-        + log_gamma(g - 1j * k, prec)
-        - log_gamma(2 * g, prec)
+        2 * mp.re(log_gamma(mp.mpc(g, k), prec)) - log_gamma(2 * g, prec)
     ) / 2
     route_phi = pre * phi(k, g - mp.mpf(1) / 2, -mp.mpf(1) / 2, r, prec)
     route_gauss = pre * gauss_2f1(
@@ -217,27 +219,49 @@ class WilsonParams:
         return WilsonParams(self.a + half, self.b + half, self.c + half, self.d + half)
 
 
-def _wilson_poly_complex(n: int, x, params: WilsonParams, prec: int):
-    """Wilson polynomial at (possibly complex) spectral point x."""
+def _wilson_sum(n: int, x, params: WilsonParams):
+    """The Wilson polynomial at the ambient precision, and the decimal digits
+    its alternating sum cancelled: log10 of its largest |term| over |sum|,
+    estimated to a bit from the binary exponents."""
     a, b, c, d = params.as_tuple()
+    x = mp.mpc(x)
+    pre = mp.mpc(1)
+    for p in (a + b, a + c, a + d):
+        for i in range(n):
+            pre *= p + i
+    total = mp.mpc(1)
+    term = mp.mpc(1)
+    largest = 1  # mp.mag(1), the k = 0 term
+    for k in range(n):
+        term *= (
+            (-n + k)
+            * (n + a + b + c + d - 1 + k)
+            * (a + 1j * x + k)
+            * (a - 1j * x + k)
+            / ((a + b + k) * (a + c + k) * (a + d + k) * (k + 1))
+        )
+        total += term
+        largest = max(largest, mp.mag(term))
+    lost = (largest - mp.mag(total)) * math.log10(2) if total else mp.dps
+    return pre * total, lost
+
+
+def _wilson_poly_complex(n: int, x, params: WilsonParams, prec: int):
+    """Wilson polynomial at (possibly complex) spectral point x.
+
+    The sum cancels more digits as the degree grows (21 at n = 28 near
+    x = 3/10).  When it cancels more than the guard digits, it is taken
+    once more with that many extra digits, so the value keeps its working
+    precision.
+    """
     with mp.workdps(prec + _GUARD):
-        x = mp.mpc(x)
-        pre = mp.mpc(1)
-        for p in (a + b, a + c, a + d):
-            for i in range(n):
-                pre *= p + i
-        total = mp.mpc(1)
-        term = mp.mpc(1)
-        for k in range(n):
-            term *= (
-                (-n + k)
-                * (n + a + b + c + d - 1 + k)
-                * (a + 1j * x + k)
-                * (a - 1j * x + k)
-                / ((a + b + k) * (a + c + k) * (a + d + k) * (k + 1))
-            )
-            total += term
-        return pre * total
+        value, lost = _wilson_sum(n, x, params)
+        if lost <= _GUARD:
+            return value
+    with mp.workdps(prec + _GUARD + math.ceil(lost)):
+        value, _ = _wilson_sum(n, x, params)
+    with mp.workdps(prec + _GUARD):
+        return +value
 
 
 def wilson_poly(n: int, xsq, params: WilsonParams, prec: int = DEFAULT_PREC) -> mp.mpf:
@@ -265,7 +289,9 @@ def wilson_weight(nu, lam, mu, alpha, prec: int = DEFAULT_PREC) -> mp.mpf:
     """Wilson orthogonality weight |Gamma(i nu +- i lam +- i mu + h)/Gamma(2 i nu)|^2.
 
     Even in nu and nonnegative; the removable pole of 1/Gamma(2 i nu) at
-    nu = 0 makes the weight vanish there, which is taken as its value.
+    nu = 0 makes the weight vanish there, which is taken as its value.  The
+    numerator takes four complex log-gammas; the denominator is
+    |Gamma(2 i nu)|^2 = pi / (2 nu sinh(2 pi nu)) (DLMF 5.4.3).
     """
     with mp.workdps(prec + _GUARD):
         nu = to_mpf(nu, prec)
@@ -280,8 +306,7 @@ def wilson_weight(nu, lam, mu, alpha, prec: int = DEFAULT_PREC) -> mp.mpf:
                 log_total += mp.re(
                     log_gamma(mp.mpc(h, nu + s1 * lam + s2 * mu), prec)
                 )
-        log_total -= mp.re(log_gamma(mp.mpc(0, 2 * nu), prec))
-        return mp.e ** (2 * log_total)
+        return mp.e ** (2 * log_total) * 2 * nu * mp.sinh(2 * mp.pi * nu) / mp.pi
 
 
 def _gamma_prefactor(n: int, lam, mu, alpha, prec: int, variant: str = "corrected"):
@@ -422,6 +447,27 @@ def dual_product_residual(t, ctx: WilsonContext, tolerance: mp.mpf) -> mp.mpf:
         return abs(lhs - rhs) / abs(lhs)
 
 
+def _conical_log_kernel(g, p, q, k, prec: int) -> mp.mpf:
+    """log of the eq6 kernel's gamma quotient at k != 0, less log Gamma(g)^2:
+
+        prod Gamma((g + i(+-p +-q +-k))/2) / (|Gamma(ik)|^2 |Gamma(g+ik)|^2).
+
+    The eight numerator factors are four conjugate pairs, and
+    Re log Gamma(conj z) = Re log Gamma(z), so each pair takes one complex
+    log-gamma; |Gamma(ik)|^2 = pi / (k sinh(pi k)) (DLMF 5.4.3).
+    """
+    log_num = mp.mpf(0)
+    for s1 in (1, -1):
+        for s2 in (1, -1):
+            # the s3 = -1 factor is the conjugate of this one
+            log_num += 2 * mp.re(log_gamma(mp.mpc(g, s1 * p + s2 * q + k) / 2, prec))
+    return (
+        log_num
+        - mp.log(mp.pi / (k * mp.sinh(mp.pi * k)))
+        - 2 * mp.re(log_gamma(mp.mpc(g, k), prec))
+    )
+
+
 def conical_product_residual(
     t, lam, mu, alpha, tolerance: mp.mpf, prec: int = DEFAULT_PREC
 ) -> mp.mpf:
@@ -430,7 +476,10 @@ def conical_product_residual(
     Re-derives the formula in its original shape: F(g;t,2p) F(g;t,2q) as a
     half-line integral of F(g;t,2k) against an eight-gamma kernel, with
     g = alpha+1/2, p = 2 lam, q = 2 mu.  Numerically equivalent to the
-    Jacobi-function form but exercises the conical prefactors.
+    Jacobi-function form but exercises the conical prefactors.  The kernel
+    (``_conical_log_kernel``) takes its eight numerator gammas as four
+    conjugate pairs, one complex log-gamma each, and |Gamma(ik)|^2 from
+    DLMF 5.4.3.
     """
     with mp.workdps(prec + _GUARD):
         g = to_mpf(alpha, prec) + mp.mpf(1) / 2
@@ -440,27 +489,13 @@ def conical_product_residual(
         lhs = mp.re(
             conical_f(ConicalArgs(g, t, p), prec) * conical_f(ConicalArgs(g, t, q), prec)
         )
-        log_gamma_g = log_gamma(g, prec)
+        log_gamma_g2 = 2 * mp.re(log_gamma(g, prec))
 
         def kernel(k):
             if k == 0:
                 return mp.mpf(0)
-            log_num = mp.mpf(0)
-            for s1 in (1, -1):
-                for s2 in (1, -1):
-                    for s3 in (1, -1):
-                        log_num += mp.re(
-                            log_gamma(
-                                (g + 1j * (s1 * p + s2 * q + s3 * k)) / 2, prec
-                            )
-                        )
-            log_den = (
-                2 * mp.re(log_gamma_g)
-                + 2 * mp.re(log_gamma(mp.mpc(0, k), prec))
-                + 2 * mp.re(log_gamma(mp.mpc(g, k), prec))
-            )
             f_val = mp.re(conical_f(ConicalArgs(g, t, k), prec))
-            return f_val * mp.e ** (log_num - log_den)
+            return f_val * mp.e ** (_conical_log_kernel(g, p, q, k, prec) - log_gamma_g2)
 
         # half-line integral of an even integrand: (1/8 pi) int_0^inf = (1/16 pi) int_R
         integral = self_refining_integral(

@@ -1038,11 +1038,23 @@ def _execute_packed(packed):
 
 
 def run_suite(name: str, config: SuiteConfig) -> list[VerificationReport]:
-    """Run a suite's tasks, possibly on a process pool; reports are unsorted."""
+    """Run a suite's tasks, possibly on a process pool; reports are unsorted.
+
+    On the pool, the numeric tasks go first, one per chunk: one can take
+    seconds, against about a millisecond for a typical exact task, so queued
+    last they would leave one worker running them alone after the others
+    have finished.  The exact tasks follow in chunks of eight.
+    """
     tasks = suite_tasks(name, config)
     jobs = config.jobs if config.jobs > 0 else (os.cpu_count() or 1)
     if jobs == 1 or len(tasks) < 2:
         return [_execute(task, config) for task in tasks]
+    numeric, exact = [], []
+    for task in tasks:
+        declared = REGISTRY.get(task[0])
+        is_numeric = declared is not None and declared.mode == "numeric"
+        (numeric if is_numeric else exact).append((task, config))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        packed = [(task, config) for task in tasks]
-        return list(pool.map(_execute_packed, packed, chunksize=8))
+        first = pool.map(_execute_packed, numeric, chunksize=1)
+        rest = pool.map(_execute_packed, exact, chunksize=8)
+        return list(first) + list(rest)

@@ -153,6 +153,44 @@ class TestConical:
         with pytest.raises(DomainError):
             ConicalArgs(0, 1, 1)
 
+    @pytest.mark.parametrize("prec", [46, 60, 80])
+    def test_prefactor_matches_two_loggamma_form(self, prec):
+        # at r = 0 both routes are the prefactor exp(lg(g+ik) + lg(g-ik) - lg(2g)) / 2
+        for g, k in (("1", "0.8"), ("1.5", "0"), ("0.5", "-0.6"), ("3.5", "12")):
+            with mp.workdps(prec + 10):
+                g_, k_ = mp.mpf(g), mp.mpf(k)
+            value = conical_f(ConicalArgs(g_, 0, k_), prec)
+            with mp.workdps(prec + 30):
+                expected = mp.e ** (
+                    mp.loggamma(mp.mpc(g_, k_)) + mp.loggamma(mp.mpc(g_, -k_))
+                    - mp.loggamma(2 * g_)
+                ) / 2
+                assert abs(value - expected) < mp.mpf(10) ** -prec * abs(expected)
+
+    @pytest.mark.parametrize("prec", [46, 60, 80])
+    def test_eq6_kernel_matches_eight_term_sum(self, prec):
+        from polyident.continuous import _conical_log_kernel
+
+        g, p, q = mp.mpf(2), mp.mpf("0.8"), mp.mpf("1.2")
+        for k in ("1e-6", "0.4", "3", "25"):
+            with mp.workdps(prec + 10):
+                k_ = mp.mpf(k)
+                value = _conical_log_kernel(g, p, q, k_, prec)
+            with mp.workdps(prec + 30):
+                expected = (
+                    mp.re(mp.loggamma((g + 1j * (p + q + k_)) / 2))
+                    + mp.re(mp.loggamma((g + 1j * (p + q - k_)) / 2))
+                    + mp.re(mp.loggamma((g + 1j * (p - q + k_)) / 2))
+                    + mp.re(mp.loggamma((g + 1j * (p - q - k_)) / 2))
+                    + mp.re(mp.loggamma((g + 1j * (-p + q + k_)) / 2))
+                    + mp.re(mp.loggamma((g + 1j * (-p + q - k_)) / 2))
+                    + mp.re(mp.loggamma((g + 1j * (-p - q + k_)) / 2))
+                    + mp.re(mp.loggamma((g + 1j * (-p - q - k_)) / 2))
+                    - 2 * mp.re(mp.loggamma(1j * k_))
+                    - 2 * mp.re(mp.loggamma(mp.mpc(g, k_)))
+                )
+                assert abs(value - expected) < mp.mpf(10) ** -prec * max(1, abs(expected))
+
 
 class TestWilsonPolynomials:
     def test_degree_zero(self):
@@ -204,6 +242,22 @@ class TestWilsonPolynomials:
         with pytest.raises(DomainError):
             WilsonParams.from_spectral(0.1, 0.1, -0.5)
 
+    def test_high_degree_keeps_its_working_precision(self):
+        # the alternating sum cancels ~21 digits at n = 28, past the ten guard digits
+        lam, mu, alpha, xsq = Fraction(1, 5), Fraction(2, 5), Fraction(1, 2), Fraction(9, 100)
+        value = wilson_poly(28, xsq, WilsonParams.from_spectral(lam, mu, alpha, 80), 80)
+        reference = wilson_poly(28, xsq, WilsonParams.from_spectral(lam, mu, alpha, 160), 160)
+        with mp.workdps(170):
+            assert abs(value - reference) < mp.mpf(10) ** -80 * abs(reference)
+
+    @pytest.mark.parametrize("n", [2, 28])
+    def test_non_conjugate_parameters_are_not_real(self, n):
+        params = WilsonParams(
+            mp.mpc(0.5, 0.2), mp.mpc(0.5, 0.3), mp.mpc(0.5, -0.1), mp.mpc(0.5, 0.4)
+        )
+        with pytest.raises(PrecisionError):
+            wilson_poly(n, Fraction(9, 100), params, 80)
+
 
 class TestWilsonWeight:
     def test_even(self):
@@ -219,6 +273,34 @@ class TestWilsonWeight:
         reference = wilson_weight(0.5, 0.2, 0.4, 1)
         far = wilson_weight(18, 0.2, 0.4, 1)
         assert far < mp.mpf(10) ** -40 * reference
+
+    @pytest.mark.parametrize("prec", [46, 60, 80])
+    @pytest.mark.parametrize("nu", ["1e-6", "0.3", "5", "30"])
+    def test_matches_direct_gamma_product(self, nu, prec):
+        # |Gamma(h + i(nu +- lam +- mu))|^2 over |Gamma(2 i nu)|^2, straight from mp.gamma
+        with mp.workdps(prec + 10):
+            x = mp.mpf(nu)
+        value = wilson_weight(x, Fraction(1, 5), Fraction(2, 5), 1, prec)
+        with mp.workdps(prec + 30):
+            lam, mu = mp.mpf(1) / 5, mp.mpf(2) / 5
+            h = mp.mpf(1) / 2 + mp.mpf(1) / 4  # alpha/2 + 1/4 at alpha = 1
+            expected = mp.mpf(1)
+            for s1 in (1, -1):
+                for s2 in (1, -1):
+                    expected *= abs(mp.gamma(mp.mpc(h, x + s1 * lam + s2 * mu))) ** 2
+            expected /= abs(mp.gamma(2j * x)) ** 2
+            assert abs(value - expected) < mp.mpf(10) ** -prec * expected
+
+    @pytest.mark.parametrize("prec", [46, 60, 80])
+    @pytest.mark.parametrize("nu", ["1e-6", "0.3", "5", "30"])
+    def test_dlmf_5_4_3(self, nu, prec):
+        # |Gamma(2 i nu)|^2 = pi / (2 nu sinh(2 pi nu)), the weight's denominator
+        with mp.workdps(prec + 10):
+            x = mp.mpf(nu)
+            closed = mp.pi / (2 * x * mp.sinh(2 * mp.pi * x))
+        with mp.workdps(prec + 30):
+            direct = abs(mp.gamma(2j * x)) ** 2
+            assert abs(closed - direct) < mp.mpf(10) ** -(prec + 5) * direct
 
 
 class TestQuadrature:

@@ -188,6 +188,14 @@ class TestSuites:
         for identity, threshold in expected.items():
             assert mp.nstr(NUMERIC[identity].threshold(config), 3) == threshold, identity
 
+    def test_eq15_passes_at_80_digits(self):
+        # degree-28 Wilson terms cancel more digits than the guard digits cover
+        task = ("eq15", {"t": "1/5", "nu": "3/10", "lambda": "1/5", "mu": "2/5",
+                         "alpha": "1/2"})
+        report = suites._execute(task, SuiteConfig(precision_digits=80))
+        assert report.status == "pass", report.parameters
+        assert int(report.parameters["terms"]) >= 28
+
     def test_error_record_mode_follows_declaration(self):
         # g = 0 is outside the conical domain: an error record of a numeric check
         report = suites._execute(("eq4", {"g": "0", "r": "1", "k": "1"}), SuiteConfig())
@@ -266,6 +274,77 @@ class TestSuites:
                 assert r.mode == "exact"
                 if not r.identity_id.endswith("-printed"):
                     assert (r.status == "pass") == (r.residual == "0")
+
+
+#: a racah system's tasks plus continuous tasks that take milliseconds each
+MIXED_TASKS = [
+    ("eq29", {"system": "0,0,-3,1", "N": "2"}),
+    ("eq16", {"alpha": "1", "lambda": "3/10", "t": "1/2"}),
+    ("eq30", {"system": "0,0,-3,1", "N": "2"}),
+    ("eq4", {"g": "1", "r": "1/2", "k": "4/5"}),
+    ("eq25", {"system": "0,0,-3,1", "N": "2", "n": "1"}),
+    ("eq34", {"alpha": "1", "beta": "-1/2", "lambda": "1/2", "t": "2/5"}),
+    ("eq20", {"system": "0,0,-3,1", "N": "2", "n": "2"}),
+    ("exact-float-oracle", {"case": "gauss-terminating"}),
+    ("eq21", {"system": "0,0,-3,1", "N": "2", "n": "1"}),
+]
+
+
+class RecordingPool:
+    """Stands in for ProcessPoolExecutor: records each map call and returns
+    the tasks it was given instead of running them."""
+
+    calls: list = []
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, packed, chunksize=1):
+        packed = list(packed)
+        RecordingPool.calls.append(([task for task, _config in packed], chunksize))
+        return iter(task for task, _config in packed)
+
+
+class TestPoolScheduling:
+    def test_numeric_tasks_are_mapped_first_one_per_chunk(self, monkeypatch):
+        RecordingPool.calls = []
+        monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+        config = SuiteConfig(**dict(SMALL, jobs=2))
+        tasks = suite_tasks("all", config)
+        returned = run_suite("all", config)
+        (numeric, numeric_chunk), (exact, exact_chunk) = RecordingPool.calls
+        assert (numeric_chunk, exact_chunk) == (1, 8)
+        assert numeric == [t for t in tasks if t[0] in NUMERIC]
+        assert exact == [t for t in tasks if t[0] not in NUMERIC]
+        assert numeric and exact and returned == numeric + exact
+
+    def test_pool_reports_equal_one_process_reports(self, monkeypatch):
+        monkeypatch.setattr(suites, "suite_tasks", lambda name, config: MIXED_TASKS)
+        serial = emit_json_lines(run_suite("racah", SuiteConfig(jobs=1)))
+        pooled = emit_json_lines(run_suite("racah", SuiteConfig(jobs=2)))
+        assert pooled == serial
+        assert serial.count("\n") == len(MIXED_TASKS)
+        assert '"status": "fail"' not in serial and '"status": "error"' not in serial
+
+    def test_unknown_identity_is_an_error_record_on_the_pool(self, monkeypatch):
+        tasks = MIXED_TASKS + [("no-such-identity", {"n": "1"})]
+        monkeypatch.setattr(suites, "suite_tasks", lambda name, config: tasks)
+        reports = run_suite("racah", SuiteConfig(jobs=2))
+        assert len(reports) == len(tasks)
+        unknown = [r for r in reports if r.identity_id == "no-such-identity"]
+        assert len(unknown) == 1
+        assert unknown[0].status == "error"
+        assert unknown[0].mode == "exact"
+        assert unknown[0].parameters["error"] == (
+            "ConfigError: no handler for identity 'no-such-identity'"
+        )
+        assert exit_status(reports) == 2
 
 
 class TestCli:
