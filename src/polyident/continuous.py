@@ -136,27 +136,44 @@ class ConicalArgs:
             raise DomainError(f"g must be positive, got {self.g}")
 
 
-def _conical_routes(args: ConicalArgs, prec: int):
-    """The two evaluations of F(g; r, 2k), at the caller's working precision.
+def _conical_log_prefactor(g, k, prec: int) -> mp.mpf:
+    """log of twice the prefactor Gamma(g+ik) Gamma(g-ik) / (2 Gamma(2g)).
+
+    One complex log-gamma: g +- ik are conjugate, and
+    Re log Gamma(conj z) = Re log Gamma(z), so the pair is
+    exp(2 Re log Gamma(g+ik)).
+    """
+    return 2 * mp.re(log_gamma(mp.mpc(g, k), prec)) - log_gamma(2 * g, prec)
+
+
+def _conical_routes(g, r, k, log_prefactor, prec: int):
+    """The two evaluations of F(g; r, 2k) for mpf g, r, k, at the caller's
+    working precision, given ``_conical_log_prefactor(g, k, prec)``.
 
     Route one evaluates the gamma prefactor times the Jacobi function
     phi_k^{(g-1/2,-1/2)}(r); route two uses the Gauss series at argument
     -sinh^2(r/2) (the two agree through the quadratic argument transform).
-    The prefactor Gamma(g+ik) Gamma(g-ik) / (2 Gamma(2g)) takes one complex
-    log-gamma: g +- ik are conjugate, and Re log Gamma(conj z) = Re log Gamma(z),
-    so the pair is exp(2 Re log Gamma(g+ik)).
     """
-    g = to_mpf(args.g, prec)
-    r = to_mpf(args.r, prec)
-    k = to_mpf(args.k, prec)
-    pre = mp.e ** (
-        2 * mp.re(log_gamma(mp.mpc(g, k), prec)) - log_gamma(2 * g, prec)
-    ) / 2
+    pre = mp.e ** log_prefactor / 2
     route_phi = pre * phi(k, g - mp.mpf(1) / 2, -mp.mpf(1) / 2, r, prec)
     route_gauss = pre * gauss_2f1(
         g + 1j * k, g - 1j * k, g + mp.mpf(1) / 2, -mp.sinh(r / 2) ** 2, prec
     )
     return route_phi, route_gauss
+
+
+def _checked_conical(g, r, k, log_prefactor, prec: int):
+    """F(g; r, 2k) as ``_conical_routes`` takes it; disagreement of the two
+    routes beyond 10^{-prec+10} raises PrecisionError."""
+    route_phi, route_gauss = _conical_routes(g, r, k, log_prefactor, prec)
+    if abs(route_phi - route_gauss) > mp.mpf(10) ** (-prec + 10) * (
+        1 + abs(route_gauss)
+    ):
+        raise PrecisionError(
+            "conical function routes disagree",
+            diagnostics={"phi_route": route_phi, "gauss_route": route_gauss},
+        )
+    return route_gauss
 
 
 def conical_f(args: ConicalArgs, prec: int = DEFAULT_PREC):
@@ -165,21 +182,17 @@ def conical_f(args: ConicalArgs, prec: int = DEFAULT_PREC):
     Disagreement of the routes beyond 10^{-prec+10} raises PrecisionError.
     """
     with mp.workdps(prec + _GUARD):
-        route_phi, route_gauss = _conical_routes(args, prec)
-        if abs(route_phi - route_gauss) > mp.mpf(10) ** (-prec + 10) * (
-            1 + abs(route_gauss)
-        ):
-            raise PrecisionError(
-                "conical function routes disagree",
-                diagnostics={"phi_route": route_phi, "gauss_route": route_gauss},
-            )
-        return route_gauss
+        g, r, k = (to_mpf(x, prec) for x in (args.g, args.r, args.k))
+        return _checked_conical(g, r, k, _conical_log_prefactor(g, k, prec), prec)
 
 
 def conical_route_residual(args: ConicalArgs, prec: int = DEFAULT_PREC) -> mp.mpf:
     """|difference| of the two conical evaluation routes (for reporting)."""
     with mp.workdps(prec + _GUARD):
-        route_phi, route_gauss = _conical_routes(args, prec)
+        g, r, k = (to_mpf(x, prec) for x in (args.g, args.r, args.k))
+        route_phi, route_gauss = _conical_routes(
+            g, r, k, _conical_log_prefactor(g, k, prec), prec
+        )
         return abs(route_phi - route_gauss)
 
 
@@ -395,8 +408,13 @@ class WilsonContext:
         return value
 
     def integrate(self, f: Callable, tolerance) -> mp.mpf:
+        """(1/4 pi) times the full-line integral of ``f``, an even product of
+        the weight with entire functions of nu.  The weight's nearest poles
+        are at nu = +-lam +-mu + i(alpha/2 + 1/4), so that is the strip
+        half-width the quadrature is told."""
         with mp.workdps(self.prec + _GUARD):
-            return self_refining_integral(f, tolerance, self.prec) / (4 * mp.pi)
+            strip = self.alpha / 2 + mp.mpf(1) / 4
+            return self_refining_integral(f, tolerance, strip, self.prec) / (4 * mp.pi)
 
 
 def wilson_orthogonality_residual(
@@ -448,9 +466,9 @@ def dual_product_residual(t, ctx: WilsonContext, tolerance: mp.mpf) -> mp.mpf:
 
 
 def _conical_log_kernel(g, p, q, k, prec: int) -> mp.mpf:
-    """log of the eq6 kernel's gamma quotient at k != 0, less log Gamma(g)^2:
+    """log of the eight-gamma quotient of the eq6 kernel at k != 0:
 
-        prod Gamma((g + i(+-p +-q +-k))/2) / (|Gamma(ik)|^2 |Gamma(g+ik)|^2).
+        prod Gamma((g + i(+-p +-q +-k))/2) / |Gamma(ik)|^2.
 
     The eight numerator factors are four conjugate pairs, and
     Re log Gamma(conj z) = Re log Gamma(z), so each pair takes one complex
@@ -461,11 +479,7 @@ def _conical_log_kernel(g, p, q, k, prec: int) -> mp.mpf:
         for s2 in (1, -1):
             # the s3 = -1 factor is the conjugate of this one
             log_num += 2 * mp.re(log_gamma(mp.mpc(g, s1 * p + s2 * q + k) / 2, prec))
-    return (
-        log_num
-        - mp.log(mp.pi / (k * mp.sinh(mp.pi * k)))
-        - 2 * mp.re(log_gamma(mp.mpc(g, k), prec))
-    )
+    return log_num - mp.log(mp.pi / (k * mp.sinh(mp.pi * k)))
 
 
 def conical_product_residual(
@@ -474,12 +488,16 @@ def conical_product_residual(
     """Relative residual of the conical-function form of the dual product.
 
     Re-derives the formula in its original shape: F(g;t,2p) F(g;t,2q) as a
-    half-line integral of F(g;t,2k) against an eight-gamma kernel, with
-    g = alpha+1/2, p = 2 lam, q = 2 mu.  Numerically equivalent to the
-    Jacobi-function form but exercises the conical prefactors.  The kernel
-    (``_conical_log_kernel``) takes its eight numerator gammas as four
-    conjugate pairs, one complex log-gamma each, and |Gamma(ik)|^2 from
-    DLMF 5.4.3.
+    half-line integral of F(g;t,2k) against the kernel
+
+        prod Gamma((g + i(+-p +-q +-k))/2) / (|Gamma(ik)|^2 |Gamma(g+ik)|^2 Gamma(g)^2),
+
+    with g = alpha+1/2, p = 2 lam, q = 2 mu.  Numerically equivalent to the
+    Jacobi-function form but exercises the conical prefactors.  The
+    eight-gamma quotient is ``_conical_log_kernel``; Re log Gamma(g+ik)
+    is taken once per node, for both the divisor |Gamma(g+ik)|^2 and the
+    prefactor of F(g;t,2k), and log Gamma(2g) and log Gamma(g) once per
+    integral.
     """
     with mp.workdps(prec + _GUARD):
         g = to_mpf(alpha, prec) + mp.mpf(1) / 2
@@ -490,16 +508,21 @@ def conical_product_residual(
             conical_f(ConicalArgs(g, t, p), prec) * conical_f(ConicalArgs(g, t, q), prec)
         )
         log_gamma_g2 = 2 * mp.re(log_gamma(g, prec))
+        log_gamma_2g = log_gamma(2 * g, prec)
 
         def kernel(k):
             if k == 0:
                 return mp.mpf(0)
-            f_val = mp.re(conical_f(ConicalArgs(g, t, k), prec))
-            return f_val * mp.e ** (_conical_log_kernel(g, p, q, k, prec) - log_gamma_g2)
+            log_gamma_gk2 = 2 * mp.re(log_gamma(mp.mpc(g, k), prec))
+            f_val = mp.re(_checked_conical(g, t, k, log_gamma_gk2 - log_gamma_2g, prec))
+            return f_val * mp.e ** (
+                _conical_log_kernel(g, p, q, k, prec) - log_gamma_gk2 - log_gamma_g2
+            )
 
-        # half-line integral of an even integrand: (1/8 pi) int_0^inf = (1/16 pi) int_R
+        # half-line integral of an even integrand: (1/8 pi) int_0^inf = (1/16 pi) int_R;
+        # the kernel's nearest poles are at k = -+p -+q +- i g, so the strip half-width is g
         integral = self_refining_integral(
-            kernel, tolerance * mp.mpf(10) ** -3 * max(abs(lhs), mp.mpf(1)), prec
+            kernel, tolerance * mp.mpf(10) ** -3 * max(abs(lhs), mp.mpf(1)), g, prec
         ) / (16 * mp.pi)
         return abs(lhs - integral) / abs(lhs)
 

@@ -187,9 +187,37 @@ class TestConical:
                     + mp.re(mp.loggamma((g + 1j * (-p - q + k_)) / 2))
                     + mp.re(mp.loggamma((g + 1j * (-p - q - k_)) / 2))
                     - 2 * mp.re(mp.loggamma(1j * k_))
-                    - 2 * mp.re(mp.loggamma(mp.mpc(g, k_)))
                 )
                 assert abs(value - expected) < mp.mpf(10) ** -prec * max(1, abs(expected))
+
+    def test_eq6_node_takes_five_log_gammas(self, monkeypatch):
+        # four for the eight-gamma numerator, one for Re log Gamma(g+ik), which
+        # the divisor |Gamma(g+ik)|^2 and the prefactor of F(g;t,2k) share;
+        # log Gamma(2g) is taken once per integral
+        from polyident import continuous
+
+        calls = []
+        original_log_gamma = continuous.log_gamma
+
+        def counting_log_gamma(z, prec=continuous.DEFAULT_PREC):
+            calls.append(z)
+            return original_log_gamma(z, prec)
+
+        per_node = []
+
+        def sampling_integral(f, *args):
+            for k in ("0.5", "2", "7"):
+                before = len(calls)
+                f(mp.mpf(k))
+                per_node.append(len(calls) - before)
+            return mp.mpf(0)
+
+        monkeypatch.setattr(continuous, "log_gamma", counting_log_gamma)
+        monkeypatch.setattr(continuous, "self_refining_integral", sampling_integral)
+        continuous.conical_product_residual(
+            Fraction(1, 4), Fraction(2, 5), Fraction(3, 5), 1, tol(20), prec=46
+        )
+        assert per_node == [5, 5, 5]
 
 
 class TestWilsonPolynomials:
@@ -303,9 +331,14 @@ class TestWilsonWeight:
             assert abs(closed - direct) < mp.mpf(10) ** -(prec + 5) * direct
 
 
+def _sech(x):
+    return 1 / mp.cosh(x)
+
+
 class TestQuadrature:
     def test_gaussian(self):
-        value = self_refining_integral(lambda x: mp.e ** (-x * x), tol(40))
+        # entire integrand: any strip half-width is a valid one
+        value = self_refining_integral(lambda x: mp.e ** (-x * x), tol(40), 1)
         assert abs(value - mp.sqrt(mp.pi)) < tol(39)
 
     def test_stable_under_precision_doubling(self):
@@ -321,13 +354,62 @@ class TestQuadrature:
 
     def test_mirrored_integrand_identical(self):
         f = lambda x: mp.e ** (-x * x) * mp.cosh(x)
-        a = self_refining_integral(f, tol(30))
-        b = self_refining_integral(lambda x: f(-x), tol(30))
+        a = self_refining_integral(f, tol(30), 1)
+        b = self_refining_integral(lambda x: f(-x), tol(30), 1)
         assert a == b
 
     def test_no_decay_raises(self):
         with pytest.raises(PrecisionError):
-            self_refining_integral(lambda x: mp.mpf(1), tol(10), max_l=32)
+            self_refining_integral(lambda x: mp.mpf(1), tol(10), 1, max_l=32)
+
+    # sech x has its nearest poles at +-i pi/2 and integrates to pi
+
+    @pytest.mark.parametrize("prec", [46, 60, 80])
+    def test_sech_at_its_strip(self, prec):
+        origin_calls = []
+
+        def f(x):
+            if x == 0:
+                origin_calls.append(x)
+            return _sech(x)
+
+        tolerance = mp.mpf(10) ** -(prec - 20)
+        with mp.workdps(prec + 10):
+            value = self_refining_integral(f, tolerance, mp.pi / 2, prec)
+            assert abs(value - mp.pi) < tolerance
+        assert len(origin_calls) == 1  # f(0) once per integral, not once per level
+
+    @pytest.mark.parametrize("strip", [10, mp.mpf("0.1")], ids=["overstated", "understated"])
+    def test_sech_with_a_wrong_strip(self, strip):
+        # an overstated strip predicts faster convergence than the
+        # differences show, so the rate guard keeps the strip stop off
+        prec = 60
+        tolerance = tol(40)
+        with mp.workdps(prec + 10):
+            value = self_refining_integral(_sech, tolerance, strip, prec)
+            assert abs(value - mp.pi) < tolerance
+
+    def test_strip_must_be_positive(self):
+        with pytest.raises(DomainError):
+            self_refining_integral(_sech, tol(20), 0)
+
+    def test_eq8_node_count_at_the_defaults(self, monkeypatch):
+        from polyident import continuous, suites
+
+        counts = []
+        original = continuous.self_refining_integral
+
+        def counting(f, *args):
+            def counted(x):
+                counts.append(x)
+                return f(x)
+
+            return original(counted, *args)
+
+        monkeypatch.setattr(continuous, "self_refining_integral", counting)
+        params = {"m": "0", "n": "0", "lambda": "1/5", "mu": "2/5", "alpha": "1"}
+        assert suites.run_task("eq8", params, suites.SuiteConfig()).passed
+        assert len(counts) <= 260  # 518 with the difference stop alone
 
 
 class TestAbsoluteGegenbauerNorm:

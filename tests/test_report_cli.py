@@ -196,6 +196,25 @@ class TestSuites:
         assert report.status == "pass", report.parameters
         assert int(report.parameters["terms"]) >= 28
 
+    @pytest.mark.parametrize("prec", [46, 60])
+    @pytest.mark.parametrize(
+        "identity, degree",
+        [("eq8", None), ("eq8-printed", None), ("eq7", None), ("eq6", None),
+         ("eq13", None), ("eq13-printed", None), ("eq13", "3")],
+    )
+    def test_quadrature_margin(self, identity, degree, prec):
+        # every quadrature check passes with at least four digits to spare, so
+        # a stop rule that returns early cannot eat into its tolerance unseen;
+        # degree None takes the identity's first task
+        config = SuiteConfig(precision_digits=prec)
+        task = next(
+            (i, params) for i, params in suite_tasks("continuous", config)
+            if i == identity and degree in (None, params.get("n"))
+        )
+        report = suites._execute(task, config)
+        tolerance = mp.mpf(report.parameters["tolerance"])
+        assert mp.mpf(report.residual) <= tolerance * mp.mpf("1e-4"), report
+
     def test_error_record_mode_follows_declaration(self):
         # g = 0 is outside the conical domain: an error record of a numeric check
         report = suites._execute(("eq4", {"g": "0", "r": "1", "k": "1"}), SuiteConfig())
