@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classical import even_moment, gegenbauer_r, jacobi_r
+from .classical import X2M1, addition_weight, even_moment, gegenbauer_r, jacobi_r
 from .errors import DomainError
-from .exact import SurdPoly, UniPoly, pochhammer
+from .exact import SurdPoly, pochhammer
 
 _HALF = Fraction(1, 2)
 
@@ -51,17 +51,10 @@ def addition_lhs(inst: AdditionInstance) -> SurdPoly:
 def addition_coefficient(n: int, k: int, alpha: Fraction) -> Fraction:
     """The k-th expansion coefficient of the addition formula.
 
-    C(n,k) (alpha+k)/(alpha+k/2) (n+2 alpha+1)_k (2 alpha+1)_k
-    / (2^{2k} (alpha+1)_k^2); the k = 0 factor (alpha+k)/(alpha+k/2) is 1.
+    C(n,k) (n+2 alpha+1)_k times :func:`~polyident.classical.addition_weight`,
+    (alpha+k)/(alpha+k/2) (2 alpha+1)_k / (2^{2k} (alpha+1)_k^2).
     """
-    factor = Fraction(1) if k == 0 else (alpha + k) / (alpha + Fraction(k, 2))
-    return (
-        Fraction(math.comb(n, k))
-        * factor
-        * pochhammer(n + 2 * alpha + 1, k)
-        * pochhammer(2 * alpha + 1, k)
-        / (Fraction(2 ** (2 * k)) * pochhammer(alpha + 1, k) ** 2)
-    )
+    return math.comb(n, k) * pochhammer(n + 2 * alpha + 1, k) * addition_weight(k, alpha)
 
 
 def _rhs(inst: AdditionInstance, with_t_factor: bool) -> SurdPoly:
@@ -102,8 +95,6 @@ def product_formula_residual(inst: AdditionInstance) -> SurdPoly:
     exactly the Gamma prefactor of the product formula) maps t^{2k} to
     (1/2)_k/(alpha+1)_k and kills odd powers; the result has no u, v left.
     """
-    if inst.alpha <= -_HALF:
-        raise DomainError("product formula requires alpha > -1/2")
     integral = addition_lhs(inst).map_t_powers(
         lambda c: 0 if c % 2 else even_moment(c // 2, inst.alpha - _HALF)
     )
@@ -130,12 +121,8 @@ def sum_of_squares_terms(n: int, alpha: Fraction) -> list[SurdPoly]:
     (R_{n-k}^{(alpha+k)}(x))^2; their sum is 1, which bounds |R_n| by 1
     on [-1, 1].
     """
-    alpha = Fraction(alpha)
-    if n < 0:
-        raise DomainError(f"degree must be >= 0, got {n}")
-    if alpha <= -_HALF:
-        raise DomainError(f"alpha must exceed -1/2, got {alpha}")
-    one_minus_x2 = UniPoly((Fraction(1), Fraction(0), Fraction(-1)))
+    alpha = AdditionInstance(n, alpha).alpha
+    one_minus_x2 = -X2M1
     terms = []
     for k in range(n + 1):
         poly = gegenbauer_r(n - k, alpha + k)

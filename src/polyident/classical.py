@@ -16,6 +16,9 @@ from functools import lru_cache
 from .errors import DomainError
 from .exact import UniPoly, pochhammer
 
+#: the polynomial x^2 - 1
+X2M1 = UniPoly((-1, 0, 1))
+
 
 def _require_alpha(alpha: Fraction, lower: Fraction, what: str) -> None:
     if alpha <= lower:
@@ -133,6 +136,21 @@ def norm_ratio(n: int, alpha: Fraction) -> Fraction:
     )
 
 
+def addition_weight(k: int, alpha: Fraction) -> Fraction:
+    """(alpha+k)/(alpha+k/2) (2 alpha+1)_k / (2^{2k} (alpha+1)_k^2).
+
+    The k-dependent factor that the coefficients of the addition formula and
+    of the dual addition expansion share; (alpha+k)/(alpha+k/2) is 1 at
+    k = 0, also at alpha = 0.
+    """
+    ratio = 1 if k == 0 else (alpha + k) / (alpha + Fraction(k, 2))
+    return (
+        ratio
+        * pochhammer(2 * alpha + 1, k)
+        / (Fraction(2 ** (2 * k)) * pochhammer(alpha + 1, k) ** 2)
+    )
+
+
 def difference_residual(n: int, alpha: Fraction) -> UniPoly:
     """Residual of the two-step difference formula
 
@@ -145,8 +163,7 @@ def difference_residual(n: int, alpha: Fraction) -> UniPoly:
     alpha = Fraction(alpha)
     _require_alpha(alpha, Fraction(-1), "difference_residual")
     lhs = gegenbauer_r(n, alpha) - gegenbauer_r(n - 2, alpha)
-    x2m1 = UniPoly((Fraction(-1), Fraction(0), Fraction(1)))
-    rhs = (x2m1 * gegenbauer_r(n - 2, alpha + 1)).scale(
+    rhs = (X2M1 * gegenbauer_r(n - 2, alpha + 1)).scale(
         (n + alpha - Fraction(1, 2)) / (alpha + 1)
     )
     return lhs - rhs

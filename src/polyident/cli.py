@@ -49,10 +49,17 @@ def _parse_alphas(text: str) -> tuple[Fraction, ...]:
 
 def _parse_powers(text: str) -> tuple[int, ...]:
     text = text.strip()
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(p) for p in text.split(",") if p.strip())
+    try:
+        if ".." in text:
+            lo, hi = text.split("..", 1)
+            return tuple(range(int(lo), int(hi) + 1))
+        return tuple(int(p) for p in text.split(",") if p.strip())
+    except ValueError as exc:
+        raise ConfigError(f"bad value for alpha_powers: {text!r}") from exc
+
+
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
 
 
 def load_config_file(path: str) -> dict:
@@ -69,13 +76,10 @@ def load_config_file(path: str) -> dict:
         if key not in _CONFIG_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         caster = _CONFIG_KEYS[key]
-        if caster is bool:
-            values[key] = value.lower() in ("1", "true", "yes", "on")
-        else:
-            try:
-                values[key] = caster(value)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
+        try:
+            values[key] = _BOOLEANS[value.lower()] if caster is bool else caster(value)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return values
 
 

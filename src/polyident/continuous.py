@@ -610,7 +610,6 @@ class TruncatedExpansionResult:
     residual: mp.mpf
     terms_used: int
     tail_decreasing: bool
-    last_terms: list
 
     @property
     def diverged(self) -> bool:
@@ -670,7 +669,6 @@ def dual_addition_function_residual(
             residual=abs(target - total),
             terms_used=used,
             tail_decreasing=decreasing,
-            last_terms=tail,
         )
 
 

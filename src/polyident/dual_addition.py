@@ -21,13 +21,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .classical import gegenbauer_r, inner_product, norm_ratio
-from .errors import DomainError, IdentityViolationError
+from .classical import X2M1, addition_weight, gegenbauer_r, inner_product, norm_ratio
+from .errors import DomainError, IdentityViolationError, check_index
 from .exact import UniPoly, pochhammer, terminating_hyp
 from .racah import RacahSystem, racah_eval, racah_h0, racah_weight
 
 _HALF = Fraction(1, 2)
-_X2M1 = UniPoly((Fraction(-1), Fraction(0), Fraction(1)))
 
 
 @dataclass(frozen=True)
@@ -62,18 +61,13 @@ def specialized_racah(s: DualSetting) -> RacahSystem:
     )
 
 
-def _check_j(j: int, s: DualSetting) -> None:
-    if not 0 <= j <= s.m:
-        raise DomainError(f"index must lie in 0..{s.m}, got {j}")
-
-
 def linearization_coeff(j: int, s: DualSetting) -> Fraction:
     """Coefficient of R_{l+m-2j} in the expansion of R_l R_m.
 
     Computed from the explicit product-formula coefficients; strictly
     positive for alpha > -1/2.
     """
-    _check_j(j, s)
+    check_index(j, s.m, "index")
     al, l, m = s.alpha, s.l, s.m
     pre = Fraction(math.factorial(l) * math.factorial(m)) / (
         pochhammer(2 * al + 1, l) * pochhammer(2 * al + 1, m)
@@ -97,7 +91,7 @@ def linearization_coeff(j: int, s: DualSetting) -> Fraction:
 
 def coeff_as_racah_weight_residual(j: int, s: DualSetting) -> Fraction:
     """linearization_coeff minus w(j)/h0 of the specialized system; must be 0."""
-    _check_j(j, s)
+    check_index(j, s.m, "index")
     sys = specialized_racah(s)
     return linearization_coeff(j, s) - racah_weight(j, sys) / racah_h0(sys)
 
@@ -105,7 +99,7 @@ def coeff_as_racah_weight_residual(j: int, s: DualSetting) -> Fraction:
 @lru_cache(maxsize=None)
 def s_direct(n: int, s: DualSetting) -> UniPoly:
     """The weighted sum S: over j, w(j) R_{l+m-2j} times the Racah value at j."""
-    _check_j(n, s)
+    check_index(n, s.m, "index")
     sys = specialized_racah(s)
     out = UniPoly.zero()
     for j in range(s.m + 1):
@@ -134,7 +128,7 @@ def s_closed_prefactor(n: int, s: DualSetting) -> Fraction:
 def _product_basis(n: int, s: DualSetting) -> UniPoly:
     """(x^2-1)^n R_{l-n}^{(alpha+n)}(x) R_{m-n}^{(alpha+n)}(x)."""
     al = s.alpha
-    return gegenbauer_r(s.l - n, al + n) * gegenbauer_r(s.m - n, al + n) * _X2M1.pow(n)
+    return gegenbauer_r(s.l - n, al + n) * gegenbauer_r(s.m - n, al + n) * X2M1.pow(n)
 
 
 def s_closed(n: int, s: DualSetting) -> UniPoly:
@@ -143,33 +137,20 @@ def s_closed(n: int, s: DualSetting) -> UniPoly:
 
     Must equal s_direct coefficientwise.
     """
-    _check_j(n, s)
+    check_index(n, s.m, "index")
     return _product_basis(n, s).scale(s_closed_prefactor(n, s))
-
-
-def _expansion_factor(n: int, alpha: Fraction) -> Fraction:
-    # (alpha+n)/(alpha+n/2); the n = 0 instance is 1 (also at alpha = 0).
-    if n == 0:
-        return Fraction(1)
-    return (alpha + n) / (alpha + Fraction(n, 2))
 
 
 def dual_addition_coeff(n: int, j: int, s: DualSetting) -> Fraction:
     """Coefficient of the n-th product basis polynomial in the dual addition
     expansion of R_{l+m-2j}."""
-    _check_j(n, s)
-    _check_j(j, s)
-    al, l, m = s.alpha, s.l, s.m
+    check_index(n, s.m, "index")
+    check_index(j, s.m, "index")
     return (
-        _expansion_factor(n, al)
-        * pochhammer(Fraction(-l), n)
-        * pochhammer(Fraction(-m), n)
-        * pochhammer(2 * al + 1, n)
-        / (
-            Fraction(2 ** (2 * n))
-            * pochhammer(al + 1, n) ** 2
-            * math.factorial(n)
-        )
+        addition_weight(n, s.alpha)
+        * pochhammer(Fraction(-s.l), n)
+        * pochhammer(Fraction(-s.m), n)
+        / math.factorial(n)
         * racah_eval(n, j, specialized_racah(s))
     )
 
@@ -186,7 +167,7 @@ def dual_addition_residual(j: int, s: DualSetting) -> UniPoly:
     At l = m and j = m the left side is R_0 = 1, and the expansion is the
     constant-function expansion (a partition of unity).
     """
-    _check_j(j, s)
+    check_index(j, s.m, "index")
     rhs = UniPoly.zero()
     for n in range(s.m + 1):
         rhs = rhs + dual_addition_term(n, j, s)
@@ -199,8 +180,8 @@ def integral_identity_residual(n: int, j: int, s: DualSetting) -> Fraction:
     Both sides are mass-normalized, so the overall weight mass cancels:
     <S_n, R_{l+m-2j}> = w(j) (h_{l+m-2j}/h_0) * (Racah value at j).
     """
-    _check_j(n, s)
-    _check_j(j, s)
+    check_index(n, s.m, "index")
+    check_index(j, s.m, "index")
     sys = specialized_racah(s)
     deg = s.l + s.m - 2 * j
     lhs = inner_product(s_direct(n, s), gegenbauer_r(deg, s.alpha), s.alpha)
@@ -238,7 +219,7 @@ def whipple_factor(j: int, s: DualSetting) -> Fraction:
         (j-l)_{m-j} (j+alpha+1/2)_{m-j}
         / ((alpha+1/2)_{m-j} (l+2 alpha+1)_{m-j}).
     """
-    _check_j(j, s)
+    check_index(j, s.m, "index")
     al, l, m = s.alpha, s.l, s.m
     return (
         pochhammer(Fraction(j - l), m - j)
@@ -262,7 +243,7 @@ def whipple_proportionality(n: int, s: DualSetting) -> tuple[Fraction, Fraction]
     Raises IdentityViolationError if a ratio fails to be constant or a
     zero fails to pair.
     """
-    _check_j(n, s)
+    check_index(n, s.m, "index")
     al, l, m = s.alpha, s.l, s.m
     sys = specialized_racah(s)
     ratios: tuple[list[Fraction], list[Fraction]] = ([], [])

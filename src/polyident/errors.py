@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules."""
+"""Exception hierarchy shared by all modules, and the index range check."""
 
 
 class PolyidentError(Exception):
@@ -46,3 +46,9 @@ class PrecisionError(PolyidentError):
 
 class ConfigError(PolyidentError):
     """Malformed configuration or command-line input."""
+
+
+def check_index(value: int, hi: int, what: str) -> None:
+    """Raise DomainError unless 0 <= value <= hi."""
+    if not 0 <= value <= hi:
+        raise DomainError(f"{what} must lie in 0..{hi}, got {value}")

@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .classical import gegenbauer_r, hermite
-from .dual_addition import DualSetting, dual_addition_coeff, specialized_racah
-from .errors import DomainError, LimitViolationError
+from .dual_addition import DualSetting, dual_addition_term, specialized_racah
+from .errors import DomainError, LimitViolationError, check_index
 from .exact import SurdPoly, UniPoly, pochhammer
 from .racah import racah_eval, racah_h0, racah_norm_ratio, racah_weight
 
@@ -43,16 +43,20 @@ class HermiteSetting:
             raise DomainError(f"need l >= m >= 0, got l={self.l}, m={self.m}")
 
 
+def _hermite_at_mixed_argument(n: int) -> SurdPoly:
+    """H_n(x y + v t), with v standing for (1-y^2)^{1/2}."""
+    x, y, t, v = (SurdPoly.variable(w) for w in ("x", "y", "t", "v"))
+    return (x * y + v * t).substitute_into(hermite(n))
+
+
 def hermite_addition_residual(n: int) -> SurdPoly:
     """H_n(x y + v t) minus its binomial expansion; must be zero.
 
     The expansion is sum_k C(n,k) H_{n-k}(x) H_k(t) (1-y^2)^{k/2} y^{n-k},
     with (1-y^2)^{k/2} represented as v^k in the surd ring.
     """
-    if n < 0:
-        raise DomainError(f"degree must be >= 0, got {n}")
-    x, y, t, v = (SurdPoly.variable(w) for w in ("x", "y", "t", "v"))
-    lhs = (x * y + v * t).substitute_into(hermite(n))
+    lhs = _hermite_at_mixed_argument(n)
+    y, v = SurdPoly.variable("y"), SurdPoly.variable("v")
     rhs = SurdPoly.zero()
     for k in range(n + 1):
         term = SurdPoly.constant(Fraction(math.comb(n, k)))
@@ -69,30 +73,35 @@ def hermite_product_residual(n: int) -> SurdPoly:
 
     Gaussian moments: t^{2k} -> (1/2)_k, odd powers -> 0.
     """
-    if n < 0:
-        raise DomainError(f"degree must be >= 0, got {n}")
-    x, y, t, v = (SurdPoly.variable(w) for w in ("x", "y", "t", "v"))
-    lhs = (x * y + v * t).substitute_into(hermite(n))
-    integral = lhs.map_t_powers(lambda c: 0 if c % 2 else pochhammer(_HALF, c // 2))
-    target = SurdPoly.from_unipoly(hermite(n), "x") * y.pow(n)
+    integral = _hermite_at_mixed_argument(n).map_t_powers(
+        lambda c: 0 if c % 2 else pochhammer(_HALF, c // 2)
+    )
+    target = SurdPoly.from_unipoly(hermite(n), "x") * SurdPoly.variable("y").pow(n)
     return target - integral
 
 
-def _check_range(i: int, hi: int, what: str) -> None:
-    if not 0 <= i <= hi:
-        raise DomainError(f"{what} must lie in 0..{hi}, got {i}")
+def _lm_pochhammer(s: HermiteSetting, k: int) -> Fraction:
+    """(-l)_k (-m)_k."""
+    return pochhammer(Fraction(-s.l), k) * pochhammer(Fraction(-s.m), k)
+
+
+def _kernel(a: int, b: int) -> Fraction:
+    """(-a)_b / a!, the entry of the dual addition kernel and its inverse."""
+    return pochhammer(Fraction(-a), b) / math.factorial(a)
+
+
+def _linearized_block(j: int, s: HermiteSetting) -> UniPoly:
+    """2^j (-l)_j (-m)_j H_{l+m-2j}."""
+    return hermite(s.l + s.m - 2 * j).scale(2**j * _lm_pochhammer(s, j))
+
+
+def _product_block(n: int, s: HermiteSetting) -> UniPoly:
+    """(-2)^n (-l)_n (-m)_n H_{l-n} H_{m-n}."""
+    return (hermite(s.l - n) * hermite(s.m - n)).scale((-2) ** n * _lm_pochhammer(s, n))
 
 
 def hermite_dual_addition_term(n: int, j: int, s: HermiteSetting) -> UniPoly:
-    l, m = s.l, s.m
-    coeff = (
-        pochhammer(Fraction(-n), j)
-        / math.factorial(n)
-        * Fraction((-2) ** n)
-        * pochhammer(Fraction(-l), n)
-        * pochhammer(Fraction(-m), n)
-    )
-    return (hermite(l - n) * hermite(m - n)).scale(coeff)
+    return _product_block(n, s).scale(_kernel(n, j))
 
 
 def hermite_dual_addition_residual(j: int, s: HermiteSetting) -> UniPoly:
@@ -103,15 +112,11 @@ def hermite_dual_addition_residual(j: int, s: HermiteSetting) -> UniPoly:
 
     The j = 0 case is the classical linearization formula read backwards.
     """
-    _check_range(j, s.m, "index j")
-    l, m = s.l, s.m
-    lhs = hermite(l + m - 2 * j).scale(
-        Fraction(2**j) * pochhammer(Fraction(-l), j) * pochhammer(Fraction(-m), j)
-    )
+    check_index(j, s.m, "index j")
     rhs = UniPoly.zero()
     for n in range(s.m + 1):
         rhs = rhs + hermite_dual_addition_term(n, j, s)
-    return lhs - rhs
+    return _linearized_block(j, s) - rhs
 
 
 def hermite_dual_inverse_residual(n: int, s: HermiteSetting) -> UniPoly:
@@ -122,22 +127,11 @@ def hermite_dual_inverse_residual(n: int, s: HermiteSetting) -> UniPoly:
 
     The n = 0 case is the Hermite linearization formula.
     """
-    _check_range(n, s.m, "index n")
-    l, m = s.l, s.m
+    check_index(n, s.m, "index n")
     lhs = UniPoly.zero()
     for j in range(s.m + 1):
-        c = (
-            pochhammer(Fraction(-j), n)
-            / math.factorial(j)
-            * Fraction(2**j)
-            * pochhammer(Fraction(-l), j)
-            * pochhammer(Fraction(-m), j)
-        )
-        lhs = lhs + hermite(l + m - 2 * j).scale(c)
-    rhs = (hermite(l - n) * hermite(m - n)).scale(
-        Fraction((-2) ** n) * pochhammer(Fraction(-l), n) * pochhammer(Fraction(-m), n)
-    )
-    return lhs - rhs
+        lhs = lhs + _linearized_block(j, s).scale(_kernel(j, n))
+    return lhs - _product_block(n, s)
 
 
 def biorthogonality_value(n: int, k: int, kernel: str = "corrected") -> Fraction:
@@ -151,26 +145,14 @@ def biorthogonality_value(n: int, k: int, kernel: str = "corrected") -> Fraction
     """
     if n < 0 or k < 0:
         raise DomainError("indices must be >= 0")
-    total = Fraction(0)
+    js = range(max(n, k) + 1)
     if kernel == "as-printed":
-        for j in range(max(n, k) + 1):
-            total += (
-                pochhammer(Fraction(-n), j)
-                / math.factorial(n)
-                * pochhammer(Fraction(-j), k)
-                / math.factorial(k)
-            )
+        terms = (_kernel(n, j) * pochhammer(Fraction(-j), k) / math.factorial(k) for j in js)
     elif kernel == "corrected":
-        for j in range(max(n, k) + 1):
-            total += (
-                pochhammer(Fraction(-j), n)
-                / math.factorial(j)
-                * pochhammer(Fraction(-k), j)
-                / math.factorial(k)
-            )
+        terms = (_kernel(j, n) * _kernel(k, j) for j in js)
     else:
         raise DomainError(f"unknown kernel {kernel!r}")
-    return total
+    return sum(terms, Fraction(0))
 
 
 @dataclass
@@ -209,57 +191,147 @@ class LimitReport:
         return self
 
 
-def alpha_scaled_gegenbauer(k: int, param: Fraction, alpha: Fraction) -> UniPoly:
-    """alpha^{k/2} R_k^{(param,param)}(alpha^{-1/2} x) as an exact polynomial.
+def alpha_scaled(poly: UniPoly, k: int, alpha: Fraction) -> UniPoly:
+    """alpha^{k/2} poly(alpha^{-1/2} x) for a polynomial of parity k.
 
     Parity makes every alpha exponent an integer: the x^i coefficient picks
     up alpha^{(k-i)/2} with k - i even.
     """
-    base = gegenbauer_r(k, param)
-    coeffs = [Fraction(0)] * (k + 1)
-    for i in range(k + 1):
-        c = base.coeff(i)
-        if c != 0:
-            coeffs[i] = c * alpha ** ((k - i) // 2)
-    return UniPoly(coeffs)
+    return UniPoly(c * alpha ** ((k - i) // 2) for i, c in enumerate(poly.coeffs))
 
 
-def _spec_system(alpha: Fraction, l: int, m: int):
-    return specialized_racah(DualSetting(alpha=alpha, l=l, m=m))
+# -- dyadic limit checks: each builder takes the indices (and the evaluation
+# point x, for eq52 and eq53) and returns the deviation as a function of
+# alpha; it computes the alpha-independent limit once.
+
+Deviation = Callable[[Fraction], Fraction]
 
 
-def _limit_targets(target: str, idx: Mapping[str, int]) -> Fraction:
-    l, m = idx.get("l", 0), idx.get("m", 0)
-    n, j = idx.get("n", 0), idx.get("j", 0)
-    if target in ("eq54j", "eq54n"):
-        a, b = (j, n) if target == "eq54j" else (n, j)
-        return (
-            Fraction(2**a)
-            * pochhammer(Fraction(-b), a)
-            / (pochhammer(Fraction(-l), a) * pochhammer(Fraction(-m), a))
+def _point(x: Fraction | None, target: str) -> Fraction:
+    if x is None:
+        raise DomainError(f"{target} needs an evaluation point x")
+    return x
+
+
+def _setting(idx: Mapping[str, int], *names: str) -> HermiteSetting:
+    """HermiteSetting(l, m), after checking each named index lies in 0..m."""
+    s = HermiteSetting(idx["l"], idx["m"])
+    for name in names:
+        check_index(idx[name], s.m, f"index {name}")
+    return s
+
+
+def _system(alpha: Fraction, s: HermiteSetting):
+    return specialized_racah(DualSetting(alpha=alpha, l=s.l, m=s.m))
+
+
+def _eq52(idx, x) -> Deviation:
+    n, x = idx["n"], _point(x, "eq52")
+    limit = hermite(n)(x) / 2**n
+    return lambda alpha: abs(alpha_scaled(gegenbauer_r(n, alpha), n, alpha)(x) - limit)
+
+
+def _eq53(idx, x) -> Deviation:
+    n, x = idx["n"], _point(x, "eq53")
+    limit = Fraction(x) ** n
+    return lambda alpha: abs(gegenbauer_r(n, alpha)(x) - limit)
+
+
+def _eq54(scaled: str):
+    """alpha^{-a} R_n(j) -> 2^a (-b)_a/((-l)_a (-m)_a), where a is the
+    ``scaled`` index (j or n) and b the other one."""
+
+    def build(idx, x) -> Deviation:
+        s = _setting(idx, "n", "j")
+        n, j = idx["n"], idx["j"]
+        a, b = (j, n) if scaled == "j" else (n, j)
+        limit = 2**a * pochhammer(Fraction(-b), a) / _lm_pochhammer(s, a)
+        return lambda alpha: abs(alpha**-a * racah_eval(n, j, _system(alpha, s)) - limit)
+
+    return build
+
+
+def _eq55(idx, x) -> Deviation:
+    s, j = _setting(idx, "j"), idx["j"]
+    limit = _lm_pochhammer(s, j) / (2**j * math.factorial(j))
+    return lambda alpha: abs(alpha**j * racah_weight(j, _system(alpha, s)) - limit)
+
+
+def _norm_limit(n: int, s: HermiteSetting) -> Fraction:
+    """2^n n!/((-l)_n (-m)_n), the limit of alpha^{-n} h_n."""
+    return 2**n * math.factorial(n) / _lm_pochhammer(s, n)
+
+
+def _eq56(idx, x) -> Deviation:
+    s, n = _setting(idx, "n"), idx["n"]
+    limit = _norm_limit(n, s)
+
+    def deviation(alpha):
+        sys = _system(alpha, s)
+        return abs(alpha**-n * racah_h0(sys) * racah_norm_ratio(n, sys) - limit)
+
+    return deviation
+
+
+def _eq30_limit(idx, x) -> Deviation:
+    """alpha^{-n} sum_j [w(j)/h_0] R_n(j) R_k(j) -> delta_{n,k} 2^n n!/((-l)_n (-m)_n),
+    the diagonal of the corrected-kernel pairing."""
+    s = _setting(idx, "n", "k")
+    n, k = idx["n"], idx["k"]
+    limit = _norm_limit(n, s) if n == k else Fraction(0)
+
+    def deviation(alpha):
+        sys = _system(alpha, s)
+        h0 = racah_h0(sys)
+        value = sum(
+            racah_weight(j, sys) / h0 * racah_eval(n, j, sys) * racah_eval(k, j, sys)
+            for j in range(s.m + 1)
         )
-    if target == "eq55":
-        return (
-            pochhammer(Fraction(-l), j)
-            * pochhammer(Fraction(-m), j)
-            / (Fraction(2**j) * math.factorial(j))
-        )
-    if target == "eq56":
-        return (
-            Fraction(2**n)
-            * math.factorial(n)
-            / (pochhammer(Fraction(-l), n) * pochhammer(Fraction(-m), n))
-        )
-    raise DomainError(f"unknown limit target {target!r}")
+        return abs(alpha**-n * value - limit)
+
+    return deviation
 
 
-_DESCRIPTIONS = {
-    "eq52": "2^{-n} H_n(x) from alpha^{n/2} R_n(alpha^{-1/2} x)",
-    "eq53": "x^n from R_n^{(alpha,alpha)}(x)",
-    "eq54j": "2^j (-n)_j/((-l)_j (-m)_j) from alpha^{-j} * Racah value",
-    "eq54n": "2^n (-j)_n/((-l)_n (-m)_n) from alpha^{-n} * Racah value",
-    "eq55": "(-l)_j (-m)_j/(2^j j!) from alpha^j * weight",
-    "eq56": "2^n n!/((-l)_n (-m)_n) from alpha^{-n} * squared norm",
+def _eq40_to_eq46(idx, x) -> Deviation:
+    """The dual addition formula's own limit to its Hermite counterpart.
+
+    The expansion of R_{l+m-2j} is multiplied by
+    2^{l+m} (-l)_j (-m)_j 2^{-j} alpha^{(l+m-2j)/2} and x is replaced by
+    alpha^{-1/2} x; the deviation is the largest coefficient deviation of
+    the left-hand side and of each term from their Hermite counterparts.
+    """
+    s = _setting(idx, "j")
+    j, degree = idx["j"], s.l + s.m - 2 * idx["j"]
+    rescale = 2 ** (s.l + s.m - j) * _lm_pochhammer(s, j)
+    lhs_limit = _linearized_block(j, s)
+    term_limits = [hermite_dual_addition_term(n, j, s) for n in range(s.m + 1)]
+
+    def deviation(alpha):
+        dual = DualSetting(alpha=alpha, l=s.l, m=s.m)
+        lhs = alpha_scaled(gegenbauer_r(degree, alpha), degree, alpha).scale(rescale)
+        dev = (lhs - lhs_limit).max_abs_coeff()
+        for n, limit in enumerate(term_limits):
+            term = alpha_scaled(dual_addition_term(n, j, dual), s.l + s.m, alpha)
+            dev = max(dev, (term.scale(rescale * alpha**-j) - limit).max_abs_coeff())
+        return dev
+
+    return deviation
+
+
+#: target id -> (description of the limit, builder of its deviation)
+_LIMITS: dict[str, tuple[str, Callable[..., Deviation]]] = {
+    "eq52": ("2^{-n} H_n(x) from alpha^{n/2} R_n(alpha^{-1/2} x)", _eq52),
+    "eq53": ("x^n from R_n^{(alpha,alpha)}(x)", _eq53),
+    "eq54j": ("2^j (-n)_j/((-l)_j (-m)_j) from alpha^{-j} * Racah value", _eq54("j")),
+    "eq54n": ("2^n (-j)_n/((-l)_n (-m)_n) from alpha^{-n} * Racah value", _eq54("n")),
+    "eq55": ("(-l)_j (-m)_j/(2^j j!) from alpha^j * weight", _eq55),
+    "eq56": ("2^n n!/((-l)_n (-m)_n) from alpha^{-n} * squared norm", _eq56),
+    "eq30-limit": (
+        "delta_{n,k}-weighted pairing of the corrected biorthogonality "
+        "kernel sum_j [(-j)_n/j!][(-k)_j/k!]",
+        _eq30_limit,
+    ),
+    "eq40-to-eq46": ("Hermite dual addition terms from the rescaled expansion", _eq40_to_eq46),
 }
 
 
@@ -268,155 +340,29 @@ def limit_rate_check(
     indices: Mapping[str, int],
     alpha_powers: Sequence[int],
     x: Fraction | None = None,
-    raise_on_failure: bool = True,
 ) -> LimitReport:
-    """Exact scaled deviations at alpha = 2^s; raises on decay violation.
+    """Exact scaled deviations of ``target`` at alpha = 2^s.
 
-    ``indices`` carries the indices the target needs (n for eq52/eq53 plus
-    a rational evaluation point x; n, j, l, m for eq54*; j, l, m for eq55;
-    n, l, m for eq56).  With raise_on_failure=False the report is returned
-    for inspection even when the decay criterion fails.
+    ``indices`` carries the indices the target needs: n and a rational
+    evaluation point x for eq52/eq53; n, j, l, m for eq54j/eq54n; j, l, m
+    for eq55 and eq40-to-eq46; n, l, m for eq56; n, k, l, m for eq30-limit.
+    The report is returned whether or not the deviations decay; call
+    :meth:`LimitReport.require_decay` to raise on a violation.
     """
-    if list(alpha_powers) != sorted(set(alpha_powers)):
+    if target not in _LIMITS:
+        raise DomainError(f"unknown limit target {target!r}")
+    if any(a >= b for a, b in zip(alpha_powers, alpha_powers[1:])):
         raise DomainError("alpha powers must be strictly increasing")
+    description, build = _LIMITS[target]
     idx = dict(indices)
+    deviation = build(idx, x)
     report = LimitReport(
         target=target,
         indices=dict(idx, **({"x": str(x)} if x is not None else {})),
-        limit_description=_DESCRIPTIONS.get(target, target),
-    )
-    n = idx.get("n", 0)
-    for s_pow in alpha_powers:
-        alpha = Fraction(2**s_pow)
-        if target == "eq52":
-            if x is None:
-                raise DomainError("eq52 needs an evaluation point x")
-            value = alpha_scaled_gegenbauer(n, alpha, alpha)(x)
-            dev = abs(value - hermite(n)(x) / Fraction(2**n))
-        elif target == "eq53":
-            if x is None:
-                raise DomainError("eq53 needs an evaluation point x")
-            dev = abs(gegenbauer_r(n, alpha)(x) - Fraction(x) ** n)
-        elif target in ("eq54j", "eq54n"):
-            l, m, j = idx["l"], idx["m"], idx["j"]
-            sys = _spec_system(alpha, l, m)
-            value = racah_eval(n, j, sys)
-            power = -j if target == "eq54j" else -n
-            dev = abs(alpha**power * value - _limit_targets(target, idx))
-        elif target == "eq55":
-            l, m, j = idx["l"], idx["m"], idx["j"]
-            sys = _spec_system(alpha, l, m)
-            dev = abs(alpha**j * racah_weight(j, sys) - _limit_targets(target, idx))
-        elif target == "eq56":
-            l, m = idx["l"], idx["m"]
-            sys = _spec_system(alpha, l, m)
-            h_n = racah_h0(sys) * racah_norm_ratio(n, sys)
-            dev = abs(alpha ** (-n) * h_n - _limit_targets(target, idx))
-        else:
-            raise DomainError(f"unknown limit target {target!r}")
-        report.alphas.append(alpha)
-        report.deviations.append(dev)
-    return report.require_decay() if raise_on_failure else report
-
-
-def racah_to_biorthogonality_limit(
-    n: int,
-    k: int,
-    l: int,
-    m: int,
-    alpha_powers: Sequence[int],
-    raise_on_failure: bool = True,
-) -> LimitReport:
-    """Rescaled Racah orthogonality sum degenerating to the biorthogonality.
-
-    The quantity alpha^{-n} sum_j [w(j)/h_0] R_n(j) R_k(j) converges to
-    delta_{n,k} 2^n n!/((-l)_n (-m)_n), which is the diagonal of the
-    corrected-kernel pairing; deviations must decay dyadically.
-    """
-    if not (0 <= n <= m and 0 <= k <= m and m <= l):
-        raise DomainError("need n, k <= m <= l")
-    target = _limit_targets("eq56", {"n": n, "l": l, "m": m}) if n == k else Fraction(0)
-    report = LimitReport(
-        target="eq30-limit",
-        indices={"n": n, "k": k, "l": l, "m": m},
-        limit_description=(
-            "delta_{n,k}-weighted pairing of the corrected biorthogonality "
-            "kernel sum_j [(-j)_n/j!][(-k)_j/k!]"
-        ),
+        limit_description=description,
     )
     for s_pow in alpha_powers:
         alpha = Fraction(2**s_pow)
-        sys = _spec_system(alpha, l, m)
-        h0 = racah_h0(sys)
-        value = sum(
-            racah_weight(j, sys) / h0 * racah_eval(n, j, sys) * racah_eval(k, j, sys)
-            for j in range(m + 1)
-        )
         report.alphas.append(alpha)
-        report.deviations.append(abs(alpha ** (-n) * value - target))
-    return report.require_decay() if raise_on_failure else report
-
-
-def _scaled_dual_addition_term(
-    n: int, j: int, l: int, m: int, alpha: Fraction, rescale: Fraction
-) -> UniPoly:
-    """One term of the rescaled dual addition expansion, exactly in alpha.
-
-    The whole expansion is multiplied by rescale * alpha^{(l+m-2j)/2} and x
-    is replaced by alpha^{-1/2} x; all alpha powers combine to integers.
-    """
-    coeff = (
-        dual_addition_coeff(n, j, DualSetting(alpha=alpha, l=l, m=m))
-        * alpha ** (-j)
-        * rescale
-    )
-    x2_minus_alpha = UniPoly((-alpha, Fraction(0), Fraction(1)))
-    poly = (
-        alpha_scaled_gegenbauer(l - n, alpha + n, alpha)
-        * alpha_scaled_gegenbauer(m - n, alpha + n, alpha)
-        * x2_minus_alpha.pow(n)
-    )
-    return poly.scale(coeff)
-
-
-def dual_addition_hermite_limit(
-    j: int,
-    l: int,
-    m: int,
-    alpha_powers: Sequence[int],
-    raise_on_failure: bool = True,
-) -> LimitReport:
-    """The dual addition formula's own limit to its Hermite counterpart.
-
-    At each alpha = 2^s the rescaled expansion terms (and the rescaled
-    left-hand side) are compared coefficientwise against the Hermite dual
-    addition terms; the maximum coefficient deviation must decay
-    dyadically.
-    """
-    hs = HermiteSetting(l=l, m=m)
-    _check_range(j, m, "index j")
-    rescale = (
-        Fraction(2 ** (l + m))
-        * pochhammer(Fraction(-l), j)
-        * pochhammer(Fraction(-m), j)
-        / Fraction(2**j)
-    )
-    lhs_target = hermite(l + m - 2 * j).scale(
-        Fraction(2**j) * pochhammer(Fraction(-l), j) * pochhammer(Fraction(-m), j)
-    )
-    report = LimitReport(
-        target="eq40-to-eq46",
-        indices={"j": j, "l": l, "m": m},
-        limit_description="Hermite dual addition terms from the rescaled expansion",
-    )
-    for s_pow in alpha_powers:
-        alpha = Fraction(2**s_pow)
-        scaled_lhs = alpha_scaled_gegenbauer(l + m - 2 * j, alpha, alpha).scale(rescale)
-        dev = (scaled_lhs - lhs_target).max_abs_coeff()
-        for n in range(m + 1):
-            scaled = _scaled_dual_addition_term(n, j, l, m, alpha, rescale)
-            target = hermite_dual_addition_term(n, j, hs)
-            dev = max(dev, (scaled - target).max_abs_coeff())
-        report.alphas.append(alpha)
-        report.deviations.append(dev)
-    return report.require_decay() if raise_on_failure else report
+        report.deviations.append(deviation(alpha))
+    return report

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .errors import DegenerateParameterError, DomainError
+from .errors import DegenerateParameterError, DomainError, check_index
 from .exact import Rational, parse_rational, poch_quotient, terminating_hyp
 
 
@@ -145,11 +145,6 @@ def _endpoint_closed(n: int, al, be, de) -> Fraction:
     )
 
 
-def _check_index(value: int, hi: int, what: str) -> None:
-    if not 0 <= value <= hi:
-        raise DomainError(f"{what} must lie in 0..{hi}, got {value}")
-
-
 def _eval_raw(n: int, x: int, al, be, ga, de) -> Fraction:
     """Terminating 4F3 sum defining the polynomial at lattice index x."""
     return terminating_hyp(
@@ -160,15 +155,15 @@ def _eval_raw(n: int, x: int, al, be, ga, de) -> Fraction:
 @lru_cache(maxsize=None)
 def racah_eval(n: int, x: int, sys: RacahSystem) -> Fraction:
     """Exact value of the degree-n Racah polynomial at lattice index x."""
-    _check_index(n, sys.N, "degree n")
-    _check_index(x, sys.N, "lattice index x")
+    check_index(n, sys.N, "degree n")
+    check_index(x, sys.N, "lattice index x")
     return _eval_raw(n, x, *sys.as_tuple())
 
 
 @lru_cache(maxsize=None)
 def racah_weight(x: int, sys: RacahSystem) -> Fraction:
     """Orthogonality weight w(x) on the lattice 0..N."""
-    _check_index(x, sys.N, "lattice index x")
+    check_index(x, sys.N, "lattice index x")
     al, be, ga, de = sys.as_tuple()
     return _weight_quotient(x, al, be, ga, de) * (ga + de + 1 + 2 * x) / (ga + de + 1)
 
@@ -183,13 +178,13 @@ def racah_h0(sys: RacahSystem) -> Fraction:
 @lru_cache(maxsize=None)
 def racah_norm_ratio(n: int, sys: RacahSystem) -> Fraction:
     """Squared-norm ratio h_n / h_0, via its closed form."""
-    _check_index(n, sys.N, "degree n")
+    check_index(n, sys.N, "degree n")
     return _norm_ratio_closed(n, *sys.as_tuple())
 
 
 def endpoint_value_residual(n: int, sys: RacahSystem) -> Fraction:
     """racah_eval at x = N minus its Saalschuetz closed form; must be 0."""
-    _check_index(n, sys.N, "degree n")
+    check_index(n, sys.N, "degree n")
     al, be, _, de = sys.as_tuple()
     return racah_eval(n, sys.N, sys) - _endpoint_closed(n, al, be, de)
 
@@ -214,8 +209,8 @@ def backward_shift_residual(n: int, x: int, sys: RacahSystem) -> Fraction:
     """
     if n < 1:
         raise DomainError(f"backward shift needs n >= 1, got {n}")
-    _check_index(n, sys.N, "degree n")
-    _check_index(x, sys.N, "lattice index x")
+    check_index(n, sys.N, "degree n")
+    check_index(x, sys.N, "lattice index x")
 
     lhs = racah_weight(x, sys) * racah_eval(n, x, sys)
     rhs = Fraction(0)
@@ -234,7 +229,7 @@ def sum_by_parts_residual(n: int, f: Sequence[Rational], sys: RacahSystem) -> Fr
     """
     if n < 1:
         raise DomainError(f"summation by parts needs n >= 1, got {n}")
-    _check_index(n, sys.N, "degree n")
+    check_index(n, sys.N, "degree n")
     if len(f) != sys.N + 1:
         raise DomainError(f"f must have {sys.N + 1} values, got {len(f)}")
     fv = [Fraction(v) for v in f]

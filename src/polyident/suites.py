@@ -9,6 +9,7 @@ sorted before emission, making output independent of execution order.
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 import time
@@ -499,7 +500,12 @@ def _task_eq48_printed(params, config):
     )
 
 
-def _limit_result(report: hermite_limit.LimitReport) -> TaskResult:
+def _task_limit(target, params, config):
+    indices = {
+        key: int(params[key]) for key in ("n", "j", "k", "l", "m") if key in params
+    }
+    x = parse_rational(params["x"]) if "x" in params else None
+    report = hermite_limit.limit_rate_check(target, indices, config.alpha_powers, x=x)
     excess = report.excess
     return TaskResult(
         residual=format_rational(excess),
@@ -511,40 +517,19 @@ def _limit_result(report: hermite_limit.LimitReport) -> TaskResult:
     )
 
 
-@identity("eq52", "hermite", "Hermite limit of scaled Gegenbauer polynomials")
-@identity("eq53", "hermite", "monomial limit of Gegenbauer polynomials")
-@identity("eq54j", "hermite", "Racah value limit, j-scaling")
-@identity("eq54n", "hermite", "Racah value limit, n-scaling")
-@identity("eq55", "hermite", "Racah weight limit")
-@identity("eq56", "hermite", "Racah norm limit")
-def _task_limit(params, config):
-    target = params["target"]
-    indices = {
-        key: int(params[key]) for key in ("n", "j", "l", "m") if key in params
-    }
-    x = parse_rational(params["x"]) if "x" in params else None
-    report = hermite_limit.limit_rate_check(
-        target, indices, config.alpha_powers, x=x, raise_on_failure=False
-    )
-    return _limit_result(report)
-
-
-@identity("eq30-limit", "hermite", "Racah orthogonality degenerates to biorthogonality")
-def _task_eq30_limit(params, config):
-    report = hermite_limit.racah_to_biorthogonality_limit(
-        int(params["n"]), int(params["k"]), int(params["l"]), int(params["m"]),
-        config.alpha_powers, raise_on_failure=False,
-    )
-    return _limit_result(report)
-
-
-@identity("eq40-to-eq46", "hermite", "dual addition formula degenerates to its Hermite form")
-def _task_eq40_to_eq46(params, config):
-    report = hermite_limit.dual_addition_hermite_limit(
-        int(params["j"]), int(params["l"]), int(params["m"]), config.alpha_powers,
-        raise_on_failure=False,
-    )
-    return _limit_result(report)
+# Each limit handler gets its target from its declaration; the eq52-eq56
+# tasks also carry it as the parameter "target", which their records print.
+for _target, _description in (
+    ("eq52", "Hermite limit of scaled Gegenbauer polynomials"),
+    ("eq53", "monomial limit of Gegenbauer polynomials"),
+    ("eq54j", "Racah value limit, j-scaling"),
+    ("eq54n", "Racah value limit, n-scaling"),
+    ("eq55", "Racah weight limit"),
+    ("eq56", "Racah norm limit"),
+    ("eq30-limit", "Racah orthogonality degenerates to biorthogonality"),
+    ("eq40-to-eq46", "dual addition formula degenerates to its Hermite form"),
+):
+    identity(_target, "hermite", _description)(functools.partial(_task_limit, _target))
 
 
 # -- continuous suite handlers

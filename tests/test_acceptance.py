@@ -153,7 +153,7 @@ def test_criterion_7_limit_suite():
         for x in (Fraction(1, 2), Fraction(3, 5)):
             for target in ("eq52", "eq53"):
                 report = hermite_limit.limit_rate_check(
-                    target, {"n": n}, POWERS, x=x, raise_on_failure=False
+                    target, {"n": n}, POWERS, x=x
                 )
                 if not report.passed:
                     failures.append((target, n, str(x)))
@@ -164,25 +164,25 @@ def test_criterion_7_limit_suite():
                     for target in ("eq54j", "eq54n"):
                         report = hermite_limit.limit_rate_check(
                             target, {"n": n, "j": j, "l": l, "m": m},
-                            POWERS, raise_on_failure=False,
+                            POWERS,
                         )
                         if not report.passed:
                             failures.append((target, l, m, n, j))
             for j in range(m + 1):
                 report = hermite_limit.limit_rate_check(
-                    "eq55", {"j": j, "l": l, "m": m}, POWERS, raise_on_failure=False
+                    "eq55", {"j": j, "l": l, "m": m}, POWERS
                 )
                 if not report.passed:
                     failures.append(("eq55", l, m, j))
             for n in range(m + 1):
                 report = hermite_limit.limit_rate_check(
-                    "eq56", {"n": n, "l": l, "m": m}, POWERS, raise_on_failure=False
+                    "eq56", {"n": n, "l": l, "m": m}, POWERS
                 )
                 if not report.passed:
                     failures.append(("eq56", l, m, n))
                 for k in range(m + 1):
-                    report = hermite_limit.racah_to_biorthogonality_limit(
-                        n, k, l, m, POWERS, raise_on_failure=False
+                    report = hermite_limit.limit_rate_check(
+                        "eq30-limit", {"n": n, "k": k, "l": l, "m": m}, POWERS
                     )
                     if not report.passed:
                         failures.append(("eq30-limit", l, m, n, k))

@@ -11,15 +11,13 @@ from polyident.exact import UniPoly, pochhammer
 from polyident.hermite_limit import (
     DECAY_RATIO,
     HermiteSetting,
-    alpha_scaled_gegenbauer,
+    alpha_scaled,
     biorthogonality_value,
-    dual_addition_hermite_limit,
     hermite_addition_residual,
     hermite_dual_addition_residual,
     hermite_dual_inverse_residual,
     hermite_product_residual,
     limit_rate_check,
-    racah_to_biorthogonality_limit,
 )
 
 POWERS = tuple(range(4, 17))
@@ -137,11 +135,11 @@ class TestBiorthogonality:
 class TestScaledGegenbauer:
     def test_exact_alpha_powers(self):
         alpha = Fraction(16)
-        poly = alpha_scaled_gegenbauer(3, alpha, alpha)
-        # x^3 coefficient is the plain leading coefficient; the x^1
-        # coefficient picks up one alpha power
         from polyident.classical import gegenbauer_r
 
+        poly = alpha_scaled(gegenbauer_r(3, alpha), 3, alpha)
+        # x^3 coefficient is the plain leading coefficient; the x^1
+        # coefficient picks up one alpha power
         base = gegenbauer_r(3, alpha)
         assert poly.coeff(3) == base.coeff(3)
         assert poly.coeff(1) == base.coeff(1) * alpha
@@ -160,6 +158,7 @@ class TestLimitRates:
         # degrees 0 and 1 are exact at every alpha: deviations identically 0
         for n in (0, 1):
             report = limit_rate_check("eq52", {"n": n}, POWERS, x=Fraction(1, 2))
+            report.require_decay()
             assert all(d == 0 for d in report.deviations)
 
     def test_eq54n_example_value(self):
@@ -186,17 +185,17 @@ class TestLimitRates:
                     for j in range(m + 1):
                         limit_rate_check(
                             "eq54j", {"n": n, "j": j, "l": l, "m": m}, POWERS
-                        )
+                        ).require_decay()
                         limit_rate_check(
                             "eq54n", {"n": n, "j": j, "l": l, "m": m}, POWERS
-                        )
+                        ).require_decay()
                 for j in range(m + 1):
-                    limit_rate_check("eq55", {"j": j, "l": l, "m": m}, POWERS)
+                    limit_rate_check("eq55", {"j": j, "l": l, "m": m}, POWERS).require_decay()
                 for n in range(m + 1):
-                    limit_rate_check("eq56", {"n": n, "l": l, "m": m}, POWERS)
+                    limit_rate_check("eq56", {"n": n, "l": l, "m": m}, POWERS).require_decay()
 
     def test_monotonicity_violation_raises(self):
-        report = limit_rate_check("eq53", {"n": 2}, POWERS, x=Fraction(1, 2))
+        report = limit_rate_check("eq53", {"n": 2}, POWERS, x=Fraction(1, 2)).require_decay()
         report.deviations[-1] = report.deviations[0]  # corrupt the tail
         with pytest.raises(LimitViolationError):
             report.require_decay()
@@ -212,15 +211,16 @@ class TestLimitRates:
 
 class TestBiorthogonalityLimit:
     def test_diagonal(self):
-        report = racah_to_biorthogonality_limit(1, 1, 3, 2, POWERS)
+        report = limit_rate_check("eq30-limit", {"n": 1, "k": 1, "l": 3, "m": 2}, POWERS)
         assert report.passed
 
     def test_off_diagonal(self):
-        report = racah_to_biorthogonality_limit(2, 1, 3, 2, POWERS)
+        report = limit_rate_check("eq30-limit", {"n": 2, "k": 1, "l": 3, "m": 2}, POWERS)
         assert report.passed
 
     def test_degree_zero_exact_for_every_alpha(self):
-        report = racah_to_biorthogonality_limit(0, 0, 3, 2, POWERS)
+        report = limit_rate_check("eq30-limit", {"n": 0, "k": 0, "l": 3, "m": 2}, POWERS)
+        report.require_decay()
         assert all(d == 0 for d in report.deviations)
 
     def test_small_grid(self):
@@ -228,7 +228,9 @@ class TestBiorthogonalityLimit:
             for m in range(l + 1):
                 for n in range(m + 1):
                     for k in range(m + 1):
-                        racah_to_biorthogonality_limit(n, k, l, m, POWERS)
+                        limit_rate_check(
+                            "eq30-limit", {"n": n, "k": k, "l": l, "m": m}, POWERS
+                        ).require_decay()
 
 
 class TestDualAdditionLimit:
@@ -236,5 +238,5 @@ class TestDualAdditionLimit:
         for l in range(5):
             for m in range(l + 1):
                 for j in range(m + 1):
-                    report = dual_addition_hermite_limit(j, l, m, POWERS)
+                    report = limit_rate_check("eq40-to-eq46", {"j": j, "l": l, "m": m}, POWERS)
                     assert report.passed

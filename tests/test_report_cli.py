@@ -2,6 +2,7 @@
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
@@ -284,6 +285,14 @@ class TestSuites:
         assert pinned[0].status == "pass"
         assert all(r.status == "pass" for r in reports)
 
+    def test_hermite_records_match_expected_file(self):
+        # pins every record byte for byte, including the final_deviation and
+        # limit strings of the dyadic-limit records; regenerate the file only
+        # for an intended change of output
+        config = SuiteConfig(jobs=1, hermite_lm_max=2, biorthogonality_max=4, limit_lm_max=2)
+        expected = Path(__file__).with_name("golden") / "hermite-small.jsonl"
+        assert emit_json_lines(run_suite("hermite", config)) == expected.read_text()
+
     def test_exact_status_residual_invariant(self):
         # outside the pinned-discrepancy records, an exact check passes
         # exactly when its residual is the zero rational
@@ -450,12 +459,15 @@ class TestCli:
             ["verify", "racah", "--integral-tolerance", "inf"],
             ["verify", "racah", "--pointwise-tolerance=-1"],
             ["verify", "racah", "--pointwise-tolerance", "0"],
+            ["verify", "hermite", "--alpha-powers", "4..x"],
+            ["verify", "hermite", "--alpha-powers", "a,b"],
         ],
         ids=["empty-grid", "empty-pair-grid", "unparseable-t-max",
              "unparseable-tolerance", "empty-alpha-powers", "vacuous-precision",
              "decreasing-alpha-powers", "no-truncation-budget", "negative-jobs",
              "precision-at-1e-5", "loose-tolerance", "infinite-tolerance",
-             "negative-tolerance", "zero-tolerance"],
+             "negative-tolerance", "zero-tolerance", "unparseable-alpha-range",
+             "unparseable-alpha-powers"],
     )
     def test_rejected_config_exits_two(self, argv, capsys):
         # the case's own flags come last, so they win over these defaults
@@ -499,3 +511,21 @@ class TestCli:
             load_config_file(str(cfg))
         code = main(["verify", "racah", "--config", str(cfg)])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "line", ["alpha_powers = 4..x", "timings = maybe"],
+        ids=["unparseable-alpha-powers", "unknown-boolean"],
+    )
+    def test_bad_config_value_exits_two(self, line, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"jobs = 1\n{line}\n")
+        assert main(["verify", "racah", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad value for" in captured.err
+
+    def test_config_booleans(self, tmp_path):
+        cfg = tmp_path / "flags.cfg"
+        for word, expected in (("On", True), ("yes", True), ("0", False), ("off", False)):
+            cfg.write_text(f"timings = {word}\n")
+            assert load_config_file(str(cfg)) == {"timings": expected}
