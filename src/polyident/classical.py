@@ -110,18 +110,35 @@ def even_moment(k: int, alpha: Fraction) -> Fraction:
 
 
 def inner_product(p: UniPoly, q: UniPoly, alpha: Fraction) -> Fraction:
-    """Mass-normalized inner product of two polynomials in the Gegenbauer weight."""
+    """Mass-normalized inner product of two polynomials in the Gegenbauer weight.
+
+    Sums c_{2k} M_k over the even coefficients c of p q, where M_k is the
+    moment of x^{2k} (:func:`even_moment`).  M_k = B(k+1/2, alpha+1) /
+    B(1/2, alpha+1) (DLMF 5.12.1), so M_0 = 1 and
+
+        M_{k+1} / M_k = (k+1/2) / (k+alpha+3/2) = (2k+1) b / (2a + (2k+3) b)
+
+    for alpha = a/b.  The sum runs as integer Horner over that ratio, from
+    the highest moment down, and one ``Fraction`` is built at the end.  The
+    ratio's denominator is positive for alpha > -1.
+    """
     alpha = Fraction(alpha)
     _require_alpha(alpha, Fraction(-1), "inner_product")
     prod = p * q
-    nums = prod.nums
-    total = Fraction(0)
-    for i in range(0, len(nums), 2):
-        if nums[i]:
-            total += nums[i] * even_moment(i // 2, alpha)
-    return total / prod.den
+    evens = prod.nums[::2]
+    if not evens:
+        return Fraction(0)
+    a, b = alpha.numerator, alpha.denominator
+    # num/den is c_{2k} + M_{k+1}/M_k (c_{2k+2} + ...), from the top k down
+    num, den = evens[-1], 1
+    for k in range(len(evens) - 2, -1, -1):
+        bot = 2 * a + (2 * k + 3) * b
+        num = evens[k] * bot * den + (2 * k + 1) * b * num
+        den *= bot
+    return Fraction(num, den * prod.den)
 
 
+@lru_cache(maxsize=None)
 def norm_ratio(n: int, alpha: Fraction) -> Fraction:
     """Squared norm of gegenbauer_r(n, alpha) relative to the n = 0 norm."""
     if n < 0:
@@ -136,6 +153,7 @@ def norm_ratio(n: int, alpha: Fraction) -> Fraction:
     )
 
 
+@lru_cache(maxsize=None)
 def addition_weight(k: int, alpha: Fraction) -> Fraction:
     """(alpha+k)/(alpha+k/2) (2 alpha+1)_k / (2^{2k} (alpha+1)_k^2).
 

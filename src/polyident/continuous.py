@@ -634,9 +634,11 @@ def dual_addition_function_residual(
               phi_{4 lam}^{(alpha+k,alpha+k)}(t) phi_{4 mu}^{(alpha+k,alpha+k)}(t)
               W_k(nu^2; ...).
 
-    Terms are added until one falls below tolerance * 1e-3 (or the budget
-    runs out); the last five term magnitudes must be decreasing, otherwise
-    the result is flagged as (formally) divergent rather than raising.
+    Terms are added until one falls below tolerance * 1e-3.  If the last
+    five term magnitudes are not decreasing, the result is flagged as
+    (formally) divergent rather than raising.  If they are decreasing but
+    the budget runs out first, the expansion was cut short, not shown to
+    fail, and PrecisionError names the budget.
     """
     with mp.workdps(prec + _GUARD):
         t = to_mpf(t, prec)
@@ -650,6 +652,7 @@ def dual_addition_function_residual(
         total = mp.mpf(0)
         magnitudes: list = []
         used = 0
+        converged = False
         for k in range(truncation_budget):
             term = (
                 sinh_sq**k
@@ -662,9 +665,15 @@ def dual_addition_function_residual(
             magnitudes.append(abs(term))
             used = k + 1
             if k > 0 and abs(term) < tolerance * mp.mpf(10) ** -3:
+                converged = True
                 break
         tail = magnitudes[-5:]
         decreasing = all(later < earlier for earlier, later in zip(tail, tail[1:]))
+        if decreasing and not converged:
+            raise PrecisionError(
+                f"truncation budget of {truncation_budget} terms ran out before a "
+                f"term fell below {mp.nstr(tolerance * mp.mpf(10) ** -3, 3)}"
+            )
         return TruncatedExpansionResult(
             residual=abs(target - total),
             terms_used=used,

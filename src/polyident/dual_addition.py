@@ -17,7 +17,7 @@ vectors, not samples.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,11 +31,15 @@ _HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class DualSetting:
-    """Parameter triple (alpha, l, m) with alpha > -1/2 and l >= m >= 0."""
+    """Parameter triple (alpha, l, m) with alpha > -1/2 and l >= m >= 0.
+
+    Hashed once at construction, like :class:`~polyident.racah.RacahSystem`.
+    """
 
     alpha: Fraction
     l: int
     m: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
@@ -43,6 +47,10 @@ class DualSetting:
             raise DomainError(f"alpha must exceed -1/2, got {self.alpha}")
         if not 0 <= self.m <= self.l:
             raise DomainError(f"need l >= m >= 0, got l={self.l}, m={self.m}")
+        object.__setattr__(self, "_hash", hash((self.alpha, self.l, self.m)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @lru_cache(maxsize=None)

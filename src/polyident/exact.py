@@ -13,8 +13,16 @@ The hot kernels are fraction-free.  A ``UniPoly`` is an integer vector over
 one positive common denominator, reduced by its content (von zur Gathen &
 Gerhard, *Modern Computer Algebra*, ch. 6), so its arithmetic runs on ints
 with one gcd per result instead of one per coefficient operation.
-``pochhammer``, ``poch_quotient`` and ``terminating_hyp`` likewise multiply
-integer numerators and denominators and build one ``Fraction`` at the end.
+The integer kernels that build one ``Fraction`` at the end, from integer
+numerators and denominators:
+
+- ``pochhammer``, ``poch_quotient`` and ``terminating_hyp`` here;
+- ``classical.inner_product``, by Horner over the ratio of consecutive
+  Gegenbauer-weight moments.
+
+``SurdPoly.from_unipoly`` places each integer coefficient over the common
+denominator directly on its monomial.  ``SurdPoly`` itself keeps
+``Fraction`` coefficients.
 """
 
 from __future__ import annotations
@@ -353,9 +361,18 @@ class SurdPoly:
 
     @staticmethod
     def from_unipoly(p: UniPoly, var: str = "x") -> "SurdPoly":
-        """Inject a univariate polynomial, reading its variable as ``var``."""
-        x = SurdPoly.variable(var)
-        return x.substitute_into(p)
+        """Inject a univariate polynomial, reading its variable as ``var``.
+
+        Coefficient i goes straight onto the monomial var^i; for u and v the
+        power is reduced by the ring relation.
+        """
+        (unit,) = SurdPoly.variable(var).terms
+        den = p.den
+        out: dict[Monomial, Fraction] = {}
+        for i, n in enumerate(p.nums):
+            if n:
+                _accumulate_reduced(out, tuple(e * i for e in unit), Fraction(n, den))
+        return _raw({m: c for m, c in out.items() if c != 0})
 
     def substitute_into(self, p: UniPoly) -> "SurdPoly":
         """Evaluate the univariate polynomial ``p`` at this ring element."""

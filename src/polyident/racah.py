@@ -15,7 +15,7 @@ direct-sum oracle in the tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -30,6 +30,11 @@ class RacahSystem:
 
     N = 0 (a single lattice point, where everything trivializes) is allowed
     so that degenerate corners of parameter sweeps stay in-domain.
+
+    The hash is that of the field tuple, computed once at construction: the
+    system keys the memoised evaluations, and a ``Fraction`` hash costs a
+    modular inverse each time.  It is a function of the values alone, so it
+    stays valid in a process that unpickles the system.
     """
 
     alpha: Fraction
@@ -37,6 +42,7 @@ class RacahSystem:
     gamma: Fraction
     delta: Fraction
     N: int
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
@@ -56,6 +62,10 @@ class RacahSystem:
                 + "; ".join(problems),
                 factors=problems,
             )
+        object.__setattr__(self, "_hash", hash((*self.as_tuple(), self.N)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.alpha, self.beta, self.gamma, self.delta)

@@ -21,7 +21,7 @@ from typing import Callable
 import mpmath as mp
 
 from . import addition, classical, continuous, dual_addition, hermite_limit, racah
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .exact import (
     SurdPoly,
     UniPoly,
@@ -77,6 +77,12 @@ class SuiteConfig:
                 raise ConfigError(f"{name} must be >= {floor}, got {value}")
         if not self.alphas or not self.alpha_powers:
             raise ConfigError("alphas and alpha_powers must not be empty")
+        # a repeated alpha would run, and report, the same tasks twice
+        repeated = sorted({a for a in self.alphas if self.alphas.count(a) > 1})
+        if repeated:
+            raise ConfigError(
+                f"bad value for alphas: {', '.join(map(str, repeated))} repeated"
+            )
         # the limit checks read alpha = 2^s as a doubling sequence
         if any(a >= b for a, b in zip(self.alpha_powers, self.alpha_powers[1:])):
             raise ConfigError(
@@ -213,7 +219,14 @@ def _numeric_result(value, tolerance, extra: dict[str, str] | None = None) -> Ta
 
 
 def _parse_system(params: dict[str, str]) -> racah.RacahSystem:
-    return racah.RacahSystem.parse(params["system"], int(params["N"]))
+    return _system(params["system"], int(params["N"]))
+
+
+@functools.lru_cache(maxsize=None)
+def _system(system: str, n_points: int) -> racah.RacahSystem:
+    """One parsed and validated system per (system string, N): each system
+    serves every racah task built on it."""
+    return racah.RacahSystem.parse(system, n_points)
 
 
 def _dual_setting(params: dict[str, str]) -> dual_addition.DualSetting:
@@ -492,6 +505,11 @@ def _task_eq48_corrected(params, config):
 def _task_eq48_printed(params, config):
     n, k = int(params["n"]), int(params["k"])
     value = hermite_limit.biorthogonality_value(n, k, "as-printed")
+    if value == hermite_limit.biorthogonality_value(n, k, "corrected"):
+        raise DomainError(
+            f"pinned check cannot tell printed from corrected: both kernels "
+            f"give {format_rational(value)} at (n, k) = ({n}, {k})"
+        )
     expected = parse_rational(params["expected"])
     return TaskResult(
         residual=format_rational(value),
@@ -546,10 +564,23 @@ def _wilson_context(params: dict[str, str], prec: int) -> continuous.WilsonConte
     return ctx
 
 
-def _pinned_ratio(params, prec: int) -> mp.mpf:
-    """((alpha+1/2)_n)^2, the factor a printed Gamma(alpha+1/2)^2 is off by."""
+def _pinned_ratio(params, prec: int, tolerance) -> mp.mpf:
+    """((alpha+1/2)_n)^2, the factor a printed Gamma(alpha+1/2)^2 is off by.
+
+    The two variants differ by |ratio - 1|; raises DomainError unless the
+    check's threshold, tolerance times the ratio, is at least 1e3 below
+    that, so that a pass tells them apart (at n = 0 they coincide).
+    """
     alpha = parse_rational(params["alpha"])
-    return continuous.to_mpf(pochhammer(alpha + _HALF, int(params["n"])) ** 2, prec)
+    ratio = pochhammer(alpha + _HALF, int(params["n"])) ** 2
+    expected = continuous.to_mpf(ratio, prec)
+    if tolerance * expected * 1000 > abs(expected - 1):
+        raise DomainError(
+            f"pinned check cannot tell printed from corrected: its tolerance "
+            f"{mp.nstr(tolerance * expected, 3)} is not 1e3 below "
+            f"|((alpha+1/2)_n)^2 - 1| = {format_rational(abs(ratio - 1))}"
+        )
+    return expected
 
 
 @identity("eq8", "continuous", "Wilson orthogonality (corrected norm) by quadrature",
@@ -569,6 +600,7 @@ def _task_eq8(params, config, tolerance):
 def _task_eq8_printed(params, config, tolerance):
     prec = config.precision_digits
     n = int(params["n"])
+    expected_ratio = _pinned_ratio(params, prec, tolerance)
     ctx = _wilson_context(params, prec)
     with mp.workdps(prec + 10):
         integral = ctx.integrate(
@@ -578,7 +610,6 @@ def _task_eq8_printed(params, config, tolerance):
         printed = continuous.wilson_norm(
             n, ctx.lam, ctx.mu, ctx.alpha, prec, variant="printed"
         )
-        expected_ratio = _pinned_ratio(params, prec)
         discrepancy = abs(integral / printed - expected_ratio)
     return _numeric_result(
         discrepancy,
@@ -629,6 +660,7 @@ def _task_eq13(params, config, tolerance):
 def _task_eq13_printed(params, config, tolerance):
     prec = config.precision_digits
     n = int(params["n"])
+    expected_ratio = _pinned_ratio(params, prec, tolerance)
     ctx = _wilson_context(params, prec)
     t = parse_rational(params["t"])
     with mp.workdps(prec + 10):
@@ -638,7 +670,6 @@ def _task_eq13_printed(params, config, tolerance):
         printed = continuous.dual_integral_closed_form_residual(
             n, t, ctx, base, variant="printed"
         )
-        expected_ratio = _pinned_ratio(params, prec)
         # printed residual = |I - closed/ratio| / (closed/ratio) = ratio - 1 when corrected holds
         discrepancy = abs(printed - (expected_ratio - 1))
     return _numeric_result(

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyident.classical import (
     difference_residual,
@@ -118,6 +120,37 @@ class TestInnerProduct:
         lhs = inner_product(p + q.scale(Fraction(2, 3)), r, alpha)
         rhs = inner_product(p, r, alpha) + Fraction(2, 3) * inner_product(q, r, alpha)
         assert lhs == rhs
+
+
+# alpha > -1, the weight's domain, with alpha = -1/2 drawn on its own
+weight_alphas = st.just(Fraction(-1, 2)) | st.fractions(
+    min_value=-1, max_value=20, max_denominator=12
+).filter(lambda a: a > -1)
+# two factors of degree <= 20 make a product of degree <= 40
+factor_coeffs = st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30),
+                         max_size=21)
+
+
+class TestInnerProductOracle:
+    @given(a=factor_coeffs, b=factor_coeffs, alpha=weight_alphas)
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_moment_sum(self, a, b, alpha):
+        # the plain sum of c_{2k} times the k-th even moment over the
+        # product's coefficients
+        p, q = UniPoly(a), UniPoly(b)
+        coeffs = (p * q).coeffs
+        expected = sum(
+            (c * even_moment(k, alpha) for k, c in enumerate(coeffs[::2])), Fraction(0)
+        )
+        value = inner_product(p, q, alpha)
+        assert value == expected
+        assert type(value) is Fraction
+
+    @pytest.mark.parametrize("alpha", [Fraction(-1, 2), Fraction(-9, 10), Fraction(7, 3)])
+    def test_degree_forty_monomials(self, alpha):
+        for k in range(21):
+            monomial = UniPoly([0] * (2 * k) + [1])
+            assert inner_product(monomial, UniPoly.one(), alpha) == even_moment(k, alpha)
 
 
 class TestNormRatio:

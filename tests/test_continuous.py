@@ -529,6 +529,23 @@ class TestDualAdditionFunction:
         assert result.residual < tol(15)
         assert result.tail_decreasing
 
+    def test_budget_out_on_decreasing_tail_raises(self):
+        with pytest.raises(PrecisionError, match="truncation budget of 4 terms"):
+            dual_addition_function_residual(
+                1, Fraction(3, 10), Fraction(1, 5), Fraction(2, 5), 1,
+                truncation_budget=4, prec=46, tolerance=tol(20),
+            )
+
+    def test_growing_tail_is_flagged_divergent(self):
+        # at t = 2, sinh(2t)^2 is about 745 and the terms grow: the budget
+        # runs out on a tail that is not decreasing, reported, not raised
+        result = dual_addition_function_residual(
+            2, Fraction(3, 10), Fraction(1, 5), Fraction(2, 5), 1,
+            truncation_budget=6, prec=46, tolerance=tol(20),
+        )
+        assert result.diverged
+        assert result.terms_used == 6
+
     def test_half_parameter(self):
         result = dual_addition_function_residual(
             Fraction(1, 10), Fraction(3, 10), Fraction(1, 5), Fraction(2, 5),

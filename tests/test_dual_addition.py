@@ -1,10 +1,19 @@
 """Dual addition machinery: linearization weights, the sum S, the expansion."""
 
+import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polyident.classical import even_moment, gegenbauer_r, inner_product, norm_ratio
+from polyident.classical import (
+    addition_weight,
+    even_moment,
+    gegenbauer_r,
+    inner_product,
+    norm_ratio,
+)
 from polyident.dual_addition import (
     DualSetting,
     _product_basis,
@@ -22,8 +31,14 @@ from polyident.dual_addition import (
     whipple_proportionality,
 )
 from polyident.errors import DomainError
-from polyident.exact import SurdPoly, UniPoly
-from polyident.racah import racah_eval, racah_h0, racah_norm_ratio, racah_weight
+from polyident.exact import SurdPoly, UniPoly, format_rational, parse_rational
+from polyident.racah import (
+    RacahSystem,
+    racah_eval,
+    racah_h0,
+    racah_norm_ratio,
+    racah_weight,
+)
 from polyident.addition import sum_of_squares_terms
 from polyident.suites import SuiteConfig
 
@@ -297,9 +312,53 @@ class TestCaches:
                 assert cached == even_moment.__wrapped__(k, alpha + shift)
                 assert type(cached) is Fraction
 
+    def test_cached_closed_forms_match_fresh_computation(self):
+        # norm_ratio and addition_weight over the degrees and shifted alphas
+        # the default grid reaches
+        config = SuiteConfig()
+        for alpha in config.alphas:
+            for shift in range(config.l_max + 1):
+                for n in range(2 * config.l_max + 1):
+                    for fn in (norm_ratio, addition_weight):
+                        cached = fn(n, alpha + shift)
+                        assert cached == fn.__wrapped__(n, alpha + shift)
+                        assert type(cached) is Fraction
+
     def test_closed_form_is_not_the_cached_sum(self):
         # s_closed shares a cache with dual_addition_term, never with s_direct
         s = DualSetting(Fraction(1, 2), 4, 3)
         for n in range(s.m + 1):
             assert s_closed(n, s) is not s_direct(n, s)
             assert s_closed(n, s) == s_direct.__wrapped__(n, s)
+
+
+def _fields(value):
+    if isinstance(value, RacahSystem):
+        return (value.alpha, value.beta, value.gamma, value.delta, value.N)
+    return (value.alpha, value.l, value.m)
+
+
+setting_alphas = st.fractions(min_value=-HALF, max_value=10, max_denominator=12).filter(
+    lambda a: a > -HALF
+)
+
+
+class TestCacheKeys:
+    @given(alpha=setting_alphas, l=st.integers(0, 8), m=st.integers(0, 8))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_values_hash_equal_across_construction_and_pickle(self, alpha, l, m):
+        # a setting from a Fraction and from its "p/q" string, and its Racah
+        # system by arithmetic and by parsing the string the racah suite uses
+        l, m = max(l, m), min(l, m)
+        setting = DualSetting(alpha, l, m)
+        parsed = DualSetting(parse_rational(format_rational(alpha)), l, m)
+        a = format_rational(alpha - HALF)
+        d = format_rational(-l - alpha - HALF)
+        system = RacahSystem.parse(f"{a},{a},{-m - 1},{d}", m)
+        for left, right in ((setting, parsed), (specialized_racah(setting), system)):
+            assert left == right
+            assert hash(left) == hash(right)
+            for value in (left, pickle.loads(pickle.dumps(left))):
+                assert value == right
+                # the stored hash is the field tuple's, N and m included
+                assert hash(value) == hash(_fields(value))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from polyident.errors import DegenerateParameterError, DomainError, RelationViolationError
 from polyident.exact import (
+    SURD_VARS,
     SurdPoly,
     UniPoly,
     format_rational,
@@ -390,6 +391,26 @@ class TestUniPolyOracle:
 
     def test_constructor_accepts_strings_like_fraction(self):
         assert UniPoly(["1/2", "0", "-3/4"]).coeffs == (Fraction(1, 2), 0, Fraction(-3, 4))
+
+
+class TestFromUniPolyOracle:
+    @given(a=st.lists(rationals | wide_rationals, max_size=12),
+           var=st.sampled_from(SURD_VARS))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_horner_in_the_ring(self, a, var):
+        # the direct injection against Horner through ring products, which
+        # reduces u^2 and v^2 at every step
+        p = UniPoly(a)
+        got = SurdPoly.from_unipoly(p, var)
+        expected = SurdPoly.variable(var).substitute_into(p)
+        assert got == expected
+        assert hash(got) == hash(expected)
+        assert all(mono[3] < 2 and mono[4] < 2 for mono in got.terms)
+        assert all(c != 0 and type(c) is Fraction for c in got.terms.values())
+
+    def test_unknown_variable(self):
+        with pytest.raises(DomainError):
+            SurdPoly.from_unipoly(UniPoly.one(), "w")
 
 
 # bases whose factors may vanish: negative integers make parameter ties

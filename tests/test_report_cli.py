@@ -216,6 +216,37 @@ class TestSuites:
         tolerance = mp.mpf(report.parameters["tolerance"])
         assert mp.mpf(report.residual) <= tolerance * mp.mpf("1e-4"), report
 
+    def test_truncated_eq15_is_an_error_not_a_fail(self):
+        # a budget that runs out on a decreasing tail cuts the check short;
+        # it does not show that the identity fails
+        config = SuiteConfig(truncation_budget=2, jobs=1)
+        reports = [suites._execute(task, config)
+                   for task in suite_tasks("continuous", config) if task[0] == "eq15"]
+        assert len(reports) == 3
+        for r in reports:
+            assert r.status == "error", r.parameters
+            assert r.parameters["error"].startswith(
+                "PrecisionError: truncation budget of 2 terms ran out"
+            )
+        assert exit_status(reports) == 2
+
+    @pytest.mark.parametrize(
+        "task",
+        [("eq8-printed", {"n": "0", "lambda": "1/5", "mu": "2/5", "alpha": "1"}),
+         ("eq13-printed", {"n": "0", "t": "1/5", "lambda": "3/10", "mu": "1/2",
+                           "alpha": "1"}),
+         ("eq48-printed", {"n": "0", "k": "0", "expected": "1"})],
+        ids=["eq8-printed-n0", "eq13-printed-n0", "eq48-printed-00"],
+    )
+    def test_pinned_check_that_cannot_tell_the_variants_apart_is_an_error(self, task):
+        # at n = 0 the ratio ((alpha+1/2)_n)^2 is 1, and at (n, k) = (0, 0)
+        # both biorthogonality kernels give 1: a pass there would pin nothing
+        report = suites._execute(task, SuiteConfig())
+        assert report.status == "error", report.parameters
+        assert report.parameters["error"].startswith(
+            "DomainError: pinned check cannot tell printed from corrected"
+        )
+
     def test_error_record_mode_follows_declaration(self):
         # g = 0 is outside the conical domain: an error record of a numeric check
         report = suites._execute(("eq4", {"g": "0", "r": "1", "k": "1"}), SuiteConfig())
@@ -461,13 +492,14 @@ class TestCli:
             ["verify", "racah", "--pointwise-tolerance", "0"],
             ["verify", "hermite", "--alpha-powers", "4..x"],
             ["verify", "hermite", "--alpha-powers", "a,b"],
+            ["verify", "dual-addition", "--alphas", "1,1", "--l-max", "1"],
         ],
         ids=["empty-grid", "empty-pair-grid", "unparseable-t-max",
              "unparseable-tolerance", "empty-alpha-powers", "vacuous-precision",
              "decreasing-alpha-powers", "no-truncation-budget", "negative-jobs",
              "precision-at-1e-5", "loose-tolerance", "infinite-tolerance",
              "negative-tolerance", "zero-tolerance", "unparseable-alpha-range",
-             "unparseable-alpha-powers"],
+             "unparseable-alpha-powers", "repeated-alphas"],
     )
     def test_rejected_config_exits_two(self, argv, capsys):
         # the case's own flags come last, so they win over these defaults
@@ -513,8 +545,8 @@ class TestCli:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "line", ["alpha_powers = 4..x", "timings = maybe"],
-        ids=["unparseable-alpha-powers", "unknown-boolean"],
+        "line", ["alpha_powers = 4..x", "timings = maybe", "alphas = 0,1/2,2/4"],
+        ids=["unparseable-alpha-powers", "unknown-boolean", "repeated-alphas"],
     )
     def test_bad_config_value_exits_two(self, line, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
