@@ -8,7 +8,9 @@ strings; nothing on the exact side ever parses floating point.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
+import typing
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,25 +21,6 @@ from .errors import ConfigError, PolyidentError
 from .exact import format_rational, parse_rational
 from .report import emit, exit_status
 from .suites import REGISTRY, SUITE_NAMES, SuiteConfig, run_suite
-
-_CONFIG_KEYS = {
-    "alphas": str,
-    "l_max": int,
-    "m_max": int,
-    "addition_n_max": int,
-    "hermite_lm_max": int,
-    "biorthogonality_max": int,
-    "alpha_powers": str,
-    "limit_lm_max": int,
-    "precision_digits": int,
-    "integral_tolerance": str,
-    "pointwise_tolerance": str,
-    "t_max": str,
-    "truncation_budget": int,
-    "jobs": int,
-    "format": str,
-    "timings": bool,
-}
 
 
 def _parse_alphas(text: str) -> tuple[Fraction, ...]:
@@ -61,6 +44,32 @@ def _parse_powers(text: str) -> tuple[int, ...]:
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
+#: SuiteConfig field -> its type: the one list of `verify` flags and
+#: config-file keys
+_HINTS = typing.get_type_hints(SuiteConfig)
+_FIELDS = {f.name: _HINTS[f.name] for f in dataclasses.fields(SuiteConfig)}
+
+#: field type -> reader of a flag's or a config line's text; the tuple
+#: fields stay text until build_config parses them
+_READERS = {int: int, int | None: int, bool: lambda text: _BOOLEANS[text.lower()]}
+
+#: tuple field type -> parser of its text
+_TUPLE_PARSERS = {tuple[Fraction, ...]: _parse_alphas, tuple[int, ...]: _parse_powers}
+
+#: config-file key -> reader of its value: every field, plus the output format
+_CONFIG_READERS = {name: _READERS.get(hint, str) for name, hint in _FIELDS.items()}
+_CONFIG_READERS["format"] = str
+
+#: flags spelled other than their field, and the flags' help strings
+_FLAG_NAMES = {"addition_n_max": "--n-max", "biorthogonality_max": "--bio-max"}
+_FLAG_HELP = {
+    "alphas": "comma-separated rationals, e.g. 0,1/2,1,7/3",
+    "addition_n_max": "degree cap for the classical addition checks",
+    "alpha_powers": "dyadic exponents, e.g. 4..16 or 4,6,8",
+    "jobs": "worker processes (default: all cores)",
+    "timings": "record wall-clock milliseconds (off keeps output byte-stable)",
+}
+
 
 def load_config_file(path: str) -> dict:
     """Flat key-value text: one `key = value` per line, `#` comments."""
@@ -73,11 +82,10 @@ def load_config_file(path: str) -> dict:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        if key not in _CONFIG_READERS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        caster = _CONFIG_KEYS[key]
         try:
-            values[key] = _BOOLEANS[value.lower()] if caster is bool else caster(value)
+            values[key] = _CONFIG_READERS[key](value)
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from exc
     return values
@@ -85,42 +93,16 @@ def load_config_file(path: str) -> dict:
 
 def build_config(args) -> tuple[SuiteConfig, str]:
     """Merge config file values and command-line flags; flags win."""
-    values: dict = {}
-    if args.config:
-        values.update(load_config_file(args.config))
+    values = load_config_file(args.config) if args.config else {}
     fmt = values.pop("format", "text")
-    flag_map = {
-        "alphas": args.alphas,
-        "l_max": args.l_max,
-        "m_max": args.m_max,
-        "addition_n_max": args.n_max,
-        "hermite_lm_max": args.hermite_lm_max,
-        "biorthogonality_max": args.bio_max,
-        "alpha_powers": args.alpha_powers,
-        "limit_lm_max": args.limit_lm_max,
-        "precision_digits": args.precision_digits,
-        "integral_tolerance": args.integral_tolerance,
-        "pointwise_tolerance": args.pointwise_tolerance,
-        "t_max": args.t_max,
-        "truncation_budget": args.truncation_budget,
-        "jobs": args.jobs,
-        "timings": args.timings or None,
-    }
-    for key, value in flag_map.items():
-        if value is not None:
-            values[key] = value
     if args.format is not None:
         fmt = args.format
-    if "alphas" in values and isinstance(values["alphas"], str):
-        values["alphas"] = _parse_alphas(values["alphas"])
-    if "alpha_powers" in values and isinstance(values["alpha_powers"], str):
-        values["alpha_powers"] = _parse_powers(values["alpha_powers"])
-    if "timings" in values:
-        values["timings"] = bool(values["timings"])
-    try:
-        config = SuiteConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(f"bad configuration: {exc}") from exc
+    for name, hint in _FIELDS.items():
+        if getattr(args, name) is not None:
+            values[name] = getattr(args, name)
+        if hint in _TUPLE_PARSERS and name in values:
+            values[name] = _TUPLE_PARSERS[hint](values[name])
+    config = SuiteConfig(**values)
     if fmt not in ("text", "json-lines"):
         raise ConfigError(f"unknown format {fmt!r}")
     return config, fmt
@@ -137,13 +119,44 @@ def _eval_rational_list(values) -> str:
     return ", ".join(format_rational(v) for v in values)
 
 
-#: eval function -> names of its positional arguments
-_EVAL_ARGUMENTS = {
-    "gegenbauer": ("n", "alpha"),
-    "hermite": ("n",),
-    "racah": ("n", "x", "alpha", "beta", "gamma", "delta"),
-    "phi": ("lambda", "alpha", "beta", "t"),
-    "wilson": ("n", "x^2", "lambda", "mu", "alpha"),
+def _eval_gegenbauer(n, alpha, *, prec) -> str:
+    return _eval_rational_list(classical.gegenbauer_r(int(n), parse_rational(alpha)).coeffs)
+
+
+def _eval_hermite(n, *, prec) -> str:
+    return _eval_rational_list(classical.hermite(int(n)).coeffs)
+
+
+def _eval_racah(n, x, *parameters, prec) -> str:
+    alpha, beta, gamma, delta = map(parse_rational, parameters)
+    if gamma.denominator != 1 or -gamma - 1 < 1:
+        raise ConfigError("gamma must be a negative integer -N-1 with N >= 1")
+    system = racah.RacahSystem(alpha, beta, gamma, delta, N=int(-gamma - 1))
+    return format_rational(racah.racah_eval(int(n), int(x), system))
+
+
+def _eval_phi(*arguments, prec) -> str:
+    lam, alpha, beta, t = map(parse_rational, arguments)
+    value = continuous.phi(continuous.to_mpf(lam, prec), alpha, beta, t, prec)
+    if abs(mp.im(value)) < mp.mpf(10) ** (-prec + 10) * (1 + abs(value)):
+        value = mp.re(value)
+    return mp.nstr(value, prec)
+
+
+def _eval_wilson(n, *arguments, prec) -> str:
+    xsq, lam, mu, alpha = map(parse_rational, arguments)
+    params = continuous.WilsonParams.from_spectral(lam, mu, alpha, prec)
+    return mp.nstr(continuous.wilson_poly(int(n), xsq, params, prec), prec)
+
+
+#: eval function -> (names of its positional arguments, evaluator of their
+#: text at a precision)
+_EVALUATORS = {
+    "gegenbauer": (("n", "alpha"), _eval_gegenbauer),
+    "hermite": (("n",), _eval_hermite),
+    "racah": (("n", "x", "alpha", "beta", "gamma", "delta"), _eval_racah),
+    "phi": (("lambda", "alpha", "beta", "t"), _eval_phi),
+    "wilson": (("n", "x^2", "lambda", "mu", "alpha"), _eval_wilson),
 }
 
 
@@ -160,7 +173,7 @@ def _eval_arguments(args) -> tuple[list[str], int]:
     prec = 60 if known.precision_digits is None else known.precision_digits
     if prec < 1:
         raise ConfigError(f"--precision-digits must be a positive integer, got {prec}")
-    names = _EVAL_ARGUMENTS[args.fn]
+    names = _EVALUATORS[args.fn][0]
     if len(rest) != len(names):
         raise ConfigError(
             f"eval {args.fn} takes {len(names)} argument(s) ({' '.join(names)}), "
@@ -170,40 +183,12 @@ def _eval_arguments(args) -> tuple[list[str], int]:
 
 
 def cmd_eval(args) -> int:
-    fn = args.fn
     rest, prec = _eval_arguments(args)
+    evaluate = _EVALUATORS[args.fn][1]
     try:
-        if fn == "gegenbauer":
-            n, alpha = int(rest[0]), parse_rational(rest[1])
-            print(_eval_rational_list(classical.gegenbauer_r(n, alpha).coeffs))
-        elif fn == "hermite":
-            (n,) = (int(rest[0]),)
-            print(_eval_rational_list(classical.hermite(n).coeffs))
-        elif fn == "racah":
-            n, x = int(rest[0]), int(rest[1])
-            alpha, beta, gamma, delta = (parse_rational(p) for p in rest[2:6])
-            if gamma.denominator != 1 or -gamma - 1 < 1:
-                raise ConfigError("gamma must be a negative integer -N-1 with N >= 1")
-            sys_ = racah.RacahSystem(alpha, beta, gamma, delta, N=int(-gamma - 1))
-            print(format_rational(racah.racah_eval(n, x, sys_)))
-        elif fn == "phi":
-            lam, alpha, beta, t = (parse_rational(p) for p in rest[:4])
-            value = continuous.phi(
-                continuous.to_mpf(lam, prec), alpha, beta, t, prec
-            )
-            if abs(mp.im(value)) < mp.mpf(10) ** (-prec + 10) * (1 + abs(value)):
-                value = mp.re(value)
-            print(mp.nstr(value, prec))
-        elif fn == "wilson":
-            n = int(rest[0])
-            xsq, lam, mu, alpha = (parse_rational(p) for p in rest[1:5])
-            params = continuous.WilsonParams.from_spectral(lam, mu, alpha, prec)
-            value = continuous.wilson_poly(n, xsq, params, prec)
-            print(mp.nstr(value, prec))
-        else:
-            raise ConfigError(f"unknown function {fn!r}")
+        print(evaluate(*rest, prec=prec))
     except ValueError as exc:
-        raise ConfigError(f"bad arguments for {fn}: {exc}") from exc
+        raise ConfigError(f"bad arguments for {args.fn}: {exc}") from exc
     return 0
 
 
@@ -217,26 +202,19 @@ def cmd_list(args) -> int:
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--alphas", help="comma-separated rationals, e.g. 0,1/2,1,7/3")
-    p.add_argument("--l-max", dest="l_max", type=int)
-    p.add_argument("--m-max", dest="m_max", type=int)
-    p.add_argument("--n-max", dest="n_max", type=int,
-                   help="degree cap for the classical addition checks")
-    p.add_argument("--hermite-lm-max", dest="hermite_lm_max", type=int)
-    p.add_argument("--bio-max", dest="bio_max", type=int)
-    p.add_argument("--alpha-powers", dest="alpha_powers",
-                   help="dyadic exponents, e.g. 4..16 or 4,6,8")
-    p.add_argument("--limit-lm-max", dest="limit_lm_max", type=int)
-    p.add_argument("--precision-digits", dest="precision_digits", type=int)
-    p.add_argument("--integral-tolerance", dest="integral_tolerance")
-    p.add_argument("--pointwise-tolerance", dest="pointwise_tolerance")
-    p.add_argument("--t-max", dest="t_max")
-    p.add_argument("--truncation-budget", dest="truncation_budget", type=int)
-    p.add_argument("--jobs", type=int, help="worker processes (default: all cores)")
+    """One flag per SuiteConfig field; an absent flag leaves the field to
+    the config file."""
+    for name, hint in _FIELDS.items():
+        flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+        if hint is bool:
+            p.add_argument(flag, dest=name, action="store_true", default=None,
+                           help=_FLAG_HELP.get(name))
+        else:
+            p.add_argument(flag, dest=name, type=_READERS.get(hint, str),
+                           metavar=flag[2:].replace("-", "_").upper(),
+                           help=_FLAG_HELP.get(name))
     p.add_argument("--format", choices=("text", "json-lines"))
     p.add_argument("--config", help="flat key = value configuration file")
-    p.add_argument("--timings", action="store_true", default=False,
-                   help="record wall-clock milliseconds (off keeps output byte-stable)")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -252,7 +230,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_eval = sub.add_parser("eval", help="evaluate one function")
-    p_eval.add_argument("fn", choices=tuple(_EVAL_ARGUMENTS))
+    p_eval.add_argument("fn", choices=tuple(_EVALUATORS))
     p_eval.add_argument("args", nargs=argparse.REMAINDER)
     p_eval.add_argument("--precision-digits", dest="precision_digits", type=int)
     p_eval.set_defaults(func=cmd_eval)

@@ -6,7 +6,9 @@ specialized Racah orthogonality degenerates to a biorthogonality of
 shifted factorials.  Every pre-limit quantity is rational in alpha, so
 the limits are checked in exact arithmetic on the dyadic sequence
 alpha = 2^s: a first-order O(1/alpha) approach forces each deviation to
-at most 0.6 times its predecessor when alpha doubles.
+at most 0.6 times its predecessor when alpha doubles.  For the targets
+indexed by l and m that regime starts near alpha = 2 (l+m)^2, so their
+decay is judged from the first alpha = 2^s at or above it.
 
 The biorthogonality kernel is implemented in two variants: the historical
 printed form, which fails (pinned regression: value -1 at (n, k) = (2, 1)),
@@ -346,6 +348,8 @@ def limit_rate_check(
     ``indices`` carries the indices the target needs: n and a rational
     evaluation point x for eq52/eq53; n, j, l, m for eq54j/eq54n; j, l, m
     for eq55 and eq40-to-eq46; n, l, m for eq56; n, k, l, m for eq30-limit.
+    Only the powers with 2^s >= 2 (l+m)^2 are evaluated (all of them for
+    eq52 and eq53), and at least two must be left, else DomainError.
     The report is returned whether or not the deviations decay; call
     :meth:`LimitReport.require_decay` to raise on a violation.
     """
@@ -355,13 +359,20 @@ def limit_rate_check(
         raise DomainError("alpha powers must be strictly increasing")
     description, build = _LIMITS[target]
     idx = dict(indices)
+    onset = 2 * (idx["l"] + idx["m"]) ** 2 if "l" in idx else 0
+    powers = [s_pow for s_pow in alpha_powers if 2**s_pow >= onset]
+    if len(powers) < 2:
+        raise DomainError(
+            f"{target} at {idx} needs two alpha powers with 2^s >= {onset}, "
+            f"got {tuple(alpha_powers)}"
+        )
     deviation = build(idx, x)
     report = LimitReport(
         target=target,
         indices=dict(idx, **({"x": str(x)} if x is not None else {})),
         limit_description=description,
     )
-    for s_pow in alpha_powers:
+    for s_pow in powers:
         alpha = Fraction(2**s_pow)
         report.alphas.append(alpha)
         report.deviations.append(deviation(alpha))

@@ -2,9 +2,10 @@
 
 Each identity is declared once, by :func:`identity` on the handler that
 checks it.  Each suite enumerates task specifications (identity id plus a
-flat string parameter map), and a dispatcher executes one task at a time.
-Tasks are pure, so suites can fan out over a process pool; reports are
-sorted before emission, making output independent of execution order.
+flat string parameter map), and a dispatcher parses the parameters once and
+executes one task at a time.  Tasks are pure, so suites can fan out over a
+process pool; reports are sorted before emission, making output independent
+of execution order.
 """
 
 from __future__ import annotations
@@ -153,8 +154,10 @@ def identity(identity_id: str, suite: str, description: str,
              tolerance: tuple[str, int] | None = None):
     """Declare the decorated handler as the check of ``identity_id``.
 
-    A numeric check declares ``tolerance``; its handler is called as
-    ``handler(params, config, threshold)`` with the declared threshold.
+    The handler is called as ``handler(p, config)`` with the task's parsed
+    parameters ``p`` (see :func:`run_task`); a numeric check declares
+    ``tolerance``, and its handler is called as ``handler(p, config,
+    threshold)`` with the declared threshold.
     """
 
     def declare(handler):
@@ -218,10 +221,6 @@ def _numeric_result(value, tolerance, extra: dict[str, str] | None = None) -> Ta
     )
 
 
-def _parse_system(params: dict[str, str]) -> racah.RacahSystem:
-    return _system(params["system"], int(params["N"]))
-
-
 @functools.lru_cache(maxsize=None)
 def _system(system: str, n_points: int) -> racah.RacahSystem:
     """One parsed and validated system per (system string, N): each system
@@ -229,41 +228,49 @@ def _system(system: str, n_points: int) -> racah.RacahSystem:
     return racah.RacahSystem.parse(system, n_points)
 
 
-def _dual_setting(params: dict[str, str]) -> dual_addition.DualSetting:
-    return dual_addition.DualSetting(
-        alpha=parse_rational(params["alpha"]),
-        l=int(params["l"]),
-        m=int(params["m"]),
-    )
+#: task parameters that are names; every other parameter is a rational
+_TEXT_PARAMETERS = frozenset({"system", "case", "target"})
 
 
-def _addition_instance(params: dict[str, str]) -> addition.AdditionInstance:
-    return addition.AdditionInstance(int(params["n"]), parse_rational(params["alpha"]))
+@functools.lru_cache(maxsize=None)
+def _number(text: str) -> Fraction | int:
+    """A rational parameter: an int when its denominator is 1, so that the
+    indices arrive as ints.  Cached: a grid's tasks repeat a few dozen
+    spellings, and parsing one costs microseconds."""
+    value = parse_rational(text)
+    return value.numerator if value.denominator == 1 else value
 
 
 def run_task(identity_id: str, params: dict[str, str], config: SuiteConfig) -> TaskResult:
-    """Execute one identity check; exceptions propagate to the runner."""
+    """Execute one identity check; exceptions propagate to the runner.
+
+    The handler receives the parameters parsed: names as given, numbers as
+    ints or Fractions.  Every wire value is canonical, so ``str`` of a
+    parsed value is its text.
+    """
     declared = REGISTRY.get(identity_id)
     if declared is None:
         raise ConfigError(f"no handler for identity {identity_id!r}")
+    p = {key: text if key in _TEXT_PARAMETERS else _number(text)
+         for key, text in params.items()}
     if declared.tolerance is None:
-        return declared.handler(params, config)
-    return declared.handler(params, config, declared.threshold(config))
+        return declared.handler(p, config)
+    return declared.handler(p, config, declared.threshold(config))
 
 
 # -- racah suite handlers
 
 
 @identity("eq29", "racah", "total weight mass: closed form vs direct sum")
-def _task_eq29(params, config):
-    sys = _parse_system(params)
+def _task_eq29(p, config):
+    sys = _system(p["system"], p["N"])
     direct = sum(racah.racah_weight(x, sys) for x in range(sys.N + 1))
     return _exact_result(racah.racah_h0(sys) - direct)
 
 
 @identity("eq30", "racah", "full Gram matrix diagonal with closed-form norms")
-def _task_eq30(params, config):
-    sys = _parse_system(params)
+def _task_eq30(p, config):
+    sys = _system(p["system"], p["N"])
     gram = racah.gram_matrix(sys)
     h0 = racah.racah_h0(sys)
     return _exact_result(*(
@@ -274,25 +281,24 @@ def _task_eq30(params, config):
 
 
 @identity("eq25", "racah", "endpoint evaluation closed form")
-def _task_eq25(params, config):
-    sys = _parse_system(params)
-    return _exact_result(racah.endpoint_value_residual(int(params["n"]), sys))
+def _task_eq25(p, config):
+    sys = _system(p["system"], p["N"])
+    return _exact_result(racah.endpoint_value_residual(p["n"], sys))
 
 
 @identity("eq20", "racah", "backward shift identity (boundary conventions included)")
-def _task_eq20(params, config):
-    sys = _parse_system(params)
-    n = int(params["n"])
+def _task_eq20(p, config):
+    sys = _system(p["system"], p["N"])
     return _exact_result(
-        *(racah.backward_shift_residual(n, x, sys) for x in range(sys.N + 1))
+        *(racah.backward_shift_residual(p["n"], x, sys) for x in range(sys.N + 1))
     )
 
 
 @identity("eq21", "racah", "summation by parts against arbitrary lattice functions")
-def _task_eq21(params, config):
-    sys = _parse_system(params)
-    n = int(params["n"])
-    rng = random.Random(f"eq21:{params['system']}:{sys.N}:{n}")
+def _task_eq21(p, config):
+    sys = _system(p["system"], p["N"])
+    n = p["n"]
+    rng = random.Random(f"eq21:{p['system']}:{sys.N}:{n}")
     trials = [[Fraction(rng.randint(-9, 9)) for _ in range(sys.N + 1)] for _ in range(5)]
     return _exact_result(*(racah.sum_by_parts_residual(n, f, sys) for f in trials))
 
@@ -301,8 +307,8 @@ def _task_eq21(params, config):
 
 
 @identity("eq45", "dual-addition", "weighted Racah sum equals its closed product form")
-def _task_eq45(params, config):
-    s = _dual_setting(params)
+def _task_eq45(p, config):
+    s = dual_addition.DualSetting(p["alpha"], p["l"], p["m"])
     return _exact_result(*(
         dual_addition.s_direct(n, s) - dual_addition.s_closed(n, s)
         for n in range(s.m + 1)
@@ -310,37 +316,32 @@ def _task_eq45(params, config):
 
 
 @identity("eq40", "dual-addition", "dual addition formula (Racah expansion of R_{l+m-2j})")
-def _task_eq40(params, config):
-    s = _dual_setting(params)
-    return _exact_result(dual_addition.dual_addition_residual(int(params["j"]), s))
+def _task_eq40(p, config):
+    s = dual_addition.DualSetting(p["alpha"], p["l"], p["m"])
+    return _exact_result(dual_addition.dual_addition_residual(p["j"], s))
 
 
 @identity("eq17", "dual-addition", "linearization coefficients are normalized Racah weights")
-def _task_eq17(params, config):
-    s = _dual_setting(params)
+def _task_eq17(p, config):
+    s = dual_addition.DualSetting(p["alpha"], p["l"], p["m"])
     return _exact_result(
         *(dual_addition.coeff_as_racah_weight_residual(j, s) for j in range(s.m + 1))
     )
 
 
 @identity("eq18", "dual-addition", "linearization coefficients: positivity and unit sum")
-def _task_eq18(params, config):
-    s = _dual_setting(params)
+def _task_eq18(p, config):
+    s = dual_addition.DualSetting(p["alpha"], p["l"], p["m"])
     coeffs = [dual_addition.linearization_coeff(j, s) for j in range(s.m + 1)]
     positivity = 0 if all(c > 0 for c in coeffs) else 1  # strict positivity required
     return _exact_result(Fraction(positivity), sum(coeffs) - 1)
 
 
-def _self_dual_setting(params) -> dual_addition.DualSetting:
+@identity("eq43", "dual-addition", "constant-function expansion (j = m specialization)")
+def _task_eq43(p, config):
     # the constant-function expansion is the dual addition formula at l = m
     # and j = m, where the left side R_{l+m-2j} is R_0 = 1
-    m = int(params["m"])
-    return dual_addition.DualSetting(parse_rational(params["alpha"]), m, m)
-
-
-@identity("eq43", "dual-addition", "constant-function expansion (j = m specialization)")
-def _task_eq43(params, config):
-    s = _self_dual_setting(params)
+    s = dual_addition.DualSetting(p["alpha"], p["m"], p["m"])
     return _exact_result(dual_addition.dual_addition_residual(s.m, s))
 
 
@@ -348,8 +349,8 @@ def _task_eq43(params, config):
     "eq43-eq49", "dual-addition",
     "term-by-term match of the two partition-of-unity expansions",
 )
-def _task_eq43_eq49(params, config):
-    s = _self_dual_setting(params)
+def _task_eq43_eq49(p, config):
+    s = dual_addition.DualSetting(p["alpha"], p["m"], p["m"])
     square_terms = addition.sum_of_squares_terms(s.m, s.alpha)
     return _exact_result(*(
         SurdPoly.from_unipoly(dual_addition.dual_addition_term(n, s.m, s), "x")
@@ -359,8 +360,8 @@ def _task_eq43_eq49(params, config):
 
 
 @identity("eq58", "dual-addition", "Fourier coefficient integral of the weighted sum")
-def _task_eq58(params, config):
-    s = _dual_setting(params)
+def _task_eq58(p, config):
+    s = dual_addition.DualSetting(p["alpha"], p["l"], p["m"])
     return _exact_result(*(
         dual_addition.integral_identity_residual(n, j, s)
         for n in range(s.m + 1)
@@ -369,8 +370,8 @@ def _task_eq58(params, config):
 
 
 @identity("whipple", "dual-addition", "triple-product integral proportional to both 4F3 forms")
-def _task_whipple(params, config):
-    s = _dual_setting(params)
+def _task_whipple(p, config):
+    s = dual_addition.DualSetting(p["alpha"], p["l"], p["m"])
     for n in range(s.m + 1):
         dual_addition.whipple_proportionality(n, s)  # raises on violation
     return _exact_result(Fraction(0))
@@ -380,44 +381,43 @@ def _task_whipple(params, config):
 
 
 @identity("eq42", "classical-addition", "addition formula in the surd ring")
-def _task_eq42(params, config):
-    return _exact_result(addition.addition_residual(_addition_instance(params)))
+def _task_eq42(p, config):
+    inst = addition.AdditionInstance(p["n"], p["alpha"])
+    return _exact_result(addition.addition_residual(inst))
 
 
 @identity("eq41", "classical-addition", "product formula via exact moment integration")
-def _task_eq41(params, config):
-    return _exact_result(addition.product_formula_residual(_addition_instance(params)))
+def _task_eq41(p, config):
+    inst = addition.AdditionInstance(p["n"], p["alpha"])
+    return _exact_result(addition.product_formula_residual(inst))
 
 
 @identity("eq44", "classical-addition", "addition formula at t = 1")
-def _task_eq44(params, config):
-    return _exact_result(addition.t_one_residual(_addition_instance(params)))
+def _task_eq44(p, config):
+    inst = addition.AdditionInstance(p["n"], p["alpha"])
+    return _exact_result(addition.t_one_residual(inst))
 
 
 @identity("eq49", "classical-addition", "partition of unity (t = 1, x = y)")
-def _task_eq49(params, config):
-    alpha = parse_rational(params["alpha"])
-    return _exact_result(addition.sum_of_squares_residual(int(params["n"]), alpha))
+def _task_eq49(p, config):
+    return _exact_result(addition.sum_of_squares_residual(p["n"], p["alpha"]))
 
 
 @identity("eq23", "classical-addition", "two-step difference formula for Gegenbauer polynomials")
-def _task_eq23(params, config):
-    alpha = parse_rational(params["alpha"])
-    return _exact_result(classical.difference_residual(int(params["n"]), alpha))
+def _task_eq23(p, config):
+    return _exact_result(classical.difference_residual(p["n"], p["alpha"]))
 
 
 @identity("eq50", "classical-addition", "power-series vs hypergeometric construction")
-def _task_eq50(params, config):
-    alpha = parse_rational(params["alpha"])
-    n = int(params["n"])
+def _task_eq50(p, config):
+    alpha, n = p["alpha"], p["n"]
     diff = classical.gegenbauer_r(n, alpha) - classical.jacobi_r(n, alpha, alpha)
     return _exact_result(diff)
 
 
 @identity("eq28", "classical-addition", "leading coefficient closed form")
-def _task_eq28(params, config):
-    alpha = parse_rational(params["alpha"])
-    n = int(params["n"])
+def _task_eq28(p, config):
+    alpha, n = p["alpha"], p["n"]
     poly = classical.jacobi_r(n, alpha, alpha)
     lead = pochhammer(n + 2 * alpha + 1, n) / (
         Fraction(2**n) * pochhammer(alpha + 1, n)
@@ -426,8 +426,8 @@ def _task_eq28(params, config):
 
 
 @identity("eq57", "classical-addition", "orthogonality and norms in the Gegenbauer weight")
-def _task_eq57(params, config):
-    alpha = parse_rational(params["alpha"])
+def _task_eq57(p, config):
+    alpha = p["alpha"]
     polys = [classical.gegenbauer_r(n, alpha) for n in range(11)]
     return _exact_result(*(
         classical.inner_product(polys[m], polys[n], alpha)
@@ -438,18 +438,17 @@ def _task_eq57(params, config):
 
 
 @identity("r-bound", "classical-addition", "|R_n| <= 1 on rational circle points")
-def _task_r_bound(params, config):
-    alpha = parse_rational(params["alpha"])
-    n = int(params["n"])
+def _task_r_bound(p, config):
+    alpha, n = p["alpha"], p["n"]
     poly = classical.gegenbauer_r(n, alpha)
-    rng = random.Random(f"r-bound:{params['alpha']}:{n}")
+    rng = random.Random(f"r-bound:{alpha}:{n}")
     points = [pythagorean_point(Fraction(rng.randint(-999, 999), 1000))[0] for _ in range(50)]
     return _exact_result(*(max(abs(poly(x)) - 1, Fraction(0)) for x in points))
 
 
 @identity("chebyshev-t", "classical-addition", "parameter -1/2 polynomials hit cos(k phi)")
-def _task_chebyshev(params, config):
-    k = int(params["k"])
+def _task_chebyshev(p, config):
+    k = p["k"]
     poly = classical.jacobi_r(k, -_HALF, -_HALF)
     rng = random.Random(f"chebyshev:{k}")
     residuals = []
@@ -467,34 +466,34 @@ def _task_chebyshev(params, config):
 
 
 @identity("hermite-addition", "hermite", "Hermite argument-mixing expansion")
-def _task_hermite_addition(params, config):
-    return _exact_result(hermite_limit.hermite_addition_residual(int(params["n"])))
+def _task_hermite_addition(p, config):
+    return _exact_result(hermite_limit.hermite_addition_residual(p["n"]))
 
 
 @identity("hermite-product", "hermite", "Hermite product via Gaussian moments")
-def _task_hermite_product(params, config):
-    return _exact_result(hermite_limit.hermite_product_residual(int(params["n"])))
+def _task_hermite_product(p, config):
+    return _exact_result(hermite_limit.hermite_product_residual(p["n"]))
 
 
 @identity("eq46", "hermite", "dual addition formula for Hermite polynomials")
-def _task_eq46(params, config):
-    s = hermite_limit.HermiteSetting(int(params["l"]), int(params["m"]))
+def _task_eq46(p, config):
+    s = hermite_limit.HermiteSetting(p["l"], p["m"])
     return _exact_result(
         *(hermite_limit.hermite_dual_addition_residual(j, s) for j in range(s.m + 1))
     )
 
 
 @identity("eq47", "hermite", "inverse (Fourier-type) Hermite expansion")
-def _task_eq47(params, config):
-    s = hermite_limit.HermiteSetting(int(params["l"]), int(params["m"]))
+def _task_eq47(p, config):
+    s = hermite_limit.HermiteSetting(p["l"], p["m"])
     return _exact_result(
         *(hermite_limit.hermite_dual_inverse_residual(n, s) for n in range(s.m + 1))
     )
 
 
 @identity("eq48-corrected", "hermite", "corrected biorthogonality kernel gives delta")
-def _task_eq48_corrected(params, config):
-    n = int(params["n"])
+def _task_eq48_corrected(p, config):
+    n = p["n"]
     return _exact_result(*(
         hermite_limit.biorthogonality_value(n, k, "corrected") - (1 if n == k else 0)
         for k in range(config.biorthogonality_max + 1)
@@ -502,15 +501,15 @@ def _task_eq48_corrected(params, config):
 
 
 @identity("eq48-printed", "hermite", "printed biorthogonality kernel fails at (2,1): pinned")
-def _task_eq48_printed(params, config):
-    n, k = int(params["n"]), int(params["k"])
+def _task_eq48_printed(p, config):
+    n, k = p["n"], p["k"]
     value = hermite_limit.biorthogonality_value(n, k, "as-printed")
     if value == hermite_limit.biorthogonality_value(n, k, "corrected"):
         raise DomainError(
             f"pinned check cannot tell printed from corrected: both kernels "
             f"give {format_rational(value)} at (n, k) = ({n}, {k})"
         )
-    expected = parse_rational(params["expected"])
+    expected = p["expected"]
     return TaskResult(
         residual=format_rational(value),
         passed=value == expected,
@@ -518,12 +517,9 @@ def _task_eq48_printed(params, config):
     )
 
 
-def _task_limit(target, params, config):
-    indices = {
-        key: int(params[key]) for key in ("n", "j", "k", "l", "m") if key in params
-    }
-    x = parse_rational(params["x"]) if "x" in params else None
-    report = hermite_limit.limit_rate_check(target, indices, config.alpha_powers, x=x)
+def _task_limit(target, p, config):
+    indices = {key: p[key] for key in ("n", "j", "k", "l", "m") if key in p}
+    report = hermite_limit.limit_rate_check(target, indices, config.alpha_powers, x=p.get("x"))
     excess = report.excess
     return TaskResult(
         residual=format_rational(excess),
@@ -552,27 +548,21 @@ for _target, _description in (
 
 # -- continuous suite handlers
 
-_WILSON_CONTEXTS: dict[tuple, continuous.WilsonContext] = {}
+@functools.lru_cache(maxsize=None)
+def _wilson_context(lam, mu, alpha, prec: int) -> continuous.WilsonContext:
+    """One context per parameter set and precision: its node caches serve
+    every task on that set."""
+    return continuous.WilsonContext(lam, mu, alpha, prec)
 
 
-def _wilson_context(params: dict[str, str], prec: int) -> continuous.WilsonContext:
-    key = (params["lambda"], params["mu"], params["alpha"], prec)
-    ctx = _WILSON_CONTEXTS.get(key)
-    if ctx is None:
-        ctx = continuous.WilsonContext(*map(parse_rational, key[:3]), prec)
-        _WILSON_CONTEXTS[key] = ctx
-    return ctx
-
-
-def _pinned_ratio(params, prec: int, tolerance) -> mp.mpf:
+def _pinned_ratio(p, prec: int, tolerance) -> mp.mpf:
     """((alpha+1/2)_n)^2, the factor a printed Gamma(alpha+1/2)^2 is off by.
 
     The two variants differ by |ratio - 1|; raises DomainError unless the
     check's threshold, tolerance times the ratio, is at least 1e3 below
     that, so that a pass tells them apart (at n = 0 they coincide).
     """
-    alpha = parse_rational(params["alpha"])
-    ratio = pochhammer(alpha + _HALF, int(params["n"])) ** 2
+    ratio = pochhammer(p["alpha"] + _HALF, p["n"]) ** 2
     expected = continuous.to_mpf(ratio, prec)
     if tolerance * expected * 1000 > abs(expected - 1):
         raise DomainError(
@@ -585,11 +575,9 @@ def _pinned_ratio(params, prec: int, tolerance) -> mp.mpf:
 
 @identity("eq8", "continuous", "Wilson orthogonality (corrected norm) by quadrature",
           tolerance=("integral", 0))
-def _task_eq8(params, config, tolerance):
-    ctx = _wilson_context(params, config.precision_digits)
-    value = continuous.wilson_orthogonality_residual(
-        int(params["m"]), int(params["n"]), ctx, tolerance
-    )
+def _task_eq8(p, config, tolerance):
+    ctx = _wilson_context(p["lambda"], p["mu"], p["alpha"], config.precision_digits)
+    value = continuous.wilson_orthogonality_residual(p["m"], p["n"], ctx, tolerance)
     return _numeric_result(value, tolerance)
 
 
@@ -597,11 +585,11 @@ def _task_eq8(params, config, tolerance):
     "eq8-printed", "continuous", "printed Wilson norm off by ((alpha+1/2)_n)^2: pinned",
     tolerance=("integral", 0),
 )
-def _task_eq8_printed(params, config, tolerance):
+def _task_eq8_printed(p, config, tolerance):
     prec = config.precision_digits
-    n = int(params["n"])
-    expected_ratio = _pinned_ratio(params, prec, tolerance)
-    ctx = _wilson_context(params, prec)
+    n = p["n"]
+    expected_ratio = _pinned_ratio(p, prec, tolerance)
+    ctx = _wilson_context(p["lambda"], p["mu"], p["alpha"], prec)
     with mp.workdps(prec + 10):
         integral = ctx.integrate(
             lambda nu: ctx.poly(n, nu) ** 2 * ctx.weight(nu),
@@ -621,22 +609,17 @@ def _task_eq8_printed(params, config, tolerance):
 
 @identity("eq7", "continuous", "dual product formula for Gegenbauer functions",
           tolerance=("integral", 0))
-def _task_eq7(params, config, tolerance):
-    ctx = _wilson_context(params, config.precision_digits)
-    value = continuous.dual_product_residual(parse_rational(params["t"]), ctx, tolerance)
+def _task_eq7(p, config, tolerance):
+    ctx = _wilson_context(p["lambda"], p["mu"], p["alpha"], config.precision_digits)
+    value = continuous.dual_product_residual(p["t"], ctx, tolerance)
     return _numeric_result(value, tolerance)
 
 
 @identity("eq6", "continuous", "dual product formula in conical-function form",
           tolerance=("integral", 0))
-def _task_eq6(params, config, tolerance):
+def _task_eq6(p, config, tolerance):
     value = continuous.conical_product_residual(
-        parse_rational(params["t"]),
-        parse_rational(params["lambda"]),
-        parse_rational(params["mu"]),
-        parse_rational(params["alpha"]),
-        tolerance,
-        prec=config.precision_digits,
+        p["t"], p["lambda"], p["mu"], p["alpha"], tolerance, prec=config.precision_digits
     )
     return _numeric_result(value, tolerance)
 
@@ -645,11 +628,9 @@ def _task_eq6(params, config, tolerance):
     "eq13", "continuous", "closed form of the phi-weighted Wilson integral (corrected)",
     tolerance=("integral", 5),
 )
-def _task_eq13(params, config, tolerance):
-    ctx = _wilson_context(params, config.precision_digits)
-    value = continuous.dual_integral_closed_form_residual(
-        int(params["n"]), parse_rational(params["t"]), ctx, tolerance
-    )
+def _task_eq13(p, config, tolerance):
+    ctx = _wilson_context(p["lambda"], p["mu"], p["alpha"], config.precision_digits)
+    value = continuous.dual_integral_closed_form_residual(p["n"], p["t"], ctx, tolerance)
     return _numeric_result(value, tolerance)
 
 
@@ -657,12 +638,11 @@ def _task_eq13(params, config, tolerance):
     "eq13-printed", "continuous", "printed closed form off by ((alpha+1/2)_n)^2: pinned",
     tolerance=("integral", 5),
 )
-def _task_eq13_printed(params, config, tolerance):
+def _task_eq13_printed(p, config, tolerance):
     prec = config.precision_digits
-    n = int(params["n"])
-    expected_ratio = _pinned_ratio(params, prec, tolerance)
-    ctx = _wilson_context(params, prec)
-    t = parse_rational(params["t"])
+    n, t = p["n"], p["t"]
+    expected_ratio = _pinned_ratio(p, prec, tolerance)
+    ctx = _wilson_context(p["lambda"], p["mu"], p["alpha"], prec)
     with mp.workdps(prec + 10):
         # both variants integrate 1e5 tighter than the check they feed
         base = config.tolerance("integral")
@@ -681,28 +661,18 @@ def _task_eq13_printed(params, config, tolerance):
 
 @identity("eq33", "continuous", "Wilson backward shift identity, pointwise",
           tolerance=("pointwise", 20))
-def _task_eq33(params, config, tolerance):
+def _task_eq33(p, config, tolerance):
     value = continuous.wilson_backward_shift_residual(
-        int(params["n"]),
-        parse_rational(params["x"]),
-        parse_rational(params["lambda"]),
-        parse_rational(params["mu"]),
-        parse_rational(params["alpha"]),
-        prec=config.precision_digits,
+        p["n"], p["x"], p["lambda"], p["mu"], p["alpha"], prec=config.precision_digits
     )
     return _numeric_result(value, tolerance)
 
 
 @identity("eq15", "continuous", "dual addition expansion for Gegenbauer functions",
           tolerance=("integral", 5))
-def _task_eq15(params, config, tolerance):
+def _task_eq15(p, config, tolerance):
     result = continuous.dual_addition_function_residual(
-        parse_rational(params["t"]),
-        parse_rational(params["nu"]),
-        parse_rational(params["lambda"]),
-        parse_rational(params["mu"]),
-        parse_rational(params["alpha"]),
-        tolerance,
+        p["t"], p["nu"], p["lambda"], p["mu"], p["alpha"], tolerance,
         truncation_budget=config.truncation_budget,
         prec=config.precision_digits,
     )
@@ -720,12 +690,10 @@ def _task_eq15(params, config, tolerance):
 
 @identity("eq16", "continuous", "quadratic argument transform of Gegenbauer functions",
           tolerance=("pointwise", 0))
-def _task_eq16(params, config, tolerance):
+def _task_eq16(p, config, tolerance):
     prec = config.precision_digits
     with mp.workdps(prec + 10):
-        alpha = continuous.to_mpf(parse_rational(params["alpha"]), prec)
-        lam = continuous.to_mpf(parse_rational(params["lambda"]), prec)
-        t = continuous.to_mpf(parse_rational(params["t"]), prec)
+        alpha, lam, t = (continuous.to_mpf(p[key], prec) for key in ("alpha", "lambda", "t"))
         value = abs(
             continuous.phi(2 * lam, alpha, alpha, t, prec)
             - continuous.phi(lam, alpha, -mp.mpf(1) / 2, 2 * t, prec)
@@ -735,15 +703,11 @@ def _task_eq16(params, config, tolerance):
 
 @identity("eq34", "continuous", "spectral-shift contiguous relation",
           tolerance=("pointwise", 0))
-def _task_eq34(params, config, tolerance):
+def _task_eq34(p, config, tolerance):
     prec = config.precision_digits
     value = abs(
         continuous.contiguous_residual(
-            continuous.to_mpf(parse_rational(params["lambda"]), prec),
-            parse_rational(params["alpha"]),
-            parse_rational(params["beta"]),
-            parse_rational(params["t"]),
-            prec,
+            continuous.to_mpf(p["lambda"], prec), p["alpha"], p["beta"], p["t"], prec
         )
     )
     return _numeric_result(value, tolerance)
@@ -751,11 +715,10 @@ def _task_eq34(params, config, tolerance):
 
 @identity("eq32", "continuous", "|phi| <= 1 bound on sampled spectral points",
           tolerance=("pointwise", 0))
-def _task_eq32(params, config, tolerance):
+def _task_eq32(p, config, tolerance):
     prec = config.precision_digits
-    alpha = parse_rational(params["alpha"])
-    beta = parse_rational(params["beta"])
-    rng = random.Random(f"eq32:{params['alpha']}:{params['beta']}")
+    alpha, beta = p["alpha"], p["beta"]
+    rng = random.Random(f"eq32:{alpha}:{beta}")
     worst = mp.mpf(0)
     for _ in range(50):
         lam = Fraction(rng.randint(-400, 400), 100)
@@ -771,14 +734,9 @@ def _task_eq32(params, config, tolerance):
 
 @identity("eq4", "continuous", "conical function: two evaluation routes agree",
           tolerance=("pointwise", 0))
-def _task_eq4(params, config, tolerance):
+def _task_eq4(p, config, tolerance):
     value = continuous.conical_route_residual(
-        continuous.ConicalArgs(
-            parse_rational(params["g"]),
-            parse_rational(params["r"]),
-            parse_rational(params["k"]),
-        ),
-        prec=config.precision_digits,
+        continuous.ConicalArgs(p["g"], p["r"], p["k"]), prec=config.precision_digits
     )
     return _numeric_result(value, tolerance)
 
@@ -787,9 +745,9 @@ def _task_eq4(params, config, tolerance):
     "exact-float-oracle", "continuous", "terminating series: exact rationals vs big floats",
     tolerance=("pointwise", -5),
 )
-def _task_exact_float_oracle(params, config, tolerance):
+def _task_exact_float_oracle(p, config, tolerance):
     prec = config.precision_digits
-    case = params["case"]
+    case = p["case"]
     with mp.workdps(prec + 10):
         if case == "gauss-terminating":
             exact = terminating_hyp(
@@ -1059,10 +1017,13 @@ def run_suite(name: str, config: SuiteConfig) -> list[VerificationReport]:
     On the pool, the numeric tasks go first, one per chunk: one can take
     seconds, against about a millisecond for a typical exact task, so queued
     last they would leave one worker running them alone after the others
-    have finished.  The exact tasks follow in chunks of eight.
+    have finished.  The exact tasks follow in chunks of eight.  The pool
+    starts every worker at once, so it gets no more workers than there are
+    cores or tasks, whatever ``jobs`` asks for.
     """
     tasks = suite_tasks(name, config)
-    jobs = config.jobs if config.jobs > 0 else (os.cpu_count() or 1)
+    cores = os.cpu_count() or 1
+    jobs = config.jobs if config.jobs > 0 else cores
     if jobs == 1 or len(tasks) < 2:
         return [_execute(task, config) for task in tasks]
     numeric, exact = [], []
@@ -1070,7 +1031,7 @@ def run_suite(name: str, config: SuiteConfig) -> list[VerificationReport]:
         declared = REGISTRY.get(task[0])
         is_numeric = declared is not None and declared.mode == "numeric"
         (numeric if is_numeric else exact).append((task, config))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=min(jobs, cores, len(tasks))) as pool:
         first = pool.map(_execute_packed, numeric, chunksize=1)
         rest = pool.map(_execute_packed, exact, chunksize=8)
         return list(first) + list(rest)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from polyident import hermite_limit, suites
 from polyident.classical import hermite
 from polyident.errors import DomainError, LimitViolationError
 from polyident.exact import UniPoly, pochhammer
@@ -240,3 +241,64 @@ class TestDualAdditionLimit:
                 for j in range(m + 1):
                     report = limit_rate_check("eq40-to-eq46", {"j": j, "l": l, "m": m}, POWERS)
                     assert report.passed
+
+
+def _limit_tasks(config):
+    return [task for task in suites.hermite_tasks(config) if task[0] in hermite_limit._LIMITS]
+
+
+class TestLimitWindow:
+    """The decay is judged from the first alpha = 2^s >= 2 (l+m)^2."""
+
+    def test_largest_indices_at_limit_lm_max_8_pass(self):
+        # at l = 8 the first doublings of 4..16 are not yet in the 1/alpha
+        # regime; judged from alpha = 2^s >= 2 (l+m)^2 every record passes
+        config = suites.SuiteConfig(jobs=1, limit_lm_max=8)
+        tasks = [task for task in _limit_tasks(config) if task[1].get("l") == "8"]
+        reports = [suites._execute(task, config) for task in tasks]
+        assert len(reports) > 900
+        assert [r for r in reports if r.status != "pass"] == []
+
+    def test_window_starts_at_twice_the_squared_index_sum(self):
+        report = limit_rate_check("eq55", {"j": 6, "l": 6, "m": 6}, POWERS)
+        assert report.alphas[0] == 512  # the first 2^s >= 2 * 12^2 = 288
+        assert report.alphas[-1] == 2**16
+        assert report.passed
+        report = limit_rate_check("eq53", {"n": 2}, POWERS, x=Fraction(1, 2))
+        assert report.alphas[0] == 16  # no l, m: judged from the first power
+
+    def test_offset_limit_fails_for_every_target(self, monkeypatch):
+        # a deviation that settles at 1/1000 instead of 0, as a limit off by
+        # 1/1000 gives, must fail every limit record of the small grid
+        def offset(build):
+            def offset_build(idx, x):
+                deviation = build(idx, x)
+                return lambda alpha: deviation(alpha) + Fraction(1, 1000)
+            return offset_build
+
+        monkeypatch.setattr(hermite_limit, "_LIMITS", {
+            target: (description, offset(build))
+            for target, (description, build) in hermite_limit._LIMITS.items()
+        })
+        config = suites.SuiteConfig(jobs=1, limit_lm_max=2)
+        reports = [suites._execute(task, config) for task in _limit_tasks(config)]
+        assert {r.identity_id for r in reports} == set(hermite_limit._LIMITS)
+        assert {r.status for r in reports} == {"fail"}
+
+    @pytest.mark.parametrize(
+        "target, indices, powers",
+        [("eq55", {"j": 0, "l": 8, "m": 8}, tuple(range(4, 10))),
+         ("eq40-to-eq46", {"j": 1, "l": 2, "m": 1}, (4,)),
+         ("eq53", {"n": 2}, (10,))],
+        ids=["one-power-left", "none-left", "single-power"],
+    )
+    def test_short_window_is_an_error(self, target, indices, powers):
+        with pytest.raises(DomainError, match="needs two alpha powers"):
+            limit_rate_check(target, indices, powers, x=Fraction(1, 2))
+
+    def test_short_window_is_an_error_record(self):
+        config = suites.SuiteConfig(jobs=1, alpha_powers=tuple(range(4, 10)))
+        params = {"l": "8", "m": "8", "target": "eq55", "j": "0"}
+        report = suites._execute(("eq55", params), config)
+        assert report.status == "error"
+        assert report.parameters["error"].startswith("DomainError: eq55 at ")

@@ -1,5 +1,7 @@
 """Report emission, exit-status contract, and the command-line interface."""
 
+import argparse
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyident import cli
 from polyident.cli import load_config_file, main
 from polyident.errors import ConfigError
 from polyident.exact import pochhammer
@@ -354,9 +357,10 @@ class RecordingPool:
     the tasks it was given instead of running them."""
 
     calls: list = []
+    max_workers = None
 
     def __init__(self, max_workers):
-        pass
+        RecordingPool.max_workers = max_workers
 
     def __enter__(self):
         return self
@@ -391,6 +395,16 @@ class TestPoolScheduling:
         assert serial.count("\n") == len(MIXED_TASKS)
         assert '"status": "fail"' not in serial and '"status": "error"' not in serial
 
+    @pytest.mark.parametrize("cores", [2, 64])
+    def test_workers_capped_by_cores_and_tasks(self, cores, monkeypatch):
+        # the pool forks every worker at once: never more than cores or tasks
+        monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(suites.os, "cpu_count", lambda: cores)
+        monkeypatch.setattr(suites, "suite_tasks", lambda name, config: MIXED_TASKS)
+        RecordingPool.max_workers = None
+        run_suite("racah", SuiteConfig(jobs=10_000))
+        assert RecordingPool.max_workers == min(cores, len(MIXED_TASKS))
+
     def test_unknown_identity_is_an_error_record_on_the_pool(self, monkeypatch):
         tasks = MIXED_TASKS + [("no-such-identity", {"n": "1"})]
         monkeypatch.setattr(suites, "suite_tasks", lambda name, config: tasks)
@@ -404,6 +418,114 @@ class TestPoolScheduling:
             "ConfigError: no handler for identity 'no-such-identity'"
         )
         assert exit_status(reports) == 2
+
+
+class TestTypedParameters:
+    @pytest.mark.parametrize(
+        "fields",
+        [{}, {"l_max": 10, "alphas": (Fraction(5, 7),), "hermite_lm_max": 14},
+         {"limit_lm_max": 8, "t_max": "0.15"}],
+        ids=["defaults", "larger-exact-grids", "larger-limit-grid"],
+    )
+    def test_handlers_receive_parsed_parameters(self, fields, monkeypatch):
+        # names stay text; every other value is an int exactly when its
+        # denominator is 1, else a Fraction, and str() gives back its text
+        seen = []
+
+        def record(p, config, threshold=None):
+            seen.append(p)
+            return suites.TaskResult("0", True)
+
+        monkeypatch.setattr(suites, "REGISTRY", {
+            identity: dataclasses.replace(declared, handler=record)
+            for identity, declared in REGISTRY.items()
+        })
+        config = SuiteConfig(**fields)
+        tasks = suite_tasks("all", config)
+        for identity, params in tasks:
+            suites.run_task(identity, params, config)
+        assert len(seen) == len(tasks)
+        for (_identity, params), p in zip(tasks, seen):
+            assert p.keys() == params.keys()
+            for key, text in params.items():
+                if key in ("system", "case", "target"):
+                    assert p[key] == text
+                else:
+                    integral = Fraction(text).denominator == 1
+                    assert type(p[key]) is (int if integral else Fraction)
+                    assert str(p[key]) == text
+
+    def test_malformed_parameter_is_an_error_record(self):
+        task = ("eq25", {"system": "0,0,-3,1", "N": "2", "n": "one"})
+        report = suites._execute(task, SuiteConfig(jobs=1))
+        assert report.status == "error"
+        assert report.parameters["n"] == "one"
+        assert report.parameters["error"] == "DomainError: not a rational literal: 'one'"
+
+
+#: every config key -> (its value in a config file, the equivalent flags);
+#: each value differs from the default
+EVERY_KEY = {
+    "alphas": ("1/3,2", ["--alphas", "1/3,2"]),
+    "l_max": ("3", ["--l-max", "3"]),
+    "m_max": ("2", ["--m-max", "2"]),
+    "addition_n_max": ("4", ["--n-max", "4"]),
+    "hermite_lm_max": ("5", ["--hermite-lm-max", "5"]),
+    "biorthogonality_max": ("6", ["--bio-max", "6"]),
+    "alpha_powers": ("5..9", ["--alpha-powers", "5..9"]),
+    "limit_lm_max": ("2", ["--limit-lm-max", "2"]),
+    "precision_digits": ("50", ["--precision-digits", "50"]),
+    "integral_tolerance": ("1e-12", ["--integral-tolerance", "1e-12"]),
+    "pointwise_tolerance": ("1e-38", ["--pointwise-tolerance", "1e-38"]),
+    "t_max": ("3/20", ["--t-max", "3/20"]),
+    "truncation_budget": ("32", ["--truncation-budget", "32"]),
+    "jobs": ("3", ["--jobs", "3"]),
+    "timings": ("on", ["--timings"]),
+    "format": ("json-lines", ["--format", "json-lines"]),
+}
+
+#: the flags of `verify`
+VERIFY_FLAGS = {flag for _value, (flag, *_rest) in EVERY_KEY.values()} | {"--config"}
+
+
+class TestConfigDeclaration:
+    def test_config_keys_are_the_fields_plus_format(self):
+        fields = {f.name for f in dataclasses.fields(SuiteConfig)}
+        assert set(cli._CONFIG_READERS) == fields | {"format"}
+        assert set(EVERY_KEY) == fields | {"format"}
+
+    def test_every_field_has_one_verify_flag(self):
+        parser = cli.make_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = [a for a in commands.choices["verify"]._actions if a.option_strings]
+        flags = [flag for a in options for flag in a.option_strings]
+        assert set(flags) - {"-h", "--help"} == VERIFY_FLAGS
+        dests = [a.dest for a in options]
+        for f in dataclasses.fields(SuiteConfig):
+            assert dests.count(f.name) == 1, f.name
+
+    def test_config_file_equals_flags(self, tmp_path):
+        cfg = tmp_path / "every.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, (value, _) in EVERY_KEY.items()))
+        parse = cli.make_parser().parse_args
+        flags = [arg for _value, argv in EVERY_KEY.values() for arg in argv]
+        from_file = cli.build_config(parse(["verify", "racah", "--config", str(cfg)]))
+        from_flags = cli.build_config(parse(["verify", "racah", *flags]))
+        assert from_file == from_flags
+        config, fmt = from_file
+        assert fmt == "json-lines"
+        default = SuiteConfig()
+        for f in dataclasses.fields(SuiteConfig):
+            assert getattr(config, f.name) != getattr(default, f.name), f.name
+
+    def test_flags_win_and_an_absent_flag_keeps_the_file(self, tmp_path):
+        cfg = tmp_path / "some.cfg"
+        cfg.write_text("l_max = 3\ntimings = on\nformat = json-lines\n")
+        parse = cli.make_parser().parse_args
+        config, fmt = cli.build_config(parse(
+            ["verify", "racah", "--config", str(cfg), "--l-max", "5", "--format", "text"]
+        ))
+        assert (config.l_max, config.timings, fmt) == (5, True, "text")
 
 
 class TestCli:
