@@ -1006,32 +1006,39 @@ def _execute(task, config: SuiteConfig) -> VerificationReport:
     )
 
 
-def _execute_packed(packed):
-    task, config = packed
-    return _execute(task, config)
+def _execute_batch(packed):
+    tasks, config = packed
+    return [_execute(task, config) for task in tasks]
 
 
 def run_suite(name: str, config: SuiteConfig) -> list[VerificationReport]:
     """Run a suite's tasks, possibly on a process pool; reports are unsorted.
 
-    On the pool, the numeric tasks go first, one per chunk: one can take
-    seconds, against about a millisecond for a typical exact task, so queued
-    last they would leave one worker running them alone after the others
-    have finished.  The exact tasks follow in chunks of eight.  The pool
-    starts every worker at once, so it gets no more workers than there are
-    cores or tasks, whatever ``jobs`` asks for.
+    The pool starts every worker at once, so it gets no more than cores or
+    tasks, whatever ``jobs`` asks for; with one, the tasks run in-process.
+    It runs batches that share cached state: numeric tasks with one
+    ``lambda``, ``mu`` and ``alpha`` (a ``_wilson_context``), any other
+    numeric task alone, largest batch first, since a numeric task can take
+    seconds; then contiguous slices of the exact tasks, about four per worker.
     """
     tasks = suite_tasks(name, config)
     cores = os.cpu_count() or 1
-    jobs = config.jobs if config.jobs > 0 else cores
-    if jobs == 1 or len(tasks) < 2:
+    workers = min(config.jobs if config.jobs > 0 else cores, cores, len(tasks))
+    if workers < 2:
         return [_execute(task, config) for task in tasks]
-    numeric, exact = [], []
-    for task in tasks:
-        declared = REGISTRY.get(task[0])
-        is_numeric = declared is not None and declared.mode == "numeric"
-        (numeric if is_numeric else exact).append((task, config))
-    with ProcessPoolExecutor(max_workers=min(jobs, cores, len(tasks))) as pool:
-        first = pool.map(_execute_packed, numeric, chunksize=1)
-        rest = pool.map(_execute_packed, exact, chunksize=8)
-        return list(first) + list(rest)
+    numeric, exact = {}, []
+    for index, task in enumerate(tasks):
+        declared, params = REGISTRY.get(task[0]), task[1]
+        if declared is None or declared.mode != "numeric":
+            exact.append(task)
+        elif "lambda" in params and "mu" in params:
+            key = (params["lambda"], params["mu"], params.get("alpha"))
+            numeric.setdefault(key, []).append(task)
+        else:
+            numeric[index] = [task]
+    batches = sorted(numeric.values(), key=len, reverse=True)
+    size = max(1, -(-len(exact) // (4 * workers)))
+    batches += [exact[i:i + size] for i in range(0, len(exact), size)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        done = pool.map(_execute_batch, [(batch, config) for batch in batches])
+        return [report for reports in done for report in reports]

@@ -353,8 +353,8 @@ MIXED_TASKS = [
 
 
 class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records each map call and returns
-    the tasks it was given instead of running them."""
+    """Stands in for ProcessPoolExecutor: records the batches of each map
+    call and returns the tasks it was given instead of running them."""
 
     calls: list = []
     max_workers = None
@@ -368,24 +368,83 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, packed, chunksize=1):
-        packed = list(packed)
-        RecordingPool.calls.append(([task for task, _config in packed], chunksize))
-        return iter(task for task, _config in packed)
+    def map(self, fn, packed):
+        batches = [tasks for tasks, _config in packed]
+        RecordingPool.calls.append(batches)
+        return iter(batches)
+
+
+def wilson_key(task):
+    """The _wilson_context key of a numeric task, or None if it has none."""
+    params = task[1]
+    if "lambda" in params and "mu" in params:
+        return params["lambda"], params["mu"], params.get("alpha")
+    return None
+
+
+#: eq13, eq13-printed and eq33 on one (lambda, mu, alpha) = (3/10, 1/2, 1)
+WILSON_TASKS = [
+    ("eq33", {"n": "2", "x": "3/10", "lambda": "3/10", "mu": "1/2", "alpha": "1"}),
+    ("eq13", {"n": "0", "t": "1/5", "lambda": "3/10", "mu": "1/2", "alpha": "1"}),
+    ("eq13-printed", {"n": "1", "t": "1/5", "lambda": "3/10", "mu": "1/2", "alpha": "1"}),
+]
 
 
 class TestPoolScheduling:
-    def test_numeric_tasks_are_mapped_first_one_per_chunk(self, monkeypatch):
-        RecordingPool.calls = []
+    @pytest.mark.parametrize("cores", [2, 3])
+    def test_batches_share_cached_state(self, cores, monkeypatch):
         monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
-        config = SuiteConfig(**dict(SMALL, jobs=2))
+        monkeypatch.setattr(suites.os, "cpu_count", lambda: cores)
+        RecordingPool.calls = []
+        config = SuiteConfig(**dict(SMALL, jobs=cores))
         tasks = suite_tasks("all", config)
         returned = run_suite("all", config)
-        (numeric, numeric_chunk), (exact, exact_chunk) = RecordingPool.calls
-        assert (numeric_chunk, exact_chunk) == (1, 8)
-        assert numeric == [t for t in tasks if t[0] in NUMERIC]
-        assert exact == [t for t in tasks if t[0] not in NUMERIC]
-        assert numeric and exact and returned == numeric + exact
+        [batches] = RecordingPool.calls
+        flat = [task for batch in batches for task in batch]
+        # every task exactly once
+        assert returned == flat
+        assert sorted(map(repr, flat)) == sorted(map(repr, tasks))
+        # numeric batches first, largest first, ties in builder order; no
+        # batch mixes the two modes
+        kinds = [[task[0] in NUMERIC for task in batch] for batch in batches]
+        assert all(len(set(kind)) == 1 for kind in kinds)
+        numeric = [batch for batch, kind in zip(batches, kinds) if kind[0]]
+        exact = batches[len(numeric):]
+        assert numeric and exact and batches[:len(numeric)] == numeric
+        order = [(-len(batch), tasks.index(batch[0])) for batch in numeric]
+        assert order == sorted(order)
+        # one batch per (lambda, mu, alpha); a task without one runs alone
+        where = {}
+        for index, batch in enumerate(numeric):
+            keys = {wilson_key(task) for task in batch}
+            assert len(keys) == 1
+            key = keys.pop()
+            if key is None:
+                assert len(batch) == 1
+            else:
+                assert where.setdefault(key, index) == index
+        assert len(where) < len(numeric) < sum(map(len, numeric))
+        # exact blocks: contiguous slices in builder order, at most 4 per worker
+        assert flat[sum(map(len, numeric)):] == [t for t in tasks if t[0] not in NUMERIC]
+        assert len(exact) <= 4 * cores
+
+    def test_one_core_runs_in_process(self, monkeypatch):
+        monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(suites.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(suites, "suite_tasks", lambda name, config: MIXED_TASKS)
+        RecordingPool.max_workers = None
+        reports = run_suite("racah", SuiteConfig(jobs=2))
+        assert RecordingPool.max_workers is None
+        assert reports == run_suite("racah", SuiteConfig(jobs=1))
+
+    def test_pool_runs_tasks_sharing_a_wilson_context(self, monkeypatch):
+        monkeypatch.setattr(suites, "suite_tasks", lambda name, config: WILSON_TASKS)
+        # the pool first, so that its workers cannot inherit the Wilson
+        # contexts a serial run would leave in this process
+        pooled = emit_json_lines(run_suite("continuous", SuiteConfig(precision_digits=46, jobs=2)))
+        serial = emit_json_lines(run_suite("continuous", SuiteConfig(precision_digits=46, jobs=1)))
+        assert pooled == serial
+        assert serial.count('"status": "pass"') == len(WILSON_TASKS)
 
     def test_pool_reports_equal_one_process_reports(self, monkeypatch):
         monkeypatch.setattr(suites, "suite_tasks", lambda name, config: MIXED_TASKS)
