@@ -137,7 +137,7 @@ def _eval_racah(n, x, *parameters, prec) -> str:
 
 def _eval_phi(*arguments, prec) -> str:
     lam, alpha, beta, t = map(parse_rational, arguments)
-    value = continuous.phi(continuous.to_mpf(lam, prec), alpha, beta, t, prec)
+    value = continuous.phi(continuous.to_mpf(lam), alpha, beta, t)
     if abs(mp.im(value)) < mp.mpf(10) ** (-prec + 10) * (1 + abs(value)):
         value = mp.re(value)
     return mp.nstr(value, prec)
@@ -145,12 +145,12 @@ def _eval_phi(*arguments, prec) -> str:
 
 def _eval_wilson(n, *arguments, prec) -> str:
     xsq, lam, mu, alpha = map(parse_rational, arguments)
-    params = continuous.WilsonParams.from_spectral(lam, mu, alpha, prec)
-    return mp.nstr(continuous.wilson_poly(int(n), xsq, params, prec), prec)
+    params = continuous.WilsonParams.from_spectral(lam, mu, alpha)
+    return mp.nstr(continuous.wilson_poly(int(n), xsq, params), prec)
 
 
 #: eval function -> (names of its positional arguments, evaluator of their
-#: text at a precision)
+#: text to a number of digits, which runs at that working precision)
 _EVALUATORS = {
     "gegenbauer": (("n", "alpha"), _eval_gegenbauer),
     "hermite": (("n",), _eval_hermite),
@@ -170,7 +170,7 @@ def _eval_arguments(args) -> tuple[list[str], int]:
     tail.add_argument("--precision-digits", dest="precision_digits", type=int,
                       default=args.precision_digits)
     known, rest = tail.parse_known_args(args.args)
-    prec = 60 if known.precision_digits is None else known.precision_digits
+    prec = known.precision_digits
     if prec < 1:
         raise ConfigError(f"--precision-digits must be a positive integer, got {prec}")
     names = _EVALUATORS[args.fn][0]
@@ -186,7 +186,8 @@ def cmd_eval(args) -> int:
     rest, prec = _eval_arguments(args)
     evaluate = _EVALUATORS[args.fn][1]
     try:
-        print(evaluate(*rest, prec=prec))
+        with continuous.working_precision(prec):
+            print(evaluate(*rest, prec=prec))
     except ValueError as exc:
         raise ConfigError(f"bad arguments for {args.fn}: {exc}") from exc
     return 0
@@ -232,7 +233,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate one function")
     p_eval.add_argument("fn", choices=tuple(_EVALUATORS))
     p_eval.add_argument("args", nargs=argparse.REMAINDER)
-    p_eval.add_argument("--precision-digits", dest="precision_digits", type=int)
+    p_eval.add_argument("--precision-digits", dest="precision_digits", type=int,
+                        default=SuiteConfig.precision_digits)
     p_eval.set_defaults(func=cmd_eval)
 
     p_list = sub.add_parser("list", help="enumerate identity ids")

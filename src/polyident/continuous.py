@@ -1,13 +1,15 @@
 """High-precision side: Jacobi/Gegenbauer functions and Wilson polynomials.
 
-Arbitrary-precision reals and complexes are mpmath's mpf/mpc; every
-routine takes a decimal working precision ``prec`` (default 60), or reads
-it from the ``WilsonContext`` it is given, and computes with ten guard
-digits.  A residual that integrates or sums a truncated series takes its
-``tolerance`` as a required argument and refines to 1e-3 of it.  Every
-Jacobi, Gegenbauer and conical function here is a Gauss function 2F1 at
-an argument -sinh^2 t <= 0, evaluated by ``mpmath.hyp2f1`` (DLMF 15.8
-argument transformations with adaptive internal precision).
+Arbitrary-precision reals and complexes are mpmath's mpf/mpc.  Every
+routine computes at mpmath's context precision, which the caller sets
+once: ``suites.run_task`` runs each numeric task, and ``polyident eval``
+each evaluation, inside ``working_precision(P)``, the configured P digits
+plus ten guard digits.  A residual that integrates or sums a truncated
+series takes its ``tolerance`` as a required argument and refines to 1e-3
+of it.  Every Jacobi, Gegenbauer and conical function here is a Gauss
+function 2F1 at an argument -sinh^2 t <= 0, evaluated by
+``mpmath.hyp2f1`` (DLMF 15.8 argument transformations with adaptive
+internal precision).
 
 Two printed closed forms are handled in both a "printed" and a
 "corrected" variant: the Wilson norm and the closed form of the
@@ -30,39 +32,47 @@ from mpmath.libmp import NoConvergence
 from .errors import DomainError, PrecisionError
 from .quadrature import self_refining_integral
 
-DEFAULT_PREC = 60
 _GUARD = 10
 
 
-def to_mpf(x, prec: int = DEFAULT_PREC) -> mp.mpf:
+def working_precision(digits: int):
+    """mpmath's context at ``digits`` plus the guard digits, the precision
+    every routine here computes at; use it as a ``with`` block."""
+    return mp.workdps(digits + _GUARD)
+
+
+def _agreement_bound() -> mp.mpf:
+    """10^{-P+10} at the working precision of P digits: how closely two
+    evaluations of one value must agree."""
+    return mp.mpf(10) ** (10 + _GUARD - mp.mp.dps)
+
+
+def to_mpf(x) -> mp.mpf:
     """Convert int/float/str/Fraction to mpf at the working precision."""
-    with mp.workdps(prec + _GUARD):
-        if isinstance(x, Fraction):
-            return mp.mpf(x.numerator) / mp.mpf(x.denominator)
-        return mp.mpf(x)
+    if isinstance(x, Fraction):
+        return mp.mpf(x.numerator) / mp.mpf(x.denominator)
+    return mp.mpf(x)
 
 
-def log_gamma(z, prec: int = DEFAULT_PREC):
+def log_gamma(z):
     """Principal-branch log of the gamma function.
 
     Backed by mpmath's implementation (argument recurrence plus Stirling
-    with reflection), whose relative error is well inside 10^{-prec-5} at
-    the working precision used here.  Poles raise DomainError.
+    with reflection), whose relative error is well inside the guard digits
+    of the working precision.  Poles raise DomainError.
     """
-    with mp.workdps(prec + _GUARD):
-        try:
-            return mp.loggamma(z)
-        except ValueError as exc:
-            raise DomainError(f"log_gamma pole at {z}") from exc
+    try:
+        return mp.loggamma(z)
+    except ValueError as exc:
+        raise DomainError(f"log_gamma pole at {z}") from exc
 
 
-def gamma_abs_sq(z, prec: int = DEFAULT_PREC) -> mp.mpf:
+def gamma_abs_sq(z) -> mp.mpf:
     """|Gamma(z)|^2 for Re z > 0, via 2 Re log Gamma(z)."""
-    with mp.workdps(prec + _GUARD):
-        return mp.e ** (2 * mp.re(log_gamma(z, prec)))
+    return mp.e ** (2 * mp.re(log_gamma(z)))
 
 
-def gauss_2f1(a, b, c, z, prec: int = DEFAULT_PREC):
+def gauss_2f1(a, b, c, z):
     """Gauss hypergeometric function 2F1(a, b; c; z) for real z <= 0.
 
     Backed by ``mpmath.hyp2f1``, which transforms the argument (DLMF 15.8)
@@ -70,57 +80,52 @@ def gauss_2f1(a, b, c, z, prec: int = DEFAULT_PREC):
     absorb cancellation.  When it cannot reach the working precision it
     raises PrecisionError.
     """
-    with mp.workdps(prec + _GUARD):
-        z = mp.mpf(z)
-        if z > 0:
-            raise DomainError(f"argument must satisfy z <= 0, got {z}")
-        if mp.im(c) == 0 and mp.re(c) <= 0 and mp.isint(mp.re(c)):
-            raise DomainError(f"lower parameter at a pole: c = {c}")
-        try:
-            return mp.hyp2f1(a, b, c, z)
-        except NoConvergence as exc:
-            raise PrecisionError(
-                f"2F1 at z = {mp.nstr(z, 8)} did not converge: {exc}",
-                diagnostics={"a": a, "b": b, "c": c, "z": z},
-            ) from exc
+    z = mp.mpf(z)
+    if z > 0:
+        raise DomainError(f"argument must satisfy z <= 0, got {z}")
+    if mp.im(c) == 0 and mp.re(c) <= 0 and mp.isint(mp.re(c)):
+        raise DomainError(f"lower parameter at a pole: c = {c}")
+    try:
+        return mp.hyp2f1(a, b, c, z)
+    except NoConvergence as exc:
+        raise PrecisionError(
+            f"2F1 at z = {mp.nstr(z, 8)} did not converge: {exc}",
+            diagnostics={"a": a, "b": b, "c": c, "z": z},
+        ) from exc
 
 
-def phi(lam, alpha, beta, t, prec: int = DEFAULT_PREC):
+def phi(lam, alpha, beta, t):
     """Jacobi function: a Gauss function at argument -sinh^2 t, value 1 at t = 0."""
-    with mp.workdps(prec + _GUARD):
-        lam = mp.mpc(lam)
-        alpha = to_mpf(alpha, prec)
-        beta = to_mpf(beta, prec)
-        t = to_mpf(t, prec)
-        z = -mp.sinh(t) ** 2
-        s = (alpha + beta + 1) / 2
-        return gauss_2f1(s + lam * 1j / 2, s - lam * 1j / 2, alpha + 1, z, prec)
+    lam = mp.mpc(lam)
+    alpha = to_mpf(alpha)
+    beta = to_mpf(beta)
+    t = to_mpf(t)
+    z = -mp.sinh(t) ** 2
+    s = (alpha + beta + 1) / 2
+    return gauss_2f1(s + lam * 1j / 2, s - lam * 1j / 2, alpha + 1, z)
 
 
-def contiguous_residual(lam, alpha, beta, t, prec: int = DEFAULT_PREC):
+def contiguous_residual(lam, alpha, beta, t):
     """Residual of the spectral-shift contiguous relation.
 
     [phi_{lam-i} - phi_{lam+i}]/(i lam) = sinh^2 t/(alpha+1) phi_lam^{(alpha+1,beta)}.
     At lam = 0 the divided form is 0/0, so the underlying undivided Gauss
     contiguous relation is checked instead.
     """
-    with mp.workdps(prec + _GUARD):
-        lam = mp.mpc(lam)
-        alpha = to_mpf(alpha, prec)
-        beta = to_mpf(beta, prec)
-        t = to_mpf(t, prec)
-        z = -mp.sinh(t) ** 2
-        s = (alpha + beta + 1) / 2
-        if lam == 0:
-            a, b, c = s + mp.mpf(1) / 2, s - mp.mpf(1) / 2, alpha + 1
-            lhs = gauss_2f1(a, b, c, z, prec) - gauss_2f1(a - 1, b + 1, c, z, prec)
-            rhs = (b - a + 1) * z / c * gauss_2f1(a, b + 1, c + 1, z, prec)
-            return lhs - rhs
-        lhs = (
-            phi(lam - 1j, alpha, beta, t, prec) - phi(lam + 1j, alpha, beta, t, prec)
-        ) / (1j * lam)
-        rhs = mp.sinh(t) ** 2 / (alpha + 1) * phi(lam, alpha + 1, beta, t, prec)
+    lam = mp.mpc(lam)
+    alpha = to_mpf(alpha)
+    beta = to_mpf(beta)
+    t = to_mpf(t)
+    z = -mp.sinh(t) ** 2
+    s = (alpha + beta + 1) / 2
+    if lam == 0:
+        a, b, c = s + mp.mpf(1) / 2, s - mp.mpf(1) / 2, alpha + 1
+        lhs = gauss_2f1(a, b, c, z) - gauss_2f1(a - 1, b + 1, c, z)
+        rhs = (b - a + 1) * z / c * gauss_2f1(a, b + 1, c + 1, z)
         return lhs - rhs
+    lhs = (phi(lam - 1j, alpha, beta, t) - phi(lam + 1j, alpha, beta, t)) / (1j * lam)
+    rhs = mp.sinh(t) ** 2 / (alpha + 1) * phi(lam, alpha + 1, beta, t)
+    return lhs - rhs
 
 
 @dataclass(frozen=True)
@@ -136,39 +141,37 @@ class ConicalArgs:
             raise DomainError(f"g must be positive, got {self.g}")
 
 
-def _conical_log_prefactor(g, k, prec: int) -> mp.mpf:
+def _conical_log_prefactor(g, k) -> mp.mpf:
     """log of twice the prefactor Gamma(g+ik) Gamma(g-ik) / (2 Gamma(2g)).
 
     One complex log-gamma: g +- ik are conjugate, and
     Re log Gamma(conj z) = Re log Gamma(z), so the pair is
     exp(2 Re log Gamma(g+ik)).
     """
-    return 2 * mp.re(log_gamma(mp.mpc(g, k), prec)) - log_gamma(2 * g, prec)
+    return 2 * mp.re(log_gamma(mp.mpc(g, k))) - log_gamma(2 * g)
 
 
-def _conical_routes(g, r, k, log_prefactor, prec: int):
-    """The two evaluations of F(g; r, 2k) for mpf g, r, k, at the caller's
-    working precision, given ``_conical_log_prefactor(g, k, prec)``.
+def _conical_routes(g, r, k, log_prefactor):
+    """The two evaluations of F(g; r, 2k) for mpf g, r, k, given
+    ``_conical_log_prefactor(g, k)``.
 
     Route one evaluates the gamma prefactor times the Jacobi function
     phi_k^{(g-1/2,-1/2)}(r); route two uses the Gauss series at argument
     -sinh^2(r/2) (the two agree through the quadratic argument transform).
     """
     pre = mp.e ** log_prefactor / 2
-    route_phi = pre * phi(k, g - mp.mpf(1) / 2, -mp.mpf(1) / 2, r, prec)
+    route_phi = pre * phi(k, g - mp.mpf(1) / 2, -mp.mpf(1) / 2, r)
     route_gauss = pre * gauss_2f1(
-        g + 1j * k, g - 1j * k, g + mp.mpf(1) / 2, -mp.sinh(r / 2) ** 2, prec
+        g + 1j * k, g - 1j * k, g + mp.mpf(1) / 2, -mp.sinh(r / 2) ** 2
     )
     return route_phi, route_gauss
 
 
-def _checked_conical(g, r, k, log_prefactor, prec: int):
+def _checked_conical(g, r, k, log_prefactor):
     """F(g; r, 2k) as ``_conical_routes`` takes it; disagreement of the two
-    routes beyond 10^{-prec+10} raises PrecisionError."""
-    route_phi, route_gauss = _conical_routes(g, r, k, log_prefactor, prec)
-    if abs(route_phi - route_gauss) > mp.mpf(10) ** (-prec + 10) * (
-        1 + abs(route_gauss)
-    ):
+    routes beyond 10^{-P+10} at P digits raises PrecisionError."""
+    route_phi, route_gauss = _conical_routes(g, r, k, log_prefactor)
+    if abs(route_phi - route_gauss) > _agreement_bound() * (1 + abs(route_gauss)):
         raise PrecisionError(
             "conical function routes disagree",
             diagnostics={"phi_route": route_phi, "gauss_route": route_gauss},
@@ -176,24 +179,21 @@ def _checked_conical(g, r, k, log_prefactor, prec: int):
     return route_gauss
 
 
-def conical_f(args: ConicalArgs, prec: int = DEFAULT_PREC):
+def conical_f(args: ConicalArgs):
     """Conical function F(g; r, 2k), checked along two evaluation routes.
 
-    Disagreement of the routes beyond 10^{-prec+10} raises PrecisionError.
+    Disagreement of the routes beyond 10^{-P+10} at P digits raises
+    PrecisionError.
     """
-    with mp.workdps(prec + _GUARD):
-        g, r, k = (to_mpf(x, prec) for x in (args.g, args.r, args.k))
-        return _checked_conical(g, r, k, _conical_log_prefactor(g, k, prec), prec)
+    g, r, k = (to_mpf(x) for x in (args.g, args.r, args.k))
+    return _checked_conical(g, r, k, _conical_log_prefactor(g, k))
 
 
-def conical_route_residual(args: ConicalArgs, prec: int = DEFAULT_PREC) -> mp.mpf:
+def conical_route_residual(args: ConicalArgs) -> mp.mpf:
     """|difference| of the two conical evaluation routes (for reporting)."""
-    with mp.workdps(prec + _GUARD):
-        g, r, k = (to_mpf(x, prec) for x in (args.g, args.r, args.k))
-        route_phi, route_gauss = _conical_routes(
-            g, r, k, _conical_log_prefactor(g, k, prec), prec
-        )
-        return abs(route_phi - route_gauss)
+    g, r, k = (to_mpf(x) for x in (args.g, args.r, args.k))
+    route_phi, route_gauss = _conical_routes(g, r, k, _conical_log_prefactor(g, k))
+    return abs(route_phi - route_gauss)
 
 
 @dataclass(frozen=True)
@@ -209,20 +209,19 @@ class WilsonParams:
     d: mp.mpc
 
     @staticmethod
-    def from_spectral(lam, mu, alpha, prec: int = DEFAULT_PREC) -> "WilsonParams":
-        with mp.workdps(prec + _GUARD):
-            lam = to_mpf(lam, prec)
-            mu = to_mpf(mu, prec)
-            alpha = to_mpf(alpha, prec)
-            if not alpha > -mp.mpf(1) / 2:
-                raise DomainError(f"alpha must exceed -1/2, got {alpha}")
-            h = alpha / 2 + mp.mpf(1) / 4
-            return WilsonParams(
-                a=mp.mpc(h, lam + mu),
-                b=mp.mpc(h, lam - mu),
-                c=mp.mpc(h, mu - lam),
-                d=mp.mpc(h, -lam - mu),
-            )
+    def from_spectral(lam, mu, alpha) -> "WilsonParams":
+        lam = to_mpf(lam)
+        mu = to_mpf(mu)
+        alpha = to_mpf(alpha)
+        if not alpha > -mp.mpf(1) / 2:
+            raise DomainError(f"alpha must exceed -1/2, got {alpha}")
+        h = alpha / 2 + mp.mpf(1) / 4
+        return WilsonParams(
+            a=mp.mpc(h, lam + mu),
+            b=mp.mpc(h, lam - mu),
+            c=mp.mpc(h, mu - lam),
+            d=mp.mpc(h, -lam - mu),
+        )
 
     def as_tuple(self) -> tuple[mp.mpc, mp.mpc, mp.mpc, mp.mpc]:
         return (self.a, self.b, self.c, self.d)
@@ -235,7 +234,8 @@ class WilsonParams:
 def _wilson_sum(n: int, x, params: WilsonParams):
     """The Wilson polynomial at the ambient precision, and the decimal digits
     its alternating sum cancelled: log10 of its largest |term| over |sum|,
-    estimated to a bit from the binary exponents."""
+    estimated to a bit from the binary exponents; all of them when the sum
+    is exactly 0."""
     a, b, c, d = params.as_tuple()
     x = mp.mpc(x)
     pre = mp.mpc(1)
@@ -255,11 +255,11 @@ def _wilson_sum(n: int, x, params: WilsonParams):
         )
         total += term
         largest = max(largest, mp.mag(term))
-    lost = (largest - mp.mag(total)) * math.log10(2) if total else mp.dps
+    lost = (largest - mp.mag(total)) * math.log10(2) if total else mp.mp.dps
     return pre * total, lost
 
 
-def _wilson_poly_complex(n: int, x, params: WilsonParams, prec: int):
+def _wilson_poly_complex(n: int, x, params: WilsonParams):
     """Wilson polynomial at (possibly complex) spectral point x.
 
     The sum cancels more digits as the degree grows (21 at n = 28 near
@@ -267,38 +267,35 @@ def _wilson_poly_complex(n: int, x, params: WilsonParams, prec: int):
     once more with that many extra digits, so the value keeps its working
     precision.
     """
-    with mp.workdps(prec + _GUARD):
-        value, lost = _wilson_sum(n, x, params)
-        if lost <= _GUARD:
-            return value
-    with mp.workdps(prec + _GUARD + math.ceil(lost)):
+    value, lost = _wilson_sum(n, x, params)
+    if lost <= _GUARD:
+        return value
+    with mp.workdps(mp.mp.dps + math.ceil(lost)):
         value, _ = _wilson_sum(n, x, params)
-    with mp.workdps(prec + _GUARD):
-        return +value
+    return +value
 
 
-def wilson_poly(n: int, xsq, params: WilsonParams, prec: int = DEFAULT_PREC) -> mp.mpf:
+def wilson_poly(n: int, xsq, params: WilsonParams) -> mp.mpf:
     """Wilson polynomial of degree n in the squared variable.
 
     For conjugate-pair parameters the value at real x^2 >= 0 is real; the
-    imaginary part of the computed value is checked against 10^{-prec+10}.
+    imaginary part of the computed value is checked against 10^{-P+10} at
+    P digits.
     """
     if n < 0:
         raise DomainError(f"degree must be >= 0, got {n}")
-    with mp.workdps(prec + _GUARD):
-        xsq = to_mpf(xsq, prec)
-        x = mp.sqrt(xsq)
-        value = _wilson_poly_complex(n, x, params, prec)
-        scale = max(mp.mpf(1), abs(value))
-        if abs(mp.im(value)) > mp.mpf(10) ** (-prec + 10) * scale:
-            raise PrecisionError(
-                "Wilson polynomial value is not real",
-                diagnostics={"value": value},
-            )
-        return mp.re(value)
+    x = mp.sqrt(to_mpf(xsq))
+    value = _wilson_poly_complex(n, x, params)
+    scale = max(mp.mpf(1), abs(value))
+    if abs(mp.im(value)) > _agreement_bound() * scale:
+        raise PrecisionError(
+            "Wilson polynomial value is not real",
+            diagnostics={"value": value},
+        )
+    return mp.re(value)
 
 
-def wilson_weight(nu, lam, mu, alpha, prec: int = DEFAULT_PREC) -> mp.mpf:
+def wilson_weight(nu, lam, mu, alpha) -> mp.mpf:
     """Wilson orthogonality weight |Gamma(i nu +- i lam +- i mu + h)/Gamma(2 i nu)|^2.
 
     Even in nu and nonnegative; the removable pole of 1/Gamma(2 i nu) at
@@ -306,23 +303,20 @@ def wilson_weight(nu, lam, mu, alpha, prec: int = DEFAULT_PREC) -> mp.mpf:
     numerator takes four complex log-gammas; the denominator is
     |Gamma(2 i nu)|^2 = pi / (2 nu sinh(2 pi nu)) (DLMF 5.4.3).
     """
-    with mp.workdps(prec + _GUARD):
-        nu = to_mpf(nu, prec)
-        if nu == 0:
-            return mp.mpf(0)
-        lam = to_mpf(lam, prec)
-        mu = to_mpf(mu, prec)
-        h = to_mpf(alpha, prec) / 2 + mp.mpf(1) / 4
-        log_total = mp.mpf(0)
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                log_total += mp.re(
-                    log_gamma(mp.mpc(h, nu + s1 * lam + s2 * mu), prec)
-                )
-        return mp.e ** (2 * log_total) * 2 * nu * mp.sinh(2 * mp.pi * nu) / mp.pi
+    nu = to_mpf(nu)
+    if nu == 0:
+        return mp.mpf(0)
+    lam = to_mpf(lam)
+    mu = to_mpf(mu)
+    h = to_mpf(alpha) / 2 + mp.mpf(1) / 4
+    log_total = mp.mpf(0)
+    for s1 in (1, -1):
+        for s2 in (1, -1):
+            log_total += mp.re(log_gamma(mp.mpc(h, nu + s1 * lam + s2 * mu)))
+    return mp.e ** (2 * log_total) * 2 * nu * mp.sinh(2 * mp.pi * nu) / mp.pi
 
 
-def _gamma_prefactor(n: int, lam, mu, alpha, prec: int, variant: str = "corrected"):
+def _gamma_prefactor(n: int, lam, mu, alpha, variant: str = "corrected"):
     """Gamma(n+alpha+1/2)^2 |Gamma(n+alpha+1/2+2i lam)|^2
     |Gamma(n+alpha+1/2+2i mu)|^2 / Gamma(2n+2 alpha+1) for mpf lam, mu, alpha.
 
@@ -331,20 +325,17 @@ def _gamma_prefactor(n: int, lam, mu, alpha, prec: int, variant: str = "correcte
     """
     if variant not in ("corrected", "printed"):
         raise DomainError(f"unknown variant {variant!r}")
-    with mp.workdps(prec + _GUARD):
-        half = mp.mpf(1) / 2
-        front = n + alpha + half if variant == "corrected" else alpha + half
-        return (
-            gamma_abs_sq(front, prec)
-            * gamma_abs_sq(mp.mpc(n + alpha + half, 2 * lam), prec)
-            * gamma_abs_sq(mp.mpc(n + alpha + half, 2 * mu), prec)
-            / mp.gamma(2 * n + 2 * alpha + 1)
-        )
+    half = mp.mpf(1) / 2
+    front = n + alpha + half if variant == "corrected" else alpha + half
+    return (
+        gamma_abs_sq(front)
+        * gamma_abs_sq(mp.mpc(n + alpha + half, 2 * lam))
+        * gamma_abs_sq(mp.mpc(n + alpha + half, 2 * mu))
+        / mp.gamma(2 * n + 2 * alpha + 1)
+    )
 
 
-def wilson_norm(
-    n: int, lam, mu, alpha, prec: int = DEFAULT_PREC, variant: str = "corrected"
-) -> mp.mpf:
+def wilson_norm(n: int, lam, mu, alpha, variant: str = "corrected") -> mp.mpf:
     """Closed-form squared norm of the Wilson polynomials used here.
 
     variant="corrected": Gamma(n+alpha+1/2)^2 |Gamma(n+alpha+1/2+2i lam)|^2
@@ -353,15 +344,14 @@ def wilson_norm(
     Gamma(alpha+1/2)^2 prefactor, smaller by ((alpha+1/2)_n)^2; it is kept
     for the pinned-discrepancy checks.
     """
-    with mp.workdps(prec + _GUARD):
-        lam = to_mpf(lam, prec)
-        mu = to_mpf(mu, prec)
-        alpha = to_mpf(alpha, prec)
-        return (
-            _gamma_prefactor(n, lam, mu, alpha, prec, variant)
-            * mp.rf(n + 2 * alpha, n)
-            * mp.factorial(n)
-        )
+    lam = to_mpf(lam)
+    mu = to_mpf(mu)
+    alpha = to_mpf(alpha)
+    return (
+        _gamma_prefactor(n, lam, mu, alpha, variant)
+        * mp.rf(n + 2 * alpha, n)
+        * mp.factorial(n)
+    )
 
 
 class WilsonContext:
@@ -370,14 +360,15 @@ class WilsonContext:
     Quadrature refinement revisits the same abscissas, and the Gram matrix
     of one parameter set shares its weight function across all (m, n)
     pairs, so caching by exact node value removes most gamma evaluations.
+    Each value is cached at the working precision of its first use, so a
+    context serves one precision.
     """
 
-    def __init__(self, lam, mu, alpha, prec: int = DEFAULT_PREC):
-        self.prec = prec
-        self.lam = to_mpf(lam, prec)
-        self.mu = to_mpf(mu, prec)
-        self.alpha = to_mpf(alpha, prec)
-        self.params = WilsonParams.from_spectral(lam, mu, alpha, prec)
+    def __init__(self, lam, mu, alpha):
+        self.lam = to_mpf(lam)
+        self.mu = to_mpf(mu)
+        self.alpha = to_mpf(alpha)
+        self.params = WilsonParams.from_spectral(lam, mu, alpha)
         self._weights: dict = {}
         self._polys: dict = {}
         self._phis: dict = {}
@@ -385,7 +376,7 @@ class WilsonContext:
     def weight(self, nu) -> mp.mpf:
         value = self._weights.get(nu)
         if value is None:
-            value = wilson_weight(nu, self.lam, self.mu, self.alpha, self.prec)
+            value = wilson_weight(nu, self.lam, self.mu, self.alpha)
             self._weights[nu] = value
         return value
 
@@ -393,7 +384,7 @@ class WilsonContext:
         key = (k, nu)
         value = self._polys.get(key)
         if value is None:
-            value = wilson_poly(k, nu * nu, self.params, self.prec)
+            value = wilson_poly(k, nu * nu, self.params)
             self._polys[key] = value
         return value
 
@@ -401,9 +392,7 @@ class WilsonContext:
         key = (t, nu)
         value = self._phis.get(key)
         if value is None:
-            value = mp.re(
-                phi(2 * nu, self.alpha, -mp.mpf(1) / 2, t, self.prec)
-            )
+            value = mp.re(phi(2 * nu, self.alpha, -mp.mpf(1) / 2, t))
             self._phis[key] = value
         return value
 
@@ -412,9 +401,8 @@ class WilsonContext:
         the weight with entire functions of nu.  The weight's nearest poles
         are at nu = +-lam +-mu + i(alpha/2 + 1/4), so that is the strip
         half-width the quadrature is told."""
-        with mp.workdps(self.prec + _GUARD):
-            strip = self.alpha / 2 + mp.mpf(1) / 4
-            return self_refining_integral(f, tolerance, strip, self.prec) / (4 * mp.pi)
+        strip = self.alpha / 2 + mp.mpf(1) / 4
+        return self_refining_integral(f, tolerance, strip) / (4 * mp.pi)
 
 
 def wilson_orthogonality_residual(
@@ -426,20 +414,16 @@ def wilson_orthogonality_residual(
     4 pi) is compared against delta_{m,n} times the corrected closed-form
     norm; the difference is scaled by sqrt(norm_m norm_n).
     """
-    prec = ctx.prec
-    with mp.workdps(prec + _GUARD):
-        value = ctx.integrate(
-            lambda nu: ctx.poly(m, nu) * ctx.poly(n, nu) * ctx.weight(nu),
-            tolerance * mp.mpf(10) ** -3,
-        )
-        target = (
-            wilson_norm(n, ctx.lam, ctx.mu, ctx.alpha, prec) if m == n else mp.mpf(0)
-        )
-        scale = mp.sqrt(
-            wilson_norm(m, ctx.lam, ctx.mu, ctx.alpha, prec)
-            * wilson_norm(n, ctx.lam, ctx.mu, ctx.alpha, prec)
-        )
-        return abs(value - target) / scale
+    value = ctx.integrate(
+        lambda nu: ctx.poly(m, nu) * ctx.poly(n, nu) * ctx.weight(nu),
+        tolerance * mp.mpf(10) ** -3,
+    )
+    target = wilson_norm(n, ctx.lam, ctx.mu, ctx.alpha) if m == n else mp.mpf(0)
+    scale = mp.sqrt(
+        wilson_norm(m, ctx.lam, ctx.mu, ctx.alpha)
+        * wilson_norm(n, ctx.lam, ctx.mu, ctx.alpha)
+    )
+    return abs(value - target) / scale
 
 
 def dual_product_residual(t, ctx: WilsonContext, tolerance: mp.mpf) -> mp.mpf:
@@ -449,23 +433,21 @@ def dual_product_residual(t, ctx: WilsonContext, tolerance: mp.mpf) -> mp.mpf:
     gamma prefactor, must equal the gamma-weight integral of the spectral
     Jacobi function.
     """
-    prec = ctx.prec
-    with mp.workdps(prec + _GUARD):
-        t = to_mpf(t, prec)
-        half = mp.mpf(1) / 2
-        lhs = (
-            _gamma_prefactor(0, ctx.lam, ctx.mu, ctx.alpha, prec)
-            * mp.re(phi(2 * ctx.lam, ctx.alpha, -half, t, prec))
-            * mp.re(phi(2 * ctx.mu, ctx.alpha, -half, t, prec))
-        )
-        rhs = ctx.integrate(
-            lambda nu: ctx.phi_node(t, nu) * ctx.weight(nu),
-            tolerance * mp.mpf(10) ** -3 * max(abs(lhs), mp.mpf(1)),
-        )
-        return abs(lhs - rhs) / abs(lhs)
+    t = to_mpf(t)
+    half = mp.mpf(1) / 2
+    lhs = (
+        _gamma_prefactor(0, ctx.lam, ctx.mu, ctx.alpha)
+        * mp.re(phi(2 * ctx.lam, ctx.alpha, -half, t))
+        * mp.re(phi(2 * ctx.mu, ctx.alpha, -half, t))
+    )
+    rhs = ctx.integrate(
+        lambda nu: ctx.phi_node(t, nu) * ctx.weight(nu),
+        tolerance * mp.mpf(10) ** -3 * max(abs(lhs), mp.mpf(1)),
+    )
+    return abs(lhs - rhs) / abs(lhs)
 
 
-def _conical_log_kernel(g, p, q, k, prec: int) -> mp.mpf:
+def _conical_log_kernel(g, p, q, k) -> mp.mpf:
     """log of the eight-gamma quotient of the eq6 kernel at k != 0:
 
         prod Gamma((g + i(+-p +-q +-k))/2) / |Gamma(ik)|^2.
@@ -478,13 +460,11 @@ def _conical_log_kernel(g, p, q, k, prec: int) -> mp.mpf:
     for s1 in (1, -1):
         for s2 in (1, -1):
             # the s3 = -1 factor is the conjugate of this one
-            log_num += 2 * mp.re(log_gamma(mp.mpc(g, s1 * p + s2 * q + k) / 2, prec))
+            log_num += 2 * mp.re(log_gamma(mp.mpc(g, s1 * p + s2 * q + k) / 2))
     return log_num - mp.log(mp.pi / (k * mp.sinh(mp.pi * k)))
 
 
-def conical_product_residual(
-    t, lam, mu, alpha, tolerance: mp.mpf, prec: int = DEFAULT_PREC
-) -> mp.mpf:
+def conical_product_residual(t, lam, mu, alpha, tolerance: mp.mpf) -> mp.mpf:
     """Relative residual of the conical-function form of the dual product.
 
     Re-derives the formula in its original shape: F(g;t,2p) F(g;t,2q) as a
@@ -499,32 +479,29 @@ def conical_product_residual(
     prefactor of F(g;t,2k), and log Gamma(2g) and log Gamma(g) once per
     integral.
     """
-    with mp.workdps(prec + _GUARD):
-        g = to_mpf(alpha, prec) + mp.mpf(1) / 2
-        t = to_mpf(t, prec)
-        p = 2 * to_mpf(lam, prec)
-        q = 2 * to_mpf(mu, prec)
-        lhs = mp.re(
-            conical_f(ConicalArgs(g, t, p), prec) * conical_f(ConicalArgs(g, t, q), prec)
+    g = to_mpf(alpha) + mp.mpf(1) / 2
+    t = to_mpf(t)
+    p = 2 * to_mpf(lam)
+    q = 2 * to_mpf(mu)
+    lhs = mp.re(conical_f(ConicalArgs(g, t, p)) * conical_f(ConicalArgs(g, t, q)))
+    log_gamma_g2 = 2 * mp.re(log_gamma(g))
+    log_gamma_2g = log_gamma(2 * g)
+
+    def kernel(k):
+        if k == 0:
+            return mp.mpf(0)
+        log_gamma_gk2 = 2 * mp.re(log_gamma(mp.mpc(g, k)))
+        f_val = mp.re(_checked_conical(g, t, k, log_gamma_gk2 - log_gamma_2g))
+        return f_val * mp.e ** (
+            _conical_log_kernel(g, p, q, k) - log_gamma_gk2 - log_gamma_g2
         )
-        log_gamma_g2 = 2 * mp.re(log_gamma(g, prec))
-        log_gamma_2g = log_gamma(2 * g, prec)
 
-        def kernel(k):
-            if k == 0:
-                return mp.mpf(0)
-            log_gamma_gk2 = 2 * mp.re(log_gamma(mp.mpc(g, k), prec))
-            f_val = mp.re(_checked_conical(g, t, k, log_gamma_gk2 - log_gamma_2g, prec))
-            return f_val * mp.e ** (
-                _conical_log_kernel(g, p, q, k, prec) - log_gamma_gk2 - log_gamma_g2
-            )
-
-        # half-line integral of an even integrand: (1/8 pi) int_0^inf = (1/16 pi) int_R;
-        # the kernel's nearest poles are at k = -+p -+q +- i g, so the strip half-width is g
-        integral = self_refining_integral(
-            kernel, tolerance * mp.mpf(10) ** -3 * max(abs(lhs), mp.mpf(1)), g, prec
-        ) / (16 * mp.pi)
-        return abs(lhs - integral) / abs(lhs)
+    # half-line integral of an even integrand: (1/8 pi) int_0^inf = (1/16 pi) int_R;
+    # the kernel's nearest poles are at k = -+p -+q +- i g, so the strip half-width is g
+    integral = self_refining_integral(
+        kernel, tolerance * mp.mpf(10) ** -3 * max(abs(lhs), mp.mpf(1)), g
+    ) / (16 * mp.pi)
+    return abs(lhs - integral) / abs(lhs)
 
 
 def dual_integral_closed_form_residual(
@@ -542,27 +519,23 @@ def dual_integral_closed_form_residual(
 
     variant="printed" uses the historical Gamma(alpha+1/2)^2 prefactor.
     """
-    prec = ctx.prec
-    with mp.workdps(prec + _GUARD):
-        t = to_mpf(t, prec)
-        half = mp.mpf(1) / 2
-        closed = (
-            _gamma_prefactor(n, ctx.lam, ctx.mu, ctx.alpha, prec, variant)
-            * mp.sinh(t) ** (2 * n)
-            / mp.rf(ctx.alpha + 1, n)
-            * mp.re(phi(2 * ctx.lam, ctx.alpha + n, -half, t, prec))
-            * mp.re(phi(2 * ctx.mu, ctx.alpha + n, -half, t, prec))
-        )
-        integral = ctx.integrate(
-            lambda nu: ctx.phi_node(t, nu) * ctx.poly(n, nu) * ctx.weight(nu),
-            tolerance * mp.mpf(10) ** -3 * max(abs(closed), mp.mpf(1)),
-        )
-        return abs(integral - closed) / abs(closed)
+    t = to_mpf(t)
+    half = mp.mpf(1) / 2
+    closed = (
+        _gamma_prefactor(n, ctx.lam, ctx.mu, ctx.alpha, variant)
+        * mp.sinh(t) ** (2 * n)
+        / mp.rf(ctx.alpha + 1, n)
+        * mp.re(phi(2 * ctx.lam, ctx.alpha + n, -half, t))
+        * mp.re(phi(2 * ctx.mu, ctx.alpha + n, -half, t))
+    )
+    integral = ctx.integrate(
+        lambda nu: ctx.phi_node(t, nu) * ctx.poly(n, nu) * ctx.weight(nu),
+        tolerance * mp.mpf(10) ** -3 * max(abs(closed), mp.mpf(1)),
+    )
+    return abs(integral - closed) / abs(closed)
 
 
-def wilson_backward_shift_residual(
-    n: int, x, lam, mu, alpha, prec: int = DEFAULT_PREC
-) -> mp.mpf:
+def wilson_backward_shift_residual(n: int, x, lam, mu, alpha) -> mp.mpf:
     """Pointwise residual of the Wilson backward shift identity at real x.
 
     With G(y) the meromorphic extension of the weight,
@@ -578,29 +551,24 @@ def wilson_backward_shift_residual(
     """
     if n < 1:
         raise DomainError(f"backward shift needs n >= 1, got {n}")
-    params = WilsonParams.from_spectral(lam, mu, alpha, prec)
-    with mp.workdps(prec + _GUARD):
-        x = to_mpf(x, prec)
+    params = WilsonParams.from_spectral(lam, mu, alpha)
+    x = to_mpf(x)
 
-        def weight_ext(y, ps: WilsonParams):
-            total = mp.mpc(0)
-            for p in ps.as_tuple():
-                total += log_gamma(p + 1j * y, prec) + log_gamma(p - 1j * y, prec)
-            total -= log_gamma(2j * y, prec) + log_gamma(-2j * y, prec)
-            return mp.e**total
+    def weight_ext(y, ps: WilsonParams):
+        total = mp.mpc(0)
+        for p in ps.as_tuple():
+            total += log_gamma(p + 1j * y) + log_gamma(p - 1j * y)
+        total -= log_gamma(2j * y) + log_gamma(-2j * y)
+        return mp.e**total
 
-        lhs = weight_ext(x, params) * _wilson_poly_complex(n, x, params, prec)
-        shifted = params.shifted()
+    lhs = weight_ext(x, params) * _wilson_poly_complex(n, x, params)
+    shifted = params.shifted()
 
-        def half_term(y):
-            return (
-                weight_ext(y, shifted)
-                * _wilson_poly_complex(n - 1, y, shifted, prec)
-                / (2j * y)
-            )
+    def half_term(y):
+        return weight_ext(y, shifted) * _wilson_poly_complex(n - 1, y, shifted) / (2j * y)
 
-        rhs = half_term(x + 0.5j) - half_term(x - 0.5j)
-        return abs(lhs - rhs)
+    rhs = half_term(x + 0.5j) - half_term(x - 0.5j)
+    return abs(lhs - rhs)
 
 
 @dataclass
@@ -624,7 +592,6 @@ def dual_addition_function_residual(
     alpha,
     tolerance: mp.mpf,
     truncation_budget: int = 64,
-    prec: int = DEFAULT_PREC,
 ) -> TruncatedExpansionResult:
     """Truncated dual addition expansion for Gegenbauer functions.
 
@@ -640,52 +607,47 @@ def dual_addition_function_residual(
     the budget runs out first, the expansion was cut short, not shown to
     fail, and PrecisionError names the budget.
     """
-    with mp.workdps(prec + _GUARD):
-        t = to_mpf(t, prec)
-        nu = to_mpf(nu, prec)
-        alpha = to_mpf(alpha, prec)
-        params = WilsonParams.from_spectral(lam, mu, alpha, prec)
-        lam = to_mpf(lam, prec)
-        mu = to_mpf(mu, prec)
-        target = mp.re(phi(4 * nu, alpha, alpha, t, prec))
-        sinh_sq = mp.sinh(2 * t) ** 2
-        total = mp.mpf(0)
-        magnitudes: list = []
-        used = 0
-        converged = False
-        for k in range(truncation_budget):
-            term = (
-                sinh_sq**k
-                / (mp.rf(alpha + 1, k) * mp.rf(k + 2 * alpha, k) * mp.factorial(k))
-                * mp.re(phi(4 * lam, alpha + k, alpha + k, t, prec))
-                * mp.re(phi(4 * mu, alpha + k, alpha + k, t, prec))
-                * wilson_poly(k, nu * nu, params, prec)
-            )
-            total += term
-            magnitudes.append(abs(term))
-            used = k + 1
-            if k > 0 and abs(term) < tolerance * mp.mpf(10) ** -3:
-                converged = True
-                break
-        tail = magnitudes[-5:]
-        decreasing = all(later < earlier for earlier, later in zip(tail, tail[1:]))
-        if decreasing and not converged:
-            raise PrecisionError(
-                f"truncation budget of {truncation_budget} terms ran out before a "
-                f"term fell below {mp.nstr(tolerance * mp.mpf(10) ** -3, 3)}"
-            )
-        return TruncatedExpansionResult(
-            residual=abs(target - total),
-            terms_used=used,
-            tail_decreasing=decreasing,
+    t = to_mpf(t)
+    nu = to_mpf(nu)
+    alpha = to_mpf(alpha)
+    params = WilsonParams.from_spectral(lam, mu, alpha)
+    lam = to_mpf(lam)
+    mu = to_mpf(mu)
+    target = mp.re(phi(4 * nu, alpha, alpha, t))
+    sinh_sq = mp.sinh(2 * t) ** 2
+    total = mp.mpf(0)
+    magnitudes: list = []
+    used = 0
+    converged = False
+    for k in range(truncation_budget):
+        term = (
+            sinh_sq**k
+            / (mp.rf(alpha + 1, k) * mp.rf(k + 2 * alpha, k) * mp.factorial(k))
+            * mp.re(phi(4 * lam, alpha + k, alpha + k, t))
+            * mp.re(phi(4 * mu, alpha + k, alpha + k, t))
+            * wilson_poly(k, nu * nu, params)
         )
+        total += term
+        magnitudes.append(abs(term))
+        used = k + 1
+        if k > 0 and abs(term) < tolerance * mp.mpf(10) ** -3:
+            converged = True
+            break
+    tail = magnitudes[-5:]
+    decreasing = all(later < earlier for earlier, later in zip(tail, tail[1:]))
+    if decreasing and not converged:
+        raise PrecisionError(
+            f"truncation budget of {truncation_budget} terms ran out before a "
+            f"term fell below {mp.nstr(tolerance * mp.mpf(10) ** -3, 3)}"
+        )
+    return TruncatedExpansionResult(
+        residual=abs(target - total),
+        terms_used=used,
+        tail_decreasing=decreasing,
+    )
 
 
-def phi_bound_violation(
-    lam, alpha, beta, t, prec: int = DEFAULT_PREC
-) -> mp.mpf:
+def phi_bound_violation(lam, alpha, beta, t) -> mp.mpf:
     """max(|phi| - 1, 0) for real spectral parameter; the bound holds for
     alpha >= beta >= -1/2."""
-    with mp.workdps(prec + _GUARD):
-        value = abs(phi(lam, alpha, beta, t, prec))
-        return max(value - 1, mp.mpf(0))
+    return max(abs(phi(lam, alpha, beta, t)) - 1, mp.mpf(0))

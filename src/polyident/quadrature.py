@@ -21,15 +21,15 @@ import mpmath as mp
 from .errors import DomainError, PrecisionError
 
 
-def self_refining_integral(
-    f: Callable[[mp.mpf], mp.mpf],
-    tolerance,
-    strip,
-    prec: int = 60,
-    initial_points: int = 64,
-    max_l: int = 256,
-    max_doublings: int = 16,
-) -> mp.mpf:
+#: trapezoid points on [0, L] before the first halving
+INITIAL_POINTS = 64
+#: largest cutoff L tried, in steps of 8
+MAX_L = 256
+#: step halvings before the refinement budget is exhausted
+MAX_DOUBLINGS = 16
+
+
+def self_refining_integral(f: Callable[[mp.mpf], mp.mpf], tolerance, strip) -> mp.mpf:
     """Integrate an even integrand over the whole real line.
 
     ``strip`` is the half-width d of the strip |Im x| < d on which ``f``
@@ -49,45 +49,44 @@ def self_refining_integral(
       (an overstated strip, or rounding noise), only the difference stop
       applies.
 
-    Raises PrecisionError, with the last two estimates attached, if the
-    refinement budget is exhausted.
+    Computes at mpmath's context precision.  Raises PrecisionError, with
+    the last two estimates attached, if the refinement budget is exhausted.
     """
     tolerance = mp.mpf(tolerance)
-    with mp.workdps(prec + 10):
-        strip = mp.mpf(strip)
-        if not strip > 0:
-            raise DomainError(f"strip half-width must be positive, got {strip}")
-        L = 8
-        while abs(f(mp.mpf(L))) >= tolerance * mp.mpf(10) ** -5:
-            L += 8
-            if L > max_l:
-                raise PrecisionError(
-                    f"integrand does not decay below {tolerance}*1e-5 by |x| = {max_l}",
-                    diagnostics={"last_value": f(mp.mpf(L - 8))},
-                )
-        n = initial_points
-        h = mp.mpf(L) / n
-        # interior sum of f on (0, L]; f(0)/2 enters the trapezoid weightings
-        total = mp.fsum(f(k * h) for k in range(1, n + 1))
-        half_f0 = f(mp.mpf(0)) / 2
-        estimate = refined = 2 * h * (half_f0 + total)
-        difference = None
-        for _ in range(max_doublings):
-            h /= 2
-            n *= 2
-            total += mp.fsum(f(k * h) for k in range(1, n + 1, 2))
-            refined = 2 * h * (half_f0 + total)
-            previous, difference = difference, abs(refined - estimate)
-            if difference < tolerance:
-                return refined
-            if (
-                previous is not None
-                and difference <= 10 * previous * mp.exp(-mp.pi * strip / (2 * h))
-                and difference * mp.exp(-mp.pi * strip / h) < tolerance / 10
-            ):
-                return refined
-            estimate = refined
-        raise PrecisionError(
-            f"no convergence to {tolerance} within {max_doublings} step halvings",
-            diagnostics={"last_two": (estimate, refined)},
-        )
+    strip = mp.mpf(strip)
+    if not strip > 0:
+        raise DomainError(f"strip half-width must be positive, got {strip}")
+    L = 8
+    while abs(f(mp.mpf(L))) >= tolerance * mp.mpf(10) ** -5:
+        L += 8
+        if L > MAX_L:
+            raise PrecisionError(
+                f"integrand does not decay below {tolerance}*1e-5 by |x| = {MAX_L}",
+                diagnostics={"last_value": f(mp.mpf(L - 8))},
+            )
+    n = INITIAL_POINTS
+    h = mp.mpf(L) / n
+    # interior sum of f on (0, L]; f(0)/2 enters the trapezoid weightings
+    total = mp.fsum(f(k * h) for k in range(1, n + 1))
+    half_f0 = f(mp.mpf(0)) / 2
+    estimate = refined = 2 * h * (half_f0 + total)
+    difference = None
+    for _ in range(MAX_DOUBLINGS):
+        h /= 2
+        n *= 2
+        total += mp.fsum(f(k * h) for k in range(1, n + 1, 2))
+        refined = 2 * h * (half_f0 + total)
+        previous, difference = difference, abs(refined - estimate)
+        if difference < tolerance:
+            return refined
+        if (
+            previous is not None
+            and difference <= 10 * previous * mp.exp(-mp.pi * strip / (2 * h))
+            and difference * mp.exp(-mp.pi * strip / h) < tolerance / 10
+        ):
+            return refined
+        estimate = refined
+    raise PrecisionError(
+        f"no convergence to {tolerance} within {MAX_DOUBLINGS} step halvings",
+        diagnostics={"last_two": (estimate, refined)},
+    )

@@ -157,7 +157,7 @@ def identity(identity_id: str, suite: str, description: str,
     The handler is called as ``handler(p, config)`` with the task's parsed
     parameters ``p`` (see :func:`run_task`); a numeric check declares
     ``tolerance``, and its handler is called as ``handler(p, config,
-    threshold)`` with the declared threshold.
+    threshold)`` with the declared threshold, at the working precision.
     """
 
     def declare(handler):
@@ -246,7 +246,8 @@ def run_task(identity_id: str, params: dict[str, str], config: SuiteConfig) -> T
 
     The handler receives the parameters parsed: names as given, numbers as
     ints or Fractions.  Every wire value is canonical, so ``str`` of a
-    parsed value is its text.
+    parsed value is its text.  A numeric handler runs at the working
+    precision of ``config.precision_digits``, set here once for all it calls.
     """
     declared = REGISTRY.get(identity_id)
     if declared is None:
@@ -255,7 +256,9 @@ def run_task(identity_id: str, params: dict[str, str], config: SuiteConfig) -> T
          for key, text in params.items()}
     if declared.tolerance is None:
         return declared.handler(p, config)
-    return declared.handler(p, config, declared.threshold(config))
+    threshold = declared.threshold(config)
+    with continuous.working_precision(config.precision_digits):
+        return declared.handler(p, config, threshold)
 
 
 # -- racah suite handlers
@@ -549,13 +552,14 @@ for _target, _description in (
 # -- continuous suite handlers
 
 @functools.lru_cache(maxsize=None)
-def _wilson_context(lam, mu, alpha, prec: int) -> continuous.WilsonContext:
+def _wilson_context(lam, mu, alpha, digits: int) -> continuous.WilsonContext:
     """One context per parameter set and precision: its node caches serve
-    every task on that set."""
-    return continuous.WilsonContext(lam, mu, alpha, prec)
+    every task on that set.  ``digits`` keys the cache; the context computes
+    at the working precision its tasks run at."""
+    return continuous.WilsonContext(lam, mu, alpha)
 
 
-def _pinned_ratio(p, prec: int, tolerance) -> mp.mpf:
+def _pinned_ratio(p, tolerance) -> mp.mpf:
     """((alpha+1/2)_n)^2, the factor a printed Gamma(alpha+1/2)^2 is off by.
 
     The two variants differ by |ratio - 1|; raises DomainError unless the
@@ -563,7 +567,7 @@ def _pinned_ratio(p, prec: int, tolerance) -> mp.mpf:
     that, so that a pass tells them apart (at n = 0 they coincide).
     """
     ratio = pochhammer(p["alpha"] + _HALF, p["n"]) ** 2
-    expected = continuous.to_mpf(ratio, prec)
+    expected = continuous.to_mpf(ratio)
     if tolerance * expected * 1000 > abs(expected - 1):
         raise DomainError(
             f"pinned check cannot tell printed from corrected: its tolerance "
@@ -586,19 +590,15 @@ def _task_eq8(p, config, tolerance):
     tolerance=("integral", 0),
 )
 def _task_eq8_printed(p, config, tolerance):
-    prec = config.precision_digits
     n = p["n"]
-    expected_ratio = _pinned_ratio(p, prec, tolerance)
-    ctx = _wilson_context(p["lambda"], p["mu"], p["alpha"], prec)
-    with mp.workdps(prec + 10):
-        integral = ctx.integrate(
-            lambda nu: ctx.poly(n, nu) ** 2 * ctx.weight(nu),
-            config.tolerance("integral") * mp.mpf(10) ** -3,
-        )
-        printed = continuous.wilson_norm(
-            n, ctx.lam, ctx.mu, ctx.alpha, prec, variant="printed"
-        )
-        discrepancy = abs(integral / printed - expected_ratio)
+    expected_ratio = _pinned_ratio(p, tolerance)
+    ctx = _wilson_context(p["lambda"], p["mu"], p["alpha"], config.precision_digits)
+    integral = ctx.integrate(
+        lambda nu: ctx.poly(n, nu) ** 2 * ctx.weight(nu),
+        config.tolerance("integral") * mp.mpf(10) ** -3,
+    )
+    printed = continuous.wilson_norm(n, ctx.lam, ctx.mu, ctx.alpha, variant="printed")
+    discrepancy = abs(integral / printed - expected_ratio)
     return _numeric_result(
         discrepancy,
         tolerance * expected_ratio,
@@ -619,7 +619,7 @@ def _task_eq7(p, config, tolerance):
           tolerance=("integral", 0))
 def _task_eq6(p, config, tolerance):
     value = continuous.conical_product_residual(
-        p["t"], p["lambda"], p["mu"], p["alpha"], tolerance, prec=config.precision_digits
+        p["t"], p["lambda"], p["mu"], p["alpha"], tolerance
     )
     return _numeric_result(value, tolerance)
 
@@ -639,19 +639,17 @@ def _task_eq13(p, config, tolerance):
     tolerance=("integral", 5),
 )
 def _task_eq13_printed(p, config, tolerance):
-    prec = config.precision_digits
     n, t = p["n"], p["t"]
-    expected_ratio = _pinned_ratio(p, prec, tolerance)
-    ctx = _wilson_context(p["lambda"], p["mu"], p["alpha"], prec)
-    with mp.workdps(prec + 10):
-        # both variants integrate 1e5 tighter than the check they feed
-        base = config.tolerance("integral")
-        corrected = continuous.dual_integral_closed_form_residual(n, t, ctx, base)
-        printed = continuous.dual_integral_closed_form_residual(
-            n, t, ctx, base, variant="printed"
-        )
-        # printed residual = |I - closed/ratio| / (closed/ratio) = ratio - 1 when corrected holds
-        discrepancy = abs(printed - (expected_ratio - 1))
+    expected_ratio = _pinned_ratio(p, tolerance)
+    ctx = _wilson_context(p["lambda"], p["mu"], p["alpha"], config.precision_digits)
+    # both variants integrate 1e5 tighter than the check they feed
+    base = config.tolerance("integral")
+    corrected = continuous.dual_integral_closed_form_residual(n, t, ctx, base)
+    printed = continuous.dual_integral_closed_form_residual(
+        n, t, ctx, base, variant="printed"
+    )
+    # printed residual = |I - closed/ratio| / (closed/ratio) = ratio - 1 when corrected holds
+    discrepancy = abs(printed - (expected_ratio - 1))
     return _numeric_result(
         discrepancy, tolerance * expected_ratio,
         extra={"corrected_residual": mp.nstr(corrected, 8),
@@ -663,7 +661,7 @@ def _task_eq13_printed(p, config, tolerance):
           tolerance=("pointwise", 20))
 def _task_eq33(p, config, tolerance):
     value = continuous.wilson_backward_shift_residual(
-        p["n"], p["x"], p["lambda"], p["mu"], p["alpha"], prec=config.precision_digits
+        p["n"], p["x"], p["lambda"], p["mu"], p["alpha"]
     )
     return _numeric_result(value, tolerance)
 
@@ -674,7 +672,6 @@ def _task_eq15(p, config, tolerance):
     result = continuous.dual_addition_function_residual(
         p["t"], p["nu"], p["lambda"], p["mu"], p["alpha"], tolerance,
         truncation_budget=config.truncation_budget,
-        prec=config.precision_digits,
     )
     out = _numeric_result(
         result.residual, tolerance,
@@ -691,32 +688,26 @@ def _task_eq15(p, config, tolerance):
 @identity("eq16", "continuous", "quadratic argument transform of Gegenbauer functions",
           tolerance=("pointwise", 0))
 def _task_eq16(p, config, tolerance):
-    prec = config.precision_digits
-    with mp.workdps(prec + 10):
-        alpha, lam, t = (continuous.to_mpf(p[key], prec) for key in ("alpha", "lambda", "t"))
-        value = abs(
-            continuous.phi(2 * lam, alpha, alpha, t, prec)
-            - continuous.phi(lam, alpha, -mp.mpf(1) / 2, 2 * t, prec)
-        )
+    alpha, lam, t = (continuous.to_mpf(p[key]) for key in ("alpha", "lambda", "t"))
+    value = abs(
+        continuous.phi(2 * lam, alpha, alpha, t)
+        - continuous.phi(lam, alpha, -mp.mpf(1) / 2, 2 * t)
+    )
     return _numeric_result(value, tolerance)
 
 
 @identity("eq34", "continuous", "spectral-shift contiguous relation",
           tolerance=("pointwise", 0))
 def _task_eq34(p, config, tolerance):
-    prec = config.precision_digits
-    value = abs(
-        continuous.contiguous_residual(
-            continuous.to_mpf(p["lambda"], prec), p["alpha"], p["beta"], p["t"], prec
-        )
-    )
+    value = abs(continuous.contiguous_residual(
+        continuous.to_mpf(p["lambda"]), p["alpha"], p["beta"], p["t"]
+    ))
     return _numeric_result(value, tolerance)
 
 
 @identity("eq32", "continuous", "|phi| <= 1 bound on sampled spectral points",
           tolerance=("pointwise", 0))
 def _task_eq32(p, config, tolerance):
-    prec = config.precision_digits
     alpha, beta = p["alpha"], p["beta"]
     rng = random.Random(f"eq32:{alpha}:{beta}")
     worst = mp.mpf(0)
@@ -724,10 +715,7 @@ def _task_eq32(p, config, tolerance):
         lam = Fraction(rng.randint(-400, 400), 100)
         t = Fraction(rng.randint(-300, 300), 100)
         worst = max(
-            worst,
-            continuous.phi_bound_violation(
-                continuous.to_mpf(lam, prec), alpha, beta, t, prec
-            ),
+            worst, continuous.phi_bound_violation(continuous.to_mpf(lam), alpha, beta, t)
         )
     return _numeric_result(worst, tolerance)
 
@@ -735,9 +723,7 @@ def _task_eq32(p, config, tolerance):
 @identity("eq4", "continuous", "conical function: two evaluation routes agree",
           tolerance=("pointwise", 0))
 def _task_eq4(p, config, tolerance):
-    value = continuous.conical_route_residual(
-        continuous.ConicalArgs(p["g"], p["r"], p["k"]), prec=config.precision_digits
-    )
+    value = continuous.conical_route_residual(continuous.ConicalArgs(p["g"], p["r"], p["k"]))
     return _numeric_result(value, tolerance)
 
 
@@ -746,43 +732,39 @@ def _task_eq4(p, config, tolerance):
     tolerance=("pointwise", -5),
 )
 def _task_exact_float_oracle(p, config, tolerance):
-    prec = config.precision_digits
     case = p["case"]
-    with mp.workdps(prec + 10):
-        if case == "gauss-terminating":
-            exact = terminating_hyp(
-                [Fraction(-3), Fraction(5, 2)], [Fraction(7, 3)], 3, z=Fraction(-4, 7)
-            )
-            numeric = continuous.gauss_2f1(
-                -3, mp.mpf(5) / 2, mp.mpf(7) / 3, -mp.mpf(4) / 7, prec
-            )
-            value = abs(continuous.to_mpf(exact, prec) - numeric)
-        elif case == "wilson-terminating":
-            n = 2
-            a, b, c, d = Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(5, 4)
-            xsq = Fraction(9, 16)
-            # real parameter variant: x^2 -> a+ix, a-ix replaced by a pm sqrt(-xsq)
-            exact = pochhammer(a + b, n) * pochhammer(a + c, n) * pochhammer(a + d, n)
-            series = Fraction(0)
-            term = Fraction(1)
-            for k in range(n + 1):
-                series += term
-                if k < n:
-                    top = (
-                        (Fraction(-n) + k)
-                        * (n + a + b + c + d - 1 + k)
-                        * ((a + k) ** 2 + xsq)
-                    )
-                    bot = (a + b + k) * (a + c + k) * (a + d + k) * (k + 1)
-                    term *= top / bot
-            exact *= series
-            params_num = continuous.WilsonParams(
-                mp.mpf(0.25), mp.mpf(0.5), mp.mpf(0.75), mp.mpf(1.25)
-            )
-            numeric = continuous.wilson_poly(n, continuous.to_mpf(xsq, prec), params_num, prec)
-            value = abs(continuous.to_mpf(exact, prec) - numeric)
-        else:
-            raise ConfigError(f"unknown oracle case {case!r}")
+    if case == "gauss-terminating":
+        exact = terminating_hyp(
+            [Fraction(-3), Fraction(5, 2)], [Fraction(7, 3)], 3, z=Fraction(-4, 7)
+        )
+        numeric = continuous.gauss_2f1(-3, mp.mpf(5) / 2, mp.mpf(7) / 3, -mp.mpf(4) / 7)
+        value = abs(continuous.to_mpf(exact) - numeric)
+    elif case == "wilson-terminating":
+        n = 2
+        a, b, c, d = Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(5, 4)
+        xsq = Fraction(9, 16)
+        # real parameter variant: x^2 -> a+ix, a-ix replaced by a pm sqrt(-xsq)
+        exact = pochhammer(a + b, n) * pochhammer(a + c, n) * pochhammer(a + d, n)
+        series = Fraction(0)
+        term = Fraction(1)
+        for k in range(n + 1):
+            series += term
+            if k < n:
+                top = (
+                    (Fraction(-n) + k)
+                    * (n + a + b + c + d - 1 + k)
+                    * ((a + k) ** 2 + xsq)
+                )
+                bot = (a + b + k) * (a + c + k) * (a + d + k) * (k + 1)
+                term *= top / bot
+        exact *= series
+        params_num = continuous.WilsonParams(
+            mp.mpf(0.25), mp.mpf(0.5), mp.mpf(0.75), mp.mpf(1.25)
+        )
+        numeric = continuous.wilson_poly(n, continuous.to_mpf(xsq), params_num)
+        value = abs(continuous.to_mpf(exact) - numeric)
+    else:
+        raise ConfigError(f"unknown oracle case {case!r}")
     return _numeric_result(value, tolerance)
 
 

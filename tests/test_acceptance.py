@@ -198,49 +198,47 @@ def test_criterion_8_continuous_suite():
     mid_tol = mp.mpf(10) ** -20
     point_tol = mp.mpf(10) ** -50
 
-    ctx = continuous.WilsonContext(Fraction(1, 5), Fraction(2, 5), 1, prec=prec)
-    for m in range(4):
-        for n in range(m, 4):
-            residual = continuous.wilson_orthogonality_residual(m, n, ctx, int_tol)
+    with continuous.working_precision(prec):
+        ctx = continuous.WilsonContext(Fraction(1, 5), Fraction(2, 5), 1)
+        for m in range(4):
+            for n in range(m, 4):
+                residual = continuous.wilson_orthogonality_residual(m, n, ctx, int_tol)
+                if residual > int_tol:
+                    failures.append(("eq8", m, n, mp.nstr(residual, 5)))
+
+        for t, lam, mu, alpha in EQ7_POINTS:
+            point_ctx = continuous.WilsonContext(Fraction(lam), Fraction(mu), Fraction(alpha))
+            residual = continuous.dual_product_residual(Fraction(t), point_ctx, int_tol)
             if residual > int_tol:
-                failures.append(("eq8", m, n, mp.nstr(residual, 5)))
+                failures.append(("eq7", t, lam, mu, alpha, mp.nstr(residual, 5)))
 
-    for t, lam, mu, alpha in EQ7_POINTS:
-        point_ctx = continuous.WilsonContext(
-            Fraction(lam), Fraction(mu), Fraction(alpha), prec=prec
-        )
-        residual = continuous.dual_product_residual(Fraction(t), point_ctx, int_tol)
-        if residual > int_tol:
-            failures.append(("eq7", t, lam, mu, alpha, mp.nstr(residual, 5)))
+        ctx13 = continuous.WilsonContext(Fraction(3, 10), Fraction(1, 2), 1)
+        for n in range(4):
+            residual = continuous.dual_integral_closed_form_residual(
+                n, Fraction(1, 5), ctx13, mid_tol
+            )
+            if residual > mid_tol:
+                failures.append(("eq13", n, mp.nstr(residual, 5)))
 
-    ctx13 = continuous.WilsonContext(Fraction(3, 10), Fraction(1, 2), 1, prec=prec)
-    for n in range(4):
-        residual = continuous.dual_integral_closed_form_residual(
-            n, Fraction(1, 5), ctx13, mid_tol
-        )
-        if residual > mid_tol:
-            failures.append(("eq13", n, mp.nstr(residual, 5)))
+        for t, nu, lam, mu, alpha in (
+            ("1/10", "3/10", "1/5", "2/5", "1"),
+            ("1/5", "3/10", "1/5", "2/5", "1/2"),
+        ):
+            result = continuous.dual_addition_function_residual(
+                Fraction(t), Fraction(nu), Fraction(lam), Fraction(mu), Fraction(alpha),
+                tolerance=mid_tol,
+            )
+            if result.residual > mid_tol or result.diverged:
+                failures.append(("eq15", t, alpha, mp.nstr(result.residual, 5)))
 
-    for t, nu, lam, mu, alpha in (
-        ("1/10", "3/10", "1/5", "2/5", "1"),
-        ("1/5", "3/10", "1/5", "2/5", "1/2"),
-    ):
-        result = continuous.dual_addition_function_residual(
-            Fraction(t), Fraction(nu), Fraction(lam), Fraction(mu), Fraction(alpha),
-            prec=prec, tolerance=mid_tol,
-        )
-        if result.residual > mid_tol or result.diverged:
-            failures.append(("eq15", t, alpha, mp.nstr(result.residual, 5)))
-
-    with mp.workdps(prec + 10):
         for alpha, lam, t in (("1", "7/10", "3/10"), ("1/4", "13/10", "4/5"),
                               ("5/2", "-3/5", "6/5")):
-            a = continuous.to_mpf(Fraction(alpha), prec)
-            lv = continuous.to_mpf(Fraction(lam), prec)
-            tv = continuous.to_mpf(Fraction(t), prec)
+            a = continuous.to_mpf(Fraction(alpha))
+            lv = continuous.to_mpf(Fraction(lam))
+            tv = continuous.to_mpf(Fraction(t))
             residual = abs(
-                continuous.phi(2 * lv, a, a, tv, prec)
-                - continuous.phi(lv, a, -mp.mpf(1) / 2, 2 * tv, prec)
+                continuous.phi(2 * lv, a, a, tv)
+                - continuous.phi(lv, a, -mp.mpf(1) / 2, 2 * tv)
             )
             if residual > point_tol:
                 failures.append(("eq16", alpha, lam, t, mp.nstr(residual, 5)))
@@ -249,8 +247,8 @@ def test_criterion_8_continuous_suite():
         ):
             residual = abs(
                 continuous.contiguous_residual(
-                    continuous.to_mpf(Fraction(lam), prec),
-                    Fraction(alpha), Fraction(beta), Fraction(t), prec,
+                    continuous.to_mpf(Fraction(lam)),
+                    Fraction(alpha), Fraction(beta), Fraction(t),
                 )
             )
             if residual > point_tol:
@@ -267,12 +265,12 @@ def test_criterion_9_cross_representation_oracles():
                 failures.append(("eq50", str(alpha), n))
 
     # exact rationals vs big floats for terminating series
-    with mp.workdps(70):
+    with continuous.working_precision(60):
         exact = terminating_hyp(
             [Fraction(-3), Fraction(5, 2)], [Fraction(7, 3)], 3, z=Fraction(-4, 7)
         )
-        numeric = continuous.gauss_2f1(-3, mp.mpf(5) / 2, mp.mpf(7) / 3, -mp.mpf(4) / 7, 60)
-        if abs(numeric - continuous.to_mpf(exact, 60)) > mp.mpf(10) ** -55:
+        numeric = continuous.gauss_2f1(-3, mp.mpf(5) / 2, mp.mpf(7) / 3, -mp.mpf(4) / 7)
+        if abs(numeric - continuous.to_mpf(exact)) > mp.mpf(10) ** -55:
             failures.append(("gauss-oracle",))
 
     for alpha in (Fraction(0), HALF, Fraction(1)):
@@ -283,7 +281,8 @@ def test_criterion_9_cross_representation_oracles():
                 if abs(poly(x)) > 1:
                     failures.append(("r-bound", str(alpha), n, k))
 
-    for lam, t in ((0.0, 0.5), (1.5, 1.0), (3.0, 0.25), (0.7, 2.0)):
-        if continuous.phi_bound_violation(lam, 1, HALF, t, 60) > 0:
-            failures.append(("phi-bound", lam, t))
+    with continuous.working_precision(60):
+        for lam, t in ((0.0, 0.5), (1.5, 1.0), (3.0, 0.25), (0.7, 2.0)):
+            if continuous.phi_bound_violation(lam, 1, HALF, t) > 0:
+                failures.append(("phi-bound", lam, t))
     conclude(9, "cross-representation oracles and bounds", failures)

@@ -31,6 +31,7 @@ from polyident.continuous import (
     wilson_orthogonality_residual,
     wilson_poly,
     wilson_weight,
+    working_precision,
 )
 from polyident.errors import DomainError, PrecisionError
 from polyident.exact import pochhammer, terminating_hyp
@@ -43,8 +44,9 @@ def tol(digits: int) -> mp.mpf:
 
 @pytest.fixture(autouse=True)
 def _high_ambient_precision():
-    # reference values in the tests are computed at the ambient precision
-    with mp.workdps(70):
+    # the routines, and the reference values in the tests, compute at the
+    # ambient precision: by default the working precision of 60 digits
+    with working_precision(60):
         yield
 
 
@@ -157,9 +159,9 @@ class TestConical:
     def test_prefactor_matches_two_loggamma_form(self, prec):
         # at r = 0 both routes are the prefactor exp(lg(g+ik) + lg(g-ik) - lg(2g)) / 2
         for g, k in (("1", "0.8"), ("1.5", "0"), ("0.5", "-0.6"), ("3.5", "12")):
-            with mp.workdps(prec + 10):
+            with working_precision(prec):
                 g_, k_ = mp.mpf(g), mp.mpf(k)
-            value = conical_f(ConicalArgs(g_, 0, k_), prec)
+                value = conical_f(ConicalArgs(g_, 0, k_))
             with mp.workdps(prec + 30):
                 expected = mp.e ** (
                     mp.loggamma(mp.mpc(g_, k_)) + mp.loggamma(mp.mpc(g_, -k_))
@@ -173,9 +175,9 @@ class TestConical:
 
         g, p, q = mp.mpf(2), mp.mpf("0.8"), mp.mpf("1.2")
         for k in ("1e-6", "0.4", "3", "25"):
-            with mp.workdps(prec + 10):
+            with working_precision(prec):
                 k_ = mp.mpf(k)
-                value = _conical_log_kernel(g, p, q, k_, prec)
+                value = _conical_log_kernel(g, p, q, k_)
             with mp.workdps(prec + 30):
                 expected = (
                     mp.re(mp.loggamma((g + 1j * (p + q + k_)) / 2))
@@ -199,9 +201,9 @@ class TestConical:
         calls = []
         original_log_gamma = continuous.log_gamma
 
-        def counting_log_gamma(z, prec=continuous.DEFAULT_PREC):
+        def counting_log_gamma(z):
             calls.append(z)
-            return original_log_gamma(z, prec)
+            return original_log_gamma(z)
 
         per_node = []
 
@@ -214,9 +216,10 @@ class TestConical:
 
         monkeypatch.setattr(continuous, "log_gamma", counting_log_gamma)
         monkeypatch.setattr(continuous, "self_refining_integral", sampling_integral)
-        continuous.conical_product_residual(
-            Fraction(1, 4), Fraction(2, 5), Fraction(3, 5), 1, tol(20), prec=46
-        )
+        with working_precision(46):
+            continuous.conical_product_residual(
+                Fraction(1, 4), Fraction(2, 5), Fraction(3, 5), 1, tol(20)
+            )
         assert per_node == [5, 5, 5]
 
 
@@ -230,8 +233,9 @@ class TestWilsonPolynomials:
 
         params = WilsonParams.from_spectral(0.2, 0.4, 1)
         x = mp.mpf("0.7")
-        plus = _wilson_poly_complex(2, x, params, 60)
-        minus = _wilson_poly_complex(2, -x, params, 60)
+        with working_precision(60):
+            plus = _wilson_poly_complex(2, x, params)
+            minus = _wilson_poly_complex(2, -x, params)
         assert abs(plus - minus) < tol(55)
 
     def test_parameters_conjugate_pairs_with_real_sum(self):
@@ -273,8 +277,10 @@ class TestWilsonPolynomials:
     def test_high_degree_keeps_its_working_precision(self):
         # the alternating sum cancels ~21 digits at n = 28, past the ten guard digits
         lam, mu, alpha, xsq = Fraction(1, 5), Fraction(2, 5), Fraction(1, 2), Fraction(9, 100)
-        value = wilson_poly(28, xsq, WilsonParams.from_spectral(lam, mu, alpha, 80), 80)
-        reference = wilson_poly(28, xsq, WilsonParams.from_spectral(lam, mu, alpha, 160), 160)
+        with working_precision(80):
+            value = wilson_poly(28, xsq, WilsonParams.from_spectral(lam, mu, alpha))
+        with working_precision(160):
+            reference = wilson_poly(28, xsq, WilsonParams.from_spectral(lam, mu, alpha))
         with mp.workdps(170):
             assert abs(value - reference) < mp.mpf(10) ** -80 * abs(reference)
 
@@ -283,8 +289,12 @@ class TestWilsonPolynomials:
         params = WilsonParams(
             mp.mpc(0.5, 0.2), mp.mpc(0.5, 0.3), mp.mpc(0.5, -0.1), mp.mpc(0.5, 0.4)
         )
-        with pytest.raises(PrecisionError):
-            wilson_poly(n, Fraction(9, 100), params, 80)
+        with working_precision(80), pytest.raises(PrecisionError):
+            wilson_poly(n, Fraction(9, 100), params)
+
+    def test_exactly_cancelling_sum_is_zero(self):
+        # W_1 = 4h(h^2 - x^2) at a = b = c = d = h: the sum is exactly 0 at h = x = 1/4
+        assert wilson_poly(1, Fraction(1, 16), WilsonParams.from_spectral(0, 0, 0)) == 0
 
 
 class TestWilsonWeight:
@@ -306,9 +316,9 @@ class TestWilsonWeight:
     @pytest.mark.parametrize("nu", ["1e-6", "0.3", "5", "30"])
     def test_matches_direct_gamma_product(self, nu, prec):
         # |Gamma(h + i(nu +- lam +- mu))|^2 over |Gamma(2 i nu)|^2, straight from mp.gamma
-        with mp.workdps(prec + 10):
+        with working_precision(prec):
             x = mp.mpf(nu)
-        value = wilson_weight(x, Fraction(1, 5), Fraction(2, 5), 1, prec)
+            value = wilson_weight(x, Fraction(1, 5), Fraction(2, 5), 1)
         with mp.workdps(prec + 30):
             lam, mu = mp.mpf(1) / 5, mp.mpf(2) / 5
             h = mp.mpf(1) / 2 + mp.mpf(1) / 4  # alpha/2 + 1/4 at alpha = 1
@@ -344,12 +354,12 @@ class TestQuadrature:
     def test_stable_under_precision_doubling(self):
         # doubling the working precision (and hence refining further) must
         # reproduce the value within the looser run's tolerance
-        coarse = WilsonContext(Fraction(1, 5), Fraction(2, 5), 1, prec=30)
-        fine = WilsonContext(Fraction(1, 5), Fraction(2, 5), 1, prec=60)
-        f_coarse = lambda nu: coarse.poly(1, nu) ** 2 * coarse.weight(nu)
-        f_fine = lambda nu: fine.poly(1, nu) ** 2 * fine.weight(nu)
-        a = coarse.integrate(f_coarse, tol(22))
-        b = fine.integrate(f_fine, tol(40))
+        with working_precision(30):
+            coarse = WilsonContext(Fraction(1, 5), Fraction(2, 5), 1)
+            a = coarse.integrate(lambda nu: coarse.poly(1, nu) ** 2 * coarse.weight(nu), tol(22))
+        with working_precision(60):
+            fine = WilsonContext(Fraction(1, 5), Fraction(2, 5), 1)
+            b = fine.integrate(lambda nu: fine.poly(1, nu) ** 2 * fine.weight(nu), tol(40))
         assert abs(a - b) < tol(20)
 
     def test_mirrored_integrand_identical(self):
@@ -360,7 +370,12 @@ class TestQuadrature:
 
     def test_no_decay_raises(self):
         with pytest.raises(PrecisionError):
-            self_refining_integral(lambda x: mp.mpf(1), tol(10), 1, max_l=32)
+            self_refining_integral(lambda x: mp.mpf(1), tol(10), 1)
+
+    def test_precision_is_not_a_parameter(self):
+        # the integral computes at the context precision; a fourth argument is an error
+        with pytest.raises(TypeError):
+            self_refining_integral(_sech, tol(20), 1, 60)
 
     # sech x has its nearest poles at +-i pi/2 and integrates to pi
 
@@ -374,8 +389,8 @@ class TestQuadrature:
             return _sech(x)
 
         tolerance = mp.mpf(10) ** -(prec - 20)
-        with mp.workdps(prec + 10):
-            value = self_refining_integral(f, tolerance, mp.pi / 2, prec)
+        with working_precision(prec):
+            value = self_refining_integral(f, tolerance, mp.pi / 2)
             assert abs(value - mp.pi) < tolerance
         assert len(origin_calls) == 1  # f(0) once per integral, not once per level
 
@@ -385,8 +400,8 @@ class TestQuadrature:
         # differences show, so the rate guard keeps the strip stop off
         prec = 60
         tolerance = tol(40)
-        with mp.workdps(prec + 10):
-            value = self_refining_integral(_sech, tolerance, strip, prec)
+        with working_precision(prec):
+            value = self_refining_integral(_sech, tolerance, strip)
             assert abs(value - mp.pi) < tolerance
 
     def test_strip_must_be_positive(self):
@@ -433,12 +448,12 @@ class TestAbsoluteGegenbauerNorm:
 
 class TestWilsonOrthogonality:
     def test_small_gram(self):
-        prec = 40
-        ctx = WilsonContext(Fraction(1, 5), Fraction(2, 5), 1, prec=prec)
-        for m in range(3):
-            for n in range(m, 3):
-                residual = wilson_orthogonality_residual(m, n, ctx, tol(20))
-                assert residual < tol(15)
+        with working_precision(40):
+            ctx = WilsonContext(Fraction(1, 5), Fraction(2, 5), 1)
+            for m in range(3):
+                for n in range(m, 3):
+                    residual = wilson_orthogonality_residual(m, n, ctx, tol(20))
+                    assert residual < tol(15)
 
     def test_norm_variants_ratio(self):
         # corrected / printed = ((alpha + 1/2)_n)^2
@@ -451,50 +466,50 @@ class TestWilsonOrthogonality:
     def test_printed_norm_fails_quadrature(self):
         # pinned discrepancy: the integral exceeds the printed norm by the
         # squared shifted factorial
-        prec = 40
-        ctx = WilsonContext(Fraction(1, 5), Fraction(2, 5), 1, prec=prec)
-        integral = ctx.integrate(
-            lambda nu: ctx.poly(1, nu) ** 2 * ctx.weight(nu), tol(25)
-        )
-        printed = wilson_norm(1, ctx.lam, ctx.mu, ctx.alpha, prec, variant="printed")
-        ratio = integral / printed
-        assert abs(ratio - mp.mpf(9) / 4) < tol(15)  # ((3/2)_1)^2 at alpha = 1
+        with working_precision(40):
+            ctx = WilsonContext(Fraction(1, 5), Fraction(2, 5), 1)
+            integral = ctx.integrate(
+                lambda nu: ctx.poly(1, nu) ** 2 * ctx.weight(nu), tol(25)
+            )
+            printed = wilson_norm(1, ctx.lam, ctx.mu, ctx.alpha, variant="printed")
+            ratio = integral / printed
+            assert abs(ratio - mp.mpf(9) / 4) < tol(15)  # ((3/2)_1)^2 at alpha = 1
 
 
 class TestDualProduct:
     def test_residual_small(self):
-        prec = 40
-        ctx = WilsonContext(Fraction(2, 5), Fraction(7, 10), 1, prec=prec)
-        residual = dual_product_residual(Fraction(3, 10), ctx, tol(18))
+        with working_precision(40):
+            ctx = WilsonContext(Fraction(2, 5), Fraction(7, 10), 1)
+            residual = dual_product_residual(Fraction(3, 10), ctx, tol(18))
         assert residual < tol(15)
 
     def test_t_zero_matches_degree_zero_norm(self):
-        prec = 40
-        ctx = WilsonContext(Fraction(3, 10), Fraction(2, 5), 1, prec=prec)
-        residual = dual_product_residual(0, ctx, tol(18))
+        with working_precision(40):
+            ctx = WilsonContext(Fraction(3, 10), Fraction(2, 5), 1)
+            residual = dual_product_residual(0, ctx, tol(18))
         assert residual < tol(15)
 
 
 class TestDualIntegralClosedForm:
     def test_degree_zero_equals_dual_product(self):
-        prec = 40
-        ctx = WilsonContext(Fraction(3, 10), Fraction(1, 2), 1, prec=prec)
-        r_product = dual_product_residual(Fraction(1, 5), ctx, tol(18))
-        r_integral = dual_integral_closed_form_residual(0, Fraction(1, 5), ctx, tol(18))
+        with working_precision(40):
+            ctx = WilsonContext(Fraction(3, 10), Fraction(1, 2), 1)
+            r_product = dual_product_residual(Fraction(1, 5), ctx, tol(18))
+            r_integral = dual_integral_closed_form_residual(0, Fraction(1, 5), ctx, tol(18))
         assert r_product < tol(15) and r_integral < tol(15)
 
     def test_degree_one(self):
-        prec = 40
-        ctx = WilsonContext(Fraction(3, 10), Fraction(1, 2), 1, prec=prec)
-        residual = dual_integral_closed_form_residual(1, Fraction(1, 5), ctx, tol(18))
+        with working_precision(40):
+            ctx = WilsonContext(Fraction(3, 10), Fraction(1, 2), 1)
+            residual = dual_integral_closed_form_residual(1, Fraction(1, 5), ctx, tol(18))
         assert residual < tol(15)
 
     def test_printed_variant_discrepancy(self):
-        prec = 40
-        ctx = WilsonContext(Fraction(3, 10), Fraction(1, 2), 1, prec=prec)
-        printed = dual_integral_closed_form_residual(
-            1, Fraction(1, 5), ctx, tol(18), variant="printed"
-        )
+        with working_precision(40):
+            ctx = WilsonContext(Fraction(3, 10), Fraction(1, 2), 1)
+            printed = dual_integral_closed_form_residual(
+                1, Fraction(1, 5), ctx, tol(18), variant="printed"
+            )
         expected = to_mpf(pochhammer(Fraction(3, 2), 1) ** 2) - 1  # 5/4
         assert abs(printed - expected) < tol(12)
 
@@ -515,40 +530,46 @@ class TestBackwardShift:
 
 class TestDualAdditionFunction:
     def test_t_zero_trivial(self):
-        result = dual_addition_function_residual(
-            0, Fraction(3, 10), Fraction(1, 5), Fraction(2, 5), 1,
-            truncation_budget=4, prec=40, tolerance=tol(18),
-        )
+        with working_precision(40):
+            result = dual_addition_function_residual(
+                0, Fraction(3, 10), Fraction(1, 5), Fraction(2, 5), 1,
+                truncation_budget=4, tolerance=tol(18),
+            )
         assert result.residual < tol(30)
 
     def test_small_t_expansion(self):
-        result = dual_addition_function_residual(
-            Fraction(1, 10), Fraction(3, 10), Fraction(1, 5), Fraction(2, 5), 1,
-            prec=40, tolerance=tol(18),
-        )
+        with working_precision(40):
+            result = dual_addition_function_residual(
+                Fraction(1, 10), Fraction(3, 10), Fraction(1, 5), Fraction(2, 5), 1,
+                tolerance=tol(18),
+            )
         assert result.residual < tol(15)
         assert result.tail_decreasing
 
     def test_budget_out_on_decreasing_tail_raises(self):
-        with pytest.raises(PrecisionError, match="truncation budget of 4 terms"):
+        with working_precision(46), pytest.raises(
+            PrecisionError, match="truncation budget of 4 terms"
+        ):
             dual_addition_function_residual(
                 1, Fraction(3, 10), Fraction(1, 5), Fraction(2, 5), 1,
-                truncation_budget=4, prec=46, tolerance=tol(20),
+                truncation_budget=4, tolerance=tol(20),
             )
 
     def test_growing_tail_is_flagged_divergent(self):
         # at t = 2, sinh(2t)^2 is about 745 and the terms grow: the budget
         # runs out on a tail that is not decreasing, reported, not raised
-        result = dual_addition_function_residual(
-            2, Fraction(3, 10), Fraction(1, 5), Fraction(2, 5), 1,
-            truncation_budget=6, prec=46, tolerance=tol(20),
-        )
+        with working_precision(46):
+            result = dual_addition_function_residual(
+                2, Fraction(3, 10), Fraction(1, 5), Fraction(2, 5), 1,
+                truncation_budget=6, tolerance=tol(20),
+            )
         assert result.diverged
         assert result.terms_used == 6
 
     def test_half_parameter(self):
-        result = dual_addition_function_residual(
-            Fraction(1, 10), Fraction(3, 10), Fraction(1, 5), Fraction(2, 5),
-            Fraction(1, 2), prec=40, tolerance=tol(18),
-        )
+        with working_precision(40):
+            result = dual_addition_function_residual(
+                Fraction(1, 10), Fraction(3, 10), Fraction(1, 5), Fraction(2, 5),
+                Fraction(1, 2), tolerance=tol(18),
+            )
         assert result.residual < tol(15)

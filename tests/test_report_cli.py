@@ -3,6 +3,9 @@
 import argparse
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +16,7 @@ from hypothesis import strategies as st
 
 from polyident import cli
 from polyident.cli import load_config_file, main
-from polyident.errors import ConfigError
+from polyident.errors import ConfigError, DomainError
 from polyident.exact import pochhammer
 from polyident.report import (
     VerificationReport,
@@ -249,6 +252,31 @@ class TestSuites:
         assert report.parameters["error"].startswith(
             "DomainError: pinned check cannot tell printed from corrected"
         )
+
+    @pytest.mark.parametrize("digits", [46, 60, 80])
+    def test_numeric_handler_runs_at_the_working_precision(self, digits, monkeypatch):
+        # P configured digits plus ten guard digits, set once by run_task
+        seen = []
+        declared = REGISTRY["eq16"]
+
+        def recording(p, config, threshold):
+            seen.append(mp.mp.dps)
+            return declared.handler(p, config, threshold)
+
+        monkeypatch.setitem(REGISTRY, "eq16", dataclasses.replace(declared, handler=recording))
+        params = {"alpha": "1", "lambda": "7/10", "t": "3/10"}
+        assert suites.run_task("eq16", params, SuiteConfig(precision_digits=digits)).passed
+        assert seen == [digits + 10]
+
+    def test_run_task_restores_the_callers_precision(self):
+        passing = ("eq16", {"alpha": "1", "lambda": "7/10", "t": "3/10"})
+        raising = ("eq4", {"g": "0", "r": "1", "k": "1"})  # g = 0: DomainError
+        with mp.workdps(33):
+            assert suites.run_task(*passing, SuiteConfig(precision_digits=80)).passed
+            assert mp.mp.dps == 33
+            with pytest.raises(DomainError):
+                suites.run_task(*raising, SuiteConfig(precision_digits=80))
+            assert mp.mp.dps == 33
 
     def test_error_record_mode_follows_declaration(self):
         # g = 0 is outside the conical domain: an error record of a numeric check
@@ -617,6 +645,20 @@ class TestCli:
     def test_eval_wilson(self, capsys):
         assert main(["eval", "wilson", "1", "1/4", "1/5", "2/5", "1"]) == 0
         assert capsys.readouterr().out.strip()
+
+    def test_eval_wilson_exactly_cancelling_sum(self, capsys):
+        # W_1 = 4h(h^2 - x^2) is exactly 0 at h = x = 1/4 (alpha = 0, x^2 = 1/16)
+        assert main(["eval", "wilson", "1", "1/16", "0", "0", "0"]) == 0
+        assert capsys.readouterr().out.strip() == "0.0"
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "polyident", "list"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "eq40" in done.stdout
 
     def test_eval_malformed_rational(self, capsys):
         assert main(["eval", "gegenbauer", "2", "zork"]) == 2
