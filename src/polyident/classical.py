@@ -140,11 +140,17 @@ def inner_product(p: UniPoly, q: UniPoly, alpha: Fraction) -> Fraction:
 
 @lru_cache(maxsize=None)
 def norm_ratio(n: int, alpha: Fraction) -> Fraction:
-    """Squared norm of gegenbauer_r(n, alpha) relative to the n = 0 norm."""
+    """Squared norm of gegenbauer_r(n, alpha) relative to the n = 0 norm.
+
+    At n = 0 that is 1 by definition; the closed form reads 0/0 there at
+    alpha = -1/2 (the Chebyshev weight).
+    """
     if n < 0:
         raise DomainError(f"degree must be >= 0, got {n}")
     alpha = Fraction(alpha)
     _require_alpha(alpha, Fraction(-1), "norm_ratio")
+    if n == 0:
+        return Fraction(1)
     return (
         (n + 2 * alpha + 1)
         / (2 * n + 2 * alpha + 1)

@@ -2,14 +2,15 @@
 
 Arbitrary-precision reals and complexes are mpmath's mpf/mpc.  Every
 routine computes at mpmath's context precision, which the caller sets
-once: ``suites.run_task`` runs each numeric task, and ``polyident eval``
-each evaluation, inside ``working_precision(P)``, the configured P digits
-plus ten guard digits.  A residual that integrates or sums a truncated
-series takes its ``tolerance`` as a required argument and refines to 1e-3
-of it.  Every Jacobi, Gegenbauer and conical function here is a Gauss
-function 2F1 at an argument -sinh^2 t <= 0, evaluated by
-``mpmath.hyp2f1`` (DLMF 15.8 argument transformations with adaptive
-internal precision).
+once, inside ``working_precision(P)``: P digits plus ten guard digits.
+``polyident eval`` runs each evaluation at the configured P;
+``suites.run_task`` runs each numeric task at the P its tolerance needs,
+capped at the configured one.  A residual that integrates or sums a
+truncated series takes its ``tolerance`` as a required argument and
+refines to 10^-REFINEMENT_DIGITS of it.  Every Jacobi, Gegenbauer and
+conical function here is a Gauss function 2F1 at an argument
+-sinh^2 t <= 0, evaluated by ``mpmath.hyp2f1`` (DLMF 15.8 argument
+transformations with adaptive internal precision).
 
 Two printed closed forms are handled in both a "printed" and a
 "corrected" variant: the Wilson norm and the closed form of the
@@ -34,6 +35,10 @@ from .quadrature import self_refining_integral
 
 _GUARD = 10
 
+#: an integral or a truncated series stops at its tolerance times
+#: 10^-REFINEMENT_DIGITS, so a check needs that many digits beyond it
+REFINEMENT_DIGITS = 3
+
 
 def working_precision(digits: int):
     """mpmath's context at ``digits`` plus the guard digits, the precision
@@ -42,7 +47,7 @@ def working_precision(digits: int):
 
 
 def _agreement_bound() -> mp.mpf:
-    """10^{-P+10} at the working precision of P digits: how closely two
+    """10^{-P+10} inside ``working_precision(P)``: how closely two
     evaluations of one value must agree."""
     return mp.mpf(10) ** (10 + _GUARD - mp.mp.dps)
 
@@ -169,7 +174,8 @@ def _conical_routes(g, r, k, log_prefactor):
 
 def _checked_conical(g, r, k, log_prefactor):
     """F(g; r, 2k) as ``_conical_routes`` takes it; disagreement of the two
-    routes beyond 10^{-P+10} at P digits raises PrecisionError."""
+    routes beyond 10^{-P+10} inside ``working_precision(P)`` raises
+    PrecisionError."""
     route_phi, route_gauss = _conical_routes(g, r, k, log_prefactor)
     if abs(route_phi - route_gauss) > _agreement_bound() * (1 + abs(route_gauss)):
         raise PrecisionError(
@@ -182,8 +188,8 @@ def _checked_conical(g, r, k, log_prefactor):
 def conical_f(args: ConicalArgs):
     """Conical function F(g; r, 2k), checked along two evaluation routes.
 
-    Disagreement of the routes beyond 10^{-P+10} at P digits raises
-    PrecisionError.
+    Disagreement of the routes beyond 10^{-P+10} inside
+    ``working_precision(P)`` raises PrecisionError.
     """
     g, r, k = (to_mpf(x) for x in (args.g, args.r, args.k))
     return _checked_conical(g, r, k, _conical_log_prefactor(g, k))
@@ -279,8 +285,8 @@ def wilson_poly(n: int, xsq, params: WilsonParams) -> mp.mpf:
     """Wilson polynomial of degree n in the squared variable.
 
     For conjugate-pair parameters the value at real x^2 >= 0 is real; the
-    imaginary part of the computed value is checked against 10^{-P+10} at
-    P digits.
+    imaginary part of the computed value is checked against 10^{-P+10}
+    inside ``working_precision(P)``.
     """
     if n < 0:
         raise DomainError(f"degree must be >= 0, got {n}")
@@ -416,7 +422,7 @@ def wilson_orthogonality_residual(
     """
     value = ctx.integrate(
         lambda nu: ctx.poly(m, nu) * ctx.poly(n, nu) * ctx.weight(nu),
-        tolerance * mp.mpf(10) ** -3,
+        tolerance * mp.mpf(10) ** -REFINEMENT_DIGITS,
     )
     target = wilson_norm(n, ctx.lam, ctx.mu, ctx.alpha) if m == n else mp.mpf(0)
     scale = mp.sqrt(
@@ -442,7 +448,7 @@ def dual_product_residual(t, ctx: WilsonContext, tolerance: mp.mpf) -> mp.mpf:
     )
     rhs = ctx.integrate(
         lambda nu: ctx.phi_node(t, nu) * ctx.weight(nu),
-        tolerance * mp.mpf(10) ** -3 * max(abs(lhs), mp.mpf(1)),
+        tolerance * mp.mpf(10) ** -REFINEMENT_DIGITS * max(abs(lhs), mp.mpf(1)),
     )
     return abs(lhs - rhs) / abs(lhs)
 
@@ -499,7 +505,9 @@ def conical_product_residual(t, lam, mu, alpha, tolerance: mp.mpf) -> mp.mpf:
     # half-line integral of an even integrand: (1/8 pi) int_0^inf = (1/16 pi) int_R;
     # the kernel's nearest poles are at k = -+p -+q +- i g, so the strip half-width is g
     integral = self_refining_integral(
-        kernel, tolerance * mp.mpf(10) ** -3 * max(abs(lhs), mp.mpf(1)), g
+        kernel,
+        tolerance * mp.mpf(10) ** -REFINEMENT_DIGITS * max(abs(lhs), mp.mpf(1)),
+        g,
     ) / (16 * mp.pi)
     return abs(lhs - integral) / abs(lhs)
 
@@ -530,7 +538,7 @@ def dual_integral_closed_form_residual(
     )
     integral = ctx.integrate(
         lambda nu: ctx.phi_node(t, nu) * ctx.poly(n, nu) * ctx.weight(nu),
-        tolerance * mp.mpf(10) ** -3 * max(abs(closed), mp.mpf(1)),
+        tolerance * mp.mpf(10) ** -REFINEMENT_DIGITS * max(abs(closed), mp.mpf(1)),
     )
     return abs(integral - closed) / abs(closed)
 
@@ -630,7 +638,7 @@ def dual_addition_function_residual(
         total += term
         magnitudes.append(abs(term))
         used = k + 1
-        if k > 0 and abs(term) < tolerance * mp.mpf(10) ** -3:
+        if k > 0 and abs(term) < tolerance * mp.mpf(10) ** -REFINEMENT_DIGITS:
             converged = True
             break
     tail = magnitudes[-5:]
@@ -638,7 +646,7 @@ def dual_addition_function_residual(
     if decreasing and not converged:
         raise PrecisionError(
             f"truncation budget of {truncation_budget} terms ran out before a "
-            f"term fell below {mp.nstr(tolerance * mp.mpf(10) ** -3, 3)}"
+            f"term fell below {mp.nstr(tolerance * mp.mpf(10) ** -REFINEMENT_DIGITS, 3)}"
         )
     return TruncatedExpansionResult(
         residual=abs(target - total),

@@ -247,7 +247,12 @@ def run_task(identity_id: str, params: dict[str, str], config: SuiteConfig) -> T
     The handler receives the parameters parsed: names as given, numbers as
     ints or Fractions.  Every wire value is canonical, so ``str`` of a
     parsed value is its text.  A numeric handler runs at the working
-    precision of ``config.precision_digits``, set here once for all it calls.
+    precision set here once for all it calls: the digits that resolve the
+    finer of its threshold and its kind's tolerance (eq8-printed and
+    eq13-printed integrate at the latter) plus the REFINEMENT_DIGITS its
+    integrals and series refine by, capped at ``config.precision_digits``.
+    The quadrature's error is set by its step and strip, not by these
+    digits, so they only need to resolve what the check compares.
     """
     declared = REGISTRY.get(identity_id)
     if declared is None:
@@ -257,7 +262,9 @@ def run_task(identity_id: str, params: dict[str, str], config: SuiteConfig) -> T
     if declared.tolerance is None:
         return declared.handler(p, config)
     threshold = declared.threshold(config)
-    with continuous.working_precision(config.precision_digits):
+    finest = min(threshold, config.tolerance(declared.tolerance[0]))
+    needed = int(mp.ceil(-mp.log10(finest))) + continuous.REFINEMENT_DIGITS
+    with continuous.working_precision(min(config.precision_digits, needed)):
         return declared.handler(p, config, threshold)
 
 
@@ -551,11 +558,16 @@ for _target, _description in (
 
 # -- continuous suite handlers
 
+def _wilson_context(p) -> continuous.WilsonContext:
+    """The context of the task's parameter set at the working precision in
+    force: its node caches serve every task on that set at those digits."""
+    return _cached_wilson_context(p["lambda"], p["mu"], p["alpha"], mp.mp.dps)
+
+
 @functools.lru_cache(maxsize=None)
-def _wilson_context(lam, mu, alpha, digits: int) -> continuous.WilsonContext:
-    """One context per parameter set and precision: its node caches serve
-    every task on that set.  ``digits`` keys the cache; the context computes
-    at the working precision its tasks run at."""
+def _cached_wilson_context(lam, mu, alpha, dps: int) -> continuous.WilsonContext:
+    """One context per parameter set and working precision; ``dps`` keys the
+    cache, since a context holds node values computed at its digits."""
     return continuous.WilsonContext(lam, mu, alpha)
 
 
@@ -580,7 +592,7 @@ def _pinned_ratio(p, tolerance) -> mp.mpf:
 @identity("eq8", "continuous", "Wilson orthogonality (corrected norm) by quadrature",
           tolerance=("integral", 0))
 def _task_eq8(p, config, tolerance):
-    ctx = _wilson_context(p["lambda"], p["mu"], p["alpha"], config.precision_digits)
+    ctx = _wilson_context(p)
     value = continuous.wilson_orthogonality_residual(p["m"], p["n"], ctx, tolerance)
     return _numeric_result(value, tolerance)
 
@@ -592,10 +604,10 @@ def _task_eq8(p, config, tolerance):
 def _task_eq8_printed(p, config, tolerance):
     n = p["n"]
     expected_ratio = _pinned_ratio(p, tolerance)
-    ctx = _wilson_context(p["lambda"], p["mu"], p["alpha"], config.precision_digits)
+    ctx = _wilson_context(p)
     integral = ctx.integrate(
         lambda nu: ctx.poly(n, nu) ** 2 * ctx.weight(nu),
-        config.tolerance("integral") * mp.mpf(10) ** -3,
+        config.tolerance("integral") * mp.mpf(10) ** -continuous.REFINEMENT_DIGITS,
     )
     printed = continuous.wilson_norm(n, ctx.lam, ctx.mu, ctx.alpha, variant="printed")
     discrepancy = abs(integral / printed - expected_ratio)
@@ -610,7 +622,7 @@ def _task_eq8_printed(p, config, tolerance):
 @identity("eq7", "continuous", "dual product formula for Gegenbauer functions",
           tolerance=("integral", 0))
 def _task_eq7(p, config, tolerance):
-    ctx = _wilson_context(p["lambda"], p["mu"], p["alpha"], config.precision_digits)
+    ctx = _wilson_context(p)
     value = continuous.dual_product_residual(p["t"], ctx, tolerance)
     return _numeric_result(value, tolerance)
 
@@ -629,7 +641,7 @@ def _task_eq6(p, config, tolerance):
     tolerance=("integral", 5),
 )
 def _task_eq13(p, config, tolerance):
-    ctx = _wilson_context(p["lambda"], p["mu"], p["alpha"], config.precision_digits)
+    ctx = _wilson_context(p)
     value = continuous.dual_integral_closed_form_residual(p["n"], p["t"], ctx, tolerance)
     return _numeric_result(value, tolerance)
 
@@ -641,7 +653,7 @@ def _task_eq13(p, config, tolerance):
 def _task_eq13_printed(p, config, tolerance):
     n, t = p["n"], p["t"]
     expected_ratio = _pinned_ratio(p, tolerance)
-    ctx = _wilson_context(p["lambda"], p["mu"], p["alpha"], config.precision_digits)
+    ctx = _wilson_context(p)
     # both variants integrate 1e5 tighter than the check they feed
     base = config.tolerance("integral")
     corrected = continuous.dual_integral_closed_form_residual(n, t, ctx, base)

@@ -15,6 +15,7 @@ from polyident.classical import (
     jacobi_r,
     norm_ratio,
 )
+from polyident import suites
 from polyident.errors import DomainError
 from polyident.exact import UniPoly, pochhammer, pythagorean_point
 
@@ -158,10 +159,17 @@ class TestNormRatio:
         "n,alpha,expected",
         [(0, Fraction(0), Fraction(1)),
          (1, Fraction(0), Fraction(1, 3)),
-         (2, Fraction(0), Fraction(1, 5))],
+         (2, Fraction(0), Fraction(1, 5)),
+         # degree 0 is 1 by definition; the closed form reads 0/0 at -1/2
+         (0, Fraction(-1, 2), Fraction(1)),
+         (0, Fraction(7, 3), Fraction(1))],
     )
     def test_frozen_values(self, n, alpha, expected):
         assert norm_ratio(n, alpha) == expected
+
+    def test_eq57_passes_at_the_chebyshev_weight(self):
+        report = suites._execute(("eq57", {"alpha": "-1/2"}), suites.SuiteConfig())
+        assert (report.status, report.residual) == ("pass", "0"), report.parameters
 
     def test_orthogonality_grid(self):
         # exact Gram structure for 0 <= m <= n <= 10 over the alpha set

@@ -120,6 +120,9 @@ SMALL = dict(alphas=(Fraction(0), Fraction(1, 2)), l_max=3, jobs=1)
 
 NUMERIC = {i: d for i, d in REGISTRY.items() if d.mode == "numeric"}
 
+EQ16_PARAMS = {"alpha": "1", "lambda": "7/10", "t": "3/10"}
+EQ8_PARAMS = {"m": "0", "n": "0", "lambda": "1/5", "mu": "2/5", "alpha": "1"}
+
 
 class TestSuites:
     def test_registry_covers_all_task_ids(self):
@@ -253,20 +256,74 @@ class TestSuites:
             "DomainError: pinned check cannot tell printed from corrected"
         )
 
-    @pytest.mark.parametrize("digits", [46, 60, 80])
-    def test_numeric_handler_runs_at_the_working_precision(self, digits, monkeypatch):
-        # P configured digits plus ten guard digits, set once by run_task
+    @pytest.mark.parametrize(
+        "identity, params, settings, dps",
+        [("eq16", EQ16_PARAMS, {"precision_digits": 46}, 49),
+         ("eq16", EQ16_PARAMS, {"precision_digits": 60}, 63),
+         ("eq16", EQ16_PARAMS, {"precision_digits": 80}, 83),
+         ("eq8", EQ8_PARAMS, {}, 38),
+         ("eq8", EQ8_PARAMS, {"integral_tolerance": "1e-30"}, 43),
+         ("exact-float-oracle", {"case": "gauss-terminating"},
+          {"pointwise_tolerance": "1e-55"}, 70)],
+        ids=["eq16-46", "eq16-60", "eq16-80", "eq8", "eq8-1e-30", "oracle-capped"],
+    )
+    def test_numeric_handler_runs_at_the_digits_its_tolerance_needs(
+        self, identity, params, settings, dps, monkeypatch
+    ):
+        # the digits of the finer of threshold and kind tolerance plus three,
+        # at most P, plus ten guard digits: eq16's 1e-(P-10) needs P - 7, eq8's
+        # 1e-25 needs 28, and the oracle's 1e-60 would need 63 > P = 60
         seen = []
-        declared = REGISTRY["eq16"]
 
         def recording(p, config, threshold):
             seen.append(mp.mp.dps)
-            return declared.handler(p, config, threshold)
+            return suites.TaskResult(residual="0", passed=True)
 
-        monkeypatch.setitem(REGISTRY, "eq16", dataclasses.replace(declared, handler=recording))
-        params = {"alpha": "1", "lambda": "7/10", "t": "3/10"}
-        assert suites.run_task("eq16", params, SuiteConfig(precision_digits=digits)).passed
-        assert seen == [digits + 10]
+        declared = REGISTRY[identity]
+        monkeypatch.setitem(REGISTRY, identity, dataclasses.replace(declared, handler=recording))
+        suites.run_task(identity, params, SuiteConfig(**settings))
+        assert seen == [dps]
+
+    def test_wilson_context_is_keyed_by_the_working_digits(self, monkeypatch):
+        # one P, two integral tolerances: two working precisions, so two
+        # contexts, whose node values are computed at their own digits
+        contexts = []
+
+        def recording(m, n, ctx, tolerance):
+            contexts.append((ctx, mp.mp.dps))
+            return mp.mpf(0)
+
+        monkeypatch.setattr(suites.continuous, "wilson_orthogonality_residual", recording)
+        for tolerance in (None, "1e-30", None):
+            suites.run_task("eq8", EQ8_PARAMS, SuiteConfig(integral_tolerance=tolerance))
+        (first, dps), (other, other_dps), (again, _) = contexts
+        assert (dps, other_dps) == (38, 43)
+        assert first is not other
+        assert first is again
+
+    @pytest.mark.parametrize(
+        "identity, want",
+        [("eq6", {}), ("eq7", {}), ("eq8", {}), ("eq13", {}),
+         ("eq8", {"m": "3", "n": "3"}), ("eq13", {"n": "3"})],
+        ids=["eq6", "eq7", "eq8", "eq13", "eq8-33", "eq13-3"],
+    )
+    def test_sized_digits_agree_with_twice_them(self, identity, want, monkeypatch):
+        # the oracle for sizing the digits to the tolerance: the check passes
+        # at twice them too, and its residual moves by less than 1e-3 of the
+        # threshold; the first task of the identity with the wanted parameters
+        config = SuiteConfig()
+        task = next(
+            (i, params) for i, params in suite_tasks("continuous", config)
+            if i == identity and want.items() <= params.items()
+        )
+        sized = suites.run_task(*task, config)
+        at = suites.continuous.working_precision
+        monkeypatch.setattr(suites.continuous, "working_precision", lambda digits: at(2 * digits))
+        doubled = suites.run_task(*task, config)
+        assert sized.passed and doubled.passed, (sized, doubled)
+        threshold = REGISTRY[identity].threshold(config)
+        moved = abs(mp.mpf(sized.residual) - mp.mpf(doubled.residual))
+        assert moved < threshold * mp.mpf("1e-3"), (sized, doubled)
 
     def test_run_task_restores_the_callers_precision(self):
         passing = ("eq16", {"alpha": "1", "lambda": "7/10", "t": "3/10"})
