@@ -73,8 +73,13 @@ _FLAG_HELP = {
 
 def load_config_file(path: str) -> dict:
     """Flat key-value text: one `key = value` per line, `#` comments."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ConfigError(f"{path}: cannot read config file: {reason}") from exc
     values: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -404,11 +404,15 @@ class WilsonContext:
 
     def integrate(self, f: Callable, tolerance) -> mp.mpf:
         """(1/4 pi) times the full-line integral of ``f``, an even product of
-        the weight with entire functions of nu.  The weight's nearest poles
-        are at nu = +-lam +-mu + i(alpha/2 + 1/4), so that is the strip
-        half-width the quadrature is told."""
-        strip = self.alpha / 2 + mp.mpf(1) / 4
-        return self_refining_integral(f, tolerance, strip) / (4 * mp.pi)
+        the weight with entire functions of nu.  The weight's poles are at
+        nu = +-lam +-mu + i(alpha/2 + 1/4 + k), k = 0, 1, ..., so the
+        quadrature is told the corner (|lam| + |mu|) + i(alpha/2 + 1/4):
+        the largest |Re| and the smallest |Im| of a pole, which bound the
+        strip its sinh substitution maps them to.  Every integral on the
+        context lands on the quadrature's one ladder of nodes, so the
+        weight cache serves them all."""
+        pole = mp.mpc(abs(self.lam) + abs(self.mu), self.alpha / 2 + mp.mpf(1) / 4)
+        return self_refining_integral(f, tolerance, pole) / (4 * mp.pi)
 
 
 def wilson_orthogonality_residual(
@@ -483,7 +487,9 @@ def conical_product_residual(t, lam, mu, alpha, tolerance: mp.mpf) -> mp.mpf:
     eight-gamma quotient is ``_conical_log_kernel``; Re log Gamma(g+ik)
     is taken once per node, for both the divisor |Gamma(g+ik)|^2 and the
     prefactor of F(g;t,2k), and log Gamma(2g) and log Gamma(g) once per
-    integral.
+    integral.  The kernel's poles are at k = +-p +-q +- i(g + 2j),
+    j = 0, 1, ...; the rest of the integrand is entire in k, so the
+    quadrature is told the corner (|p| + |q|) + i g.
     """
     g = to_mpf(alpha) + mp.mpf(1) / 2
     t = to_mpf(t)
@@ -502,12 +508,11 @@ def conical_product_residual(t, lam, mu, alpha, tolerance: mp.mpf) -> mp.mpf:
             _conical_log_kernel(g, p, q, k) - log_gamma_gk2 - log_gamma_g2
         )
 
-    # half-line integral of an even integrand: (1/8 pi) int_0^inf = (1/16 pi) int_R;
-    # the kernel's nearest poles are at k = -+p -+q +- i g, so the strip half-width is g
+    # half-line integral of an even integrand: (1/8 pi) int_0^inf = (1/16 pi) int_R
     integral = self_refining_integral(
         kernel,
         tolerance * mp.mpf(10) ** -REFINEMENT_DIGITS * max(abs(lhs), mp.mpf(1)),
-        g,
+        mp.mpc(abs(p) + abs(q), g),
     ) / (16 * mp.pi)
     return abs(lhs - integral) / abs(lhs)
 
@@ -553,9 +558,9 @@ def wilson_backward_shift_residual(n: int, x, lam, mu, alpha) -> mp.mpf:
 
     where G' uses the half-shifted parameters.  The degree drops by one on
     the shifted side; this is the identity in the form the weighted
-    integral recursion needs (the printed form, which keeps degree n on
-    both sides, fails numerically and is pinned as a discrepancy check in
-    the suite).
+    integral recursion needs.  The printed form keeps degree n on both
+    sides and fails numerically; the suite checks only this corrected
+    form and pins no printed-variant check for it.
     """
     if n < 1:
         raise DomainError(f"backward shift needs n >= 1, got {n}")

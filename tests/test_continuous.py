@@ -347,8 +347,8 @@ def _sech(x):
 
 class TestQuadrature:
     def test_gaussian(self):
-        # entire integrand: any strip half-width is a valid one
-        value = self_refining_integral(lambda x: mp.e ** (-x * x), tol(40), 1)
+        # entire integrand: any pole corner is a valid one
+        value = self_refining_integral(lambda x: mp.e ** (-x * x), tol(40), 1j)
         assert abs(value - mp.sqrt(mp.pi)) < tol(39)
 
     def test_stable_under_precision_doubling(self):
@@ -364,18 +364,18 @@ class TestQuadrature:
 
     def test_mirrored_integrand_identical(self):
         f = lambda x: mp.e ** (-x * x) * mp.cosh(x)
-        a = self_refining_integral(f, tol(30), 1)
-        b = self_refining_integral(lambda x: f(-x), tol(30), 1)
+        a = self_refining_integral(f, tol(30), 1j)
+        b = self_refining_integral(lambda x: f(-x), tol(30), 1j)
         assert a == b
 
     def test_no_decay_raises(self):
         with pytest.raises(PrecisionError):
-            self_refining_integral(lambda x: mp.mpf(1), tol(10), 1)
+            self_refining_integral(lambda x: mp.mpf(1), tol(10), 1j)
 
     def test_precision_is_not_a_parameter(self):
         # the integral computes at the context precision; a fourth argument is an error
         with pytest.raises(TypeError):
-            self_refining_integral(_sech, tol(20), 1, 60)
+            self_refining_integral(_sech, tol(20), 1j, 60)
 
     # sech x has its nearest poles at +-i pi/2 and integrates to pi
 
@@ -390,23 +390,54 @@ class TestQuadrature:
 
         tolerance = mp.mpf(10) ** -(prec - 20)
         with working_precision(prec):
-            value = self_refining_integral(f, tolerance, mp.pi / 2)
+            value = self_refining_integral(f, tolerance, 1j * mp.pi / 2)
             assert abs(value - mp.pi) < tolerance
         assert len(origin_calls) == 1  # f(0) once per integral, not once per level
+
+    @pytest.mark.parametrize("prec", [46, 60, 80])
+    @pytest.mark.parametrize("a", [0, 5])
+    def test_off_axis_sech_pair_at_its_pole(self, a, prec):
+        # sech(x - a) + sech(x + a) integrates to 2 pi; its poles nearest the
+        # real line are at +-a +- i pi/2, so the corner is a + i pi/2
+        tolerance = mp.mpf(10) ** -(prec - 20)
+        with working_precision(prec):
+            value = self_refining_integral(
+                lambda x: _sech(x - a) + _sech(x + a), tolerance, mp.mpc(a, mp.pi / 2)
+            )
+            assert abs(value - 2 * mp.pi) < tolerance
+
+    @pytest.mark.parametrize("prec", [46, 60])
+    def test_understated_abscissa_is_never_a_wrong_value(self, prec):
+        # stating the poles of sech(x - 20) + sech(x + 20) on the imaginary
+        # axis claims a mapped strip of pi/2 where Im asinh(20 + i pi/2) is
+        # 0.078: the rate guard keeps the strip stop off, so the result is
+        # within tolerance or the refinement budget runs out
+        tolerance = mp.mpf(10) ** -(prec - 20)
+        with working_precision(prec):
+            try:
+                value = self_refining_integral(
+                    lambda x: _sech(x - 20) + _sech(x + 20), tolerance, 1j * mp.pi / 2
+                )
+            except PrecisionError:
+                return
+            assert abs(value - 2 * mp.pi) < tolerance
 
     @pytest.mark.parametrize("strip", [10, mp.mpf("0.1")], ids=["overstated", "understated"])
     def test_sech_with_a_wrong_strip(self, strip):
         # an overstated strip predicts faster convergence than the
-        # differences show, so the rate guard keeps the strip stop off
+        # differences show, so the rate guard keeps the strip stop off;
+        # any pole on the imaginary axis above i maps to the half-width
+        # pi/2, so 10i overstates nothing in s: the understated abscissa
+        # test above overstates the mapped strip
         prec = 60
         tolerance = tol(40)
         with working_precision(prec):
-            value = self_refining_integral(_sech, tolerance, strip)
+            value = self_refining_integral(_sech, tolerance, 1j * strip)
             assert abs(value - mp.pi) < tolerance
 
     def test_strip_must_be_positive(self):
         with pytest.raises(DomainError):
-            self_refining_integral(_sech, tol(20), 0)
+            self_refining_integral(_sech, tol(20), 0j)
 
     def test_eq8_node_count_at_the_defaults(self, monkeypatch):
         from polyident import continuous, suites
@@ -424,7 +455,31 @@ class TestQuadrature:
         monkeypatch.setattr(continuous, "self_refining_integral", counting)
         params = {"m": "0", "n": "0", "lambda": "1/5", "mu": "2/5", "alpha": "1"}
         assert suites.run_task("eq8", params, suites.SuiteConfig()).passed
-        assert len(counts) <= 260  # 518 with the difference stop alone
+        assert len(counts) <= 136  # 129; 259 with the trapezoid in nu
+
+    def test_eq8_printed_after_eq8_computes_no_new_weights(self, monkeypatch):
+        # every integral on one context lands on the same ladder of nodes,
+        # whatever its cutoff, so the weight cache serves the second check
+        import functools
+
+        from polyident import continuous, suites
+
+        fresh = functools.lru_cache(maxsize=None)(suites._cached_wilson_context.__wrapped__)
+        monkeypatch.setattr(suites, "_cached_wilson_context", fresh)
+        params = {"lambda": "1/5", "mu": "2/5", "alpha": "1"}
+        config = suites.SuiteConfig()
+        assert suites.run_task("eq8", dict(params, m="0", n="0"), config).passed
+        computed = []
+        original = continuous.wilson_weight
+
+        def counting(*args):
+            computed.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(continuous, "wilson_weight", counting)
+        assert suites.run_task("eq8-printed", dict(params, n="2"), config).passed
+        assert fresh.cache_info().currsize == 1
+        assert computed == []
 
 
 class TestAbsoluteGegenbauerNorm:

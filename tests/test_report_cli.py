@@ -824,6 +824,24 @@ class TestCli:
         code = main(["verify", "racah", "--config", str(cfg)])
         assert code == 2
 
+    @pytest.mark.parametrize("case", ["missing", "directory", "undecodable"])
+    def test_unreadable_config_exits_two_naming_the_path(self, case, tmp_path):
+        # run as a process, so an escaping exception would show as a traceback
+        cfg = tmp_path / "polyident.cfg"
+        if case == "directory":
+            cfg.mkdir()
+        elif case == "undecodable":
+            cfg.write_bytes(b"jobs = 1\n\xff\xfe\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "polyident", "verify", "racah", "--config", str(cfg)],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert f"error: {cfg}: cannot read config file" in done.stderr
+
     @pytest.mark.parametrize(
         "line", ["alpha_powers = 4..x", "timings = maybe", "alphas = 0,1/2,2/4"],
         ids=["unparseable-alpha-powers", "unknown-boolean", "repeated-alphas"],
