@@ -13,7 +13,6 @@ from .errors import (
     DegenerateParameterError,
     DomainError,
     IdentityViolationError,
-    LimitViolationError,
     PolyidentError,
     PrecisionError,
     RelationViolationError,
@@ -35,7 +34,6 @@ __all__ = [
     "DegenerateParameterError",
     "DomainError",
     "IdentityViolationError",
-    "LimitViolationError",
     "PolyidentError",
     "PrecisionError",
     "Rational",

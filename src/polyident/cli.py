@@ -30,17 +30,6 @@ def _parse_alphas(text: str) -> tuple[Fraction, ...]:
     return values
 
 
-def _parse_powers(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    try:
-        if ".." in text:
-            lo, hi = text.split("..", 1)
-            return tuple(range(int(lo), int(hi) + 1))
-        return tuple(int(p) for p in text.split(",") if p.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad value for alpha_powers: {text!r}") from exc
-
-
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
@@ -49,12 +38,9 @@ _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
 _HINTS = typing.get_type_hints(SuiteConfig)
 _FIELDS = {f.name: _HINTS[f.name] for f in dataclasses.fields(SuiteConfig)}
 
-#: field type -> reader of a flag's or a config line's text; the tuple
-#: fields stay text until build_config parses them
+#: field type -> reader of a flag's or a config line's text; alphas stays
+#: text until build_config parses it
 _READERS = {int: int, int | None: int, bool: lambda text: _BOOLEANS[text.lower()]}
-
-#: tuple field type -> parser of its text
-_TUPLE_PARSERS = {tuple[Fraction, ...]: _parse_alphas, tuple[int, ...]: _parse_powers}
 
 #: config-file key -> reader of its value: every field, plus the output format
 _CONFIG_READERS = {name: _READERS.get(hint, str) for name, hint in _FIELDS.items()}
@@ -65,7 +51,6 @@ _FLAG_NAMES = {"addition_n_max": "--n-max", "biorthogonality_max": "--bio-max"}
 _FLAG_HELP = {
     "alphas": "comma-separated rationals, e.g. 0,1/2,1,7/3",
     "addition_n_max": "degree cap for the classical addition checks",
-    "alpha_powers": "dyadic exponents, e.g. 4..16 or 4,6,8",
     "jobs": "worker processes (default: all cores)",
     "timings": "record wall-clock milliseconds (off keeps output byte-stable)",
 }
@@ -102,11 +87,11 @@ def build_config(args) -> tuple[SuiteConfig, str]:
     fmt = values.pop("format", "text")
     if args.format is not None:
         fmt = args.format
-    for name, hint in _FIELDS.items():
+    for name in _FIELDS:
         if getattr(args, name) is not None:
             values[name] = getattr(args, name)
-        if hint in _TUPLE_PARSERS and name in values:
-            values[name] = _TUPLE_PARSERS[hint](values[name])
+    if "alphas" in values:
+        values["alphas"] = _parse_alphas(values["alphas"])
     config = SuiteConfig(**values)
     if fmt not in ("text", "json-lines"):
         raise ConfigError(f"unknown format {fmt!r}")

@@ -452,7 +452,7 @@ def dual_product_residual(t, ctx: WilsonContext, tolerance: mp.mpf) -> mp.mpf:
     )
     rhs = ctx.integrate(
         lambda nu: ctx.phi_node(t, nu) * ctx.weight(nu),
-        tolerance * mp.mpf(10) ** -REFINEMENT_DIGITS * max(abs(lhs), mp.mpf(1)),
+        tolerance * mp.mpf(10) ** -REFINEMENT_DIGITS * abs(lhs),
     )
     return abs(lhs - rhs) / abs(lhs)
 
@@ -511,7 +511,7 @@ def conical_product_residual(t, lam, mu, alpha, tolerance: mp.mpf) -> mp.mpf:
     # half-line integral of an even integrand: (1/8 pi) int_0^inf = (1/16 pi) int_R
     integral = self_refining_integral(
         kernel,
-        tolerance * mp.mpf(10) ** -REFINEMENT_DIGITS * max(abs(lhs), mp.mpf(1)),
+        tolerance * mp.mpf(10) ** -REFINEMENT_DIGITS * abs(lhs),
         mp.mpc(abs(p) + abs(q), g),
     ) / (16 * mp.pi)
     return abs(lhs - integral) / abs(lhs)
@@ -543,7 +543,7 @@ def dual_integral_closed_form_residual(
     )
     integral = ctx.integrate(
         lambda nu: ctx.phi_node(t, nu) * ctx.poly(n, nu) * ctx.weight(nu),
-        tolerance * mp.mpf(10) ** -REFINEMENT_DIGITS * max(abs(closed), mp.mpf(1)),
+        tolerance * mp.mpf(10) ** -REFINEMENT_DIGITS * abs(closed),
     )
     return abs(integral - closed) / abs(closed)
 

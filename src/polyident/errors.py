@@ -29,10 +29,6 @@ class IdentityViolationError(PolyidentError):
     """An identity that must hold structurally failed to hold."""
 
 
-class LimitViolationError(PolyidentError):
-    """A scaled deviation sequence failed its required decay rate."""
-
-
 class PrecisionError(PolyidentError):
     """A numeric routine could not reach the requested accuracy.
 

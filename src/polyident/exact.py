@@ -531,3 +531,65 @@ def pythagorean_point(s: Fraction | int) -> tuple[Fraction, Fraction]:
     s = Fraction(s)
     d = 1 + s * s
     return (1 - s * s) / d, 2 * s / d
+
+
+class _Thiele:
+    """Thiele continued fraction a_0 + (e - e_0)/(a_1 + (e - e_1)/(a_2 + ...))
+    by inverse differences (von zur Gathen & Gerhard, *Modern Computer
+    Algebra*, ch. 5); ``confirmed`` counts the samples it has predicted
+    since it last changed."""
+
+    def __init__(self):
+        self.nodes, self.coeffs, self.confirmed = [], [], 0
+
+    def __call__(self, e: Fraction) -> Fraction | None:
+        """The value at ``e``, or None for infinity: a zero tail makes its
+        level infinite, and a_k + (e - e_k)/infinity = a_k."""
+        tail = None
+        for node, a in zip(reversed(self.nodes), reversed(self.coeffs)):
+            if tail == 0:
+                tail = None
+            else:
+                tail = a if tail is None else a + (e - node) / tail
+        return tail
+
+    def feed(self, e: Fraction, value: Fraction) -> None:
+        """Confirm a predicted sample; extend through any other, unless an
+        inverse difference is infinite: such a point is left out."""
+        if self(e) == value:
+            self.confirmed += 1
+            return
+        self.confirmed, phi = 0, value
+        for node, a in zip(self.nodes, self.coeffs):
+            if phi == a:
+                return
+            phi = (e - node) / (phi - a)
+        self.nodes.append(e)
+        self.coeffs.append(phi)
+
+
+def limit_at_infinity(sample: Callable[[Fraction], Sequence[Fraction]],
+                      budget: int) -> tuple[tuple[Fraction, ...], int]:
+    """Exact limits as alpha -> oo of components rational in alpha, and the
+    samples used: each component, sampled at alpha = 3, 4, 5, ... (skipping
+    an alpha that raises DomainError), is fed to a Thiele fraction in
+    e = 1/alpha, and read off at e = 0 once every fraction has predicted two
+    samples in a row.  DomainError when ``budget`` values of alpha leave a
+    fraction unconfirmed, or a limit is infinite.
+    """
+    fractions, points = [], 0
+    for alpha in map(Fraction, range(3, 3 + budget)):
+        try:
+            values = sample(alpha)
+        except DomainError:
+            continue
+        points += 1
+        fractions = fractions or [_Thiele() for _ in values]
+        for fraction, value in zip(fractions, values, strict=True):
+            fraction.feed(1 / alpha, value)
+        if min(fraction.confirmed for fraction in fractions) >= 2:
+            limits = tuple(fraction(_ZERO) for fraction in fractions)
+            if None in limits:
+                raise DomainError("the quantity has a pole at alpha = oo")
+            return limits, points
+    raise DomainError(f"no interpolant confirmed within {budget} values of alpha")

@@ -3,12 +3,10 @@
 The Gegenbauer identities degenerate, under x -> alpha^{-1/2} x with
 suitable alpha-power rescaling, to Hermite-polynomial identities; the
 specialized Racah orthogonality degenerates to a biorthogonality of
-shifted factorials.  Every pre-limit quantity is rational in alpha, so
-the limits are checked in exact arithmetic on the dyadic sequence
-alpha = 2^s: a first-order O(1/alpha) approach forces each deviation to
-at most 0.6 times its predecessor when alpha doubles.  For the targets
-indexed by l and m that regime starts near alpha = 2 (l+m)^2, so their
-decay is judged from the first alpha = 2^s at or above it.
+shifted factorials.  With the indices fixed, every scaled pre-limit
+quantity is rational in alpha, so its limit is exact: it is reconstructed
+from alpha = 3, 4, 5, ... (:func:`~polyident.exact.limit_at_infinity`),
+read off at 1/alpha = 0 and compared with the claimed limit, with no slack.
 
 The biorthogonality kernel is implemented in two variants: the historical
 printed form, which fails (pinned regression: value -1 at (n, k) = (2, 1)),
@@ -19,18 +17,18 @@ matrix composition of the two Hermite expansion formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence
+from functools import lru_cache
+from typing import Callable, Mapping, NamedTuple
 
 from .classical import gegenbauer_r, hermite
-from .dual_addition import DualSetting, dual_addition_term, specialized_racah
-from .errors import DomainError, LimitViolationError, check_index
-from .exact import SurdPoly, UniPoly, pochhammer
+from .dual_addition import DualSetting, dual_addition_coeff, specialized_racah
+from .errors import DomainError, check_index
+from .exact import SurdPoly, UniPoly, limit_at_infinity, pochhammer
 from .racah import racah_eval, racah_h0, racah_norm_ratio, racah_weight
 
 _HALF = Fraction(1, 2)
-DECAY_RATIO = Fraction(6, 10)  # 0.5 + 0.1 slack per doubling of alpha
 
 
 @dataclass(frozen=True)
@@ -157,42 +155,6 @@ def biorthogonality_value(n: int, k: int, kernel: str = "corrected") -> Fraction
     return sum(terms, Fraction(0))
 
 
-@dataclass
-class LimitReport:
-    """Scaled deviations of a pre-limit quantity along a dyadic alpha sequence."""
-
-    target: str
-    indices: dict
-    limit_description: str
-    alphas: list[Fraction] = field(default_factory=list)
-    deviations: list[Fraction] = field(default_factory=list)
-
-    @property
-    def excess(self) -> Fraction:
-        """Worst breach of the dyadic decay, 0 when every step decays: a
-        ratio's excess over DECAY_RATIO, or the deviation after a zero one."""
-        worst = Fraction(0)
-        for earlier, later in zip(self.deviations, self.deviations[1:]):
-            if later > DECAY_RATIO * earlier:
-                worst = max(worst, later if earlier == 0 else later / earlier - DECAY_RATIO)
-        return worst
-
-    @property
-    def passed(self) -> bool:
-        return self.excess == 0
-
-    def require_decay(self) -> "LimitReport":
-        if not self.passed:
-            pairs = [
-                (str(a), str(d)) for a, d in zip(self.alphas, self.deviations)
-            ]
-            raise LimitViolationError(
-                f"deviation sequence for {self.target} {self.indices} "
-                f"fails the {DECAY_RATIO} dyadic decay: {pairs}"
-            )
-        return self
-
-
 def alpha_scaled(poly: UniPoly, k: int, alpha: Fraction) -> UniPoly:
     """alpha^{k/2} poly(alpha^{-1/2} x) for a polynomial of parity k.
 
@@ -202,11 +164,19 @@ def alpha_scaled(poly: UniPoly, k: int, alpha: Fraction) -> UniPoly:
     return UniPoly(c * alpha ** ((k - i) // 2) for i, c in enumerate(poly.coeffs))
 
 
-# -- dyadic limit checks: each builder takes the indices (and the evaluation
-# point x, for eq52 and eq53) and returns the deviation as a function of
-# alpha; it computes the alpha-independent limit once.
+class LimitClaim(NamedTuple):
+    """A limit builder's output: ``quantity``, alpha -> its components, tends
+    to ``claimed`` after ``assemble`` turns the components' limits into values."""
 
-Deviation = Callable[[Fraction], Fraction]
+    quantity: Callable[[Fraction], tuple[Fraction, ...]]
+    claimed: tuple
+    assemble: Callable[[tuple[Fraction, ...]], tuple] = tuple
+
+
+def _gap(value, claimed) -> Fraction:
+    """|value - claimed|, the largest coefficient gap for polynomials."""
+    diff = value - claimed
+    return diff.max_abs_coeff() if isinstance(diff, UniPoly) else abs(diff)
 
 
 def _point(x: Fraction | None, target: str) -> Fraction:
@@ -227,36 +197,41 @@ def _system(alpha: Fraction, s: HermiteSetting):
     return specialized_racah(DualSetting(alpha=alpha, l=s.l, m=s.m))
 
 
-def _eq52(idx, x) -> Deviation:
+def _budget(*indices: int) -> int:
+    """Values of alpha to try: over twice what any record at l, m <= 8 needs."""
+    return 8 + 4 * sum(indices)
+
+
+def _eq52(idx, x) -> LimitClaim:
     n, x = idx["n"], _point(x, "eq52")
-    limit = hermite(n)(x) / 2**n
-    return lambda alpha: abs(alpha_scaled(gegenbauer_r(n, alpha), n, alpha)(x) - limit)
+    return LimitClaim(lambda alpha: (alpha_scaled(gegenbauer_r(n, alpha), n, alpha)(x),),
+                      (hermite(n)(x) / 2**n,))
 
 
-def _eq53(idx, x) -> Deviation:
+def _eq53(idx, x) -> LimitClaim:
     n, x = idx["n"], _point(x, "eq53")
-    limit = Fraction(x) ** n
-    return lambda alpha: abs(gegenbauer_r(n, alpha)(x) - limit)
+    return LimitClaim(lambda alpha: (gegenbauer_r(n, alpha)(x),), (Fraction(x) ** n,))
 
 
 def _eq54(scaled: str):
     """alpha^{-a} R_n(j) -> 2^a (-b)_a/((-l)_a (-m)_a), where a is the
     ``scaled`` index (j or n) and b the other one."""
 
-    def build(idx, x) -> Deviation:
+    def build(idx, x) -> LimitClaim:
         s = _setting(idx, "n", "j")
         n, j = idx["n"], idx["j"]
         a, b = (j, n) if scaled == "j" else (n, j)
-        limit = 2**a * pochhammer(Fraction(-b), a) / _lm_pochhammer(s, a)
-        return lambda alpha: abs(alpha**-a * racah_eval(n, j, _system(alpha, s)) - limit)
+        claimed = 2**a * pochhammer(Fraction(-b), a) / _lm_pochhammer(s, a)
+        return LimitClaim(lambda alpha: (alpha**-a * racah_eval(n, j, _system(alpha, s)),),
+                          (claimed,))
 
     return build
 
 
-def _eq55(idx, x) -> Deviation:
+def _eq55(idx, x) -> LimitClaim:
     s, j = _setting(idx, "j"), idx["j"]
-    limit = _lm_pochhammer(s, j) / (2**j * math.factorial(j))
-    return lambda alpha: abs(alpha**j * racah_weight(j, _system(alpha, s)) - limit)
+    claimed = _lm_pochhammer(s, j) / (2**j * math.factorial(j))
+    return LimitClaim(lambda alpha: (alpha**j * racah_weight(j, _system(alpha, s)),), (claimed,))
 
 
 def _norm_limit(n: int, s: HermiteSetting) -> Fraction:
@@ -264,64 +239,76 @@ def _norm_limit(n: int, s: HermiteSetting) -> Fraction:
     return 2**n * math.factorial(n) / _lm_pochhammer(s, n)
 
 
-def _eq56(idx, x) -> Deviation:
+def _eq56(idx, x) -> LimitClaim:
     s, n = _setting(idx, "n"), idx["n"]
-    limit = _norm_limit(n, s)
 
-    def deviation(alpha):
+    def quantity(alpha):
         sys = _system(alpha, s)
-        return abs(alpha**-n * racah_h0(sys) * racah_norm_ratio(n, sys) - limit)
+        return (alpha**-n * racah_h0(sys) * racah_norm_ratio(n, sys),)
 
-    return deviation
+    return LimitClaim(quantity, (_norm_limit(n, s),))
 
 
-def _eq30_limit(idx, x) -> Deviation:
+def _eq30_limit(idx, x) -> LimitClaim:
     """alpha^{-n} sum_j [w(j)/h_0] R_n(j) R_k(j) -> delta_{n,k} 2^n n!/((-l)_n (-m)_n),
     the diagonal of the corrected-kernel pairing."""
     s = _setting(idx, "n", "k")
     n, k = idx["n"], idx["k"]
-    limit = _norm_limit(n, s) if n == k else Fraction(0)
 
-    def deviation(alpha):
+    def quantity(alpha):
         sys = _system(alpha, s)
         h0 = racah_h0(sys)
         value = sum(
             racah_weight(j, sys) / h0 * racah_eval(n, j, sys) * racah_eval(k, j, sys)
             for j in range(s.m + 1)
         )
-        return abs(alpha**-n * value - limit)
+        return (alpha**-n * value,)
 
-    return deviation
+    return LimitClaim(quantity, (_norm_limit(n, s) if n == k else Fraction(0),))
 
 
-def _eq40_to_eq46(idx, x) -> Deviation:
+@lru_cache(maxsize=None)
+def _scaled_gegenbauer_limit(k: int, shift: int) -> UniPoly:
+    """The limit of alpha^{k/2} R_k^{(alpha+shift)}(alpha^{-1/2} x), coefficient
+    by coefficient."""
+
+    def quantity(alpha):
+        poly = alpha_scaled(gegenbauer_r(k, alpha + shift), k, alpha)
+        return tuple(poly.coeff(i) for i in range(k + 1))
+
+    return UniPoly(limit_at_infinity(quantity, _budget(k, shift))[0])
+
+
+def _eq40_to_eq46(idx, x) -> LimitClaim:
     """The dual addition formula's own limit to its Hermite counterpart.
 
-    The expansion of R_{l+m-2j} is multiplied by
-    2^{l+m} (-l)_j (-m)_j 2^{-j} alpha^{(l+m-2j)/2} and x is replaced by
-    alpha^{-1/2} x; the deviation is the largest coefficient deviation of
-    the left-hand side and of each term from their Hermite counterparts.
+    The expansion of R_{l+m-2j}, times rescale alpha^{(l+m)/2 - j}, at
+    alpha^{-1/2} x: its n-th term is rescale alpha^{n-j} c_n (c_n its dual
+    addition coefficient; the record's points are theirs) times two scaled
+    Gegenbauer polynomials with parameter alpha + n, reconstructed once,
+    and (x^2/alpha - 1)^n -> (-1)^n.
     """
     s = _setting(idx, "j")
-    j, degree = idx["j"], s.l + s.m - 2 * idx["j"]
-    rescale = 2 ** (s.l + s.m - j) * _lm_pochhammer(s, j)
-    lhs_limit = _linearized_block(j, s)
-    term_limits = [hermite_dual_addition_term(n, j, s) for n in range(s.m + 1)]
+    j, l, m = idx["j"], s.l, s.m
+    rescale = 2 ** (l + m - j) * _lm_pochhammer(s, j)
 
-    def deviation(alpha):
-        dual = DualSetting(alpha=alpha, l=s.l, m=s.m)
-        lhs = alpha_scaled(gegenbauer_r(degree, alpha), degree, alpha).scale(rescale)
-        dev = (lhs - lhs_limit).max_abs_coeff()
-        for n, limit in enumerate(term_limits):
-            term = alpha_scaled(dual_addition_term(n, j, dual), s.l + s.m, alpha)
-            dev = max(dev, (term.scale(rescale * alpha**-j) - limit).max_abs_coeff())
-        return dev
+    def scalars(alpha):
+        dual = DualSetting(alpha=alpha, l=l, m=m)
+        return tuple(rescale * alpha ** (n - j) * dual_addition_coeff(n, j, dual)
+                     for n in range(m + 1))
 
-    return deviation
+    def assemble(limits):
+        factor = _scaled_gegenbauer_limit
+        terms = ((factor(l - n, n) * factor(m - n, n)).scale((-1) ** n * c)
+                 for n, c in enumerate(limits))
+        return (factor(l + m - 2 * j, 0).scale(rescale), *terms)
+
+    hermite_terms = (hermite_dual_addition_term(n, j, s) for n in range(m + 1))
+    return LimitClaim(scalars, (_linearized_block(j, s), *hermite_terms), assemble)
 
 
-#: target id -> (description of the limit, builder of its deviation)
-_LIMITS: dict[str, tuple[str, Callable[..., Deviation]]] = {
+#: target id -> (description of the limit, builder of its claim)
+_LIMITS: dict[str, tuple[str, Callable[..., LimitClaim]]] = {
     "eq52": ("2^{-n} H_n(x) from alpha^{n/2} R_n(alpha^{-1/2} x)", _eq52),
     "eq53": ("x^n from R_n^{(alpha,alpha)}(x)", _eq53),
     "eq54j": ("2^j (-n)_j/((-l)_j (-m)_j) from alpha^{-j} * Racah value", _eq54("j")),
@@ -338,42 +325,23 @@ _LIMITS: dict[str, tuple[str, Callable[..., Deviation]]] = {
 
 
 def limit_rate_check(
-    target: str,
-    indices: Mapping[str, int],
-    alpha_powers: Sequence[int],
-    x: Fraction | None = None,
-) -> LimitReport:
-    """Exact scaled deviations of ``target`` at alpha = 2^s.
+    target: str, indices: Mapping[str, int], x: Fraction | None = None
+) -> tuple[Fraction, int, str]:
+    """The exact limit of ``target``'s scaled quantity against its claim:
+    the largest |limit - claimed limit|, the samples of alpha it took and
+    the description of the limit.
 
     ``indices`` carries the indices the target needs: n and a rational
     evaluation point x for eq52/eq53; n, j, l, m for eq54j/eq54n; j, l, m
     for eq55 and eq40-to-eq46; n, l, m for eq56; n, k, l, m for eq30-limit.
-    Only the powers with 2^s >= 2 (l+m)^2 are evaluated (all of them for
-    eq52 and eq53), and at least two must be left, else DomainError.
-    The report is returned whether or not the deviations decay; call
-    :meth:`LimitReport.require_decay` to raise on a violation.
     """
     if target not in _LIMITS:
         raise DomainError(f"unknown limit target {target!r}")
-    if any(a >= b for a, b in zip(alpha_powers, alpha_powers[1:])):
-        raise DomainError("alpha powers must be strictly increasing")
     description, build = _LIMITS[target]
-    idx = dict(indices)
-    onset = 2 * (idx["l"] + idx["m"]) ** 2 if "l" in idx else 0
-    powers = [s_pow for s_pow in alpha_powers if 2**s_pow >= onset]
-    if len(powers) < 2:
-        raise DomainError(
-            f"{target} at {idx} needs two alpha powers with 2^s >= {onset}, "
-            f"got {tuple(alpha_powers)}"
-        )
-    deviation = build(idx, x)
-    report = LimitReport(
-        target=target,
-        indices=dict(idx, **({"x": str(x)} if x is not None else {})),
-        limit_description=description,
+    claim = build(dict(indices), x)
+    limits, points = limit_at_infinity(claim.quantity, _budget(*indices.values()))
+    residual = max(
+        _gap(value, claimed)
+        for value, claimed in zip(claim.assemble(limits), claim.claimed, strict=True)
     )
-    for s_pow in powers:
-        alpha = Fraction(2**s_pow)
-        report.alphas.append(alpha)
-        report.deviations.append(deviation(alpha))
-    return report
+    return residual, points, description

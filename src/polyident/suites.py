@@ -57,7 +57,6 @@ class SuiteConfig:
     addition_n_max: int = 8
     hermite_lm_max: int = 12
     biorthogonality_max: int = 20
-    alpha_powers: tuple[int, ...] = tuple(range(4, 17))
     limit_lm_max: int = 4
     precision_digits: int = 60
     integral_tolerance: str | None = None  # integral kind; default 10^-(P-35), 1e-25 at P=60
@@ -76,18 +75,13 @@ class SuiteConfig:
             value = getattr(self, name)
             if value is not None and value < floor:
                 raise ConfigError(f"{name} must be >= {floor}, got {value}")
-        if not self.alphas or not self.alpha_powers:
-            raise ConfigError("alphas and alpha_powers must not be empty")
+        if not self.alphas:
+            raise ConfigError("alphas must not be empty")
         # a repeated alpha would run, and report, the same tasks twice
         repeated = sorted({a for a in self.alphas if self.alphas.count(a) > 1})
         if repeated:
             raise ConfigError(
                 f"bad value for alphas: {', '.join(map(str, repeated))} repeated"
-            )
-        # the limit checks read alpha = 2^s as a doubling sequence
-        if any(a >= b for a, b in zip(self.alpha_powers, self.alpha_powers[1:])):
-            raise ConfigError(
-                f"alpha_powers must be strictly increasing, got {self.alpha_powers}"
             )
         try:
             Fraction(self.t_max)
@@ -529,15 +523,11 @@ def _task_eq48_printed(p, config):
 
 def _task_limit(target, p, config):
     indices = {key: p[key] for key in ("n", "j", "k", "l", "m") if key in p}
-    report = hermite_limit.limit_rate_check(target, indices, config.alpha_powers, x=p.get("x"))
-    excess = report.excess
+    residual, points, description = hermite_limit.limit_rate_check(target, indices, x=p.get("x"))
     return TaskResult(
-        residual=format_rational(excess),
-        passed=excess == 0,
-        extra={
-            "final_deviation": format_rational(report.deviations[-1]),
-            "limit": report.limit_description,
-        },
+        residual=format_rational(residual),
+        passed=residual == 0,
+        extra={"points": str(points), "limit": description},
     )
 
 

@@ -16,7 +16,6 @@ from polyident.exact import pythagorean_point, terminating_hyp
 from polyident.suites import EQ7_POINTS, SuiteConfig, default_racah_systems
 
 GRID_ALPHAS = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 3))
-POWERS = tuple(range(4, 17))
 HALF = Fraction(1, 2)
 
 
@@ -148,45 +147,27 @@ def test_criterion_6_hermite_suite():
 
 
 def test_criterion_7_limit_suite():
-    failures = []
+    # every default limit record: the reconstructed limit equals its claim
+    checks = []
     for n in range(5):
         for x in (Fraction(1, 2), Fraction(3, 5)):
-            for target in ("eq52", "eq53"):
-                report = hermite_limit.limit_rate_check(
-                    target, {"n": n}, POWERS, x=x
-                )
-                if not report.passed:
-                    failures.append((target, n, str(x)))
+            checks += [(target, {"n": n}, x) for target in ("eq52", "eq53")]
     for l in range(5):
         for m in range(l + 1):
-            for n in range(m + 1):
-                for j in range(m + 1):
-                    for target in ("eq54j", "eq54n"):
-                        report = hermite_limit.limit_rate_check(
-                            target, {"n": n, "j": j, "l": l, "m": m},
-                            POWERS,
-                        )
-                        if not report.passed:
-                            failures.append((target, l, m, n, j))
-            for j in range(m + 1):
-                report = hermite_limit.limit_rate_check(
-                    "eq55", {"j": j, "l": l, "m": m}, POWERS
-                )
-                if not report.passed:
-                    failures.append(("eq55", l, m, j))
-            for n in range(m + 1):
-                report = hermite_limit.limit_rate_check(
-                    "eq56", {"n": n, "l": l, "m": m}, POWERS
-                )
-                if not report.passed:
-                    failures.append(("eq56", l, m, n))
-                for k in range(m + 1):
-                    report = hermite_limit.limit_rate_check(
-                        "eq30-limit", {"n": n, "k": k, "l": l, "m": m}, POWERS
-                    )
-                    if not report.passed:
-                        failures.append(("eq30-limit", l, m, n, k))
-    conclude(7, "dyadic limit decay, exact arithmetic", failures)
+            for a in range(m + 1):
+                checks.append(("eq55", {"j": a, "l": l, "m": m}, None))
+                checks.append(("eq56", {"n": a, "l": l, "m": m}, None))
+                checks.append(("eq40-to-eq46", {"j": a, "l": l, "m": m}, None))
+                for b in range(m + 1):
+                    checks.append(("eq54j", {"n": a, "j": b, "l": l, "m": m}, None))
+                    checks.append(("eq54n", {"n": a, "j": b, "l": l, "m": m}, None))
+                    checks.append(("eq30-limit", {"n": a, "k": b, "l": l, "m": m}, None))
+    assert len(checks) == 440
+    failures = [
+        (target, indices, x) for target, indices, x in checks
+        if hermite_limit.limit_rate_check(target, indices, x=x)[0] != 0
+    ]
+    conclude(7, "exact alpha -> oo limits by rational reconstruction", failures)
 
 
 @pytest.mark.slow

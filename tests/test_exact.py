@@ -7,12 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyident import exact
 from polyident.errors import DegenerateParameterError, DomainError, RelationViolationError
 from polyident.exact import (
     SURD_VARS,
     SurdPoly,
     UniPoly,
     format_rational,
+    limit_at_infinity,
     parse_rational,
     poch_quotient,
     pochhammer,
@@ -240,6 +242,82 @@ class TestSurdPoly:
             assert product.substitute(bindings) == p.substitute(bindings) * q.substitute(
                 bindings
             )
+
+
+def _of_epsilon(g):
+    """The quantity alpha -> (g(1/alpha),) of a rational function g."""
+    return lambda alpha: (g(1 / alpha),)
+
+
+class TestLimitAtInfinity:
+    def test_known_rational(self):
+        # type (2, 1) in e = 1/alpha: four points fix it, two more confirm it
+        limits, points = limit_at_infinity(
+            _of_epsilon(lambda e: (3 * e * e - e + 2) / (5 * e + 1)), 20
+        )
+        assert (limits, points) == ((2,), 6)
+
+    def test_components_are_reconstructed_apart(self):
+        limits, points = limit_at_infinity(
+            lambda alpha: (Fraction(7), (alpha + 1) / (2 * alpha - 1), 1 / alpha**3), 20
+        )
+        assert limits == (7, Fraction(1, 2), 0)
+        # with k + 1 points a Thiele fraction has type (ceil(k/2), floor(k/2)):
+        # e^3 needs six points, then two confirmations; the others stop sooner
+        assert points == 8
+
+    def test_infinite_inverse_difference_leaves_the_point_out(self):
+        # g(1/6) = g(1/3) = 0, so the sample at alpha = 6 meets an infinite
+        # inverse difference at the first level
+        def g(e):
+            return (e - Fraction(1, 3)) * (e - Fraction(1, 6))
+
+        fraction = exact._Thiele()
+        for alpha in (3, 4, 5, 6):
+            fraction.feed(Fraction(1, alpha), g(Fraction(1, alpha)))
+        assert len(fraction.nodes) == 3
+        assert limit_at_infinity(_of_epsilon(g), 20)[0] == (Fraction(1, 18),)
+
+    def test_zero_tail_carries_infinity(self):
+        # g(0) = g(1/3): at e = 0 the tail below the first level is 0, so that
+        # level is infinite and the value is a_0 + (0 - 1/3)/infinity = a_0
+        def g(e):
+            return e * (e - Fraction(1, 3)) + 1
+
+        fraction = exact._Thiele()
+        for alpha in range(3, 8):
+            fraction.feed(Fraction(1, alpha), g(Fraction(1, alpha)))
+        assert fraction(Fraction(0)) == 1
+        assert limit_at_infinity(_of_epsilon(g), 20) == ((1,), 6)
+
+    def test_degenerate_samples_are_skipped(self):
+        def sample(alpha):
+            if alpha in (4, 6):
+                raise DomainError("degenerate")
+            return (alpha / (alpha + 1),)
+
+        # 1/(1 + e) needs three points and two confirmations: alpha = 3, 5, 7,
+        # 8 and 9
+        assert limit_at_infinity(sample, 20) == ((1,), 5)
+
+    def test_pole_at_infinity_is_an_error(self):
+        with pytest.raises(DomainError, match="pole"):
+            limit_at_infinity(lambda alpha: (alpha * alpha / (alpha + 1),), 20)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.lists(rationals, min_size=1, max_size=4),
+        st.lists(rationals, min_size=1, max_size=3).filter(lambda d: d[0] != 0),
+    )
+    def test_random_rational_functions(self, numerator, denominator):
+        n, d = UniPoly(numerator), UniPoly(denominator)
+
+        def sample(alpha):
+            if d(1 / alpha) == 0:
+                raise DomainError("pole")
+            return (n(1 / alpha) / d(1 / alpha),)
+
+        assert limit_at_infinity(sample, 40)[0] == (n(0) / d(0),)
 
 
 class TestPythagoreanPoint:

@@ -1,27 +1,27 @@
-"""Hermite identities, biorthogonality, and exact dyadic limit checks."""
+"""Hermite identities, biorthogonality, and exact alpha -> oo limit checks."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from polyident import hermite_limit, suites
-from polyident.classical import hermite
-from polyident.errors import DomainError, LimitViolationError
+from polyident import exact, hermite_limit, suites
+from polyident.classical import gegenbauer_r, hermite
+from polyident.dual_addition import DualSetting, dual_addition_term
+from polyident.errors import DomainError
 from polyident.exact import UniPoly, pochhammer
 from polyident.hermite_limit import (
-    DECAY_RATIO,
     HermiteSetting,
     alpha_scaled,
     biorthogonality_value,
     hermite_addition_residual,
     hermite_dual_addition_residual,
     hermite_dual_inverse_residual,
+    hermite_dual_addition_term,
     hermite_product_residual,
     limit_rate_check,
 )
-
-POWERS = tuple(range(4, 17))
 
 
 class TestHermiteSurdIdentities:
@@ -136,8 +136,6 @@ class TestBiorthogonality:
 class TestScaledGegenbauer:
     def test_exact_alpha_powers(self):
         alpha = Fraction(16)
-        from polyident.classical import gegenbauer_r
-
         poly = alpha_scaled(gegenbauer_r(3, alpha), 3, alpha)
         # x^3 coefficient is the plain leading coefficient; the x^1
         # coefficient picks up one alpha power
@@ -146,21 +144,21 @@ class TestScaledGegenbauer:
         assert poly.coeff(1) == base.coeff(1) * alpha
 
 
+def _passes(target, indices, x=None) -> bool:
+    return limit_rate_check(target, indices, x=x)[0] == 0
+
+
 class TestLimitRates:
     def test_eq53_single_point(self):
-        report = limit_rate_check("eq53", {"n": 2}, POWERS, x=Fraction(1, 2))
-        assert report.passed
-        # the deviation roughly halves with every doubling of alpha
-        d10 = report.deviations[POWERS.index(10)]
-        d11 = report.deviations[POWERS.index(11)]
-        assert d11 <= DECAY_RATIO * d10
+        # R_2(x) = ((2 alpha + 3) x^2 - 1)/(2 alpha + 2) is of type (1, 1)
+        # in 1/alpha: three points fix it, two more confirm it
+        assert limit_rate_check("eq53", {"n": 2}, x=Fraction(1, 2))[:2] == (0, 5)
 
     def test_eq52_exact_low_degrees(self):
-        # degrees 0 and 1 are exact at every alpha: deviations identically 0
+        # degrees 0 and 1 are exact at every alpha: one sample and two
+        # confirmations
         for n in (0, 1):
-            report = limit_rate_check("eq52", {"n": n}, POWERS, x=Fraction(1, 2))
-            report.require_decay()
-            assert all(d == 0 for d in report.deviations)
+            assert limit_rate_check("eq52", {"n": n}, x=Fraction(1, 2))[:2] == (0, 3)
 
     def test_eq54n_example_value(self):
         # frozen limit: 2 (-1)_1 / ((-3)_1 (-2)_1) = -1/3
@@ -170,68 +168,66 @@ class TestLimitRates:
             / (pochhammer(Fraction(-3), 1) * pochhammer(Fraction(-2), 1))
         )
         assert target == Fraction(-1, 3)
-        report = limit_rate_check(
-            "eq54n", {"n": 1, "j": 1, "l": 3, "m": 2}, POWERS
-        )
-        assert report.passed
+        build = hermite_limit._LIMITS["eq54n"][1]
+        assert build({"n": 1, "j": 1, "l": 3, "m": 2}, None).claimed == (target,)
+        assert _passes("eq54n", {"n": 1, "j": 1, "l": 3, "m": 2})
 
     def test_eq56_degree_zero(self):
-        report = limit_rate_check("eq56", {"n": 0, "l": 3, "m": 2}, POWERS)
-        assert report.passed
+        assert _passes("eq56", {"n": 0, "l": 3, "m": 2})
 
     def test_all_targets_small_grid(self):
         for l in range(5):
             for m in range(l + 1):
                 for n in range(m + 1):
                     for j in range(m + 1):
-                        limit_rate_check(
-                            "eq54j", {"n": n, "j": j, "l": l, "m": m}, POWERS
-                        ).require_decay()
-                        limit_rate_check(
-                            "eq54n", {"n": n, "j": j, "l": l, "m": m}, POWERS
-                        ).require_decay()
+                        assert _passes("eq54j", {"n": n, "j": j, "l": l, "m": m})
+                        assert _passes("eq54n", {"n": n, "j": j, "l": l, "m": m})
                 for j in range(m + 1):
-                    limit_rate_check("eq55", {"j": j, "l": l, "m": m}, POWERS).require_decay()
+                    assert _passes("eq55", {"j": j, "l": l, "m": m})
                 for n in range(m + 1):
-                    limit_rate_check("eq56", {"n": n, "l": l, "m": m}, POWERS).require_decay()
-
-    def test_monotonicity_violation_raises(self):
-        report = limit_rate_check("eq53", {"n": 2}, POWERS, x=Fraction(1, 2)).require_decay()
-        report.deviations[-1] = report.deviations[0]  # corrupt the tail
-        with pytest.raises(LimitViolationError):
-            report.require_decay()
+                    assert _passes("eq56", {"n": n, "l": l, "m": m})
 
     def test_unknown_target(self):
         with pytest.raises(DomainError):
-            limit_rate_check("eq99", {}, POWERS)
-
-    def test_alpha_powers_must_increase(self):
-        with pytest.raises(DomainError):
-            limit_rate_check("eq53", {"n": 2}, (5, 4), x=Fraction(1, 2))
+            limit_rate_check("eq99", {})
 
 
 class TestBiorthogonalityLimit:
     def test_diagonal(self):
-        report = limit_rate_check("eq30-limit", {"n": 1, "k": 1, "l": 3, "m": 2}, POWERS)
-        assert report.passed
+        assert _passes("eq30-limit", {"n": 1, "k": 1, "l": 3, "m": 2})
 
     def test_off_diagonal(self):
-        report = limit_rate_check("eq30-limit", {"n": 2, "k": 1, "l": 3, "m": 2}, POWERS)
-        assert report.passed
+        assert _passes("eq30-limit", {"n": 2, "k": 1, "l": 3, "m": 2})
 
     def test_degree_zero_exact_for_every_alpha(self):
-        report = limit_rate_check("eq30-limit", {"n": 0, "k": 0, "l": 3, "m": 2}, POWERS)
-        report.require_decay()
-        assert all(d == 0 for d in report.deviations)
+        # the pairing of R_0 with itself is 1 at every alpha: one sample and
+        # two confirmations
+        check = limit_rate_check("eq30-limit", {"n": 0, "k": 0, "l": 3, "m": 2})
+        assert check[:2] == (0, 3)
 
     def test_small_grid(self):
         for l in range(5):
             for m in range(l + 1):
                 for n in range(m + 1):
                     for k in range(m + 1):
-                        limit_rate_check(
-                            "eq30-limit", {"n": n, "k": k, "l": l, "m": m}, POWERS
-                        ).require_decay()
+                        assert _passes("eq30-limit", {"n": n, "k": k, "l": l, "m": m})
+
+
+def _coefficientwise_terms(l, m, j):
+    """The rescaled dual addition terms of eq40-to-eq46, one component per
+    coefficient, in place of the factor-by-factor route."""
+    s = HermiteSetting(l, m)
+    rescale = 2 ** (l + m - j) * hermite_limit._lm_pochhammer(s, j)
+
+    def quantity(alpha):
+        dual = DualSetting(alpha=alpha, l=l, m=m)
+        terms = (
+            alpha_scaled(dual_addition_term(n, j, dual), l + m, alpha).scale(rescale * alpha**-j)
+            for n in range(m + 1)
+        )
+        return tuple(term.coeff(i) for term in terms for i in range(l + m + 1))
+
+    return quantity
 
 
 class TestDualAdditionLimit:
@@ -239,66 +235,165 @@ class TestDualAdditionLimit:
         for l in range(5):
             for m in range(l + 1):
                 for j in range(m + 1):
-                    report = limit_rate_check("eq40-to-eq46", {"j": j, "l": l, "m": m}, POWERS)
-                    assert report.passed
+                    assert _passes("eq40-to-eq46", {"j": j, "l": l, "m": m})
+
+    def test_degenerate_point_at_3_3_0(self):
+        # the n = 0 scalar at (l, m, j) = (3, 3, 0) is the same at every
+        # alpha, so extending its fraction through a second sample would
+        # meet an infinite inverse difference; that sample is predicted, so
+        # it confirms the fraction instead
+        claim = hermite_limit._LIMITS["eq40-to-eq46"][1]({"j": 0, "l": 3, "m": 3}, None)
+        fraction = exact._Thiele()
+        for alpha in map(Fraction, (3, 4, 5)):
+            fraction.feed(1 / alpha, claim.quantity(alpha)[0])
+        assert (len(fraction.nodes), fraction.confirmed) == (1, 2)
+        assert fraction(Fraction(0)) == claim.quantity(Fraction(3))[0]
+        assert _passes("eq40-to-eq46", {"j": 0, "l": 3, "m": 3})
+
+    @pytest.mark.parametrize("l, m, j", [(5, 4, 2), (5, 5, 1)])
+    def test_coefficientwise_route_agrees(self, l, m, j):
+        # coefficient by coefficient, some continued fractions meet a zero
+        # tail on the way to 1/alpha = 0; the limits still are the Hermite
+        # terms the factor-by-factor route compares with
+        limits, _points = exact.limit_at_infinity(_coefficientwise_terms(l, m, j), 100)
+        s = HermiteSetting(l, m)
+        assert limits == tuple(
+            hermite_dual_addition_term(n, j, s).coeff(i)
+            for n in range(m + 1) for i in range(l + m + 1)
+        )
+        assert _passes("eq40-to-eq46", {"j": j, "l": l, "m": m})
 
 
 def _limit_tasks(config):
     return [task for task in suites.hermite_tasks(config) if task[0] in hermite_limit._LIMITS]
 
 
+def _offset(limits, offset):
+    """The table ``limits`` of limit builders, with ``offset`` added to each
+    claimed limit (to each polynomial's constant term)."""
+
+    def shift(claimed):
+        return claimed + (UniPoly([offset]) if isinstance(claimed, UniPoly) else offset)
+
+    def offset_build(build):
+        def build_offset(idx, x):
+            claim = build(idx, x)
+            return claim._replace(claimed=tuple(map(shift, claim.claimed)))
+        return build_offset
+
+    return {
+        target: (description, offset_build(build))
+        for target, (description, build) in limits.items()
+    }
+
+
+def _degenerate_everywhere(alpha):
+    raise DomainError("degenerate at every alpha")
+
+
 class TestLimitWindow:
-    """The decay is judged from the first alpha = 2^s >= 2 (l+m)^2."""
+    """The window of samples alpha = 3, 4, 5, ..., cut at a budget set by
+    the indices."""
 
     def test_largest_indices_at_limit_lm_max_8_pass(self):
-        # at l = 8 the first doublings of 4..16 are not yet in the 1/alpha
-        # regime; judged from alpha = 2^s >= 2 (l+m)^2 every record passes
         config = suites.SuiteConfig(jobs=1, limit_lm_max=8)
         tasks = [task for task in _limit_tasks(config) if task[1].get("l") == "8"]
         reports = [suites._execute(task, config) for task in tasks]
         assert len(reports) > 900
-        assert [r for r in reports if r.status != "pass"] == []
+        assert [r for r in reports if r.status != "pass" or r.residual != "0"] == []
 
-    def test_window_starts_at_twice_the_squared_index_sum(self):
-        report = limit_rate_check("eq55", {"j": 6, "l": 6, "m": 6}, POWERS)
-        assert report.alphas[0] == 512  # the first 2^s >= 2 * 12^2 = 288
-        assert report.alphas[-1] == 2**16
-        assert report.passed
-        report = limit_rate_check("eq53", {"n": 2}, POWERS, x=Fraction(1, 2))
-        assert report.alphas[0] == 16  # no l, m: judged from the first power
+    def test_window_starts_at_alpha_three(self):
+        seen = []
+
+        def quantity(alpha):
+            seen.append(alpha)
+            return (Fraction(1),)
+
+        assert exact.limit_at_infinity(quantity, 8) == ((Fraction(1),), 3)
+        assert seen == [3, 4, 5]
 
     def test_offset_limit_fails_for_every_target(self, monkeypatch):
-        # a deviation that settles at 1/1000 instead of 0, as a limit off by
-        # 1/1000 gives, must fail every limit record of the small grid
-        def offset(build):
-            def offset_build(idx, x):
-                deviation = build(idx, x)
-                return lambda alpha: deviation(alpha) + Fraction(1, 1000)
-            return offset_build
-
-        monkeypatch.setattr(hermite_limit, "_LIMITS", {
-            target: (description, offset(build))
-            for target, (description, build) in hermite_limit._LIMITS.items()
-        })
-        config = suites.SuiteConfig(jobs=1, limit_lm_max=2)
-        reports = [suites._execute(task, config) for task in _limit_tasks(config)]
-        assert {r.identity_id for r in reports} == set(hermite_limit._LIMITS)
-        assert {r.status for r in reports} == {"fail"}
+        # a claimed limit off by any nonzero rational fails every limit
+        # record of the default grid, however slowly its quantity converges
+        rng = random.Random(1607)
+        offsets = (Fraction(1, 1000), Fraction(1, 10**12),
+                   Fraction(rng.randint(1, 10**9), rng.randint(1, 10**9)))
+        config = suites.SuiteConfig(jobs=1)
+        tasks = _limit_tasks(config)
+        assert len(tasks) == 440
+        limits = hermite_limit._LIMITS
+        for offset in offsets:
+            monkeypatch.setattr(hermite_limit, "_LIMITS", _offset(limits, offset))
+            reports = [suites._execute(task, config) for task in tasks]
+            assert {r.identity_id for r in reports} == set(hermite_limit._LIMITS)
+            assert {r.status for r in reports} == {"fail"}, offset
+            assert {r.residual for r in reports} == {exact.format_rational(offset)}, offset
 
     @pytest.mark.parametrize(
-        "target, indices, powers",
-        [("eq55", {"j": 0, "l": 8, "m": 8}, tuple(range(4, 10))),
-         ("eq40-to-eq46", {"j": 1, "l": 2, "m": 1}, (4,)),
-         ("eq53", {"n": 2}, (10,))],
-        ids=["one-power-left", "none-left", "single-power"],
+        "quantity",
+        [lambda alpha: (Fraction(1, 2) ** alpha,),
+         lambda alpha: (Fraction(1), Fraction(1, 2) ** alpha),
+         _degenerate_everywhere],
+        ids=["not-rational", "one-component-not-rational", "every-alpha-degenerate"],
     )
-    def test_short_window_is_an_error(self, target, indices, powers):
-        with pytest.raises(DomainError, match="needs two alpha powers"):
-            limit_rate_check(target, indices, powers, x=Fraction(1, 2))
+    def test_short_window_is_an_error(self, quantity):
+        with pytest.raises(DomainError, match="no interpolant confirmed within 20 values"):
+            exact.limit_at_infinity(quantity, 20)
 
-    def test_short_window_is_an_error_record(self):
-        config = suites.SuiteConfig(jobs=1, alpha_powers=tuple(range(4, 10)))
-        params = {"l": "8", "m": "8", "target": "eq55", "j": "0"}
-        report = suites._execute(("eq55", params), config)
+    def test_short_window_is_an_error_record(self, monkeypatch):
+        monkeypatch.setattr(hermite_limit, "_budget", lambda *indices: 4)
+        params = {"l": "8", "m": "8", "target": "eq55", "j": "8"}
+        report = suites._execute(("eq55", params), suites.SuiteConfig(jobs=1))
         assert report.status == "error"
-        assert report.parameters["error"].startswith("DomainError: eq55 at ")
+        assert report.parameters["error"] == (
+            "DomainError: no interpolant confirmed within 4 values of alpha"
+        )
+
+
+def _dyadic_deviation(target, idx, x, alpha):
+    """Test-only oracle: |scaled quantity - claimed limit| at one alpha,
+    computed without the reconstruction; for eq40-to-eq46 from the whole
+    rescaled expansion, not factor by factor."""
+    claim = hermite_limit._LIMITS[target][1](idx, x)
+    if target != "eq40-to-eq46":
+        return max(abs(q - c) for q, c in zip(claim.quantity(alpha), claim.claimed))
+    l, m, j = idx["l"], idx["m"], idx["j"]
+    rescale = 2 ** (l + m - j) * hermite_limit._lm_pochhammer(HermiteSetting(l, m), j)
+    degree = l + m - 2 * j
+    lhs = alpha_scaled(gegenbauer_r(degree, alpha), degree, alpha).scale(rescale)
+    terms = _coefficientwise_terms(l, m, j)(alpha)
+    width = l + m + 1
+    sides = [lhs] + [UniPoly(terms[n * width:(n + 1) * width]) for n in range(m + 1)]
+    return max((side - c).max_abs_coeff() for side, c in zip(sides, claim.claimed))
+
+
+class TestDyadicOracle:
+    """The claimed limits, checked apart from the reconstruction: the
+    deviation at alpha = 2^s shrinks by 0.6 per doubling, judged from the
+    first 2^s >= 2 (l+m)^2, where the approach is in its 1/alpha regime."""
+
+    @staticmethod
+    def _decays(target, idx, x=None):
+        onset = 2 * (idx["l"] + idx["m"]) ** 2 if "l" in idx else 0
+        alphas = [Fraction(2**s) for s in range(4, 14) if 2**s >= onset]
+        deviations = [_dyadic_deviation(target, idx, x, alpha) for alpha in alphas]
+        return all(
+            later <= Fraction(6, 10) * earlier
+            for earlier, later in zip(deviations, deviations[1:])
+        )
+
+    def test_claims_decay_on_a_small_grid(self):
+        for n in range(5):
+            for target in ("eq52", "eq53"):
+                assert self._decays(target, {"n": n}, Fraction(3, 5)), (target, n)
+        for task, params in _limit_tasks(suites.SuiteConfig(jobs=1, limit_lm_max=2)):
+            idx = {key: int(params[key]) for key in "njklm" if key in params}
+            if task not in ("eq52", "eq53"):
+                assert self._decays(task, idx), (task, idx)
+
+    def test_oracle_sees_an_offset(self, monkeypatch):
+        monkeypatch.setattr(
+            hermite_limit, "_LIMITS", _offset(hermite_limit._LIMITS, Fraction(1, 1000))
+        )
+        assert not self._decays("eq55", {"j": 1, "l": 2, "m": 2})
+        assert not self._decays("eq40-to-eq46", {"j": 0, "l": 1, "m": 1})

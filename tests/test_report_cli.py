@@ -225,6 +225,18 @@ class TestSuites:
         tolerance = mp.mpf(report.parameters["tolerance"])
         assert mp.mpf(report.residual) <= tolerance * mp.mpf("1e-4"), report
 
+    def test_eq13_margin_at_80_digits(self):
+        # the quadrature's tolerance is relative to |closed|, which is about
+        # 1e-4 at n = 3, so its stop rules keep three digits below the
+        # threshold there too
+        config = SuiteConfig(precision_digits=80, jobs=1)
+        reports = [suites._execute(task, config)
+                   for task in suite_tasks("continuous", config) if task[0] == "eq13"]
+        assert len(reports) == 4
+        for r in reports:
+            threshold = mp.mpf(r.parameters["tolerance"])
+            assert mp.mpf(r.residual) <= threshold * mp.mpf("1e-3"), r
+
     def test_truncated_eq15_is_an_error_not_a_fail(self):
         # a budget that runs out on a decreasing tail cuts the check short;
         # it does not show that the identity fails
@@ -395,8 +407,7 @@ class TestSuites:
         assert a == b
 
     def test_hermite_pinned_discrepancy(self):
-        config = SuiteConfig(jobs=1, hermite_lm_max=2, biorthogonality_max=4,
-                             limit_lm_max=1, alpha_powers=tuple(range(4, 9)))
+        config = SuiteConfig(jobs=1, hermite_lm_max=2, biorthogonality_max=4, limit_lm_max=1)
         reports = run_suite("hermite", config)
         pinned = [r for r in reports if r.identity_id == "eq48-printed"]
         assert len(pinned) == 1
@@ -405,9 +416,9 @@ class TestSuites:
         assert all(r.status == "pass" for r in reports)
 
     def test_hermite_records_match_expected_file(self):
-        # pins every record byte for byte, including the final_deviation and
-        # limit strings of the dyadic-limit records; regenerate the file only
-        # for an intended change of output
+        # pins every record byte for byte, including the points and limit
+        # strings of the limit records; regenerate the file only for an
+        # intended change of output
         config = SuiteConfig(jobs=1, hermite_lm_max=2, biorthogonality_max=4, limit_lm_max=2)
         expected = Path(__file__).with_name("golden") / "hermite-small.jsonl"
         assert emit_json_lines(run_suite("hermite", config)) == expected.read_text()
@@ -616,7 +627,6 @@ EVERY_KEY = {
     "addition_n_max": ("4", ["--n-max", "4"]),
     "hermite_lm_max": ("5", ["--hermite-lm-max", "5"]),
     "biorthogonality_max": ("6", ["--bio-max", "6"]),
-    "alpha_powers": ("5..9", ["--alpha-powers", "5..9"]),
     "limit_lm_max": ("2", ["--limit-lm-max", "2"]),
     "precision_digits": ("50", ["--precision-digits", "50"]),
     "integral_tolerance": ("1e-12", ["--integral-tolerance", "1e-12"]),
@@ -760,9 +770,7 @@ class TestCli:
             ["verify", "dual-addition", "--l-max", "2", "--m-max=-1"],
             ["verify", "continuous", "--t-max", "abc"],
             ["verify", "racah", "--integral-tolerance", "abc"],
-            ["verify", "hermite", "--alpha-powers", "5..4"],
             ["verify", "continuous", "--precision-digits", "20"],
-            ["verify", "hermite", "--alpha-powers", "5,4"],
             ["verify", "continuous", "--truncation-budget=-1"],
             ["verify", "racah", "--jobs=-1"],
             ["verify", "racah", "--precision-digits", "45"],
@@ -770,16 +778,13 @@ class TestCli:
             ["verify", "racah", "--integral-tolerance", "inf"],
             ["verify", "racah", "--pointwise-tolerance=-1"],
             ["verify", "racah", "--pointwise-tolerance", "0"],
-            ["verify", "hermite", "--alpha-powers", "4..x"],
-            ["verify", "hermite", "--alpha-powers", "a,b"],
             ["verify", "dual-addition", "--alphas", "1,1", "--l-max", "1"],
         ],
         ids=["empty-grid", "empty-pair-grid", "unparseable-t-max",
-             "unparseable-tolerance", "empty-alpha-powers", "vacuous-precision",
-             "decreasing-alpha-powers", "no-truncation-budget", "negative-jobs",
-             "precision-at-1e-5", "loose-tolerance", "infinite-tolerance",
-             "negative-tolerance", "zero-tolerance", "unparseable-alpha-range",
-             "unparseable-alpha-powers", "repeated-alphas"],
+             "unparseable-tolerance", "vacuous-precision", "no-truncation-budget",
+             "negative-jobs", "precision-at-1e-5", "loose-tolerance",
+             "infinite-tolerance", "negative-tolerance", "zero-tolerance",
+             "repeated-alphas"],
     )
     def test_rejected_config_exits_two(self, argv, capsys):
         # the case's own flags come last, so they win over these defaults
@@ -843,8 +848,29 @@ class TestCli:
         assert f"error: {cfg}: cannot read config file" in done.stderr
 
     @pytest.mark.parametrize(
-        "line", ["alpha_powers = 4..x", "timings = maybe", "alphas = 0,1/2,2/4"],
-        ids=["unparseable-alpha-powers", "unknown-boolean", "repeated-alphas"],
+        "case, message",
+        [("config", "unknown key 'alpha_powers'"),
+         ("flag", "unrecognized arguments: --alpha-powers 4..16")],
+    )
+    def test_removed_alpha_powers_exits_two(self, case, message, tmp_path):
+        # alpha_powers set the grid of the dyadic limit test, which exact
+        # reconstruction replaced; as a key or a flag it is now unknown
+        cfg = tmp_path / "old.cfg"
+        cfg.write_text("alpha_powers = 4..16\n")
+        args = ["--config", str(cfg)] if case == "config" else ["--alpha-powers", "4..16"]
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "polyident", "verify", "hermite", *args],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        )
+        assert done.returncode == 2, done.stderr
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        assert message in done.stderr
+
+    @pytest.mark.parametrize(
+        "line", ["timings = maybe", "alphas = 0,1/2,2/4"],
+        ids=["unknown-boolean", "repeated-alphas"],
     )
     def test_bad_config_value_exits_two(self, line, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
