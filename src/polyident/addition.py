@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .classical import X2M1, addition_weight, even_moment, gegenbauer_r, jacobi_r
 from .errors import DomainError
-from .exact import SurdPoly, pochhammer
+from .exact import SurdPoly, UniPoly, pochhammer
 
 _HALF = Fraction(1, 2)
 
@@ -114,7 +114,7 @@ def t_one_residual(inst: AdditionInstance) -> SurdPoly:
     return addition_lhs(inst).set_t(1) - t_one_rhs(inst)
 
 
-def sum_of_squares_terms(n: int, alpha: Fraction) -> list[SurdPoly]:
+def sum_of_squares_terms(n: int, alpha: Fraction) -> list[UniPoly]:
     """Terms of the x = y, t = 1 specialization: a partition of unity.
 
     Each term is addition_coefficient(n,k,alpha) (1-x^2)^k
@@ -126,16 +126,15 @@ def sum_of_squares_terms(n: int, alpha: Fraction) -> list[SurdPoly]:
     terms = []
     for k in range(n + 1):
         poly = gegenbauer_r(n - k, alpha + k)
-        uni = (one_minus_x2.pow(k) * poly * poly).scale(
-            addition_coefficient(n, k, alpha)
+        terms.append(
+            (one_minus_x2.pow(k) * poly * poly).scale(addition_coefficient(n, k, alpha))
         )
-        terms.append(SurdPoly.from_unipoly(uni, "x"))
     return terms
 
 
-def sum_of_squares_residual(n: int, alpha: Fraction) -> SurdPoly:
+def sum_of_squares_residual(n: int, alpha: Fraction) -> UniPoly:
     """1 minus the partition of unity; must be zero."""
-    total = SurdPoly.zero()
+    total = UniPoly.zero()
     for term in sum_of_squares_terms(n, alpha):
         total = total + term
-    return SurdPoly.one() - total
+    return UniPoly.one() - total

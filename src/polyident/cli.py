@@ -40,17 +40,15 @@ _FIELDS = {f.name: _HINTS[f.name] for f in dataclasses.fields(SuiteConfig)}
 
 #: field type -> reader of a flag's or a config line's text; alphas stays
 #: text until build_config parses it
-_READERS = {int: int, int | None: int, bool: lambda text: _BOOLEANS[text.lower()]}
+_READERS = {int: int, bool: lambda text: _BOOLEANS[text.lower()]}
 
 #: config-file key -> reader of its value: every field, plus the output format
 _CONFIG_READERS = {name: _READERS.get(hint, str) for name, hint in _FIELDS.items()}
 _CONFIG_READERS["format"] = str
 
-#: flags spelled other than their field, and the flags' help strings
-_FLAG_NAMES = {"addition_n_max": "--n-max", "biorthogonality_max": "--bio-max"}
+#: the flags' help strings
 _FLAG_HELP = {
     "alphas": "comma-separated rationals, e.g. 0,1/2,1,7/3",
-    "addition_n_max": "degree cap for the classical addition checks",
     "jobs": "worker processes (default: all cores)",
     "timings": "record wall-clock milliseconds (off keeps output byte-stable)",
 }
@@ -128,7 +126,7 @@ def _eval_racah(n, x, *parameters, prec) -> str:
 def _eval_phi(*arguments, prec) -> str:
     lam, alpha, beta, t = map(parse_rational, arguments)
     value = continuous.phi(continuous.to_mpf(lam), alpha, beta, t)
-    if abs(mp.im(value)) < mp.mpf(10) ** (-prec + 10) * (1 + abs(value)):
+    if abs(mp.im(value)) < continuous.agreement_bound() * (1 + abs(value)):
         value = mp.re(value)
     return mp.nstr(value, prec)
 
@@ -193,16 +191,15 @@ def cmd_list(args) -> int:
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    """One flag per SuiteConfig field; an absent flag leaves the field to
-    the config file."""
+    """One flag per SuiteConfig field, its name with `_` spelled `-`; an
+    absent flag leaves the field to the config file."""
     for name, hint in _FIELDS.items():
-        flag = _FLAG_NAMES.get(name, "--" + name.replace("_", "-"))
+        flag = "--" + name.replace("_", "-")
         if hint is bool:
             p.add_argument(flag, dest=name, action="store_true", default=None,
                            help=_FLAG_HELP.get(name))
         else:
             p.add_argument(flag, dest=name, type=_READERS.get(hint, str),
-                           metavar=flag[2:].replace("-", "_").upper(),
                            help=_FLAG_HELP.get(name))
     p.add_argument("--format", choices=("text", "json-lines"))
     p.add_argument("--config", help="flat key = value configuration file")

@@ -46,7 +46,7 @@ def working_precision(digits: int):
     return mp.workdps(digits + _GUARD)
 
 
-def _agreement_bound() -> mp.mpf:
+def agreement_bound() -> mp.mpf:
     """10^{-P+10} inside ``working_precision(P)``: how closely two
     evaluations of one value must agree."""
     return mp.mpf(10) ** (10 + _GUARD - mp.mp.dps)
@@ -177,7 +177,7 @@ def _checked_conical(g, r, k, log_prefactor):
     routes beyond 10^{-P+10} inside ``working_precision(P)`` raises
     PrecisionError."""
     route_phi, route_gauss = _conical_routes(g, r, k, log_prefactor)
-    if abs(route_phi - route_gauss) > _agreement_bound() * (1 + abs(route_gauss)):
+    if abs(route_phi - route_gauss) > agreement_bound() * (1 + abs(route_gauss)):
         raise PrecisionError(
             "conical function routes disagree",
             diagnostics={"phi_route": route_phi, "gauss_route": route_gauss},
@@ -293,7 +293,7 @@ def wilson_poly(n: int, xsq, params: WilsonParams) -> mp.mpf:
     x = mp.sqrt(to_mpf(xsq))
     value = _wilson_poly_complex(n, x, params)
     scale = max(mp.mpf(1), abs(value))
-    if abs(mp.im(value)) > _agreement_bound() * scale:
+    if abs(mp.im(value)) > agreement_bound() * scale:
         raise PrecisionError(
             "Wilson polynomial value is not real",
             diagnostics={"value": value},
@@ -597,6 +597,13 @@ class TruncatedExpansionResult:
         return not self.tail_decreasing
 
 
+def _truncation_budget() -> int:
+    """Terms the eq15 expansion may use: twice the working digits.  The
+    suite's eq15 tasks need at most 17 of 76 at P = 60, and 116 of 356 at
+    P = 200."""
+    return 2 * mp.mp.dps
+
+
 def dual_addition_function_residual(
     t,
     nu,
@@ -604,7 +611,6 @@ def dual_addition_function_residual(
     mu,
     alpha,
     tolerance: mp.mpf,
-    truncation_budget: int = 64,
 ) -> TruncatedExpansionResult:
     """Truncated dual addition expansion for Gegenbauer functions.
 
@@ -620,6 +626,7 @@ def dual_addition_function_residual(
     the budget runs out first, the expansion was cut short, not shown to
     fail, and PrecisionError names the budget.
     """
+    budget = _truncation_budget()
     t = to_mpf(t)
     nu = to_mpf(nu)
     alpha = to_mpf(alpha)
@@ -632,7 +639,7 @@ def dual_addition_function_residual(
     magnitudes: list = []
     used = 0
     converged = False
-    for k in range(truncation_budget):
+    for k in range(budget):
         term = (
             sinh_sq**k
             / (mp.rf(alpha + 1, k) * mp.rf(k + 2 * alpha, k) * mp.factorial(k))
@@ -650,7 +657,7 @@ def dual_addition_function_residual(
     decreasing = all(later < earlier for earlier, later in zip(tail, tail[1:]))
     if decreasing and not converged:
         raise PrecisionError(
-            f"truncation budget of {truncation_budget} terms ran out before a "
+            f"truncation budget of {budget} terms ran out before a "
             f"term fell below {mp.nstr(tolerance * mp.mpf(10) ** -REFINEMENT_DIGITS, 3)}"
         )
     return TruncatedExpansionResult(

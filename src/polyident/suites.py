@@ -43,6 +43,10 @@ _HALF = Fraction(1, 2)
 #: ((alpha+1/2)_n)^2 times that, at most 2.25e-6), but 1e-5 at P = 45.
 PRECISION_FLOOR = 46
 
+#: eq48-corrected checks each n in 0..BIORTHOGONALITY_MAX against every k
+#: in the same range
+BIORTHOGONALITY_MAX = 20
+
 #: tolerance kind -> offset of its default 10^-(P - offset)
 _TOLERANCE_OFFSETS = {"integral": 35, "pointwise": 10}
 
@@ -53,27 +57,21 @@ class SuiteConfig:
 
     alphas: tuple[Fraction, ...] = (Fraction(0), _HALF, Fraction(1), Fraction(7, 3))
     l_max: int = 8
-    m_max: int | None = None
-    addition_n_max: int = 8
     hermite_lm_max: int = 12
-    biorthogonality_max: int = 20
     limit_lm_max: int = 4
     precision_digits: int = 60
     integral_tolerance: str | None = None  # integral kind; default 10^-(P-35), 1e-25 at P=60
     pointwise_tolerance: str | None = None  # pointwise kind; default 10^-(P-10), 1e-50 at P=60
-    t_max: str = "0.2"
-    truncation_budget: int = 64
     jobs: int = 0
     timings: bool = False
 
     def __post_init__(self):
         """Reject settings that empty a grid, do not parse or make a check vacuous."""
-        floors = {"l_max": 0, "m_max": 0, "addition_n_max": 0, "hermite_lm_max": 0,
-                  "biorthogonality_max": 0, "limit_lm_max": 0, "jobs": 0,
-                  "truncation_budget": 1, "precision_digits": PRECISION_FLOOR}
+        floors = {"l_max": 0, "hermite_lm_max": 0, "limit_lm_max": 0, "jobs": 0,
+                  "precision_digits": PRECISION_FLOOR}
         for name, floor in floors.items():
             value = getattr(self, name)
-            if value is not None and value < floor:
+            if value < floor:
                 raise ConfigError(f"{name} must be >= {floor}, got {value}")
         if not self.alphas:
             raise ConfigError("alphas must not be empty")
@@ -83,10 +81,6 @@ class SuiteConfig:
             raise ConfigError(
                 f"bad value for alphas: {', '.join(map(str, repeated))} repeated"
             )
-        try:
-            Fraction(self.t_max)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ConfigError(f"bad value for t_max: {self.t_max!r}") from exc
         # An explicit tolerance must parse and be no looser than its default
         # at the floor.
         for kind, offset in _TOLERANCE_OFFSETS.items():
@@ -105,9 +99,8 @@ class SuiteConfig:
                 )
 
     def lm_pairs(self):
-        m_cap = self.l_max if self.m_max is None else self.m_max
         for l in range(self.l_max + 1):
-            for m in range(min(l, m_cap) + 1):
+            for m in range(l + 1):
                 yield l, m
 
     def tolerance(self, kind: str) -> mp.mpf:
@@ -357,8 +350,7 @@ def _task_eq43_eq49(p, config):
     s = dual_addition.DualSetting(p["alpha"], p["m"], p["m"])
     square_terms = addition.sum_of_squares_terms(s.m, s.alpha)
     return _exact_result(*(
-        SurdPoly.from_unipoly(dual_addition.dual_addition_term(n, s.m, s), "x")
-        - square_terms[n]
+        dual_addition.dual_addition_term(n, s.m, s) - square_terms[n]
         for n in range(s.m + 1)
     ))
 
@@ -500,7 +492,7 @@ def _task_eq48_corrected(p, config):
     n = p["n"]
     return _exact_result(*(
         hermite_limit.biorthogonality_value(n, k, "corrected") - (1 if n == k else 0)
-        for k in range(config.biorthogonality_max + 1)
+        for k in range(BIORTHOGONALITY_MAX + 1)
     ))
 
 
@@ -672,8 +664,7 @@ def _task_eq33(p, config, tolerance):
           tolerance=("integral", 5))
 def _task_eq15(p, config, tolerance):
     result = continuous.dual_addition_function_residual(
-        p["t"], p["nu"], p["lambda"], p["mu"], p["alpha"], tolerance,
-        truncation_budget=config.truncation_budget,
+        p["t"], p["nu"], p["lambda"], p["mu"], p["alpha"], tolerance
     )
     out = _numeric_result(
         result.residual, tolerance,
@@ -811,12 +802,12 @@ def classical_addition_tasks(config: SuiteConfig):
     tasks = []
     for alpha in config.alphas:
         a = format_rational(alpha)
-        for n in range(config.addition_n_max + 1):
+        for n in range(9):
             tasks.append(("eq42", {"alpha": a, "n": str(n)}))
             tasks.append(("eq41", {"alpha": a, "n": str(n)}))
             tasks.append(("eq44", {"alpha": a, "n": str(n)}))
             tasks.append(("eq49", {"alpha": a, "n": str(n)}))
-        for n in range(2, config.addition_n_max + 1):
+        for n in range(2, 9):
             tasks.append(("eq23", {"alpha": a, "n": str(n)}))
         for n in range(13):
             tasks.append(("eq50", {"alpha": a, "n": str(n)}))
@@ -840,7 +831,7 @@ def hermite_tasks(config: SuiteConfig):
         for m in range(l + 1):
             tasks.append(("eq46", {"l": str(l), "m": str(m)}))
             tasks.append(("eq47", {"l": str(l), "m": str(m)}))
-    for n in range(config.biorthogonality_max + 1):
+    for n in range(BIORTHOGONALITY_MAX + 1):
         tasks.append(("eq48-corrected", {"n": str(n)}))
     tasks.append(("eq48-printed", {"n": "2", "k": "1", "expected": "-1"}))
     for n in range(5):
@@ -908,10 +899,9 @@ def continuous_tasks(config: SuiteConfig):
         tasks.append(
             ("eq33", {"n": "2", "x": x, "lambda": "3/10", "mu": "1/2", "alpha": "1"})
         )
-    t_max = Fraction(config.t_max)
     for t, nu, lam_, mu_, al_ in (
         ("1/10", "3/10", "1/5", "2/5", "1"),
-        (format_rational(t_max), "3/10", "1/5", "2/5", "1/2"),
+        ("1/5", "3/10", "1/5", "2/5", "1/2"),
         ("1/8", "1/2", "1/4", "1/5", "0"),
     ):
         tasks.append(

@@ -10,6 +10,7 @@ from fractions import Fraction
 import mpmath as mp
 import pytest
 
+from polyident import continuous
 from polyident.continuous import (
     ConicalArgs,
     WilsonContext,
@@ -584,11 +585,11 @@ class TestBackwardShift:
 
 
 class TestDualAdditionFunction:
-    def test_t_zero_trivial(self):
+    def test_t_zero_trivial(self, monkeypatch):
+        monkeypatch.setattr(continuous, "_truncation_budget", lambda: 4)
         with working_precision(40):
             result = dual_addition_function_residual(
-                0, Fraction(3, 10), Fraction(1, 5), Fraction(2, 5), 1,
-                truncation_budget=4, tolerance=tol(18),
+                0, Fraction(3, 10), Fraction(1, 5), Fraction(2, 5), 1, tolerance=tol(18),
             )
         assert result.residual < tol(30)
 
@@ -601,22 +602,22 @@ class TestDualAdditionFunction:
         assert result.residual < tol(15)
         assert result.tail_decreasing
 
-    def test_budget_out_on_decreasing_tail_raises(self):
+    def test_budget_out_on_decreasing_tail_raises(self, monkeypatch):
+        monkeypatch.setattr(continuous, "_truncation_budget", lambda: 4)
         with working_precision(46), pytest.raises(
             PrecisionError, match="truncation budget of 4 terms"
         ):
             dual_addition_function_residual(
-                1, Fraction(3, 10), Fraction(1, 5), Fraction(2, 5), 1,
-                truncation_budget=4, tolerance=tol(20),
+                1, Fraction(3, 10), Fraction(1, 5), Fraction(2, 5), 1, tolerance=tol(20),
             )
 
-    def test_growing_tail_is_flagged_divergent(self):
+    def test_growing_tail_is_flagged_divergent(self, monkeypatch):
         # at t = 2, sinh(2t)^2 is about 745 and the terms grow: the budget
         # runs out on a tail that is not decreasing, reported, not raised
+        monkeypatch.setattr(continuous, "_truncation_budget", lambda: 6)
         with working_precision(46):
             result = dual_addition_function_residual(
-                2, Fraction(3, 10), Fraction(1, 5), Fraction(2, 5), 1,
-                truncation_budget=6, tolerance=tol(20),
+                2, Fraction(3, 10), Fraction(1, 5), Fraction(2, 5), 1, tolerance=tol(20),
             )
         assert result.diverged
         assert result.terms_used == 6

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyident import cli
+from polyident import cli, continuous
 from polyident.cli import load_config_file, main
 from polyident.errors import ConfigError, DomainError
 from polyident.exact import pochhammer
@@ -206,6 +206,14 @@ class TestSuites:
         assert report.status == "pass", report.parameters
         assert int(report.parameters["terms"]) >= 28
 
+    def test_eq15_passes_at_150_digits(self):
+        # the terms the expansion needs grow with the digits: 80 here
+        task = ("eq15", {"t": "1/5", "nu": "3/10", "lambda": "1/5", "mu": "2/5",
+                         "alpha": "1/2"})
+        report = suites._execute(task, SuiteConfig(precision_digits=150))
+        assert report.status == "pass", report.parameters
+        assert report.parameters["terms"] == "80"
+
     @pytest.mark.parametrize("prec", [46, 60])
     @pytest.mark.parametrize(
         "identity, degree",
@@ -237,10 +245,11 @@ class TestSuites:
             threshold = mp.mpf(r.parameters["tolerance"])
             assert mp.mpf(r.residual) <= threshold * mp.mpf("1e-3"), r
 
-    def test_truncated_eq15_is_an_error_not_a_fail(self):
+    def test_truncated_eq15_is_an_error_not_a_fail(self, monkeypatch):
         # a budget that runs out on a decreasing tail cuts the check short;
         # it does not show that the identity fails
-        config = SuiteConfig(truncation_budget=2, jobs=1)
+        monkeypatch.setattr(continuous, "_truncation_budget", lambda: 2)
+        config = SuiteConfig(jobs=1)
         reports = [suites._execute(task, config)
                    for task in suite_tasks("continuous", config) if task[0] == "eq15"]
         assert len(reports) == 3
@@ -407,7 +416,7 @@ class TestSuites:
         assert a == b
 
     def test_hermite_pinned_discrepancy(self):
-        config = SuiteConfig(jobs=1, hermite_lm_max=2, biorthogonality_max=4, limit_lm_max=1)
+        config = SuiteConfig(jobs=1, hermite_lm_max=2, limit_lm_max=1)
         reports = run_suite("hermite", config)
         pinned = [r for r in reports if r.identity_id == "eq48-printed"]
         assert len(pinned) == 1
@@ -419,7 +428,7 @@ class TestSuites:
         # pins every record byte for byte, including the points and limit
         # strings of the limit records; regenerate the file only for an
         # intended change of output
-        config = SuiteConfig(jobs=1, hermite_lm_max=2, biorthogonality_max=4, limit_lm_max=2)
+        config = SuiteConfig(jobs=1, hermite_lm_max=2, limit_lm_max=2)
         expected = Path(__file__).with_name("golden") / "hermite-small.jsonl"
         assert emit_json_lines(run_suite("hermite", config)) == expected.read_text()
 
@@ -579,7 +588,7 @@ class TestTypedParameters:
     @pytest.mark.parametrize(
         "fields",
         [{}, {"l_max": 10, "alphas": (Fraction(5, 7),), "hermite_lm_max": 14},
-         {"limit_lm_max": 8, "t_max": "0.15"}],
+         {"limit_lm_max": 8}],
         ids=["defaults", "larger-exact-grids", "larger-limit-grid"],
     )
     def test_handlers_receive_parsed_parameters(self, fields, monkeypatch):
@@ -623,20 +632,28 @@ class TestTypedParameters:
 EVERY_KEY = {
     "alphas": ("1/3,2", ["--alphas", "1/3,2"]),
     "l_max": ("3", ["--l-max", "3"]),
-    "m_max": ("2", ["--m-max", "2"]),
-    "addition_n_max": ("4", ["--n-max", "4"]),
     "hermite_lm_max": ("5", ["--hermite-lm-max", "5"]),
-    "biorthogonality_max": ("6", ["--bio-max", "6"]),
     "limit_lm_max": ("2", ["--limit-lm-max", "2"]),
     "precision_digits": ("50", ["--precision-digits", "50"]),
     "integral_tolerance": ("1e-12", ["--integral-tolerance", "1e-12"]),
     "pointwise_tolerance": ("1e-38", ["--pointwise-tolerance", "1e-38"]),
-    "t_max": ("3/20", ["--t-max", "3/20"]),
-    "truncation_budget": ("32", ["--truncation-budget", "32"]),
     "jobs": ("3", ["--jobs", "3"]),
     "timings": ("on", ["--timings"]),
     "format": ("json-lines", ["--format", "json-lines"]),
 }
+
+#: settings removed from `verify`, as (config key, flag, a value it took):
+#: alpha_powers set the grid of the dyadic limit test, which exact
+#: reconstruction replaced; the other five sized grids and eq15's term
+#: budget, which are now fixed or derived from the working digits
+REMOVED_KEYS = [
+    ("alpha_powers", "--alpha-powers", "4..16"),
+    ("m_max", "--m-max", "2"),
+    ("addition_n_max", "--n-max", "4"),
+    ("biorthogonality_max", "--bio-max", "6"),
+    ("t_max", "--t-max", "3/20"),
+    ("truncation_budget", "--truncation-budget", "32"),
+]
 
 #: the flags of `verify`
 VERIFY_FLAGS = {flag for _value, (flag, *_rest) in EVERY_KEY.values()} | {"--config"}
@@ -767,11 +784,8 @@ class TestCli:
         "argv",
         [
             ["verify", "dual-addition", "--l-max=-1"],
-            ["verify", "dual-addition", "--l-max", "2", "--m-max=-1"],
-            ["verify", "continuous", "--t-max", "abc"],
             ["verify", "racah", "--integral-tolerance", "abc"],
             ["verify", "continuous", "--precision-digits", "20"],
-            ["verify", "continuous", "--truncation-budget=-1"],
             ["verify", "racah", "--jobs=-1"],
             ["verify", "racah", "--precision-digits", "45"],
             ["verify", "racah", "--integral-tolerance", "1"],
@@ -780,8 +794,7 @@ class TestCli:
             ["verify", "racah", "--pointwise-tolerance", "0"],
             ["verify", "dual-addition", "--alphas", "1,1", "--l-max", "1"],
         ],
-        ids=["empty-grid", "empty-pair-grid", "unparseable-t-max",
-             "unparseable-tolerance", "vacuous-precision", "no-truncation-budget",
+        ids=["empty-grid", "unparseable-tolerance", "vacuous-precision",
              "negative-jobs", "precision-at-1e-5", "loose-tolerance",
              "infinite-tolerance", "negative-tolerance", "zero-tolerance",
              "repeated-alphas"],
@@ -848,16 +861,18 @@ class TestCli:
         assert f"error: {cfg}: cannot read config file" in done.stderr
 
     @pytest.mark.parametrize(
-        "case, message",
-        [("config", "unknown key 'alpha_powers'"),
-         ("flag", "unrecognized arguments: --alpha-powers 4..16")],
+        "case, message, line, flags",
+        [pytest.param(case, message, f"{key} = {value}\n", [flag, value],
+                      id=f"{case}-{message}")
+         for key, flag, value in REMOVED_KEYS
+         for case, message in (("config", f"unknown key {key!r}"),
+                               ("flag", f"unrecognized arguments: {flag} {value}"))],
     )
-    def test_removed_alpha_powers_exits_two(self, case, message, tmp_path):
-        # alpha_powers set the grid of the dyadic limit test, which exact
-        # reconstruction replaced; as a key or a flag it is now unknown
+    def test_removed_alpha_powers_exits_two(self, case, message, line, flags, tmp_path):
+        # as a key or a flag, each removed setting is now unknown
         cfg = tmp_path / "old.cfg"
-        cfg.write_text("alpha_powers = 4..16\n")
-        args = ["--config", str(cfg)] if case == "config" else ["--alpha-powers", "4..16"]
+        cfg.write_text(line)
+        args = ["--config", str(cfg)] if case == "config" else flags
         src = Path(__file__).resolve().parent.parent / "src"
         done = subprocess.run(
             [sys.executable, "-m", "polyident", "verify", "hermite", *args],
