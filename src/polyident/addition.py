@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .classical import X2M1, addition_weight, even_moment, gegenbauer_r, jacobi_r
 from .errors import DomainError
@@ -43,8 +44,14 @@ def mixed_argument() -> SurdPoly:
     return x * y + u * v * t
 
 
+@lru_cache(maxsize=1)
 def addition_lhs(inst: AdditionInstance) -> SurdPoly:
-    """R_n at the composite argument, reduced to canonical form."""
+    """R_n at the composite argument, reduced to canonical form.
+
+    Kept for the last (n, alpha): the addition, product and t = 1 checks
+    of (n, alpha) all start from it, and the classical-addition suite
+    lists them one after the other.
+    """
     return mixed_argument().substitute_into(gegenbauer_r(inst.n, inst.alpha))
 
 

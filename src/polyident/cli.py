@@ -154,7 +154,8 @@ def _eval_arguments(args) -> tuple[list[str], int]:
     ``--precision-digits`` may also follow the arguments, which reach here
     unparsed so that negative rationals such as -1/2 stay arguments.
     """
-    tail = argparse.ArgumentParser(prog=f"polyident eval {args.fn}", add_help=False)
+    tail = argparse.ArgumentParser(prog=f"polyident eval {args.fn}", add_help=False,
+                                   allow_abbrev=False)
     tail.add_argument("--precision-digits", dest="precision_digits", type=int,
                       default=args.precision_digits)
     known, rest = tail.parse_known_args(args.args)
@@ -206,25 +207,28 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
 
 
 def make_parser() -> argparse.ArgumentParser:
+    """The command line; every parser takes only full flag names, so a flag
+    that is a prefix of another (``--prec``) is unrecognized, exit 2."""
     parser = argparse.ArgumentParser(
         prog="polyident",
         description="verify orthogonal-polynomial identities exactly or to high precision",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_verify = sub.add_parser("verify", help="run a verification suite")
+    p_verify = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
     p_verify.add_argument("suite", choices=SUITE_NAMES + ("all",))
     _add_grid_flags(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
-    p_eval = sub.add_parser("eval", help="evaluate one function")
+    p_eval = sub.add_parser("eval", help="evaluate one function", allow_abbrev=False)
     p_eval.add_argument("fn", choices=tuple(_EVALUATORS))
     p_eval.add_argument("args", nargs=argparse.REMAINDER)
     p_eval.add_argument("--precision-digits", dest="precision_digits", type=int,
                         default=SuiteConfig.precision_digits)
     p_eval.set_defaults(func=cmd_eval)
 
-    p_list = sub.add_parser("list", help="enumerate identity ids")
+    p_list = sub.add_parser("list", help="enumerate identity ids", allow_abbrev=False)
     p_list.set_defaults(func=cmd_list)
     return parser
 

@@ -69,11 +69,13 @@ def specialized_racah(s: DualSetting) -> RacahSystem:
     )
 
 
+@lru_cache(maxsize=None)
 def linearization_coeff(j: int, s: DualSetting) -> Fraction:
     """Coefficient of R_{l+m-2j} in the expansion of R_l R_m.
 
     Computed from the explicit product-formula coefficients; strictly
-    positive for alpha > -1/2.
+    positive for alpha > -1/2.  Memoised: eq17 and eq18 both read every
+    coefficient of a setting.
     """
     check_index(j, s.m, "index")
     al, l, m = s.alpha, s.l, s.m
@@ -216,6 +218,7 @@ def second_hyp_form(n: int, j: int, s: DualSetting) -> Fraction:
     )
 
 
+@lru_cache(maxsize=None)
 def whipple_factor(j: int, s: DualSetting) -> Fraction:
     """j-dependent elementary factor linking the two 4F3 forms.
 
@@ -226,6 +229,8 @@ def whipple_factor(j: int, s: DualSetting) -> Fraction:
 
         (j-l)_{m-j} (j+alpha+1/2)_{m-j}
         / ((alpha+1/2)_{m-j} (l+2 alpha+1)_{m-j}).
+
+    Memoised: it does not depend on n, and every n of a setting needs it.
     """
     check_index(j, s.m, "index")
     al, l, m = s.alpha, s.l, s.m

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Mapping, NamedTuple
 
 from .classical import gegenbauer_r, hermite
@@ -33,7 +33,12 @@ _HALF = Fraction(1, 2)
 
 @dataclass(frozen=True)
 class HermiteSetting:
-    """Index pair (l, m) with l >= m >= 0."""
+    """Index pair (l, m) with l >= m >= 0.
+
+    The setting builds its m+1 product blocks and m+1 linearized blocks on
+    first use and keeps them, so a check that runs every index of one
+    setting forms each block once; they go when the setting does.
+    """
 
     l: int
     m: int
@@ -42,9 +47,22 @@ class HermiteSetting:
         if not 0 <= self.m <= self.l:
             raise DomainError(f"need l >= m >= 0, got l={self.l}, m={self.m}")
 
+    @cached_property
+    def product_blocks(self) -> tuple[UniPoly, ...]:
+        return tuple(_product_block(n, self) for n in range(self.m + 1))
 
+    @cached_property
+    def linearized_blocks(self) -> tuple[UniPoly, ...]:
+        return tuple(_linearized_block(j, self) for j in range(self.m + 1))
+
+
+@lru_cache(maxsize=1)
 def _hermite_at_mixed_argument(n: int) -> SurdPoly:
-    """H_n(x y + v t), with v standing for (1-y^2)^{1/2}."""
+    """H_n(x y + v t), with v standing for (1-y^2)^{1/2}.
+
+    Kept for the last n: the addition and the product check of n both
+    start from it, and the hermite suite lists them one after the other.
+    """
     x, y, t, v = (SurdPoly.variable(w) for w in ("x", "y", "t", "v"))
     return (x * y + v * t).substitute_into(hermite(n))
 
@@ -85,6 +103,7 @@ def _lm_pochhammer(s: HermiteSetting, k: int) -> Fraction:
     return pochhammer(Fraction(-s.l), k) * pochhammer(Fraction(-s.m), k)
 
 
+@lru_cache(maxsize=None)
 def _kernel(a: int, b: int) -> Fraction:
     """(-a)_b / a!, the entry of the dual addition kernel and its inverse."""
     return pochhammer(Fraction(-a), b) / math.factorial(a)
@@ -101,7 +120,7 @@ def _product_block(n: int, s: HermiteSetting) -> UniPoly:
 
 
 def hermite_dual_addition_term(n: int, j: int, s: HermiteSetting) -> UniPoly:
-    return _product_block(n, s).scale(_kernel(n, j))
+    return s.product_blocks[n].scale(_kernel(n, j))
 
 
 def hermite_dual_addition_residual(j: int, s: HermiteSetting) -> UniPoly:
@@ -116,7 +135,7 @@ def hermite_dual_addition_residual(j: int, s: HermiteSetting) -> UniPoly:
     rhs = UniPoly.zero()
     for n in range(s.m + 1):
         rhs = rhs + hermite_dual_addition_term(n, j, s)
-    return _linearized_block(j, s) - rhs
+    return s.linearized_blocks[j] - rhs
 
 
 def hermite_dual_inverse_residual(n: int, s: HermiteSetting) -> UniPoly:
@@ -130,8 +149,8 @@ def hermite_dual_inverse_residual(n: int, s: HermiteSetting) -> UniPoly:
     check_index(n, s.m, "index n")
     lhs = UniPoly.zero()
     for j in range(s.m + 1):
-        lhs = lhs + _linearized_block(j, s).scale(_kernel(j, n))
-    return lhs - _product_block(n, s)
+        lhs = lhs + s.linearized_blocks[j].scale(_kernel(j, n))
+    return lhs - s.product_blocks[n]
 
 
 def biorthogonality_value(n: int, k: int, kernel: str = "corrected") -> Fraction:

@@ -10,7 +10,11 @@ Closed forms (weights, norms, endpoint values) are evaluated through
 :func:`polyident.exact.poch_quotient`, whose exact factor cancellation
 keeps them finite at parameter ties where individual shifted factorials
 vanish on both sides of a quotient; every such value is pinned against a
-direct-sum oracle in the tests.
+direct-sum oracle in the tests.  Validation evaluates each of them over
+the whole index range anyway, so the system keeps the weights, the mass
+and the norm ratios it computed, and :func:`racah_weight`,
+:func:`racah_h0` and :func:`racah_norm_ratio` read them: each of these
+closed forms is evaluated once per system.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegenerateParameterError, DomainError, check_index
 from .exact import Rational, parse_rational, poch_quotient, terminating_hyp
@@ -34,7 +38,8 @@ class RacahSystem:
     The hash is that of the field tuple, computed once at construction: the
     system keys the memoised evaluations, and a ``Fraction`` hash costs a
     modular inverse each time.  It is a function of the values alone, so it
-    stays valid in a process that unpickles the system.
+    stays valid in a process that unpickles the system, as do the closed
+    forms that validation evaluates and the system keeps.
     """
 
     alpha: Fraction
@@ -43,6 +48,7 @@ class RacahSystem:
     delta: Fraction
     N: int
     _hash: int = field(init=False, repr=False, compare=False)
+    _closed: ClosedForms = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
@@ -55,13 +61,14 @@ class RacahSystem:
             raise DomainError(
                 f"gamma must equal -N-1 = {-self.N - 1}, got {self.gamma}"
             )
-        problems = validation_problems(self)
+        problems, closed = _validate(self)
         if problems:
             raise DegenerateParameterError(
                 f"degenerate Racah parameters {self.as_tuple()}: "
                 + "; ".join(problems),
                 factors=problems,
             )
+        object.__setattr__(self, "_closed", closed)
         object.__setattr__(self, "_hash", hash((*self.as_tuple(), self.N)))
 
     def __hash__(self) -> int:
@@ -79,11 +86,33 @@ class RacahSystem:
         return RacahSystem(*parts, N=N)
 
 
+class ClosedForms(NamedTuple):
+    """The closed forms validation evaluates that the evaluators read,
+    indexed 0..N."""
+
+    weights: tuple[Fraction, ...]  # without the normalization factor
+    h0: Fraction
+    norm_ratios: tuple[Fraction, ...]
+
+
 def validation_problems(sys: RacahSystem) -> list[str]:
     """Return diagnostics for every denominator zero over the index range."""
+    return _validate(sys)[0]
+
+
+def _validate(sys: RacahSystem) -> tuple[list[str], ClosedForms]:
+    """Diagnostics for every denominator zero over the index range, and the
+    closed forms evaluated on the way (None where one has a zero)."""
     al, be, ga, de = sys.as_tuple()
     N = sys.N
     problems: list[str] = []
+
+    def closed(what: str, form, *args):
+        try:
+            return form(*args)
+        except DegenerateParameterError as exc:
+            problems.append(f"{what}: {'; '.join(exc.factors)}")
+            return None
 
     if ga + de + 1 == 0:
         problems.append("gamma+delta+1 = 0 (weight normalization divisor)")
@@ -97,27 +126,20 @@ def validation_problems(sys: RacahSystem) -> list[str]:
                 break
 
     # weights, norms and endpoint closed forms must evaluate everywhere
-    for x in range(N + 1):
-        try:
-            _weight_quotient(x, al, be, ga, de)
-        except DegenerateParameterError as exc:
-            problems.append(f"weight at x={x}: {'; '.join(exc.factors)}")
-    try:
-        _h0_closed(N, al, be, ga, de)
-    except DegenerateParameterError as exc:
-        problems.append(f"total mass closed form: {'; '.join(exc.factors)}")
+    weights = tuple(
+        closed(f"weight at x={x}", _weight_quotient, x, al, be, ga, de)
+        for x in range(N + 1)
+    )
+    h0 = closed("total mass closed form", _h0_closed, N, al, be, ga, de)
+    norm_ratios = []
     for n in range(N + 1):
-        try:
-            _norm_ratio_closed(n, al, be, ga, de)
-        except DegenerateParameterError as exc:
-            problems.append(f"norm ratio at n={n}: {'; '.join(exc.factors)}")
+        norm_ratios.append(
+            closed(f"norm ratio at n={n}", _norm_ratio_closed, n, al, be, ga, de)
+        )
         if n >= 1 and al + be + 2 * n + 1 == 0:
             problems.append(f"alpha+beta+2n+1 = 0 at n={n} (norm divisor)")
-        try:
-            _endpoint_closed(n, al, be, de)
-        except DegenerateParameterError as exc:
-            problems.append(f"endpoint value at n={n}: {'; '.join(exc.factors)}")
-    return problems
+        closed(f"endpoint value at n={n}", _endpoint_closed, n, al, be, de)
+    return problems, ClosedForms(weights, h0, tuple(norm_ratios))
 
 
 def _weight_quotient(x: int, al, be, ga, de) -> Fraction:
@@ -174,22 +196,19 @@ def racah_eval(n: int, x: int, sys: RacahSystem) -> Fraction:
 def racah_weight(x: int, sys: RacahSystem) -> Fraction:
     """Orthogonality weight w(x) on the lattice 0..N."""
     check_index(x, sys.N, "lattice index x")
-    al, be, ga, de = sys.as_tuple()
-    return _weight_quotient(x, al, be, ga, de) * (ga + de + 1 + 2 * x) / (ga + de + 1)
+    ga, de = sys.gamma, sys.delta
+    return sys._closed.weights[x] * (ga + de + 1 + 2 * x) / (ga + de + 1)
 
 
-@lru_cache(maxsize=None)
 def racah_h0(sys: RacahSystem) -> Fraction:
     """Total weight mass, via its closed form (equal to the direct sum)."""
-    al, be, ga, de = sys.as_tuple()
-    return _h0_closed(sys.N, al, be, ga, de)
+    return sys._closed.h0
 
 
-@lru_cache(maxsize=None)
 def racah_norm_ratio(n: int, sys: RacahSystem) -> Fraction:
     """Squared-norm ratio h_n / h_0, via its closed form."""
     check_index(n, sys.N, "degree n")
-    return _norm_ratio_closed(n, *sys.as_tuple())
+    return sys._closed.norm_ratios[n]
 
 
 def endpoint_value_residual(n: int, sys: RacahSystem) -> Fraction:
@@ -199,12 +218,21 @@ def endpoint_value_residual(n: int, sys: RacahSystem) -> Fraction:
     return racah_eval(n, sys.N, sys) - _endpoint_closed(n, al, be, de)
 
 
-def _shifted_term(n: int, x: int, sys: RacahSystem) -> Fraction:
-    """Weight (without normalization) times degree n-1 value at x, both of
-    the shifted system (alpha+1, beta+1, gamma+1, delta)."""
+@lru_cache(maxsize=1)
+def _shifted_terms(n: int, sys: RacahSystem) -> tuple[Fraction, ...]:
+    """Weight (without normalization) times degree n-1 value at x = 0..N-1,
+    both of the shifted system (alpha+1, beta+1, gamma+1, delta).
+
+    Kept for the last (n, system): the backward shift at every x and
+    summation by parts against every trial function, whose tasks the
+    racah suite lists one after the other, use the same terms.
+    """
     al, be, ga, de = sys.as_tuple()
     shifted = (al + 1, be + 1, ga + 1, de)
-    return _weight_quotient(x, *shifted) * _eval_raw(n - 1, x, *shifted)
+    return tuple(
+        _weight_quotient(x, *shifted) * _eval_raw(n - 1, x, *shifted)
+        for x in range(sys.N)
+    )
 
 
 def backward_shift_residual(n: int, x: int, sys: RacahSystem) -> Fraction:
@@ -223,11 +251,12 @@ def backward_shift_residual(n: int, x: int, sys: RacahSystem) -> Fraction:
     check_index(x, sys.N, "lattice index x")
 
     lhs = racah_weight(x, sys) * racah_eval(n, x, sys)
+    terms = _shifted_terms(n, sys)
     rhs = Fraction(0)
     if x < sys.N:
-        rhs += _shifted_term(n, x, sys)
+        rhs += terms[x]
     if x > 0:
-        rhs -= _shifted_term(n, x - 1, sys)
+        rhs -= terms[x - 1]
     return lhs - rhs
 
 
@@ -248,8 +277,8 @@ def sum_by_parts_residual(n: int, f: Sequence[Rational], sys: RacahSystem) -> Fr
         for x in range(sys.N + 1)
     )
     rhs = Fraction(0)
-    for x in range(sys.N):
-        rhs += _shifted_term(n, x, sys) * (fv[x] - fv[x + 1])
+    for x, term in enumerate(_shifted_terms(n, sys)):
+        rhs += term * (fv[x] - fv[x + 1])
     return lhs - rhs
 
 

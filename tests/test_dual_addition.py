@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polyident import addition, hermite_limit
 from polyident.classical import (
     addition_weight,
     even_moment,
@@ -322,6 +323,26 @@ class TestCaches:
                         cached = fn(n, alpha + shift)
                         assert cached == fn.__wrapped__(n, alpha + shift)
                         assert type(cached) is Fraction
+
+    def test_memoised_values_after_cache_clear_match_fresh_computation(self):
+        # each memoised closed form, recomputed from an empty cache, equals
+        # an uncached call, and a second call returns the stored value
+        alphas = (Fraction(0), Fraction(1, 2), Fraction(7, 3))
+        dual_settings = [DualSetting(alpha, l, m) for alpha in alphas for l, m in ((3, 2), (6, 4))]
+        cases = (
+            (addition.addition_lhs,
+             [(addition.AdditionInstance(n, alpha),) for n in range(7) for alpha in alphas]),
+            (linearization_coeff, [(j, s) for s in dual_settings for j in range(s.m + 1)]),
+            (whipple_factor, [(j, s) for s in dual_settings for j in range(s.m + 1)]),
+            (hermite_limit._hermite_at_mixed_argument, [(n,) for n in range(9)]),
+            (hermite_limit._kernel, [(a, b) for a in range(9) for b in range(9)]),
+        )
+        for fn, calls in cases:
+            fn.cache_clear()
+            for args in calls:
+                value = fn(*args)
+                assert value == fn.__wrapped__(*args)
+                assert fn(*args) is value
 
     def test_closed_form_is_not_the_cached_sum(self):
         # s_closed shares a cache with dual_addition_term, never with s_direct

@@ -92,6 +92,38 @@ class TestDualAdditionHermite:
                     assert hermite_dual_inverse_residual(n, s).is_zero
 
 
+class TestBlocksOncePerTask:
+    @pytest.mark.parametrize("identity", ["eq46", "eq47"])
+    def test_each_block_is_formed_once(self, identity, monkeypatch):
+        # a task at (l, m) forms its m+1 product and m+1 linearized blocks
+        # once each, not once per index
+        formed = {"product": 0, "linearized": 0}
+
+        def counting(kind, build):
+            def wrapped(i, s):
+                formed[kind] += 1
+                return build(i, s)
+
+            return wrapped
+
+        for kind in formed:
+            name = f"_{kind}_block"
+            monkeypatch.setattr(hermite_limit, name, counting(kind, getattr(hermite_limit, name)))
+        l, m = 6, 4
+        result = suites.run_task(identity, {"l": str(l), "m": str(m)}, suites.SuiteConfig())
+        assert result.passed
+        assert formed == {"product": m + 1, "linearized": m + 1}
+
+    def test_blocks_are_kept_by_their_setting(self):
+        # not in a global cache: an equal setting forms its own blocks
+        first, second = HermiteSetting(6, 4), HermiteSetting(6, 4)
+        assert first.product_blocks is first.product_blocks
+        assert first.product_blocks is not second.product_blocks
+        for i in range(first.m + 1):
+            assert first.product_blocks[i] == hermite_limit._product_block(i, second)
+            assert first.linearized_blocks[i] == hermite_limit._linearized_block(i, second)
+
+
 class TestBiorthogonality:
     def test_diagonal_corrected(self):
         for n in (0, 1, 5, 20):

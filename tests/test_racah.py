@@ -5,9 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from polyident import racah
 from polyident.errors import DegenerateParameterError, DomainError
 from polyident.racah import (
     RacahSystem,
+    _h0_closed,
+    _norm_ratio_closed,
+    _weight_quotient,
     backward_shift_residual,
     endpoint_value_residual,
     gram_matrix,
@@ -60,6 +64,62 @@ class TestConstruction:
 
     def test_validation_diagnostics_empty_for_valid(self):
         assert validation_problems(SAMPLE_SYSTEMS[2]) == []
+
+
+class TestClosedFormsOnce:
+    # SAMPLE_SYSTEMS[3] is generic; SAMPLE_SYSTEMS[7], the alpha = 0
+    # specialization at (l, m) = (8, 4), is a tie: alpha + beta + 1 = 0
+    # vanishes on both sides of every norm ratio's quotient
+    @pytest.mark.parametrize("index", [3, 7], ids=["generic", "tie"])
+    def test_validation_evaluates_each_closed_form_once(self, index, monkeypatch):
+        sample = SAMPLE_SYSTEMS[index]
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        real = racah.poch_quotient
+        monkeypatch.setattr(racah, "poch_quotient", counting)
+        sys = RacahSystem(*sample.as_tuple(), N=sample.N)
+        N = sys.N
+        # N+1 weights, the mass, N norm ratios (n = 0 is 1) and N+1 endpoints
+        assert len(calls) == 3 * N + 3
+        built = len(calls)
+        for x in range(N + 1):
+            racah_weight(x, sys)
+            racah_weight.__wrapped__(x, sys)
+        for n in range(N + 1):
+            racah_norm_ratio(n, sys)
+        racah_h0(sys)
+        assert len(calls) == built
+
+    @pytest.mark.parametrize("index", [3, 7], ids=["generic", "tie"])
+    def test_stored_values_equal_fresh_closed_forms(self, index):
+        sys = SAMPLE_SYSTEMS[index]
+        al, be, ga, de = sys.as_tuple()
+        for x in range(sys.N + 1):
+            normalization = (ga + de + 1 + 2 * x) / (ga + de + 1)
+            fresh = _weight_quotient(x, al, be, ga, de) * normalization
+            assert racah_weight.__wrapped__(x, sys) == fresh
+        assert racah_h0(sys) == _h0_closed(sys.N, al, be, ga, de)
+        for n in range(sys.N + 1):
+            assert racah_norm_ratio(n, sys) == _norm_ratio_closed(n, al, be, ga, de)
+
+    def test_kept_shifted_terms_match_fresh_computation(self):
+        # the shifted-system terms the backward shift and summation by parts
+        # share, recomputed from an empty cache
+        racah._shifted_terms.cache_clear()
+        for sys in SAMPLE_SYSTEMS:
+            al, be, ga, de = sys.as_tuple()
+            shifted = (al + 1, be + 1, ga + 1, de)
+            for n in range(1, sys.N + 1):
+                terms = racah._shifted_terms(n, sys)
+                assert terms == tuple(
+                    _weight_quotient(x, *shifted) * racah._eval_raw(n - 1, x, *shifted)
+                    for x in range(sys.N)
+                )
+                assert racah._shifted_terms(n, sys) is terms
 
 
 class TestEvaluation:

@@ -884,6 +884,31 @@ class TestCli:
         assert message in done.stderr
 
     @pytest.mark.parametrize(
+        "args, status",
+        [(["verify", "racah", "--prec", "60"], 2),
+         (["verify", "racah", "--limit", "2"], 2),
+         (["eval", "phi", "1", "1", "1", "1", "--prec", "30"], 2),
+         (["verify", "racah", "--precision-digits", "60", "--limit-lm-max", "2"], 0),
+         (["eval", "phi", "1/2", "1", "1", "1/2", "--precision-digits", "30"], 0)],
+        ids=["verify-prec", "verify-limit", "eval-prec", "verify-full", "eval-full"],
+    )
+    def test_flags_take_full_names_only(self, args, status):
+        # an abbreviated flag is unrecognized, never read as the flag it prefixes
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "polyident", *args],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        )
+        assert done.returncode == status, done.stderr
+        assert "Traceback" not in done.stderr
+        if status == 2:
+            assert done.stdout == ""
+            if args[0] == "verify":
+                assert f"unrecognized arguments: {' '.join(args[2:])}" in done.stderr
+            else:
+                assert "takes 4 argument(s)" in done.stderr
+
+    @pytest.mark.parametrize(
         "line", ["timings = maybe", "alphas = 0,1/2,2/4"],
         ids=["unknown-boolean", "repeated-alphas"],
     )
