@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
+from typing import Callable
 
 from .errors import DomainError
 from .exact import UniPoly, pochhammer
@@ -110,32 +112,54 @@ def even_moment(k: int, alpha: Fraction) -> Fraction:
 
 
 def inner_product(p: UniPoly, q: UniPoly, alpha: Fraction) -> Fraction:
-    """Mass-normalized inner product of two polynomials in the Gegenbauer weight.
+    """Mass-normalized inner product of two polynomials in the Gegenbauer
+    weight: a one-off :func:`gegenbauer_pairing` of p, applied to q."""
+    return gegenbauer_pairing(p, alpha, q.degree)(q)
 
-    Sums c_{2k} M_k over the even coefficients c of p q, where M_k is the
+
+def gegenbauer_pairing(
+    p: UniPoly, alpha: Fraction, degree: int
+) -> Callable[[UniPoly], Fraction]:
+    """q -> <p, q>, the mass-normalized inner product in the Gegenbauer
+    weight, for every q of degree <= ``degree``.
+
+    <p, x^i> = sum_j p_j M_{(i+j)/2} over i + j even, where M_k is the
     moment of x^{2k} (:func:`even_moment`).  M_k = B(k+1/2, alpha+1) /
-    B(1/2, alpha+1) (DLMF 5.12.1), so M_0 = 1 and
+    B(1/2, alpha+1) (DLMF 5.12.1), so for alpha = a/b
 
-        M_{k+1} / M_k = (k+1/2) / (k+alpha+3/2) = (2k+1) b / (2a + (2k+3) b)
+        M_k = prod_{i<k} (2i+1) b / (2a + (2i+3) b),
 
-    for alpha = a/b.  The sum runs as integer Horner over that ratio, from
-    the highest moment down, and one ``Fraction`` is built at the end.  The
-    ratio's denominator is positive for alpha > -1.
+    and with D the product of those denominators up to the highest moment
+    used, every D M_k is an integer.  The pairing forms v_i = D p.den
+    <p, x^i> once, as integers; each <p, q> is then one integer dot product
+    and one ``Fraction``.  D is positive for alpha > -1.
     """
     alpha = Fraction(alpha)
-    _require_alpha(alpha, Fraction(-1), "inner_product")
-    prod = p * q
-    evens = prod.nums[::2]
-    if not evens:
-        return Fraction(0)
+    _require_alpha(alpha, Fraction(-1), "gegenbauer_pairing")
     a, b = alpha.numerator, alpha.denominator
-    # num/den is c_{2k} + M_{k+1}/M_k (c_{2k+2} + ...), from the top k down
-    num, den = evens[-1], 1
-    for k in range(len(evens) - 2, -1, -1):
-        bot = 2 * a + (2 * k + 3) * b
-        num = evens[k] * bot * den + (2 * k + 1) * b * num
-        den *= bot
-    return Fraction(num, den * prod.den)
+    top = max(p.degree + degree, 0) // 2
+    # D M_k = prod_{i<k} (2i+1) b * prod_{k<=i<top} (2a + (2i+3) b)
+    scaled = [1] * (top + 1)
+    tail = 1
+    for k in range(top, 0, -1):
+        scaled[k] = tail
+        tail *= 2 * a + (2 * k + 1) * b
+    scaled[0] = tail
+    head = 1
+    for k in range(1, top + 1):
+        head *= (2 * k - 1) * b
+        scaled[k] *= head
+    evens, odds = p.nums[::2], p.nums[1::2]
+    vector = [sum(map(mul, odds if i % 2 else evens, scaled[(i + 1) // 2:]))
+              for i in range(degree + 1)]
+    den = tail * p.den
+
+    def pair(q: UniPoly) -> Fraction:
+        if q.degree > degree:
+            raise DomainError(f"pairing formed for degree <= {degree}, got {q.degree}")
+        return Fraction(sum(map(mul, q.nums, vector)), den * q.den)
+
+    return pair
 
 
 @lru_cache(maxsize=None)

@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .classical import X2M1, addition_weight, gegenbauer_r, inner_product, norm_ratio
+from .classical import X2M1, addition_weight, gegenbauer_pairing, gegenbauer_r, norm_ratio
 from .errors import DomainError, IdentityViolationError, check_index
-from .exact import UniPoly, pochhammer, terminating_hyp
-from .racah import RacahSystem, racah_eval, racah_h0, racah_weight
+from .exact import UniPoly, pochhammer, terminating_hyp_grid
+from .racah import RacahSystem, racah_h0, racah_values, racah_weight
 
 _HALF = Fraction(1, 2)
 
@@ -112,10 +112,20 @@ def s_direct(n: int, s: DualSetting) -> UniPoly:
     check_index(n, s.m, "index")
     sys = specialized_racah(s)
     out = UniPoly.zero()
-    for j in range(s.m + 1):
-        c = racah_weight(j, sys) * racah_eval(n, j, sys)
+    for j, value in enumerate(racah_values(sys)[n]):
+        c = racah_weight(j, sys) * value
         out = out + gegenbauer_r(s.l + s.m - 2 * j, s.alpha).scale(c)
     return out
+
+
+@lru_cache(maxsize=1)
+def _s_direct_pairing(n: int, s: DualSetting):
+    """q -> <S_n, q> for q of degree <= l+m.
+
+    Kept for the last (n, setting): eq58 pairs S_n with every R_{l+m-2j}
+    of one n before it moves on.
+    """
+    return gegenbauer_pairing(s_direct(n, s), s.alpha, s.l + s.m)
 
 
 def s_closed_prefactor(n: int, s: DualSetting) -> Fraction:
@@ -156,12 +166,19 @@ def dual_addition_coeff(n: int, j: int, s: DualSetting) -> Fraction:
     expansion of R_{l+m-2j}."""
     check_index(n, s.m, "index")
     check_index(j, s.m, "index")
+    return _coeff_factor(n, s) * racah_values(specialized_racah(s))[n][j]
+
+
+@lru_cache(maxsize=None)
+def _coeff_factor(n: int, s: DualSetting) -> Fraction:
+    """addition_weight(n, alpha) (-l)_n (-m)_n / n!, the j-independent
+    factor of :func:`dual_addition_coeff`; memoised, since every j of a
+    setting needs it."""
     return (
         addition_weight(n, s.alpha)
         * pochhammer(Fraction(-s.l), n)
         * pochhammer(Fraction(-s.m), n)
         / math.factorial(n)
-        * racah_eval(n, j, specialized_racah(s))
     )
 
 
@@ -194,27 +211,37 @@ def integral_identity_residual(n: int, j: int, s: DualSetting) -> Fraction:
     check_index(j, s.m, "index")
     sys = specialized_racah(s)
     deg = s.l + s.m - 2 * j
-    lhs = inner_product(s_direct(n, s), gegenbauer_r(deg, s.alpha), s.alpha)
+    lhs = _s_direct_pairing(n, s)(gegenbauer_r(deg, s.alpha))
     rhs = (
         racah_weight(j, sys)
         * norm_ratio(deg, s.alpha)
-        * racah_eval(n, j, sys)
+        * racah_values(sys)[n][j]
     )
     return lhs - rhs
 
 
 def second_hyp_form(n: int, j: int, s: DualSetting) -> Fraction:
     """The second terminating 4F3 representation of the triple-product integral."""
+    check_index(n, s.m, "index")
+    check_index(j, s.m, "index")
+    return _second_hyp_grid(s)[n][j]
+
+
+@lru_cache(maxsize=1)
+def _second_hyp_grid(s: DualSetting) -> tuple[tuple[Fraction, ...], ...]:
+    """The second 4F3 at every (n, j) of a setting, as one grid.
+
+    Row n carries the upper parameters n-m and -m-n-2 alpha, column j the
+    parameters j-m and l-j+alpha+1/2; each series ends after min(m-n, m-j)
+    terms, where n-m or j-m stops it.  Kept for the last setting: the
+    whipple check reads every (n, j) of one setting.
+    """
     al, l, m = s.alpha, s.l, s.m
-    return terminating_hyp(
-        [
-            Fraction(n - m),
-            -m - n - 2 * al,
-            Fraction(j - m),
-            l - j + al + _HALF,
-        ],
+    return terminating_hyp_grid(
+        [(Fraction(n - m), -m - n - 2 * al) for n in range(m + 1)],
+        [(Fraction(j - m), l - j + al + _HALF) for j in range(m + 1)],
         [Fraction(-m), -m - al + _HALF, Fraction(l - m + 1)],
-        min(m - n, m - j),
+        m,
     )
 
 
@@ -261,11 +288,13 @@ def whipple_proportionality(n: int, s: DualSetting) -> tuple[Fraction, Fraction]
     sys = specialized_racah(s)
     ratios: tuple[list[Fraction], list[Fraction]] = ([], [])
     poly = gegenbauer_r(l - n, al + n) * gegenbauer_r(m - n, al + n)
+    pairing = gegenbauer_pairing(poly, al + n, l + m)
+    values = racah_values(sys)[n]
     for j in range(m + 1):
-        integral = inner_product(poly, gegenbauer_r(l + m - 2 * j, al), al + n)
+        integral = pairing(gegenbauer_r(l + m - 2 * j, al))
         base = racah_weight(j, sys) * norm_ratio(l + m - 2 * j, al)
         checks = (
-            (racah_eval(n, j, sys), base, ratios[0]),
+            (values[j], base, ratios[0]),
             (second_hyp_form(n, j, s), base * whipple_factor(j, s), ratios[1]),
         )
         for value, scale, acc in checks:

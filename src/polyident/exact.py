@@ -13,12 +13,21 @@ The hot kernels are fraction-free.  A ``UniPoly`` is an integer vector over
 one positive common denominator, reduced by its content (von zur Gathen &
 Gerhard, *Modern Computer Algebra*, ch. 6), so its arithmetic runs on ints
 with one gcd per result instead of one per coefficient operation.
-The integer kernels that build one ``Fraction`` at the end, from integer
+The integer kernels that build one ``Fraction`` per value, from integer
 numerators and denominators:
 
-- ``pochhammer``, ``poch_quotient`` and ``terminating_hyp`` here;
-- ``classical.inner_product``, by Horner over the ratio of consecutive
-  Gegenbauer-weight moments.
+- ``pochhammer`` and ``poch_quotient`` here;
+- ``terminating_hyp_grid`` here, which sums a whole grid of terminating
+  series whose upper parameters split into a row part and a column part:
+  each row's and each column's shifted-factorial products are formed once,
+  and each entry is one integer dot product.  ``terminating_hyp`` is its
+  one-entry case;
+- ``classical.gegenbauer_pairing``, which forms the pairings of one
+  polynomial with every power of x against the Gegenbauer weight once, so
+  that each inner product with it is one integer dot product;
+  ``classical.inner_product`` is a one-off pairing;
+- the running products by which ``racah`` validation evaluates a system's
+  weights, norm ratios and endpoint values, one factor per index step.
 
 ``SurdPoly.from_unipoly`` places each integer coefficient over the common
 denominator directly on its monomial.  ``SurdPoly`` itself keeps
@@ -31,6 +40,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
+from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import DegenerateParameterError, DomainError, RelationViolationError
@@ -130,38 +140,90 @@ def terminating_hyp(
 ) -> Fraction:
     """Exact sum of a terminating hypergeometric series.
 
-    Sums ``sum_k prod (a_i)_k / (prod (b_j)_k k!) z^k`` for k = 0..max_terms.
-    The caller guarantees termination (some upper parameter a negative
-    integer >= -max_terms) and pole-free lower parameters on that range;
-    a zero running numerator stops the loop early.
+    Sums ``sum_k prod (a_i)_k / (prod (b_j)_k k!) z^k`` for k = 0..max_terms:
+    the one-entry case of :func:`terminating_hyp_grid`.
     """
-    # Term k is num/den and the total is total/den: each step multiplies den
-    # by the term ratio's denominator, and one Fraction reduces at the end.
-    ups = [(a.numerator, a.denominator) for a in uppers]
+    return terminating_hyp_grid([uppers], [()], lowers, max_terms, z)[0][0]
+
+
+def terminating_hyp_grid(
+    rows: Sequence[Sequence[Fraction]],
+    cols: Sequence[Sequence[Fraction]],
+    lowers: Sequence[Fraction],
+    max_terms: int,
+    z: Fraction = Fraction(1),
+) -> tuple[tuple[Fraction, ...], ...]:
+    """Exact sums of terminating hypergeometric series over a grid.
+
+    Entry (r, c) sums ``sum_k prod (a_i)_k / (prod (b_j)_k k!) z^k`` for
+    k = 0..max_terms, the upper parameters a_i being ``rows[r]`` followed by
+    ``cols[c]``.  The caller guarantees termination (some upper parameter a
+    negative integer >= -max_terms) and pole-free lower parameters on that
+    range: an entry's series stops where its upper product vanishes, and a
+    lower factor that vanishes before that raises DomainError, naming the
+    term it would divide.
+
+    Term k of entry (r, c) is A_r(k) B_c(k) w_k / W in integers: A_r(k) and
+    B_c(k) are the row's and the column's upper products over the common
+    denominators D_row^k and D_col^k, and the weights w_k carry those
+    denominators, z^k and the lower products over one W.  Each product is
+    formed once, and each entry is one integer dot product and one
+    ``Fraction``.
+    """
+    row_ends = [_first_zero(params) for params in rows]
+    col_ends = [_first_zero(params) for params in cols]
+    pole = _first_zero(lowers)
+    if (rows and cols and pole <= max_terms
+            and pole < max(row_ends) and pole < max(col_ends)):
+        raise DomainError(f"lower parameter pole at term {pole + 1}")
+    # the last term any entry reaches; every lower factor before it is nonzero
+    last = min(max_terms, max(row_ends, default=-1), max(col_ends, default=-1))
+    row_products, row_den = _upper_products(rows, row_ends, last)
+    col_products, col_den = _upper_products(cols, col_ends, last)
+    # term k+1 over term k, beyond the upper factors: ratio_num / ratio_den(k)
     lows = [(b.numerator, b.denominator) for b in lowers]
-    # the ratio's constant parts: z and the parameter denominators
-    top_c, bot_c = z.numerator, z.denominator
-    for _, q in lows:
-        top_c *= q
-    for _, q in ups:
-        bot_c *= q
-    num, den, total = 1, 1, 0
-    for k in range(max_terms + 1):
-        total += num
-        top = 1
-        for p, q in ups:
-            top *= p + k * q
-        if top == 0:
-            break
-        bot = (k + 1) * bot_c
-        for p, q in lows:
-            bot *= p + k * q
-        if bot == 0:
-            raise DomainError(f"lower parameter pole at term {k + 1}")
-        num *= top * top_c
-        den *= bot
-        total *= bot
-    return Fraction(total, den)
+    ratio_num = math.prod(q for _, q in lows) * z.numerator
+    fixed = row_den * col_den * z.denominator
+    ratio_dens = [fixed * (k + 1) * math.prod(p + k * q for p, q in lows)
+                  for k in range(last)]
+    # w_k = ratio_num^k prod_{i=k}^{last-1} ratio_den(i), so that W = w_0
+    weights = [ratio_num**k for k in range(last + 1)]
+    tail = 1
+    for k in range(last, 0, -1):
+        weights[k] *= tail
+        tail *= ratio_dens[k - 1]
+    if weights:
+        weights[0] = tail
+    rows_weighted = [list(map(mul, products, weights)) for products in row_products]
+    return tuple(
+        tuple(Fraction(sum(map(mul, a, b)), tail) for b in col_products)
+        for a in rows_weighted
+    )
+
+
+def _first_zero(params: Iterable[Fraction]) -> int | float:
+    """The least k >= 0 with a + k = 0 for some parameter a; inf if none."""
+    return min((-a.numerator for a in params if a.denominator == 1 and a <= 0),
+               default=math.inf)
+
+
+def _upper_products(
+    param_lists: Sequence[Sequence[Fraction]], ends: Sequence[int | float], last: int
+) -> tuple[list[list[int]], int]:
+    """For each parameter list, prod (a)_k over its parameters for k from 0
+    to the list's own end (it vanishes beyond), as integers over D^k, and
+    D: the least common multiple of the lists' denominator products."""
+    pairs = [[(a.numerator, a.denominator) for a in params] for params in param_lists]
+    dens = [math.prod(q for _, q in ps) for ps in pairs]
+    common = math.lcm(*dens)
+    out = []
+    for ps, den, end in zip(pairs, dens, ends):
+        scale, value, products = common // den, 1, [1]
+        for k in range(min(end, last)):
+            value *= scale * math.prod(p + k * q for p, q in ps)
+            products.append(value)
+        out.append(products)
+    return out, common
 
 
 class UniPoly:

@@ -26,7 +26,7 @@ from .classical import gegenbauer_r, hermite
 from .dual_addition import DualSetting, dual_addition_coeff, specialized_racah
 from .errors import DomainError, check_index
 from .exact import SurdPoly, UniPoly, limit_at_infinity, pochhammer
-from .racah import racah_eval, racah_h0, racah_norm_ratio, racah_weight
+from .racah import racah_h0, racah_norm_ratio, racah_values, racah_weight
 
 _HALF = Fraction(1, 2)
 
@@ -133,7 +133,7 @@ def hermite_dual_addition_residual(j: int, s: HermiteSetting) -> UniPoly:
     """
     check_index(j, s.m, "index j")
     rhs = UniPoly.zero()
-    for n in range(s.m + 1):
+    for n in range(j, s.m + 1):  # the kernel (-n)_j/n! is 0 for n < j
         rhs = rhs + hermite_dual_addition_term(n, j, s)
     return s.linearized_blocks[j] - rhs
 
@@ -148,7 +148,7 @@ def hermite_dual_inverse_residual(n: int, s: HermiteSetting) -> UniPoly:
     """
     check_index(n, s.m, "index n")
     lhs = UniPoly.zero()
-    for j in range(s.m + 1):
+    for j in range(n, s.m + 1):  # the kernel (-j)_n/j! is 0 for j < n
         lhs = lhs + s.linearized_blocks[j].scale(_kernel(j, n))
     return lhs - s.product_blocks[n]
 
@@ -241,7 +241,7 @@ def _eq54(scaled: str):
         n, j = idx["n"], idx["j"]
         a, b = (j, n) if scaled == "j" else (n, j)
         claimed = 2**a * pochhammer(Fraction(-b), a) / _lm_pochhammer(s, a)
-        return LimitClaim(lambda alpha: (alpha**-a * racah_eval(n, j, _system(alpha, s)),),
+        return LimitClaim(lambda alpha: (alpha**-a * racah_values(_system(alpha, s))[n][j],),
                           (claimed,))
 
     return build
@@ -277,8 +277,9 @@ def _eq30_limit(idx, x) -> LimitClaim:
     def quantity(alpha):
         sys = _system(alpha, s)
         h0 = racah_h0(sys)
+        values = racah_values(sys)
         value = sum(
-            racah_weight(j, sys) / h0 * racah_eval(n, j, sys) * racah_eval(k, j, sys)
+            racah_weight(j, sys) / h0 * values[n][j] * values[k][j]
             for j in range(s.m + 1)
         )
         return (alpha**-n * value,)

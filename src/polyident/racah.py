@@ -6,15 +6,19 @@ forms below can touch over the full index range 0..N.  Parameter
 specializations of interest sit near many poles, so failing early with a
 list of offending factors beats a ZeroDivisionError deep inside a sweep.
 
-Closed forms (weights, norms, endpoint values) are evaluated through
-:func:`polyident.exact.poch_quotient`, whose exact factor cancellation
-keeps them finite at parameter ties where individual shifted factorials
-vanish on both sides of a quotient; every such value is pinned against a
-direct-sum oracle in the tests.  Validation evaluates each of them over
-the whole index range anyway, so the system keeps the weights, the mass
-and the norm ratios it computed, and :func:`racah_weight`,
-:func:`racah_h0` and :func:`racah_norm_ratio` read them: each of these
-closed forms is evaluated once per system.
+Validation evaluates the weights, norm ratios and endpoint values over the
+whole index range as running products, one factor per index step, with
+the zero factors counted apart from the rest: a zero on both sides of a
+quotient cancels, as :func:`polyident.exact.poch_quotient` cancels it, so
+the closed forms stay finite at parameter ties where individual shifted
+factorials vanish (the tests pin every value against ``poch_quotient`` and
+against direct-sum oracles).  The system keeps the weights, the mass and
+the norm ratios, and :func:`racah_weight`, :func:`racah_h0` and
+:func:`racah_norm_ratio` read them.  The values R_n(x) of a system are
+formed as one grid, on first use, by
+:func:`polyident.exact.terminating_hyp_grid` (:func:`racah_values`), and
+every check that reads many of them reads that grid; :func:`racah_eval`
+sums the one series it is asked for.
 """
 
 from __future__ import annotations
@@ -22,10 +26,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DegenerateParameterError, DomainError, check_index
-from .exact import Rational, parse_rational, poch_quotient, terminating_hyp
+from .exact import Rational, parse_rational, poch_quotient, terminating_hyp_grid
+
+#: a value of the grid R_n(x), indexed [n][x]
+Values = tuple[tuple[Fraction, ...], ...]
 
 
 @dataclass(frozen=True)
@@ -39,7 +46,8 @@ class RacahSystem:
     system keys the memoised evaluations, and a ``Fraction`` hash costs a
     modular inverse each time.  It is a function of the values alone, so it
     stays valid in a process that unpickles the system, as do the closed
-    forms that validation evaluates and the system keeps.
+    forms that validation evaluates and the system keeps, and the grid of
+    values once :func:`racah_values` has formed it.
     """
 
     alpha: Fraction
@@ -49,6 +57,7 @@ class RacahSystem:
     N: int
     _hash: int = field(init=False, repr=False, compare=False)
     _closed: ClosedForms = field(init=False, repr=False, compare=False)
+    _values: Values | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
@@ -127,28 +136,99 @@ def _validate(sys: RacahSystem) -> tuple[list[str], ClosedForms]:
 
     # weights, norms and endpoint closed forms must evaluate everywhere
     weights = tuple(
-        closed(f"weight at x={x}", _weight_quotient, x, al, be, ga, de)
-        for x in range(N + 1)
+        closed(f"weight at x={x}", _quotient, state)
+        for x, state in enumerate(_running_quotients(*_weight_bases(al, be, ga, de), N))
     )
     h0 = closed("total mass closed form", _h0_closed, N, al, be, ga, de)
+    # the (alpha+beta+1)/(alpha+beta+1)_n block cancels its possible zero
+    norm_states = _running_quotients(
+        [be + 1, al + be - ga + 1, al - de + 1, Fraction(1)],
+        [al + 1, al + be + 1, be + de + 1, ga + 1],
+        N,
+    )
+    endpoint_states = _running_quotients(*_endpoint_bases(al, be, de), N)
     norm_ratios = []
     for n in range(N + 1):
-        norm_ratios.append(
-            closed(f"norm ratio at n={n}", _norm_ratio_closed, n, al, be, ga, de)
-        )
+        norm_ratios.append(Fraction(1) if n == 0 else closed(
+            f"norm ratio at n={n}", _quotient,
+            _times(norm_states[n], al + be + 1, al + be + 2 * n + 1),
+        ))
         if n >= 1 and al + be + 2 * n + 1 == 0:
             problems.append(f"alpha+beta+2n+1 = 0 at n={n} (norm divisor)")
-        closed(f"endpoint value at n={n}", _endpoint_closed, n, al, be, de)
+        closed(f"endpoint value at n={n}", _quotient, endpoint_states[n])
     return problems, ClosedForms(weights, h0, tuple(norm_ratios))
 
 
-def _weight_quotient(x: int, al, be, ga, de) -> Fraction:
-    """Orthogonality weight at lattice index x, without the
-    (gamma+delta+1+2x)/(gamma+delta+1) normalization factor."""
-    return poch_quotient(
-        [(al + 1, x), (be + de + 1, x), (ga + 1, x), (ga + de + 1, x)],
-        [(-al + ga + de + 1, x), (-be + ga + 1, x), (de + 1, x), (Fraction(1), x)],
+#: a running quotient: (product of the nonzero factors as numerator and
+#: denominator, zero factors above, zero factors below)
+_State = tuple[int, int, int, int]
+
+
+def _running_quotients(
+    numerators: Sequence[Fraction], denominators: Sequence[Fraction], last: int
+) -> list[_State]:
+    """prod_a (a)_i / prod_b (b)_i for i = 0..last, by one factor per step."""
+    above = [(a.numerator, a.denominator) for a in numerators]
+    below = [(b.numerator, b.denominator) for b in denominators]
+    num = den = 1
+    zeros_above = zeros_below = 0
+    states = [(num, den, zeros_above, zeros_below)]
+    for i in range(last):
+        for p, q in above:
+            if p + i * q:
+                num *= p + i * q
+                den *= q
+            else:
+                zeros_above += 1
+        for p, q in below:
+            if p + i * q:
+                num *= q
+                den *= p + i * q
+            else:
+                zeros_below += 1
+        states.append((num, den, zeros_above, zeros_below))
+    return states
+
+
+def _times(state: _State, above: Fraction, below: Fraction) -> _State:
+    """A running quotient times the factor ``above`` over ``below``."""
+    num, den, zeros_above, zeros_below = state
+    if above:
+        num, den = num * above.numerator, den * above.denominator
+    else:
+        zeros_above += 1
+    if below:
+        num, den = num * below.denominator, den * below.numerator
+    else:
+        zeros_below += 1
+    return num, den, zeros_above, zeros_below
+
+
+def _quotient(state: _State) -> Fraction:
+    """The value of a running quotient, as ``poch_quotient`` gives it: zero
+    factors cancel in pairs, a zero left above makes it 0, and one left
+    below raises DegenerateParameterError listing every zero below."""
+    num, den, zeros_above, zeros_below = state
+    if zeros_below > zeros_above:
+        raise DegenerateParameterError(
+            "zero denominator factor survives cancellation", factors=["0"] * zeros_below
+        )
+    return Fraction(0) if zeros_above > zeros_below else Fraction(num, den)
+
+
+def _weight_bases(al, be, ga, de) -> tuple[list[Fraction], list[Fraction]]:
+    """The shifted-factorial bases of the orthogonality weight at x, each
+    of length x, without the (gamma+delta+1+2x)/(gamma+delta+1)
+    normalization factor."""
+    return (
+        [al + 1, be + de + 1, ga + 1, ga + de + 1],
+        [-al + ga + de + 1, -be + ga + 1, de + 1, Fraction(1)],
     )
+
+
+def _endpoint_bases(al, be, de) -> tuple[list[Fraction], list[Fraction]]:
+    """The bases of the endpoint value R_n(N), each of length n."""
+    return [be + 1, al - de + 1], [al + 1, be + de + 1]
 
 
 def _h0_closed(N: int, al, be, ga, de) -> Fraction:
@@ -158,38 +238,39 @@ def _h0_closed(N: int, al, be, ga, de) -> Fraction:
     )
 
 
-def _norm_ratio_closed(n: int, al, be, ga, de) -> Fraction:
-    if n == 0:
-        return Fraction(1)
-    # The (alpha+beta+1)/(alpha+beta+1)_n block cancels its possible zero.
-    return poch_quotient(
-        [(al + be + 1, 1), (be + 1, n), (al + be - ga + 1, n),
-         (al - de + 1, n), (Fraction(1), n)],
-        [(al + be + 2 * n + 1, 1), (al + 1, n), (al + be + 1, n),
-         (be + de + 1, n), (ga + 1, n)],
-    )
-
-
 def _endpoint_closed(n: int, al, be, de) -> Fraction:
-    return poch_quotient(
-        [(be + 1, n), (al - de + 1, n)],
-        [(al + 1, n), (be + de + 1, n)],
+    """The Saalschuetz closed form of R_n(N)."""
+    numerators, denominators = _endpoint_bases(al, be, de)
+    return poch_quotient([(a, n) for a in numerators], [(b, n) for b in denominators])
+
+
+def _values_grid(degrees: Sequence[int], xs: Iterable[int], al, be, ga, de) -> Values:
+    """The terminating 4F3 sums defining the polynomials: R_n(x) for the
+    degrees n (rows) at the lattice indices x (columns), as one grid."""
+    return terminating_hyp_grid(
+        [(Fraction(-n), n + al + be + 1) for n in degrees],
+        [(Fraction(-x), x + ga + de + 1) for x in xs],
+        [al + 1, be + de + 1, ga + 1],
+        max(degrees),
     )
 
 
-def _eval_raw(n: int, x: int, al, be, ga, de) -> Fraction:
-    """Terminating 4F3 sum defining the polynomial at lattice index x."""
-    return terminating_hyp(
-        [-n, n + al + be + 1, -x, x + ga + de + 1], [al + 1, be + de + 1, ga + 1], n
-    )
+def racah_values(sys: RacahSystem) -> Values:
+    """Every value R_n(x), n, x = 0..N, indexed [n][x]: formed as one grid
+    on first use and kept by the system."""
+    if sys._values is None:
+        object.__setattr__(
+            sys, "_values", _values_grid(range(sys.N + 1), range(sys.N + 1), *sys.as_tuple())
+        )
+    return sys._values
 
 
-@lru_cache(maxsize=None)
 def racah_eval(n: int, x: int, sys: RacahSystem) -> Fraction:
-    """Exact value of the degree-n Racah polynomial at lattice index x."""
+    """Exact value of the degree-n Racah polynomial at lattice index x: the
+    one series, in O(n) terms; it forms no grid (:func:`racah_values`)."""
     check_index(n, sys.N, "degree n")
     check_index(x, sys.N, "lattice index x")
-    return _eval_raw(n, x, *sys.as_tuple())
+    return _values_grid([n], [x], *sys.as_tuple())[0][0]
 
 
 @lru_cache(maxsize=None)
@@ -229,10 +310,9 @@ def _shifted_terms(n: int, sys: RacahSystem) -> tuple[Fraction, ...]:
     """
     al, be, ga, de = sys.as_tuple()
     shifted = (al + 1, be + 1, ga + 1, de)
-    return tuple(
-        _weight_quotient(x, *shifted) * _eval_raw(n - 1, x, *shifted)
-        for x in range(sys.N)
-    )
+    weights = _running_quotients(*_weight_bases(*shifted), sys.N - 1)
+    (values,) = _values_grid([n - 1], range(sys.N), *shifted)
+    return tuple(_quotient(w) * v for w, v in zip(weights, values))
 
 
 def backward_shift_residual(n: int, x: int, sys: RacahSystem) -> Fraction:
@@ -250,7 +330,7 @@ def backward_shift_residual(n: int, x: int, sys: RacahSystem) -> Fraction:
     check_index(n, sys.N, "degree n")
     check_index(x, sys.N, "lattice index x")
 
-    lhs = racah_weight(x, sys) * racah_eval(n, x, sys)
+    lhs = racah_weight(x, sys) * racah_values(sys)[n][x]
     terms = _shifted_terms(n, sys)
     rhs = Fraction(0)
     if x < sys.N:
@@ -273,8 +353,8 @@ def sum_by_parts_residual(n: int, f: Sequence[Rational], sys: RacahSystem) -> Fr
         raise DomainError(f"f must have {sys.N + 1} values, got {len(f)}")
     fv = [Fraction(v) for v in f]
     lhs = sum(
-        racah_weight(x, sys) * racah_eval(n, x, sys) * fv[x]
-        for x in range(sys.N + 1)
+        racah_weight(x, sys) * value * fv[x]
+        for x, value in enumerate(racah_values(sys)[n])
     )
     rhs = Fraction(0)
     for x, term in enumerate(_shifted_terms(n, sys)):
@@ -284,10 +364,7 @@ def sum_by_parts_residual(n: int, f: Sequence[Rational], sys: RacahSystem) -> Fr
 
 def gram_matrix(sys: RacahSystem) -> list[list[Fraction]]:
     """Full exact Gram matrix of the system (weighted sums over the lattice)."""
-    vals = [
-        [racah_eval(n, x, sys) for x in range(sys.N + 1)]
-        for n in range(sys.N + 1)
-    ]
+    vals = racah_values(sys)
     w = [racah_weight(x, sys) for x in range(sys.N + 1)]
     return [
         [

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from polyident.classical import (
     difference_residual,
     even_moment,
+    gegenbauer_pairing,
     gegenbauer_r,
     hermite,
     inner_product,
@@ -146,6 +147,27 @@ class TestInnerProductOracle:
         value = inner_product(p, q, alpha)
         assert value == expected
         assert type(value) is Fraction
+
+    @given(a=factor_coeffs, bs=st.lists(factor_coeffs, min_size=1, max_size=4),
+           alpha=weight_alphas)
+    @settings(max_examples=100, deadline=None)
+    def test_one_pairing_serves_every_partner(self, a, bs, alpha):
+        # one vector for p, formed for the largest partner degree, against
+        # the plain moment sum of each product
+        p, qs = UniPoly(a), [UniPoly(b) for b in bs]
+        pair = gegenbauer_pairing(p, alpha, max(q.degree for q in qs))
+        for q in qs:
+            coeffs = (p * q).coeffs
+            expected = sum(
+                (c * even_moment(k, alpha) for k, c in enumerate(coeffs[::2])), Fraction(0)
+            )
+            assert pair(q) == expected
+
+    def test_pairing_rejects_a_partner_above_its_degree(self):
+        pair = gegenbauer_pairing(UniPoly.one(), Fraction(0), 2)
+        assert pair(UniPoly([0, 0, 1])) == Fraction(1, 3)
+        with pytest.raises(DomainError):
+            pair(UniPoly([0, 0, 0, 1]))
 
     @pytest.mark.parametrize("alpha", [Fraction(-1, 2), Fraction(-9, 10), Fraction(7, 3)])
     def test_degree_forty_monomials(self, alpha):

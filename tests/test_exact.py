@@ -20,6 +20,7 @@ from polyident.exact import (
     pochhammer,
     pythagorean_point,
     terminating_hyp,
+    terminating_hyp_grid,
 )
 
 rationals = st.fractions(
@@ -544,3 +545,57 @@ class TestTerminatingHypOracle:
         # the upper -1 ends the series after term 1, before the lower -3 reaches 0
         z = Fraction(-4, 7)
         assert terminating_hyp([-1], [Fraction(-3)], 5, z=z) == 1 + z / 3
+
+
+def _naive_series(uppers, lowers, max_terms, z):
+    """sum_k prod (a)_k / (prod (b)_k k!) z^k from pochhammer products, up to
+    the first vanishing upper product; DomainError where a lower product
+    vanishes first."""
+    total = Fraction(0)
+    for k in range(max_terms + 1):
+        top = _product(pochhammer(Fraction(a), k) for a in uppers)
+        if top == 0:
+            break
+        bottom = _product(pochhammer(Fraction(b), k) for b in lowers) * math.factorial(k)
+        if bottom == 0:
+            raise DomainError(f"lower parameter pole at term {k}")
+        total += top / bottom * Fraction(z) ** k
+    return total
+
+
+def _naive_or_error(uppers, lowers, max_terms, z):
+    try:
+        return _naive_series(uppers, lowers, max_terms, z)
+    except DomainError as exc:
+        return str(exc)
+
+
+class TestTerminatingHypGridOracle:
+    @pytest.mark.parametrize("z", [Fraction(1), Fraction(-4, 7), Fraction(3)])
+    @given(data=st.data(), max_terms=st.integers(0, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_every_entry_equals_the_naive_sum(self, z, data, max_terms):
+        # each row terminates by max_terms, some earlier; columns and lowers
+        # may hold nonpositive integers, which end a column early or put a
+        # pole in the way
+        ends = data.draw(st.lists(st.integers(0, max_terms), min_size=1, max_size=3))
+        rows = [[Fraction(-n), *data.draw(st.lists(tie_bases, max_size=1))] for n in ends]
+        cols = data.draw(st.lists(st.lists(tie_bases, max_size=2), min_size=1, max_size=3))
+        lowers = data.draw(st.lists(st.integers(-4, -1).map(Fraction) | lower_params,
+                                    max_size=2))
+        expected = [[_naive_or_error([*r, *c], lowers, max_terms, z) for c in cols]
+                    for r in rows]
+        errors = {e for row in expected for e in row if isinstance(e, str)}
+        if errors:
+            (message,) = errors  # the lowers, and so the pole, are shared
+            with pytest.raises(DomainError, match=message):
+                terminating_hyp_grid(rows, cols, lowers, max_terms, z)
+            return
+        grid = terminating_hyp_grid(rows, cols, lowers, max_terms, z)
+        assert [list(row) for row in grid] == expected
+        assert all(type(v) is Fraction for row in grid for v in row)
+
+    def test_empty_grid_and_no_terms(self):
+        assert terminating_hyp_grid([], [[Fraction(-1)]], [], 3) == ()
+        assert terminating_hyp_grid([[Fraction(-1)]], [], [], 3) == ((),)
+        assert terminating_hyp_grid([[Fraction(-1)]], [[Fraction(2)]], [], -1) == ((0,),)

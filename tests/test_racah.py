@@ -4,26 +4,91 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polyident import racah
 from polyident.errors import DegenerateParameterError, DomainError
+from polyident.exact import poch_quotient, terminating_hyp
 from polyident.racah import (
     RacahSystem,
+    _endpoint_closed,
     _h0_closed,
-    _norm_ratio_closed,
-    _weight_quotient,
     backward_shift_residual,
     endpoint_value_residual,
     gram_matrix,
     racah_eval,
     racah_h0,
     racah_norm_ratio,
+    racah_values,
     racah_weight,
     sum_by_parts_residual,
     validation_problems,
 )
 
 HALF = Fraction(1, 2)
+
+
+# The closed forms as shifted-factorial quotients through poch_quotient: the
+# oracle for the running products validation evaluates them by.
+
+
+def _weight_quotient(x, al, be, ga, de):
+    """Weight at x without the (gamma+delta+1+2x)/(gamma+delta+1) factor."""
+    return poch_quotient(
+        [(al + 1, x), (be + de + 1, x), (ga + 1, x), (ga + de + 1, x)],
+        [(-al + ga + de + 1, x), (-be + ga + 1, x), (de + 1, x), (Fraction(1), x)],
+    )
+
+
+def _norm_ratio_closed(n, al, be, ga, de):
+    if n == 0:
+        return Fraction(1)
+    return poch_quotient(
+        [(al + be + 1, 1), (be + 1, n), (al + be - ga + 1, n),
+         (al - de + 1, n), (Fraction(1), n)],
+        [(al + be + 2 * n + 1, 1), (al + 1, n), (al + be + 1, n),
+         (be + de + 1, n), (ga + 1, n)],
+    )
+
+
+def _series(n, x, al, be, ga, de):
+    """The terminating 4F3 that defines R_n(x), summed on its own."""
+    return terminating_hyp(
+        [-n, n + al + be + 1, -x, x + ga + de + 1], [al + 1, be + de + 1, ga + 1], n
+    )
+
+
+def _reference_validation(al, be, ga, de, N):
+    """The problems validation must report, in its order, and the weights
+    and norm ratios (None where degenerate), each closed form evaluated on
+    its own by poch_quotient."""
+    problems = []
+
+    def closed(what, form, *args):
+        try:
+            return form(*args)
+        except DegenerateParameterError as exc:
+            problems.append(f"{what}: {'; '.join(exc.factors)}")
+            return None
+
+    if ga + de + 1 == 0:
+        problems.append("gamma+delta+1 = 0 (weight normalization divisor)")
+    for name, base in (("alpha+1", al + 1), ("beta+delta+1", be + de + 1),
+                       ("gamma+1", ga + 1)):
+        zeros = [k for k in range(N) if base + k == 0]
+        if zeros:
+            problems.append(f"({name})_{{{zeros[0] + 1}}} = 0 in the series denominator")
+    weights = [closed(f"weight at x={x}", _weight_quotient, x, al, be, ga, de)
+               for x in range(N + 1)]
+    closed("total mass closed form", _h0_closed, N, al, be, ga, de)
+    ratios = []
+    for n in range(N + 1):
+        ratios.append(closed(f"norm ratio at n={n}", _norm_ratio_closed, n, al, be, ga, de))
+        if n >= 1 and al + be + 2 * n + 1 == 0:
+            problems.append(f"alpha+beta+2n+1 = 0 at n={n} (norm divisor)")
+        closed(f"endpoint value at n={n}", _endpoint_closed, n, al, be, de)
+    return problems, weights, ratios
 
 
 def spec_system(alpha, l, m) -> RacahSystem:
@@ -73,26 +138,31 @@ class TestClosedFormsOnce:
     @pytest.mark.parametrize("index", [3, 7], ids=["generic", "tie"])
     def test_validation_evaluates_each_closed_form_once(self, index, monkeypatch):
         sample = SAMPLE_SYSTEMS[index]
-        calls = []
+        calls = {"running": 0, "poch_quotient": 0, "grid": 0}
 
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
+        def counting(name, real):
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
 
-        real = racah.poch_quotient
-        monkeypatch.setattr(racah, "poch_quotient", counting)
+        monkeypatch.setattr(racah, "_running_quotients",
+                            counting("running", racah._running_quotients))
+        monkeypatch.setattr(racah, "poch_quotient", counting("poch_quotient", racah.poch_quotient))
+        monkeypatch.setattr(racah, "terminating_hyp_grid",
+                            counting("grid", racah.terminating_hyp_grid))
         sys = RacahSystem(*sample.as_tuple(), N=sample.N)
-        N = sys.N
-        # N+1 weights, the mass, N norm ratios (n = 0 is 1) and N+1 endpoints
-        assert len(calls) == 3 * N + 3
-        built = len(calls)
-        for x in range(N + 1):
+        # one running pass each for the weights, the norm ratios and the
+        # endpoint values; the mass is one poch_quotient; no values yet
+        assert calls == {"running": 3, "poch_quotient": 1, "grid": 0}
+        assert sys._values is None
+        for x in range(sys.N + 1):
             racah_weight(x, sys)
             racah_weight.__wrapped__(x, sys)
-        for n in range(N + 1):
+        for n in range(sys.N + 1):
             racah_norm_ratio(n, sys)
         racah_h0(sys)
-        assert len(calls) == built
+        assert calls == {"running": 3, "poch_quotient": 1, "grid": 0}
 
     @pytest.mark.parametrize("index", [3, 7], ids=["generic", "tie"])
     def test_stored_values_equal_fresh_closed_forms(self, index):
@@ -106,6 +176,27 @@ class TestClosedFormsOnce:
         for n in range(sys.N + 1):
             assert racah_norm_ratio(n, sys) == _norm_ratio_closed(n, al, be, ga, de)
 
+    @given(al=st.integers(-4, 3).map(Fraction) | st.sampled_from([HALF, -HALF, Fraction(1, 3)]),
+           be=st.integers(-4, 3).map(Fraction) | st.sampled_from([HALF, -HALF]),
+           de=st.integers(-7, 4).map(Fraction) | st.sampled_from([-HALF, Fraction(-7, 2)]),
+           N=st.integers(0, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_running_products_match_quotients_on_random_systems(self, al, be, de, N):
+        # small integers make ties (alpha = 0 specializations among them)
+        # and degenerate tuples; the diagnostics must be the same list
+        ga = Fraction(-N - 1)
+        problems, weights, ratios = _reference_validation(al, be, ga, de, N)
+        if problems:
+            with pytest.raises(DegenerateParameterError) as info:
+                RacahSystem(al, be, ga, de, N=N)
+            assert info.value.factors == problems
+            return
+        sys = RacahSystem(al, be, ga, de, N=N)
+        assert validation_problems(sys) == []
+        assert list(sys._closed.weights) == weights
+        assert list(sys._closed.norm_ratios) == ratios
+        assert racah_h0(sys) == _h0_closed(N, al, be, ga, de)
+
     def test_kept_shifted_terms_match_fresh_computation(self):
         # the shifted-system terms the backward shift and summation by parts
         # share, recomputed from an empty cache
@@ -116,10 +207,53 @@ class TestClosedFormsOnce:
             for n in range(1, sys.N + 1):
                 terms = racah._shifted_terms(n, sys)
                 assert terms == tuple(
-                    _weight_quotient(x, *shifted) * racah._eval_raw(n - 1, x, *shifted)
+                    _weight_quotient(x, *shifted) * _series(n - 1, x, *shifted)
                     for x in range(sys.N)
                 )
                 assert racah._shifted_terms(n, sys) is terms
+
+
+class TestValuesGrid:
+    def test_grid_equals_single_values(self):
+        for sample in SAMPLE_SYSTEMS:
+            # a fresh system: racah_eval sums each series on its own
+            sys = RacahSystem(*sample.as_tuple(), N=sample.N)
+            single = [[racah_eval(n, x, sys) for x in range(sys.N + 1)]
+                      for n in range(sys.N + 1)]
+            assert sys._values is None
+            assert [list(row) for row in racah_values(sys)] == single
+
+    @given(al=st.integers(0, 3).map(Fraction) | st.sampled_from([HALF, Fraction(1, 3)]),
+           de=st.integers(-6, 3).map(Fraction) | st.sampled_from([-HALF, Fraction(5, 3)]),
+           N=st.integers(0, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_grid_equals_single_values_on_random_systems(self, al, de, N):
+        try:
+            sys = RacahSystem(al, al, Fraction(-N - 1), de, N=N)
+        except DegenerateParameterError:
+            return
+        values = racah_values(sys)
+        assert all(
+            values[n][x] == _series(n, x, *sys.as_tuple())
+            for n in range(N + 1) for x in range(N + 1)
+        )
+
+    def test_grid_is_formed_once(self, monkeypatch):
+        sample = SAMPLE_SYSTEMS[3]
+        sys = RacahSystem(*sample.as_tuple(), N=sample.N)
+        grids = []
+        real = racah.terminating_hyp_grid
+        monkeypatch.setattr(racah, "terminating_hyp_grid",
+                            lambda *args: grids.append(args) or real(*args))
+        values = racah_values(sys)
+        assert racah_values(sys) is values
+        assert len(grids) == 1
+
+    def test_single_value_forms_no_grid(self):
+        # N = 400: the grid would cost O(N^3); one value costs O(n)
+        sys = RacahSystem(Fraction(0), HALF, Fraction(-401), Fraction(1, 3), N=400)
+        assert racah_eval(3, 5, sys) == Fraction(144611739193, 569172835)
+        assert sys._values is None
 
 
 class TestEvaluation:
