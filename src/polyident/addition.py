@@ -49,8 +49,9 @@ def addition_lhs(inst: AdditionInstance) -> SurdPoly:
     """R_n at the composite argument, reduced to canonical form.
 
     Kept for the last (n, alpha): the addition, product and t = 1 checks
-    of (n, alpha) all start from it, and the classical-addition suite
-    lists them one after the other.
+    of (n, alpha) all start from it.  They share one grid, so
+    ``suites.suite_tasks`` runs the three at each (n, alpha) before the
+    next point.
     """
     return mixed_argument().substitute_into(gegenbauer_r(inst.n, inst.alpha))
 

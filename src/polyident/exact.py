@@ -530,13 +530,6 @@ class SurdPoly:
             _accumulate_reduced(out, (a, b, 0, e, f), q * weight(c))
         return _raw({m: c for m, c in out.items() if c != 0})
 
-    def identify_y_with_x(self) -> "SurdPoly":
-        """Map y -> x and v -> u, reducing the new u powers."""
-        out: dict[Monomial, Fraction] = {}
-        for (a, b, c, e, f), q in self.terms.items():
-            _accumulate_reduced(out, (a + b, 0, c, e + f, 0), q)
-        return _raw({m: c for m, c in out.items() if c != 0})
-
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Graded-lexicographic term order; the serialization order."""
         return sorted(self.terms.items(), key=lambda kv: _grade_key(kv[0]))

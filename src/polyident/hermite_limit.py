@@ -61,7 +61,8 @@ def _hermite_at_mixed_argument(n: int) -> SurdPoly:
     """H_n(x y + v t), with v standing for (1-y^2)^{1/2}.
 
     Kept for the last n: the addition and the product check of n both
-    start from it, and the hermite suite lists them one after the other.
+    start from it.  They share one grid, so ``suites.suite_tasks`` runs the
+    two at each n before the next.
     """
     x, y, t, v = (SurdPoly.variable(w) for w in ("x", "y", "t", "v"))
     return (x * y + v * t).substitute_into(hermite(n))

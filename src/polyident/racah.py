@@ -104,11 +104,6 @@ class ClosedForms(NamedTuple):
     norm_ratios: tuple[Fraction, ...]
 
 
-def validation_problems(sys: RacahSystem) -> list[str]:
-    """Return diagnostics for every denominator zero over the index range."""
-    return _validate(sys)[0]
-
-
 def _validate(sys: RacahSystem) -> tuple[list[str], ClosedForms]:
     """Diagnostics for every denominator zero over the index range, and the
     closed forms evaluated on the way (None where one has a zero)."""
@@ -305,8 +300,9 @@ def _shifted_terms(n: int, sys: RacahSystem) -> tuple[Fraction, ...]:
     both of the shifted system (alpha+1, beta+1, gamma+1, delta).
 
     Kept for the last (n, system): the backward shift at every x and
-    summation by parts against every trial function, whose tasks the
-    racah suite lists one after the other, use the same terms.
+    summation by parts against every trial function use the same terms.
+    Their checks share one grid, so ``suites.suite_tasks`` runs the two at
+    each (n, system) before the next point.
     """
     al, be, ga, de = sys.as_tuple()
     shifted = (al + 1, be + 1, ga + 1, de)

@@ -1,23 +1,25 @@
 """Verification suites: parameter grids, task dispatch, report assembly.
 
 Each identity is declared once, by :func:`identity` on the handler that
-checks it.  Each suite enumerates task specifications (identity id plus a
-flat string parameter map), and a dispatcher parses the parameters once and
-executes one task at a time.  Tasks are pure, so suites can fan out over a
-process pool; reports are sorted before emission, making output independent
-of execution order.
+checks it: its id, suite, description, parameter grid and, for a numeric
+check, tolerance.  A suite's tasks (identity id plus a flat string
+parameter map) are the points of its identities' grids; a dispatcher
+parses the parameters once and executes one task at a time.  Tasks are
+pure, so suites can fan out over a process pool; reports are sorted before
+emission, making output independent of execution order.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable
 
 import mpmath as mp
 
@@ -98,11 +100,6 @@ class SuiteConfig:
                     f"{name} must be finite, positive and at most {loosest}, got {value!r}"
                 )
 
-    def lm_pairs(self):
-        for l in range(self.l_max + 1):
-            for m in range(l + 1):
-                yield l, m
-
     def tolerance(self, kind: str) -> mp.mpf:
         """The explicit tolerance of ``kind``, else its default 10^-(P - offset)."""
         value = getattr(self, f"{kind}_tolerance")
@@ -111,15 +108,22 @@ class SuiteConfig:
         return mp.mpf(10) ** (-self.precision_digits + _TOLERANCE_OFFSETS[kind])
 
 
+#: a parameter grid: the parameter maps, canonical strings, of an identity's
+#: tasks under a config
+Grid = Callable[[SuiteConfig], Iterable[dict[str, str]]]
+
+
 @dataclass(frozen=True)
 class Identity:
     """One identity check: its suite, the description `list` prints, the
-    handler that runs one task of it and, for a numeric check, its tolerance
-    as (kind, e): the kind's tolerance times 10^e."""
+    handler that runs one task of it, the grid of its tasks' parameters
+    and, for a numeric check, its tolerance as (kind, e): the kind's
+    tolerance times 10^e."""
 
     suite: str
     description: str
     handler: Callable[..., TaskResult]
+    grid: Grid
     tolerance: tuple[str, int] | None = None
 
     @property
@@ -137,40 +141,133 @@ class Identity:
 REGISTRY: dict[str, Identity] = {}
 
 
-def identity(identity_id: str, suite: str, description: str,
+def identity(identity_id: str, suite: str, description: str, grid: Grid,
              tolerance: tuple[str, int] | None = None):
     """Declare the decorated handler as the check of ``identity_id``.
 
-    The handler is called as ``handler(p, config)`` with the task's parsed
-    parameters ``p`` (see :func:`run_task`); a numeric check declares
-    ``tolerance``, and its handler is called as ``handler(p, config,
-    threshold)`` with the declared threshold, at the working precision.
+    The check runs one task at each point of ``grid(config)``, in the order
+    :func:`suite_tasks` sets.  The handler is called as ``handler(p,
+    config)`` with the task's parsed parameters ``p`` (see
+    :func:`run_task`); a numeric check declares ``tolerance``, and its
+    handler is called as ``handler(p, config, threshold)`` with the
+    declared threshold, at the working precision.
     """
 
     def declare(handler):
         if identity_id in REGISTRY:
             raise ValueError(f"identity {identity_id!r} declared twice")
-        REGISTRY[identity_id] = Identity(suite, description, handler, tolerance)
+        REGISTRY[identity_id] = Identity(suite, description, handler, grid, tolerance)
         return handler
 
     return declare
 
 
-def default_racah_systems(config: SuiteConfig) -> list[tuple[str, int]]:
-    """Twenty validated systems with N <= 8, including the dual-addition
-    specializations alongside generic parameter tuples."""
-    systems: list[tuple[str, int]] = [
-        ("0,0,-3,1", 2),
-        ("0,0,-2,-2", 1),
-        ("1/2,1/2,-4,2", 3),
-        ("1,2,-5,-7/2", 4),
-    ]
+# ---------------------------------------------------------------------------
+# parameter grids; ids that share one share its function object
+
+
+def _fixed(keys: str, rows) -> Grid:
+    """The grid of one parameter map per row, whatever the config: the
+    space-separated ``keys`` paired with the row's values."""
+    names = keys.split()
+    return lambda config: (dict(zip(names, row)) for row in rows)
+
+
+def racah_systems(config: SuiteConfig):
+    """The Racah systems, as ``system`` and ``N``: four generic tuples and,
+    at each alpha, four dual-addition specializations (twenty at the
+    default alphas, each with N <= 8)."""
+    systems = [("0,0,-3,1", 2), ("0,0,-2,-2", 1), ("1/2,1/2,-4,2", 3), ("1,2,-5,-7/2", 4)]
     for alpha in config.alphas:
         for l, m in ((1, 1), (3, 2), (5, 5), (8, 4)):
             a = format_rational(alpha - _HALF)
             d = format_rational(-l - alpha - _HALF)
             systems.append((f"{a},{a},{-m - 1},{d}", m))
-    return systems
+    for system, n_points in systems:
+        yield {"system": system, "N": str(n_points)}
+
+
+def _racah_degrees(config: SuiteConfig):
+    """Each Racah system at each degree n = 0..N."""
+    for base in racah_systems(config):
+        for n in range(int(base["N"]) + 1):
+            yield dict(base, n=str(n))
+
+
+def _racah_shift_degrees(config: SuiteConfig):
+    """Each Racah system at each degree n = 1..N, which the shifts lower."""
+    return (p for p in _racah_degrees(config) if p["n"] != "0")
+
+
+def _alpha_lm(config: SuiteConfig):
+    """alpha x (l, m), 0 <= m <= l <= l_max."""
+    for alpha in config.alphas:
+        a = format_rational(alpha)
+        for lm in _lm(config.l_max):
+            yield dict(alpha=a, **lm)
+
+
+def _alpha_lmj(config: SuiteConfig):
+    """alpha x (l, m, j), 0 <= j <= m."""
+    for base in _alpha_lm(config):
+        for j in range(int(base["m"]) + 1):
+            yield dict(base, j=str(j))
+
+
+def _alpha_m(config: SuiteConfig):
+    """alpha x m, 0 <= m <= l_max."""
+    for alpha in config.alphas:
+        for m in range(config.l_max + 1):
+            yield {"alpha": format_rational(alpha), "m": str(m)}
+
+
+def _alpha_n(first: int, stop: int) -> Grid:
+    """alpha x n, first <= n < stop."""
+
+    def grid(config: SuiteConfig):
+        for alpha in config.alphas:
+            for n in range(first, stop):
+                yield {"alpha": format_rational(alpha), "n": str(n)}
+
+    return grid
+
+
+#: the four checks of the addition formula at one (n, alpha)
+_ADDITION_DEGREES = _alpha_n(0, 9)
+#: the two constructions of R_n compared at one (n, alpha)
+_CONSTRUCTION_DEGREES = _alpha_n(0, 13)
+#: the Hermite addition and product checks at n = 0..12
+_HERMITE_DEGREES = _fixed("n", [(str(n),) for n in range(13)])
+
+
+def _lm(bound: int):
+    """(l, m), 0 <= m <= l <= bound."""
+    for l in range(bound + 1):
+        for m in range(l + 1):
+            yield {"l": str(l), "m": str(m)}
+
+
+def _hermite_lm(config: SuiteConfig):
+    """(l, m), 0 <= m <= l <= hermite_lm_max."""
+    return _lm(config.hermite_lm_max)
+
+
+def _limit_indices(target: str | None, *names: str) -> Grid:
+    """The limit (l, m) pairs, 0 <= m <= l <= limit_lm_max, then ``target``
+    when given, then each of ``names`` over 0..m, the last varying fastest."""
+
+    def grid(config: SuiteConfig):
+        for base in _lm(config.limit_lm_max):
+            head = dict(base, target=target) if target else base
+            for values in itertools.product(range(int(base["m"]) + 1), repeat=len(names)):
+                yield dict(head, **dict(zip(names, map(str, values))))
+
+    return grid
+
+
+def _gegenbauer_limit(target: str) -> Grid:
+    """``target`` at n = 0..4 and two points x."""
+    return _fixed("target n x", [(target, str(n), x) for n in range(5) for x in ("1/2", "3/5")])
 
 
 # ---------------------------------------------------------------------------
@@ -258,14 +355,14 @@ def run_task(identity_id: str, params: dict[str, str], config: SuiteConfig) -> T
 # -- racah suite handlers
 
 
-@identity("eq29", "racah", "total weight mass: closed form vs direct sum")
+@identity("eq29", "racah", "total weight mass: closed form vs direct sum", racah_systems)
 def _task_eq29(p, config):
     sys = _system(p["system"], p["N"])
     direct = sum(racah.racah_weight(x, sys) for x in range(sys.N + 1))
     return _exact_result(racah.racah_h0(sys) - direct)
 
 
-@identity("eq30", "racah", "full Gram matrix diagonal with closed-form norms")
+@identity("eq30", "racah", "full Gram matrix diagonal with closed-form norms", racah_systems)
 def _task_eq30(p, config):
     sys = _system(p["system"], p["N"])
     gram = racah.gram_matrix(sys)
@@ -277,13 +374,14 @@ def _task_eq30(p, config):
     ))
 
 
-@identity("eq25", "racah", "endpoint evaluation closed form")
+@identity("eq25", "racah", "endpoint evaluation closed form", _racah_degrees)
 def _task_eq25(p, config):
     sys = _system(p["system"], p["N"])
     return _exact_result(racah.endpoint_value_residual(p["n"], sys))
 
 
-@identity("eq20", "racah", "backward shift identity (boundary conventions included)")
+@identity("eq20", "racah", "backward shift identity (boundary conventions included)",
+          _racah_shift_degrees)
 def _task_eq20(p, config):
     sys = _system(p["system"], p["N"])
     return _exact_result(
@@ -291,7 +389,8 @@ def _task_eq20(p, config):
     )
 
 
-@identity("eq21", "racah", "summation by parts against arbitrary lattice functions")
+@identity("eq21", "racah", "summation by parts against arbitrary lattice functions",
+          _racah_shift_degrees)
 def _task_eq21(p, config):
     sys = _system(p["system"], p["N"])
     n = p["n"]
@@ -303,7 +402,8 @@ def _task_eq21(p, config):
 # -- dual-addition suite handlers
 
 
-@identity("eq45", "dual-addition", "weighted Racah sum equals its closed product form")
+@identity("eq45", "dual-addition", "weighted Racah sum equals its closed product form",
+          _alpha_lm)
 def _task_eq45(p, config):
     s = dual_addition.DualSetting(p["alpha"], p["l"], p["m"])
     return _exact_result(*(
@@ -312,13 +412,15 @@ def _task_eq45(p, config):
     ))
 
 
-@identity("eq40", "dual-addition", "dual addition formula (Racah expansion of R_{l+m-2j})")
+@identity("eq40", "dual-addition", "dual addition formula (Racah expansion of R_{l+m-2j})",
+          _alpha_lmj)
 def _task_eq40(p, config):
     s = dual_addition.DualSetting(p["alpha"], p["l"], p["m"])
     return _exact_result(dual_addition.dual_addition_residual(p["j"], s))
 
 
-@identity("eq17", "dual-addition", "linearization coefficients are normalized Racah weights")
+@identity("eq17", "dual-addition", "linearization coefficients are normalized Racah weights",
+          _alpha_lm)
 def _task_eq17(p, config):
     s = dual_addition.DualSetting(p["alpha"], p["l"], p["m"])
     return _exact_result(
@@ -326,7 +428,8 @@ def _task_eq17(p, config):
     )
 
 
-@identity("eq18", "dual-addition", "linearization coefficients: positivity and unit sum")
+@identity("eq18", "dual-addition", "linearization coefficients: positivity and unit sum",
+          _alpha_lm)
 def _task_eq18(p, config):
     s = dual_addition.DualSetting(p["alpha"], p["l"], p["m"])
     coeffs = [dual_addition.linearization_coeff(j, s) for j in range(s.m + 1)]
@@ -334,7 +437,8 @@ def _task_eq18(p, config):
     return _exact_result(Fraction(positivity), sum(coeffs) - 1)
 
 
-@identity("eq43", "dual-addition", "constant-function expansion (j = m specialization)")
+@identity("eq43", "dual-addition", "constant-function expansion (j = m specialization)",
+          _alpha_m)
 def _task_eq43(p, config):
     # the constant-function expansion is the dual addition formula at l = m
     # and j = m, where the left side R_{l+m-2j} is R_0 = 1
@@ -344,7 +448,7 @@ def _task_eq43(p, config):
 
 @identity(
     "eq43-eq49", "dual-addition",
-    "term-by-term match of the two partition-of-unity expansions",
+    "term-by-term match of the two partition-of-unity expansions", _alpha_m,
 )
 def _task_eq43_eq49(p, config):
     s = dual_addition.DualSetting(p["alpha"], p["m"], p["m"])
@@ -355,7 +459,7 @@ def _task_eq43_eq49(p, config):
     ))
 
 
-@identity("eq58", "dual-addition", "Fourier coefficient integral of the weighted sum")
+@identity("eq58", "dual-addition", "Fourier coefficient integral of the weighted sum", _alpha_lm)
 def _task_eq58(p, config):
     s = dual_addition.DualSetting(p["alpha"], p["l"], p["m"])
     return _exact_result(*(
@@ -365,7 +469,8 @@ def _task_eq58(p, config):
     ))
 
 
-@identity("whipple", "dual-addition", "triple-product integral proportional to both 4F3 forms")
+@identity("whipple", "dual-addition", "triple-product integral proportional to both 4F3 forms",
+          _alpha_lm)
 def _task_whipple(p, config):
     s = dual_addition.DualSetting(p["alpha"], p["l"], p["m"])
     for n in range(s.m + 1):
@@ -376,42 +481,45 @@ def _task_whipple(p, config):
 # -- classical-addition suite handlers
 
 
-@identity("eq42", "classical-addition", "addition formula in the surd ring")
+@identity("eq42", "classical-addition", "addition formula in the surd ring", _ADDITION_DEGREES)
 def _task_eq42(p, config):
     inst = addition.AdditionInstance(p["n"], p["alpha"])
     return _exact_result(addition.addition_residual(inst))
 
 
-@identity("eq41", "classical-addition", "product formula via exact moment integration")
+@identity("eq41", "classical-addition", "product formula via exact moment integration",
+          _ADDITION_DEGREES)
 def _task_eq41(p, config):
     inst = addition.AdditionInstance(p["n"], p["alpha"])
     return _exact_result(addition.product_formula_residual(inst))
 
 
-@identity("eq44", "classical-addition", "addition formula at t = 1")
+@identity("eq44", "classical-addition", "addition formula at t = 1", _ADDITION_DEGREES)
 def _task_eq44(p, config):
     inst = addition.AdditionInstance(p["n"], p["alpha"])
     return _exact_result(addition.t_one_residual(inst))
 
 
-@identity("eq49", "classical-addition", "partition of unity (t = 1, x = y)")
+@identity("eq49", "classical-addition", "partition of unity (t = 1, x = y)", _ADDITION_DEGREES)
 def _task_eq49(p, config):
     return _exact_result(addition.sum_of_squares_residual(p["n"], p["alpha"]))
 
 
-@identity("eq23", "classical-addition", "two-step difference formula for Gegenbauer polynomials")
+@identity("eq23", "classical-addition", "two-step difference formula for Gegenbauer polynomials",
+          _alpha_n(2, 9))
 def _task_eq23(p, config):
     return _exact_result(classical.difference_residual(p["n"], p["alpha"]))
 
 
-@identity("eq50", "classical-addition", "power-series vs hypergeometric construction")
+@identity("eq50", "classical-addition", "power-series vs hypergeometric construction",
+          _CONSTRUCTION_DEGREES)
 def _task_eq50(p, config):
     alpha, n = p["alpha"], p["n"]
     diff = classical.gegenbauer_r(n, alpha) - classical.jacobi_r(n, alpha, alpha)
     return _exact_result(diff)
 
 
-@identity("eq28", "classical-addition", "leading coefficient closed form")
+@identity("eq28", "classical-addition", "leading coefficient closed form", _CONSTRUCTION_DEGREES)
 def _task_eq28(p, config):
     alpha, n = p["alpha"], p["n"]
     poly = classical.jacobi_r(n, alpha, alpha)
@@ -421,7 +529,8 @@ def _task_eq28(p, config):
     return _exact_result(poly.coeff(n) - lead)
 
 
-@identity("eq57", "classical-addition", "orthogonality and norms in the Gegenbauer weight")
+@identity("eq57", "classical-addition", "orthogonality and norms in the Gegenbauer weight",
+          lambda config: ({"alpha": format_rational(a)} for a in config.alphas))
 def _task_eq57(p, config):
     alpha = p["alpha"]
     polys = [classical.gegenbauer_r(n, alpha) for n in range(11)]
@@ -433,7 +542,8 @@ def _task_eq57(p, config):
     ))
 
 
-@identity("r-bound", "classical-addition", "|R_n| <= 1 on rational circle points")
+@identity("r-bound", "classical-addition", "|R_n| <= 1 on rational circle points",
+          _fixed("alpha n", [(a, str(n)) for a in ("0", "1/2", "1") for n in range(11)]))
 def _task_r_bound(p, config):
     alpha, n = p["alpha"], p["n"]
     poly = classical.gegenbauer_r(n, alpha)
@@ -442,7 +552,8 @@ def _task_r_bound(p, config):
     return _exact_result(*(max(abs(poly(x)) - 1, Fraction(0)) for x in points))
 
 
-@identity("chebyshev-t", "classical-addition", "parameter -1/2 polynomials hit cos(k phi)")
+@identity("chebyshev-t", "classical-addition", "parameter -1/2 polynomials hit cos(k phi)",
+          _fixed("k", [(str(k),) for k in range(7)]))
 def _task_chebyshev(p, config):
     k = p["k"]
     poly = classical.jacobi_r(k, -_HALF, -_HALF)
@@ -461,17 +572,17 @@ def _task_chebyshev(p, config):
 # -- hermite suite handlers
 
 
-@identity("hermite-addition", "hermite", "Hermite argument-mixing expansion")
+@identity("hermite-addition", "hermite", "Hermite argument-mixing expansion", _HERMITE_DEGREES)
 def _task_hermite_addition(p, config):
     return _exact_result(hermite_limit.hermite_addition_residual(p["n"]))
 
 
-@identity("hermite-product", "hermite", "Hermite product via Gaussian moments")
+@identity("hermite-product", "hermite", "Hermite product via Gaussian moments", _HERMITE_DEGREES)
 def _task_hermite_product(p, config):
     return _exact_result(hermite_limit.hermite_product_residual(p["n"]))
 
 
-@identity("eq46", "hermite", "dual addition formula for Hermite polynomials")
+@identity("eq46", "hermite", "dual addition formula for Hermite polynomials", _hermite_lm)
 def _task_eq46(p, config):
     s = hermite_limit.HermiteSetting(p["l"], p["m"])
     return _exact_result(
@@ -479,7 +590,7 @@ def _task_eq46(p, config):
     )
 
 
-@identity("eq47", "hermite", "inverse (Fourier-type) Hermite expansion")
+@identity("eq47", "hermite", "inverse (Fourier-type) Hermite expansion", _hermite_lm)
 def _task_eq47(p, config):
     s = hermite_limit.HermiteSetting(p["l"], p["m"])
     return _exact_result(
@@ -487,7 +598,8 @@ def _task_eq47(p, config):
     )
 
 
-@identity("eq48-corrected", "hermite", "corrected biorthogonality kernel gives delta")
+@identity("eq48-corrected", "hermite", "corrected biorthogonality kernel gives delta",
+          _fixed("n", [(str(n),) for n in range(BIORTHOGONALITY_MAX + 1)]))
 def _task_eq48_corrected(p, config):
     n = p["n"]
     return _exact_result(*(
@@ -496,7 +608,8 @@ def _task_eq48_corrected(p, config):
     ))
 
 
-@identity("eq48-printed", "hermite", "printed biorthogonality kernel fails at (2,1): pinned")
+@identity("eq48-printed", "hermite", "printed biorthogonality kernel fails at (2,1): pinned",
+          _fixed("n k expected", [("2", "1", "-1")]))
 def _task_eq48_printed(p, config):
     n, k = p["n"], p["k"]
     value = hermite_limit.biorthogonality_value(n, k, "as-printed")
@@ -525,20 +638,49 @@ def _task_limit(target, p, config):
 
 # Each limit handler gets its target from its declaration; the eq52-eq56
 # tasks also carry it as the parameter "target", which their records print.
-for _target, _description in (
-    ("eq52", "Hermite limit of scaled Gegenbauer polynomials"),
-    ("eq53", "monomial limit of Gegenbauer polynomials"),
-    ("eq54j", "Racah value limit, j-scaling"),
-    ("eq54n", "Racah value limit, n-scaling"),
-    ("eq55", "Racah weight limit"),
-    ("eq56", "Racah norm limit"),
-    ("eq30-limit", "Racah orthogonality degenerates to biorthogonality"),
-    ("eq40-to-eq46", "dual addition formula degenerates to its Hermite form"),
+for _target, _description, _grid in (
+    ("eq52", "Hermite limit of scaled Gegenbauer polynomials", _gegenbauer_limit("eq52")),
+    ("eq53", "monomial limit of Gegenbauer polynomials", _gegenbauer_limit("eq53")),
+    ("eq54j", "Racah value limit, j-scaling", _limit_indices("eq54j", "n", "j")),
+    ("eq54n", "Racah value limit, n-scaling", _limit_indices("eq54n", "n", "j")),
+    ("eq55", "Racah weight limit", _limit_indices("eq55", "j")),
+    ("eq56", "Racah norm limit", _limit_indices("eq56", "n")),
+    ("eq30-limit", "Racah orthogonality degenerates to biorthogonality",
+     _limit_indices(None, "n", "k")),
+    ("eq40-to-eq46", "dual addition formula degenerates to its Hermite form",
+     _limit_indices(None, "j")),
 ):
-    identity(_target, "hermite", _description)(functools.partial(_task_limit, _target))
+    identity(_target, "hermite", _description, _grid)(functools.partial(_task_limit, _target))
 
 
 # -- continuous suite handlers
+
+#: ten dual-product evaluation points; the first is the t = 0 coincidence
+#: with the degree-zero Wilson norm, and two are the alpha = 0 and 1/2 cases.
+EQ7_POINTS = (
+    ("0", "3/10", "2/5", "1"),
+    ("3/10", "2/5", "7/10", "1"),
+    ("1/5", "3/10", "1/2", "0"),
+    ("1/4", "1/2", "1/2", "0"),
+    ("3/20", "1/4", "9/20", "1/2"),
+    ("1/10", "3/5", "1/5", "2"),
+    ("2/5", "1/10", "3/10", "3/2"),
+    ("3/10", "1/5", "1/5", "7/3"),
+    ("1/5", "7/10", "3/5", "1/2"),
+    ("1/8", "2/5", "1/4", "3"),
+)
+
+
+def _eq16_grid(config: SuiteConfig):
+    """Twenty seeded (alpha, lambda, t)."""
+    rng = random.Random("eq16-grid")
+    for _ in range(20):
+        yield {
+            "alpha": format_rational(Fraction(rng.randint(0, 300), 100)),
+            "lambda": format_rational(Fraction(rng.randint(-250, 250), 100)),
+            "t": format_rational(Fraction(rng.randint(-150, 150), 100)),
+        }
+
 
 def _wilson_context(p) -> continuous.WilsonContext:
     """The context of the task's parameter set at the working precision in
@@ -572,6 +714,8 @@ def _pinned_ratio(p, tolerance) -> mp.mpf:
 
 
 @identity("eq8", "continuous", "Wilson orthogonality (corrected norm) by quadrature",
+          _fixed("m n lambda mu alpha",
+                 [(str(m), str(n), "1/5", "2/5", "1") for m in range(4) for n in range(m, 4)]),
           tolerance=("integral", 0))
 def _task_eq8(p, config, tolerance):
     ctx = _wilson_context(p)
@@ -581,6 +725,7 @@ def _task_eq8(p, config, tolerance):
 
 @identity(
     "eq8-printed", "continuous", "printed Wilson norm off by ((alpha+1/2)_n)^2: pinned",
+    _fixed("n lambda mu alpha", [("2", "1/5", "2/5", "1")]),
     tolerance=("integral", 0),
 )
 def _task_eq8_printed(p, config, tolerance):
@@ -602,7 +747,7 @@ def _task_eq8_printed(p, config, tolerance):
 
 
 @identity("eq7", "continuous", "dual product formula for Gegenbauer functions",
-          tolerance=("integral", 0))
+          _fixed("t lambda mu alpha", EQ7_POINTS), tolerance=("integral", 0))
 def _task_eq7(p, config, tolerance):
     ctx = _wilson_context(p)
     value = continuous.dual_product_residual(p["t"], ctx, tolerance)
@@ -610,6 +755,8 @@ def _task_eq7(p, config, tolerance):
 
 
 @identity("eq6", "continuous", "dual product formula in conical-function form",
+          _fixed("t lambda mu alpha",
+                 [("1/4", "2/5", "3/5", "1"), ("3/10", "1/5", "1/2", "3/2")]),
           tolerance=("integral", 0))
 def _task_eq6(p, config, tolerance):
     value = continuous.conical_product_residual(
@@ -620,6 +767,7 @@ def _task_eq6(p, config, tolerance):
 
 @identity(
     "eq13", "continuous", "closed form of the phi-weighted Wilson integral (corrected)",
+    _fixed("n t lambda mu alpha", [(str(n), "1/5", "3/10", "1/2", "1") for n in range(4)]),
     tolerance=("integral", 5),
 )
 def _task_eq13(p, config, tolerance):
@@ -630,6 +778,7 @@ def _task_eq13(p, config, tolerance):
 
 @identity(
     "eq13-printed", "continuous", "printed closed form off by ((alpha+1/2)_n)^2: pinned",
+    _fixed("n t lambda mu alpha", [("1", "1/5", "3/10", "1/2", "1")]),
     tolerance=("integral", 5),
 )
 def _task_eq13_printed(p, config, tolerance):
@@ -652,6 +801,8 @@ def _task_eq13_printed(p, config, tolerance):
 
 
 @identity("eq33", "continuous", "Wilson backward shift identity, pointwise",
+          _fixed("n x lambda mu alpha",
+                 [("2", x, "3/10", "1/2", "1") for x in ("1/10", "3/10", "7/10", "6/5", "2")]),
           tolerance=("pointwise", 20))
 def _task_eq33(p, config, tolerance):
     value = continuous.wilson_backward_shift_residual(
@@ -661,6 +812,9 @@ def _task_eq33(p, config, tolerance):
 
 
 @identity("eq15", "continuous", "dual addition expansion for Gegenbauer functions",
+          _fixed("t nu lambda mu alpha", [("1/10", "3/10", "1/5", "2/5", "1"),
+                                          ("1/5", "3/10", "1/5", "2/5", "1/2"),
+                                          ("1/8", "1/2", "1/4", "1/5", "0")]),
           tolerance=("integral", 5))
 def _task_eq15(p, config, tolerance):
     result = continuous.dual_addition_function_residual(
@@ -679,7 +833,7 @@ def _task_eq15(p, config, tolerance):
 
 
 @identity("eq16", "continuous", "quadratic argument transform of Gegenbauer functions",
-          tolerance=("pointwise", 0))
+          _eq16_grid, tolerance=("pointwise", 0))
 def _task_eq16(p, config, tolerance):
     alpha, lam, t = (continuous.to_mpf(p[key]) for key in ("alpha", "lambda", "t"))
     value = abs(
@@ -690,6 +844,8 @@ def _task_eq16(p, config, tolerance):
 
 
 @identity("eq34", "continuous", "spectral-shift contiguous relation",
+          _fixed("alpha beta lambda t", [("1", "-1/2", "1/2", "2/5"), ("2", "1", "13/10", "4/5"),
+                                         ("1/2", "0", "0", "3/10"), ("3/2", "1/4", "2", "1/2")]),
           tolerance=("pointwise", 0))
 def _task_eq34(p, config, tolerance):
     value = abs(continuous.contiguous_residual(
@@ -699,6 +855,7 @@ def _task_eq34(p, config, tolerance):
 
 
 @identity("eq32", "continuous", "|phi| <= 1 bound on sampled spectral points",
+          _fixed("alpha beta", [("1", "1/2"), ("1/2", "-1/2"), ("2", "2")]),
           tolerance=("pointwise", 0))
 def _task_eq32(p, config, tolerance):
     alpha, beta = p["alpha"], p["beta"]
@@ -714,6 +871,7 @@ def _task_eq32(p, config, tolerance):
 
 
 @identity("eq4", "continuous", "conical function: two evaluation routes agree",
+          _fixed("g r k", [("1", "1/2", "4/5"), ("3/2", "1/5", "0"), ("1/2", "1", "-3/5")]),
           tolerance=("pointwise", 0))
 def _task_eq4(p, config, tolerance):
     value = continuous.conical_route_residual(continuous.ConicalArgs(p["g"], p["r"], p["k"]))
@@ -722,6 +880,7 @@ def _task_eq4(p, config, tolerance):
 
 @identity(
     "exact-float-oracle", "continuous", "terminating series: exact rationals vs big floats",
+    _fixed("case", [("gauss-terminating",), ("wilson-terminating",)]),
     tolerance=("pointwise", -5),
 )
 def _task_exact_float_oracle(p, config, tolerance):
@@ -761,201 +920,29 @@ def _task_exact_float_oracle(p, config, tolerance):
     return _numeric_result(value, tolerance)
 
 
-# ---------------------------------------------------------------------------
-# task enumeration
-
-
-def racah_tasks(config: SuiteConfig):
-    tasks = []
-    for system, n_points in default_racah_systems(config):
-        base = {"system": system, "N": str(n_points)}
-        tasks.append(("eq29", dict(base)))
-        tasks.append(("eq30", dict(base)))
-        for n in range(n_points + 1):
-            tasks.append(("eq25", dict(base, n=str(n))))
-        for n in range(1, n_points + 1):
-            tasks.append(("eq20", dict(base, n=str(n))))
-            tasks.append(("eq21", dict(base, n=str(n))))
-    return tasks
-
-
-def dual_addition_tasks(config: SuiteConfig):
-    tasks = []
-    for alpha in config.alphas:
-        a = format_rational(alpha)
-        for l, m in config.lm_pairs():
-            base = {"alpha": a, "l": str(l), "m": str(m)}
-            tasks.append(("eq45", dict(base)))
-            tasks.append(("eq17", dict(base)))
-            tasks.append(("eq18", dict(base)))
-            tasks.append(("eq58", dict(base)))
-            tasks.append(("whipple", dict(base)))
-            for j in range(m + 1):
-                tasks.append(("eq40", dict(base, j=str(j))))
-        for m in range(config.l_max + 1):
-            tasks.append(("eq43", {"alpha": a, "m": str(m)}))
-            tasks.append(("eq43-eq49", {"alpha": a, "m": str(m)}))
-    return tasks
-
-
-def classical_addition_tasks(config: SuiteConfig):
-    tasks = []
-    for alpha in config.alphas:
-        a = format_rational(alpha)
-        for n in range(9):
-            tasks.append(("eq42", {"alpha": a, "n": str(n)}))
-            tasks.append(("eq41", {"alpha": a, "n": str(n)}))
-            tasks.append(("eq44", {"alpha": a, "n": str(n)}))
-            tasks.append(("eq49", {"alpha": a, "n": str(n)}))
-        for n in range(2, 9):
-            tasks.append(("eq23", {"alpha": a, "n": str(n)}))
-        for n in range(13):
-            tasks.append(("eq50", {"alpha": a, "n": str(n)}))
-            tasks.append(("eq28", {"alpha": a, "n": str(n)}))
-        tasks.append(("eq57", {"alpha": a}))
-    for alpha in (Fraction(0), _HALF, Fraction(1)):
-        a = format_rational(alpha)
-        for n in range(11):
-            tasks.append(("r-bound", {"alpha": a, "n": str(n)}))
-    for k in range(7):
-        tasks.append(("chebyshev-t", {"k": str(k)}))
-    return tasks
-
-
-def hermite_tasks(config: SuiteConfig):
-    tasks = []
-    for n in range(13):
-        tasks.append(("hermite-addition", {"n": str(n)}))
-        tasks.append(("hermite-product", {"n": str(n)}))
-    for l in range(config.hermite_lm_max + 1):
-        for m in range(l + 1):
-            tasks.append(("eq46", {"l": str(l), "m": str(m)}))
-            tasks.append(("eq47", {"l": str(l), "m": str(m)}))
-    for n in range(BIORTHOGONALITY_MAX + 1):
-        tasks.append(("eq48-corrected", {"n": str(n)}))
-    tasks.append(("eq48-printed", {"n": "2", "k": "1", "expected": "-1"}))
-    for n in range(5):
-        for x in ("1/2", "3/5"):
-            tasks.append(("eq52", {"target": "eq52", "n": str(n), "x": x}))
-            tasks.append(("eq53", {"target": "eq53", "n": str(n), "x": x}))
-    for l in range(config.limit_lm_max + 1):
-        for m in range(l + 1):
-            base = {"l": str(l), "m": str(m)}
-            for n in range(m + 1):
-                for j in range(m + 1):
-                    tasks.append(
-                        ("eq54j", dict(base, target="eq54j", n=str(n), j=str(j)))
-                    )
-                    tasks.append(
-                        ("eq54n", dict(base, target="eq54n", n=str(n), j=str(j)))
-                    )
-            for j in range(m + 1):
-                tasks.append(("eq55", dict(base, target="eq55", j=str(j))))
-                tasks.append(("eq40-to-eq46", dict(base, j=str(j))))
-            for n in range(m + 1):
-                tasks.append(("eq56", dict(base, target="eq56", n=str(n))))
-                for k in range(m + 1):
-                    tasks.append(("eq30-limit", dict(base, n=str(n), k=str(k))))
-    return tasks
-
-
-#: ten dual-product evaluation points; the first is the t = 0 coincidence
-#: with the degree-zero Wilson norm, and two are the alpha = 0 and 1/2 cases.
-EQ7_POINTS = (
-    ("0", "3/10", "2/5", "1"),
-    ("3/10", "2/5", "7/10", "1"),
-    ("1/5", "3/10", "1/2", "0"),
-    ("1/4", "1/2", "1/2", "0"),
-    ("3/20", "1/4", "9/20", "1/2"),
-    ("1/10", "3/5", "1/5", "2"),
-    ("2/5", "1/10", "3/10", "3/2"),
-    ("3/10", "1/5", "1/5", "7/3"),
-    ("1/5", "7/10", "3/5", "1/2"),
-    ("1/8", "2/5", "1/4", "3"),
-)
-
-
-def continuous_tasks(config: SuiteConfig):
-    tasks = []
-    lam, mu, al = "1/5", "2/5", "1"
-    for m in range(4):
-        for n in range(m, 4):
-            tasks.append(
-                ("eq8", {"m": str(m), "n": str(n), "lambda": lam, "mu": mu, "alpha": al})
-            )
-    tasks.append(("eq8-printed", {"n": "2", "lambda": lam, "mu": mu, "alpha": al}))
-    for t, lam_, mu_, al_ in EQ7_POINTS:
-        tasks.append(("eq7", {"t": t, "lambda": lam_, "mu": mu_, "alpha": al_}))
-    for t, lam_, mu_, al_ in (("1/4", "2/5", "3/5", "1"), ("3/10", "1/5", "1/2", "3/2")):
-        tasks.append(("eq6", {"t": t, "lambda": lam_, "mu": mu_, "alpha": al_}))
-    for n in range(4):
-        tasks.append(
-            ("eq13", {"n": str(n), "t": "1/5", "lambda": "3/10", "mu": "1/2", "alpha": "1"})
-        )
-    tasks.append(
-        ("eq13-printed", {"n": "1", "t": "1/5", "lambda": "3/10", "mu": "1/2", "alpha": "1"})
-    )
-    for x in ("1/10", "3/10", "7/10", "6/5", "2"):
-        tasks.append(
-            ("eq33", {"n": "2", "x": x, "lambda": "3/10", "mu": "1/2", "alpha": "1"})
-        )
-    for t, nu, lam_, mu_, al_ in (
-        ("1/10", "3/10", "1/5", "2/5", "1"),
-        ("1/5", "3/10", "1/5", "2/5", "1/2"),
-        ("1/8", "1/2", "1/4", "1/5", "0"),
-    ):
-        tasks.append(
-            ("eq15", {"t": t, "nu": nu, "lambda": lam_, "mu": mu_, "alpha": al_})
-        )
-    rng = random.Random("eq16-grid")
-    for _ in range(20):
-        tasks.append(
-            (
-                "eq16",
-                {
-                    "alpha": format_rational(Fraction(rng.randint(0, 300), 100)),
-                    "lambda": format_rational(Fraction(rng.randint(-250, 250), 100)),
-                    "t": format_rational(Fraction(rng.randint(-150, 150), 100)),
-                },
-            )
-        )
-    for al_, be_, lam_, t in (
-        ("1", "-1/2", "1/2", "2/5"),
-        ("2", "1", "13/10", "4/5"),
-        ("1/2", "0", "0", "3/10"),
-        ("3/2", "1/4", "2", "1/2"),
-    ):
-        tasks.append(("eq34", {"alpha": al_, "beta": be_, "lambda": lam_, "t": t}))
-    for al_, be_ in (("1", "1/2"), ("1/2", "-1/2"), ("2", "2")):
-        tasks.append(("eq32", {"alpha": al_, "beta": be_}))
-    for g, r, k in (("1", "1/2", "4/5"), ("3/2", "1/5", "0"), ("1/2", "1", "-3/5")):
-        tasks.append(("eq4", {"g": g, "r": r, "k": k}))
-    tasks.append(("exact-float-oracle", {"case": "gauss-terminating"}))
-    tasks.append(("exact-float-oracle", {"case": "wilson-terminating"}))
-    return tasks
-
-
-_SUITE_BUILDERS = {
-    "racah": racah_tasks,
-    "dual-addition": dual_addition_tasks,
-    "classical-addition": classical_addition_tasks,
-    "hermite": hermite_tasks,
-    "continuous": continuous_tasks,
-}
-
-
 def suite_tasks(name: str, config: SuiteConfig):
-    if name == "all":
-        tasks = []
-        for suite in SUITE_NAMES:
-            tasks.extend(_SUITE_BUILDERS[suite](config))
-        return tasks
-    builder = _SUITE_BUILDERS.get(name)
-    if builder is None:
+    """The tasks of suite ``name``, or of every suite for "all".
+
+    Within a suite, the ids declared on one grid function run together:
+    the grids come in the order of their first declaration, and at each
+    point of a grid one task follows for every id on it, in declaration
+    order.  So the checks that start from one cached value (an
+    ``lru_cache(maxsize=1)``) at a point run one after the other.
+    """
+    if name != "all" and name not in SUITE_NAMES:
         raise ConfigError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)} or 'all'"
         )
-    return builder(config)
+    tasks = []
+    for suite in SUITE_NAMES if name == "all" else (name,):
+        ids_by_grid: dict[Grid, list[str]] = {}
+        for identity_id, declared in REGISTRY.items():
+            if declared.suite == suite:
+                ids_by_grid.setdefault(declared.grid, []).append(identity_id)
+        for grid, ids in ids_by_grid.items():
+            for params in grid(config):
+                tasks.extend((identity_id, dict(params)) for identity_id in ids)
+    return tasks
 
 
 def _execute(task, config: SuiteConfig) -> VerificationReport:

@@ -13,7 +13,7 @@ import pytest
 
 from polyident import addition, classical, continuous, dual_addition, hermite_limit, racah
 from polyident.exact import pythagorean_point, terminating_hyp
-from polyident.suites import EQ7_POINTS, SuiteConfig, default_racah_systems
+from polyident.suites import EQ7_POINTS, SuiteConfig, racah_systems
 
 GRID_ALPHAS = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 3))
 HALF = Fraction(1, 2)
@@ -77,8 +77,8 @@ def test_criterion_3_linearization_weights():
 def test_criterion_4_racah_machinery():
     failures = []
     systems = [
-        racah.RacahSystem.parse(text, n) for text, n in
-        default_racah_systems(SuiteConfig())
+        racah.RacahSystem.parse(p["system"], int(p["N"]))
+        for p in racah_systems(SuiteConfig())
     ]
     assert len(systems) == 20 and all(sys.N <= 8 for sys in systems)
     for sys in systems:

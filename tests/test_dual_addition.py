@@ -1,5 +1,6 @@
 """Dual addition machinery: linearization weights, the sum S, the expansion."""
 
+import itertools
 import pickle
 from fractions import Fraction
 
@@ -301,7 +302,7 @@ class TestCaches:
         # the memoised functions return what an uncached call computes, on
         # the default (l, m, n) grid and the shifted alphas whipple uses
         config = SuiteConfig()
-        for l, m in config.lm_pairs():
+        for m, l in itertools.combinations_with_replacement(range(config.l_max + 1), 2):
             s = DualSetting(alpha, l, m)
             for n in range(m + 1):
                 assert s_direct(n, s) == s_direct.__wrapped__(n, s)

@@ -297,7 +297,8 @@ class TestDualAdditionLimit:
 
 
 def _limit_tasks(config):
-    return [task for task in suites.hermite_tasks(config) if task[0] in hermite_limit._LIMITS]
+    return [task for task in suites.suite_tasks("hermite", config)
+            if task[0] in hermite_limit._LIMITS]
 
 
 def _offset(limits, offset):

@@ -23,7 +23,6 @@ from polyident.racah import (
     racah_values,
     racah_weight,
     sum_by_parts_residual,
-    validation_problems,
 )
 
 HALF = Fraction(1, 2)
@@ -128,7 +127,7 @@ class TestConstruction:
             RacahSystem.parse("0,0,-3", 2)
 
     def test_validation_diagnostics_empty_for_valid(self):
-        assert validation_problems(SAMPLE_SYSTEMS[2]) == []
+        assert racah._validate(SAMPLE_SYSTEMS[2])[0] == []
 
 
 class TestClosedFormsOnce:
@@ -192,7 +191,7 @@ class TestClosedFormsOnce:
             assert info.value.factors == problems
             return
         sys = RacahSystem(al, be, ga, de, N=N)
-        assert validation_problems(sys) == []
+        assert racah._validate(sys)[0] == []
         assert list(sys._closed.weights) == weights
         assert list(sys._closed.norm_ratios) == ratios
         assert racah_h0(sys) == _h0_closed(N, al, be, ga, de)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyident import cli, continuous
+from polyident import addition, cli, continuous, hermite_limit, racah
 from polyident.cli import load_config_file, main
 from polyident.errors import ConfigError, DomainError
 from polyident.exact import pochhammer
@@ -118,6 +118,12 @@ class TestEmission:
 
 SMALL = dict(alphas=(Fraction(0), Fraction(1, 2)), l_max=3, jobs=1)
 
+#: every grid at its floor: the (l, m) bounds at 0 and one alpha
+FLOORS = dict(alphas=(Fraction(1),), l_max=0, hermite_lm_max=0, limit_lm_max=0, jobs=1)
+
+#: the benchmark's record of the task lists
+GOLDEN_TASKS = Path(__file__).resolve().parent.parent / "benchmarks" / "golden"
+
 NUMERIC = {i: d for i, d in REGISTRY.items() if d.mode == "numeric"}
 
 EQ16_PARAMS = {"alpha": "1", "lambda": "7/10", "t": "3/10"}
@@ -126,18 +132,49 @@ EQ8_PARAMS = {"m": "0", "n": "0", "lambda": "1/5", "mu": "2/5", "alpha": "1"}
 
 class TestSuites:
     def test_registry_covers_all_task_ids(self):
-        config = SuiteConfig(**SMALL)
-        for suite in SUITE_NAMES:
-            for identity, _params in suite_tasks(suite, config):
-                assert identity in REGISTRY
-                assert REGISTRY[identity].suite == suite
-        # no dead declarations: the default grids produce every declared id
-        produced = {
-            (identity, suite)
-            for suite in SUITE_NAMES
-            for identity, _params in suite_tasks(suite, SuiteConfig())
+        # every task names an id declared in its suite, and no declaration
+        # is dead: each grid, at its floors too, gives its id a task
+        for fields in (SMALL, {}, FLOORS):
+            produced = {
+                (identity, suite)
+                for suite in SUITE_NAMES
+                for identity, _params in suite_tasks(suite, SuiteConfig(**fields))
+            }
+            assert produced == {(i, d.suite) for i, d in REGISTRY.items()}, fields
+
+    @pytest.mark.parametrize("name, suite, fields", [
+        ("racah", "racah", {}),
+        ("classical-addition", "classical-addition", {}),
+        ("hermite", "hermite", {}),
+        ("dual-addition", "dual-addition", {}),
+        ("continuous", "continuous", {}),
+        ("dual-addition-l10", "dual-addition", {"alphas": (Fraction(7, 3),), "l_max": 10}),
+        ("hermite-lm14", "hermite", {"hermite_lm_max": 14}),
+    ])
+    def test_grids_reproduce_the_recorded_task_lists(self, name, suite, fields):
+        # the same tasks, parameter order included, in any task order;
+        # "$alpha" stands for the seeded alpha of the l10 list
+        text = (GOLDEN_TASKS / f"{name}.json").read_text().replace('"$alpha"', '"7/3"')
+        recorded = sorted(json.dumps(task) for task in json.loads(text))
+        tasks = suite_tasks(suite, SuiteConfig(**fields))
+        assert sorted(json.dumps([i, p]) for i, p in tasks) == recorded
+
+    def test_ids_on_one_grid_share_each_kept_value(self):
+        # suite_tasks runs every id of a grid at one point before the next
+        # point, so each cache that keeps only its last value misses once
+        # per distinct key: (n, alpha), n and (n, system)
+        caches = {
+            "addition_lhs": addition.addition_lhs,
+            "_hermite_at_mixed_argument": hermite_limit._hermite_at_mixed_argument,
+            "_shifted_terms": racah._shifted_terms,
         }
-        assert produced == {(i, d.suite) for i, d in REGISTRY.items()}
+        for cache in caches.values():
+            cache.cache_clear()
+        for suite in ("racah", "classical-addition", "hermite", "dual-addition"):
+            run_suite(suite, SuiteConfig(jobs=1))
+        misses = {name: cache.cache_info().misses for name, cache in caches.items()}
+        assert misses == {"addition_lhs": 36, "_hermite_at_mixed_argument": 13,
+                          "_shifted_terms": 58}
 
     def test_numeric_checks_declare_a_tolerance(self):
         # a check is numeric exactly when it declares a tolerance, and every
@@ -371,7 +408,7 @@ class TestSuites:
 
         declared = REGISTRY["eq40"]
         monkeypatch.setitem(
-            REGISTRY, "eq40", suites.Identity(declared.suite, declared.description, broken)
+            REGISTRY, "eq40", dataclasses.replace(declared, handler=broken)
         )
         reports = run_suite("dual-addition", SuiteConfig(**dict(SMALL, jobs=jobs)))
         broken_records = [r for r in reports if r.identity_id == "eq40"]
