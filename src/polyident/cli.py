@@ -117,8 +117,8 @@ def _eval_hermite(n, *, prec) -> str:
 
 def _eval_racah(n, x, *parameters, prec) -> str:
     alpha, beta, gamma, delta = map(parse_rational, parameters)
-    if gamma.denominator != 1 or -gamma - 1 < 1:
-        raise ConfigError("gamma must be a negative integer -N-1 with N >= 1")
+    if gamma.denominator != 1 or gamma >= 0:
+        raise ConfigError("gamma must be a negative integer -N-1, N >= 0")
     system = racah.RacahSystem(alpha, beta, gamma, delta, N=int(-gamma - 1))
     return format_rational(racah.racah_eval(int(n), int(x), system))
 

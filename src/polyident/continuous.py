@@ -23,9 +23,8 @@ silently fixing it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import mpmath as mp
 from mpmath.libmp import NoConvergence
@@ -133,37 +132,20 @@ def contiguous_residual(lam, alpha, beta, t):
     return lhs - rhs
 
 
-@dataclass(frozen=True)
-class ConicalArgs:
-    """Arguments (g, r, k) of the gamma-prefactored Gegenbauer function."""
+def conical_routes(g, r, k, log_prefactor=None):
+    """The two evaluations of the conical function F(g; r, 2k), g > 0.
 
-    g: object
-    r: object
-    k: object
-
-    def __post_init__(self):
-        if not to_mpf(self.g) > 0:
-            raise DomainError(f"g must be positive, got {self.g}")
-
-
-def _conical_log_prefactor(g, k) -> mp.mpf:
-    """log of twice the prefactor Gamma(g+ik) Gamma(g-ik) / (2 Gamma(2g)).
-
-    One complex log-gamma: g +- ik are conjugate, and
-    Re log Gamma(conj z) = Re log Gamma(z), so the pair is
-    exp(2 Re log Gamma(g+ik)).
+    ``log_prefactor`` is the log of twice Gamma(g+ik) Gamma(g-ik) / (2 Gamma(2g)),
+    taken with one complex log-gamma unless given: g +- ik are conjugate, so
+    the pair is exp(2 Re log Gamma(g+ik)).  Route one is the prefactor times
+    the Jacobi function phi_k^{(g-1/2,-1/2)}(r), route two the Gauss series
+    at -sinh^2(r/2); they agree through the quadratic argument transform.
     """
-    return 2 * mp.re(log_gamma(mp.mpc(g, k))) - log_gamma(2 * g)
-
-
-def _conical_routes(g, r, k, log_prefactor):
-    """The two evaluations of F(g; r, 2k) for mpf g, r, k, given
-    ``_conical_log_prefactor(g, k)``.
-
-    Route one evaluates the gamma prefactor times the Jacobi function
-    phi_k^{(g-1/2,-1/2)}(r); route two uses the Gauss series at argument
-    -sinh^2(r/2) (the two agree through the quadratic argument transform).
-    """
+    g, r, k = (to_mpf(x) for x in (g, r, k))
+    if not g > 0:
+        raise DomainError(f"g must be positive, got {g}")
+    if log_prefactor is None:
+        log_prefactor = 2 * mp.re(log_gamma(mp.mpc(g, k))) - log_gamma(2 * g)
     pre = mp.e ** log_prefactor / 2
     route_phi = pre * phi(k, g - mp.mpf(1) / 2, -mp.mpf(1) / 2, r)
     route_gauss = pre * gauss_2f1(
@@ -172,11 +154,14 @@ def _conical_routes(g, r, k, log_prefactor):
     return route_phi, route_gauss
 
 
-def _checked_conical(g, r, k, log_prefactor):
-    """F(g; r, 2k) as ``_conical_routes`` takes it; disagreement of the two
-    routes beyond 10^{-P+10} inside ``working_precision(P)`` raises
-    PrecisionError."""
-    route_phi, route_gauss = _conical_routes(g, r, k, log_prefactor)
+def conical_f(g, r, k, log_prefactor=None):
+    """Conical function F(g; r, 2k), checked along the two routes of
+    :func:`conical_routes`.
+
+    Disagreement of the routes beyond 10^{-P+10} inside
+    ``working_precision(P)`` raises PrecisionError.
+    """
+    route_phi, route_gauss = conical_routes(g, r, k, log_prefactor)
     if abs(route_phi - route_gauss) > agreement_bound() * (1 + abs(route_gauss)):
         raise PrecisionError(
             "conical function routes disagree",
@@ -185,25 +170,7 @@ def _checked_conical(g, r, k, log_prefactor):
     return route_gauss
 
 
-def conical_f(args: ConicalArgs):
-    """Conical function F(g; r, 2k), checked along two evaluation routes.
-
-    Disagreement of the routes beyond 10^{-P+10} inside
-    ``working_precision(P)`` raises PrecisionError.
-    """
-    g, r, k = (to_mpf(x) for x in (args.g, args.r, args.k))
-    return _checked_conical(g, r, k, _conical_log_prefactor(g, k))
-
-
-def conical_route_residual(args: ConicalArgs) -> mp.mpf:
-    """|difference| of the two conical evaluation routes (for reporting)."""
-    g, r, k = (to_mpf(x) for x in (args.g, args.r, args.k))
-    route_phi, route_gauss = _conical_routes(g, r, k, _conical_log_prefactor(g, k))
-    return abs(route_phi - route_gauss)
-
-
-@dataclass(frozen=True)
-class WilsonParams:
+class WilsonParams(NamedTuple):
     """The four Wilson parameters built from spectral points (lam, mu).
 
     Parameters come in two conjugate pairs with real sum 2 alpha + 1.
@@ -229,12 +196,9 @@ class WilsonParams:
             d=mp.mpc(h, -lam - mu),
         )
 
-    def as_tuple(self) -> tuple[mp.mpc, mp.mpc, mp.mpc, mp.mpc]:
-        return (self.a, self.b, self.c, self.d)
-
     def shifted(self) -> "WilsonParams":
         half = mp.mpf(1) / 2
-        return WilsonParams(self.a + half, self.b + half, self.c + half, self.d + half)
+        return WilsonParams(*(p + half for p in self))
 
 
 def _wilson_sum(n: int, x, params: WilsonParams):
@@ -242,7 +206,7 @@ def _wilson_sum(n: int, x, params: WilsonParams):
     its alternating sum cancelled: log10 of its largest |term| over |sum|,
     estimated to a bit from the binary exponents; all of them when the sum
     is exactly 0."""
-    a, b, c, d = params.as_tuple()
+    a, b, c, d = params
     x = mp.mpc(x)
     pre = mp.mpc(1)
     for p in (a + b, a + c, a + d):
@@ -495,7 +459,7 @@ def conical_product_residual(t, lam, mu, alpha, tolerance: mp.mpf) -> mp.mpf:
     t = to_mpf(t)
     p = 2 * to_mpf(lam)
     q = 2 * to_mpf(mu)
-    lhs = mp.re(conical_f(ConicalArgs(g, t, p)) * conical_f(ConicalArgs(g, t, q)))
+    lhs = mp.re(conical_f(g, t, p) * conical_f(g, t, q))
     log_gamma_g2 = 2 * mp.re(log_gamma(g))
     log_gamma_2g = log_gamma(2 * g)
 
@@ -503,7 +467,7 @@ def conical_product_residual(t, lam, mu, alpha, tolerance: mp.mpf) -> mp.mpf:
         if k == 0:
             return mp.mpf(0)
         log_gamma_gk2 = 2 * mp.re(log_gamma(mp.mpc(g, k)))
-        f_val = mp.re(_checked_conical(g, t, k, log_gamma_gk2 - log_gamma_2g))
+        f_val = mp.re(conical_f(g, t, k, log_gamma_gk2 - log_gamma_2g))
         return f_val * mp.e ** (
             _conical_log_kernel(g, p, q, k) - log_gamma_gk2 - log_gamma_g2
         )
@@ -569,7 +533,7 @@ def wilson_backward_shift_residual(n: int, x, lam, mu, alpha) -> mp.mpf:
 
     def weight_ext(y, ps: WilsonParams):
         total = mp.mpc(0)
-        for p in ps.as_tuple():
+        for p in ps:
             total += log_gamma(p + 1j * y) + log_gamma(p - 1j * y)
         total -= log_gamma(2j * y) + log_gamma(-2j * y)
         return mp.e**total
@@ -584,17 +548,12 @@ def wilson_backward_shift_residual(n: int, x, lam, mu, alpha) -> mp.mpf:
     return abs(lhs - rhs)
 
 
-@dataclass
-class TruncatedExpansionResult:
+class TruncatedExpansionResult(NamedTuple):
     """Outcome of a truncated spectral-expansion check."""
 
     residual: mp.mpf
     terms_used: int
     tail_decreasing: bool
-
-    @property
-    def diverged(self) -> bool:
-        return not self.tail_decreasing
 
 
 def _truncation_budget() -> int:
@@ -627,6 +586,7 @@ def dual_addition_function_residual(
     fail, and PrecisionError names the budget.
     """
     budget = _truncation_budget()
+    stop = tolerance * mp.mpf(10) ** -REFINEMENT_DIGITS
     t = to_mpf(t)
     nu = to_mpf(nu)
     alpha = to_mpf(alpha)
@@ -637,8 +597,6 @@ def dual_addition_function_residual(
     sinh_sq = mp.sinh(2 * t) ** 2
     total = mp.mpf(0)
     magnitudes: list = []
-    used = 0
-    converged = False
     for k in range(budget):
         term = (
             sinh_sq**k
@@ -649,20 +607,19 @@ def dual_addition_function_residual(
         )
         total += term
         magnitudes.append(abs(term))
-        used = k + 1
-        if k > 0 and abs(term) < tolerance * mp.mpf(10) ** -REFINEMENT_DIGITS:
-            converged = True
+        if k > 0 and abs(term) < stop:
             break
     tail = magnitudes[-5:]
     decreasing = all(later < earlier for earlier, later in zip(tail, tail[1:]))
-    if decreasing and not converged:
+    # the budget (at least two terms) ran out unless the last term stopped it
+    if decreasing and not abs(term) < stop:
         raise PrecisionError(
             f"truncation budget of {budget} terms ran out before a "
-            f"term fell below {mp.nstr(tolerance * mp.mpf(10) ** -REFINEMENT_DIGITS, 3)}"
+            f"term fell below {mp.nstr(stop, 3)}"
         )
     return TruncatedExpansionResult(
         residual=abs(target - total),
-        terms_used=used,
+        terms_used=len(magnitudes),
         tail_decreasing=decreasing,
     )
 

@@ -33,7 +33,8 @@ _HALF = Fraction(1, 2)
 class DualSetting:
     """Parameter triple (alpha, l, m) with alpha > -1/2 and l >= m >= 0.
 
-    Hashed once at construction, like :class:`~polyident.racah.RacahSystem`.
+    Hashed once at construction: the setting keys the memoised evaluations
+    below, and a ``Fraction`` hash costs a modular inverse each time.
     """
 
     alpha: Fraction
@@ -53,6 +54,11 @@ class DualSetting:
         return self._hash
 
 
+def racah_specialization(alpha: Fraction, l: int, m: int) -> tuple[Fraction, ...]:
+    """The parameters of the Racah system above for (alpha, l, m), unchecked."""
+    return (alpha - _HALF, alpha - _HALF, Fraction(-m - 1), -l - alpha - _HALF)
+
+
 @lru_cache(maxsize=None)
 def specialized_racah(s: DualSetting) -> RacahSystem:
     """The Racah system whose weights are the linearization coefficients.
@@ -60,13 +66,7 @@ def specialized_racah(s: DualSetting) -> RacahSystem:
     Validity of this system for every admissible setting is a checked
     claim: construction runs the full RacahSystem validation.
     """
-    return RacahSystem(
-        alpha=s.alpha - _HALF,
-        beta=s.alpha - _HALF,
-        gamma=Fraction(-s.m - 1),
-        delta=-s.l - s.alpha - _HALF,
-        N=s.m,
-    )
+    return RacahSystem(*racah_specialization(s.alpha, s.l, s.m), N=s.m)
 
 
 @lru_cache(maxsize=None)

@@ -27,7 +27,8 @@ numerators and denominators:
   that each inner product with it is one integer dot product;
   ``classical.inner_product`` is a one-off pairing;
 - the running products by which ``racah`` validation evaluates a system's
-  weights, norm ratios and endpoint values, one factor per index step.
+  weights, mass, norm ratios and endpoint values, one factor per index
+  step; ``poch_quotient`` is their reference, which the tests pin them to.
 
 ``SurdPoly.from_unipoly`` places each integer coefficient over the common
 denominator directly on its monomial.  ``SurdPoly`` itself keeps

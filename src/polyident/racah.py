@@ -6,30 +6,31 @@ forms below can touch over the full index range 0..N.  Parameter
 specializations of interest sit near many poles, so failing early with a
 list of offending factors beats a ZeroDivisionError deep inside a sweep.
 
-Validation evaluates the weights, norm ratios and endpoint values over the
-whole index range as running products, one factor per index step, with
-the zero factors counted apart from the rest: a zero on both sides of a
-quotient cancels, as :func:`polyident.exact.poch_quotient` cancels it, so
-the closed forms stay finite at parameter ties where individual shifted
-factorials vanish (the tests pin every value against ``poch_quotient`` and
-against direct-sum oracles).  The system keeps the weights, the mass and
-the norm ratios, and :func:`racah_weight`, :func:`racah_h0` and
-:func:`racah_norm_ratio` read them.  The values R_n(x) of a system are
-formed as one grid, on first use, by
-:func:`polyident.exact.terminating_hyp_grid` (:func:`racah_values`), and
-every check that reads many of them reads that grid; :func:`racah_eval`
-sums the one series it is asked for.
+Running products are the one evaluator of the closed forms: validation
+evaluates the weights, the mass, the norm ratios and the endpoint values
+as running products, one factor per index step, with the zero factors
+counted apart from the rest.  A zero on both sides of a quotient cancels,
+as :func:`polyident.exact.poch_quotient` cancels it, so the closed forms
+stay finite at parameter ties where individual shifted factorials vanish
+(the tests pin every value against ``poch_quotient`` and against
+direct-sum oracles).  The system keeps these values, and
+:func:`racah_weight`, :func:`racah_h0`, :func:`racah_norm_ratio` and
+:func:`endpoint_value_residual` read them.  It also keeps two grids, each
+formed on first use by :func:`polyident.exact.terminating_hyp_grid`: the
+values R_n(x) (:func:`racah_values`), which every check that reads many of
+them reads, and the shifted-system terms that the backward shift and
+summation by parts share.  Nothing is memoised by function;
+:func:`racah_eval` sums the one series it is asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DegenerateParameterError, DomainError, check_index
-from .exact import Rational, parse_rational, poch_quotient, terminating_hyp_grid
+from .exact import Rational, parse_rational, terminating_hyp_grid
 
 #: a value of the grid R_n(x), indexed [n][x]
 Values = tuple[tuple[Fraction, ...], ...]
@@ -42,12 +43,9 @@ class RacahSystem:
     N = 0 (a single lattice point, where everything trivializes) is allowed
     so that degenerate corners of parameter sweeps stay in-domain.
 
-    The hash is that of the field tuple, computed once at construction: the
-    system keys the memoised evaluations, and a ``Fraction`` hash costs a
-    modular inverse each time.  It is a function of the values alone, so it
-    stays valid in a process that unpickles the system, as do the closed
-    forms that validation evaluates and the system keeps, and the grid of
-    values once :func:`racah_values` has formed it.
+    The system keeps the closed forms that validation evaluates and, once
+    formed, its two grids; they are functions of the values alone, so they
+    stay valid in a process that unpickles the system.
     """
 
     alpha: Fraction
@@ -55,9 +53,9 @@ class RacahSystem:
     gamma: Fraction
     delta: Fraction
     N: int
-    _hash: int = field(init=False, repr=False, compare=False)
     _closed: ClosedForms = field(init=False, repr=False, compare=False)
     _values: Values | None = field(init=False, repr=False, compare=False, default=None)
+    _shifted: Values | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
@@ -78,10 +76,6 @@ class RacahSystem:
                 factors=problems,
             )
         object.__setattr__(self, "_closed", closed)
-        object.__setattr__(self, "_hash", hash((*self.as_tuple(), self.N)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.alpha, self.beta, self.gamma, self.delta)
@@ -96,24 +90,25 @@ class RacahSystem:
 
 
 class ClosedForms(NamedTuple):
-    """The closed forms validation evaluates that the evaluators read,
-    indexed 0..N."""
+    """The closed forms validation evaluates, indexed 0..N."""
 
-    weights: tuple[Fraction, ...]  # without the normalization factor
+    weights: tuple[Fraction, ...]
     h0: Fraction
     norm_ratios: tuple[Fraction, ...]
+    endpoints: tuple[Fraction, ...]
 
 
 def _validate(sys: RacahSystem) -> tuple[list[str], ClosedForms]:
     """Diagnostics for every denominator zero over the index range, and the
-    closed forms evaluated on the way (None where one has a zero)."""
+    closed forms evaluated on the way (None where one has a zero; the
+    weights are normalized only when there is no problem)."""
     al, be, ga, de = sys.as_tuple()
     N = sys.N
     problems: list[str] = []
 
-    def closed(what: str, form, *args):
+    def closed(what: str, state: _State):
         try:
-            return form(*args)
+            return _quotient(state)
         except DegenerateParameterError as exc:
             problems.append(f"{what}: {'; '.join(exc.factors)}")
             return None
@@ -129,29 +124,35 @@ def _validate(sys: RacahSystem) -> tuple[list[str], ClosedForms]:
                 problems.append(f"({name})_{{{k + 1}}} = 0 in the series denominator")
                 break
 
-    # weights, norms and endpoint closed forms must evaluate everywhere
-    weights = tuple(
-        closed(f"weight at x={x}", _quotient, state)
+    # weights, mass, norms and endpoint closed forms must evaluate everywhere
+    weights = [
+        closed(f"weight at x={x}", state)
         for x, state in enumerate(_running_quotients(*_weight_bases(al, be, ga, de), N))
-    )
-    h0 = closed("total mass closed form", _h0_closed, N, al, be, ga, de)
+    ]
+    h0 = closed("total mass closed form", _running_quotients(
+        [al + be + 2, -de], [al - de + 1, be + 1], N
+    )[N])
     # the (alpha+beta+1)/(alpha+beta+1)_n block cancels its possible zero
     norm_states = _running_quotients(
         [be + 1, al + be - ga + 1, al - de + 1, Fraction(1)],
         [al + 1, al + be + 1, be + de + 1, ga + 1],
         N,
     )
-    endpoint_states = _running_quotients(*_endpoint_bases(al, be, de), N)
+    endpoint_states = _running_quotients([be + 1, al - de + 1], [al + 1, be + de + 1], N)
     norm_ratios = []
+    endpoints = []
     for n in range(N + 1):
         norm_ratios.append(Fraction(1) if n == 0 else closed(
-            f"norm ratio at n={n}", _quotient,
+            f"norm ratio at n={n}",
             _times(norm_states[n], al + be + 1, al + be + 2 * n + 1),
         ))
         if n >= 1 and al + be + 2 * n + 1 == 0:
             problems.append(f"alpha+beta+2n+1 = 0 at n={n} (norm divisor)")
-        closed(f"endpoint value at n={n}", _quotient, endpoint_states[n])
-    return problems, ClosedForms(weights, h0, tuple(norm_ratios))
+        # the Saalschuetz closed form of R_n(N)
+        endpoints.append(closed(f"endpoint value at n={n}", endpoint_states[n]))
+    if not problems:
+        weights = [w * (ga + de + 1 + 2 * x) / (ga + de + 1) for x, w in enumerate(weights)]
+    return problems, ClosedForms(tuple(weights), h0, tuple(norm_ratios), tuple(endpoints))
 
 
 #: a running quotient: (product of the nonzero factors as numerator and
@@ -221,24 +222,6 @@ def _weight_bases(al, be, ga, de) -> tuple[list[Fraction], list[Fraction]]:
     )
 
 
-def _endpoint_bases(al, be, de) -> tuple[list[Fraction], list[Fraction]]:
-    """The bases of the endpoint value R_n(N), each of length n."""
-    return [be + 1, al - de + 1], [al + 1, be + de + 1]
-
-
-def _h0_closed(N: int, al, be, ga, de) -> Fraction:
-    return poch_quotient(
-        [(al + be + 2, N), (-de, N)],
-        [(al - de + 1, N), (be + 1, N)],
-    )
-
-
-def _endpoint_closed(n: int, al, be, de) -> Fraction:
-    """The Saalschuetz closed form of R_n(N)."""
-    numerators, denominators = _endpoint_bases(al, be, de)
-    return poch_quotient([(a, n) for a in numerators], [(b, n) for b in denominators])
-
-
 def _values_grid(degrees: Sequence[int], xs: Iterable[int], al, be, ga, de) -> Values:
     """The terminating 4F3 sums defining the polynomials: R_n(x) for the
     degrees n (rows) at the lattice indices x (columns), as one grid."""
@@ -268,12 +251,10 @@ def racah_eval(n: int, x: int, sys: RacahSystem) -> Fraction:
     return _values_grid([n], [x], *sys.as_tuple())[0][0]
 
 
-@lru_cache(maxsize=None)
 def racah_weight(x: int, sys: RacahSystem) -> Fraction:
     """Orthogonality weight w(x) on the lattice 0..N."""
     check_index(x, sys.N, "lattice index x")
-    ga, de = sys.gamma, sys.delta
-    return sys._closed.weights[x] * (ga + de + 1 + 2 * x) / (ga + de + 1)
+    return sys._closed.weights[x]
 
 
 def racah_h0(sys: RacahSystem) -> Fraction:
@@ -290,25 +271,31 @@ def racah_norm_ratio(n: int, sys: RacahSystem) -> Fraction:
 def endpoint_value_residual(n: int, sys: RacahSystem) -> Fraction:
     """racah_eval at x = N minus its Saalschuetz closed form; must be 0."""
     check_index(n, sys.N, "degree n")
-    al, be, _, de = sys.as_tuple()
-    return racah_eval(n, sys.N, sys) - _endpoint_closed(n, al, be, de)
+    return racah_eval(n, sys.N, sys) - sys._closed.endpoints[n]
 
 
-@lru_cache(maxsize=1)
-def _shifted_terms(n: int, sys: RacahSystem) -> tuple[Fraction, ...]:
+def _shifted_terms(sys: RacahSystem) -> Values:
     """Weight (without normalization) times degree n-1 value at x = 0..N-1,
-    both of the shifted system (alpha+1, beta+1, gamma+1, delta).
+    both of the shifted system (alpha+1, beta+1, gamma+1, delta), indexed
+    [n-1][x]: formed as one grid on first use and kept by the system.
 
-    Kept for the last (n, system): the backward shift at every x and
-    summation by parts against every trial function use the same terms.
-    Their checks share one grid, so ``suites.suite_tasks`` runs the two at
-    each (n, system) before the next point.
+    The backward shift at every x and summation by parts against every
+    trial function read the same terms.  The grid meets no lower-parameter
+    pole that a single row would not: validation excludes the zeros of
+    (alpha+1)_k and (beta+delta+1)_k for k <= N, and (gamma+2)_k first
+    vanishes past every row.  A degenerate shifted weight raises on every
+    use, since nothing is kept then.
     """
-    al, be, ga, de = sys.as_tuple()
-    shifted = (al + 1, be + 1, ga + 1, de)
-    weights = _running_quotients(*_weight_bases(*shifted), sys.N - 1)
-    (values,) = _values_grid([n - 1], range(sys.N), *shifted)
-    return tuple(_quotient(w) * v for w, v in zip(weights, values))
+    if sys._shifted is None:
+        al, be, ga, de = sys.as_tuple()
+        shifted = (al + 1, be + 1, ga + 1, de)
+        states = _running_quotients(*_weight_bases(*shifted), sys.N - 1)
+        values = _values_grid(range(sys.N), range(sys.N), *shifted)
+        weights = [_quotient(state) for state in states]
+        object.__setattr__(sys, "_shifted", tuple(
+            tuple(w * v for w, v in zip(weights, row)) for row in values
+        ))
+    return sys._shifted
 
 
 def backward_shift_residual(n: int, x: int, sys: RacahSystem) -> Fraction:
@@ -327,7 +314,7 @@ def backward_shift_residual(n: int, x: int, sys: RacahSystem) -> Fraction:
     check_index(x, sys.N, "lattice index x")
 
     lhs = racah_weight(x, sys) * racah_values(sys)[n][x]
-    terms = _shifted_terms(n, sys)
+    terms = _shifted_terms(sys)[n - 1]
     rhs = Fraction(0)
     if x < sys.N:
         rhs += terms[x]
@@ -353,7 +340,7 @@ def sum_by_parts_residual(n: int, f: Sequence[Rational], sys: RacahSystem) -> Fr
         for x, value in enumerate(racah_values(sys)[n])
     )
     rhs = Fraction(0)
-    for x, term in enumerate(_shifted_terms(n, sys)):
+    for x, term in enumerate(_shifted_terms(sys)[n - 1]):
         rhs += term * (fv[x] - fv[x + 1])
     return lhs - rhs
 

@@ -209,7 +209,7 @@ def test_criterion_8_continuous_suite():
                 Fraction(t), Fraction(nu), Fraction(lam), Fraction(mu), Fraction(alpha),
                 tolerance=mid_tol,
             )
-            if result.residual > mid_tol or result.diverged:
+            if result.residual > mid_tol or not result.tail_decreasing:
                 failures.append(("eq15", t, alpha, mp.nstr(result.residual, 5)))
 
         for alpha, lam, t in (("1", "7/10", "3/10"), ("1/4", "13/10", "4/5"),

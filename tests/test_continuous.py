@@ -12,11 +12,10 @@ import pytest
 
 from polyident import continuous
 from polyident.continuous import (
-    ConicalArgs,
     WilsonContext,
     WilsonParams,
     conical_f,
-    conical_route_residual,
+    conical_routes,
     contiguous_residual,
     dual_addition_function_residual,
     dual_integral_closed_form_residual,
@@ -136,7 +135,7 @@ class TestLogGamma:
 class TestConical:
     def test_origin_reduces_to_gamma_prefactor(self):
         g, k = mp.mpf(1), mp.mpf("0.8")
-        value = conical_f(ConicalArgs(g, 0, k))
+        value = conical_f(g, 0, k)
         with mp.workdps(70):
             expected = (
                 mp.e ** (log_gamma(mp.mpc(g, k)) + log_gamma(mp.mpc(g, -k)))
@@ -145,16 +144,24 @@ class TestConical:
         assert abs(value - expected) < tol(50)
 
     def test_two_routes_agree(self):
-        assert conical_route_residual(ConicalArgs(1, 0.5, 0.8)) < tol(50)
+        route_phi, route_gauss = conical_routes(1, 0.5, 0.8)
+        assert abs(route_phi - route_gauss) < tol(50)
 
     def test_spectral_sign_symmetry(self):
-        plus = conical_f(ConicalArgs(1, 0.5, 0.8))
-        minus = conical_f(ConicalArgs(1, 0.5, -0.8))
+        plus = conical_f(1, 0.5, 0.8)
+        minus = conical_f(1, 0.5, -0.8)
         assert abs(plus - minus) < tol(50)
 
     def test_rejects_nonpositive_g(self):
         with pytest.raises(DomainError):
-            ConicalArgs(0, 1, 1)
+            conical_f(0, 1, 1)
+        with pytest.raises(DomainError):
+            conical_routes(-1, 1, 1)
+
+    def test_rejects_nonpositive_g_with_given_prefactor(self):
+        # eq6's per-node form skips the log-gamma, not the domain check
+        with pytest.raises(DomainError):
+            conical_f(0, 1, 1, log_prefactor=0)
 
     @pytest.mark.parametrize("prec", [46, 60, 80])
     def test_prefactor_matches_two_loggamma_form(self, prec):
@@ -162,7 +169,7 @@ class TestConical:
         for g, k in (("1", "0.8"), ("1.5", "0"), ("0.5", "-0.6"), ("3.5", "12")):
             with working_precision(prec):
                 g_, k_ = mp.mpf(g), mp.mpf(k)
-                value = conical_f(ConicalArgs(g_, 0, k_))
+                value = conical_f(g_, 0, k_)
             with mp.workdps(prec + 30):
                 expected = mp.e ** (
                     mp.loggamma(mp.mpc(g_, k_)) + mp.loggamma(mp.mpc(g_, -k_))
@@ -241,7 +248,7 @@ class TestWilsonPolynomials:
 
     def test_parameters_conjugate_pairs_with_real_sum(self):
         params = WilsonParams.from_spectral(0.3, 0.7, Fraction(1, 2))
-        a, b, c, d = params.as_tuple()
+        a, b, c, d = params
         assert mp.conj(a) == d and mp.conj(b) == c
         total = a + b + c + d
         assert mp.im(total) == 0
@@ -619,7 +626,7 @@ class TestDualAdditionFunction:
             result = dual_addition_function_residual(
                 2, Fraction(3, 10), Fraction(1, 5), Fraction(2, 5), 1, tolerance=tol(20),
             )
-        assert result.diverged
+        assert not result.tail_decreasing
         assert result.terms_used == 6
 
     def test_half_parameter(self):

@@ -7,13 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyident import racah
+from polyident import exact, racah
 from polyident.errors import DegenerateParameterError, DomainError
 from polyident.exact import poch_quotient, terminating_hyp
 from polyident.racah import (
     RacahSystem,
-    _endpoint_closed,
-    _h0_closed,
     backward_shift_residual,
     endpoint_value_residual,
     gram_matrix,
@@ -40,6 +38,18 @@ def _weight_quotient(x, al, be, ga, de):
     )
 
 
+def _h0_closed(N, al, be, ga, de):
+    return poch_quotient(
+        [(al + be + 2, N), (-de, N)],
+        [(al - de + 1, N), (be + 1, N)],
+    )
+
+
+def _endpoint_closed(n, al, be, de):
+    """The Saalschuetz closed form of R_n(N)."""
+    return poch_quotient([(be + 1, n), (al - de + 1, n)], [(al + 1, n), (be + de + 1, n)])
+
+
 def _norm_ratio_closed(n, al, be, ga, de):
     if n == 0:
         return Fraction(1)
@@ -59,9 +69,9 @@ def _series(n, x, al, be, ga, de):
 
 
 def _reference_validation(al, be, ga, de, N):
-    """The problems validation must report, in its order, and the weights
-    and norm ratios (None where degenerate), each closed form evaluated on
-    its own by poch_quotient."""
+    """The problems validation must report, in its order, and the
+    normalized weights, norm ratios and endpoint values (None where
+    degenerate), each closed form evaluated on its own by poch_quotient."""
     problems = []
 
     def closed(what, form, *args):
@@ -82,12 +92,15 @@ def _reference_validation(al, be, ga, de, N):
                for x in range(N + 1)]
     closed("total mass closed form", _h0_closed, N, al, be, ga, de)
     ratios = []
+    endpoints = []
     for n in range(N + 1):
         ratios.append(closed(f"norm ratio at n={n}", _norm_ratio_closed, n, al, be, ga, de))
         if n >= 1 and al + be + 2 * n + 1 == 0:
             problems.append(f"alpha+beta+2n+1 = 0 at n={n} (norm divisor)")
-        closed(f"endpoint value at n={n}", _endpoint_closed, n, al, be, de)
-    return problems, weights, ratios
+        endpoints.append(closed(f"endpoint value at n={n}", _endpoint_closed, n, al, be, de))
+    if not problems:
+        weights = [w * (ga + de + 1 + 2 * x) / (ga + de + 1) for x, w in enumerate(weights)]
+    return problems, weights, ratios, endpoints
 
 
 def spec_system(alpha, l, m) -> RacahSystem:
@@ -147,21 +160,23 @@ class TestClosedFormsOnce:
 
         monkeypatch.setattr(racah, "_running_quotients",
                             counting("running", racah._running_quotients))
-        monkeypatch.setattr(racah, "poch_quotient", counting("poch_quotient", racah.poch_quotient))
+        for module in (exact, racah):
+            monkeypatch.setattr(module, "poch_quotient", counting("poch_quotient", poch_quotient),
+                                raising=False)
         monkeypatch.setattr(racah, "terminating_hyp_grid",
                             counting("grid", racah.terminating_hyp_grid))
         sys = RacahSystem(*sample.as_tuple(), N=sample.N)
-        # one running pass each for the weights, the norm ratios and the
-        # endpoint values; the mass is one poch_quotient; no values yet
-        assert calls == {"running": 3, "poch_quotient": 1, "grid": 0}
+        # one running pass each for the weights, the mass, the norm ratios
+        # and the endpoint values; no values yet
+        assert calls == {"running": 4, "poch_quotient": 0, "grid": 0}
         assert sys._values is None
         for x in range(sys.N + 1):
             racah_weight(x, sys)
-            racah_weight.__wrapped__(x, sys)
         for n in range(sys.N + 1):
             racah_norm_ratio(n, sys)
+            sys._closed.endpoints[n]
         racah_h0(sys)
-        assert calls == {"running": 3, "poch_quotient": 1, "grid": 0}
+        assert calls == {"running": 4, "poch_quotient": 0, "grid": 0}
 
     @pytest.mark.parametrize("index", [3, 7], ids=["generic", "tie"])
     def test_stored_values_equal_fresh_closed_forms(self, index):
@@ -170,10 +185,11 @@ class TestClosedFormsOnce:
         for x in range(sys.N + 1):
             normalization = (ga + de + 1 + 2 * x) / (ga + de + 1)
             fresh = _weight_quotient(x, al, be, ga, de) * normalization
-            assert racah_weight.__wrapped__(x, sys) == fresh
+            assert racah_weight(x, sys) == fresh
         assert racah_h0(sys) == _h0_closed(sys.N, al, be, ga, de)
         for n in range(sys.N + 1):
             assert racah_norm_ratio(n, sys) == _norm_ratio_closed(n, al, be, ga, de)
+            assert sys._closed.endpoints[n] == _endpoint_closed(n, al, be, de)
 
     @given(al=st.integers(-4, 3).map(Fraction) | st.sampled_from([HALF, -HALF, Fraction(1, 3)]),
            be=st.integers(-4, 3).map(Fraction) | st.sampled_from([HALF, -HALF]),
@@ -184,7 +200,7 @@ class TestClosedFormsOnce:
         # small integers make ties (alpha = 0 specializations among them)
         # and degenerate tuples; the diagnostics must be the same list
         ga = Fraction(-N - 1)
-        problems, weights, ratios = _reference_validation(al, be, ga, de, N)
+        problems, weights, ratios, endpoints = _reference_validation(al, be, ga, de, N)
         if problems:
             with pytest.raises(DegenerateParameterError) as info:
                 RacahSystem(al, be, ga, de, N=N)
@@ -194,22 +210,30 @@ class TestClosedFormsOnce:
         assert racah._validate(sys)[0] == []
         assert list(sys._closed.weights) == weights
         assert list(sys._closed.norm_ratios) == ratios
+        assert list(sys._closed.endpoints) == endpoints
         assert racah_h0(sys) == _h0_closed(N, al, be, ga, de)
 
-    def test_kept_shifted_terms_match_fresh_computation(self):
+    def test_kept_shifted_terms_match_fresh_computation(self, monkeypatch):
         # the shifted-system terms the backward shift and summation by parts
-        # share, recomputed from an empty cache
-        racah._shifted_terms.cache_clear()
-        for sys in SAMPLE_SYSTEMS:
+        # share: one grid per fresh system, kept and returned as one object
+        grids = []
+        real = racah.terminating_hyp_grid
+        monkeypatch.setattr(racah, "terminating_hyp_grid",
+                            lambda *args: grids.append(args) or real(*args))
+        for sample in SAMPLE_SYSTEMS:
+            sys = RacahSystem(*sample.as_tuple(), N=sample.N)
             al, be, ga, de = sys.as_tuple()
             shifted = (al + 1, be + 1, ga + 1, de)
-            for n in range(1, sys.N + 1):
-                terms = racah._shifted_terms(n, sys)
-                assert terms == tuple(
-                    _weight_quotient(x, *shifted) * _series(n - 1, x, *shifted)
-                    for x in range(sys.N)
-                )
-                assert racah._shifted_terms(n, sys) is terms
+            grids.clear()
+            terms = racah._shifted_terms(sys)
+            assert len(grids) == 1
+            assert terms == tuple(
+                tuple(_weight_quotient(x, *shifted) * _series(n - 1, x, *shifted)
+                      for x in range(sys.N))
+                for n in range(1, sys.N + 1)
+            )
+            assert racah._shifted_terms(sys) is terms
+            assert len(grids) == 1
 
 
 class TestValuesGrid:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyident import addition, cli, continuous, hermite_limit, racah
+from polyident import addition, cli, continuous, hermite_limit
 from polyident.cli import load_config_file, main
 from polyident.errors import ConfigError, DomainError
 from polyident.exact import pochhammer
@@ -162,19 +162,17 @@ class TestSuites:
     def test_ids_on_one_grid_share_each_kept_value(self):
         # suite_tasks runs every id of a grid at one point before the next
         # point, so each cache that keeps only its last value misses once
-        # per distinct key: (n, alpha), n and (n, system)
+        # per distinct key: (n, alpha) and n
         caches = {
             "addition_lhs": addition.addition_lhs,
             "_hermite_at_mixed_argument": hermite_limit._hermite_at_mixed_argument,
-            "_shifted_terms": racah._shifted_terms,
         }
         for cache in caches.values():
             cache.cache_clear()
         for suite in ("racah", "classical-addition", "hermite", "dual-addition"):
             run_suite(suite, SuiteConfig(jobs=1))
         misses = {name: cache.cache_info().misses for name, cache in caches.items()}
-        assert misses == {"addition_lhs": 36, "_hermite_at_mixed_argument": 13,
-                          "_shifted_terms": 58}
+        assert misses == {"addition_lhs": 36, "_hermite_at_mixed_argument": 13}
 
     def test_numeric_checks_declare_a_tolerance(self):
         # a check is numeric exactly when it declares a tolerance, and every
@@ -753,6 +751,16 @@ class TestCli:
     def test_eval_racah(self, capsys):
         assert main(["eval", "racah", "1", "2", "0", "0", "-3", "1"]) == 0
         assert capsys.readouterr().out.strip() == "0"
+
+    def test_eval_racah_single_point(self, capsys):
+        # gamma = -1 is the system with N = 0, whose one value is 1
+        assert main(["eval", "racah", "0", "0", "0", "0", "-1", "1"]) == 0
+        assert capsys.readouterr().out.strip() == "1"
+
+    @pytest.mark.parametrize("gamma", ["0", "1/2", "-3/2"])
+    def test_eval_racah_gamma_not_negative_integer(self, gamma, capsys):
+        assert main(["eval", "racah", "0", "0", "0", "0", gamma, "1"]) == 2
+        assert "gamma must be a negative integer" in capsys.readouterr().err
 
     def test_eval_hermite(self, capsys):
         assert main(["eval", "hermite", "2"]) == 0
