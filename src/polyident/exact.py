@@ -30,9 +30,12 @@ numerators and denominators:
   weights, mass, norm ratios and endpoint values, one factor per index
   step; ``poch_quotient`` is their reference, which the tests pin them to.
 
-``SurdPoly.from_unipoly`` places each integer coefficient over the common
-denominator directly on its monomial.  ``SurdPoly`` itself keeps
-``Fraction`` coefficients.
+``SurdPoly`` is fraction-free by the same rule as ``UniPoly``: integer
+numerators on its monomials over one positive common denominator, reduced
+by their content, so equal ring elements have equal stored forms.  Its
+products, sums, the u^2/v^2 rewrite and the t-substitutions run on ints
+with one gcd per result; ``from_unipoly`` places a ``UniPoly``'s numerators
+on their monomials over its denominator directly.
 """
 
 from __future__ import annotations
@@ -380,24 +383,27 @@ def _grade_key(mono: Monomial) -> tuple[int, Monomial]:
 class SurdPoly:
     """Element of Q[x,y,t,u,v] modulo u^2 = 1-x^2, v^2 = 1-y^2.
 
-    The canonical expansion maps monomials (a, b, c, e, f) with
-    e, f in {0, 1} to nonzero rational coefficients; equality of canonical
-    forms is equality in the ring, so identity checks here are proofs.
+    Stored like ``UniPoly``: integer numerators ``nums`` on monomials
+    (a, b, c, e, f) with e, f in {0, 1} and no zero entries, over one
+    positive common denominator ``den``, reduced so that gcd(den, every
+    numerator) = 1; zero is ``{}`` over 1.  Each ring element has exactly
+    one such form, so equal elements have equal ``(nums, den)`` and
+    identity checks here are proofs.  ``terms`` gives the coefficients as
+    ``Fraction``s.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("nums", "den")
 
-    def __init__(self, terms: Mapping[Monomial, Fraction] | None = None):
-        reduced: dict[Monomial, Fraction] = {}
-        if terms:
-            for mono, coeff in terms.items():
-                if coeff == 0:
-                    continue
-                c = coeff if type(coeff) is Fraction else Fraction(coeff)
-                _accumulate_reduced(reduced, mono, c)
-            for mono in [m for m, c in reduced.items() if c == 0]:
-                del reduced[mono]
-        object.__setattr__(self, "terms", reduced)
+    def __init__(self, terms: Mapping[Monomial, Fraction | int] | None = None):
+        cs = {m: c if type(c) is Fraction or type(c) is int else Fraction(c)
+              for m, c in (terms or {}).items()}
+        den = math.lcm(*(c.denominator for c in cs.values()))
+        nums: dict[Monomial, int] = {}
+        for mono, c in cs.items():
+            if c:
+                _accumulate_reduced(nums, mono, c.numerator * (den // c.denominator))
+        canonical = _surd(nums, den)
+        _store(self, canonical.nums, canonical.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("SurdPoly is immutable")
@@ -408,7 +414,9 @@ class SurdPoly:
 
     @staticmethod
     def constant(c: Fraction | int) -> "SurdPoly":
-        return SurdPoly({(0, 0, 0, 0, 0): Fraction(c)})
+        if type(c) is not Fraction and type(c) is not int:
+            c = Fraction(c)
+        return _surd({(0, 0, 0, 0, 0): c.numerator}, c.denominator)
 
     @staticmethod
     def one() -> "SurdPoly":
@@ -420,75 +428,88 @@ class SurdPoly:
             raise DomainError(f"unknown ring variable {name!r}")
         mono = [0, 0, 0, 0, 0]
         mono[SURD_VARS.index(name)] = 1
-        return SurdPoly({tuple(mono): Fraction(1)})
+        return _store(SurdPoly.__new__(SurdPoly), {tuple(mono): 1}, 1)
 
     @staticmethod
     def from_unipoly(p: UniPoly, var: str = "x") -> "SurdPoly":
         """Inject a univariate polynomial, reading its variable as ``var``.
 
-        Coefficient i goes straight onto the monomial var^i; for u and v the
-        power is reduced by the ring relation.
+        Numerator i goes straight onto the monomial var^i over the
+        polynomial's denominator; for u and v the power is reduced by the
+        ring relation.
         """
-        (unit,) = SurdPoly.variable(var).terms
-        den = p.den
-        out: dict[Monomial, Fraction] = {}
+        (unit,) = SurdPoly.variable(var).nums
+        out: dict[Monomial, int] = {}
         for i, n in enumerate(p.nums):
             if n:
-                _accumulate_reduced(out, tuple(e * i for e in unit), Fraction(n, den))
-        return _raw({m: c for m, c in out.items() if c != 0})
+                _accumulate_reduced(out, tuple(e * i for e in unit), n)
+        return _surd(out, p.den)
 
     def substitute_into(self, p: UniPoly) -> "SurdPoly":
         """Evaluate the univariate polynomial ``p`` at this ring element."""
         acc = SurdPoly.zero()
-        for c in reversed(p.coeffs):
-            acc = acc * self + SurdPoly.constant(c)
-        return acc
+        for n in reversed(p.nums):
+            acc = acc * self + SurdPoly.constant(n)
+        return acc.scale(Fraction(1, p.den))
+
+    @property
+    def terms(self) -> dict[Monomial, Fraction]:
+        """The canonical coefficients as ``Fraction``s, by monomial."""
+        den = self.den
+        return {mono: Fraction(n, den) for mono, n in self.nums.items()}
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SurdPoly) and self.terms == other.terms
+        return isinstance(other, SurdPoly) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash((frozenset(self.nums.items()), self.den))
+
+    def _combine(self, other: "SurdPoly", sign: int) -> "SurdPoly":
+        """self + sign * other over the least common denominator."""
+        da, db = self.den, other.den
+        g = math.gcd(da, db)
+        ma, mb = db // g, sign * (da // g)
+        out = {mono: n * ma for mono, n in self.nums.items()}
+        for mono, n in other.nums.items():
+            out[mono] = out.get(mono, 0) + n * mb
+        return _surd(out, da * ma)
 
     def __add__(self, other: "SurdPoly") -> "SurdPoly":
-        out = dict(self.terms)
-        for mono, coeff in other.terms.items():
-            new = out.get(mono, Fraction(0)) + coeff
-            if new == 0:
-                out.pop(mono, None)
-            else:
-                out[mono] = new
-        return _raw(out)
+        return self._combine(other, 1)
 
     def __sub__(self, other: "SurdPoly") -> "SurdPoly":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "SurdPoly":
-        return _raw({m: -c for m, c in self.terms.items()})
+        return _store(SurdPoly.__new__(SurdPoly),
+                      {mono: -n for mono, n in self.nums.items()}, self.den)
 
     def __mul__(self, other: "SurdPoly") -> "SurdPoly":
-        out: dict[Monomial, Fraction] = {}
-        for (a1, b1, c1, e1, f1), q1 in self.terms.items():
-            for (a2, b2, c2, e2, f2), q2 in other.terms.items():
+        out: dict[Monomial, int] = {}
+        for (a1, b1, c1, e1, f1), n1 in self.nums.items():
+            for (a2, b2, c2, e2, f2), n2 in other.nums.items():
                 mono = (a1 + a2, b1 + b2, c1 + c2, e1 + e2, f1 + f2)
-                _accumulate_reduced(out, mono, q1 * q2)
-        return _raw({m: c for m, c in out.items() if c != 0})
+                _accumulate_reduced(out, mono, n1 * n2)
+        return _surd(out, self.den * other.den)
 
     def scale(self, c: Fraction | int) -> "SurdPoly":
-        c = Fraction(c)
-        if c == 0:
-            return SurdPoly.zero()
-        return _raw({m: q * c for m, q in self.terms.items()})
+        if type(c) is not Fraction and type(c) is not int:
+            c = Fraction(c)
+        p = c.numerator
+        return _surd({mono: n * p for mono, n in self.nums.items()}, self.den * c.denominator)
 
     def pow(self, k: int) -> "SurdPoly":
         out = SurdPoly.one()
         for _ in range(k):
             out = out * self
         return out
+
+    def max_abs_coeff(self) -> Fraction:
+        return Fraction(max(map(abs, self.nums.values())), self.den) if self.nums else Fraction(0)
 
     def substitute(self, bindings: Mapping[str, Fraction | int]) -> Fraction:
         """Exact evaluation at a point satisfying the quotient relations.
@@ -525,11 +546,17 @@ class SurdPoly:
         """Replace each power t^c by the rational weight(c), staying in the ring.
 
         With the moments of a measure in t as weights, this integrates t out.
+        The weights are put over one common denominator first, so each term
+        is one integer product.
         """
-        out: dict[Monomial, Fraction] = {}
-        for (a, b, c, e, f), q in self.terms.items():
-            _accumulate_reduced(out, (a, b, 0, e, f), q * weight(c))
-        return _raw({m: c for m, c in out.items() if c != 0})
+        weights = {c: Fraction(weight(c)) for c in {mono[2] for mono in self.nums}}
+        common = math.lcm(*(w.denominator for w in weights.values()))
+        scaled = {c: w.numerator * (common // w.denominator) for c, w in weights.items()}
+        out: dict[Monomial, int] = {}
+        for (a, b, c, e, f), n in self.nums.items():
+            mono = (a, b, 0, e, f)
+            out[mono] = out.get(mono, 0) + n * scaled[c]
+        return _surd(out, self.den * common)
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Graded-lexicographic term order; the serialization order."""
@@ -552,30 +579,41 @@ class SurdPoly:
         return f"SurdPoly({body or '0'})"
 
 
-def _raw(terms: dict[Monomial, Fraction]) -> SurdPoly:
-    """Wrap an already-reduced term dict without re-reducing."""
-    obj = SurdPoly.__new__(SurdPoly)
-    object.__setattr__(obj, "terms", terms)
-    return obj
+def _store(poly: SurdPoly, nums: dict[Monomial, int], den: int) -> SurdPoly:
+    """Store an already-canonical (nums, den) pair on ``poly``."""
+    object.__setattr__(poly, "nums", nums)
+    object.__setattr__(poly, "den", den)
+    return poly
 
 
-def _accumulate_reduced(out: dict[Monomial, Fraction], mono: Monomial, coeff: Fraction) -> None:
-    """Add coeff * mono to ``out``, rewriting u^2 -> 1-x^2 and v^2 -> 1-y^2."""
+def _surd(nums: dict[Monomial, int], den: int) -> SurdPoly:
+    """The SurdPoly nums/den, for den > 0 and e, f < 2 throughout: zero
+    entries dropped and nums and den divided by their one common gcd."""
+    nums = {mono: n for mono, n in nums.items() if n}
+    if not nums:
+        den = 1
+    else:
+        g = math.gcd(den, *nums.values())
+        if g != 1:
+            nums = {mono: n // g for mono, n in nums.items()}
+            den //= g
+    return _store(SurdPoly.__new__(SurdPoly), nums, den)
+
+
+def _accumulate_reduced(out: dict[Monomial, int], mono: Monomial, n: int) -> None:
+    """Add n * mono to ``out``, rewriting u^2 -> 1-x^2 and v^2 -> 1-y^2."""
     a, b, c, e, f = mono
     if e < 2 and f < 2:  # nothing to rewrite
-        prev = out.get(mono)
-        out[mono] = coeff if prev is None else prev + coeff
+        out[mono] = out.get(mono, 0) + n
         return
-    ku, kv = e // 2, f // 2
-    e %= 2
-    f %= 2
+    ku, e = divmod(e, 2)
+    kv, f = divmod(f, 2)
     # (1-x^2)^ku (1-y^2)^kv expand binomially; exponents stay nonnegative.
     for i in range(ku + 1):
-        ci = coeff * math.comb(ku, i) * (-1) ** i
+        ni = n * math.comb(ku, i) * (-1) ** i
         for j in range(kv + 1):
-            cij = ci * math.comb(kv, j) * (-1) ** j
             key = (a + 2 * i, b + 2 * j, c, e, f)
-            out[key] = out.get(key, _ZERO) + cij
+            out[key] = out.get(key, 0) + ni * math.comb(kv, j) * (-1) ** j
 
 
 def pythagorean_point(s: Fraction | int) -> tuple[Fraction, Fraction]:

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DegenerateParameterError, DomainError, check_index
-from .exact import Rational, parse_rational, terminating_hyp_grid
+from .exact import Rational, format_rational, parse_rational, terminating_hyp_grid
 
 #: a value of the grid R_n(x), indexed [n][x]
 Values = tuple[tuple[Fraction, ...], ...]
@@ -71,7 +71,8 @@ class RacahSystem:
         problems, closed = _validate(self)
         if problems:
             raise DegenerateParameterError(
-                f"degenerate Racah parameters {self.as_tuple()}: "
+                "degenerate Racah parameters "
+                f"{','.join(map(format_rational, self.as_tuple()))}: "
                 + "; ".join(problems),
                 factors=problems,
             )

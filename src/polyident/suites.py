@@ -45,6 +45,11 @@ _HALF = Fraction(1, 2)
 #: ((alpha+1/2)_n)^2 times that, at most 2.25e-6), but 1e-5 at P = 45.
 PRECISION_FLOOR = 46
 
+#: highest accepted precision_digits.  The full continuous suite passes at
+#: 200 digits in under a minute on two cores; at 300 it runs for minutes
+#: and its eq15 expansion gives up.
+PRECISION_CEILING = 200
+
 #: eq48-corrected checks each n in 0..BIORTHOGONALITY_MAX against every k
 #: in the same range
 BIORTHOGONALITY_MAX = 20
@@ -75,6 +80,9 @@ class SuiteConfig:
             value = getattr(self, name)
             if value < floor:
                 raise ConfigError(f"{name} must be >= {floor}, got {value}")
+        if self.precision_digits > PRECISION_CEILING:
+            raise ConfigError(f"precision_digits must be <= {PRECISION_CEILING}, "
+                              f"got {self.precision_digits}")
         if not self.alphas:
             raise ConfigError("alphas must not be empty")
         # a repeated alpha would run, and report, the same tasks twice
@@ -282,10 +290,8 @@ class TaskResult:
 
 def _magnitude(value) -> Fraction:
     """|value| of a Fraction; the largest |coefficient| of a UniPoly/SurdPoly."""
-    if isinstance(value, UniPoly):
+    if isinstance(value, (UniPoly, SurdPoly)):
         return value.max_abs_coeff()
-    if isinstance(value, SurdPoly):
-        return max((abs(c) for c in value.terms.values()), default=Fraction(0))
     return abs(value)
 
 

@@ -19,18 +19,19 @@ from polyident.addition import (
 )
 from polyident.classical import gegenbauer_r, jacobi_r
 from polyident.errors import DomainError
-from polyident.exact import SurdPoly, _accumulate_reduced, _raw, pythagorean_point
+from polyident.exact import SurdPoly, pythagorean_point
 
 HALF = Fraction(1, 2)
 GRID_ALPHAS = [Fraction(0), HALF, Fraction(1), Fraction(7, 3)]
 
 
 def identify_y_with_x(p: SurdPoly) -> SurdPoly:
-    """Map y -> x and v -> u, reducing the new u powers."""
+    """Map y -> x and v -> u; the constructor reduces the new u powers."""
     out = {}
     for (a, b, c, e, f), q in p.terms.items():
-        _accumulate_reduced(out, (a + b, 0, c, e + f, 0), q)
-    return _raw({m: c for m, c in out.items() if c != 0})
+        mono = (a + b, 0, c, e + f, 0)
+        out[mono] = out.get(mono, 0) + q
+    return SurdPoly(out)
 
 
 class TestInstanceValidation:

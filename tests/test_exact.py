@@ -2,12 +2,14 @@
 
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyident import exact
+from polyident import addition, exact, hermite_limit, suites
+from polyident.classical import gegenbauer_r, hermite, jacobi_r
 from polyident.errors import DegenerateParameterError, DomainError, RelationViolationError
 from polyident.exact import (
     SURD_VARS,
@@ -490,6 +492,229 @@ class TestFromUniPolyOracle:
     def test_unknown_variable(self):
         with pytest.raises(DomainError):
             SurdPoly.from_unipoly(UniPoly.one(), "w")
+
+
+# ---------------------------------------------------------------------------
+# Oracle for the fraction-free surd ring: the Fraction-dict ring it replaced,
+# written here and sharing no code with polyident.exact.  An element is a
+# dict from monomials (a, b, c, e, f), for x^a y^b t^c u^e v^f, to nonzero
+# Fractions.
+
+_REF_ONE = (0, 0, 0, 0, 0)
+
+
+def _ref_surd(pairs):
+    """The canonical sum of (monomial, coefficient) pairs: u^2 -> 1 - x^2
+    and v^2 -> 1 - y^2 are applied one square at a time."""
+    out = {}
+    work = [(tuple(mono), Fraction(coeff)) for mono, coeff in pairs]
+    while work:
+        (a, b, c, e, f), q = work.pop()
+        if e >= 2:
+            work += [((a, b, c, e - 2, f), q), ((a + 2, b, c, e - 2, f), -q)]
+        elif f >= 2:
+            work += [((a, b, c, e, f - 2), q), ((a, b + 2, c, e, f - 2), -q)]
+        else:
+            out[(a, b, c, e, f)] = out.get((a, b, c, e, f), Fraction(0)) + q
+    return {mono: q for mono, q in out.items() if q != 0}
+
+
+def _ref_surd_add(p, q, sign=1):
+    return _ref_surd([*p.items(), *((mono, sign * c) for mono, c in q.items())])
+
+
+def _ref_surd_mul(p, q):
+    return _ref_surd(
+        (tuple(i + j for i, j in zip(m1, m2)), c1 * c2)
+        for m1, c1 in p.items()
+        for m2, c2 in q.items()
+    )
+
+
+def _ref_surd_pow(p, k):
+    out = {_REF_ONE: Fraction(1)}
+    for _ in range(k):
+        out = _ref_surd_mul(out, p)
+    return out
+
+
+def _ref_surd_map_t(p, weight):
+    return _ref_surd(((a, b, 0, e, f), q * weight(c)) for (a, b, c, e, f), q in p.items())
+
+
+def _ref_surd_from_coeffs(coeffs, var):
+    """sum_i coeffs[i] var^i."""
+    slot = SURD_VARS.index(var)
+    return _ref_surd(
+        (tuple(i if j == slot else 0 for j in range(5)), c) for i, c in enumerate(coeffs)
+    )
+
+
+def _ref_surd_horner(coeffs, arg):
+    """sum_i coeffs[i] arg^i."""
+    acc = {}
+    for c in reversed(coeffs):
+        acc = _ref_surd_add(_ref_surd_mul(acc, arg), {_REF_ONE: c})
+    return acc
+
+
+def _ref_max_abs(p):
+    return max((abs(c) for c in p.values()), default=Fraction(0))
+
+
+def _assert_canonical(p):
+    assert p.den > 0
+    assert all(type(n) is int and n != 0 for n in p.nums.values())
+    assert math.gcd(p.den, *p.nums.values()) == 1
+    assert all(mono[3] < 2 and mono[4] < 2 for mono in p.nums)
+
+
+def _assert_matches(got, expected):
+    """``got`` holds the reference element ``expected``, canonically."""
+    assert got.terms == expected
+    assert all(type(c) is Fraction for c in got.terms.values())
+    same = SurdPoly(expected)
+    assert got == same
+    assert hash(got) == hash(same)
+    assert got.max_abs_coeff() == _ref_max_abs(expected)
+    _assert_canonical(got)
+
+
+# exponents up to 3 in u and v, so the constructor rewrites squares too
+surd_monomials = st.tuples(*[st.integers(0, 3)] * 5)
+surd_coeffs = rationals | wide_rationals | st.integers(-9, 9)
+surd_terms = st.dictionaries(surd_monomials, surd_coeffs, max_size=5)
+
+
+class TestSurdPolyOracle:
+    @given(a=surd_terms, b=surd_terms, c=surd_coeffs)
+    @settings(max_examples=150, deadline=None)
+    def test_ring_operations_match_reference(self, a, b, c):
+        ra, rb = _ref_surd(a.items()), _ref_surd(b.items())
+        p, q = SurdPoly(a), SurdPoly(b)
+        cases = [
+            (p, ra),
+            (q, rb),
+            (p + q, _ref_surd_add(ra, rb)),
+            (p - q, _ref_surd_add(ra, rb, -1)),
+            (-p, _ref_surd((mono, -v) for mono, v in ra.items())),
+            (p * q, _ref_surd_mul(ra, rb)),
+            (p.scale(c), _ref_surd((mono, v * c) for mono, v in ra.items())),
+        ]
+        for got, expected in cases:
+            _assert_matches(got, expected)
+
+    @given(a=st.dictionaries(surd_monomials, surd_coeffs, max_size=3),
+           k=st.integers(0, 5), i=st.integers(0, 5), j=st.integers(0, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_pow_matches_reference(self, a, k, i, j):
+        _assert_matches(SurdPoly(a).pow(k), _ref_surd_pow(_ref_surd(a.items()), k))
+        u, v = SurdPoly.variable("u"), SurdPoly.variable("v")
+        _assert_matches(u.pow(i) * v.pow(j), _ref_surd([((0, 0, 0, i, j), 1)]))
+
+    @given(a=st.lists(surd_coeffs, max_size=8), var=st.sampled_from(SURD_VARS),
+           b=st.dictionaries(surd_monomials, surd_coeffs, max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_injection_and_composition_match_reference(self, a, var, b):
+        p = UniPoly(a)
+        _assert_matches(SurdPoly.from_unipoly(p, var), _ref_surd_from_coeffs(p.coeffs, var))
+        arg = SurdPoly(b)
+        _assert_matches(arg.substitute_into(UniPoly(a[:4])),
+                        _ref_surd_horner(UniPoly(a[:4]).coeffs, _ref_surd(b.items())))
+
+    @given(a=surd_terms, weights=st.lists(surd_coeffs, min_size=4, max_size=4),
+           value=surd_coeffs)
+    @settings(max_examples=100, deadline=None)
+    def test_t_substitutions_match_reference(self, a, weights, value):
+        ra = _ref_surd(a.items())
+        p = SurdPoly(a)
+        _assert_matches(p.map_t_powers(weights.__getitem__),
+                        _ref_surd_map_t(ra, weights.__getitem__))
+        _assert_matches(p.set_t(value), _ref_surd_map_t(ra, lambda c: Fraction(value) ** c))
+
+    def test_zero_is_empty_over_one(self):
+        x = SurdPoly.variable("x")
+        for zero in (SurdPoly.zero(), x - x, x.scale(0), SurdPoly({(0, 0, 0, 2, 0): 1,
+                                                                    (0, 0, 0, 0, 0): -1,
+                                                                    (2, 0, 0, 0, 0): 1})):
+            assert (zero.nums, zero.den) == ({}, 1)
+            assert zero == SurdPoly.zero() and zero.is_zero
+
+
+class TestBrokenExpansionResidual:
+    """A perturbed expansion fails, and its record carries the largest
+    |coefficient| of the residual as the reference ring computes it.  The
+    default run never takes this path, so these pin its output bytes."""
+
+    BUMP = Fraction(1001, 1000)
+
+    @pytest.fixture(autouse=True)
+    def _fresh_caches(self):
+        addition.addition_lhs.cache_clear()
+        hermite_limit._hermite_at_mixed_argument.cache_clear()
+        yield
+        addition.addition_lhs.cache_clear()
+        hermite_limit._hermite_at_mixed_argument.cache_clear()
+
+    @staticmethod
+    def _record(identity_id, params):
+        report = suites._execute((identity_id, params), suites.SuiteConfig())
+        return report.status, report.residual
+
+    def test_addition_coefficient(self, monkeypatch):
+        n, alpha, bad = 4, Fraction(1, 3), 2
+        exact_coefficient = addition.addition_coefficient
+
+        def broken(n_, k, a):
+            value = exact_coefficient(n_, k, a)
+            return value * self.BUMP if k == bad else value
+
+        monkeypatch.setattr(addition, "addition_coefficient", broken)
+        argument = _ref_surd([((1, 1, 0, 0, 0), 1), ((0, 0, 1, 1, 1), 1)])  # xy + uvt
+        lhs = _ref_surd_horner(gegenbauer_r(n, alpha).coeffs, argument)
+
+        def rhs(with_t):
+            total = {}
+            for k in range(n + 1):
+                r = gegenbauer_r(n - k, alpha + k).coeffs
+                term = _ref_surd_mul(_ref_surd_from_coeffs(r, "x"), _ref_surd_from_coeffs(r, "y"))
+                term = _ref_surd_mul(term, _ref_surd([((0, 0, 0, k, k), broken(n, k, alpha))]))
+                if with_t:
+                    half = Fraction(1, 2)
+                    t_factor = jacobi_r(k, alpha - half, alpha - half).coeffs
+                    term = _ref_surd_mul(term, _ref_surd_from_coeffs(t_factor, "t"))
+                total = _ref_surd_add(total, term)
+            return total
+
+        expected = {
+            "eq42": _ref_surd_add(lhs, rhs(True), -1),
+            "eq44": _ref_surd_add(_ref_surd_map_t(lhs, lambda c: 1), rhs(False), -1),
+        }
+        for identity_id, residual in expected.items():
+            assert _ref_max_abs(residual) != 0
+            assert self._record(identity_id, {"n": str(n), "alpha": "1/3"}) == (
+                "fail", format_rational(_ref_max_abs(residual)))
+
+    def test_hermite_binomial_term(self, monkeypatch):
+        n, bad = 5, 2
+
+        def comb(n_, k):
+            return math.comb(n_, k) * (self.BUMP if k == bad else 1)
+
+        # hermite_limit's own view of math; the ring's binomials stay exact
+        monkeypatch.setattr(hermite_limit, "math", SimpleNamespace(**{**vars(math), "comb": comb}))
+        argument = _ref_surd([((1, 1, 0, 0, 0), 1), ((0, 0, 1, 0, 1), 1)])  # xy + vt
+        lhs = _ref_surd_horner(hermite(n).coeffs, argument)
+        rhs = {}
+        for k in range(n + 1):
+            term = _ref_surd_mul(_ref_surd_from_coeffs(hermite(n - k).coeffs, "x"),
+                                 _ref_surd_from_coeffs(hermite(k).coeffs, "t"))
+            term = _ref_surd_mul(term, _ref_surd([((0, n - k, 0, 0, k), comb(n, k))]))
+            rhs = _ref_surd_add(rhs, term)
+        residual = _ref_surd_add(lhs, rhs, -1)
+        assert _ref_max_abs(residual) != 0
+        assert self._record("hermite-addition", {"n": str(n)}) == (
+            "fail", format_rational(_ref_max_abs(residual)))
 
 
 # bases whose factors may vanish: negative integers make parameter ties

@@ -762,6 +762,23 @@ class TestCli:
         assert main(["eval", "racah", "0", "0", "0", "0", gamma, "1"]) == 2
         assert "gamma must be a negative integer" in capsys.readouterr().err
 
+    def test_eval_racah_degenerate_system_names_rationals(self, capsys):
+        assert main(["eval", "racah", "1", "1", "-1", "0", "-3", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "degenerate Racah parameters -1,0,-3,1: " in err
+        assert "Fraction(" not in err
+
+    def test_degenerate_system_records_spell_the_system(self, capsys):
+        # alpha = -1/2 specializes to degenerate systems: error records, exit 2
+        assert main(["verify", "racah", "--alphas=-1/2", "--format", "json-lines"]) == 2
+        errors = [r for r in map(json.loads, capsys.readouterr().out.splitlines())
+                  if r["status"] == "error"]
+        assert errors
+        for record in errors:
+            text = record["parameters"]["error"]
+            assert "Fraction(" not in text
+            assert f"degenerate Racah parameters {record['parameters']['system']}: " in text
+
     def test_eval_hermite(self, capsys):
         assert main(["eval", "hermite", "2"]) == 0
         assert capsys.readouterr().out.strip() == "-2, 0, 4"
@@ -838,17 +855,29 @@ class TestCli:
             ["verify", "racah", "--pointwise-tolerance=-1"],
             ["verify", "racah", "--pointwise-tolerance", "0"],
             ["verify", "dual-addition", "--alphas", "1,1", "--l-max", "1"],
+            ["verify", "continuous", "--precision-digits", "201"],
         ],
         ids=["empty-grid", "unparseable-tolerance", "vacuous-precision",
              "negative-jobs", "precision-at-1e-5", "loose-tolerance",
              "infinite-tolerance", "negative-tolerance", "zero-tolerance",
-             "repeated-alphas"],
+             "repeated-alphas", "precision-above-ceiling"],
     )
     def test_rejected_config_exits_two(self, argv, capsys):
         # the case's own flags come last, so they win over these defaults
         command, suite, *flags = argv
         assert main([command, suite, "--jobs", "1", "--format", "json-lines", *flags]) == 2
         assert capsys.readouterr().out == ""
+
+    def test_precision_ceiling_is_named_and_accepted(self, tmp_path, capsys):
+        # above the ceiling a run would take minutes; it exits 2 before any task
+        assert main(["verify", "continuous", "--precision-digits", "100000"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"precision_digits must be <= {suites.PRECISION_CEILING}, got 100000" in captured.err
+        cfg = tmp_path / "deep.cfg"
+        cfg.write_text(f"precision_digits = {suites.PRECISION_CEILING + 1}\n")
+        assert main(["verify", "racah", "--config", str(cfg)]) == 2
+        assert SuiteConfig(precision_digits=suites.PRECISION_CEILING).precision_digits == 200
 
     def test_eval_precision_error_exits_two(self, capsys):
         assert main(["eval", "phi", "4000", "3/2", "1/2", "22/25"]) == 2
