@@ -44,14 +44,12 @@ def mixed_argument() -> SurdPoly:
     return x * y + u * v * t
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=None)
 def addition_lhs(inst: AdditionInstance) -> SurdPoly:
     """R_n at the composite argument, reduced to canonical form.
 
-    Kept for the last (n, alpha): the addition, product and t = 1 checks
-    of (n, alpha) all start from it.  They share one grid, so
-    ``suites.suite_tasks`` runs the three at each (n, alpha) before the
-    next point.
+    Memoised by (n, alpha): the addition, product and t = 1 checks of
+    (n, alpha) all start from it.
     """
     return mixed_argument().substitute_into(gegenbauer_r(inst.n, inst.alpha))
 

@@ -20,7 +20,7 @@ from . import classical, continuous, racah
 from .errors import ConfigError, PolyidentError
 from .exact import format_rational, parse_rational
 from .report import emit, exit_status
-from .suites import REGISTRY, SUITE_NAMES, SuiteConfig, run_suite
+from .suites import PRECISION_CEILING, REGISTRY, SUITE_NAMES, SuiteConfig, run_suite
 
 
 def _parse_alphas(text: str) -> tuple[Fraction, ...]:
@@ -162,6 +162,8 @@ def _eval_arguments(args) -> tuple[list[str], int]:
     prec = known.precision_digits
     if prec < 1:
         raise ConfigError(f"--precision-digits must be a positive integer, got {prec}")
+    if prec > PRECISION_CEILING:
+        raise ConfigError(f"precision_digits must be <= {PRECISION_CEILING}, got {prec}")
     names = _EVALUATORS[args.fn][0]
     if len(rest) != len(names):
         raise ConfigError(

@@ -93,8 +93,7 @@ def gauss_2f1(a, b, c, z):
         return mp.hyp2f1(a, b, c, z)
     except NoConvergence as exc:
         raise PrecisionError(
-            f"2F1 at z = {mp.nstr(z, 8)} did not converge: {exc}",
-            diagnostics={"a": a, "b": b, "c": c, "z": z},
+            f"2F1 at z = {mp.nstr(z, 8)} did not converge: {exc}"
         ) from exc
 
 
@@ -163,10 +162,7 @@ def conical_f(g, r, k, log_prefactor=None):
     """
     route_phi, route_gauss = conical_routes(g, r, k, log_prefactor)
     if abs(route_phi - route_gauss) > agreement_bound() * (1 + abs(route_gauss)):
-        raise PrecisionError(
-            "conical function routes disagree",
-            diagnostics={"phi_route": route_phi, "gauss_route": route_gauss},
-        )
+        raise PrecisionError("conical function routes disagree")
     return route_gauss
 
 
@@ -258,10 +254,7 @@ def wilson_poly(n: int, xsq, params: WilsonParams) -> mp.mpf:
     value = _wilson_poly_complex(n, x, params)
     scale = max(mp.mpf(1), abs(value))
     if abs(mp.im(value)) > agreement_bound() * scale:
-        raise PrecisionError(
-            "Wilson polynomial value is not real",
-            diagnostics={"value": value},
-        )
+        raise PrecisionError("Wilson polynomial value is not real")
     return mp.re(value)
 
 
@@ -400,27 +393,6 @@ def wilson_orthogonality_residual(
     return abs(value - target) / scale
 
 
-def dual_product_residual(t, ctx: WilsonContext, tolerance: mp.mpf) -> mp.mpf:
-    """Relative residual of the dual product formula.
-
-    The product of two Jacobi functions of the same argument, carrying its
-    gamma prefactor, must equal the gamma-weight integral of the spectral
-    Jacobi function.
-    """
-    t = to_mpf(t)
-    half = mp.mpf(1) / 2
-    lhs = (
-        _gamma_prefactor(0, ctx.lam, ctx.mu, ctx.alpha)
-        * mp.re(phi(2 * ctx.lam, ctx.alpha, -half, t))
-        * mp.re(phi(2 * ctx.mu, ctx.alpha, -half, t))
-    )
-    rhs = ctx.integrate(
-        lambda nu: ctx.phi_node(t, nu) * ctx.weight(nu),
-        tolerance * mp.mpf(10) ** -REFINEMENT_DIGITS * abs(lhs),
-    )
-    return abs(lhs - rhs) / abs(lhs)
-
-
 def _conical_log_kernel(g, p, q, k) -> mp.mpf:
     """log of the eight-gamma quotient of the eq6 kernel at k != 0:
 
@@ -495,6 +467,9 @@ def dual_integral_closed_form_residual(
                                     * phi_{2 mu}^{(alpha+n,-1/2)}(t).
 
     variant="printed" uses the historical Gamma(alpha+1/2)^2 prefactor.
+    At n = 0 (W_0 = 1) this is the dual product formula: the product of
+    two Jacobi functions with its gamma prefactor is the gamma-weight
+    integral of the spectral Jacobi function.
     """
     t = to_mpf(t)
     half = mp.mpf(1) / 2

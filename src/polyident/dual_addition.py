@@ -118,16 +118,6 @@ def s_direct(n: int, s: DualSetting) -> UniPoly:
     return out
 
 
-@lru_cache(maxsize=1)
-def _s_direct_pairing(n: int, s: DualSetting):
-    """q -> <S_n, q> for q of degree <= l+m.
-
-    Kept for the last (n, setting): eq58 pairs S_n with every R_{l+m-2j}
-    of one n before it moves on.
-    """
-    return gegenbauer_pairing(s_direct(n, s), s.alpha, s.l + s.m)
-
-
 def s_closed_prefactor(n: int, s: DualSetting) -> Fraction:
     al, l, m = s.alpha, s.l, s.m
     return (
@@ -201,40 +191,32 @@ def dual_addition_residual(j: int, s: DualSetting) -> UniPoly:
     return gegenbauer_r(s.l + s.m - 2 * j, s.alpha) - rhs
 
 
-def integral_identity_residual(n: int, j: int, s: DualSetting) -> Fraction:
-    """Fourier coefficient of S against R_{l+m-2j}, minus its closed value.
+def integral_identity_residuals(n: int, s: DualSetting) -> list[Fraction]:
+    """Fourier coefficients of S_n against every R_{l+m-2j}, j = 0..m,
+    minus their closed values; each must be 0.
 
     Both sides are mass-normalized, so the overall weight mass cancels:
     <S_n, R_{l+m-2j}> = w(j) (h_{l+m-2j}/h_0) * (Racah value at j).
+    S_n is paired once for every j.
     """
     check_index(n, s.m, "index")
-    check_index(j, s.m, "index")
     sys = specialized_racah(s)
-    deg = s.l + s.m - 2 * j
-    lhs = _s_direct_pairing(n, s)(gegenbauer_r(deg, s.alpha))
-    rhs = (
-        racah_weight(j, sys)
-        * norm_ratio(deg, s.alpha)
-        * racah_values(sys)[n][j]
-    )
-    return lhs - rhs
+    pairing = gegenbauer_pairing(s_direct(n, s), s.alpha, s.l + s.m)
+    residuals = []
+    for j, value in enumerate(racah_values(sys)[n]):
+        deg = s.l + s.m - 2 * j
+        closed = racah_weight(j, sys) * norm_ratio(deg, s.alpha) * value
+        residuals.append(pairing(gegenbauer_r(deg, s.alpha)) - closed)
+    return residuals
 
 
-def second_hyp_form(n: int, j: int, s: DualSetting) -> Fraction:
-    """The second terminating 4F3 representation of the triple-product integral."""
-    check_index(n, s.m, "index")
-    check_index(j, s.m, "index")
-    return _second_hyp_grid(s)[n][j]
-
-
-@lru_cache(maxsize=1)
-def _second_hyp_grid(s: DualSetting) -> tuple[tuple[Fraction, ...], ...]:
-    """The second 4F3 at every (n, j) of a setting, as one grid.
+def second_hyp_form(s: DualSetting) -> tuple[tuple[Fraction, ...], ...]:
+    """The second terminating 4F3 representation of the triple-product
+    integral at every (n, j) of a setting, as one grid indexed [n][j].
 
     Row n carries the upper parameters n-m and -m-n-2 alpha, column j the
     parameters j-m and l-j+alpha+1/2; each series ends after min(m-n, m-j)
-    terms, where n-m or j-m stops it.  Kept for the last setting: the
-    whipple check reads every (n, j) of one setting.
+    terms, where n-m or j-m stops it.
     """
     al, l, m = s.alpha, s.l, s.m
     return terminating_hyp_grid(
@@ -268,50 +250,50 @@ def whipple_factor(j: int, s: DualSetting) -> Fraction:
     )
 
 
-def whipple_proportionality(n: int, s: DualSetting) -> tuple[Fraction, Fraction]:
+def whipple_proportionality(s: DualSetting) -> list[tuple[Fraction, Fraction]]:
     """Common proportionality constants of the triple-product integral.
 
-    For each j, the normalized integral of
+    For each n and j, the normalized integral of
     R_{l-n}^{(alpha+n)} R_{m-n}^{(alpha+n)} R_{l+m-2j} against
     (1-x^2)^{alpha+n}, divided by the j-dependent weight factors
     w(j) h_{l+m-2j}/h_0, is proportional to the Racah-value 4F3; divided
     additionally by :func:`whipple_factor` it is proportional to the
-    second 4F3 form.  Both constants must be independent of j and are
-    returned.  A j where a 4F3 vanishes must have vanishing integral and
-    is skipped.
+    second 4F3 form.  Both constants must be independent of j; they are
+    returned for n = 0..m.  A j where a 4F3 vanishes must have vanishing
+    integral and is skipped.  The second 4F3 is formed once, as a grid.
 
     Raises IdentityViolationError if a ratio fails to be constant or a
     zero fails to pair.
     """
-    check_index(n, s.m, "index")
     al, l, m = s.alpha, s.l, s.m
     sys = specialized_racah(s)
-    ratios: tuple[list[Fraction], list[Fraction]] = ([], [])
-    poly = gegenbauer_r(l - n, al + n) * gegenbauer_r(m - n, al + n)
-    pairing = gegenbauer_pairing(poly, al + n, l + m)
-    values = racah_values(sys)[n]
-    for j in range(m + 1):
-        integral = pairing(gegenbauer_r(l + m - 2 * j, al))
-        base = racah_weight(j, sys) * norm_ratio(l + m - 2 * j, al)
-        checks = (
-            (values[j], base, ratios[0]),
-            (second_hyp_form(n, j, s), base * whipple_factor(j, s), ratios[1]),
-        )
-        for value, scale, acc in checks:
-            if value == 0:
-                if integral != 0:
-                    raise IdentityViolationError(
-                        f"integral nonzero where 4F3 vanishes (j={j})"
-                    )
-                continue
-            acc.append(integral / (scale * value))
-    results = []
-    for which, acc in zip(("first", "second"), ratios):
-        if not acc:
-            raise IdentityViolationError(f"no usable j for the {which} 4F3")
-        if any(r != acc[0] for r in acc):
-            raise IdentityViolationError(
-                f"{which} 4F3 ratio varies over j: {[str(r) for r in acc]}"
+    values, second = racah_values(sys), second_hyp_form(s)
+    constants = []
+    for n in range(m + 1):
+        ratios: tuple[list[Fraction], list[Fraction]] = ([], [])
+        poly = gegenbauer_r(l - n, al + n) * gegenbauer_r(m - n, al + n)
+        pairing = gegenbauer_pairing(poly, al + n, l + m)
+        for j in range(m + 1):
+            integral = pairing(gegenbauer_r(l + m - 2 * j, al))
+            base = racah_weight(j, sys) * norm_ratio(l + m - 2 * j, al)
+            checks = (
+                (values[n][j], base, ratios[0]),
+                (second[n][j], base * whipple_factor(j, s), ratios[1]),
             )
-        results.append(acc[0])
-    return results[0], results[1]
+            for value, scale, acc in checks:
+                if value == 0:
+                    if integral != 0:
+                        raise IdentityViolationError(
+                            f"integral nonzero where 4F3 vanishes (j={j})"
+                        )
+                    continue
+                acc.append(integral / (scale * value))
+        for which, acc in zip(("first", "second"), ratios):
+            if not acc:
+                raise IdentityViolationError(f"no usable j for the {which} 4F3")
+            if any(r != acc[0] for r in acc):
+                raise IdentityViolationError(
+                    f"{which} 4F3 ratio varies over j: {[str(r) for r in acc]}"
+                )
+        constants.append((ratios[0][0], ratios[1][0]))
+    return constants

@@ -30,14 +30,7 @@ class IdentityViolationError(PolyidentError):
 
 
 class PrecisionError(PolyidentError):
-    """A numeric routine could not reach the requested accuracy.
-
-    ``diagnostics`` carries the last estimates for post-mortem inspection.
-    """
-
-    def __init__(self, message: str, diagnostics: dict | None = None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
+    """A numeric routine could not reach the requested accuracy."""
 
 
 class ConfigError(PolyidentError):

@@ -56,13 +56,12 @@ class HermiteSetting:
         return tuple(_linearized_block(j, self) for j in range(self.m + 1))
 
 
-@lru_cache(maxsize=1)
+@lru_cache(maxsize=None)
 def _hermite_at_mixed_argument(n: int) -> SurdPoly:
     """H_n(x y + v t), with v standing for (1-y^2)^{1/2}.
 
-    Kept for the last n: the addition and the product check of n both
-    start from it.  They share one grid, so ``suites.suite_tasks`` runs the
-    two at each n before the next.
+    Memoised by n: the addition and the product check of n both start
+    from it.
     """
     x, y, t, v = (SurdPoly.variable(w) for w in ("x", "y", "t", "v"))
     return (x * y + v * t).substitute_into(hermite(n))

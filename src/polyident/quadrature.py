@@ -89,8 +89,7 @@ def self_refining_integral(f: Callable[[mp.mpf], mp.mpf], tolerance, pole) -> mp
     while abs(probes[-1]) >= tolerance * mp.mpf(10) ** -5:
         if len(probes) == MAX_S:
             raise PrecisionError(
-                f"integrand does not decay below {tolerance}*1e-5 by s = {MAX_S}",
-                diagnostics={"last_value": probes[-1]},
+                f"integrand does not decay below {tolerance}*1e-5 by s = {MAX_S}"
             )
         probes.append(g(mp.mpf(len(probes) + 1)))
     h = mp.mpf(1) / POINTS_PER_UNIT
@@ -117,7 +116,4 @@ def self_refining_integral(f: Callable[[mp.mpf], mp.mpf], tolerance, pole) -> mp
         ):
             return refined
         estimate = refined
-    raise PrecisionError(
-        f"no convergence to {tolerance} within {MAX_DOUBLINGS} step halvings",
-        diagnostics={"last_two": (estimate, refined)},
-    )
+    raise PrecisionError(f"no convergence to {tolerance} within {MAX_DOUBLINGS} step halvings")

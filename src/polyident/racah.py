@@ -111,7 +111,8 @@ def _validate(sys: RacahSystem) -> tuple[list[str], ClosedForms]:
         try:
             return _quotient(state)
         except DegenerateParameterError as exc:
-            problems.append(f"{what}: {'; '.join(exc.factors)}")
+            count = len(exc.factors)
+            problems.append(f"{what}: {count} zero factor{'s' if count > 1 else ''}")
             return None
 
     if ga + de + 1 == 0:

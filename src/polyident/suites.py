@@ -468,9 +468,9 @@ def _task_eq43_eq49(p, config):
 def _task_eq58(p, config):
     s = dual_addition.DualSetting(p["alpha"], p["l"], p["m"])
     return _exact_result(*(
-        dual_addition.integral_identity_residual(n, j, s)
+        residual
         for n in range(s.m + 1)
-        for j in range(s.m + 1)
+        for residual in dual_addition.integral_identity_residuals(n, s)
     ))
 
 
@@ -478,8 +478,7 @@ def _task_eq58(p, config):
           _alpha_lm)
 def _task_whipple(p, config):
     s = dual_addition.DualSetting(p["alpha"], p["l"], p["m"])
-    for n in range(s.m + 1):
-        dual_addition.whipple_proportionality(n, s)  # raises on violation
+    dual_addition.whipple_proportionality(s)  # raises on violation
     return _exact_result(Fraction(0))
 
 
@@ -755,7 +754,8 @@ def _task_eq8_printed(p, config, tolerance):
           _fixed("t lambda mu alpha", EQ7_POINTS), tolerance=("integral", 0))
 def _task_eq7(p, config, tolerance):
     ctx = _wilson_context(p)
-    value = continuous.dual_product_residual(p["t"], ctx, tolerance)
+    # the dual product formula is eq13 at n = 0
+    value = continuous.dual_integral_closed_form_residual(0, p["t"], ctx, tolerance)
     return _numeric_result(value, tolerance)
 
 
@@ -931,8 +931,9 @@ def suite_tasks(name: str, config: SuiteConfig):
     Within a suite, the ids declared on one grid function run together:
     the grids come in the order of their first declaration, and at each
     point of a grid one task follows for every id on it, in declaration
-    order.  So the checks that start from one cached value (an
-    ``lru_cache(maxsize=1)``) at a point run one after the other.
+    order.  So each contiguous slice that :func:`run_suite` hands a pool
+    worker covers every check at the points it spans, and the values those
+    checks share are formed in one worker.  No result depends on the order.
     """
     if name != "all" and name not in SUITE_NAMES:
         raise ConfigError(

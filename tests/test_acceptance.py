@@ -189,7 +189,9 @@ def test_criterion_8_continuous_suite():
 
         for t, lam, mu, alpha in EQ7_POINTS:
             point_ctx = continuous.WilsonContext(Fraction(lam), Fraction(mu), Fraction(alpha))
-            residual = continuous.dual_product_residual(Fraction(t), point_ctx, int_tol)
+            residual = continuous.dual_integral_closed_form_residual(
+                0, Fraction(t), point_ctx, int_tol
+            )
             if residual > int_tol:
                 failures.append(("eq7", t, lam, mu, alpha, mp.nstr(residual, 5)))
 

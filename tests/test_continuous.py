@@ -19,7 +19,6 @@ from polyident.continuous import (
     contiguous_residual,
     dual_addition_function_residual,
     dual_integral_closed_form_residual,
-    dual_product_residual,
     gamma_abs_sq,
     gauss_2f1,
     log_gamma,
@@ -540,26 +539,42 @@ class TestWilsonOrthogonality:
 
 
 class TestDualProduct:
+    # the dual product formula is the phi-weighted closed form at n = 0
     def test_residual_small(self):
         with working_precision(40):
             ctx = WilsonContext(Fraction(2, 5), Fraction(7, 10), 1)
-            residual = dual_product_residual(Fraction(3, 10), ctx, tol(18))
+            residual = dual_integral_closed_form_residual(0, Fraction(3, 10), ctx, tol(18))
         assert residual < tol(15)
 
     def test_t_zero_matches_degree_zero_norm(self):
         with working_precision(40):
             ctx = WilsonContext(Fraction(3, 10), Fraction(2, 5), 1)
-            residual = dual_product_residual(0, ctx, tol(18))
+            residual = dual_integral_closed_form_residual(0, 0, ctx, tol(18))
         assert residual < tol(15)
 
 
 class TestDualIntegralClosedForm:
     def test_degree_zero_equals_dual_product(self):
+        # written out, the dual product formula: the degree-0 Wilson norm
+        # times two Jacobi functions against the weight integral of the
+        # spectral Jacobi function; W_0 = 1 makes the n = 0 residual this one
         with working_precision(40):
             ctx = WilsonContext(Fraction(3, 10), Fraction(1, 2), 1)
-            r_product = dual_product_residual(Fraction(1, 5), ctx, tol(18))
+            t, half = to_mpf(Fraction(1, 5)), mp.mpf(1) / 2
+            product = (
+                wilson_norm(0, ctx.lam, ctx.mu, ctx.alpha)
+                * mp.re(phi(2 * ctx.lam, ctx.alpha, -half, t))
+                * mp.re(phi(2 * ctx.mu, ctx.alpha, -half, t))
+            )
+            integral = ctx.integrate(
+                lambda nu: mp.re(phi(2 * nu, ctx.alpha, -half, t))
+                * wilson_weight(nu, ctx.lam, ctx.mu, ctx.alpha),
+                tol(18) * mp.mpf(10) ** -continuous.REFINEMENT_DIGITS * abs(product),
+            )
+            r_product = abs(product - integral) / abs(product)
             r_integral = dual_integral_closed_form_residual(0, Fraction(1, 5), ctx, tol(18))
-        assert r_product < tol(15) and r_integral < tol(15)
+        assert r_product < tol(15)
+        assert r_integral == r_product
 
     def test_degree_one(self):
         with working_precision(40):

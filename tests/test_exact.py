@@ -648,14 +648,6 @@ class TestBrokenExpansionResidual:
 
     BUMP = Fraction(1001, 1000)
 
-    @pytest.fixture(autouse=True)
-    def _fresh_caches(self):
-        addition.addition_lhs.cache_clear()
-        hermite_limit._hermite_at_mixed_argument.cache_clear()
-        yield
-        addition.addition_lhs.cache_clear()
-        hermite_limit._hermite_at_mixed_argument.cache_clear()
-
     @staticmethod
     def _record(identity_id, params):
         report = suites._execute((identity_id, params), suites.SuiteConfig())

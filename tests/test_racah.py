@@ -78,7 +78,8 @@ def _reference_validation(al, be, ga, de, N):
         try:
             return form(*args)
         except DegenerateParameterError as exc:
-            problems.append(f"{what}: {'; '.join(exc.factors)}")
+            count = len(exc.factors)
+            problems.append(f"{what}: {count} zero factor" + ("s" if count != 1 else ""))
             return None
 
     if ga + de + 1 == 0:

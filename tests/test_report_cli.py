@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -159,20 +160,32 @@ class TestSuites:
         tasks = suite_tasks(suite, SuiteConfig(**fields))
         assert sorted(json.dumps([i, p]) for i, p in tasks) == recorded
 
-    def test_ids_on_one_grid_share_each_kept_value(self):
-        # suite_tasks runs every id of a grid at one point before the next
-        # point, so each cache that keeps only its last value misses once
-        # per distinct key: (n, alpha) and n
+    def test_shared_values_do_not_depend_on_task_order(self, monkeypatch):
+        # the values several checks start from are memoised by their inputs,
+        # so a shuffled task list gives the same bytes and forms each value
+        # once per distinct key: (n, alpha) and n
         caches = {
             "addition_lhs": addition.addition_lhs,
             "_hermite_at_mixed_argument": hermite_limit._hermite_at_mixed_argument,
         }
-        for cache in caches.values():
-            cache.cache_clear()
-        for suite in ("racah", "classical-addition", "hermite", "dual-addition"):
-            run_suite(suite, SuiteConfig(jobs=1))
-        misses = {name: cache.cache_info().misses for name, cache in caches.items()}
-        assert misses == {"addition_lhs": 36, "_hermite_at_mixed_argument": 13}
+        ordered = suites.suite_tasks
+
+        def run(tasks_in):
+            monkeypatch.setattr(suites, "suite_tasks", lambda *a: tasks_in(ordered(*a)))
+            for cache in caches.values():
+                cache.cache_clear()
+            reports = [report
+                       for suite in ("racah", "classical-addition", "hermite", "dual-addition")
+                       for report in run_suite(suite, SuiteConfig(jobs=1))]
+            misses = {name: cache.cache_info().misses for name, cache in caches.items()}
+            return emit_json_lines(reports), misses
+
+        rng = random.Random(0)
+        built, built_misses = run(lambda tasks: tasks)
+        shuffled, shuffled_misses = run(lambda tasks: rng.sample(tasks, len(tasks)))
+        assert shuffled == built
+        assert built_misses == shuffled_misses == {
+            "addition_lhs": 36, "_hermite_at_mixed_argument": 13}
 
     def test_numeric_checks_declare_a_tolerance(self):
         # a check is numeric exactly when it declares a tolerance, and every
@@ -763,10 +776,13 @@ class TestCli:
         assert "gamma must be a negative integer" in capsys.readouterr().err
 
     def test_eval_racah_degenerate_system_names_rationals(self, capsys):
+        # one clause per problem, each closed form's zero factors counted
         assert main(["eval", "racah", "1", "1", "-1", "0", "-3", "1"]) == 2
-        err = capsys.readouterr().err
-        assert "degenerate Racah parameters -1,0,-3,1: " in err
-        assert "Fraction(" not in err
+        assert capsys.readouterr().err == (
+            "error: DegenerateParameterError: degenerate Racah parameters -1,0,-3,1: "
+            "(alpha+1)_{1} = 0 in the series denominator; "
+            "norm ratio at n=1: 2 zero factors; endpoint value at n=1: 1 zero factor\n"
+        )
 
     def test_degenerate_system_records_spell_the_system(self, capsys):
         # alpha = -1/2 specializes to degenerate systems: error records, exit 2
@@ -901,6 +917,20 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"--precision-digits must be a positive integer, got {digits}" in captured.err
+
+    @pytest.mark.parametrize("where", ["before", "after"])
+    def test_eval_precision_above_ceiling_exits_two(self, where, capsys):
+        # verify's bound and message, before anything is evaluated
+        flag = ["--precision-digits", "100000"]
+        fn_args = ["phi", "7/10", "1", "-1/2", "3/10"]
+        argv = ["eval", *flag, *fn_args] if where == "before" else ["eval", *fn_args, *flag]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"precision_digits must be <= {suites.PRECISION_CEILING}, got 100000" in captured.err
+        ceiling = ["--precision-digits", str(suites.PRECISION_CEILING)]
+        assert main(["eval", *fn_args, *ceiling]) == 0
+        assert capsys.readouterr().out.startswith("0.96971538875610591588")
 
     def test_eval_surplus_arguments_exit_two(self, capsys):
         assert main(["eval", "gegenbauer", "3", "1/2", "extra"]) == 2
