@@ -120,6 +120,18 @@ def t_one_residual(inst: AdditionInstance) -> SurdPoly:
     return addition_lhs(inst).set_t(1) - t_one_rhs(inst)
 
 
+def _sum_of_squares_pairs(n: int, alpha: Fraction) -> list[tuple[Fraction, UniPoly]]:
+    """(addition_coefficient(n,k,alpha), (1-x^2)^k (R_{n-k}^{(alpha+k)}(x))^2)
+    for k = 0..n."""
+    alpha = AdditionInstance(n, alpha).alpha
+    one_minus_x2 = -X2M1
+    pairs = []
+    for k in range(n + 1):
+        poly = gegenbauer_r(n - k, alpha + k)
+        pairs.append((addition_coefficient(n, k, alpha), one_minus_x2.pow(k) * poly * poly))
+    return pairs
+
+
 def sum_of_squares_terms(n: int, alpha: Fraction) -> list[UniPoly]:
     """Terms of the x = y, t = 1 specialization: a partition of unity.
 
@@ -127,20 +139,10 @@ def sum_of_squares_terms(n: int, alpha: Fraction) -> list[UniPoly]:
     (R_{n-k}^{(alpha+k)}(x))^2; their sum is 1, which bounds |R_n| by 1
     on [-1, 1].
     """
-    alpha = AdditionInstance(n, alpha).alpha
-    one_minus_x2 = -X2M1
-    terms = []
-    for k in range(n + 1):
-        poly = gegenbauer_r(n - k, alpha + k)
-        terms.append(
-            (one_minus_x2.pow(k) * poly * poly).scale(addition_coefficient(n, k, alpha))
-        )
-    return terms
+    return [poly.scale(c) for c, poly in _sum_of_squares_pairs(n, alpha)]
 
 
 def sum_of_squares_residual(n: int, alpha: Fraction) -> UniPoly:
-    """1 minus the partition of unity; must be zero."""
-    total = UniPoly.zero()
-    for term in sum_of_squares_terms(n, alpha):
-        total = total + term
-    return UniPoly.one() - total
+    """1 minus the partition of unity, summed in one integer pass (as the
+    partition minus 1, then negated); must be zero."""
+    return -UniPoly.combination(((-1, UniPoly.one()), *_sum_of_squares_pairs(n, alpha)))

@@ -3,12 +3,17 @@
 Exit codes: 0 all checks pass, 1 at least one failed, 2 on configuration,
 usage or precision errors.  Rationals cross this boundary as "p/q"
 strings; nothing on the exact side ever parses floating point.
+
+Each command returns its exit status and its output text; :func:`main`
+writes the text, so a reader that stops early (``| head``) costs no
+traceback and leaves the status as it was.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 import typing
 from fractions import Fraction
@@ -96,11 +101,10 @@ def build_config(args) -> tuple[SuiteConfig, str]:
     return config, fmt
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[int, str]:
     config, fmt = build_config(args)
     reports = run_suite(args.suite, config)
-    sys.stdout.write(emit(reports, fmt))
-    return exit_status(reports)
+    return exit_status(reports), emit(reports, fmt)
 
 
 def _eval_rational_list(values) -> str:
@@ -173,24 +177,23 @@ def _eval_arguments(args) -> tuple[list[str], int]:
     return rest, prec
 
 
-def cmd_eval(args) -> int:
+def cmd_eval(args) -> tuple[int, str]:
     rest, prec = _eval_arguments(args)
     evaluate = _EVALUATORS[args.fn][1]
     try:
         with continuous.working_precision(prec):
-            print(evaluate(*rest, prec=prec))
+            return 0, evaluate(*rest, prec=prec) + "\n"
     except ValueError as exc:
         raise ConfigError(f"bad arguments for {args.fn}: {exc}") from exc
-    return 0
 
 
-def cmd_list(args) -> int:
+def cmd_list(args) -> tuple[int, str]:
     width = max(len(identity) for identity in REGISTRY)
     suite_w = max(len(declared.suite) for declared in REGISTRY.values())
-    for identity, declared in sorted(REGISTRY.items()):
-        suite = declared.suite.ljust(suite_w)
-        print(f"{identity.ljust(width)}  {suite}  {declared.description}")
-    return 0
+    return 0, "".join(
+        f"{identity.ljust(width)}  {declared.suite.ljust(suite_w)}  {declared.description}\n"
+        for identity, declared in sorted(REGISTRY.items())
+    )
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
@@ -239,7 +242,7 @@ def main(argv=None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status, text = args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
@@ -247,6 +250,14 @@ def main(argv=None) -> int:
     except PolyidentError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early; what is left goes to devnull, so the
+        # interpreter's flush at exit finds no broken pipe to report
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return status
 
 
 if __name__ == "__main__":

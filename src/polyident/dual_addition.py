@@ -108,14 +108,16 @@ def coeff_as_racah_weight_residual(j: int, s: DualSetting) -> Fraction:
 
 @lru_cache(maxsize=None)
 def s_direct(n: int, s: DualSetting) -> UniPoly:
-    """The weighted sum S: over j, w(j) R_{l+m-2j} times the Racah value at j."""
+    """The weighted sum S: over j, w(j) R_{l+m-2j} times the Racah value at j.
+
+    The m+1 terms are summed in one integer pass (:meth:`UniPoly.combination`).
+    """
     check_index(n, s.m, "index")
     sys = specialized_racah(s)
-    out = UniPoly.zero()
-    for j, value in enumerate(racah_values(sys)[n]):
-        c = racah_weight(j, sys) * value
-        out = out + gegenbauer_r(s.l + s.m - 2 * j, s.alpha).scale(c)
-    return out
+    return UniPoly.combination(
+        (racah_weight(j, sys) * value, gegenbauer_r(s.l + s.m - 2 * j, s.alpha))
+        for j, value in enumerate(racah_values(sys)[n])
+    )
 
 
 def s_closed_prefactor(n: int, s: DualSetting) -> Fraction:
@@ -151,18 +153,19 @@ def s_closed(n: int, s: DualSetting) -> UniPoly:
     return _product_basis(n, s).scale(s_closed_prefactor(n, s))
 
 
-def dual_addition_coeff(n: int, j: int, s: DualSetting) -> Fraction:
-    """Coefficient of the n-th product basis polynomial in the dual addition
-    expansion of R_{l+m-2j}."""
-    check_index(n, s.m, "index")
+def dual_addition_coeffs(j: int, s: DualSetting) -> tuple[Fraction, ...]:
+    """The coefficients of the product basis polynomials, n = 0..m, in the
+    dual addition expansion of R_{l+m-2j}: one look-up of the Racah values
+    for the whole column."""
     check_index(j, s.m, "index")
-    return _coeff_factor(n, s) * racah_values(specialized_racah(s))[n][j]
+    values = racah_values(specialized_racah(s))
+    return tuple(_coeff_factor(n, s) * values[n][j] for n in range(s.m + 1))
 
 
 @lru_cache(maxsize=None)
 def _coeff_factor(n: int, s: DualSetting) -> Fraction:
     """addition_weight(n, alpha) (-l)_n (-m)_n / n!, the j-independent
-    factor of :func:`dual_addition_coeff`; memoised, since every j of a
+    factor of :func:`dual_addition_coeffs`; memoised, since every j of a
     setting needs it."""
     return (
         addition_weight(n, s.alpha)
@@ -174,8 +177,8 @@ def _coeff_factor(n: int, s: DualSetting) -> Fraction:
 
 def dual_addition_term(n: int, j: int, s: DualSetting) -> UniPoly:
     """The degree-n term of the dual addition expansion of R_{l+m-2j}."""
-    coeff = dual_addition_coeff(n, j, s)
-    return _product_basis(n, s).scale(coeff)
+    check_index(n, s.m, "index")
+    return _product_basis(n, s).scale(dual_addition_coeffs(j, s)[n])
 
 
 def dual_addition_residual(j: int, s: DualSetting) -> UniPoly:
@@ -185,10 +188,11 @@ def dual_addition_residual(j: int, s: DualSetting) -> UniPoly:
     constant-function expansion (a partition of unity).
     """
     check_index(j, s.m, "index")
-    rhs = UniPoly.zero()
-    for n in range(s.m + 1):
-        rhs = rhs + dual_addition_term(n, j, s)
-    return gegenbauer_r(s.l + s.m - 2 * j, s.alpha) - rhs
+    # summed as expansion - R and negated, sparing a Fraction negation per term
+    return -UniPoly.combination((
+        (-1, gegenbauer_r(s.l + s.m - 2 * j, s.alpha)),
+        *((c, _product_basis(n, s)) for n, c in enumerate(dual_addition_coeffs(j, s))),
+    ))
 
 
 def integral_identity_residuals(n: int, s: DualSetting) -> list[Fraction]:
@@ -239,7 +243,7 @@ def whipple_factor(j: int, s: DualSetting) -> Fraction:
         (j-l)_{m-j} (j+alpha+1/2)_{m-j}
         / ((alpha+1/2)_{m-j} (l+2 alpha+1)_{m-j}).
 
-    Memoised: it does not depend on n, and every n of a setting needs it.
+    Memoised per (j, setting).
     """
     check_index(j, s.m, "index")
     al, l, m = s.alpha, s.l, s.m
@@ -260,7 +264,13 @@ def whipple_proportionality(s: DualSetting) -> list[tuple[Fraction, Fraction]]:
     additionally by :func:`whipple_factor` it is proportional to the
     second 4F3 form.  Both constants must be independent of j; they are
     returned for n = 0..m.  A j where a 4F3 vanishes must have vanishing
-    integral and is skipped.  The second 4F3 is formed once, as a grid.
+    integral and is skipped.
+
+    The factors that depend on j alone (R_{l+m-2j}, w(j) h_{l+m-2j}/h_0
+    and that weight times :func:`whipple_factor`) are formed once per
+    setting, and the second 4F3 once, as a grid.  Each ratio stays an
+    unreduced integer pair, compared with the first by cross-multiplying;
+    only the returned constants are reduced.
 
     Raises IdentityViolationError if a ratio fails to be constant or a
     zero fails to pair.
@@ -268,17 +278,22 @@ def whipple_proportionality(s: DualSetting) -> list[tuple[Fraction, Fraction]]:
     al, l, m = s.alpha, s.l, s.m
     sys = specialized_racah(s)
     values, second = racah_values(sys), second_hyp_form(s)
+    # the j-only factors, formed once per setting: R_{l+m-2j}, the weight
+    # w(j) h_{l+m-2j}/h_0 and that weight times the Whipple factor
+    polys = [gegenbauer_r(l + m - 2 * j, al) for j in range(m + 1)]
+    bases = [racah_weight(j, sys) * norm_ratio(l + m - 2 * j, al) for j in range(m + 1)]
+    whipple_bases = [base * whipple_factor(j, s) for j, base in enumerate(bases)]
     constants = []
     for n in range(m + 1):
-        ratios: tuple[list[Fraction], list[Fraction]] = ([], [])
+        # each ratio integral/(scale * value) as an unreduced integer pair
+        ratios: tuple[list[tuple[int, int]], list[tuple[int, int]]] = ([], [])
         poly = gegenbauer_r(l - n, al + n) * gegenbauer_r(m - n, al + n)
         pairing = gegenbauer_pairing(poly, al + n, l + m)
         for j in range(m + 1):
-            integral = pairing(gegenbauer_r(l + m - 2 * j, al))
-            base = racah_weight(j, sys) * norm_ratio(l + m - 2 * j, al)
+            integral = pairing(polys[j])
             checks = (
-                (values[n][j], base, ratios[0]),
-                (second[n][j], base * whipple_factor(j, s), ratios[1]),
+                (values[n][j], bases[j], ratios[0]),
+                (second[n][j], whipple_bases[j], ratios[1]),
             )
             for value, scale, acc in checks:
                 if value == 0:
@@ -287,13 +302,15 @@ def whipple_proportionality(s: DualSetting) -> list[tuple[Fraction, Fraction]]:
                             f"integral nonzero where 4F3 vanishes (j={j})"
                         )
                     continue
-                acc.append(integral / (scale * value))
+                acc.append((integral.numerator * scale.denominator * value.denominator,
+                            integral.denominator * scale.numerator * value.numerator))
         for which, acc in zip(("first", "second"), ratios):
             if not acc:
                 raise IdentityViolationError(f"no usable j for the {which} 4F3")
-            if any(r != acc[0] for r in acc):
+            p0, q0 = acc[0]
+            if any(p * q0 != p0 * q for p, q in acc):
                 raise IdentityViolationError(
-                    f"{which} 4F3 ratio varies over j: {[str(r) for r in acc]}"
+                    f"{which} 4F3 ratio varies over j: {[str(Fraction(*r)) for r in acc]}"
                 )
-        constants.append((ratios[0][0], ratios[1][0]))
+        constants.append((Fraction(*ratios[0][0]), Fraction(*ratios[1][0])))
     return constants

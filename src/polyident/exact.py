@@ -30,6 +30,11 @@ numerators and denominators:
   weights, mass, norm ratios and endpoint values, one factor per index
   step; ``poch_quotient`` is their reference, which the tests pin them to.
 
+``UniPoly.combination`` sums scaled polynomials in one integer pass over
+one common denominator, with one reduction for the sum, and the Thiele
+fraction behind ``limit_at_infinity`` takes each sample down its
+inverse-difference chain once, on unreduced integer pairs.
+
 ``SurdPoly`` is fraction-free by the same rule as ``UniPoly``: integer
 numerators on its monomials over one positive common denominator, reduced
 by their content, so equal ring elements have equal stored forms.  Its
@@ -325,6 +330,35 @@ class UniPoly:
             c = Fraction(c)
         p, q = c.numerator, c.denominator
         return _reduced([n * p for n in self.nums], self.den * q)
+
+    @staticmethod
+    def combination(pairs: Iterable[tuple[Fraction | int, "UniPoly"]]) -> "UniPoly":
+        """sum c p over the (c, p) pairs, in one integer pass.
+
+        Each c p is p.nums c.numerator / g over p.den c.denominator / g,
+        with g = gcd(c.numerator, p.den); the numerators are summed over
+        the lcm of those denominators and reduced once, so a sum of k terms
+        costs one content gcd instead of k.
+        """
+        terms, den = [], 1
+        for c, p in pairs:
+            if type(c) is not Fraction and type(c) is not int:
+                c = Fraction(c)
+            num = c.numerator
+            if num and p.nums:
+                g = math.gcd(num, p.den)
+                q = p.den // g * c.denominator
+                terms.append((num // g, q, p.nums))
+                den = den * q // math.gcd(den, q)
+        if not terms:
+            return UniPoly()
+        out = [0] * max(len(nums) for _, _, nums in terms)
+        for num, q, nums in terms:
+            f = num * (den // q)
+            for i, n in enumerate(nums):
+                if n:  # a polynomial of one parity has every other coefficient 0
+                    out[i] += f * n
+        return _reduced(out, den)
 
     def pow(self, k: int) -> "UniPoly":
         out = UniPoly.one()
@@ -631,7 +665,19 @@ class _Thiele:
     """Thiele continued fraction a_0 + (e - e_0)/(a_1 + (e - e_1)/(a_2 + ...))
     by inverse differences (von zur Gathen & Gerhard, *Modern Computer
     Algebra*, ch. 5); ``confirmed`` counts the samples it has predicted
-    since it last changed."""
+    since it last changed.
+
+    A sample runs down the inverse-difference chain once: phi_0 = value,
+    phi_{i+1} = (e - e_i)/(phi_i - a_i), carried as an unreduced integer
+    pair (numerator, denominator) and reduced only when it becomes a new
+    coefficient.  If no phi_i equals a_i, phi_K is that coefficient.
+    phi_{K-1} = a_{K-1} at the last level K-1 means the fraction predicted
+    the sample.  phi_i = a_i at an earlier level i makes an inverse
+    difference infinite: the sample is then predicted only if a zero tail
+    makes level i+1 infinite, which evaluating the fraction at e tells, so
+    this case alone evaluates it.  Each sample leaves ``nodes``, ``coeffs``
+    and ``confirmed`` as evaluating first and then extending would.
+    """
 
     def __init__(self):
         self.nodes, self.coeffs, self.confirmed = [], [], 0
@@ -650,16 +696,21 @@ class _Thiele:
     def feed(self, e: Fraction, value: Fraction) -> None:
         """Confirm a predicted sample; extend through any other, unless an
         inverse difference is infinite: such a point is left out."""
-        if self(e) == value:
-            self.confirmed += 1
-            return
-        self.confirmed, phi = 0, value
-        for node, a in zip(self.nodes, self.coeffs):
-            if phi == a:
+        en, ed = e.numerator, e.denominator
+        p, q = value.numerator, value.denominator  # phi_i = p/q, q != 0
+        last = len(self.coeffs) - 1
+        for i, (node, a) in enumerate(zip(self.nodes, self.coeffs)):
+            an, ad = a.numerator, a.denominator
+            d = p * ad - an * q  # (phi_i - a_i) q ad
+            if not d:
+                predicted = i == last or self(e) == value
+                self.confirmed = self.confirmed + 1 if predicted else 0
                 return
-            phi = (e - node) / (phi - a)
+            nn, nd = node.numerator, node.denominator
+            p, q = (en * nd - nn * ed) * q * ad, ed * nd * d
+        self.confirmed = 0
         self.nodes.append(e)
-        self.coeffs.append(phi)
+        self.coeffs.append(Fraction(p, q))
 
 
 def limit_at_infinity(sample: Callable[[Fraction], Sequence[Fraction]],

@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, Mapping, NamedTuple
 
 from .classical import gegenbauer_r, hermite
-from .dual_addition import DualSetting, dual_addition_coeff, specialized_racah
+from .dual_addition import DualSetting, dual_addition_coeffs, specialized_racah
 from .errors import DomainError, check_index
 from .exact import SurdPoly, UniPoly, limit_at_infinity, pochhammer
 from .racah import racah_h0, racah_norm_ratio, racah_values, racah_weight
@@ -132,10 +132,13 @@ def hermite_dual_addition_residual(j: int, s: HermiteSetting) -> UniPoly:
     The j = 0 case is the classical linearization formula read backwards.
     """
     check_index(j, s.m, "index j")
-    rhs = UniPoly.zero()
-    for n in range(j, s.m + 1):  # the kernel (-n)_j/n! is 0 for n < j
-        rhs = rhs + hermite_dual_addition_term(n, j, s)
-    return s.linearized_blocks[j] - rhs
+    # summed as rhs - lhs and negated: negating one UniPoly costs less than
+    # negating each Fraction kernel
+    return -UniPoly.combination((
+        (-1, s.linearized_blocks[j]),
+        # the kernel (-n)_j/n! is 0 for n < j
+        *((_kernel(n, j), s.product_blocks[n]) for n in range(j, s.m + 1)),
+    ))
 
 
 def hermite_dual_inverse_residual(n: int, s: HermiteSetting) -> UniPoly:
@@ -147,10 +150,11 @@ def hermite_dual_inverse_residual(n: int, s: HermiteSetting) -> UniPoly:
     The n = 0 case is the Hermite linearization formula.
     """
     check_index(n, s.m, "index n")
-    lhs = UniPoly.zero()
-    for j in range(n, s.m + 1):  # the kernel (-j)_n/j! is 0 for j < n
-        lhs = lhs + s.linearized_blocks[j].scale(_kernel(j, n))
-    return lhs - s.product_blocks[n]
+    return UniPoly.combination((
+        # the kernel (-j)_n/j! is 0 for j < n
+        *((_kernel(j, n), s.linearized_blocks[j]) for j in range(n, s.m + 1)),
+        (-1, s.product_blocks[n]),
+    ))
 
 
 def biorthogonality_value(n: int, k: int, kernel: str = "corrected") -> Fraction:
@@ -276,13 +280,11 @@ def _eq30_limit(idx, x) -> LimitClaim:
 
     def quantity(alpha):
         sys = _system(alpha, s)
-        h0 = racah_h0(sys)
         values = racah_values(sys)
         value = sum(
-            racah_weight(j, sys) / h0 * values[n][j] * values[k][j]
-            for j in range(s.m + 1)
+            racah_weight(j, sys) * values[n][j] * values[k][j] for j in range(s.m + 1)
         )
-        return (alpha**-n * value,)
+        return (alpha**-n * value / racah_h0(sys),)
 
     return LimitClaim(quantity, (_norm_limit(n, s) if n == k else Fraction(0),))
 
@@ -313,9 +315,8 @@ def _eq40_to_eq46(idx, x) -> LimitClaim:
     rescale = 2 ** (l + m - j) * _lm_pochhammer(s, j)
 
     def scalars(alpha):
-        dual = DualSetting(alpha=alpha, l=l, m=m)
-        return tuple(rescale * alpha ** (n - j) * dual_addition_coeff(n, j, dual)
-                     for n in range(m + 1))
+        coeffs = dual_addition_coeffs(j, DualSetting(alpha=alpha, l=l, m=m))
+        return tuple(rescale * alpha ** (n - j) * c for n, c in enumerate(coeffs))
 
     def assemble(limits):
         factor = _scaled_gegenbauer_limit

@@ -79,6 +79,26 @@ class TestGauss2F1:
         with pytest.raises(DomainError):
             gauss_2f1(1, 1, -2, -0.5)
 
+    @pytest.mark.parametrize(
+        "lam", [mp.mpf(10) ** 6, mp.mpf(10) ** 400, -2 * continuous.MAX_PARAMETER]
+    )
+    def test_parameters_out_of_reach_fail_at_once(self, lam):
+        # phi at spectral parameter lam: a, b = 3/2 +- i lam/2
+        a, b = mp.mpf(1.5) + 1j * lam / 2, mp.mpf(1.5) - 1j * lam / 2
+        with pytest.raises(PrecisionError, match="out of reach"):
+            gauss_2f1(a, b, 2, -mp.sinh(1) ** 2)
+
+    def test_series_beyond_the_term_cap_fails(self, monkeypatch):
+        # at z = -0.79 the series converges like 0.79^k and needs hundreds of
+        # terms at 60 digits, as the suite's slowest series do
+        a, b, c, z = mp.mpc(1.5, 1), mp.mpc(1.5, -1), mp.mpf(2), mp.mpf("-0.79")
+        value = gauss_2f1(a, b, c, z)
+        monkeypatch.setattr(continuous, "MAX_SERIES_TERMS", 50)
+        with pytest.raises(PrecisionError, match="did not converge"):
+            gauss_2f1(a, b, c, z)
+        monkeypatch.setattr(continuous, "MAX_SERIES_TERMS", 2000)
+        assert gauss_2f1(a, b, c, z) == value
+
 
 class TestPhi:
     def test_value_one_at_origin(self):

@@ -252,6 +252,34 @@ def _of_epsilon(g):
     return lambda alpha: (g(1 / alpha),)
 
 
+class _TwoPassThiele(exact._Thiele):
+    """The reference feed: evaluate the whole fraction at e to test the
+    prediction, then run the inverse-difference chain as a second pass."""
+
+    def feed(self, e, value):
+        if self(e) == value:
+            self.confirmed += 1
+            return
+        self.confirmed, phi = 0, value
+        for node, a in zip(self.nodes, self.coeffs):
+            if phi == a:
+                return
+            phi = (e - node) / (phi - a)
+        self.nodes.append(e)
+        self.coeffs.append(phi)
+
+
+def _fed_alike(samples):
+    """Feed (e, value) samples to the one-pass and the reference feed, and
+    check after each that both fractions hold the same state."""
+    one, two = exact._Thiele(), _TwoPassThiele()
+    for e, value in samples:
+        one.feed(e, value)
+        two.feed(e, value)
+        assert (one.nodes, one.coeffs, one.confirmed) == (two.nodes, two.coeffs, two.confirmed)
+    return one
+
+
 class TestLimitAtInfinity:
     def test_known_rational(self):
         # type (2, 1) in e = 1/alpha: four points fix it, two more confirm it
@@ -292,6 +320,43 @@ class TestLimitAtInfinity:
             fraction.feed(Fraction(1, alpha), g(Fraction(1, alpha)))
         assert fraction(Fraction(0)) == 1
         assert limit_at_infinity(_of_epsilon(g), 20) == ((1,), 6)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.sampled_from([0, 1, -1, Fraction(1, 2), 2]) | rationals,
+                    min_size=1, max_size=12))
+    def test_one_pass_feed_matches_two_pass_on_random_samples(self, values):
+        # a small pool of values makes equal inverse differences, and so
+        # left-out points and confirmations at every level, common
+        _fed_alike((Fraction(1, alpha), Fraction(v)) for alpha, v in enumerate(values, 3))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        st.lists(rationals, min_size=1, max_size=4),
+        st.lists(rationals, min_size=1, max_size=3).filter(lambda d: d[0] != 0),
+    )
+    def test_one_pass_feed_matches_two_pass_on_rational_functions(self, numerator, denominator):
+        n, d = UniPoly(numerator), UniPoly(denominator)
+        es = [Fraction(1, alpha) for alpha in range(3, 15)]
+        _fed_alike((e, n(e) / d(e)) for e in es if d(e) != 0)
+
+    def test_sample_on_a_zero_tail_takes_the_fallback(self):
+        # four levels from four samples; at e* = e_2 - a_2 a_3 the tail below
+        # level 2 is zero, so level 1 is infinite and the fraction's value is
+        # a_0.  The sample (e*, a_0) meets phi_0 = a_0 at the first of four
+        # levels: only evaluating the fraction shows it is predicted.
+        samples = [(Fraction(1, alpha), Fraction(v))
+                   for alpha, v in ((3, 1), (4, 2), (5, -1), (6, 5))]
+        fraction = _fed_alike(samples)
+        assert len(fraction.nodes) == 4 and fraction.confirmed == 0
+        a = fraction.coeffs
+        e_star = fraction.nodes[2] - a[2] * a[3]
+        assert e_star not in fraction.nodes
+        assert fraction(e_star) == a[0]
+        fraction = _fed_alike([*samples, (e_star, a[0])])
+        assert (len(fraction.nodes), fraction.confirmed) == (4, 1)
+        # the same point with any other value is not predicted: it extends the fraction
+        fraction = _fed_alike([*samples, (e_star, a[0] + 1)])
+        assert (len(fraction.nodes), fraction.confirmed) == (5, 0)
 
     def test_degenerate_samples_are_skipped(self):
         def sample(alpha):
@@ -469,6 +534,32 @@ class TestUniPolyOracle:
             assert poly.den > 0
             assert not poly.nums or poly.nums[-1] != 0
             assert math.gcd(poly.den, *poly.nums) == 1
+
+    @given(st.lists(st.tuples(st.integers(-30, 30) | rationals | wide_rationals, coeff_lists),
+                    max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_combination_matches_a_fraction_sum(self, pairs):
+        # int and Fraction coefficients, zero ones and zero polynomials among them
+        expected = ()
+        for c, a in pairs:
+            expected = _ref_add(expected, _ref_trim(v * c for v in _ref_trim(a)))
+        got = UniPoly.combination((c, UniPoly(a)) for c, a in pairs)
+        assert got.coeffs == expected
+        assert got == UniPoly(expected)
+        assert got.den > 0 and math.gcd(got.den, *got.nums) == 1
+
+    @given(coeff_lists, rationals | wide_rationals, coeff_lists)
+    @settings(max_examples=60, deadline=None)
+    def test_combination_that_cancels_is_zero_over_one(self, a, c, b):
+        p, q = UniPoly(a), UniPoly(b)
+        total = UniPoly.combination([(c, p), (1, q), (-c, p), (-1, q)])
+        assert (total.nums, total.den) == ((), 1)
+        assert total == UniPoly.zero()
+
+    def test_combination_of_nothing_is_zero(self):
+        for pairs in ([], [(0, UniPoly([1, 2]))], [(Fraction(3, 4), UniPoly.zero())]):
+            total = UniPoly.combination(pairs)
+            assert (total.nums, total.den) == ((), 1)
 
     def test_constructor_accepts_strings_like_fraction(self):
         assert UniPoly(["1/2", "0", "-3/4"]).coeffs == (Fraction(1, 2), 0, Fraction(-3, 4))

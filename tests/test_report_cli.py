@@ -822,6 +822,55 @@ class TestCli:
         assert done.returncode == 0, done.stderr
         assert "eq40" in done.stdout
 
+    @pytest.mark.parametrize(
+        "args",
+        [["eval", "phi", "7/10", "1", "-1/2", "3/10", "--precision-digits", "200"],
+         ["list"],
+         ["verify", "racah", "--jobs", "1", "--format", "json-lines"]],
+        ids=["eval", "list", "verify"],
+    )
+    def test_reader_that_stops_early_costs_no_traceback(self, args):
+        # the read end closes before the first byte is written, as with
+        # `| head -c 5` on a long line
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "polyident", *args],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 0, err
+        assert "Traceback" not in err
+        assert err == ""
+
+    def test_reader_that_stops_early_keeps_the_exit_status(self, monkeypatch):
+        # verify's status comes from the records, not from the write
+        class ClosedPipe:
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return self.fd
+
+        failing = [VerificationReport("eq40", {"j": "0"}, "exact", "1", "fail")]
+        monkeypatch.setattr(cli, "run_suite", lambda name, config: failing)
+        read_end, write_end = os.pipe()
+        try:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(write_end))
+            assert main(["verify", "racah", "--jobs", "1"]) == 1
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(write_end))
+            assert main(["list"]) == 0
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+
     def test_eval_malformed_rational(self, capsys):
         assert main(["eval", "gegenbauer", "2", "zork"]) == 2
 
@@ -900,6 +949,14 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "PrecisionError" in captured.err
+
+    @pytest.mark.parametrize("lam", ["1e6", "1e400"])
+    def test_eval_spectral_parameter_out_of_reach_exits_two(self, lam, capsys):
+        # the series would need more terms than the cap, of ever larger size
+        assert main(["eval", "phi", lam, "1", "1", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "PrecisionError: 2F1 parameters out of reach" in captured.err
 
     def test_eval_precision_after_arguments(self, capsys):
         # a trailing --precision-digits is an option, not an argument, and
