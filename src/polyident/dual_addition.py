@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .classical import X2M1, addition_weight, gegenbauer_pairing, gegenbauer_r, norm_ratio
+from .classical import X2M1, gegenbauer_pairing, gegenbauer_r, norm_ratio
 from .errors import DomainError, IdentityViolationError, check_index
-from .exact import UniPoly, pochhammer, terminating_hyp_grid
-from .racah import RacahSystem, racah_h0, racah_values, racah_weight
+from .exact import UniPoly, rising_product, terminating_hyp_grid
+from .racah import RacahSystem, racah_h0, racah_system, racah_values, racah_weight
 
 _HALF = Fraction(1, 2)
 
@@ -64,38 +64,47 @@ def specialized_racah(s: DualSetting) -> RacahSystem:
     """The Racah system whose weights are the linearization coefficients.
 
     Validity of this system for every admissible setting is a checked
-    claim: construction runs the full RacahSystem validation.
+    claim: construction runs the full RacahSystem validation.  It is the
+    system :func:`~polyident.racah.racah_system` keeps for its parameters,
+    so a racah-suite task on the same specialization reads the same one.
     """
-    return RacahSystem(*racah_specialization(s.alpha, s.l, s.m), N=s.m)
+    return racah_system(*racah_specialization(s.alpha, s.l, s.m), s.m)
+
+
+def _twice_alpha_plus_one(alpha: Fraction) -> tuple[int, int]:
+    """(b, c) with 2 alpha + 1 = c/b, that is b the denominator of alpha =
+    a/b and c = 2a + b.  Then alpha + 1/2 = c/(2b) and alpha + 3/2 =
+    (c + 2b)/(2b), so the shifted factorials of the closed forms here are
+    rising products of integers (:func:`~polyident.exact.rising_product`)
+    over powers of b and 2b, and those powers cancel."""
+    return alpha.denominator, 2 * alpha.numerator + alpha.denominator
 
 
 @lru_cache(maxsize=None)
 def linearization_coeff(j: int, s: DualSetting) -> Fraction:
     """Coefficient of R_{l+m-2j} in the expansion of R_l R_m.
 
-    Computed from the explicit product-formula coefficients; strictly
-    positive for alpha > -1/2.  Memoised: eq17 and eq18 both read every
-    coefficient of a setting.
+    Computed from the explicit product-formula coefficients
+
+        l! m! (l+m+alpha+1/2-2j) (alpha+1/2)_j (alpha+1/2)_{l-j}
+        (alpha+1/2)_{m-j} (2 alpha+1)_{l+m-j}
+        / ((2 alpha+1)_l (2 alpha+1)_m (alpha+1/2) j! (l-j)! (m-j)!
+           (alpha+3/2)_{l+m-j}),
+
+    as one integer quotient (:func:`_twice_alpha_plus_one`); strictly positive
+    for alpha > -1/2.  Memoised: eq17 and eq18 both read every coefficient
+    of a setting.
     """
     check_index(j, s.m, "index")
-    al, l, m = s.alpha, s.l, s.m
-    pre = Fraction(math.factorial(l) * math.factorial(m)) / (
-        pochhammer(2 * al + 1, l) * pochhammer(2 * al + 1, m)
-    )
-    return (
-        pre
-        * (l + m + al + _HALF - 2 * j)
-        / (al + _HALF)
-        * pochhammer(al + _HALF, j)
-        * pochhammer(al + _HALF, l - j)
-        * pochhammer(al + _HALF, m - j)
-        * pochhammer(2 * al + 1, l + m - j)
-        / (
-            math.factorial(j)
-            * math.factorial(l - j)
-            * math.factorial(m - j)
-            * pochhammer(al + Fraction(3, 2), l + m - j)
-        )
+    l, m = s.l, s.m
+    b, c = _twice_alpha_plus_one(s.alpha)
+    f = math.factorial
+    return Fraction(
+        f(l) * f(m) * (2 * b * (l + m - 2 * j) + c)
+        * rising_product(c, 2 * b, j) * rising_product(c, 2 * b, l - j)
+        * rising_product(c, 2 * b, m - j) * rising_product(c, b, l + m - j) * b**j,
+        rising_product(c, b, l) * rising_product(c, b, m) * c * f(j) * f(l - j) * f(m - j)
+        * rising_product(c + 2 * b, 2 * b, l + m - j),
     )
 
 
@@ -121,18 +130,16 @@ def s_direct(n: int, s: DualSetting) -> UniPoly:
 
 
 def s_closed_prefactor(n: int, s: DualSetting) -> Fraction:
-    al, l, m = s.alpha, s.l, s.m
-    return (
-        pochhammer(2 * al + 1, l + n)
-        * pochhammer(2 * al + 1, m + n)
-        * pochhammer(al + _HALF, l + m)
-        / (
-            Fraction(2 ** (2 * n))
-            * pochhammer(al + _HALF, l)
-            * pochhammer(al + _HALF, m)
-            * pochhammer(2 * al + 1, l + m)
-            * pochhammer(al + 1, n) ** 2
-        )
+    """(2 alpha+1)_{l+n} (2 alpha+1)_{m+n} (alpha+1/2)_{l+m}
+    / (2^{2n} (alpha+1/2)_l (alpha+1/2)_m (2 alpha+1)_{l+m} (alpha+1)_n^2),
+    as one integer quotient."""
+    l, m, a = s.l, s.m, s.alpha.numerator
+    b, c = _twice_alpha_plus_one(s.alpha)
+    return Fraction(
+        rising_product(c, b, l + n) * rising_product(c, b, m + n)
+        * rising_product(c, 2 * b, l + m),
+        4**n * rising_product(c, 2 * b, l) * rising_product(c, 2 * b, m)
+        * rising_product(c, b, l + m) * rising_product(a + b, b, n) ** 2,
     )
 
 
@@ -165,13 +172,21 @@ def dual_addition_coeffs(j: int, s: DualSetting) -> tuple[Fraction, ...]:
 @lru_cache(maxsize=None)
 def _coeff_factor(n: int, s: DualSetting) -> Fraction:
     """addition_weight(n, alpha) (-l)_n (-m)_n / n!, the j-independent
-    factor of :func:`dual_addition_coeffs`; memoised, since every j of a
-    setting needs it."""
-    return (
-        addition_weight(n, s.alpha)
-        * pochhammer(Fraction(-s.l), n)
-        * pochhammer(Fraction(-s.m), n)
-        / math.factorial(n)
+    factor of :func:`dual_addition_coeffs`, as one integer quotient; at
+    n >= 1 it is
+
+        2 (alpha+n) (2 alpha+1)_n (-l)_n (-m)_n
+        / ((2 alpha+n) 2^{2n} (alpha+1)_n^2 n!),
+
+    and 1 at n = 0.  Memoised, since every j of a setting needs it."""
+    if n == 0:
+        return Fraction(1)
+    a = s.alpha.numerator
+    b, c = _twice_alpha_plus_one(s.alpha)
+    return Fraction(
+        2 * (a + n * b) * rising_product(c, b, n) * b**n
+        * rising_product(-s.l, 1, n) * rising_product(-s.m, 1, n),
+        (c + (n - 1) * b) * 4**n * rising_product(a + b, b, n) ** 2 * math.factorial(n),
     )
 
 
@@ -241,16 +256,16 @@ def whipple_factor(j: int, s: DualSetting) -> Fraction:
     admissible indices):
 
         (j-l)_{m-j} (j+alpha+1/2)_{m-j}
-        / ((alpha+1/2)_{m-j} (l+2 alpha+1)_{m-j}).
+        / ((alpha+1/2)_{m-j} (l+2 alpha+1)_{m-j}),
 
-    Memoised per (j, setting).
+    as one integer quotient.  Memoised per (j, setting).
     """
     check_index(j, s.m, "index")
-    al, l, m = s.alpha, s.l, s.m
-    return (
-        pochhammer(Fraction(j - l), m - j)
-        * pochhammer(j + al + _HALF, m - j)
-        / (pochhammer(al + _HALF, m - j) * pochhammer(l + 2 * al + 1, m - j))
+    l, k = s.l, s.m - j
+    b, c = _twice_alpha_plus_one(s.alpha)
+    return Fraction(
+        rising_product(j - l, 1, k) * rising_product(c + 2 * b * j, 2 * b, k) * b**k,
+        rising_product(c, 2 * b, k) * rising_product(c + b * l, b, k),
     )
 
 

@@ -16,7 +16,8 @@ with one gcd per result instead of one per coefficient operation.
 The integer kernels that build one ``Fraction`` per value, from integer
 numerators and denominators:
 
-- ``pochhammer`` and ``poch_quotient`` here;
+- ``pochhammer`` (over ``rising_product``, the integer numerator of a
+  shifted factorial) and ``poch_quotient`` here;
 - ``terminating_hyp_grid`` here, which sums a whole grid of terminating
   series whose upper parameters split into a row part and a column part:
   each row's and each column's shifted-factorial products are formed once,
@@ -52,7 +53,7 @@ from itertools import zip_longest
 from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import DegenerateParameterError, DomainError, RelationViolationError
+from .errors import DegenerateParameterError, DomainError
 
 Rational = Fraction
 
@@ -80,16 +81,22 @@ def format_rational(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
 
 
+def rising_product(p: int, q: int, n: int) -> int:
+    """p (p+q) (p+2q) ... (p+(n-1)q), which is q^n (p/q)_n: the integer
+    numerator of a shifted factorial; 1 for n = 0."""
+    num = 1
+    for i in range(n):
+        num *= p + i * q
+    return num
+
+
 def pochhammer(a: Fraction | int, n: int) -> Fraction:
     """Shifted factorial a (a+1) ... (a+n-1); empty product for n = 0."""
     if n < 0:
         raise DomainError(f"pochhammer needs n >= 0, got {n}")
     # with a = p/q the product is prod (p + i q) / q^n: one reduction, not n
-    p, q = a.numerator, a.denominator
-    num = 1
-    for i in range(n):
-        num *= p + i * q
-    return Fraction(num, q**n)
+    q = a.denominator
+    return Fraction(rising_product(a.numerator, q, n), q**n)
 
 
 def poch_quotient(
@@ -544,32 +551,6 @@ class SurdPoly:
 
     def max_abs_coeff(self) -> Fraction:
         return Fraction(max(map(abs, self.nums.values())), self.den) if self.nums else Fraction(0)
-
-    def substitute(self, bindings: Mapping[str, Fraction | int]) -> Fraction:
-        """Exact evaluation at a point satisfying the quotient relations.
-
-        ``bindings`` must assign every variable appearing in the element;
-        whenever (x, u) or (y, v) are both bound, u^2 = 1 - x^2 and
-        v^2 = 1 - y^2 are required exactly.
-        """
-        vals = {k: Fraction(v) for k, v in bindings.items()}
-        for sq, base in (("u", "x"), ("v", "y")):
-            if sq in vals and base in vals:
-                if vals[sq] ** 2 != 1 - vals[base] ** 2:
-                    raise RelationViolationError(
-                        f"{sq}^2 != 1 - {base}^2 for {sq}={vals[sq]}, {base}={vals[base]}"
-                    )
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            term = coeff
-            for exp, name in zip(mono, SURD_VARS):
-                if exp == 0:
-                    continue
-                if name not in vals:
-                    raise RelationViolationError(f"no binding for variable {name!r}")
-                term *= vals[name] ** exp
-            total += term
-        return total
 
     def set_t(self, value: Fraction | int) -> "SurdPoly":
         """Substitute a rational value for t, staying in the ring."""

@@ -37,7 +37,9 @@ class HermiteSetting:
 
     The setting builds its m+1 product blocks and m+1 linearized blocks on
     first use and keeps them, so a check that runs every index of one
-    setting forms each block once; they go when the setting does.
+    setting forms each block once.  The checks take their setting from
+    :func:`hermite_setting`, which keeps one per (l, m) for the process, so
+    every check at one (l, m) reads the same blocks.
     """
 
     l: int
@@ -54,6 +56,13 @@ class HermiteSetting:
     @cached_property
     def linearized_blocks(self) -> tuple[UniPoly, ...]:
         return tuple(_linearized_block(j, self) for j in range(self.m + 1))
+
+
+@lru_cache(maxsize=None)
+def hermite_setting(l: int, m: int) -> HermiteSetting:
+    """The one setting of (l, m) in this process: eq46, eq47 and the limit
+    checks at (l, m) share it, and so form each of its blocks once."""
+    return HermiteSetting(l, m)
 
 
 @lru_cache(maxsize=None)
@@ -209,8 +218,8 @@ def _point(x: Fraction | None, target: str) -> Fraction:
 
 
 def _setting(idx: Mapping[str, int], *names: str) -> HermiteSetting:
-    """HermiteSetting(l, m), after checking each named index lies in 0..m."""
-    s = HermiteSetting(idx["l"], idx["m"])
+    """The setting of (l, m), after checking each named index lies in 0..m."""
+    s = hermite_setting(idx["l"], idx["m"])
     for name in names:
         check_index(idx[name], s.m, f"index {name}")
     return s
@@ -325,7 +334,7 @@ def _eq40_to_eq46(idx, x) -> LimitClaim:
         return (factor(l + m - 2 * j, 0).scale(rescale), *terms)
 
     hermite_terms = (hermite_dual_addition_term(n, j, s) for n in range(m + 1))
-    return LimitClaim(scalars, (_linearized_block(j, s), *hermite_terms), assemble)
+    return LimitClaim(scalars, (s.linearized_blocks[j], *hermite_terms), assemble)
 
 
 #: target id -> (description of the limit, builder of its claim)

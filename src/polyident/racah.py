@@ -9,23 +9,37 @@ list of offending factors beats a ZeroDivisionError deep inside a sweep.
 Running products are the one evaluator of the closed forms: validation
 evaluates the weights, the mass, the norm ratios and the endpoint values
 as running products, one factor per index step, with the zero factors
-counted apart from the rest.  A zero on both sides of a quotient cancels,
-as :func:`polyident.exact.poch_quotient` cancels it, so the closed forms
-stay finite at parameter ties where individual shifted factorials vanish
-(the tests pin every value against ``poch_quotient`` and against
-direct-sum oracles).  The system keeps these values, and
-:func:`racah_weight`, :func:`racah_h0`, :func:`racah_norm_ratio` and
+counted apart from the rest.  Validation is fraction-free: the four
+parameters are brought over one common denominator D, every base of every
+shifted factorial is then an integer over D, and since each closed form
+has as many shifted factorials above as below, the powers of D cancel and
+each value is one integer quotient, reduced once (the weight
+normalization (gamma+delta+1+2x)/(gamma+delta+1) included).  Each
+series-denominator base is tested once, as an integer in (-N, 0], and the
+norm divisor alpha+beta+2n+1 by solving for its one zero.  A zero on
+both sides of a quotient cancels, as :func:`polyident.exact.poch_quotient`
+cancels it, so the closed forms stay finite at parameter ties where
+individual shifted factorials vanish (the tests pin every value against
+``poch_quotient`` and against direct-sum oracles, and the problems and
+values against a loop over the indices on ``Fraction`` bases).
+
+The system keeps these values, and :func:`racah_weight`,
+:func:`racah_h0`, :func:`racah_norm_ratio` and
 :func:`endpoint_value_residual` read them.  It also keeps two grids, each
 formed on first use by :func:`polyident.exact.terminating_hyp_grid`: the
 values R_n(x) (:func:`racah_values`), which every check that reads many of
 them reads, and the shifted-system terms that the backward shift and
-summation by parts share.  Nothing is memoised by function;
-:func:`racah_eval` sums the one series it is asked for.
+summation by parts share.  :func:`racah_system` keeps one validated
+system per (alpha, beta, gamma, delta, N), so the racah suite and the
+dual-addition specializations share one; otherwise nothing is memoised
+by function, and :func:`racah_eval` sums the one series it is asked for.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -83,11 +97,21 @@ class RacahSystem:
 
     @staticmethod
     def parse(params: str, N: int) -> "RacahSystem":
-        """Build from "alpha,beta,gamma,delta" rational strings plus N."""
+        """The system of "alpha,beta,gamma,delta" rational strings plus N,
+        as :func:`racah_system` keeps it."""
         parts = [parse_rational(p) for p in params.split(",")]
         if len(parts) != 4:
             raise DomainError(f"expected 4 comma-separated rationals, got {params!r}")
-        return RacahSystem(*parts, N=N)
+        return racah_system(*parts, N)
+
+
+@lru_cache(maxsize=None)
+def racah_system(alpha: Rational, beta: Rational, gamma: Rational, delta: Rational,
+                 N: int) -> RacahSystem:
+    """The one validated system of these parameters in this process, so
+    that every check on it, whichever suite asks, shares its closed forms
+    and its grids."""
+    return RacahSystem(alpha, beta, gamma, delta, N=N)
 
 
 class ClosedForms(NamedTuple):
@@ -102,59 +126,76 @@ class ClosedForms(NamedTuple):
 def _validate(sys: RacahSystem) -> tuple[list[str], ClosedForms]:
     """Diagnostics for every denominator zero over the index range, and the
     closed forms evaluated on the way (None where one has a zero; the
-    weights are normalized only when there is no problem)."""
-    al, be, ga, de = sys.as_tuple()
+    weights are normalized only when there is no problem).
+
+    The parameters are brought over one common denominator D, so every
+    base and every factor is an integer over D; each closed form has as
+    many shifted factorials above as below, so the powers of D cancel and
+    each value is one integer quotient, reduced once.
+    """
+    D, (A, B, G, E) = _over_common_denominator(sys.as_tuple())
     N = sys.N
     problems: list[str] = []
 
-    def closed(what: str, state: _State):
-        try:
-            return _quotient(state)
-        except DegenerateParameterError as exc:
-            count = len(exc.factors)
-            problems.append(f"{what}: {count} zero factor{'s' if count > 1 else ''}")
-            return None
+    def has_value(what: str, state: _State) -> bool:
+        """Record the problem of a zero factor left below; True if none."""
+        zeros_above, zeros_below = state[2:]
+        if zeros_below > zeros_above:
+            problems.append(f"{what}: {zeros_below} zero factor{'s' if zeros_below > 1 else ''}")
+            return False
+        return True
 
-    if ga + de + 1 == 0:
+    norm_divisor = G + E + D  # gamma+delta+1, over D
+    if norm_divisor == 0:
         problems.append("gamma+delta+1 = 0 (weight normalization divisor)")
 
-    # hypergeometric-sum denominators, k = 1..N
-    for name, base in (("alpha+1", al + 1), ("beta+delta+1", be + de + 1),
-                       ("gamma+1", ga + 1)):
-        for k in range(N):
-            if base + k == 0:
-                problems.append(f"({name})_{{{k + 1}}} = 0 in the series denominator")
-                break
+    # hypergeometric-sum denominators, k = 1..N: (base)_k vanishes for some
+    # k <= N exactly when base is an integer in (-N, 0]
+    for name, base in (("alpha+1", A + D), ("beta+delta+1", B + E + D), ("gamma+1", G + D)):
+        if base % D == 0 and -N < base // D <= 0:
+            problems.append(f"({name})_{{{1 - base // D}}} = 0 in the series denominator")
 
     # weights, mass, norms and endpoint closed forms must evaluate everywhere
-    weights = [
-        closed(f"weight at x={x}", state)
-        for x, state in enumerate(_running_quotients(*_weight_bases(al, be, ga, de), N))
-    ]
-    h0 = closed("total mass closed form", _running_quotients(
-        [al + be + 2, -de], [al - de + 1, be + 1], N
-    )[N])
-    # the (alpha+beta+1)/(alpha+beta+1)_n block cancels its possible zero
+    weight_states = _running_quotients(*_weight_bases(A, B, G, E, D), D, N)
+    weights_valid = [has_value(f"weight at x={x}", state) for x, state in enumerate(weight_states)]
+    h0_state = _running_quotients([A + B + 2 * D, -E], [A - E + D, B + D], D, N)[N]
+    h0 = _value(h0_state) if has_value("total mass closed form", h0_state) else None
+    # the (alpha+beta+1)/(alpha+beta+1)_n block cancels its possible zero;
+    # alpha+beta+2n+1 vanishes at n = -(alpha+beta+1)/2 when that is in 1..N
     norm_states = _running_quotients(
-        [be + 1, al + be - ga + 1, al - de + 1, Fraction(1)],
-        [al + 1, al + be + 1, be + de + 1, ga + 1],
-        N,
+        [B + D, A + B - G + D, A - E + D, D], [A + D, A + B + D, B + E + D, G + D], D, N
     )
-    endpoint_states = _running_quotients([be + 1, al - de + 1], [al + 1, be + de + 1], N)
-    norm_ratios = []
-    endpoints = []
+    endpoint_states = _running_quotients([B + D, A - E + D], [A + D, B + E + D], D, N)
+    first = A + B + D  # alpha+beta+1, over D
+    zero_n = -first // (2 * D) if first % (2 * D) == 0 else None
+    norm_ratios: list[Fraction | None] = []
+    endpoints: list[Fraction | None] = []
     for n in range(N + 1):
-        norm_ratios.append(Fraction(1) if n == 0 else closed(
-            f"norm ratio at n={n}",
-            _times(norm_states[n], al + be + 1, al + be + 2 * n + 1),
-        ))
-        if n >= 1 and al + be + 2 * n + 1 == 0:
-            problems.append(f"alpha+beta+2n+1 = 0 at n={n} (norm divisor)")
+        if n == 0:
+            norm_ratios.append(Fraction(1))
+        else:
+            state = _times(norm_states[n], first, first + 2 * n * D)
+            norm_ratios.append(_value(state) if has_value(f"norm ratio at n={n}", state) else None)
+            if n == zero_n:
+                problems.append(f"alpha+beta+2n+1 = 0 at n={n} (norm divisor)")
         # the Saalschuetz closed form of R_n(N)
-        endpoints.append(closed(f"endpoint value at n={n}", endpoint_states[n]))
-    if not problems:
-        weights = [w * (ga + de + 1 + 2 * x) / (ga + de + 1) for x, w in enumerate(weights)]
+        state = endpoint_states[n]
+        endpoints.append(_value(state) if has_value(f"endpoint value at n={n}", state) else None)
+    if problems:
+        weights = [_value(state) if valid else None
+                   for state, valid in zip(weight_states, weights_valid)]
+    else:
+        # normalized by (gamma+delta+1+2x)/(gamma+delta+1) in the same quotient
+        weights = [_value(_times(state, norm_divisor + 2 * x * D, norm_divisor))
+                   for x, state in enumerate(weight_states)]
     return problems, ClosedForms(tuple(weights), h0, tuple(norm_ratios), tuple(endpoints))
+
+
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(D, numerators): the values as integers over their least common
+    denominator D."""
+    D = math.lcm(*(v.denominator for v in values))
+    return D, [v.numerator * (D // v.denominator) for v in values]
 
 
 #: a running quotient: (product of the nonzero factors as numerator and
@@ -163,64 +204,73 @@ _State = tuple[int, int, int, int]
 
 
 def _running_quotients(
-    numerators: Sequence[Fraction], denominators: Sequence[Fraction], last: int
+    numerators: Sequence[int], denominators: Sequence[int], step: int, last: int
 ) -> list[_State]:
-    """prod_a (a)_i / prod_b (b)_i for i = 0..last, by one factor per step."""
-    above = [(a.numerator, a.denominator) for a in numerators]
-    below = [(b.numerator, b.denominator) for b in denominators]
+    """prod_a (a/step)_i / prod_b (b/step)_i for i = 0..last, by one factor
+    per step, for as many bases a above as b below: the bases are integers
+    over the common denominator ``step``, whose powers cancel wherever the
+    quotient has a value (as many zero factors above as below)."""
     num = den = 1
     zeros_above = zeros_below = 0
     states = [(num, den, zeros_above, zeros_below)]
     for i in range(last):
-        for p, q in above:
-            if p + i * q:
-                num *= p + i * q
-                den *= q
+        shift = i * step
+        for a in numerators:
+            if a + shift:
+                num *= a + shift
             else:
                 zeros_above += 1
-        for p, q in below:
-            if p + i * q:
-                num *= q
-                den *= p + i * q
+        for b in denominators:
+            if b + shift:
+                den *= b + shift
             else:
                 zeros_below += 1
         states.append((num, den, zeros_above, zeros_below))
     return states
 
 
-def _times(state: _State, above: Fraction, below: Fraction) -> _State:
-    """A running quotient times the factor ``above`` over ``below``."""
+def _times(state: _State, above: int, below: int) -> _State:
+    """A running quotient times the factor ``above`` over ``below``, two
+    integers over one denominator."""
     num, den, zeros_above, zeros_below = state
     if above:
-        num, den = num * above.numerator, den * above.denominator
+        num *= above
     else:
         zeros_above += 1
     if below:
-        num, den = num * below.denominator, den * below.numerator
+        den *= below
     else:
         zeros_below += 1
     return num, den, zeros_above, zeros_below
+
+
+def _value(state: _State) -> Fraction:
+    """The value of a running quotient with no zero left below: zero
+    factors cancel in pairs, and a zero left above makes it 0."""
+    num, den, zeros_above, zeros_below = state
+    return Fraction(0) if zeros_above > zeros_below else Fraction(num, den)
 
 
 def _quotient(state: _State) -> Fraction:
     """The value of a running quotient, as ``poch_quotient`` gives it: zero
     factors cancel in pairs, a zero left above makes it 0, and one left
     below raises DegenerateParameterError listing every zero below."""
-    num, den, zeros_above, zeros_below = state
+    zeros_above, zeros_below = state[2:]
     if zeros_below > zeros_above:
         raise DegenerateParameterError(
             "zero denominator factor survives cancellation", factors=["0"] * zeros_below
         )
-    return Fraction(0) if zeros_above > zeros_below else Fraction(num, den)
+    return _value(state)
 
 
-def _weight_bases(al, be, ga, de) -> tuple[list[Fraction], list[Fraction]]:
+def _weight_bases(A: int, B: int, G: int, E: int, D: int) -> tuple[list[int], list[int]]:
     """The shifted-factorial bases of the orthogonality weight at x, each
     of length x, without the (gamma+delta+1+2x)/(gamma+delta+1)
-    normalization factor."""
+    normalization factor: integers over the parameters' common denominator
+    D, for the numerators A, B, G, E of alpha, beta, gamma, delta."""
     return (
-        [al + 1, be + de + 1, ga + 1, ga + de + 1],
-        [-al + ga + de + 1, -be + ga + 1, de + 1, Fraction(1)],
+        [A + D, B + E + D, G + D, G + E + D],
+        [-A + G + E + D, -B + G + D, E + D, D],
     )
 
 
@@ -291,7 +341,8 @@ def _shifted_terms(sys: RacahSystem) -> Values:
     if sys._shifted is None:
         al, be, ga, de = sys.as_tuple()
         shifted = (al + 1, be + 1, ga + 1, de)
-        states = _running_quotients(*_weight_bases(*shifted), sys.N - 1)
+        D, (A, B, G, E) = _over_common_denominator(shifted)
+        states = _running_quotients(*_weight_bases(A, B, G, E, D), D, sys.N - 1)
         values = _values_grid(range(sys.N), range(sys.N), *shifted)
         weights = [_quotient(state) for state in states]
         object.__setattr__(sys, "_shifted", tuple(

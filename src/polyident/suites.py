@@ -313,7 +313,9 @@ def _numeric_result(value, tolerance, extra: dict[str, str] | None = None) -> Ta
 @functools.lru_cache(maxsize=None)
 def _system(system: str, n_points: int) -> racah.RacahSystem:
     """One parsed and validated system per (system string, N): each system
-    serves every racah task built on it."""
+    serves every racah task built on it, and it is the system
+    ``racah.racah_system`` keeps, which the dual-addition and Hermite
+    checks on the same parameters read too."""
     return racah.RacahSystem.parse(system, n_points)
 
 
@@ -588,7 +590,7 @@ def _task_hermite_product(p, config):
 
 @identity("eq46", "hermite", "dual addition formula for Hermite polynomials", _hermite_lm)
 def _task_eq46(p, config):
-    s = hermite_limit.HermiteSetting(p["l"], p["m"])
+    s = hermite_limit.hermite_setting(p["l"], p["m"])
     return _exact_result(
         *(hermite_limit.hermite_dual_addition_residual(j, s) for j in range(s.m + 1))
     )
@@ -596,7 +598,7 @@ def _task_eq46(p, config):
 
 @identity("eq47", "hermite", "inverse (Fourier-type) Hermite expansion", _hermite_lm)
 def _task_eq47(p, config):
-    s = hermite_limit.HermiteSetting(p["l"], p["m"])
+    s = hermite_limit.hermite_setting(p["l"], p["m"])
     return _exact_result(
         *(hermite_limit.hermite_dual_inverse_residual(n, s) for n in range(s.m + 1))
     )

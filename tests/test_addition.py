@@ -21,6 +21,8 @@ from polyident.classical import gegenbauer_r, jacobi_r
 from polyident.errors import DomainError
 from polyident.exact import SurdPoly, pythagorean_point
 
+from surd_values import substitute
+
 HALF = Fraction(1, 2)
 GRID_ALPHAS = [Fraction(0), HALF, Fraction(1), Fraction(7, 3)]
 
@@ -91,7 +93,7 @@ class TestAdditionRhs:
             y, v = pythagorean_point(s2)
             t, _ = pythagorean_point(s3)
             bindings = {"x": x, "u": u, "y": y, "v": v, "t": t}
-            assert lhs.substitute(bindings) == rhs.substitute(bindings)
+            assert substitute(lhs, bindings) == substitute(rhs, bindings)
 
 
 class TestProductFormula:
@@ -125,7 +127,7 @@ class TestTOne:
             y, v = pythagorean_point(s2)
             cos_diff = x * y + u * v
             direct = gegenbauer_r(5, HALF)(cos_diff)
-            assert value_poly.substitute({"x": x, "u": u, "y": y, "v": v}) == direct
+            assert substitute(value_poly, {"x": x, "u": u, "y": y, "v": v}) == direct
 
     def test_y_equals_x_reduces_to_partition_of_unity(self):
         # substituting y -> x, v -> u turns the t = 1 expansion into the

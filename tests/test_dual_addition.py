@@ -1,6 +1,7 @@
 """Dual addition machinery: linearization weights, the sum S, the expansion."""
 
 import itertools
+import math
 import pickle
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyident import addition, hermite_limit
+from polyident import addition, dual_addition, hermite_limit
 from polyident.classical import (
     addition_weight,
     even_moment,
@@ -33,7 +34,7 @@ from polyident.dual_addition import (
     whipple_proportionality,
 )
 from polyident.errors import DomainError
-from polyident.exact import UniPoly, format_rational, parse_rational
+from polyident.exact import UniPoly, format_rational, parse_rational, pochhammer
 from polyident.racah import (
     RacahSystem,
     racah_eval,
@@ -350,6 +351,86 @@ class TestCaches:
         for n in range(s.m + 1):
             assert s_closed(n, s) is not s_direct(n, s)
             assert s_closed(n, s) == s_direct.__wrapped__(n, s)
+
+
+# The four closed forms as products and quotients of Fraction shifted
+# factorials, as the paper states them: the oracle for their integer
+# quotients.
+
+
+def _linearization_coeff_fractions(j, s):
+    al, l, m = s.alpha, s.l, s.m
+    pre = Fraction(math.factorial(l) * math.factorial(m)) / (
+        pochhammer(2 * al + 1, l) * pochhammer(2 * al + 1, m)
+    )
+    return (
+        pre
+        * (l + m + al + HALF - 2 * j)
+        / (al + HALF)
+        * pochhammer(al + HALF, j)
+        * pochhammer(al + HALF, l - j)
+        * pochhammer(al + HALF, m - j)
+        * pochhammer(2 * al + 1, l + m - j)
+        / (
+            math.factorial(j)
+            * math.factorial(l - j)
+            * math.factorial(m - j)
+            * pochhammer(al + Fraction(3, 2), l + m - j)
+        )
+    )
+
+
+def _s_closed_prefactor_fractions(n, s):
+    al, l, m = s.alpha, s.l, s.m
+    return (
+        pochhammer(2 * al + 1, l + n)
+        * pochhammer(2 * al + 1, m + n)
+        * pochhammer(al + HALF, l + m)
+        / (
+            Fraction(2 ** (2 * n))
+            * pochhammer(al + HALF, l)
+            * pochhammer(al + HALF, m)
+            * pochhammer(2 * al + 1, l + m)
+            * pochhammer(al + 1, n) ** 2
+        )
+    )
+
+
+def _whipple_factor_fractions(j, s):
+    al, l, m = s.alpha, s.l, s.m
+    return (
+        pochhammer(Fraction(j - l), m - j)
+        * pochhammer(j + al + HALF, m - j)
+        / (pochhammer(al + HALF, m - j) * pochhammer(l + 2 * al + 1, m - j))
+    )
+
+
+def _coeff_factor_fractions(n, s):
+    return (
+        addition_weight.__wrapped__(n, s.alpha)
+        * pochhammer(Fraction(-s.l), n)
+        * pochhammer(Fraction(-s.m), n)
+        / math.factorial(n)
+    )
+
+
+class TestIntegerClosedForms:
+    @pytest.mark.parametrize("alpha", ["0", "1/2", "1", "7/3", "-1/3", "5/7", "13/5"])
+    def test_integer_quotients_equal_their_fraction_forms(self, alpha):
+        alpha = parse_rational(alpha)
+        forms = (
+            (linearization_coeff.__wrapped__, _linearization_coeff_fractions),
+            (s_closed_prefactor, _s_closed_prefactor_fractions),
+            (whipple_factor.__wrapped__, _whipple_factor_fractions),
+            (dual_addition._coeff_factor.__wrapped__, _coeff_factor_fractions),
+        )
+        for m, l in itertools.combinations_with_replacement(range(11), 2):
+            s = DualSetting(alpha, l, m)
+            for index in range(m + 1):
+                for integer_form, fraction_form in forms:
+                    value = integer_form(index, s)
+                    assert type(value) is Fraction
+                    assert value == fraction_form(index, s), (integer_form, index, s)
 
 
 def _fields(value):

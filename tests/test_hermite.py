@@ -92,11 +92,25 @@ class TestDualAdditionHermite:
                     assert hermite_dual_inverse_residual(n, s).is_zero
 
 
+#: the checks that read the blocks of a Hermite setting
+BLOCK_READERS = ("eq46", "eq47", "eq40-to-eq46")
+
+
+def _tasks_at(identity, l, m):
+    """The tasks of ``identity`` at (l, m): one for eq46 and eq47, one per j
+    for eq40-to-eq46."""
+    base = {"l": str(l), "m": str(m)}
+    if identity == "eq40-to-eq46":
+        return [dict(base, j=str(j)) for j in range(m + 1)]
+    return [base]
+
+
 class TestBlocksOncePerTask:
-    @pytest.mark.parametrize("identity", ["eq46", "eq47"])
+    @pytest.mark.parametrize("identity", BLOCK_READERS)
     def test_each_block_is_formed_once(self, identity, monkeypatch):
-        # a task at (l, m) forms its m+1 product and m+1 linearized blocks
-        # once each, not once per index
+        # the m+1 product and m+1 linearized blocks of (l, m) are formed
+        # once per process, by whichever check reaches them first: the
+        # other checks at (l, m) read the same blocks
         formed = {"product": 0, "linearized": 0}
 
         def counting(kind, build):
@@ -109,19 +123,30 @@ class TestBlocksOncePerTask:
         for kind in formed:
             name = f"_{kind}_block"
             monkeypatch.setattr(hermite_limit, name, counting(kind, getattr(hermite_limit, name)))
+        hermite_limit.hermite_setting.cache_clear()
         l, m = 6, 4
-        result = suites.run_task(identity, {"l": str(l), "m": str(m)}, suites.SuiteConfig())
-        assert result.passed
-        assert formed == {"product": m + 1, "linearized": m + 1}
+        order = [identity, *(other for other in BLOCK_READERS if other != identity)]
+        for reader in order:
+            for params in _tasks_at(reader, l, m):
+                assert suites.run_task(reader, params, suites.SuiteConfig()).passed
+            assert formed == {"product": m + 1, "linearized": m + 1}, reader
+        hermite_limit.hermite_setting.cache_clear()
 
     def test_blocks_are_kept_by_their_setting(self):
-        # not in a global cache: an equal setting forms its own blocks
-        first, second = HermiteSetting(6, 4), HermiteSetting(6, 4)
-        assert first.product_blocks is first.product_blocks
-        assert first.product_blocks is not second.product_blocks
-        for i in range(first.m + 1):
-            assert first.product_blocks[i] == hermite_limit._product_block(i, second)
-            assert first.linearized_blocks[i] == hermite_limit._linearized_block(i, second)
+        # one setting per (l, m) per process, keeping its blocks; a setting
+        # built directly forms its own, equal blocks
+        hermite_limit.hermite_setting.cache_clear()
+        shared = hermite_limit.hermite_setting(6, 4)
+        assert hermite_limit.hermite_setting(6, 4) is shared
+        assert shared.product_blocks is hermite_limit.hermite_setting(6, 4).product_blocks
+        assert hermite_limit.hermite_setting(4, 4) is not shared
+        direct = HermiteSetting(6, 4)
+        assert direct == shared
+        assert direct.product_blocks is not shared.product_blocks
+        for i in range(shared.m + 1):
+            assert shared.product_blocks[i] == hermite_limit._product_block(i, direct)
+            assert shared.linearized_blocks[i] == hermite_limit._linearized_block(i, direct)
+        assert hermite_limit.hermite_setting.cache_info().misses == 2
 
 
 class TestBiorthogonality:

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,90 @@ def _reference_validation(al, be, ga, de, N):
     if not problems:
         weights = [w * (ga + de + 1 + 2 * x) / (ga + de + 1) for x, w in enumerate(weights)]
     return problems, weights, ratios, endpoints
+
+
+def _loop_validation(al, be, ga, de, N):
+    """Validation as a loop over the indices on ``Fraction`` bases: each
+    series-denominator base is tested at every k < N, the norm divisor is
+    formed at every n and the weights are normalized by ``Fraction``
+    arithmetic.  Returns the problems and the ``ClosedForms`` that
+    ``racah._validate`` must return."""
+    problems = []
+
+    def running(numerators, denominators, last):
+        num = den = 1
+        zeros_above = zeros_below = 0
+        states = [(num, den, zeros_above, zeros_below)]
+        for i in range(last):
+            for a in numerators:
+                if a + i:
+                    num, den = num * (a + i).numerator, den * (a + i).denominator
+                else:
+                    zeros_above += 1
+            for b in denominators:
+                if b + i:
+                    num, den = num * (b + i).denominator, den * (b + i).numerator
+                else:
+                    zeros_below += 1
+            states.append((num, den, zeros_above, zeros_below))
+        return states
+
+    def times(state, above, below):
+        num, den, zeros_above, zeros_below = state
+        if above:
+            num, den = num * above.numerator, den * above.denominator
+        else:
+            zeros_above += 1
+        if below:
+            num, den = num * below.denominator, den * below.numerator
+        else:
+            zeros_below += 1
+        return num, den, zeros_above, zeros_below
+
+    def closed(what, state):
+        num, den, zeros_above, zeros_below = state
+        if zeros_below > zeros_above:
+            count = zeros_below
+            problems.append(f"{what}: {count} zero factor{'s' if count > 1 else ''}")
+            return None
+        return Fraction(0) if zeros_above > zeros_below else Fraction(num, den)
+
+    if ga + de + 1 == 0:
+        problems.append("gamma+delta+1 = 0 (weight normalization divisor)")
+    for name, base in (("alpha+1", al + 1), ("beta+delta+1", be + de + 1),
+                       ("gamma+1", ga + 1)):
+        for k in range(N):
+            if base + k == 0:
+                problems.append(f"({name})_{{{k + 1}}} = 0 in the series denominator")
+                break
+    weights = [
+        closed(f"weight at x={x}", state)
+        for x, state in enumerate(running(
+            [al + 1, be + de + 1, ga + 1, ga + de + 1],
+            [-al + ga + de + 1, -be + ga + 1, de + 1, Fraction(1)],
+            N,
+        ))
+    ]
+    h0 = closed("total mass closed form",
+                running([al + be + 2, -de], [al - de + 1, be + 1], N)[N])
+    norm_states = running(
+        [be + 1, al + be - ga + 1, al - de + 1, Fraction(1)],
+        [al + 1, al + be + 1, be + de + 1, ga + 1],
+        N,
+    )
+    endpoint_states = running([be + 1, al - de + 1], [al + 1, be + de + 1], N)
+    ratios = []
+    endpoints = []
+    for n in range(N + 1):
+        ratios.append(Fraction(1) if n == 0 else closed(
+            f"norm ratio at n={n}", times(norm_states[n], al + be + 1, al + be + 2 * n + 1)
+        ))
+        if n >= 1 and al + be + 2 * n + 1 == 0:
+            problems.append(f"alpha+beta+2n+1 = 0 at n={n} (norm divisor)")
+        endpoints.append(closed(f"endpoint value at n={n}", endpoint_states[n]))
+    if not problems:
+        weights = [w * (ga + de + 1 + 2 * x) / (ga + de + 1) for x, w in enumerate(weights)]
+    return problems, racah.ClosedForms(tuple(weights), h0, tuple(ratios), tuple(endpoints))
 
 
 def spec_system(alpha, l, m) -> RacahSystem:
@@ -213,6 +298,28 @@ class TestClosedFormsOnce:
         assert list(sys._closed.norm_ratios) == ratios
         assert list(sys._closed.endpoints) == endpoints
         assert racah_h0(sys) == _h0_closed(N, al, be, ga, de)
+
+    def test_integer_validation_matches_the_loop_version(self):
+        # a seeded sweep that lands on many degenerate tuples: parameters
+        # with small denominators near the poles of every base, and the
+        # dual-addition specializations among them
+        rng = random.Random(20261020)
+        values = [Fraction(p, q) for q in (1, 2, 3) for p in range(-8 * q, 4 * q + 1)]
+        degenerate = 0
+        for trial in range(4000):
+            N = rng.randint(0, 7)
+            if trial % 4 == 0:
+                alpha = rng.choice(values)
+                al, be, de = alpha - HALF, alpha - HALF, -rng.randint(N, N + 6) - alpha - HALF
+            else:
+                al, be, de = (rng.choice(values) for _ in range(3))
+            ga = Fraction(-N - 1)
+            system = SimpleNamespace(as_tuple=lambda: (al, be, ga, de), N=N)
+            expected = _loop_validation(al, be, ga, de, N)
+            assert racah._validate(system) == expected, (al, be, ga, de, N)
+            degenerate += bool(expected[0])
+        # both kinds are well represented
+        assert 1000 < degenerate < 3000
 
     def test_kept_shifted_terms_match_fresh_computation(self, monkeypatch):
         # the shifted-system terms the backward shift and summation by parts

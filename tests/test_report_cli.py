@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyident import addition, cli, continuous, hermite_limit
+from polyident import addition, cli, continuous, dual_addition, hermite_limit, racah
 from polyident.cli import load_config_file, main
 from polyident.errors import ConfigError, DomainError
-from polyident.exact import pochhammer
+from polyident.exact import format_rational, pochhammer
 from polyident.report import (
     VerificationReport,
     emit,
@@ -163,10 +163,11 @@ class TestSuites:
     def test_shared_values_do_not_depend_on_task_order(self, monkeypatch):
         # the values several checks start from are memoised by their inputs,
         # so a shuffled task list gives the same bytes and forms each value
-        # once per distinct key: (n, alpha) and n
+        # once per distinct key: (n, alpha), n and the Hermite (l, m)
         caches = {
             "addition_lhs": addition.addition_lhs,
             "_hermite_at_mixed_argument": hermite_limit._hermite_at_mixed_argument,
+            "hermite_setting": hermite_limit.hermite_setting,
         }
         ordered = suites.suite_tasks
 
@@ -185,7 +186,32 @@ class TestSuites:
         shuffled, shuffled_misses = run(lambda tasks: rng.sample(tasks, len(tasks)))
         assert shuffled == built
         assert built_misses == shuffled_misses == {
-            "addition_lhs": 36, "_hermite_at_mixed_argument": 13}
+            "addition_lhs": 36, "_hermite_at_mixed_argument": 13, "hermite_setting": 91}
+
+    def test_each_racah_system_is_validated_once(self, monkeypatch):
+        # the racah suite's systems and the dual-addition and Hermite
+        # specializations come from one keyed constructor: a tuple that two
+        # suites use is one system, validated once, whose grids both read
+        for cache in (racah.racah_system, dual_addition.specialized_racah, suites._system):
+            cache.cache_clear()
+        validated = []
+        validate = racah._validate
+        monkeypatch.setattr(racah, "_validate", lambda sys: (
+            validated.append((*sys.as_tuple(), sys.N)) or validate(sys)))
+        for suite in ("racah", "dual-addition", "hermite"):
+            run_suite(suite, SuiteConfig(jobs=1))
+        assert len(validated) == len(set(validated)) == 288
+        # the racah suite's specializations at each default alpha are also
+        # dual-addition settings
+        config = SuiteConfig()
+        for alpha in config.alphas:
+            for l, m in ((1, 1), (3, 2), (5, 5), (8, 4)):
+                parameters = dual_addition.racah_specialization(alpha, l, m)
+                text = ",".join(map(format_rational, parameters))
+                assert suites._system(text, m) is dual_addition.specialized_racah(
+                    dual_addition.DualSetting(alpha, l, m))
+        # and looking them up validates nothing more
+        assert len(validated) == 288
 
     def test_numeric_checks_declare_a_tolerance(self):
         # a check is numeric exactly when it declares a tolerance, and every
