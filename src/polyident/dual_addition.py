@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .classical import X2M1, gegenbauer_pairing, gegenbauer_r, norm_ratio
+from .classical import X2M1, addition_weight, gegenbauer_pairing, gegenbauer_r, norm_ratio
 from .errors import DomainError, IdentityViolationError, check_index
 from .exact import UniPoly, rising_product, terminating_hyp_grid
-from .racah import RacahSystem, racah_h0, racah_system, racah_values, racah_weight
+from .racah import RacahSystem, racah_h0, racah_system, racah_weight
 
 _HALF = Fraction(1, 2)
 
@@ -125,7 +125,7 @@ def s_direct(n: int, s: DualSetting) -> UniPoly:
     sys = specialized_racah(s)
     return UniPoly.combination(
         (racah_weight(j, sys) * value, gegenbauer_r(s.l + s.m - 2 * j, s.alpha))
-        for j, value in enumerate(racah_values(sys)[n])
+        for j, value in enumerate(sys.values[n])
     )
 
 
@@ -165,28 +165,18 @@ def dual_addition_coeffs(j: int, s: DualSetting) -> tuple[Fraction, ...]:
     dual addition expansion of R_{l+m-2j}: one look-up of the Racah values
     for the whole column."""
     check_index(j, s.m, "index")
-    values = racah_values(specialized_racah(s))
+    values = specialized_racah(s).values
     return tuple(_coeff_factor(n, s) * values[n][j] for n in range(s.m + 1))
 
 
 @lru_cache(maxsize=None)
 def _coeff_factor(n: int, s: DualSetting) -> Fraction:
-    """addition_weight(n, alpha) (-l)_n (-m)_n / n!, the j-independent
-    factor of :func:`dual_addition_coeffs`, as one integer quotient; at
-    n >= 1 it is
-
-        2 (alpha+n) (2 alpha+1)_n (-l)_n (-m)_n
-        / ((2 alpha+n) 2^{2n} (alpha+1)_n^2 n!),
-
-    and 1 at n = 0.  Memoised, since every j of a setting needs it."""
-    if n == 0:
-        return Fraction(1)
-    a = s.alpha.numerator
-    b, c = _twice_alpha_plus_one(s.alpha)
-    return Fraction(
-        2 * (a + n * b) * rising_product(c, b, n) * b**n
-        * rising_product(-s.l, 1, n) * rising_product(-s.m, 1, n),
-        (c + (n - 1) * b) * 4**n * rising_product(a + b, b, n) ** 2 * math.factorial(n),
+    """:func:`~polyident.classical.addition_weight` (n, alpha) times
+    (-l)_n (-m)_n / n!, the j-independent factor of
+    :func:`dual_addition_coeffs`.  Memoised, since every j of a setting
+    needs it."""
+    return addition_weight(n, s.alpha) * Fraction(
+        rising_product(-s.l, 1, n) * rising_product(-s.m, 1, n), math.factorial(n)
     )
 
 
@@ -222,7 +212,7 @@ def integral_identity_residuals(n: int, s: DualSetting) -> list[Fraction]:
     sys = specialized_racah(s)
     pairing = gegenbauer_pairing(s_direct(n, s), s.alpha, s.l + s.m)
     residuals = []
-    for j, value in enumerate(racah_values(sys)[n]):
+    for j, value in enumerate(sys.values[n]):
         deg = s.l + s.m - 2 * j
         closed = racah_weight(j, sys) * norm_ratio(deg, s.alpha) * value
         residuals.append(pairing(gegenbauer_r(deg, s.alpha)) - closed)
@@ -246,7 +236,6 @@ def second_hyp_form(s: DualSetting) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
-@lru_cache(maxsize=None)
 def whipple_factor(j: int, s: DualSetting) -> Fraction:
     """j-dependent elementary factor linking the two 4F3 forms.
 
@@ -258,7 +247,7 @@ def whipple_factor(j: int, s: DualSetting) -> Fraction:
         (j-l)_{m-j} (j+alpha+1/2)_{m-j}
         / ((alpha+1/2)_{m-j} (l+2 alpha+1)_{m-j}),
 
-    as one integer quotient.  Memoised per (j, setting).
+    as one integer quotient.
     """
     check_index(j, s.m, "index")
     l, k = s.l, s.m - j
@@ -292,7 +281,7 @@ def whipple_proportionality(s: DualSetting) -> list[tuple[Fraction, Fraction]]:
     """
     al, l, m = s.alpha, s.l, s.m
     sys = specialized_racah(s)
-    values, second = racah_values(sys), second_hyp_form(s)
+    values, second = sys.values, second_hyp_form(s)
     # the j-only factors, formed once per setting: R_{l+m-2j}, the weight
     # w(j) h_{l+m-2j}/h_0 and that weight times the Whipple factor
     polys = [gegenbauer_r(l + m - 2 * j, al) for j in range(m + 1)]

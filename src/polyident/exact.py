@@ -47,6 +47,7 @@ on their monomials over its denominator directly.
 from __future__ import annotations
 
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 from itertools import zip_longest
@@ -67,13 +68,22 @@ _ZERO_FACTOR = (0, 1)
 SURD_VARS = ("x", "y", "t", "u", "v")
 
 
+#: the largest decimal exponent :func:`parse_rational` takes: ``Fraction``
+#: builds 10^e for "1e<e>", which for "1e999999999" runs for minutes
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" (decimal integers, optional leading minus)."""
+    """Parse "p/q" or "p" (decimal integers, optional leading minus); a
+    decimal literal such as 1e6 is taken too, up to exponent 4300."""
     try:
-        value = Fraction(text.strip())
+        exponent = _EXPONENT.search(text)
+        if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
+            raise ValueError(f"exponent beyond {_MAX_EXPONENT}")
+        return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not a rational literal: {text!r}") from exc
-    return value
 
 
 def format_rational(q: Fraction) -> str:

@@ -26,7 +26,7 @@ from .classical import gegenbauer_r, hermite
 from .dual_addition import DualSetting, dual_addition_coeffs, specialized_racah
 from .errors import DomainError, check_index
 from .exact import SurdPoly, UniPoly, limit_at_infinity, pochhammer
-from .racah import racah_h0, racah_norm_ratio, racah_values, racah_weight
+from .racah import racah_h0, racah_norm_ratio, racah_weight
 
 _HALF = Fraction(1, 2)
 
@@ -254,7 +254,7 @@ def _eq54(scaled: str):
         n, j = idx["n"], idx["j"]
         a, b = (j, n) if scaled == "j" else (n, j)
         claimed = 2**a * pochhammer(Fraction(-b), a) / _lm_pochhammer(s, a)
-        return LimitClaim(lambda alpha: (alpha**-a * racah_values(_system(alpha, s))[n][j],),
+        return LimitClaim(lambda alpha: (alpha**-a * _system(alpha, s).values[n][j],),
                           (claimed,))
 
     return build
@@ -289,7 +289,7 @@ def _eq30_limit(idx, x) -> LimitClaim:
 
     def quantity(alpha):
         sys = _system(alpha, s)
-        values = racah_values(sys)
+        values = sys.values
         value = sum(
             racah_weight(j, sys) * values[n][j] * values[k][j] for j in range(s.m + 1)
         )

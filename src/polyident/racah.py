@@ -25,21 +25,23 @@ values against a loop over the indices on ``Fraction`` bases).
 
 The system keeps these values, and :func:`racah_weight`,
 :func:`racah_h0`, :func:`racah_norm_ratio` and
-:func:`endpoint_value_residual` read them.  It also keeps two grids, each
-formed on first use by :func:`polyident.exact.terminating_hyp_grid`: the
-values R_n(x) (:func:`racah_values`), which every check that reads many of
-them reads, and the shifted-system terms that the backward shift and
-summation by parts share.  :func:`racah_system` keeps one validated
-system per (alpha, beta, gamma, delta, N), so the racah suite and the
-dual-addition specializations share one; otherwise nothing is memoised
-by function, and :func:`racah_eval` sums the one series it is asked for.
+:func:`endpoint_value_residual` read them.  It also keeps two grids as
+cached properties, each formed on first use by
+:func:`polyident.exact.terminating_hyp_grid`: the values R_n(x)
+(:attr:`RacahSystem.values`), which every check that reads many of them
+reads, and the shifted-system terms (:attr:`RacahSystem.shifted_terms`)
+that the backward shift and summation by parts share.
+:func:`racah_system` keeps one validated system per (alpha, beta, gamma,
+delta, N), so the racah suite and the dual-addition specializations share
+one; otherwise nothing is memoised by function, and :func:`racah_eval`
+sums the one series it is asked for.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -58,8 +60,9 @@ class RacahSystem:
     so that degenerate corners of parameter sweeps stay in-domain.
 
     The system keeps the closed forms that validation evaluates and, once
-    formed, its two grids; they are functions of the values alone, so they
-    stay valid in a process that unpickles the system.
+    formed, its two grids (cached properties); they are functions of the
+    parameters alone, so they stay valid in a process that unpickles the
+    system.
     """
 
     alpha: Fraction
@@ -68,8 +71,6 @@ class RacahSystem:
     delta: Fraction
     N: int
     _closed: ClosedForms = field(init=False, repr=False, compare=False)
-    _values: Values | None = field(init=False, repr=False, compare=False, default=None)
-    _shifted: Values | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", Fraction(self.alpha))
@@ -94,6 +95,35 @@ class RacahSystem:
 
     def as_tuple(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.alpha, self.beta, self.gamma, self.delta)
+
+    @cached_property
+    def values(self) -> Values:
+        """Every value R_n(x), n, x = 0..N, indexed [n][x]: formed as one grid
+        on first use and kept by the system."""
+        return _values_grid(range(self.N + 1), range(self.N + 1), *self.as_tuple())
+
+    @cached_property
+    def shifted_terms(self) -> Values:
+        """Weight (without normalization) times degree n-1 value at x = 0..N-1,
+        both of the shifted system (alpha+1, beta+1, gamma+1, delta), indexed
+        [n-1][x]: formed as one grid on first use and kept by the system.
+
+        The backward shift at every x and summation by parts against every
+        trial function read the same terms.  The grid meets no lower-parameter
+        pole that a single row would not: validation excludes the zeros of
+        (alpha+1)_k and (beta+delta+1)_k for k <= N, and (gamma+2)_k first
+        vanishes past every row.  A degenerate shifted weight raises on every
+        use, since nothing is kept then.
+        """
+        al, be, ga, de = self.as_tuple()
+        shifted = (al + 1, be + 1, ga + 1, de)
+        D, (A, B, G, E) = _over_common_denominator(shifted)
+        states = _running_quotients(*_weight_bases(A, B, G, E, D), D, self.N - 1)
+        weights = [_quotient(state) for state in states]
+        return tuple(
+            tuple(w * v for w, v in zip(weights, row))
+            for row in _values_grid(range(self.N), range(self.N), *shifted)
+        )
 
     @staticmethod
     def parse(params: str, N: int) -> "RacahSystem":
@@ -285,19 +315,9 @@ def _values_grid(degrees: Sequence[int], xs: Iterable[int], al, be, ga, de) -> V
     )
 
 
-def racah_values(sys: RacahSystem) -> Values:
-    """Every value R_n(x), n, x = 0..N, indexed [n][x]: formed as one grid
-    on first use and kept by the system."""
-    if sys._values is None:
-        object.__setattr__(
-            sys, "_values", _values_grid(range(sys.N + 1), range(sys.N + 1), *sys.as_tuple())
-        )
-    return sys._values
-
-
 def racah_eval(n: int, x: int, sys: RacahSystem) -> Fraction:
     """Exact value of the degree-n Racah polynomial at lattice index x: the
-    one series, in O(n) terms; it forms no grid (:func:`racah_values`)."""
+    one series, in O(n) terms; it forms no grid (:attr:`RacahSystem.values`)."""
     check_index(n, sys.N, "degree n")
     check_index(x, sys.N, "lattice index x")
     return _values_grid([n], [x], *sys.as_tuple())[0][0]
@@ -326,31 +346,6 @@ def endpoint_value_residual(n: int, sys: RacahSystem) -> Fraction:
     return racah_eval(n, sys.N, sys) - sys._closed.endpoints[n]
 
 
-def _shifted_terms(sys: RacahSystem) -> Values:
-    """Weight (without normalization) times degree n-1 value at x = 0..N-1,
-    both of the shifted system (alpha+1, beta+1, gamma+1, delta), indexed
-    [n-1][x]: formed as one grid on first use and kept by the system.
-
-    The backward shift at every x and summation by parts against every
-    trial function read the same terms.  The grid meets no lower-parameter
-    pole that a single row would not: validation excludes the zeros of
-    (alpha+1)_k and (beta+delta+1)_k for k <= N, and (gamma+2)_k first
-    vanishes past every row.  A degenerate shifted weight raises on every
-    use, since nothing is kept then.
-    """
-    if sys._shifted is None:
-        al, be, ga, de = sys.as_tuple()
-        shifted = (al + 1, be + 1, ga + 1, de)
-        D, (A, B, G, E) = _over_common_denominator(shifted)
-        states = _running_quotients(*_weight_bases(A, B, G, E, D), D, sys.N - 1)
-        values = _values_grid(range(sys.N), range(sys.N), *shifted)
-        weights = [_quotient(state) for state in states]
-        object.__setattr__(sys, "_shifted", tuple(
-            tuple(w * v for w, v in zip(weights, row)) for row in values
-        ))
-    return sys._shifted
-
-
 def backward_shift_residual(n: int, x: int, sys: RacahSystem) -> Fraction:
     """Residual of the degree-lowering, parameter-raising shift identity.
 
@@ -366,8 +361,8 @@ def backward_shift_residual(n: int, x: int, sys: RacahSystem) -> Fraction:
     check_index(n, sys.N, "degree n")
     check_index(x, sys.N, "lattice index x")
 
-    lhs = racah_weight(x, sys) * racah_values(sys)[n][x]
-    terms = _shifted_terms(sys)[n - 1]
+    lhs = racah_weight(x, sys) * sys.values[n][x]
+    terms = sys.shifted_terms[n - 1]
     rhs = Fraction(0)
     if x < sys.N:
         rhs += terms[x]
@@ -390,17 +385,17 @@ def sum_by_parts_residual(n: int, f: Sequence[Rational], sys: RacahSystem) -> Fr
     fv = [Fraction(v) for v in f]
     lhs = sum(
         racah_weight(x, sys) * value * fv[x]
-        for x, value in enumerate(racah_values(sys)[n])
+        for x, value in enumerate(sys.values[n])
     )
     rhs = Fraction(0)
-    for x, term in enumerate(_shifted_terms(sys)[n - 1]):
+    for x, term in enumerate(sys.shifted_terms[n - 1]):
         rhs += term * (fv[x] - fv[x + 1])
     return lhs - rhs
 
 
 def gram_matrix(sys: RacahSystem) -> list[list[Fraction]]:
     """Full exact Gram matrix of the system (weighted sums over the lattice)."""
-    vals = racah_values(sys)
+    vals = sys.values
     w = [racah_weight(x, sys) for x in range(sys.N + 1)]
     return [
         [

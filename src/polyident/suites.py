@@ -310,15 +310,6 @@ def _numeric_result(value, tolerance, extra: dict[str, str] | None = None) -> Ta
     )
 
 
-@functools.lru_cache(maxsize=None)
-def _system(system: str, n_points: int) -> racah.RacahSystem:
-    """One parsed and validated system per (system string, N): each system
-    serves every racah task built on it, and it is the system
-    ``racah.racah_system`` keeps, which the dual-addition and Hermite
-    checks on the same parameters read too."""
-    return racah.RacahSystem.parse(system, n_points)
-
-
 #: task parameters that are names; every other parameter is a rational
 _TEXT_PARAMETERS = frozenset({"system", "case", "target"})
 
@@ -364,14 +355,14 @@ def run_task(identity_id: str, params: dict[str, str], config: SuiteConfig) -> T
 
 @identity("eq29", "racah", "total weight mass: closed form vs direct sum", racah_systems)
 def _task_eq29(p, config):
-    sys = _system(p["system"], p["N"])
+    sys = racah.RacahSystem.parse(p["system"], p["N"])
     direct = sum(racah.racah_weight(x, sys) for x in range(sys.N + 1))
     return _exact_result(racah.racah_h0(sys) - direct)
 
 
 @identity("eq30", "racah", "full Gram matrix diagonal with closed-form norms", racah_systems)
 def _task_eq30(p, config):
-    sys = _system(p["system"], p["N"])
+    sys = racah.RacahSystem.parse(p["system"], p["N"])
     gram = racah.gram_matrix(sys)
     h0 = racah.racah_h0(sys)
     return _exact_result(*(
@@ -383,14 +374,14 @@ def _task_eq30(p, config):
 
 @identity("eq25", "racah", "endpoint evaluation closed form", _racah_degrees)
 def _task_eq25(p, config):
-    sys = _system(p["system"], p["N"])
+    sys = racah.RacahSystem.parse(p["system"], p["N"])
     return _exact_result(racah.endpoint_value_residual(p["n"], sys))
 
 
 @identity("eq20", "racah", "backward shift identity (boundary conventions included)",
           _racah_shift_degrees)
 def _task_eq20(p, config):
-    sys = _system(p["system"], p["N"])
+    sys = racah.RacahSystem.parse(p["system"], p["N"])
     return _exact_result(
         *(racah.backward_shift_residual(p["n"], x, sys) for x in range(sys.N + 1))
     )
@@ -399,7 +390,7 @@ def _task_eq20(p, config):
 @identity("eq21", "racah", "summation by parts against arbitrary lattice functions",
           _racah_shift_degrees)
 def _task_eq21(p, config):
-    sys = _system(p["system"], p["N"])
+    sys = racah.RacahSystem.parse(p["system"], p["N"])
     n = p["n"]
     rng = random.Random(f"eq21:{p['system']}:{sys.N}:{n}")
     trials = [[Fraction(rng.randint(-9, 9)) for _ in range(sys.N + 1)] for _ in range(5)]

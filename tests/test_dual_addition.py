@@ -334,7 +334,6 @@ class TestCaches:
             (addition.addition_lhs,
              [(addition.AdditionInstance(n, alpha),) for n in range(7) for alpha in alphas]),
             (linearization_coeff, [(j, s) for s in dual_settings for j in range(s.m + 1)]),
-            (whipple_factor, [(j, s) for s in dual_settings for j in range(s.m + 1)]),
             (hermite_limit._hermite_at_mixed_argument, [(n,) for n in range(9)]),
             (hermite_limit._kernel, [(a, b) for a in range(9) for b in range(9)]),
         )
@@ -406,8 +405,12 @@ def _whipple_factor_fractions(j, s):
 
 
 def _coeff_factor_fractions(n, s):
+    al = s.alpha
+    ratio = 1 if n == 0 else (al + n) / (al + Fraction(n, 2))
     return (
-        addition_weight.__wrapped__(n, s.alpha)
+        ratio
+        * pochhammer(2 * al + 1, n)
+        / (Fraction(2 ** (2 * n)) * pochhammer(al + 1, n) ** 2)
         * pochhammer(Fraction(-s.l), n)
         * pochhammer(Fraction(-s.m), n)
         / math.factorial(n)
@@ -421,7 +424,7 @@ class TestIntegerClosedForms:
         forms = (
             (linearization_coeff.__wrapped__, _linearization_coeff_fractions),
             (s_closed_prefactor, _s_closed_prefactor_fractions),
-            (whipple_factor.__wrapped__, _whipple_factor_fractions),
+            (whipple_factor, _whipple_factor_fractions),
             (dual_addition._coeff_factor.__wrapped__, _coeff_factor_fractions),
         )
         for m, l in itertools.combinations_with_replacement(range(11), 2):

@@ -49,6 +49,14 @@ class TestRationalParsing:
         with pytest.raises(DomainError):
             parse_rational("pi")
 
+    def test_exponents_are_bounded(self):
+        # Fraction would build 10^999999999 before anything could refuse it
+        assert parse_rational("1e6") == 10**6
+        assert parse_rational("-25e-4300") == Fraction(-25, 10**4300)
+        for text in ("1e999999999", "1E-4301", " 2e1_000_000_000 ", "1e" + "9" * 5000):
+            with pytest.raises(DomainError, match="not a rational literal"):
+                parse_rational(text)
+
 
 class TestPochhammer:
     def test_empty_product(self):

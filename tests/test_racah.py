@@ -19,7 +19,6 @@ from polyident.racah import (
     racah_eval,
     racah_h0,
     racah_norm_ratio,
-    racah_values,
     racah_weight,
     sum_by_parts_residual,
 )
@@ -255,7 +254,7 @@ class TestClosedFormsOnce:
         # one running pass each for the weights, the mass, the norm ratios
         # and the endpoint values; no values yet
         assert calls == {"running": 4, "poch_quotient": 0, "grid": 0}
-        assert sys._values is None
+        assert "values" not in vars(sys)
         for x in range(sys.N + 1):
             racah_weight(x, sys)
         for n in range(sys.N + 1):
@@ -333,14 +332,14 @@ class TestClosedFormsOnce:
             al, be, ga, de = sys.as_tuple()
             shifted = (al + 1, be + 1, ga + 1, de)
             grids.clear()
-            terms = racah._shifted_terms(sys)
+            terms = sys.shifted_terms
             assert len(grids) == 1
             assert terms == tuple(
                 tuple(_weight_quotient(x, *shifted) * _series(n - 1, x, *shifted)
                       for x in range(sys.N))
                 for n in range(1, sys.N + 1)
             )
-            assert racah._shifted_terms(sys) is terms
+            assert sys.shifted_terms is terms
             assert len(grids) == 1
 
 
@@ -351,8 +350,8 @@ class TestValuesGrid:
             sys = RacahSystem(*sample.as_tuple(), N=sample.N)
             single = [[racah_eval(n, x, sys) for x in range(sys.N + 1)]
                       for n in range(sys.N + 1)]
-            assert sys._values is None
-            assert [list(row) for row in racah_values(sys)] == single
+            assert "values" not in vars(sys)
+            assert [list(row) for row in sys.values] == single
 
     @given(al=st.integers(0, 3).map(Fraction) | st.sampled_from([HALF, Fraction(1, 3)]),
            de=st.integers(-6, 3).map(Fraction) | st.sampled_from([-HALF, Fraction(5, 3)]),
@@ -363,7 +362,7 @@ class TestValuesGrid:
             sys = RacahSystem(al, al, Fraction(-N - 1), de, N=N)
         except DegenerateParameterError:
             return
-        values = racah_values(sys)
+        values = sys.values
         assert all(
             values[n][x] == _series(n, x, *sys.as_tuple())
             for n in range(N + 1) for x in range(N + 1)
@@ -376,15 +375,15 @@ class TestValuesGrid:
         real = racah.terminating_hyp_grid
         monkeypatch.setattr(racah, "terminating_hyp_grid",
                             lambda *args: grids.append(args) or real(*args))
-        values = racah_values(sys)
-        assert racah_values(sys) is values
+        values = sys.values
+        assert sys.values is values
         assert len(grids) == 1
 
     def test_single_value_forms_no_grid(self):
         # N = 400: the grid would cost O(N^3); one value costs O(n)
         sys = RacahSystem(Fraction(0), HALF, Fraction(-401), Fraction(1, 3), N=400)
         assert racah_eval(3, 5, sys) == Fraction(144611739193, 569172835)
-        assert sys._values is None
+        assert "values" not in vars(sys)
 
 
 class TestEvaluation:

@@ -2,8 +2,11 @@
 
 import argparse
 import dataclasses
+import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import random
 import subprocess
 import sys
@@ -12,12 +15,13 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import polyident
 from polyident import addition, cli, continuous, dual_addition, hermite_limit, racah
 from polyident.cli import load_config_file, main
-from polyident.errors import ConfigError, DomainError
+from polyident.errors import ConfigError, DomainError, PolyidentError
 from polyident.exact import format_rational, pochhammer
 from polyident.report import (
     VerificationReport,
@@ -29,6 +33,22 @@ from polyident.report import (
 )
 from polyident import suites
 from polyident.suites import REGISTRY, SUITE_NAMES, SuiteConfig, run_suite, suite_tasks
+
+
+#: sha256 of the json-lines of the racah, classical-addition, hermite and
+#: dual-addition suites at the default config (2,856 exact records, so no
+#: mpmath version moves it); a change that means to alter this output
+#: updates it and says why
+EXACT_SUITES_SHA256 = "c3f2bd668afb71b28472c8d09bd86a1f17f3407cf4b8c1f7e18e05833808101c"
+
+
+def _package_lru_caches() -> dict:
+    """Every module-level lru_cache of the package, by qualified name."""
+    modules = [importlib.import_module(f"polyident.{info.name}")
+               for info in pkgutil.iter_modules(polyident.__path__)]
+    return {f"{obj.__module__}.{obj.__qualname__}": obj
+            for module in modules for obj in vars(module).values()
+            if hasattr(obj, "cache_info")}
 
 
 def record(identity="eq40", status="pass", residual="0", **params):
@@ -171,9 +191,9 @@ class TestSuites:
         }
         ordered = suites.suite_tasks
 
-        def run(tasks_in):
+        def run(tasks_in, clear):
             monkeypatch.setattr(suites, "suite_tasks", lambda *a: tasks_in(ordered(*a)))
-            for cache in caches.values():
+            for cache in clear:
                 cache.cache_clear()
             reports = [report
                        for suite in ("racah", "classical-addition", "hermite", "dual-addition")
@@ -181,18 +201,25 @@ class TestSuites:
             misses = {name: cache.cache_info().misses for name, cache in caches.items()}
             return emit_json_lines(reports), misses
 
+        every_cache = _package_lru_caches()
         rng = random.Random(0)
-        built, built_misses = run(lambda tasks: tasks)
-        shuffled, shuffled_misses = run(lambda tasks: rng.sample(tasks, len(tasks)))
+        built, built_misses = run(lambda tasks: tasks, every_cache.values())
+        traffic = {name: cache.cache_info() for name, cache in every_cache.items()}
+        shuffled, shuffled_misses = run(lambda tasks: rng.sample(tasks, len(tasks)),
+                                        caches.values())
         assert shuffled == built
+        assert hashlib.sha256(built.encode()).hexdigest() == EXACT_SUITES_SHA256
         assert built_misses == shuffled_misses == {
             "addition_lhs": 36, "_hermite_at_mixed_argument": 13, "hermite_setting": 91}
+        # a memo the exact suites fill but never read costs its keys and
+        # buys nothing
+        assert [name for name, info in traffic.items() if info.misses and not info.hits] == []
 
     def test_each_racah_system_is_validated_once(self, monkeypatch):
         # the racah suite's systems and the dual-addition and Hermite
         # specializations come from one keyed constructor: a tuple that two
         # suites use is one system, validated once, whose grids both read
-        for cache in (racah.racah_system, dual_addition.specialized_racah, suites._system):
+        for cache in (racah.racah_system, dual_addition.specialized_racah):
             cache.cache_clear()
         validated = []
         validate = racah._validate
@@ -208,7 +235,7 @@ class TestSuites:
             for l, m in ((1, 1), (3, 2), (5, 5), (8, 4)):
                 parameters = dual_addition.racah_specialization(alpha, l, m)
                 text = ",".join(map(format_rational, parameters))
-                assert suites._system(text, m) is dual_addition.specialized_racah(
+                assert racah.RacahSystem.parse(text, m) is dual_addition.specialized_racah(
                     dual_addition.DualSetting(alpha, l, m))
         # and looking them up validates nothing more
         assert len(validated) == 288
@@ -733,7 +760,41 @@ REMOVED_KEYS = [
 VERIFY_FLAGS = {flag for _value, (flag, *_rest) in EVERY_KEY.values()} | {"--config"}
 
 
+#: a config-file line: a key (known, near miss or arbitrary) = a value
+#: (one that some key takes, or empty, negative, huge, nan, 5,000-digit,
+#: malformed or arbitrary), a comment or arbitrary text; repeated keys
+#: come from drawing a key twice
+config_lines = st.one_of(
+    st.tuples(
+        st.sampled_from(sorted(cli._CONFIG_READERS))
+        | st.sampled_from(["", "L_MAX", "l-max", "shiny"]) | st.text(max_size=8),
+        st.sampled_from(["0", "1", "3", "60", "0,1/2,7/3", "-1/3", "1e-30", "on", "off",
+                         "json-lines", "text"])
+        | st.sampled_from(["", "-1", "-7/3", "nan", "inf", "1e999999999", "1e-999999999",
+                           "9" * 5000, "9" * 4000, "1/0", "1/2,2/4", "1.5", "maybe", "="])
+        | st.integers(-10**6, 10**6).map(str) | st.text(max_size=12),
+    ).map(lambda kv: f"{kv[0]} = {kv[1]}\n"),
+    st.text(max_size=20).map(lambda text: f"# {text}\n") | st.text(max_size=20),
+)
+VERIFY_PARSER = cli.make_parser()
+
+
 class TestConfigDeclaration:
+    @given(lines=st.lists(config_lines, max_size=6),
+           tail=st.just(b"") | st.sampled_from([b"\xff", b"\xc3", b"\x80\xfe"]))
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_config_file_gives_a_config_or_a_polyident_error(self, tmp_path, lines, tail):
+        # builds the config only: no suite runs and no pool starts
+        cfg = tmp_path / "fuzz.cfg"
+        cfg.write_bytes("".join(lines).encode() + tail)
+        args = VERIFY_PARSER.parse_args(["verify", "racah", "--config", str(cfg)])
+        try:
+            config, _fmt = cli.build_config(args)
+        except PolyidentError:
+            return
+        assert isinstance(config, SuiteConfig)
+
     def test_config_keys_are_the_fields_plus_format(self):
         fields = {f.name for f in dataclasses.fields(SuiteConfig)}
         assert set(cli._CONFIG_READERS) == fields | {"format"}
