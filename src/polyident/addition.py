@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from .classical import X2M1, addition_weight, even_moment, gegenbauer_r, jacobi_r
 from .errors import DomainError
-from .exact import SurdPoly, UniPoly, pochhammer
+from .exact import Monomial, SurdPoly, UniPoly, _surd, pochhammer
 
 _HALF = Fraction(1, 2)
 
@@ -64,21 +64,42 @@ def addition_coefficient(n: int, k: int, alpha: Fraction) -> Fraction:
 
 
 def _rhs(inst: AdditionInstance, with_t_factor: bool) -> SurdPoly:
+    """Sum over k of addition_coefficient(n, k, alpha) u^k v^k
+    R_{n-k}^{(alpha+k)}(x) R_{n-k}^{(alpha+k)}(y), times the t-factor
+    R_k^{(alpha-1/2)}(t) when asked, in one integer pass.
+
+    u^k = (1-x^2)^{floor(k/2)} u^{k mod 2}: the even power joins the x
+    factor P_k = (1-x^2)^{floor(k/2)} R_{n-k}^{(alpha+k)}(x), and likewise
+    for v and y, so term k has its numerators on the canonical monomials
+    x^i y^j t^c (u v)^{k mod 2}.  The terms are summed over one common
+    denominator and reduced once.
+    """
     n, alpha = inst.n, inst.alpha
-    u, v = SurdPoly.variable("u"), SurdPoly.variable("v")
-    total = SurdPoly.zero()
+    even_power = UniPoly.one()  # (1-x^2)^{floor(k/2)}
+    terms, den = [], 1
     for k in range(n + 1):
-        term = SurdPoly.constant(addition_coefficient(n, k, alpha))
-        term = term * u.pow(k)
-        term = term * SurdPoly.from_unipoly(gegenbauer_r(n - k, alpha + k), "x")
-        term = term * v.pow(k)
-        term = term * SurdPoly.from_unipoly(gegenbauer_r(n - k, alpha + k), "y")
-        if with_t_factor:
-            term = term * SurdPoly.from_unipoly(
-                jacobi_r(k, alpha - _HALF, alpha - _HALF), "t"
-            )
-        total = total + term
-    return total
+        if k and k % 2 == 0:
+            even_power = even_power * -X2M1
+        coeff = addition_coefficient(n, k, alpha)
+        factor = gegenbauer_r(n - k, alpha + k) * even_power
+        t_factor = jacobi_r(k, alpha - _HALF, alpha - _HALF) if with_t_factor else UniPoly.one()
+        q = coeff.denominator * factor.den**2 * t_factor.den
+        terms.append((coeff.numerator, q, factor.nums, t_factor.nums, k % 2))
+        den = math.lcm(den, q)
+    out: dict[Monomial, int] = {}
+    for num, q, xs, ts, e in terms:
+        scale = num * (den // q)
+        for i, a in enumerate(xs):
+            if not a:  # P_k has one parity: every other coefficient is 0
+                continue
+            for j, b in enumerate(xs):
+                if b:
+                    ab = scale * a * b
+                    for c, t in enumerate(ts):
+                        if t:
+                            key = (i, j, c, e, e)
+                            out[key] = out.get(key, 0) + ab * t
+    return _surd(out, den)
 
 
 def addition_rhs(inst: AdditionInstance) -> SurdPoly:

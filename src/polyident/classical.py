@@ -13,10 +13,9 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-from typing import Callable
 
 from .errors import DomainError
-from .exact import UniPoly, pochhammer
+from .exact import UniPoly, _reduced, pochhammer
 
 #: the polynomial x^2 - 1
 X2M1 = UniPoly((-1, 0, 1))
@@ -31,27 +30,35 @@ def _require_alpha(alpha: Fraction, lower: Fraction, what: str) -> None:
 def jacobi_r(n: int, alpha: Fraction, beta: Fraction) -> UniPoly:
     """Jacobi polynomial normalized to value 1 at x = 1.
 
-    Built by exact termwise summation of the terminating 2F1 with argument
-    (1-x)/2; the leading coefficient is (n+alpha+beta+1)_n / (2^n (alpha+1)_n).
+    The terminating 2F1 sum over k of (-n)_k (n+alpha+beta+1)_k
+    / ((alpha+1)_k k!) ((1-x)/2)^k, in integers: with alpha+1 = p1/q1 and
+    n+alpha+beta+1 = p2/q2, term k+1 over term k is
+    (k-n)(p2+k q2) q1 / (2 (k+1)(p1+k q1) q2), so every term is an integer
+    over W, the product of the n ratio denominators (positive for
+    alpha > -1).  The terms are summed by Horner's rule in 1-x and the sum
+    is reduced once.  The leading coefficient is
+    (n+alpha+beta+1)_n / (2^n (alpha+1)_n).
     """
     if n < 0:
         raise DomainError(f"degree must be >= 0, got {n}")
     alpha, beta = Fraction(alpha), Fraction(beta)
     _require_alpha(alpha, Fraction(-1), "jacobi_r")
     _require_alpha(beta, Fraction(-1), "jacobi_r")
-    coeffs = [Fraction(0)] * (n + 1)
-    for k in range(n + 1):
-        c = (
-            pochhammer(Fraction(-n), k)
-            * pochhammer(n + alpha + beta + 1, k)
-            / (pochhammer(alpha + 1, k) * math.factorial(k))
-        )
-        if c == 0:
-            continue
-        # ((1-x)/2)^k expanded binomially
-        for i in range(k + 1):
-            coeffs[i] += c * Fraction(math.comb(k, i) * (-1) ** i, 2**k)
-    return UniPoly(coeffs)
+    p1, q1 = alpha.numerator + alpha.denominator, alpha.denominator
+    top = n + alpha + beta + 1
+    p2, q2 = top.numerator, top.denominator
+    # term k = heads[k] * tail_k / W, tail_k the ratio denominators from k on
+    heads = [1]
+    for k in range(n):
+        heads.append(heads[-1] * (k - n) * (p2 + k * q2) * q1)
+    acc = [heads[n]]
+    tail = 1
+    for k in range(n - 1, -1, -1):
+        tail *= 2 * (k + 1) * (p1 + k * q1) * q2
+        # acc * (1 - x) + term k
+        acc = [a - b for a, b in zip(acc + [0], [0] + acc)]
+        acc[0] += heads[k] * tail
+    return _reduced(acc, tail)
 
 
 @lru_cache(maxsize=None)
@@ -117,9 +124,27 @@ def inner_product(p: UniPoly, q: UniPoly, alpha: Fraction) -> Fraction:
     return gegenbauer_pairing(p, alpha, q.degree)(q)
 
 
-def gegenbauer_pairing(
-    p: UniPoly, alpha: Fraction, degree: int
-) -> Callable[[UniPoly], Fraction]:
+class GegenbauerPairing:
+    """q -> <p, q> for every q of degree <= ``degree``, from the integer
+    vector of :func:`gegenbauer_pairing`: ``unreduced(q)`` is the value as an
+    integer pair (numerator, denominator > 0), and calling the pairing
+    gives it as a ``Fraction``."""
+
+    __slots__ = ("vector", "den", "degree")
+
+    def __init__(self, vector: list[int], den: int, degree: int):
+        self.vector, self.den, self.degree = vector, den, degree
+
+    def unreduced(self, q: UniPoly) -> tuple[int, int]:
+        if q.degree > self.degree:
+            raise DomainError(f"pairing formed for degree <= {self.degree}, got {q.degree}")
+        return sum(map(mul, q.nums, self.vector)), self.den * q.den
+
+    def __call__(self, q: UniPoly) -> Fraction:
+        return Fraction(*self.unreduced(q))
+
+
+def gegenbauer_pairing(p: UniPoly, alpha: Fraction, degree: int) -> GegenbauerPairing:
     """q -> <p, q>, the mass-normalized inner product in the Gegenbauer
     weight, for every q of degree <= ``degree``.
 
@@ -132,7 +157,7 @@ def gegenbauer_pairing(
     and with D the product of those denominators up to the highest moment
     used, every D M_k is an integer.  The pairing forms v_i = D p.den
     <p, x^i> once, as integers; each <p, q> is then one integer dot product
-    and one ``Fraction``.  D is positive for alpha > -1.
+    over D p.den q.den.  D is positive for alpha > -1.
     """
     alpha = Fraction(alpha)
     _require_alpha(alpha, Fraction(-1), "gegenbauer_pairing")
@@ -152,14 +177,7 @@ def gegenbauer_pairing(
     evens, odds = p.nums[::2], p.nums[1::2]
     vector = [sum(map(mul, odds if i % 2 else evens, scaled[(i + 1) // 2:]))
               for i in range(degree + 1)]
-    den = tail * p.den
-
-    def pair(q: UniPoly) -> Fraction:
-        if q.degree > degree:
-            raise DomainError(f"pairing formed for degree <= {degree}, got {q.degree}")
-        return Fraction(sum(map(mul, q.nums, vector)), den * q.den)
-
-    return pair
+    return GegenbauerPairing(vector, tail * p.den, degree)
 
 
 @lru_cache(maxsize=None)

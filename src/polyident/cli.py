@@ -1,8 +1,9 @@
 """Command-line interface: `verify <suite>`, `eval <fn> <args...>`, `list`.
 
 Exit codes: 0 all checks pass, 1 at least one failed, 2 on configuration,
-usage or precision errors.  Rationals cross this boundary as "p/q"
-strings; nothing on the exact side ever parses floating point.
+usage or precision errors.  Rationals cross this boundary as text that
+:func:`~polyident.exact.parse_rational` reads exactly (integers, "p/q" and
+finite decimals); nothing on the exact side ever parses floating point.
 
 Each command returns its exit status and its output text; :func:`main`
 writes the text, so a reader that stops early (``| head``) costs no
@@ -22,7 +23,7 @@ from pathlib import Path
 import mpmath as mp
 
 from . import classical, continuous, racah
-from .errors import ConfigError, PolyidentError
+from .errors import ConfigError, DomainError, PolyidentError
 from .exact import format_rational, parse_rational
 from .report import emit, exit_status
 from .suites import PRECISION_CEILING, REGISTRY, SUITE_NAMES, SuiteConfig, run_suite
@@ -107,42 +108,44 @@ def cmd_verify(args) -> tuple[int, str]:
     return exit_status(reports), emit(reports, fmt)
 
 
-def _eval_rational_list(values) -> str:
-    return ", ".join(format_rational(v) for v in values)
+def _exact_text(values) -> str:
+    """Rationals as comma-separated "p/q" text."""
+    try:
+        return ", ".join(map(format_rational, values))
+    except ValueError as exc:  # an integer beyond sys.get_int_max_str_digits()
+        raise DomainError(f"the result has an integer of more than "
+                          f"{sys.get_int_max_str_digits()} digits, too long to print") from exc
 
 
 def _eval_gegenbauer(n, alpha, *, prec) -> str:
-    return _eval_rational_list(classical.gegenbauer_r(int(n), parse_rational(alpha)).coeffs)
+    return _exact_text(classical.gegenbauer_r(n, alpha).coeffs)
 
 
 def _eval_hermite(n, *, prec) -> str:
-    return _eval_rational_list(classical.hermite(int(n)).coeffs)
+    return _exact_text(classical.hermite(n).coeffs)
 
 
-def _eval_racah(n, x, *parameters, prec) -> str:
-    alpha, beta, gamma, delta = map(parse_rational, parameters)
+def _eval_racah(n, x, alpha, beta, gamma, delta, *, prec) -> str:
     if gamma.denominator != 1 or gamma >= 0:
         raise ConfigError("gamma must be a negative integer -N-1, N >= 0")
     system = racah.RacahSystem(alpha, beta, gamma, delta, N=int(-gamma - 1))
-    return format_rational(racah.racah_eval(int(n), int(x), system))
+    return _exact_text([racah.racah_eval(n, x, system)])
 
 
-def _eval_phi(*arguments, prec) -> str:
-    lam, alpha, beta, t = map(parse_rational, arguments)
+def _eval_phi(lam, alpha, beta, t, *, prec) -> str:
     value = continuous.phi(continuous.to_mpf(lam), alpha, beta, t)
     if abs(mp.im(value)) < continuous.agreement_bound() * (1 + abs(value)):
         value = mp.re(value)
     return mp.nstr(value, prec)
 
 
-def _eval_wilson(n, *arguments, prec) -> str:
-    xsq, lam, mu, alpha = map(parse_rational, arguments)
+def _eval_wilson(n, xsq, lam, mu, alpha, *, prec) -> str:
     params = continuous.WilsonParams.from_spectral(lam, mu, alpha)
-    return mp.nstr(continuous.wilson_poly(int(n), xsq, params), prec)
+    return mp.nstr(continuous.wilson_poly(n, xsq, params), prec)
 
 
 #: eval function -> (names of its positional arguments, evaluator of their
-#: text to a number of digits, which runs at that working precision)
+#: parsed values to a number of digits, which runs at that working precision)
 _EVALUATORS = {
     "gegenbauer": (("n", "alpha"), _eval_gegenbauer),
     "hermite": (("n",), _eval_hermite),
@@ -151,12 +154,17 @@ _EVALUATORS = {
     "wilson": (("n", "x^2", "lambda", "mu", "alpha"), _eval_wilson),
 }
 
+#: the eval arguments read as integers; every other one is a rational
+_INTEGER_ARGUMENTS = frozenset({"n", "x"})
 
-def _eval_arguments(args) -> tuple[list[str], int]:
-    """The function's arguments and the precision in digits.
+
+def _eval_arguments(args) -> tuple[list, int]:
+    """The function's arguments, parsed, and the precision in digits.
 
     ``--precision-digits`` may also follow the arguments, which reach here
-    unparsed so that negative rationals such as -1/2 stay arguments.
+    unparsed so that negative rationals such as -1/2 stay arguments.  Only
+    an integer argument that does not parse reads "bad arguments"; a
+    rational one that does not parse is a DomainError.
     """
     tail = argparse.ArgumentParser(prog=f"polyident eval {args.fn}", add_help=False,
                                    allow_abbrev=False)
@@ -174,17 +182,22 @@ def _eval_arguments(args) -> tuple[list[str], int]:
             f"eval {args.fn} takes {len(names)} argument(s) ({' '.join(names)}), "
             f"got {len(rest)}: {' '.join(rest)}"
         )
-    return rest, prec
+    values = []
+    for name, text in zip(names, rest):
+        if name not in _INTEGER_ARGUMENTS:
+            values.append(parse_rational(text))
+            continue
+        try:
+            values.append(int(text))
+        except ValueError as exc:
+            raise ConfigError(f"bad arguments for {args.fn}: {exc}") from exc
+    return values, prec
 
 
 def cmd_eval(args) -> tuple[int, str]:
-    rest, prec = _eval_arguments(args)
-    evaluate = _EVALUATORS[args.fn][1]
-    try:
-        with continuous.working_precision(prec):
-            return 0, evaluate(*rest, prec=prec) + "\n"
-    except ValueError as exc:
-        raise ConfigError(f"bad arguments for {args.fn}: {exc}") from exc
+    values, prec = _eval_arguments(args)
+    with continuous.working_precision(prec):
+        return 0, _EVALUATORS[args.fn][1](*values, prec=prec) + "\n"
 
 
 def cmd_list(args) -> tuple[int, str]:

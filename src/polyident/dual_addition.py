@@ -200,22 +200,30 @@ def dual_addition_residual(j: int, s: DualSetting) -> UniPoly:
     ))
 
 
-def integral_identity_residuals(n: int, s: DualSetting) -> list[Fraction]:
+def integral_identity_residuals(n: int, s: DualSetting) -> list[Fraction | int]:
     """Fourier coefficients of S_n against every R_{l+m-2j}, j = 0..m,
     minus their closed values; each must be 0.
 
     Both sides are mass-normalized, so the overall weight mass cancels:
     <S_n, R_{l+m-2j}> = w(j) (h_{l+m-2j}/h_0) * (Racah value at j).
-    S_n is paired once for every j.
+    S_n is paired once for every j.  Each pairing stays an unreduced
+    integer pair, compared with the closed value's three factors by
+    cross-multiplying, as in :func:`whipple_proportionality`; a residual
+    is formed as a ``Fraction`` only where they differ.
     """
     check_index(n, s.m, "index")
     sys = specialized_racah(s)
     pairing = gegenbauer_pairing(s_direct(n, s), s.alpha, s.l + s.m)
-    residuals = []
+    residuals: list[Fraction | int] = []
     for j, value in enumerate(sys.values[n]):
         deg = s.l + s.m - 2 * j
-        closed = racah_weight(j, sys) * norm_ratio(deg, s.alpha) * value
-        residuals.append(pairing(gegenbauer_r(deg, s.alpha)) - closed)
+        num, den = pairing.unreduced(gegenbauer_r(deg, s.alpha))
+        weight, ratio = racah_weight(j, sys), norm_ratio(deg, s.alpha)
+        if (num * weight.denominator * ratio.denominator * value.denominator
+                == den * weight.numerator * ratio.numerator * value.numerator):
+            residuals.append(0)
+        else:
+            residuals.append(Fraction(num, den) - weight * ratio * value)
     return residuals
 
 
@@ -294,20 +302,20 @@ def whipple_proportionality(s: DualSetting) -> list[tuple[Fraction, Fraction]]:
         poly = gegenbauer_r(l - n, al + n) * gegenbauer_r(m - n, al + n)
         pairing = gegenbauer_pairing(poly, al + n, l + m)
         for j in range(m + 1):
-            integral = pairing(polys[j])
+            num, den = pairing.unreduced(polys[j])
             checks = (
                 (values[n][j], bases[j], ratios[0]),
                 (second[n][j], whipple_bases[j], ratios[1]),
             )
             for value, scale, acc in checks:
                 if value == 0:
-                    if integral != 0:
+                    if num != 0:
                         raise IdentityViolationError(
                             f"integral nonzero where 4F3 vanishes (j={j})"
                         )
                     continue
-                acc.append((integral.numerator * scale.denominator * value.denominator,
-                            integral.denominator * scale.numerator * value.numerator))
+                acc.append((num * scale.denominator * value.denominator,
+                            den * scale.numerator * value.numerator))
         for which, acc in zip(("first", "second"), ratios):
             if not acc:
                 raise IdentityViolationError(f"no usable j for the {which} 4F3")

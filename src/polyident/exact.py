@@ -29,7 +29,14 @@ numerators and denominators:
   ``classical.inner_product`` is a one-off pairing;
 - the running products by which ``racah`` validation evaluates a system's
   weights, mass, norm ratios and endpoint values, one factor per index
-  step; ``poch_quotient`` is their reference, which the tests pin them to.
+  step; ``poch_quotient`` is their reference, which the tests pin them to;
+- ``classical.jacobi_r``, whose terminating 2F1 terms are integers over
+  one denominator, summed by Horner's rule in 1 - x;
+- the expansion side of ``addition``, which puts each term's integer
+  numerators straight on their canonical surd monomials and reduces the
+  sum once;
+- ``UniPoly.numerator_at``, the Horner numerator at x = p/q, on which the
+  circle-point checks in ``suites`` compare bounds and values as integers.
 
 ``UniPoly.combination`` sums scaled polynomials in one integer pass over
 one common denominator, with one reduction for the sum, and the Thiele
@@ -75,8 +82,15 @@ _EXPONENT = re.compile(r"[eE]([-+]?[0-9_]+)\s*$")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" (decimal integers, optional leading minus); a
-    decimal literal such as 1e6 is taken too, up to exponent 4300."""
+    """Parse a rational literal exactly, never through a float.
+
+    The grammar is ``Fraction``'s, with surrounding whitespace allowed: an
+    integer ("5", "-3", "+2", "1_000"), a quotient "p/q" of integers (sign
+    before p only, q nonzero), or a finite decimal with an optional
+    exponent of magnitude at most 4300 ("0.5", "1.5e-3", "1e6"; "0.1" is
+    1/10).  Anything else, "1e4301", "0x10" and "1/-2" among them, is a
+    DomainError.
+    """
     try:
         exponent = _EXPONENT.search(text)
         if exponent and abs(int(exponent[1])) > _MAX_EXPONENT:
@@ -385,12 +399,18 @@ class UniPoly:
 
     def __call__(self, x: Fraction | int) -> Fraction:
         """Exact Horner evaluation."""
-        # with x = p/q: sum n_i p^i q^(d-i) over den q^d, for degree d
-        p, q = x.numerator, x.denominator
-        acc = 0
-        for i, n in enumerate(reversed(self.nums)):
-            acc = acc * p + n * q**i
-        return Fraction(acc, self.den * q ** max(self.degree, 0))
+        q = x.denominator
+        return Fraction(self.numerator_at(x.numerator, q), self.den * q ** max(self.degree, 0))
+
+    def numerator_at(self, p: int, q: int) -> int:
+        """The value at x = p/q, for q > 0, times den q^d (d the degree, 0
+        for a constant or zero): sum n_i p^i q^(d-i), by Horner's rule in
+        integers.  p/q need not be in lowest terms."""
+        acc, power = 0, 1
+        for n in reversed(self.nums):
+            acc = acc * p + n * power
+            power *= q
+        return acc
 
     def max_abs_coeff(self) -> Fraction:
         return Fraction(max(map(abs, self.nums)), self.den) if self.nums else Fraction(0)

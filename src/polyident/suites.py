@@ -31,7 +31,6 @@ from .exact import (
     format_rational,
     parse_rational,
     pochhammer,
-    pythagorean_point,
     terminating_hyp,
 )
 from .report import VerificationReport
@@ -539,14 +538,44 @@ def _task_eq57(p, config):
     ))
 
 
+def _circle_point(s: Fraction) -> tuple[int, int, int]:
+    """(c, d, e) with :func:`~polyident.exact.pythagorean_point` (s) =
+    (c/e, d/e): for s = p/q, c = q^2 - p^2, d = 2pq and e = q^2 + p^2 > 0."""
+    p, q = s.numerator, s.denominator
+    return q * q - p * p, 2 * p * q, q * q + p * p
+
+
+def _excess_over_one(poly: UniPoly, s: Fraction) -> Fraction | int:
+    """max(|poly(x)| - 1, 0) at the circle point x = c/e of s: |poly's
+    numerator at c/e| against den e^d, in integers; a ``Fraction`` is
+    formed only where it exceeds."""
+    c, _, e = _circle_point(s)
+    value, bound = abs(poly.numerator_at(c, e)), poly.den * e ** max(poly.degree, 0)
+    return Fraction(value, bound) - 1 if value > bound else 0
+
+
+def _cosine_residual(poly: UniPoly, k: int, s: Fraction) -> Fraction | int:
+    """poly(cos phi) - cos(k phi) at the circle point (cos phi, sin phi) =
+    (c/e, d/e) of s, where cos(k phi) is Re (c + i d)^k / e^k; compared in
+    integers, and a ``Fraction`` only where they differ."""
+    c, d, e = _circle_point(s)
+    re, im = 1, 0
+    for _ in range(k):
+        re, im = re * c - im * d, re * d + im * c
+    value, den = poly.numerator_at(c, e), poly.den * e ** max(poly.degree, 0)
+    if value * e**k == re * den:
+        return 0
+    return Fraction(value, den) - Fraction(re, e**k)
+
+
 @identity("r-bound", "classical-addition", "|R_n| <= 1 on rational circle points",
           _fixed("alpha n", [(a, str(n)) for a in ("0", "1/2", "1") for n in range(11)]))
 def _task_r_bound(p, config):
     alpha, n = p["alpha"], p["n"]
     poly = classical.gegenbauer_r(n, alpha)
     rng = random.Random(f"r-bound:{alpha}:{n}")
-    points = [pythagorean_point(Fraction(rng.randint(-999, 999), 1000))[0] for _ in range(50)]
-    return _exact_result(*(max(abs(poly(x)) - 1, Fraction(0)) for x in points))
+    return _exact_result(*(_excess_over_one(poly, Fraction(rng.randint(-999, 999), 1000))
+                           for _ in range(50)))
 
 
 @identity("chebyshev-t", "classical-addition", "parameter -1/2 polynomials hit cos(k phi)",
@@ -555,15 +584,8 @@ def _task_chebyshev(p, config):
     k = p["k"]
     poly = classical.jacobi_r(k, -_HALF, -_HALF)
     rng = random.Random(f"chebyshev:{k}")
-    residuals = []
-    for _ in range(20):
-        s = Fraction(rng.randint(-99, 99), 100)
-        cos_phi, sin_phi = pythagorean_point(s)
-        re, im = Fraction(1), Fraction(0)
-        for _i in range(k):  # (cos + i sin)^k, exactly
-            re, im = re * cos_phi - im * sin_phi, re * sin_phi + im * cos_phi
-        residuals.append(poly(cos_phi) - re)
-    return _exact_result(*residuals)
+    return _exact_result(*(_cosine_residual(poly, k, Fraction(rng.randint(-99, 99), 100))
+                           for _ in range(20)))
 
 
 # -- hermite suite handlers

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from polyident import addition, suites
 from polyident.addition import (
     AdditionInstance,
     addition_coefficient,
@@ -19,12 +22,34 @@ from polyident.addition import (
 )
 from polyident.classical import gegenbauer_r, jacobi_r
 from polyident.errors import DomainError
-from polyident.exact import SurdPoly, pythagorean_point
+from polyident.exact import SurdPoly, format_rational, pythagorean_point
 
 from surd_values import substitute
 
 HALF = Fraction(1, 2)
 GRID_ALPHAS = [Fraction(0), HALF, Fraction(1), Fraction(7, 3)]
+
+#: alpha in (-1/2, 3] with denominators <= 13, (-1/2, 0) included
+addition_alphas = st.fractions(
+    min_value=-HALF, max_value=3, max_denominator=13
+).filter(lambda a: a > -HALF)
+
+
+def chain_rhs(inst: AdditionInstance, with_t_factor: bool) -> SurdPoly:
+    """The expansion side as a chain of SurdPoly products per term,
+    u^k and v^k reduced by the ring: the reference that the integer
+    kernel behind addition_rhs and t_one_rhs is pinned to."""
+    n, alpha = inst.n, inst.alpha
+    u, v = SurdPoly.variable("u"), SurdPoly.variable("v")
+    total = SurdPoly.zero()
+    for k in range(n + 1):
+        term = SurdPoly.constant(addition.addition_coefficient(n, k, alpha))
+        term = term * u.pow(k) * SurdPoly.from_unipoly(gegenbauer_r(n - k, alpha + k), "x")
+        term = term * v.pow(k) * SurdPoly.from_unipoly(gegenbauer_r(n - k, alpha + k), "y")
+        if with_t_factor:
+            term = term * SurdPoly.from_unipoly(jacobi_r(k, alpha - HALF, alpha - HALF), "t")
+        total = total + term
+    return total
 
 
 def identify_y_with_x(p: SurdPoly) -> SurdPoly:
@@ -94,6 +119,33 @@ class TestAdditionRhs:
             t, _ = pythagorean_point(s3)
             bindings = {"x": x, "u": u, "y": y, "v": v, "t": t}
             assert substitute(lhs, bindings) == substitute(rhs, bindings)
+
+
+class TestIntegerExpansion:
+    @given(n=st.integers(0, 8), alpha=addition_alphas)
+    @example(n=8, alpha=Fraction(-6, 13))
+    @example(n=7, alpha=Fraction(3))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_product_chain(self, n, alpha):
+        inst = AdditionInstance(n, alpha)
+        assert addition_rhs(inst) == chain_rhs(inst, with_t_factor=True)
+        assert t_one_rhs(inst) == chain_rhs(inst, with_t_factor=False)
+
+    @pytest.mark.parametrize("n,alpha,k", [(4, HALF, 2), (3, Fraction(-1, 3), 3),
+                                           (6, Fraction(13, 5), 0)])
+    def test_a_perturbed_coefficient_fails_eq42(self, n, alpha, k, monkeypatch):
+        # one coefficient times 1 + 1/1000: the kernel must find the same
+        # residual as the product chain
+        coefficient = addition.addition_coefficient
+        monkeypatch.setattr(addition, "addition_coefficient", lambda n_, k_, a: (
+            coefficient(n_, k_, a) * (Fraction(1001, 1000) if k_ == k else 1)))
+        inst = AdditionInstance(n, alpha)
+        expected = addition_lhs(inst) - chain_rhs(inst, with_t_factor=True)
+        assert not expected.is_zero
+        result = suites.run_task(
+            "eq42", {"n": str(n), "alpha": format_rational(alpha)}, suites.SuiteConfig())
+        assert not result.passed
+        assert result.residual == format_rational(expected.max_abs_coeff())
 
 
 class TestProductFormula:

@@ -1,9 +1,11 @@
 """Classical polynomial constructors and the exact Gegenbauer-weight calculus."""
 
+import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polyident.classical import (
@@ -18,9 +20,44 @@ from polyident.classical import (
 )
 from polyident import suites
 from polyident.errors import DomainError
-from polyident.exact import UniPoly, pochhammer, pythagorean_point
+from polyident.exact import UniPoly, format_rational, pochhammer, pythagorean_point
 
 ALPHAS = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 3)]
+
+#: alpha in (-1/2, 3] with denominators <= 13, (-1/2, 0) included
+kernel_alphas = st.fractions(
+    min_value=Fraction(-1, 2), max_value=3, max_denominator=13
+).filter(lambda a: a > Fraction(-1, 2))
+#: R_n as it is and scaled off its bound, so that the kernels' failing
+#: branches are compared too
+scales = st.sampled_from([Fraction(1), Fraction(1001, 1000), Fraction(999, 1000),
+                          Fraction(-1), Fraction(3, 2)])
+
+
+def jacobi_r_fractions(n: int, alpha: Fraction, beta: Fraction) -> UniPoly:
+    """jacobi_r as a Fraction loop: each 2F1 term a quotient of shifted
+    factorials, ((1-x)/2)^k expanded binomially; the reference that the
+    integer kernel is pinned to."""
+    coeffs = [Fraction(0)] * (n + 1)
+    for k in range(n + 1):
+        c = (pochhammer(Fraction(-n), k) * pochhammer(n + alpha + beta + 1, k)
+             / (pochhammer(alpha + 1, k) * math.factorial(k)))
+        for i in range(k + 1):
+            coeffs[i] += c * Fraction(math.comb(k, i) * (-1) ** i, 2**k)
+    return UniPoly(coeffs)
+
+
+def value_at(poly: UniPoly, x: Fraction) -> Fraction:
+    """poly(x) as a plain Fraction sum, without Horner's integer numerator."""
+    return sum((c * x**i for i, c in enumerate(poly.coeffs)), Fraction(0))
+
+
+def r_bound_fractions(poly: UniPoly, alpha: str, n: int) -> Fraction:
+    """The r-bound task as a Fraction loop over its 50 circle points: the
+    largest max(|poly(x)| - 1, 0)."""
+    rng = random.Random(f"r-bound:{alpha}:{n}")
+    points = [pythagorean_point(Fraction(rng.randint(-999, 999), 1000))[0] for _ in range(50)]
+    return max(max(abs(value_at(poly, x)) - 1, Fraction(0)) for x in points)
 
 
 class TestJacobiR:
@@ -45,6 +82,12 @@ class TestJacobiR:
                     Fraction(2**n) * pochhammer(alpha + 1, n)
                 )
                 assert jacobi_r(n, alpha, beta).coeff(n) == lead
+
+    @given(n=st.integers(0, 8), alpha=kernel_alphas, beta=kernel_alphas)
+    @example(n=8, alpha=Fraction(-6, 13), beta=Fraction(3))
+    @settings(max_examples=60, deadline=None)
+    def test_integer_sum_matches_the_fraction_loop(self, n, alpha, beta):
+        assert jacobi_r.__wrapped__(n, alpha, beta) == jacobi_r_fractions(n, alpha, beta)
 
     def test_domain_validation(self):
         with pytest.raises(DomainError):
@@ -237,3 +280,45 @@ class TestBoundedness:
                 for s in ss[:50]:
                     x, _ = pythagorean_point(s)
                     assert abs(poly(x)) <= 1
+
+    @given(n=st.integers(0, 8), alpha=kernel_alphas, scale=scales,
+           k=st.integers(-999, 999))
+    @example(n=0, alpha=Fraction(-1, 3), scale=Fraction(1001, 1000), k=0)
+    @settings(max_examples=150, deadline=None)
+    def test_integer_excess_matches_the_fraction_loop(self, n, alpha, scale, k):
+        poly = gegenbauer_r(n, alpha).scale(scale)
+        s = Fraction(k, 1000)
+        x, _ = pythagorean_point(s)
+        assert suites._excess_over_one(poly, s) == max(abs(value_at(poly, x)) - 1, 0)
+
+    def test_scaled_polynomials_fail_r_bound(self, monkeypatch):
+        # R_n times 1 + 1/1000 passes 1 near x = 1: each task must report the
+        # residual of the Fraction loop, and those at n = 0 fail everywhere
+        def scaled(n, alpha):
+            return gegenbauer_r(n, alpha).scale(Fraction(1001, 1000))
+
+        monkeypatch.setattr(suites.classical, "gegenbauer_r", scaled)
+        config = suites.SuiteConfig()
+        failed = []
+        for params in suites.REGISTRY["r-bound"].grid(config):
+            result = suites.run_task("r-bound", params, config)
+            n = int(params["n"])
+            expected = r_bound_fractions(scaled(n, Fraction(params["alpha"])), params["alpha"], n)
+            assert result.residual == format_rational(expected), params
+            assert result.passed == (expected == 0), params
+            if not result.passed:
+                failed.append((params["alpha"], n))
+        assert {("0", 0), ("1/2", 0), ("1", 0)} <= set(failed)
+
+    @given(k=st.integers(0, 8), scale=scales, m=st.integers(-99, 99))
+    @settings(max_examples=100, deadline=None)
+    def test_integer_cosine_residual_matches_the_fraction_loop(self, k, scale, m):
+        # chebyshev-t: the parameter -1/2 polynomial at cos(phi) against
+        # Re (cos phi + i sin phi)^k, both as Fractions
+        poly = jacobi_r(k, Fraction(-1, 2), Fraction(-1, 2)).scale(scale)
+        s = Fraction(m, 100)
+        cos_phi, sin_phi = pythagorean_point(s)
+        re, im = Fraction(1), Fraction(0)
+        for _ in range(k):
+            re, im = re * cos_phi - im * sin_phi, re * sin_phi + im * cos_phi
+        assert suites._cosine_residual(poly, k, s) == value_at(poly, cos_phi) - re

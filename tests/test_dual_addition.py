@@ -61,6 +61,20 @@ def brute_force_expansion(l: int, m: int, alpha: Fraction) -> list[Fraction]:
     return coeffs
 
 
+def integral_identity_fractions(n: int, s: DualSetting) -> list[Fraction]:
+    """integral_identity_residuals as a Fraction loop: each pairing of S_n
+    reduced, the closed value w(j) (h_{l+m-2j}/h_0) R_n(j) a Fraction
+    product, and their difference; the reference that the integer
+    cross-multiplication is pinned to."""
+    sys = specialized_racah(s)
+    product = dual_addition.s_direct(n, s)
+    return [
+        inner_product(product, gegenbauer_r(s.l + s.m - 2 * j, s.alpha), s.alpha)
+        - racah_weight(j, sys) * norm_ratio(s.l + s.m - 2 * j, s.alpha) * value
+        for j, value in enumerate(sys.values[n])
+    ]
+
+
 class TestDualSetting:
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -240,6 +254,22 @@ class TestIntegralIdentity:
                 s = DualSetting(alpha, l, m)
                 for n in range(m + 1):
                     assert integral_identity_residuals(n, s) == [0] * (m + 1)
+
+    @given(alpha=st.fractions(min_value=-HALF, max_value=3, max_denominator=13).filter(
+               lambda a: a > -HALF),
+           l=st.integers(0, 8), data=st.data(),
+           scale=st.sampled_from([Fraction(1), Fraction(1001, 1000), Fraction(-2, 3)]))
+    @settings(max_examples=40, deadline=None)
+    def test_cross_multiplication_matches_the_fraction_loop(self, alpha, l, data, scale):
+        # S_n scaled off its closed value must give the Fraction loop's
+        # residuals too, not only the zeros
+        m = data.draw(st.integers(0, l))
+        n = data.draw(st.integers(0, m))
+        s = DualSetting(alpha, l, m)
+        direct = dual_addition.s_direct
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dual_addition, "s_direct", lambda n_, s_: direct(n_, s_).scale(scale))
+            assert integral_identity_residuals(n, s) == integral_identity_fractions(n, s)
 
 
 class TestWhipple:

@@ -49,6 +49,16 @@ class TestRationalParsing:
         with pytest.raises(DomainError):
             parse_rational("pi")
 
+    def test_grammar_is_integers_quotients_and_finite_decimals(self):
+        # read exactly through Fraction, never through a float: 0.1 is 1/10
+        for text, value in (("1.5e-3", Fraction(3, 2000)), ("0.1", Fraction(1, 10)),
+                            ("+2", Fraction(2)), ("1_000", Fraction(1000)),
+                            (" -7/3 ", Fraction(-7, 3))):
+            assert parse_rational(text) == value
+        for text in ("1e4301", "0x10", "1/-2", "1.5/2", "inf", "nan"):
+            with pytest.raises(DomainError, match="not a rational literal"):
+                parse_rational(text)
+
     def test_exponents_are_bounded(self):
         # Fraction would build 10^999999999 before anything could refuse it
         assert parse_rational("1e6") == 10**6
@@ -523,6 +533,9 @@ class TestUniPolyOracle:
         value = p(x)
         assert value == _ref_value(ra, x)
         assert type(value) is Fraction
+        # the Horner numerator at an unreduced spelling 3p/3q of x
+        num, den = 3 * Fraction(x).numerator, 3 * Fraction(x).denominator
+        assert Fraction(p.numerator_at(num, den), p.den * den ** max(p.degree, 0)) == value
         assert p.degree == len(ra) - 1
         assert p.is_zero == (not ra)
         for i in range(-1, len(ra) + 2):

@@ -779,6 +779,61 @@ config_lines = st.one_of(
 VERIFY_PARSER = cli.make_parser()
 
 
+#: eval argument text: small rationals, and text each slot must refuse
+#: with exit 2 ("1/2" in an integer slot, a word, nothing, a zero
+#: denominator, an exponent past the bound, a negative degree)
+SMALL_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=7).map(format_rational)
+REFUSED_TEXT = st.sampled_from(["1/2", "x", "", "1/0", "1e4301", "-1"])
+#: eval argument name -> its text: degrees and points up to 60, gamma = -N-1
+#: for N up to 60
+EVAL_SLOTS = {
+    "n": st.integers(0, 60).map(str) | REFUSED_TEXT,
+    "x": st.integers(0, 60).map(str) | REFUSED_TEXT,
+    "gamma": st.integers(-61, -1).map(str) | SMALL_RATIONALS | REFUSED_TEXT,
+}
+
+
+class TestEvalFuzz:
+    @given(fn=st.sampled_from(sorted(cli._EVALUATORS)), arity=st.integers(0, 8),
+           data=st.data())
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_eval_arguments_exit_zero_or_two(self, fn, arity, data, capsys):
+        names = cli._EVALUATORS[fn][0]
+        texts = [data.draw(EVAL_SLOTS.get(names[i] if i < len(names) else "",
+                                          SMALL_RATIONALS | REFUSED_TEXT))
+                 for i in range(arity)]
+        try:
+            status = main(["eval", fn, *texts])
+        except SystemExit as exc:  # argparse's own usage errors
+            status = exc.code
+        err = capsys.readouterr().err
+        assert status in (0, 2), (texts, err)
+        assert "Traceback" not in err
+
+    def test_a_result_too_long_to_print_is_not_a_bad_argument(self, capsys):
+        # H_600 has coefficients of 808 digits; at the lowest limit Python
+        # allows, 640, they cannot become text
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            assert main(["eval", "hermite", "600"]) == 2
+        finally:
+            sys.set_int_max_str_digits(limit)
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bad arguments" not in captured.err
+        assert captured.err == ("error: DomainError: the result has an integer of more "
+                                "than 640 digits, too long to print\n")
+        assert main(["eval", "hermite", "600"]) == 0
+
+    @pytest.mark.parametrize("argv", [["gegenbauer", "1/2", "0"], ["racah", "0", "x", "0", "0",
+                                                                   "-2", "1"]])
+    def test_only_an_integer_that_does_not_parse_is_a_bad_argument(self, argv, capsys):
+        assert main(["eval", *argv]) == 2
+        assert f"bad arguments for {argv[0]}: invalid literal for int()" in capsys.readouterr().err
+
+
 class TestConfigDeclaration:
     @given(lines=st.lists(config_lines, max_size=6),
            tail=st.just(b"") | st.sampled_from([b"\xff", b"\xc3", b"\x80\xfe"]))
