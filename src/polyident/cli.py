@@ -128,7 +128,10 @@ def _eval_hermite(n, *, prec) -> str:
 def _eval_racah(n, x, alpha, beta, gamma, delta, *, prec) -> str:
     if gamma.denominator != 1 or gamma >= 0:
         raise ConfigError("gamma must be a negative integer -N-1, N >= 0")
-    system = racah.RacahSystem(alpha, beta, gamma, delta, N=int(-gamma - 1))
+    N = int(-gamma - 1)
+    if N > MAX_RACAH_N:
+        raise DomainError(f"eval racah takes N = -gamma-1 <= {MAX_RACAH_N}, got N = {N}")
+    system = racah.RacahSystem(alpha, beta, gamma, delta, N=N)
     return _exact_text([racah.racah_eval(n, x, system)])
 
 
@@ -156,6 +159,16 @@ _EVALUATORS = {
 
 #: the eval arguments read as integers; every other one is a rational
 _INTEGER_ARGUMENTS = frozenset({"n", "x"})
+
+#: polynomial eval -> the largest degree n it takes.  Beyond the bound one
+#: value takes seconds: gegenbauer at n = 3000 takes 4.4 s, and wilson,
+#: whose sum needs more digits as n grows, 2.3 s at n = 1000 and 16 s at
+#: n = 2000.
+MAX_DEGREE = {"gegenbauer": 2000, "hermite": 2000, "wilson": 1000}
+
+#: the largest Racah system size N = -gamma-1 that eval racah takes: its
+#: validation grows with N, and one value at N = 2000 takes 5 s
+MAX_RACAH_N = 1000
 
 
 def _eval_arguments(args) -> tuple[list, int]:
@@ -191,6 +204,9 @@ def _eval_arguments(args) -> tuple[list, int]:
             values.append(int(text))
         except ValueError as exc:
             raise ConfigError(f"bad arguments for {args.fn}: {exc}") from exc
+    bound = MAX_DEGREE.get(args.fn)
+    if bound is not None and values[0] > bound:  # each of them takes n first
+        raise DomainError(f"eval {args.fn} takes a degree n <= {bound}, got {values[0]}")
     return values, prec
 
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .classical import X2M1, addition_weight, gegenbauer_pairing, gegenbauer_r, norm_ratio
 from .errors import DomainError, IdentityViolationError, check_index
-from .exact import UniPoly, rising_product, terminating_hyp_grid
+from .exact import UniPoly, rising_product, terminating_hyp_numerators
 from .racah import RacahSystem, racah_h0, racah_system, racah_weight
 
 _HALF = Fraction(1, 2)
@@ -54,9 +54,14 @@ class DualSetting:
         return self._hash
 
 
-def racah_specialization(alpha: Fraction, l: int, m: int) -> tuple[Fraction, ...]:
-    """The parameters of the Racah system above for (alpha, l, m), unchecked."""
-    return (alpha - _HALF, alpha - _HALF, Fraction(-m - 1), -l - alpha - _HALF)
+def racah_specialization(alpha: Fraction | int, l: int, m: int) -> tuple[Fraction, ...]:
+    """The parameters of the Racah system above for (alpha, l, m), unchecked.
+
+    alpha - 1/2 is formed once, from alpha's numerator and denominator (an
+    ``int`` alpha has them too), and -l - alpha - 1/2 from it.
+    """
+    shifted = Fraction(2 * alpha.numerator - alpha.denominator, 2 * alpha.denominator)
+    return (shifted, shifted, Fraction(-m - 1), -shifted - (l + 1))
 
 
 @lru_cache(maxsize=None)
@@ -227,16 +232,18 @@ def integral_identity_residuals(n: int, s: DualSetting) -> list[Fraction | int]:
     return residuals
 
 
-def second_hyp_form(s: DualSetting) -> tuple[tuple[Fraction, ...], ...]:
+def second_hyp_form(s: DualSetting) -> tuple[list[list[int]], int]:
     """The second terminating 4F3 representation of the triple-product
-    integral at every (n, j) of a setting, as one grid indexed [n][j].
+    integral at every (n, j) of a setting, as one grid of integer
+    numerators indexed [n][j] over its one common denominator (nonzero, of
+    either sign; :func:`~polyident.exact.terminating_hyp_numerators`).
 
     Row n carries the upper parameters n-m and -m-n-2 alpha, column j the
     parameters j-m and l-j+alpha+1/2; each series ends after min(m-n, m-j)
     terms, where n-m or j-m stops it.
     """
     al, l, m = s.alpha, s.l, s.m
-    return terminating_hyp_grid(
+    return terminating_hyp_numerators(
         [(Fraction(n - m), -m - n - 2 * al) for n in range(m + 1)],
         [(Fraction(j - m), l - j + al + _HALF) for j in range(m + 1)],
         [Fraction(-m), -m - al + _HALF, Fraction(l - m + 1)],
@@ -280,16 +287,22 @@ def whipple_proportionality(s: DualSetting) -> list[tuple[Fraction, Fraction]]:
 
     The factors that depend on j alone (R_{l+m-2j}, w(j) h_{l+m-2j}/h_0
     and that weight times :func:`whipple_factor`) are formed once per
-    setting, and the second 4F3 once, as a grid.  Each ratio stays an
-    unreduced integer pair, compared with the first by cross-multiplying;
-    only the returned constants are reduced.
+    setting, and the second 4F3 once, as a grid of integer numerators over
+    one denominator.  The integral at n pairs the memoised product basis
+    polynomial (x^2-1)^n R_{l-n}^{(alpha+n)} R_{m-n}^{(alpha+n)} at weight
+    alpha; since <(x^2-1)^n P, R>_alpha = (-1)^n (alpha+1)_n/(alpha+3/2)_n
+    <P, R>_{alpha+n} for the mass-normalized weights, that factor, the same
+    for every j, is divided out of the returned constants only.  Each ratio
+    stays an unreduced integer pair, compared with the first by
+    cross-multiplying; only the returned constants are reduced.
 
     Raises IdentityViolationError if a ratio fails to be constant or a
     zero fails to pair.
     """
     al, l, m = s.alpha, s.l, s.m
+    a, b = al.numerator, al.denominator
     sys = specialized_racah(s)
-    values, second = sys.values, second_hyp_form(s)
+    values, (second, second_den) = sys.values, second_hyp_form(s)
     # the j-only factors, formed once per setting: R_{l+m-2j}, the weight
     # w(j) h_{l+m-2j}/h_0 and that weight times the Whipple factor
     polys = [gegenbauer_r(l + m - 2 * j, al) for j in range(m + 1)]
@@ -299,23 +312,23 @@ def whipple_proportionality(s: DualSetting) -> list[tuple[Fraction, Fraction]]:
     for n in range(m + 1):
         # each ratio integral/(scale * value) as an unreduced integer pair
         ratios: tuple[list[tuple[int, int]], list[tuple[int, int]]] = ([], [])
-        poly = gegenbauer_r(l - n, al + n) * gegenbauer_r(m - n, al + n)
-        pairing = gegenbauer_pairing(poly, al + n, l + m)
+        pairing = gegenbauer_pairing(_product_basis(n, s), al, l + m)
         for j in range(m + 1):
             num, den = pairing.unreduced(polys[j])
+            value = values[n][j]
             checks = (
-                (values[n][j], bases[j], ratios[0]),
-                (second[n][j], whipple_bases[j], ratios[1]),
+                (value.numerator, value.denominator, bases[j], ratios[0]),
+                (second[n][j], second_den, whipple_bases[j], ratios[1]),
             )
-            for value, scale, acc in checks:
-                if value == 0:
+            for value_num, value_den, scale, acc in checks:
+                if value_num == 0:
                     if num != 0:
                         raise IdentityViolationError(
                             f"integral nonzero where 4F3 vanishes (j={j})"
                         )
                     continue
-                acc.append((num * scale.denominator * value.denominator,
-                            den * scale.numerator * value.numerator))
+                acc.append((num * scale.denominator * value_den,
+                            den * scale.numerator * value_num))
         for which, acc in zip(("first", "second"), ratios):
             if not acc:
                 raise IdentityViolationError(f"no usable j for the {which} 4F3")
@@ -324,5 +337,9 @@ def whipple_proportionality(s: DualSetting) -> list[tuple[Fraction, Fraction]]:
                 raise IdentityViolationError(
                     f"{which} 4F3 ratio varies over j: {[str(Fraction(*r)) for r in acc]}"
                 )
-        constants.append((Fraction(*ratios[0][0]), Fraction(*ratios[1][0])))
+        # (-1)^n (alpha+1)_n/(alpha+3/2)_n, with alpha = a/b: the weight
+        # change of the pairing above
+        shift = Fraction((-2) ** n * rising_product(a + b, b, n),
+                         rising_product(2 * a + 3 * b, 2 * b, n))
+        constants.append((Fraction(*ratios[0][0]) / shift, Fraction(*ratios[1][0]) / shift))
     return constants

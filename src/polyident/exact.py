@@ -39,9 +39,13 @@ numerators and denominators:
   circle-point checks in ``suites`` compare bounds and values as integers.
 
 ``UniPoly.combination`` sums scaled polynomials in one integer pass over
-one common denominator, with one reduction for the sum, and the Thiele
-fraction behind ``limit_at_infinity`` takes each sample down its
-inverse-difference chain once, on unreduced integer pairs.
+one common denominator, with one reduction for the sum.  The Thiele
+fraction behind ``limit_at_infinity`` runs on integers from end to end:
+each sample hands it an ``int`` alpha and takes back its components as
+unreduced integer pairs, the fraction keeps its nodes as (1, alpha) and
+its coefficients as reduced pairs, takes each sample down its
+inverse-difference chain once and is read off at 1/alpha = 0 in integers;
+only the limits it returns are ``Fraction``s.
 
 ``SurdPoly`` is fraction-free by the same rule as ``UniPoly``: integer
 numerators on its monomials over one positive common denominator, reduced
@@ -208,8 +212,23 @@ def terminating_hyp_grid(
     denominators D_row^k and D_col^k, and the weights w_k carry those
     denominators, z^k and the lower products over one W.  Each product is
     formed once, and each entry is one integer dot product and one
-    ``Fraction``.
+    ``Fraction`` (:func:`terminating_hyp_numerators` gives the dot products
+    and W without them).
     """
+    nums, den = terminating_hyp_numerators(rows, cols, lowers, max_terms, z)
+    return tuple(tuple(Fraction(num, den) for num in row) for row in nums)
+
+
+def terminating_hyp_numerators(
+    rows: Sequence[Sequence[Fraction]],
+    cols: Sequence[Sequence[Fraction]],
+    lowers: Sequence[Fraction],
+    max_terms: int,
+    z: Fraction = Fraction(1),
+) -> tuple[list[list[int]], int]:
+    """The grid of :func:`terminating_hyp_grid` as integer numerators over
+    its one common denominator W (nonzero, of either sign): entry (r, c)
+    is ``nums[r][c] / W``, unreduced."""
     row_ends = [_first_zero(params) for params in rows]
     col_ends = [_first_zero(params) for params in cols]
     pole = _first_zero(lowers)
@@ -235,10 +254,7 @@ def terminating_hyp_grid(
     if weights:
         weights[0] = tail
     rows_weighted = [list(map(mul, products, weights)) for products in row_products]
-    return tuple(
-        tuple(Fraction(sum(map(mul, a, b)), tail) for b in col_products)
-        for a in rows_weighted
-    )
+    return [[sum(map(mul, a, b)) for b in col_products] for a in rows_weighted], tail
 
 
 def _first_zero(params: Iterable[Fraction]) -> int | float:
@@ -675,77 +691,105 @@ def pythagorean_point(s: Fraction | int) -> tuple[Fraction, Fraction]:
 class _Thiele:
     """Thiele continued fraction a_0 + (e - e_0)/(a_1 + (e - e_1)/(a_2 + ...))
     by inverse differences (von zur Gathen & Gerhard, *Modern Computer
-    Algebra*, ch. 5); ``confirmed`` counts the samples it has predicted
-    since it last changed.
+    Algebra*, ch. 5), on integers; ``confirmed`` counts the samples it has
+    predicted since it last changed.
+
+    The sample convention: a node e and a value are integer pairs
+    (numerator, denominator), the denominator nonzero and the pair not
+    necessarily reduced; :func:`limit_at_infinity` feeds e = (1, alpha).
+    The fraction keeps its nodes as fed and its coefficients as reduced
+    pairs with a positive denominator.  A value that is not a pair of ints
+    (a ``Fraction``, a float) raises TypeError.
 
     A sample runs down the inverse-difference chain once: phi_0 = value,
     phi_{i+1} = (e - e_i)/(phi_i - a_i), carried as an unreduced integer
-    pair (numerator, denominator) and reduced only when it becomes a new
-    coefficient.  If no phi_i equals a_i, phi_K is that coefficient.
-    phi_{K-1} = a_{K-1} at the last level K-1 means the fraction predicted
-    the sample.  phi_i = a_i at an earlier level i makes an inverse
-    difference infinite: the sample is then predicted only if a zero tail
-    makes level i+1 infinite, which evaluating the fraction at e tells, so
-    this case alone evaluates it.  Each sample leaves ``nodes``, ``coeffs``
-    and ``confirmed`` as evaluating first and then extending would.
+    pair and reduced only when it becomes a new coefficient.  If no phi_i
+    equals a_i, phi_K is that coefficient.  phi_{K-1} = a_{K-1} at the last
+    level K-1 means the fraction predicted the sample.  phi_i = a_i at an
+    earlier level i makes an inverse difference infinite: the sample is
+    then predicted only if a zero tail makes level i+1 infinite, which
+    evaluating the fraction at e tells, so this case alone evaluates it.
+    Each sample leaves ``nodes``, ``coeffs`` and ``confirmed`` as
+    evaluating first and then extending would.
     """
 
     def __init__(self):
         self.nodes, self.coeffs, self.confirmed = [], [], 0
 
-    def __call__(self, e: Fraction) -> Fraction | None:
-        """The value at ``e``, or None for infinity: a zero tail makes its
-        level infinite, and a_k + (e - e_k)/infinity = a_k."""
+    def __call__(self, e: tuple[int, int]) -> tuple[int, int] | None:
+        """The value at the node pair ``e`` as an unreduced integer pair, or
+        None for infinity: a zero tail makes its level infinite, and
+        a_k + (e - e_k)/infinity = a_k."""
+        en, ed = e
         tail = None
-        for node, a in zip(reversed(self.nodes), reversed(self.coeffs)):
-            if tail == 0:
+        for (nn, nd), (an, ad) in zip(reversed(self.nodes), reversed(self.coeffs)):
+            if tail is None:
+                tail = an, ad
+            elif not tail[0]:
                 tail = None
             else:
-                tail = a if tail is None else a + (e - node) / tail
+                # a + (e - node)/tail, with e - node = (en nd - nn ed)/(ed nd)
+                tn, td = tail
+                dd = ed * nd
+                tail = an * dd * tn + ad * (en * nd - nn * ed) * td, ad * dd * tn
         return tail
 
-    def feed(self, e: Fraction, value: Fraction) -> None:
+    def feed(self, e: tuple[int, int], value: tuple[int, int]) -> None:
         """Confirm a predicted sample; extend through any other, unless an
         inverse difference is infinite: such a point is left out."""
-        en, ed = e.numerator, e.denominator
-        p, q = value.numerator, value.denominator  # phi_i = p/q, q != 0
+        en, ed = e
+        p, q = value  # phi_i = p/q, q != 0
+        if type(p) is not int or type(q) is not int:
+            raise TypeError(f"a Thiele sample is an integer pair, got {value!r}")
+        if not q:
+            raise ZeroDivisionError(f"a Thiele sample has denominator 0: {value!r}")
         last = len(self.coeffs) - 1
-        for i, (node, a) in enumerate(zip(self.nodes, self.coeffs)):
-            an, ad = a.numerator, a.denominator
+        for i, ((nn, nd), (an, ad)) in enumerate(zip(self.nodes, self.coeffs)):
             d = p * ad - an * q  # (phi_i - a_i) q ad
             if not d:
-                predicted = i == last or self(e) == value
+                if i == last:
+                    predicted = True
+                else:
+                    at = self(e)
+                    predicted = at is not None and at[0] * value[1] == value[0] * at[1]
                 self.confirmed = self.confirmed + 1 if predicted else 0
                 return
-            nn, nd = node.numerator, node.denominator
             p, q = (en * nd - nn * ed) * q * ad, ed * nd * d
         self.confirmed = 0
         self.nodes.append(e)
-        self.coeffs.append(Fraction(p, q))
+        g = math.gcd(p, q)
+        self.coeffs.append((p // g, q // g) if q > 0 else (-p // g, -q // g))
 
 
-def limit_at_infinity(sample: Callable[[Fraction], Sequence[Fraction]],
+def limit_at_infinity(sample: Callable[[int], Sequence[tuple[int, int]]],
                       budget: int) -> tuple[tuple[Fraction, ...], int]:
     """Exact limits as alpha -> oo of components rational in alpha, and the
-    samples used: each component, sampled at alpha = 3, 4, 5, ... (skipping
+    samples used.
+
+    The sample convention: ``sample`` takes an ``int`` alpha and returns
+    each component's value as an integer pair (numerator, denominator),
+    which need not be reduced; a ``Fraction`` or float component raises
+    TypeError.  Each component, sampled at alpha = 3, 4, 5, ... (skipping
     an alpha that raises DomainError), is fed to a Thiele fraction in
-    e = 1/alpha, and read off at e = 0 once every fraction has predicted two
-    samples in a row.  DomainError when ``budget`` values of alpha leave a
-    fraction unconfirmed, or a limit is infinite.
+    e = 1/alpha, whose nodes are the pairs (1, alpha), and read off at
+    e = 0 once every fraction has predicted two samples in a row; only the
+    limits returned are ``Fraction``s.  DomainError when ``budget`` values
+    of alpha leave a fraction unconfirmed, or a limit is infinite.
     """
     fractions, points = [], 0
-    for alpha in map(Fraction, range(3, 3 + budget)):
+    for alpha in range(3, 3 + budget):
         try:
             values = sample(alpha)
         except DomainError:
             continue
         points += 1
         fractions = fractions or [_Thiele() for _ in values]
+        e = (1, alpha)
         for fraction, value in zip(fractions, values, strict=True):
-            fraction.feed(1 / alpha, value)
+            fraction.feed(e, value)
         if min(fraction.confirmed for fraction in fractions) >= 2:
-            limits = tuple(fraction(_ZERO) for fraction in fractions)
+            limits = [fraction((0, 1)) for fraction in fractions]
             if None in limits:
                 raise DomainError("the quantity has a pole at alpha = oo")
-            return limits, points
+            return tuple(Fraction(*limit) for limit in limits), points
     raise DomainError(f"no interpolant confirmed within {budget} values of alpha")

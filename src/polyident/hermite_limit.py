@@ -8,6 +8,13 @@ quantity is rational in alpha, so its limit is exact: it is reconstructed
 from alpha = 3, 4, 5, ... (:func:`~polyident.exact.limit_at_infinity`),
 read off at 1/alpha = 0 and compared with the claimed limit, with no slack.
 
+The sample convention is fraction-free: each builder's quantity takes an
+``int`` alpha and returns its components as integer pairs (numerator,
+denominator), not necessarily reduced.  A power alpha^{+-a} lands on the
+pair's numerator or denominator, the scaled Gegenbauer polynomials scale
+their integer numerators, and the pairing of eq30-limit is one integer dot
+product over a common denominator.
+
 The biorthogonality kernel is implemented in two variants: the historical
 printed form, which fails (pinned regression: value -1 at (n, k) = (2, 1)),
 and the corrected form, which both yields delta_{n,k} and is the literal
@@ -23,10 +30,10 @@ from functools import cached_property, lru_cache
 from typing import Callable, Mapping, NamedTuple
 
 from .classical import gegenbauer_r, hermite
-from .dual_addition import DualSetting, dual_addition_coeffs, specialized_racah
+from .dual_addition import DualSetting, dual_addition_coeffs, racah_specialization
 from .errors import DomainError, check_index
-from .exact import SurdPoly, UniPoly, limit_at_infinity, pochhammer
-from .racah import racah_h0, racah_norm_ratio, racah_weight
+from .exact import SurdPoly, UniPoly, limit_at_infinity, pochhammer, rising_product
+from .racah import RacahSystem, racah_h0, racah_norm_ratio, racah_system, racah_weight
 
 _HALF = Fraction(1, 2)
 
@@ -107,9 +114,9 @@ def hermite_product_residual(n: int) -> SurdPoly:
     return target - integral
 
 
-def _lm_pochhammer(s: HermiteSetting, k: int) -> Fraction:
+def _lm_pochhammer(s: HermiteSetting, k: int) -> int:
     """(-l)_k (-m)_k."""
-    return pochhammer(Fraction(-s.l), k) * pochhammer(Fraction(-s.m), k)
+    return rising_product(-s.l, 1, k) * rising_product(-s.m, 1, k)
 
 
 @lru_cache(maxsize=None)
@@ -174,33 +181,46 @@ def biorthogonality_value(n: int, k: int, kernel: str = "corrected") -> Fraction
     kernel="corrected": sum_j [(-j)_n/j!] [(-k)_j/k!], which gives
     delta_{n,k} and is the kernel actually composing the dual addition
     formula with its inverse.
+
+    Either sum is one integer sum over one denominator, formed as a
+    ``Fraction`` once: the printed terms are (-n)_j (-j)_k over n! k!, the
+    corrected ones (-j)_n (-k)_j top!/j! over top! k!, with top = max(n, k).
+    Only j with both shifted factorials nonzero is summed: k <= j <= n for
+    the printed kernel, n <= j <= k for the corrected one.
     """
     if n < 0 or k < 0:
         raise DomainError("indices must be >= 0")
-    js = range(max(n, k) + 1)
     if kernel == "as-printed":
-        terms = (_kernel(n, j) * pochhammer(Fraction(-j), k) / math.factorial(k) for j in js)
-    elif kernel == "corrected":
-        terms = (_kernel(j, n) * _kernel(k, j) for j in js)
-    else:
-        raise DomainError(f"unknown kernel {kernel!r}")
-    return sum(terms, Fraction(0))
+        num = sum(rising_product(-n, 1, j) * rising_product(-j, 1, k) for j in range(k, n + 1))
+        return Fraction(num, math.factorial(n) * math.factorial(k))
+    if kernel == "corrected":
+        top = max(n, k)
+        num = sum(rising_product(-j, 1, n) * rising_product(-k, 1, j)
+                  * rising_product(j + 1, 1, top - j) for j in range(n, k + 1))
+        return Fraction(num, math.factorial(top) * math.factorial(k))
+    raise DomainError(f"unknown kernel {kernel!r}")
 
 
-def alpha_scaled(poly: UniPoly, k: int, alpha: Fraction) -> UniPoly:
-    """alpha^{k/2} poly(alpha^{-1/2} x) for a polynomial of parity k.
+def _scaled_numerators(poly: UniPoly, k: int, alpha: int) -> list[int]:
+    """The numerators, over ``poly.den``, of alpha^{k/2} poly(alpha^{-1/2} x)
+    for a polynomial of parity k and degree at most k.
 
-    Parity makes every alpha exponent an integer: the x^i coefficient picks
+    Parity makes every alpha exponent an integer: the x^i numerator picks
     up alpha^{(k-i)/2} with k - i even.
     """
-    return UniPoly(c * alpha ** ((k - i) // 2) for i, c in enumerate(poly.coeffs))
+    return [c * alpha ** ((k - i) // 2) if c else 0 for i, c in enumerate(poly.nums)]
+
+
+#: a component of a sampled quantity: (numerator, denominator), unreduced
+Pair = tuple[int, int]
 
 
 class LimitClaim(NamedTuple):
-    """A limit builder's output: ``quantity``, alpha -> its components, tends
-    to ``claimed`` after ``assemble`` turns the components' limits into values."""
+    """A limit builder's output: ``quantity``, an int alpha -> its components
+    as integer pairs, tends to ``claimed`` after ``assemble`` turns the
+    components' limits into values."""
 
-    quantity: Callable[[Fraction], tuple[Fraction, ...]]
+    quantity: Callable[[int], tuple[Pair, ...]]
     claimed: tuple
     assemble: Callable[[tuple[Fraction, ...]], tuple] = tuple
 
@@ -225,8 +245,10 @@ def _setting(idx: Mapping[str, int], *names: str) -> HermiteSetting:
     return s
 
 
-def _system(alpha: Fraction, s: HermiteSetting):
-    return specialized_racah(DualSetting(alpha=alpha, l=s.l, m=s.m))
+def _system(alpha: int, s: HermiteSetting) -> RacahSystem:
+    """The specialized Racah system of (alpha, l, m), as
+    :func:`~polyident.racah.racah_system` keeps it."""
+    return racah_system(*racah_specialization(alpha, s.l, s.m), s.m)
 
 
 def _budget(*indices: int) -> int:
@@ -236,13 +258,28 @@ def _budget(*indices: int) -> int:
 
 def _eq52(idx, x) -> LimitClaim:
     n, x = idx["n"], _point(x, "eq52")
-    return LimitClaim(lambda alpha: (alpha_scaled(gegenbauer_r(n, alpha), n, alpha)(x),),
-                      (hermite(n)(x) / 2**n,))
+    p, q = x.numerator, x.denominator
+
+    def quantity(alpha):
+        # at x = p/q the x^i term is c_i alpha^{(n-i)/2} p^i q^{n-i} / q^n,
+        # and alpha^{(n-i)/2} q^{n-i} = (alpha q^2)^{(n-i)/2} by parity
+        poly = gegenbauer_r(n, alpha)
+        scale = alpha * q * q
+        return ((sum(c * p**i * scale ** ((n - i) // 2) for i, c in enumerate(poly.nums) if c),
+                 poly.den * q**n),)
+
+    return LimitClaim(quantity, (hermite(n)(x) / 2**n,))
 
 
 def _eq53(idx, x) -> LimitClaim:
     n, x = idx["n"], _point(x, "eq53")
-    return LimitClaim(lambda alpha: (gegenbauer_r(n, alpha)(x),), (Fraction(x) ** n,))
+
+    def quantity(alpha):
+        poly = gegenbauer_r(n, alpha)
+        return ((poly.numerator_at(x.numerator, x.denominator),
+                 poly.den * x.denominator ** poly.degree),)
+
+    return LimitClaim(quantity, (Fraction(x) ** n,))
 
 
 def _eq54(scaled: str):
@@ -253,22 +290,31 @@ def _eq54(scaled: str):
         s = _setting(idx, "n", "j")
         n, j = idx["n"], idx["j"]
         a, b = (j, n) if scaled == "j" else (n, j)
-        claimed = 2**a * pochhammer(Fraction(-b), a) / _lm_pochhammer(s, a)
-        return LimitClaim(lambda alpha: (alpha**-a * _system(alpha, s).values[n][j],),
-                          (claimed,))
+        claimed = Fraction(2**a * rising_product(-b, 1, a), _lm_pochhammer(s, a))
+
+        def quantity(alpha):
+            value = _system(alpha, s).values[n][j]
+            return ((value.numerator, value.denominator * alpha**a),)
+
+        return LimitClaim(quantity, (claimed,))
 
     return build
 
 
 def _eq55(idx, x) -> LimitClaim:
     s, j = _setting(idx, "j"), idx["j"]
-    claimed = _lm_pochhammer(s, j) / (2**j * math.factorial(j))
-    return LimitClaim(lambda alpha: (alpha**j * racah_weight(j, _system(alpha, s)),), (claimed,))
+    claimed = Fraction(_lm_pochhammer(s, j), 2**j * math.factorial(j))
+
+    def quantity(alpha):
+        weight = racah_weight(j, _system(alpha, s))
+        return ((weight.numerator * alpha**j, weight.denominator),)
+
+    return LimitClaim(quantity, (claimed,))
 
 
 def _norm_limit(n: int, s: HermiteSetting) -> Fraction:
     """2^n n!/((-l)_n (-m)_n), the limit of alpha^{-n} h_n."""
-    return 2**n * math.factorial(n) / _lm_pochhammer(s, n)
+    return Fraction(2**n * math.factorial(n), _lm_pochhammer(s, n))
 
 
 def _eq56(idx, x) -> LimitClaim:
@@ -276,7 +322,8 @@ def _eq56(idx, x) -> LimitClaim:
 
     def quantity(alpha):
         sys = _system(alpha, s)
-        return (alpha**-n * racah_h0(sys) * racah_norm_ratio(n, sys),)
+        h0, ratio = racah_h0(sys), racah_norm_ratio(n, sys)
+        return ((h0.numerator * ratio.numerator, h0.denominator * ratio.denominator * alpha**n),)
 
     return LimitClaim(quantity, (_norm_limit(n, s),))
 
@@ -288,12 +335,18 @@ def _eq30_limit(idx, x) -> LimitClaim:
     n, k = idx["n"], idx["k"]
 
     def quantity(alpha):
+        # sum_j w(j) R_n(j) R_k(j) as one integer dot product over the lcm of
+        # its terms' denominators
         sys = _system(alpha, s)
-        values = sys.values
-        value = sum(
-            racah_weight(j, sys) * values[n][j] * values[k][j] for j in range(s.m + 1)
-        )
-        return (alpha**-n * value / racah_h0(sys),)
+        values, h0 = sys.values, racah_h0(sys)
+        terms = []
+        for j, (u, v) in enumerate(zip(values[n], values[k])):
+            w = racah_weight(j, sys)
+            terms.append((w.numerator * u.numerator * v.numerator,
+                          w.denominator * u.denominator * v.denominator))
+        den = math.lcm(*(d for _, d in terms))
+        num = sum(t * (den // d) for t, d in terms)
+        return ((num * h0.denominator, den * h0.numerator * alpha**n),)
 
     return LimitClaim(quantity, (_norm_limit(n, s) if n == k else Fraction(0),))
 
@@ -304,8 +357,8 @@ def _scaled_gegenbauer_limit(k: int, shift: int) -> UniPoly:
     by coefficient."""
 
     def quantity(alpha):
-        poly = alpha_scaled(gegenbauer_r(k, alpha + shift), k, alpha)
-        return tuple(poly.coeff(i) for i in range(k + 1))
+        poly = gegenbauer_r(k, alpha + shift)
+        return [(c, poly.den) for c in _scaled_numerators(poly, k, alpha)]
 
     return UniPoly(limit_at_infinity(quantity, _budget(k, shift))[0])
 
@@ -325,7 +378,8 @@ def _eq40_to_eq46(idx, x) -> LimitClaim:
 
     def scalars(alpha):
         coeffs = dual_addition_coeffs(j, DualSetting(alpha=alpha, l=l, m=m))
-        return tuple(rescale * alpha ** (n - j) * c for n, c in enumerate(coeffs))
+        return tuple((rescale * c.numerator * alpha ** max(n - j, 0),
+                      c.denominator * alpha ** max(j - n, 0)) for n, c in enumerate(coeffs))
 
     def assemble(limits):
         factor = _scaled_gegenbauer_limit

@@ -311,6 +311,20 @@ class TestWilsonPolynomials:
         with mp.workdps(170):
             assert abs(value - reference) < mp.mpf(10) ** -80 * abs(reference)
 
+    @pytest.mark.parametrize("n", [150, 200])
+    def test_a_sum_that_cancels_every_digit_is_taken_again_until_it_fits(self, n):
+        # at 60 digits the first pass cancels all of its 70 working digits,
+        # so one more pass at 70 + 71 digits still falls short; the value
+        # must agree with one pass at 1500 digits on the same parameters
+        with working_precision(60):
+            params = WilsonParams.from_spectral(Fraction(1, 5), Fraction(2, 5), 1)
+            value = wilson_poly(n, Fraction(1, 16), params)
+        with mp.workdps(1500):
+            reference, lost = continuous._wilson_sum(n, mp.mpf(1) / 4, params)
+            assert lost < 1000
+            assert abs(mp.im(reference)) < mp.mpf(10) ** -1000 * abs(reference)
+            assert abs(value - mp.re(reference)) < mp.mpf(10) ** -60 * abs(reference)
+
     @pytest.mark.parametrize("n", [2, 28])
     def test_non_conjugate_parameters_are_not_real(self, n):
         params = WilsonParams(

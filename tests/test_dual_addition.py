@@ -286,7 +286,8 @@ class TestWhipple:
     def test_zero_values_pair_up(self):
         # at this setting one j zeroes both the 4F3 and the integral
         s = DualSetting(Fraction(1), 5, 3)
-        assert second_hyp_form(s)[2][2] == 0
+        nums, den = second_hyp_form(s)
+        assert nums[2][2] == 0 and den != 0
         assert racah_eval(2, 2, specialized_racah(s)) == 0
         whipple_proportionality(s)
 
@@ -296,7 +297,7 @@ class TestWhipple:
             for l, m in ((3, 2), (5, 5), (6, 1)):
                 s = DualSetting(alpha, l, m)
                 sys = specialized_racah(s)
-                second = second_hyp_form(s)
+                nums, den = second_hyp_form(s)
                 n_independent = (
                     lambda n: pochhammerq(HALF - alpha - n, n)
                     * pochhammerq(-l - n - 2 * alpha, n)
@@ -308,7 +309,7 @@ class TestWhipple:
                         rhs = (
                             n_independent(n)
                             * whipple_factor(j, s)
-                            * second[n][j]
+                            * Fraction(nums[n][j], den)
                         )
                         assert lhs == rhs
 
@@ -317,6 +318,45 @@ class TestWhipple:
             for l, m in ((4, 3), (6, 2)):
                 s = DualSetting(alpha, l, m)
                 assert len(whipple_proportionality(s)) == m + 1
+
+    @pytest.mark.parametrize("alpha", [Fraction(0), HALF, Fraction(7, 3)], ids=str)
+    def test_weight_change_of_the_pairing(self, alpha):
+        # <(x^2-1)^n P, R>_alpha = (-1)^n (alpha+1)_n/(alpha+3/2)_n <P, R>_{alpha+n},
+        # the factor the check divides out of its constants
+        l, m = 5, 3
+        for n in range(m + 1):
+            product = gegenbauer_r(l - n, alpha + n) * gegenbauer_r(m - n, alpha + n)
+            factor = (-1) ** n * pochhammer(alpha + 1, n) / pochhammer(alpha + 3 * HALF, n)
+            for j in range(m + 1):
+                poly = gegenbauer_r(l + m - 2 * j, alpha)
+                assert inner_product(_product_basis(n, DualSetting(alpha, l, m)), poly, alpha) == (
+                    factor * inner_product(product, poly, alpha + n))
+
+    @pytest.mark.parametrize("alpha", [Fraction(0), HALF, Fraction(7, 3)], ids=str)
+    def test_constants_match_the_pairing_at_weight_alpha_plus_n(self, alpha):
+        # the oracle: the integral at weight alpha + n over the j-dependent
+        # factors and each 4F3, in Fractions, at the first j where it is defined
+        for l, m in ((3, 2), (5, 3), (6, 4)):
+            s = DualSetting(alpha, l, m)
+            sys = specialized_racah(s)
+            nums, den = second_hyp_form(s)
+            expected = []
+            for n in range(m + 1):
+                product = gegenbauer_r(l - n, alpha + n) * gegenbauer_r(m - n, alpha + n)
+                ratios = ([], [])
+                for j in range(m + 1):
+                    poly = gegenbauer_r(l + m - 2 * j, alpha)
+                    integral = inner_product(product, poly, alpha + n)
+                    base = racah_weight(j, sys) * norm_ratio(l + m - 2 * j, alpha)
+                    for value, scale, acc in (
+                        (sys.values[n][j], base, ratios[0]),
+                        (Fraction(nums[n][j], den), base * whipple_factor(j, s), ratios[1]),
+                    ):
+                        if value:
+                            acc.append(integral / (scale * value))
+                assert all(len(set(acc)) == 1 for acc in ratios)
+                expected.append((ratios[0][0], ratios[1][0]))
+            assert whipple_proportionality(s) == expected
 
 
 def pochhammerq(a: Fraction, n: int) -> Fraction:

@@ -276,12 +276,50 @@ class TestSurdPoly:
             )
 
 
+def _pair(value) -> tuple[int, int]:
+    """A rational in the samples' integer-pair convention."""
+    value = Fraction(value)
+    return value.numerator, value.denominator
+
+
 def _of_epsilon(g):
-    """The quantity alpha -> (g(1/alpha),) of a rational function g."""
-    return lambda alpha: (g(1 / alpha),)
+    """The quantity alpha -> (g(1/alpha),) of a rational function g, as an
+    integer pair."""
+    return lambda alpha: (_pair(g(Fraction(1, alpha))),)
 
 
-class _TwoPassThiele(exact._Thiele):
+class _FractionThiele:
+    """The oracle: the Thiele fraction on ``Fraction`` nodes, values and
+    coefficients, one inverse-difference pass per sample, evaluating the
+    fraction only where an earlier level meets an infinite inverse
+    difference."""
+
+    def __init__(self):
+        self.nodes, self.coeffs, self.confirmed = [], [], 0
+
+    def __call__(self, e):
+        tail = None
+        for node, a in zip(reversed(self.nodes), reversed(self.coeffs)):
+            if tail == 0:
+                tail = None
+            else:
+                tail = a if tail is None else a + (e - node) / tail
+        return tail
+
+    def feed(self, e, value):
+        phi, last = value, len(self.coeffs) - 1
+        for i, (node, a) in enumerate(zip(self.nodes, self.coeffs)):
+            if phi == a:
+                predicted = i == last or self(e) == value
+                self.confirmed = self.confirmed + 1 if predicted else 0
+                return
+            phi = (e - node) / (phi - a)
+        self.confirmed = 0
+        self.nodes.append(e)
+        self.coeffs.append(phi)
+
+
+class _TwoPassThiele(_FractionThiele):
     """The reference feed: evaluate the whole fraction at e to test the
     prediction, then run the inverse-difference chain as a second pass."""
 
@@ -298,15 +336,26 @@ class _TwoPassThiele(exact._Thiele):
         self.coeffs.append(phi)
 
 
-def _fed_alike(samples):
-    """Feed (e, value) samples to the one-pass and the reference feed, and
-    check after each that both fractions hold the same state."""
-    one, two = exact._Thiele(), _TwoPassThiele()
-    for e, value in samples:
-        one.feed(e, value)
+def _fed_alike(samples, scales=None):
+    """Feed (e, value) samples to the integer fraction, as pairs, and to the
+    one-pass and two-pass ``Fraction`` oracles, and check after each that
+    all three hold the same state.  ``scales``, if given, multiplies the
+    numerator and the denominator of each integer sample by a nonzero
+    factor, so that the integer fraction sees unreduced pairs."""
+    one, oracle, two = exact._Thiele(), _FractionThiele(), _TwoPassThiele()
+    for i, (e, value) in enumerate(samples):
+        scale = scales[i % len(scales)] if scales else 1
+        one.feed(_pair(e), (value.numerator * scale, value.denominator * scale))
+        oracle.feed(e, value)
         two.feed(e, value)
-        assert (one.nodes, one.coeffs, one.confirmed) == (two.nodes, two.coeffs, two.confirmed)
-    return one
+        assert (oracle.nodes, oracle.coeffs, oracle.confirmed) == (
+            two.nodes, two.coeffs, two.confirmed)
+        assert one.nodes == list(map(_pair, oracle.nodes))
+        assert one.coeffs == list(map(_pair, oracle.coeffs))
+        assert one.confirmed == oracle.confirmed
+        at = one(_pair(e))
+        assert (None if at is None else Fraction(*at)) == oracle(e)
+    return one, oracle
 
 
 class TestLimitAtInfinity:
@@ -316,10 +365,11 @@ class TestLimitAtInfinity:
             _of_epsilon(lambda e: (3 * e * e - e + 2) / (5 * e + 1)), 20
         )
         assert (limits, points) == ((2,), 6)
+        assert type(limits[0]) is Fraction
 
     def test_components_are_reconstructed_apart(self):
         limits, points = limit_at_infinity(
-            lambda alpha: (Fraction(7), (alpha + 1) / (2 * alpha - 1), 1 / alpha**3), 20
+            lambda alpha: ((7, 1), (alpha + 1, 2 * alpha - 1), (1, alpha**3)), 20
         )
         assert limits == (7, Fraction(1, 2), 0)
         # with k + 1 points a Thiele fraction has type (ceil(k/2), floor(k/2)):
@@ -332,10 +382,10 @@ class TestLimitAtInfinity:
         def g(e):
             return (e - Fraction(1, 3)) * (e - Fraction(1, 6))
 
-        fraction = exact._Thiele()
-        for alpha in (3, 4, 5, 6):
-            fraction.feed(Fraction(1, alpha), g(Fraction(1, alpha)))
+        fraction, _ = _fed_alike((Fraction(1, alpha), g(Fraction(1, alpha)))
+                                 for alpha in (3, 4, 5, 6))
         assert len(fraction.nodes) == 3
+        assert fraction.nodes == [(1, 3), (1, 4), (1, 5)]
         assert limit_at_infinity(_of_epsilon(g), 20)[0] == (Fraction(1, 18),)
 
     def test_zero_tail_carries_infinity(self):
@@ -344,19 +394,21 @@ class TestLimitAtInfinity:
         def g(e):
             return e * (e - Fraction(1, 3)) + 1
 
-        fraction = exact._Thiele()
-        for alpha in range(3, 8):
-            fraction.feed(Fraction(1, alpha), g(Fraction(1, alpha)))
-        assert fraction(Fraction(0)) == 1
+        fraction, _ = _fed_alike((Fraction(1, alpha), g(Fraction(1, alpha)))
+                                 for alpha in range(3, 8))
+        assert Fraction(*fraction((0, 1))) == 1
         assert limit_at_infinity(_of_epsilon(g), 20) == ((1,), 6)
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(st.lists(st.sampled_from([0, 1, -1, Fraction(1, 2), 2]) | rationals,
-                    min_size=1, max_size=12))
-    def test_one_pass_feed_matches_two_pass_on_random_samples(self, values):
+                    min_size=1, max_size=12),
+           st.lists(st.integers(-7, 7).filter(bool), min_size=1, max_size=3))
+    def test_one_pass_feed_matches_two_pass_on_random_samples(self, values, scales):
         # a small pool of values makes equal inverse differences, and so
-        # left-out points and confirmations at every level, common
-        _fed_alike((Fraction(1, alpha), Fraction(v)) for alpha, v in enumerate(values, 3))
+        # left-out points, zero tails and confirmations at every level,
+        # common; the integer fraction takes the samples unreduced
+        _fed_alike([(Fraction(1, alpha), Fraction(v)) for alpha, v in enumerate(values, 3)],
+                   scales)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(
@@ -366,7 +418,7 @@ class TestLimitAtInfinity:
     def test_one_pass_feed_matches_two_pass_on_rational_functions(self, numerator, denominator):
         n, d = UniPoly(numerator), UniPoly(denominator)
         es = [Fraction(1, alpha) for alpha in range(3, 15)]
-        _fed_alike((e, n(e) / d(e)) for e in es if d(e) != 0)
+        _fed_alike([(e, n(e) / d(e)) for e in es if d(e) != 0])
 
     def test_sample_on_a_zero_tail_takes_the_fallback(self):
         # four levels from four samples; at e* = e_2 - a_2 a_3 the tail below
@@ -375,23 +427,23 @@ class TestLimitAtInfinity:
         # levels: only evaluating the fraction shows it is predicted.
         samples = [(Fraction(1, alpha), Fraction(v))
                    for alpha, v in ((3, 1), (4, 2), (5, -1), (6, 5))]
-        fraction = _fed_alike(samples)
+        fraction, oracle = _fed_alike(samples)
         assert len(fraction.nodes) == 4 and fraction.confirmed == 0
-        a = fraction.coeffs
-        e_star = fraction.nodes[2] - a[2] * a[3]
-        assert e_star not in fraction.nodes
-        assert fraction(e_star) == a[0]
-        fraction = _fed_alike([*samples, (e_star, a[0])])
+        a = oracle.coeffs
+        e_star = oracle.nodes[2] - a[2] * a[3]
+        assert e_star not in oracle.nodes
+        assert Fraction(*fraction(_pair(e_star))) == a[0]
+        fraction, _ = _fed_alike([*samples, (e_star, a[0])])
         assert (len(fraction.nodes), fraction.confirmed) == (4, 1)
         # the same point with any other value is not predicted: it extends the fraction
-        fraction = _fed_alike([*samples, (e_star, a[0] + 1)])
+        fraction, _ = _fed_alike([*samples, (e_star, a[0] + 1)])
         assert (len(fraction.nodes), fraction.confirmed) == (5, 0)
 
     def test_degenerate_samples_are_skipped(self):
         def sample(alpha):
             if alpha in (4, 6):
                 raise DomainError("degenerate")
-            return (alpha / (alpha + 1),)
+            return ((alpha, alpha + 1),)
 
         # 1/(1 + e) needs three points and two confirmations: alpha = 3, 5, 7,
         # 8 and 9
@@ -399,7 +451,7 @@ class TestLimitAtInfinity:
 
     def test_pole_at_infinity_is_an_error(self):
         with pytest.raises(DomainError, match="pole"):
-            limit_at_infinity(lambda alpha: (alpha * alpha / (alpha + 1),), 20)
+            limit_at_infinity(lambda alpha: ((alpha * alpha, alpha + 1),), 20)
 
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -410,11 +462,27 @@ class TestLimitAtInfinity:
         n, d = UniPoly(numerator), UniPoly(denominator)
 
         def sample(alpha):
-            if d(1 / alpha) == 0:
+            e = Fraction(1, alpha)
+            if d(e) == 0:
                 raise DomainError("pole")
-            return (n(1 / alpha) / d(1 / alpha),)
+            return (_pair(n(e) / d(e)),)
 
         assert limit_at_infinity(sample, 40)[0] == (n(0) / d(0),)
+
+    @pytest.mark.parametrize("component", [
+        lambda alpha: 1 / alpha,
+        lambda alpha: Fraction(1, alpha),
+        lambda alpha: (1.0, alpha),
+        lambda alpha: (Fraction(1), alpha),
+    ], ids=["float", "Fraction", "float-pair", "Fraction-pair"])
+    def test_a_sample_that_is_not_an_integer_pair_is_a_type_error(self, component):
+        # alpha is an int, and / on ints gives a float
+        with pytest.raises(TypeError):
+            limit_at_infinity(lambda alpha: ((1, 1), component(alpha)), 20)
+
+    def test_a_zero_denominator_is_refused(self):
+        with pytest.raises(ZeroDivisionError):
+            limit_at_infinity(lambda alpha: ((1, 0),), 20)
 
 
 class TestPythagoreanPoint:

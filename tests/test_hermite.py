@@ -13,7 +13,6 @@ from polyident.errors import DomainError
 from polyident.exact import UniPoly, pochhammer
 from polyident.hermite_limit import (
     HermiteSetting,
-    alpha_scaled,
     biorthogonality_value,
     hermite_addition_residual,
     hermite_dual_addition_residual,
@@ -22,6 +21,17 @@ from polyident.hermite_limit import (
     hermite_product_residual,
     limit_rate_check,
 )
+
+
+def alpha_scaled(poly: UniPoly, k: int, alpha: Fraction) -> UniPoly:
+    """Test-only oracle: alpha^{k/2} poly(alpha^{-1/2} x) for a polynomial of
+    parity k, coefficient by coefficient in ``Fraction``s."""
+    return UniPoly(c * alpha ** ((k - i) // 2) for i, c in enumerate(poly.coeffs))
+
+
+def as_pairs(values):
+    """Rational components in the limit samples' integer-pair convention."""
+    return tuple((Fraction(v).numerator, Fraction(v).denominator) for v in values)
 
 
 class TestHermiteSurdIdentities:
@@ -170,6 +180,25 @@ class TestBiorthogonality:
         with pytest.raises(DomainError):
             biorthogonality_value(1, 1, "other")
 
+    @pytest.mark.parametrize("kernel", ["as-printed", "corrected"])
+    def test_integer_sum_matches_the_fraction_loop(self, kernel):
+        # the oracle: each kernel entry a Fraction, summed over every j up to
+        # max(n, k), zero terms included
+        def entry(a, b):
+            return pochhammer(Fraction(-a), b) / math.factorial(a)
+
+        for n in range(21):
+            for k in range(21):
+                js = range(max(n, k) + 1)
+                if kernel == "as-printed":
+                    terms = (entry(n, j) * pochhammer(Fraction(-j), k) / math.factorial(k)
+                             for j in js)
+                else:
+                    terms = (entry(j, n) * entry(k, j) for j in js)
+                value = biorthogonality_value(n, k, kernel)
+                assert type(value) is Fraction
+                assert value == sum(terms, Fraction(0)), (n, k)
+
     def test_corrected_kernel_is_the_matrix_inverse(self):
         # the expansion and its inverse are lower/upper triangular matrices
         # whose product is the corrected kernel; symbolically this check
@@ -192,13 +221,22 @@ class TestBiorthogonality:
 
 class TestScaledGegenbauer:
     def test_exact_alpha_powers(self):
-        alpha = Fraction(16)
-        poly = alpha_scaled(gegenbauer_r(3, alpha), 3, alpha)
+        base = gegenbauer_r(3, 16)
+        nums = hermite_limit._scaled_numerators(base, 3, 16)
+        poly = UniPoly(Fraction(c, base.den) for c in nums)
         # x^3 coefficient is the plain leading coefficient; the x^1
         # coefficient picks up one alpha power
-        base = gegenbauer_r(3, alpha)
         assert poly.coeff(3) == base.coeff(3)
-        assert poly.coeff(1) == base.coeff(1) * alpha
+        assert poly.coeff(1) == base.coeff(1) * 16
+        assert poly == alpha_scaled(base, 3, Fraction(16))
+
+    @pytest.mark.parametrize("k, shift", [(0, 0), (1, 2), (4, 1), (7, 3)])
+    def test_numerators_match_the_fraction_scaling(self, k, shift):
+        for alpha in (3, 5, 11):
+            base = gegenbauer_r(k, alpha + shift)
+            nums = hermite_limit._scaled_numerators(base, k, alpha)
+            assert UniPoly(Fraction(c, base.den) for c in nums) == alpha_scaled(
+                base, k, Fraction(alpha))
 
 
 def _passes(target, indices, x=None) -> bool:
@@ -277,12 +315,13 @@ def _coefficientwise_terms(l, m, j):
     rescale = 2 ** (l + m - j) * hermite_limit._lm_pochhammer(s, j)
 
     def quantity(alpha):
+        alpha = Fraction(alpha)
         dual = DualSetting(alpha=alpha, l=l, m=m)
         terms = (
             alpha_scaled(dual_addition_term(n, j, dual), l + m, alpha).scale(rescale * alpha**-j)
             for n in range(m + 1)
         )
-        return tuple(term.coeff(i) for term in terms for i in range(l + m + 1))
+        return as_pairs(term.coeff(i) for term in terms for i in range(l + m + 1))
 
     return quantity
 
@@ -301,10 +340,10 @@ class TestDualAdditionLimit:
         # it confirms the fraction instead
         claim = hermite_limit._LIMITS["eq40-to-eq46"][1]({"j": 0, "l": 3, "m": 3}, None)
         fraction = exact._Thiele()
-        for alpha in map(Fraction, (3, 4, 5)):
-            fraction.feed(1 / alpha, claim.quantity(alpha)[0])
+        for alpha in (3, 4, 5):
+            fraction.feed((1, alpha), claim.quantity(alpha)[0])
         assert (len(fraction.nodes), fraction.confirmed) == (1, 2)
-        assert fraction(Fraction(0)) == claim.quantity(Fraction(3))[0]
+        assert Fraction(*fraction((0, 1))) == Fraction(*claim.quantity(3)[0])
         assert _passes("eq40-to-eq46", {"j": 0, "l": 3, "m": 3})
 
     @pytest.mark.parametrize("l, m, j", [(5, 4, 2), (5, 5, 1)])
@@ -365,10 +404,11 @@ class TestLimitWindow:
 
         def quantity(alpha):
             seen.append(alpha)
-            return (Fraction(1),)
+            return ((1, 1),)
 
         assert exact.limit_at_infinity(quantity, 8) == ((Fraction(1),), 3)
         assert seen == [3, 4, 5]
+        assert all(type(alpha) is int for alpha in seen)
 
     def test_offset_limit_fails_for_every_target(self, monkeypatch):
         # a claimed limit off by any nonzero rational fails every limit
@@ -389,8 +429,8 @@ class TestLimitWindow:
 
     @pytest.mark.parametrize(
         "quantity",
-        [lambda alpha: (Fraction(1, 2) ** alpha,),
-         lambda alpha: (Fraction(1), Fraction(1, 2) ** alpha),
+        [lambda alpha: ((1, 2**alpha),),
+         lambda alpha: ((1, 1), (1, 2**alpha)),
          _degenerate_everywhere],
         ids=["not-rational", "one-component-not-rational", "every-alpha-degenerate"],
     )
@@ -414,12 +454,12 @@ def _dyadic_deviation(target, idx, x, alpha):
     rescaled expansion, not factor by factor."""
     claim = hermite_limit._LIMITS[target][1](idx, x)
     if target != "eq40-to-eq46":
-        return max(abs(q - c) for q, c in zip(claim.quantity(alpha), claim.claimed))
+        return max(abs(Fraction(*q) - c) for q, c in zip(claim.quantity(alpha), claim.claimed))
     l, m, j = idx["l"], idx["m"], idx["j"]
     rescale = 2 ** (l + m - j) * hermite_limit._lm_pochhammer(HermiteSetting(l, m), j)
     degree = l + m - 2 * j
-    lhs = alpha_scaled(gegenbauer_r(degree, alpha), degree, alpha).scale(rescale)
-    terms = _coefficientwise_terms(l, m, j)(alpha)
+    lhs = alpha_scaled(gegenbauer_r(degree, alpha), degree, Fraction(alpha)).scale(rescale)
+    terms = [Fraction(*pair) for pair in _coefficientwise_terms(l, m, j)(alpha)]
     width = l + m + 1
     sides = [lhs] + [UniPoly(terms[n * width:(n + 1) * width]) for n in range(m + 1)]
     return max((side - c).max_abs_coeff() for side, c in zip(sides, claim.claimed))
@@ -433,7 +473,7 @@ class TestDyadicOracle:
     @staticmethod
     def _decays(target, idx, x=None):
         onset = 2 * (idx["l"] + idx["m"]) ** 2 if "l" in idx else 0
-        alphas = [Fraction(2**s) for s in range(4, 14) if 2**s >= onset]
+        alphas = [2**s for s in range(4, 14) if 2**s >= onset]
         deviations = [_dyadic_deviation(target, idx, x, alpha) for alpha in alphas]
         return all(
             later <= Fraction(6, 10) * earlier

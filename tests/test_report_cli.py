@@ -10,6 +10,7 @@ import pkgutil
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -784,12 +785,16 @@ VERIFY_PARSER = cli.make_parser()
 #: denominator, an exponent past the bound, a negative degree)
 SMALL_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=7).map(format_rational)
 REFUSED_TEXT = st.sampled_from(["1/2", "x", "", "1/0", "1e4301", "-1"])
+#: degrees just over each eval bound, and gamma = -N-1 for N just over
+#: eval racah's: each is refused before any work
+OVER_BOUNDS = st.sampled_from(sorted({str(bound + 1) for bound in cli.MAX_DEGREE.values()}))
+OVER_RACAH_N = st.just(str(-cli.MAX_RACAH_N - 2))
 #: eval argument name -> its text: degrees and points up to 60, gamma = -N-1
-#: for N up to 60
+#: for N up to 60, and the values just over the bounds
 EVAL_SLOTS = {
-    "n": st.integers(0, 60).map(str) | REFUSED_TEXT,
+    "n": st.integers(0, 60).map(str) | OVER_BOUNDS | REFUSED_TEXT,
     "x": st.integers(0, 60).map(str) | REFUSED_TEXT,
-    "gamma": st.integers(-61, -1).map(str) | SMALL_RATIONALS | REFUSED_TEXT,
+    "gamma": st.integers(-61, -1).map(str) | OVER_RACAH_N | SMALL_RATIONALS | REFUSED_TEXT,
 }
 
 
@@ -826,6 +831,32 @@ class TestEvalFuzz:
         assert captured.err == ("error: DomainError: the result has an integer of more "
                                 "than 640 digits, too long to print\n")
         assert main(["eval", "hermite", "600"]) == 0
+
+    @pytest.mark.parametrize("fn, extra", [("gegenbauer", ["1/3"]), ("hermite", []),
+                                           ("wilson", ["1/16", "1/5", "2/5", "1"])])
+    def test_a_degree_over_the_bound_exits_2_at_once(self, fn, extra, capsys):
+        bound = cli.MAX_DEGREE[fn]
+        for n in (bound + 1, 8000, 10**6):
+            started = time.perf_counter()
+            assert main(["eval", fn, str(n), *extra]) == 2
+            assert time.perf_counter() - started < 1
+            assert capsys.readouterr().err == (
+                f"error: DomainError: eval {fn} takes a degree n <= {bound}, got {n}\n")
+
+    def test_a_racah_system_over_the_bound_exits_2_at_once(self, capsys):
+        for N in (cli.MAX_RACAH_N + 1, 2000, 10**6):
+            started = time.perf_counter()
+            assert main(["eval", "racah", "3", "5", "0", "1/2", str(-N - 1), "1/3"]) == 2
+            assert time.perf_counter() - started < 1
+            assert capsys.readouterr().err == (
+                f"error: DomainError: eval racah takes N = -gamma-1 <= {cli.MAX_RACAH_N}, "
+                f"got N = {N}\n")
+
+    def test_the_bounds_keep_what_the_suites_and_ci_evaluate(self, capsys):
+        # the suites' degrees and the N = 400 of the one-value CI step stay in reach
+        assert main(["eval", "racah", "3", "5", "0", "1/2", "-401", "1/3"]) == 0
+        assert capsys.readouterr().out == "144611739193/569172835\n"
+        assert min(cli.MAX_DEGREE.values()) >= 1000 and cli.MAX_RACAH_N >= 400
 
     @pytest.mark.parametrize("argv", [["gegenbauer", "1/2", "0"], ["racah", "0", "x", "0", "0",
                                                                    "-2", "1"]])
