@@ -11,7 +11,7 @@ oracle in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -22,19 +22,36 @@ from .exact import Monomial, SurdPoly, UniPoly, _surd, pochhammer
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdditionInstance:
-    """Degree n and parameter alpha > -1/2 for one addition-formula check."""
+    """Degree n and parameter alpha > -1/2 for one addition-formula check.
+
+    Compared and hashed by the integers (n, a, b), alpha = a/b, formed once
+    at construction, as :class:`~polyident.dual_addition.DualSetting` is:
+    the instance keys :func:`addition_lhs`.
+    """
 
     n: int
     alpha: Fraction
+    _key: tuple[int, int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
+        alpha = Fraction(self.alpha)
+        a, b = alpha.numerator, alpha.denominator
         if self.n < 0:
             raise DomainError(f"degree must be >= 0, got {self.n}")
-        if self.alpha <= -_HALF:
-            raise DomainError(f"alpha must exceed -1/2, got {self.alpha}")
+        if 2 * a + b <= 0:
+            raise DomainError(f"alpha must exceed -1/2, got {alpha}")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "_key", (self.n, a, b))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return hash(self._key)
 
 
 def mixed_argument() -> SurdPoly:

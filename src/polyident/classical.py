@@ -4,7 +4,9 @@ All constructors expand terminating hypergeometric series over the
 rationals and normalize so the Jacobi/Gegenbauer value at x = 1 is 1.
 Integration against the Gegenbauer weight (1-x^2)^alpha on [-1, 1] is
 done in mass-normalized form (the weight scaled to total mass 1), which
-keeps every inner product rational.
+keeps every inner product rational.  The memoised constructors and closed
+forms are keyed by integers, (n, numerator, denominator) of each
+parameter (:func:`~polyident.exact.integer_keyed`).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import lru_cache
 from operator import mul
 
 from .errors import DomainError
-from .exact import UniPoly, _reduced, pochhammer
+from .exact import UniPoly, _reduced, integer_keyed, pochhammer
 
 #: the polynomial x^2 - 1
 X2M1 = UniPoly((-1, 0, 1))
@@ -26,7 +28,7 @@ def _require_alpha(alpha: Fraction, lower: Fraction, what: str) -> None:
         raise DomainError(f"{what} requires alpha > {lower}, got {alpha}")
 
 
-@lru_cache(maxsize=None)
+@integer_keyed
 def jacobi_r(n: int, alpha: Fraction, beta: Fraction) -> UniPoly:
     """Jacobi polynomial normalized to value 1 at x = 1.
 
@@ -61,7 +63,7 @@ def jacobi_r(n: int, alpha: Fraction, beta: Fraction) -> UniPoly:
     return _reduced(acc, tail)
 
 
-@lru_cache(maxsize=None)
+@integer_keyed
 def gegenbauer_r(n: int, alpha: Fraction) -> UniPoly:
     """Gegenbauer polynomial (value 1 at x = 1) from its power series.
 
@@ -104,7 +106,7 @@ def hermite(n: int) -> UniPoly:
     return UniPoly(coeffs)
 
 
-@lru_cache(maxsize=None)
+@integer_keyed
 def even_moment(k: int, alpha: Fraction) -> Fraction:
     """Normalized moment of x^{2k} against (1-x^2)^alpha on [-1, 1].
 
@@ -180,7 +182,7 @@ def gegenbauer_pairing(p: UniPoly, alpha: Fraction, degree: int) -> GegenbauerPa
     return GegenbauerPairing(vector, tail * p.den, degree)
 
 
-@lru_cache(maxsize=None)
+@integer_keyed
 def norm_ratio(n: int, alpha: Fraction) -> Fraction:
     """Squared norm of gegenbauer_r(n, alpha) relative to the n = 0 norm.
 
@@ -201,7 +203,7 @@ def norm_ratio(n: int, alpha: Fraction) -> Fraction:
     )
 
 
-@lru_cache(maxsize=None)
+@integer_keyed
 def addition_weight(k: int, alpha: Fraction) -> Fraction:
     """(alpha+k)/(alpha+k/2) (2 alpha+1)_k / (2^{2k} (alpha+1)_k^2).
 

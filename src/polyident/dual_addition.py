@@ -24,44 +24,68 @@ from functools import lru_cache
 from .classical import X2M1, addition_weight, gegenbauer_pairing, gegenbauer_r, norm_ratio
 from .errors import DomainError, IdentityViolationError, check_index
 from .exact import UniPoly, rising_product, terminating_hyp_numerators
-from .racah import RacahSystem, racah_h0, racah_system, racah_weight
+from .racah import RacahSystem, racah_h0, racah_weight, system_over
 
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualSetting:
     """Parameter triple (alpha, l, m) with alpha > -1/2 and l >= m >= 0.
 
-    Hashed once at construction: the setting keys the memoised evaluations
-    below, and a ``Fraction`` hash costs a modular inverse each time.
+    Compared and hashed by the integers (a, b, l, m), alpha = a/b, formed
+    once at construction: the setting keys the memoised evaluations below,
+    and a ``Fraction`` key costs a modular inverse per hash and
+    ``numbers.Rational`` checks per comparison.  An int tuple hashes alike
+    in every process, so a pickled setting keys the same entries in a pool
+    worker.
     """
 
     alpha: Fraction
     l: int
     m: int
-    _hash: int = field(init=False, repr=False, compare=False)
+    _key: tuple[int, int, int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
-        if self.alpha <= -_HALF:
-            raise DomainError(f"alpha must exceed -1/2, got {self.alpha}")
+        alpha = Fraction(self.alpha)
+        a, b = alpha.numerator, alpha.denominator
+        if 2 * a + b <= 0:
+            raise DomainError(f"alpha must exceed -1/2, got {alpha}")
         if not 0 <= self.m <= self.l:
             raise DomainError(f"need l >= m >= 0, got l={self.l}, m={self.m}")
-        object.__setattr__(self, "_hash", hash((self.alpha, self.l, self.m)))
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "_key", (a, b, self.l, self.m))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self._key)
+
+
+def racah_form(alpha: Fraction | int, l: int, m: int) -> tuple[int, int, int, int, int]:
+    """(D, A, B, G, E): the parameters of the Racah system above for
+    (alpha, l, m) over their least common denominator D, unchecked, as
+    :func:`~polyident.racah.system_over` keeps the system.
+
+    From alpha = a/b (an ``int`` alpha has a numerator and a denominator
+    too), alpha - 1/2 = (2a - b)/(2b), reduced by the one common factor
+    that 2a - b and 2b can have; gamma = -m - 1 and delta = -l - alpha -
+    1/2 = -(alpha - 1/2) - (l + 1) are then integers over the same D.
+    """
+    A, D = 2 * alpha.numerator - alpha.denominator, 2 * alpha.denominator
+    common = math.gcd(A, D)
+    A, D = A // common, D // common
+    return D, A, A, -(m + 1) * D, -A - (l + 1) * D
 
 
 def racah_specialization(alpha: Fraction | int, l: int, m: int) -> tuple[Fraction, ...]:
-    """The parameters of the Racah system above for (alpha, l, m), unchecked.
-
-    alpha - 1/2 is formed once, from alpha's numerator and denominator (an
-    ``int`` alpha has them too), and -l - alpha - 1/2 from it.
-    """
-    shifted = Fraction(2 * alpha.numerator - alpha.denominator, 2 * alpha.denominator)
-    return (shifted, shifted, Fraction(-m - 1), -shifted - (l + 1))
+    """The parameters of the Racah system above for (alpha, l, m), unchecked,
+    as rationals: :func:`racah_form` over its denominator."""
+    D, *numerators = racah_form(alpha, l, m)
+    return tuple(Fraction(x, D) for x in numerators)
 
 
 @lru_cache(maxsize=None)
@@ -70,10 +94,10 @@ def specialized_racah(s: DualSetting) -> RacahSystem:
 
     Validity of this system for every admissible setting is a checked
     claim: construction runs the full RacahSystem validation.  It is the
-    system :func:`~polyident.racah.racah_system` keeps for its parameters,
+    system :func:`~polyident.racah.system_over` keeps for its parameters,
     so a racah-suite task on the same specialization reads the same one.
     """
-    return racah_system(*racah_specialization(s.alpha, s.l, s.m), s.m)
+    return system_over(*racah_form(s.alpha, s.l, s.m), s.m)
 
 
 def _twice_alpha_plus_one(alpha: Fraction) -> tuple[int, int]:

@@ -47,6 +47,10 @@ its coefficients as reduced pairs, takes each sample down its
 inverse-difference chain once and is read off at 1/alpha = 0 in integers;
 only the limits it returns are ``Fraction``s.
 
+The memos of the exact layers are keyed by integers: ``integer_keyed``
+memoises a function of (n, alpha, ...) by n and each rational's numerator
+and denominator, so that a lookup hashes no ``Fraction``.
+
 ``SurdPoly`` is fraction-free by the same rule as ``UniPoly``: integer
 numerators on its monomials over one positive common denominator, reduced
 by their content, so equal ring elements have equal stored forms.  Its
@@ -61,7 +65,8 @@ import math
 import re
 from collections import Counter
 from fractions import Fraction
-from itertools import zip_longest
+from functools import lru_cache, wraps
+from itertools import chain, zip_longest
 from operator import mul
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -107,6 +112,34 @@ def parse_rational(text: str) -> Fraction:
 def format_rational(q: Fraction) -> str:
     """Inverse of :func:`parse_rational`; integers print without "/1"."""
     return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
+
+
+def integer_keyed(fn: Callable) -> Callable:
+    """Memoise ``fn(n, alpha, *more)``, for an int n and rationals alpha
+    and ``more``, by n and each rational's numerator and denominator.
+
+    An int tuple hashes in a fraction of the time a ``Fraction`` key takes
+    (each ``Fraction`` hash is a modular inverse) and compares without the
+    ``numbers.Rational`` checks; int hashes are the same in every process.
+    Equal rationals have equal reduced pairs, so the memo keeps one entry
+    per value, as one keyed by the values would.  ``fn`` receives each
+    rational as a ``Fraction``.  The memo shows its ``lru_cache``'s
+    ``cache_info`` and ``cache_clear``, and ``__wrapped__`` is ``fn``.
+    """
+
+    @lru_cache(maxsize=None)
+    def by_integers(n, *pairs):
+        return fn(n, *map(Fraction, pairs[::2], pairs[1::2]))
+
+    @wraps(fn)
+    def memo(n, alpha, *more):
+        if more:
+            return by_integers(n, alpha.numerator, alpha.denominator,
+                               *chain.from_iterable((q.numerator, q.denominator) for q in more))
+        return by_integers(n, alpha.numerator, alpha.denominator)
+
+    memo.cache_info, memo.cache_clear = by_integers.cache_info, by_integers.cache_clear
+    return memo
 
 
 def rising_product(p: int, q: int, n: int) -> int:

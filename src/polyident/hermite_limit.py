@@ -30,10 +30,10 @@ from functools import cached_property, lru_cache
 from typing import Callable, Mapping, NamedTuple
 
 from .classical import gegenbauer_r, hermite
-from .dual_addition import DualSetting, dual_addition_coeffs, racah_specialization
+from .dual_addition import DualSetting, dual_addition_coeffs, racah_form
 from .errors import DomainError, check_index
 from .exact import SurdPoly, UniPoly, limit_at_infinity, pochhammer, rising_product
-from .racah import RacahSystem, racah_h0, racah_norm_ratio, racah_system, racah_weight
+from .racah import RacahSystem, racah_h0, racah_norm_ratio, racah_weight, system_over
 
 _HALF = Fraction(1, 2)
 
@@ -247,8 +247,8 @@ def _setting(idx: Mapping[str, int], *names: str) -> HermiteSetting:
 
 def _system(alpha: int, s: HermiteSetting) -> RacahSystem:
     """The specialized Racah system of (alpha, l, m), as
-    :func:`~polyident.racah.racah_system` keeps it."""
-    return racah_system(*racah_specialization(alpha, s.l, s.m), s.m)
+    :func:`~polyident.racah.system_over` keeps it, from its integers."""
+    return system_over(*racah_form(alpha, s.l, s.m), s.m)
 
 
 def _budget(*indices: int) -> int:

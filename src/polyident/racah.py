@@ -31,9 +31,13 @@ cached properties, each formed on first use by
 (:attr:`RacahSystem.values`), which every check that reads many of them
 reads, and the shifted-system terms (:attr:`RacahSystem.shifted_terms`)
 that the backward shift and summation by parts share.
-:func:`racah_system` keeps one validated system per (alpha, beta, gamma,
-delta, N), so the racah suite and the dual-addition specializations share
-one; otherwise nothing is memoised by function, and :func:`racah_eval`
+:func:`system_over` keeps one validated system per parameter tuple, by
+the integers (D, A, B, G, E, N) of the parameters over their least common
+denominator D, the numerators validation computes; an int tuple hashes and
+compares at a fraction of a ``Fraction``'s cost.  :func:`racah_system`
+brings rationals to that form, and the dual-addition specializations and
+the Hermite limits form it straight from alpha, so every suite shares one
+system; otherwise nothing is memoised by function, and :func:`racah_eval`
 sums the one series it is asked for.
 """
 
@@ -128,20 +132,31 @@ class RacahSystem:
     @staticmethod
     def parse(params: str, N: int) -> "RacahSystem":
         """The system of "alpha,beta,gamma,delta" rational strings plus N,
-        as :func:`racah_system` keeps it."""
+        the one :func:`system_over` keeps for them."""
         parts = [parse_rational(p) for p in params.split(",")]
         if len(parts) != 4:
             raise DomainError(f"expected 4 comma-separated rationals, got {params!r}")
         return racah_system(*parts, N)
 
 
-@lru_cache(maxsize=None)
 def racah_system(alpha: Rational, beta: Rational, gamma: Rational, delta: Rational,
                  N: int) -> RacahSystem:
     """The one validated system of these parameters in this process, so
     that every check on it, whichever suite asks, shares its closed forms
-    and its grids."""
-    return RacahSystem(alpha, beta, gamma, delta, N=N)
+    and its grids: :func:`system_over` of the parameters over their least
+    common denominator."""
+    D, numerators = _over_common_denominator((alpha, beta, gamma, delta))
+    return system_over(D, *numerators, N)
+
+
+@lru_cache(maxsize=None)
+def system_over(D: int, A: int, B: int, G: int, E: int, N: int) -> RacahSystem:
+    """The one validated system of (alpha, beta, gamma, delta) = (A, B, G,
+    E)/D in this process, kept by its integers: D must be the parameters'
+    least common denominator, as :func:`_over_common_denominator` forms
+    it (D > 0, no factor common to D, A, B, G and E), so that each system
+    has one key."""
+    return RacahSystem(Fraction(A, D), Fraction(B, D), Fraction(G, D), Fraction(E, D), N=N)
 
 
 class ClosedForms(NamedTuple):
@@ -221,9 +236,9 @@ def _validate(sys: RacahSystem) -> tuple[list[str], ClosedForms]:
     return problems, ClosedForms(tuple(weights), h0, tuple(norm_ratios), tuple(endpoints))
 
 
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+def _over_common_denominator(values: Sequence[Rational]) -> tuple[int, list[int]]:
     """(D, numerators): the values as integers over their least common
-    denominator D."""
+    denominator D; no factor divides D and every numerator."""
     D = math.lcm(*(v.denominator for v in values))
     return D, [v.numerator * (D // v.denominator) for v in values]
 

@@ -49,6 +49,20 @@ PRECISION_FLOOR = 46
 #: and its eq15 expansion gives up.
 PRECISION_CEILING = 200
 
+#: highest accepted grid sizes, each where its suite at the default alphas
+#: still passes within 25 s at --jobs 2 on a 2-vCPU host.  The grids grow
+#: like the fourth power of their bound or faster: dual-addition takes 13 s
+#: at l_max 28 and 23 s at 32, hermite 11 s at hermite_lm_max 64 and 30 s
+#: at 80, and 10 s at limit_lm_max 12 and 28 s at 14.
+GRID_CEILINGS = {"l_max": 32, "hermite_lm_max": 64, "limit_lm_max": 12}
+
+#: the most digits an alpha's numerator or denominator may have.  The exact
+#: work grows with them: dual-addition at its default grid takes 0.4 s at
+#: 20 digits, 1.0 s at 100 and 5.0 s at 300, classical-addition 20 s at its
+#: one grid at 4,000, and past 4,300 digits an alpha cannot be written
+#: into a record.
+ALPHA_DIGITS_CEILING = 100
+
 #: eq48-corrected checks each n in 0..BIORTHOGONALITY_MAX against every k
 #: in the same range
 BIORTHOGONALITY_MAX = 20
@@ -79,11 +93,17 @@ class SuiteConfig:
             value = getattr(self, name)
             if value < floor:
                 raise ConfigError(f"{name} must be >= {floor}, got {value}")
-        if self.precision_digits > PRECISION_CEILING:
-            raise ConfigError(f"precision_digits must be <= {PRECISION_CEILING}, "
-                              f"got {self.precision_digits}")
+        ceilings = dict(GRID_CEILINGS, precision_digits=PRECISION_CEILING)
+        for name, ceiling in ceilings.items():
+            value = getattr(self, name)
+            if value > ceiling:
+                raise ConfigError(f"{name} must be <= {ceiling}, got {value}")
         if not self.alphas:
             raise ConfigError("alphas must not be empty")
+        bound = 10**ALPHA_DIGITS_CEILING
+        if any(abs(a.numerator) >= bound or a.denominator >= bound for a in self.alphas):
+            raise ConfigError(f"alphas must have numerators and denominators of at most "
+                              f"{ALPHA_DIGITS_CEILING} digits")
         # a repeated alpha would run, and report, the same tasks twice
         repeated = sorted({a for a in self.alphas if self.alphas.count(a) > 1})
         if repeated:

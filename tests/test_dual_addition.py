@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polyident import addition, dual_addition, hermite_limit
+from polyident import addition, dual_addition, hermite_limit, racah
 from polyident.classical import (
     addition_weight,
     even_moment,
@@ -506,10 +506,12 @@ class TestIntegerClosedForms:
                     assert value == fraction_form(index, s), (integer_form, index, s)
 
 
-def _fields(value):
+def _key(value):
+    """The tuple a value hashes as: a Racah system its fields, a setting the
+    integers (a, b, l, m) of alpha = a/b, l and m."""
     if isinstance(value, RacahSystem):
         return (value.alpha, value.beta, value.gamma, value.delta, value.N)
-    return (value.alpha, value.l, value.m)
+    return (value.alpha.numerator, value.alpha.denominator, value.l, value.m)
 
 
 setting_alphas = st.fractions(min_value=-HALF, max_value=10, max_denominator=12).filter(
@@ -534,5 +536,26 @@ class TestCacheKeys:
             assert hash(left) == hash(right)
             for value in (left, pickle.loads(pickle.dumps(left))):
                 assert value == right
-                # the stored hash is the field tuple's, N and m included
-                assert hash(value) == hash(_fields(value))
+                # the hash is the integer key's (the field tuple's for a
+                # system), N and m included
+                assert hash(value) == hash(_key(value))
+        # both routes reach the one kept system, whose key is its
+        # parameters over their least common denominator
+        assert specialized_racah(setting) is system
+        D, numerators = racah._over_common_denominator(system.as_tuple())
+        assert dual_addition.racah_form(alpha, l, m) == (D, *numerators)
+
+    @given(alpha=setting_alphas, n=st.integers(0, 8))
+    @settings(max_examples=30, deadline=None)
+    def test_addition_instances_hash_their_integer_key(self, alpha, n):
+        # from a Fraction, from its "p/q" string and, for an integer alpha,
+        # from an int: equal, hash-equal, and so after pickling
+        inst = addition.AdditionInstance(n, alpha)
+        routes = [addition.AdditionInstance(n, parse_rational(format_rational(alpha)))]
+        if alpha.denominator == 1:
+            routes.append(addition.AdditionInstance(n, alpha.numerator))
+        for other in routes:
+            for value in (other, pickle.loads(pickle.dumps(other))):
+                assert value == inst
+                assert hash(value) == hash(inst) == hash((n, alpha.numerator, alpha.denominator))
+        assert inst != addition.AdditionInstance(n + 1, alpha)

@@ -216,11 +216,29 @@ class TestSuites:
         # buys nothing
         assert [name for name, info in traffic.items() if info.misses and not info.hits] == []
 
+    def test_warm_memos_hash_no_fraction(self, monkeypatch):
+        # every memo of the exact layers is keyed by integers: once a run of
+        # the four discrete suites has filled them, a second run hashes no
+        # Fraction (a modular inverse each)
+        def run():
+            for suite in ("racah", "classical-addition", "hermite", "dual-addition"):
+                run_suite(suite, SuiteConfig(jobs=1))
+
+        run()
+        hashes = []
+        fraction_hash = Fraction.__hash__
+        monkeypatch.setattr(Fraction, "__hash__",
+                            lambda q: hashes.append(q) or fraction_hash(q))
+        run()
+        monkeypatch.undo()
+        assert len(hashes) == 0, sorted(set(hashes))[:10]
+
     def test_each_racah_system_is_validated_once(self, monkeypatch):
         # the racah suite's systems and the dual-addition and Hermite
-        # specializations come from one keyed constructor: a tuple that two
-        # suites use is one system, validated once, whose grids both read
-        for cache in (racah.racah_system, dual_addition.specialized_racah):
+        # specializations come from one constructor keyed by integers: a
+        # tuple that two suites use is one system, validated once, whose
+        # grids both read
+        for cache in (racah.system_over, dual_addition.specialized_racah):
             cache.cache_clear()
         validated = []
         validate = racah._validate
@@ -863,6 +881,97 @@ class TestEvalFuzz:
     def test_only_an_integer_that_does_not_parse_is_a_bad_argument(self, argv, capsys):
         assert main(["eval", *argv]) == 2
         assert f"bad arguments for {argv[0]}: invalid literal for int()" in capsys.readouterr().err
+
+
+#: malformed, empty, negative, extreme and huge flag text, each refused
+#: with exit 2 before any work
+REFUSED_FLAG_TEXT = st.sampled_from(["x", "", "-1", "1.5", "1e3", "1/0", "nan", "9" * 5000])
+#: `verify` flag -> (text it takes, text it refuses): a grid at its floor
+#: and at most two jobs; values just and far past each grid ceiling, alphas
+#: past the digit bound, and each flag's malformed, empty, negative,
+#: extreme and huge text
+VERIFY_FLAG_TEXT = {
+    "--alphas": (st.sampled_from(["0", "1/2,7/3", "-1/3", "-1", "1.5", "1e99"]),
+                 st.sampled_from(["1,1", "1e100", "1e4300", "9" * 4000, "9" * 5000, ",", "0,x",
+                                  "", "x", "1/0", "nan"])),
+    **{"--" + name.replace("_", "-"): (st.just("0"),
+                                      st.sampled_from([str(ceiling + 1), str(10**9)])
+                                      | REFUSED_FLAG_TEXT)
+       for name, ceiling in suites.GRID_CEILINGS.items()},
+    "--precision-digits": (st.sampled_from(["46", "200"]),
+                           st.sampled_from(["45", "201", "100000"]) | REFUSED_FLAG_TEXT),
+    "--integral-tolerance": (st.just("1e-20"), st.sampled_from(["1e-5", "0", "inf"])
+                             | REFUSED_FLAG_TEXT),
+    "--pointwise-tolerance": (st.sampled_from(["1e-40", "1e-36"]), st.just("1e-30")
+                              | REFUSED_FLAG_TEXT),
+    "--jobs": (st.sampled_from(["1", "2"]), st.just("0x1") | REFUSED_FLAG_TEXT),
+    "--format": (st.sampled_from(["text", "json-lines"]), st.just("xml") | REFUSED_FLAG_TEXT),
+}
+#: flags every case gives, so that a config file never widens a grid nor
+#: asks for all cores
+ALWAYS_GIVEN = ("--l-max", "--hermite-lm-max", "--limit-lm-max", "--jobs")
+
+
+class TestVerifyFuzz:
+    @given(suite=st.sampled_from(["racah", "classical-addition", "hermite", "dual-addition"]),
+           data=st.data(), timings=st.booleans(),
+           config=st.none() | st.tuples(st.lists(config_lines, max_size=4),
+                                        st.sampled_from([b"", b"\xff", b"\xc3"])))
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_any_verify_flags_exit_zero_one_or_two(self, suite, data, timings, config,
+                                                   tmp_path, capsys):
+        # every flag given or not (the grid flags and --jobs always), with
+        # text it takes or, for at most two of them, text it refuses; a
+        # refused value or config file exits 2 at once, a grid at its
+        # floors runs
+        given_flags = [flag for flag in VERIFY_FLAG_TEXT
+                       if flag in ALWAYS_GIVEN or data.draw(st.booleans())]
+        refused = data.draw(st.sets(st.sampled_from(given_flags), max_size=2))
+        argv = ["verify", suite]
+        for flag in given_flags:
+            takes, refuses = VERIFY_FLAG_TEXT[flag]
+            argv.append(f"{flag}={data.draw(refuses if flag in refused else takes)}")
+        if timings:
+            argv.append("--timings")
+        if config is not None:
+            lines, tail = config
+            cfg = tmp_path / "fuzz.cfg"
+            cfg.write_bytes("".join(lines).encode() + tail)
+            argv += ["--config", str(cfg)]
+        started = time.perf_counter()
+        try:
+            status = main(argv)
+        except SystemExit as exc:  # argparse's own usage errors
+            status = exc.code
+        elapsed = time.perf_counter() - started
+        err = capsys.readouterr().err
+        assert status in (0, 1, 2), (argv, err)
+        assert "Traceback" not in err
+        assert status == 2 or not refused, argv
+        assert elapsed < 3, argv
+
+    @pytest.mark.parametrize("name", sorted(suites.GRID_CEILINGS))
+    def test_a_grid_past_its_ceiling_exits_2_at_once_naming_the_bound(self, name, capsys):
+        ceiling = suites.GRID_CEILINGS[name]
+        flag = "--" + name.replace("_", "-")
+        for value in (ceiling + 1, 5000, 10**9):
+            started = time.perf_counter()
+            assert main(["verify", "dual-addition", flag, str(value), "--jobs", "1"]) == 2
+            assert time.perf_counter() - started < 1
+            assert f"error: {name} must be <= {ceiling}, got {value}\n" in capsys.readouterr().err
+        assert getattr(SuiteConfig(**{name: ceiling}), name) == ceiling
+        # CI's larger grids stay in reach
+        assert ceiling >= {"l_max": 16, "hermite_lm_max": 24, "limit_lm_max": 8}[name]
+
+    def test_an_alpha_of_too_many_digits_exits_2(self, capsys):
+        # past 4,300 digits an alpha could not even be written into a record
+        for alpha in ("1e100", "1/" + "9" * 101, "1e4300", "-" + "9" * 4000):
+            assert main(["verify", "racah", f"--alphas={alpha}", "--jobs", "1"]) == 2
+            assert capsys.readouterr().err.startswith(
+                f"error: alphas must have numerators and denominators of at most "
+                f"{suites.ALPHA_DIGITS_CEILING} digits\n")
+        assert main(["verify", "racah", "--alphas=1e99", "--jobs", "1"]) == 0
 
 
 class TestConfigDeclaration:
