@@ -15,7 +15,6 @@ from .errors import (
     IdentityViolationError,
     PolyidentError,
     PrecisionError,
-    RelationViolationError,
 )
 from .exact import (
     Rational,
@@ -25,7 +24,6 @@ from .exact import (
     parse_rational,
     poch_quotient,
     pochhammer,
-    pythagorean_point,
     terminating_hyp,
 )
 
@@ -37,14 +35,12 @@ __all__ = [
     "PolyidentError",
     "PrecisionError",
     "Rational",
-    "RelationViolationError",
     "SurdPoly",
     "UniPoly",
     "format_rational",
     "parse_rational",
     "poch_quotient",
     "pochhammer",
-    "pythagorean_point",
     "terminating_hyp",
 ]
 

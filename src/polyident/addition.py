@@ -11,47 +11,24 @@ oracle in the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from .classical import X2M1, addition_weight, even_moment, gegenbauer_r, jacobi_r
 from .errors import DomainError
-from .exact import Monomial, SurdPoly, UniPoly, _surd, pochhammer
+from .exact import Monomial, SurdPoly, UniPoly, _surd, integer_keyed, pochhammer
 
 _HALF = Fraction(1, 2)
 
 
-@dataclass(frozen=True, eq=False)
-class AdditionInstance:
-    """Degree n and parameter alpha > -1/2 for one addition-formula check.
-
-    Compared and hashed by the integers (n, a, b), alpha = a/b, formed once
-    at construction, as :class:`~polyident.dual_addition.DualSetting` is:
-    the instance keys :func:`addition_lhs`.
-    """
-
-    n: int
-    alpha: Fraction
-    _key: tuple[int, int, int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        alpha = Fraction(self.alpha)
-        a, b = alpha.numerator, alpha.denominator
-        if self.n < 0:
-            raise DomainError(f"degree must be >= 0, got {self.n}")
-        if 2 * a + b <= 0:
-            raise DomainError(f"alpha must exceed -1/2, got {alpha}")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "_key", (self.n, a, b))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
+def _checked(n: int, alpha: Fraction | int) -> Fraction:
+    """alpha as a ``Fraction``, after checking that the degree n >= 0 and
+    alpha > -1/2: the domain of every check of (n, alpha) below."""
+    alpha = Fraction(alpha)
+    if n < 0:
+        raise DomainError(f"degree must be >= 0, got {n}")
+    if 2 * alpha.numerator + alpha.denominator <= 0:
+        raise DomainError(f"alpha must exceed -1/2, got {alpha}")
+    return alpha
 
 
 def mixed_argument() -> SurdPoly:
@@ -61,14 +38,14 @@ def mixed_argument() -> SurdPoly:
     return x * y + u * v * t
 
 
-@lru_cache(maxsize=None)
-def addition_lhs(inst: AdditionInstance) -> SurdPoly:
+@integer_keyed
+def addition_lhs(n: int, alpha: Fraction) -> SurdPoly:
     """R_n at the composite argument, reduced to canonical form.
 
-    Memoised by (n, alpha): the addition, product and t = 1 checks of
-    (n, alpha) all start from it.
+    Memoised by the integers of (n, alpha): the addition, product and
+    t = 1 checks of (n, alpha) all start from it.
     """
-    return mixed_argument().substitute_into(gegenbauer_r(inst.n, inst.alpha))
+    return mixed_argument().substitute_into(gegenbauer_r(n, _checked(n, alpha)))
 
 
 def addition_coefficient(n: int, k: int, alpha: Fraction) -> Fraction:
@@ -80,7 +57,7 @@ def addition_coefficient(n: int, k: int, alpha: Fraction) -> Fraction:
     return math.comb(n, k) * pochhammer(n + 2 * alpha + 1, k) * addition_weight(k, alpha)
 
 
-def _rhs(inst: AdditionInstance, with_t_factor: bool) -> SurdPoly:
+def _rhs(n: int, alpha: Fraction | int, with_t_factor: bool) -> SurdPoly:
     """Sum over k of addition_coefficient(n, k, alpha) u^k v^k
     R_{n-k}^{(alpha+k)}(x) R_{n-k}^{(alpha+k)}(y), times the t-factor
     R_k^{(alpha-1/2)}(t) when asked, in one integer pass.
@@ -91,7 +68,7 @@ def _rhs(inst: AdditionInstance, with_t_factor: bool) -> SurdPoly:
     x^i y^j t^c (u v)^{k mod 2}.  The terms are summed over one common
     denominator and reduced once.
     """
-    n, alpha = inst.n, inst.alpha
+    alpha = _checked(n, alpha)
     even_power = UniPoly.one()  # (1-x^2)^{floor(k/2)}
     terms, den = [], 1
     for k in range(n + 1):
@@ -119,49 +96,49 @@ def _rhs(inst: AdditionInstance, with_t_factor: bool) -> SurdPoly:
     return _surd(out, den)
 
 
-def addition_rhs(inst: AdditionInstance) -> SurdPoly:
+def addition_rhs(n: int, alpha: Fraction | int) -> SurdPoly:
     """Expansion side of the addition formula; equals addition_lhs exactly.
 
     The factor (1-x^2)^{k/2} enters as u^k (reduced canonically), the
     t-dependence through Gegenbauer polynomials of parameter alpha - 1/2.
     """
-    return _rhs(inst, with_t_factor=True)
+    return _rhs(n, alpha, with_t_factor=True)
 
 
-def addition_residual(inst: AdditionInstance) -> SurdPoly:
-    return addition_lhs(inst) - addition_rhs(inst)
+def addition_residual(n: int, alpha: Fraction | int) -> SurdPoly:
+    return addition_lhs(n, alpha) - addition_rhs(n, alpha)
 
 
-def product_formula_residual(inst: AdditionInstance) -> SurdPoly:
+def product_formula_residual(n: int, alpha: Fraction | int) -> SurdPoly:
     """R_n(x) R_n(y) minus the normalized t-average of the addition LHS.
 
     Integration against (1-t^2)^{alpha-1/2} (scaled to mass 1, which is
     exactly the Gamma prefactor of the product formula) maps t^{2k} to
     (1/2)_k/(alpha+1)_k and kills odd powers; the result has no u, v left.
     """
-    integral = addition_lhs(inst).map_t_powers(
-        lambda c: 0 if c % 2 else even_moment(c // 2, inst.alpha - _HALF)
+    integral = addition_lhs(n, alpha).map_t_powers(
+        lambda c: 0 if c % 2 else even_moment(c // 2, alpha - _HALF)
     )
     product = SurdPoly.from_unipoly(
-        gegenbauer_r(inst.n, inst.alpha), "x"
-    ) * SurdPoly.from_unipoly(gegenbauer_r(inst.n, inst.alpha), "y")
+        gegenbauer_r(n, alpha), "x"
+    ) * SurdPoly.from_unipoly(gegenbauer_r(n, alpha), "y")
     return product - integral
 
 
-def t_one_rhs(inst: AdditionInstance) -> SurdPoly:
+def t_one_rhs(n: int, alpha: Fraction | int) -> SurdPoly:
     """Expansion side of the t = 1 addition formula (the t-factor is 1 there)."""
-    return _rhs(inst, with_t_factor=False)
+    return _rhs(n, alpha, with_t_factor=False)
 
 
-def t_one_residual(inst: AdditionInstance) -> SurdPoly:
+def t_one_residual(n: int, alpha: Fraction | int) -> SurdPoly:
     """Substitute t = 1 in the addition LHS and subtract the t = 1 expansion."""
-    return addition_lhs(inst).set_t(1) - t_one_rhs(inst)
+    return addition_lhs(n, alpha).set_t(1) - t_one_rhs(n, alpha)
 
 
 def _sum_of_squares_pairs(n: int, alpha: Fraction) -> list[tuple[Fraction, UniPoly]]:
     """(addition_coefficient(n,k,alpha), (1-x^2)^k (R_{n-k}^{(alpha+k)}(x))^2)
     for k = 0..n."""
-    alpha = AdditionInstance(n, alpha).alpha
+    alpha = _checked(n, alpha)
     one_minus_x2 = -X2M1
     pairs = []
     for k in range(n + 1):

@@ -38,7 +38,7 @@ class DualSetting:
     and a ``Fraction`` key costs a modular inverse per hash and
     ``numbers.Rational`` checks per comparison.  An int tuple hashes alike
     in every process, so a pickled setting keys the same entries in a pool
-    worker.
+    worker.  Its Racah system is kept by :func:`~polyident.racah.system_over`.
     """
 
     alpha: Fraction
@@ -81,15 +81,7 @@ def racah_form(alpha: Fraction | int, l: int, m: int) -> tuple[int, int, int, in
     return D, A, A, -(m + 1) * D, -A - (l + 1) * D
 
 
-def racah_specialization(alpha: Fraction | int, l: int, m: int) -> tuple[Fraction, ...]:
-    """The parameters of the Racah system above for (alpha, l, m), unchecked,
-    as rationals: :func:`racah_form` over its denominator."""
-    D, *numerators = racah_form(alpha, l, m)
-    return tuple(Fraction(x, D) for x in numerators)
-
-
-@lru_cache(maxsize=None)
-def specialized_racah(s: DualSetting) -> RacahSystem:
+def specialized_racah(alpha: Fraction | int, l: int, m: int) -> RacahSystem:
     """The Racah system whose weights are the linearization coefficients.
 
     Validity of this system for every admissible setting is a checked
@@ -97,7 +89,7 @@ def specialized_racah(s: DualSetting) -> RacahSystem:
     system :func:`~polyident.racah.system_over` keeps for its parameters,
     so a racah-suite task on the same specialization reads the same one.
     """
-    return system_over(*racah_form(s.alpha, s.l, s.m), s.m)
+    return system_over(*racah_form(alpha, l, m), m)
 
 
 def _twice_alpha_plus_one(alpha: Fraction) -> tuple[int, int]:
@@ -140,7 +132,7 @@ def linearization_coeff(j: int, s: DualSetting) -> Fraction:
 def coeff_as_racah_weight_residual(j: int, s: DualSetting) -> Fraction:
     """linearization_coeff minus w(j)/h0 of the specialized system; must be 0."""
     check_index(j, s.m, "index")
-    sys = specialized_racah(s)
+    sys = specialized_racah(s.alpha, s.l, s.m)
     return linearization_coeff(j, s) - racah_weight(j, sys) / racah_h0(sys)
 
 
@@ -151,7 +143,7 @@ def s_direct(n: int, s: DualSetting) -> UniPoly:
     The m+1 terms are summed in one integer pass (:meth:`UniPoly.combination`).
     """
     check_index(n, s.m, "index")
-    sys = specialized_racah(s)
+    sys = specialized_racah(s.alpha, s.l, s.m)
     return UniPoly.combination(
         (racah_weight(j, sys) * value, gegenbauer_r(s.l + s.m - 2 * j, s.alpha))
         for j, value in enumerate(sys.values[n])
@@ -194,7 +186,7 @@ def dual_addition_coeffs(j: int, s: DualSetting) -> tuple[Fraction, ...]:
     dual addition expansion of R_{l+m-2j}: one look-up of the Racah values
     for the whole column."""
     check_index(j, s.m, "index")
-    values = specialized_racah(s).values
+    values = specialized_racah(s.alpha, s.l, s.m).values
     return tuple(_coeff_factor(n, s) * values[n][j] for n in range(s.m + 1))
 
 
@@ -241,7 +233,7 @@ def integral_identity_residuals(n: int, s: DualSetting) -> list[Fraction | int]:
     is formed as a ``Fraction`` only where they differ.
     """
     check_index(n, s.m, "index")
-    sys = specialized_racah(s)
+    sys = specialized_racah(s.alpha, s.l, s.m)
     pairing = gegenbauer_pairing(s_direct(n, s), s.alpha, s.l + s.m)
     residuals: list[Fraction | int] = []
     for j, value in enumerate(sys.values[n]):
@@ -325,7 +317,7 @@ def whipple_proportionality(s: DualSetting) -> list[tuple[Fraction, Fraction]]:
     """
     al, l, m = s.alpha, s.l, s.m
     a, b = al.numerator, al.denominator
-    sys = specialized_racah(s)
+    sys = specialized_racah(s.alpha, s.l, s.m)
     values, (second, second_den) = sys.values, second_hyp_form(s)
     # the j-only factors, formed once per setting: R_{l+m-2j}, the weight
     # w(j) h_{l+m-2j}/h_0 and that weight times the Whipple factor

@@ -21,10 +21,6 @@ class DegenerateParameterError(PolyidentError):
         self.factors = factors or []
 
 
-class RelationViolationError(PolyidentError):
-    """Variable bindings do not satisfy the quotient-ring relations."""
-
-
 class IdentityViolationError(PolyidentError):
     """An identity that must hold structurally failed to hold."""
 

@@ -16,8 +16,8 @@ with one gcd per result instead of one per coefficient operation.
 The integer kernels that build one ``Fraction`` per value, from integer
 numerators and denominators:
 
-- ``pochhammer`` (over ``rising_product``, the integer numerator of a
-  shifted factorial) and ``poch_quotient`` here;
+- ``pochhammer`` here, over ``rising_product``, the integer numerator of
+  a shifted factorial;
 - ``terminating_hyp_grid`` here, which sums a whole grid of terminating
   series whose upper parameters split into a row part and a column part:
   each row's and each column's shifted-factorial products are formed once,
@@ -29,7 +29,8 @@ numerators and denominators:
   ``classical.inner_product`` is a one-off pairing;
 - the running products by which ``racah`` validation evaluates a system's
   weights, mass, norm ratios and endpoint values, one factor per index
-  step; ``poch_quotient`` is their reference, which the tests pin them to;
+  step; ``poch_quotient`` here, which no suite calls, is their reference,
+  which the tests pin them to (it stays while the benchmark trace names it);
 - ``classical.jacobi_r``, whose terminating 2F1 terms are integers over
   one denominator, summed by Horner's rule in 1 - x;
 - the expansion side of ``addition``, which puts each term's integer
@@ -708,17 +709,6 @@ def _accumulate_reduced(out: dict[Monomial, int], mono: Monomial, n: int) -> Non
         for j in range(kv + 1):
             key = (a + 2 * i, b + 2 * j, c, e, f)
             out[key] = out.get(key, 0) + ni * math.comb(kv, j) * (-1) ** j
-
-
-def pythagorean_point(s: Fraction | int) -> tuple[Fraction, Fraction]:
-    """Rational point (x, u) on u^2 = 1 - x^2 with x in [-1, 1].
-
-    x = (1-s^2)/(1+s^2), u = 2s/(1+s^2); every rational s works and s = 0, 1
-    give the endpoints (1, 0) and (0, 1).
-    """
-    s = Fraction(s)
-    d = 1 + s * s
-    return (1 - s * s) / d, 2 * s / d
 
 
 class _Thiele:

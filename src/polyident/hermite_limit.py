@@ -30,10 +30,10 @@ from functools import cached_property, lru_cache
 from typing import Callable, Mapping, NamedTuple
 
 from .classical import gegenbauer_r, hermite
-from .dual_addition import DualSetting, dual_addition_coeffs, racah_form
+from .dual_addition import DualSetting, dual_addition_coeffs, specialized_racah
 from .errors import DomainError, check_index
 from .exact import SurdPoly, UniPoly, limit_at_infinity, pochhammer, rising_product
-from .racah import RacahSystem, racah_h0, racah_norm_ratio, racah_weight, system_over
+from .racah import racah_h0, racah_norm_ratio, racah_weight
 
 _HALF = Fraction(1, 2)
 
@@ -245,12 +245,6 @@ def _setting(idx: Mapping[str, int], *names: str) -> HermiteSetting:
     return s
 
 
-def _system(alpha: int, s: HermiteSetting) -> RacahSystem:
-    """The specialized Racah system of (alpha, l, m), as
-    :func:`~polyident.racah.system_over` keeps it, from its integers."""
-    return system_over(*racah_form(alpha, s.l, s.m), s.m)
-
-
 def _budget(*indices: int) -> int:
     """Values of alpha to try: over twice what any record at l, m <= 8 needs."""
     return 8 + 4 * sum(indices)
@@ -293,7 +287,7 @@ def _eq54(scaled: str):
         claimed = Fraction(2**a * rising_product(-b, 1, a), _lm_pochhammer(s, a))
 
         def quantity(alpha):
-            value = _system(alpha, s).values[n][j]
+            value = specialized_racah(alpha, s.l, s.m).values[n][j]
             return ((value.numerator, value.denominator * alpha**a),)
 
         return LimitClaim(quantity, (claimed,))
@@ -306,7 +300,7 @@ def _eq55(idx, x) -> LimitClaim:
     claimed = Fraction(_lm_pochhammer(s, j), 2**j * math.factorial(j))
 
     def quantity(alpha):
-        weight = racah_weight(j, _system(alpha, s))
+        weight = racah_weight(j, specialized_racah(alpha, s.l, s.m))
         return ((weight.numerator * alpha**j, weight.denominator),)
 
     return LimitClaim(quantity, (claimed,))
@@ -321,7 +315,7 @@ def _eq56(idx, x) -> LimitClaim:
     s, n = _setting(idx, "n"), idx["n"]
 
     def quantity(alpha):
-        sys = _system(alpha, s)
+        sys = specialized_racah(alpha, s.l, s.m)
         h0, ratio = racah_h0(sys), racah_norm_ratio(n, sys)
         return ((h0.numerator * ratio.numerator, h0.denominator * ratio.denominator * alpha**n),)
 
@@ -337,7 +331,7 @@ def _eq30_limit(idx, x) -> LimitClaim:
     def quantity(alpha):
         # sum_j w(j) R_n(j) R_k(j) as one integer dot product over the lcm of
         # its terms' denominators
-        sys = _system(alpha, s)
+        sys = specialized_racah(alpha, s.l, s.m)
         values, h0 = sys.values, racah_h0(sys)
         terms = []
         for j, (u, v) in enumerate(zip(values[n], values[k])):

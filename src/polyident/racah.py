@@ -31,14 +31,15 @@ cached properties, each formed on first use by
 (:attr:`RacahSystem.values`), which every check that reads many of them
 reads, and the shifted-system terms (:attr:`RacahSystem.shifted_terms`)
 that the backward shift and summation by parts share.
-:func:`system_over` keeps one validated system per parameter tuple, by
-the integers (D, A, B, G, E, N) of the parameters over their least common
-denominator D, the numerators validation computes; an int tuple hashes and
-compares at a fraction of a ``Fraction``'s cost.  :func:`racah_system`
-brings rationals to that form, and the dual-addition specializations and
-the Hermite limits form it straight from alpha, so every suite shares one
-system; otherwise nothing is memoised by function, and :func:`racah_eval`
-sums the one series it is asked for.
+:func:`system_over` is the one keeper of validated systems: one per
+parameter tuple, by the integers (D, A, B, G, E, N) of the parameters over
+their least common denominator D, the numerators validation computes; an
+int tuple hashes and compares at a fraction of a ``Fraction``'s cost.
+:meth:`RacahSystem.parse` brings rational strings to that form, and
+:func:`~polyident.dual_addition.specialized_racah` forms it straight from
+alpha for the dual-addition specializations and the Hermite limits, so
+every suite shares one system; otherwise nothing is memoised by function,
+and :func:`racah_eval` sums the one series it is asked for.
 """
 
 from __future__ import annotations
@@ -117,7 +118,9 @@ class RacahSystem:
         pole that a single row would not: validation excludes the zeros of
         (alpha+1)_k and (beta+delta+1)_k for k <= N, and (gamma+2)_k first
         vanishes past every row.  A degenerate shifted weight raises on every
-        use, since nothing is kept then.
+        use, since nothing is kept then.  The shifted system itself is not
+        read: its validation refuses gamma+delta+1 = 0, as at (1, 1, -2, 1)
+        with N = 1, the shift of "0,0,-3,1" on which eq20 and eq21 pass.
         """
         al, be, ga, de = self.as_tuple()
         shifted = (al + 1, be + 1, ga + 1, de)
@@ -132,21 +135,13 @@ class RacahSystem:
     @staticmethod
     def parse(params: str, N: int) -> "RacahSystem":
         """The system of "alpha,beta,gamma,delta" rational strings plus N,
-        the one :func:`system_over` keeps for them."""
+        the one :func:`system_over` keeps for them, so that every check on
+        it, whichever suite asks, shares its closed forms and its grids."""
         parts = [parse_rational(p) for p in params.split(",")]
         if len(parts) != 4:
             raise DomainError(f"expected 4 comma-separated rationals, got {params!r}")
-        return racah_system(*parts, N)
-
-
-def racah_system(alpha: Rational, beta: Rational, gamma: Rational, delta: Rational,
-                 N: int) -> RacahSystem:
-    """The one validated system of these parameters in this process, so
-    that every check on it, whichever suite asks, shares its closed forms
-    and its grids: :func:`system_over` of the parameters over their least
-    common denominator."""
-    D, numerators = _over_common_denominator((alpha, beta, gamma, delta))
-    return system_over(D, *numerators, N)
+        D, numerators = _over_common_denominator(parts)
+        return system_over(D, *numerators, N)
 
 
 @lru_cache(maxsize=None)

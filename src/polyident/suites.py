@@ -56,6 +56,12 @@ PRECISION_CEILING = 200
 #: at 80, and 10 s at limit_lm_max 12 and 28 s at 14.
 GRID_CEILINGS = {"l_max": 32, "hermite_lm_max": 64, "limit_lm_max": 12}
 
+#: the most alphas, and alpha-by-(l, m) cells, a config may ask for: at
+#: --jobs 2 on a 2-vCPU host, with alphas k/7, dual-addition takes 23 s with
+#: 4 alphas at l_max 32, 17 s with 5 at 28, 12 s with 6 at 24 and 3.4 s with
+#: 53 at 8; with 64 alphas classical-addition takes 0.9 s and racah 0.8 s.
+ALPHA_CEILINGS = {"len(alphas)": 64, "len(alphas) * (l_max + 1)^2": 4 * 33**2}
+
 #: the most digits an alpha's numerator or denominator may have.  The exact
 #: work grows with them: dual-addition at its default grid takes 0.4 s at
 #: 20 digits, 1.0 s at 100 and 5.0 s at 300, classical-addition 20 s at its
@@ -100,6 +106,11 @@ class SuiteConfig:
                 raise ConfigError(f"{name} must be <= {ceiling}, got {value}")
         if not self.alphas:
             raise ConfigError("alphas must not be empty")
+        # before the checks that read every alpha; the repeated-alpha one is quadratic
+        sizes = (len(self.alphas), len(self.alphas) * (self.l_max + 1) ** 2)
+        for (name, ceiling), value in zip(ALPHA_CEILINGS.items(), sizes):
+            if value > ceiling:
+                raise ConfigError(f"{name} must be <= {ceiling}, got {value}")
         bound = 10**ALPHA_DIGITS_CEILING
         if any(abs(a.numerator) >= bound or a.denominator >= bound for a in self.alphas):
             raise ConfigError(f"alphas must have numerators and denominators of at most "
@@ -207,8 +218,8 @@ def racah_systems(config: SuiteConfig):
     systems = [("0,0,-3,1", 2), ("0,0,-2,-2", 1), ("1/2,1/2,-4,2", 3), ("1,2,-5,-7/2", 4)]
     for alpha in config.alphas:
         for l, m in ((1, 1), (3, 2), (5, 5), (8, 4)):
-            parameters = dual_addition.racah_specialization(alpha, l, m)
-            systems.append((",".join(map(format_rational, parameters)), m))
+            D, *numerators = dual_addition.racah_form(alpha, l, m)
+            systems.append((",".join(format_rational(Fraction(x, D)) for x in numerators), m))
     for system, n_points in systems:
         yield {"system": system, "N": str(n_points)}
 
@@ -499,21 +510,18 @@ def _task_whipple(p, config):
 
 @identity("eq42", "classical-addition", "addition formula in the surd ring", _ADDITION_DEGREES)
 def _task_eq42(p, config):
-    inst = addition.AdditionInstance(p["n"], p["alpha"])
-    return _exact_result(addition.addition_residual(inst))
+    return _exact_result(addition.addition_residual(p["n"], p["alpha"]))
 
 
 @identity("eq41", "classical-addition", "product formula via exact moment integration",
           _ADDITION_DEGREES)
 def _task_eq41(p, config):
-    inst = addition.AdditionInstance(p["n"], p["alpha"])
-    return _exact_result(addition.product_formula_residual(inst))
+    return _exact_result(addition.product_formula_residual(p["n"], p["alpha"]))
 
 
 @identity("eq44", "classical-addition", "addition formula at t = 1", _ADDITION_DEGREES)
 def _task_eq44(p, config):
-    inst = addition.AdditionInstance(p["n"], p["alpha"])
-    return _exact_result(addition.t_one_residual(inst))
+    return _exact_result(addition.t_one_residual(p["n"], p["alpha"]))
 
 
 @identity("eq49", "classical-addition", "partition of unity (t = 1, x = y)", _ADDITION_DEGREES)
@@ -559,8 +567,9 @@ def _task_eq57(p, config):
 
 
 def _circle_point(s: Fraction) -> tuple[int, int, int]:
-    """(c, d, e) with :func:`~polyident.exact.pythagorean_point` (s) =
-    (c/e, d/e): for s = p/q, c = q^2 - p^2, d = 2pq and e = q^2 + p^2 > 0."""
+    """(c, d, e) with (c/e, d/e) the rational point ((1-s^2)/(1+s^2),
+    2s/(1+s^2)) on the unit circle: for s = p/q, c = q^2 - p^2, d = 2pq and
+    e = q^2 + p^2 > 0."""
     p, q = s.numerator, s.denominator
     return q * q - p * p, 2 * p * q, q * q + p * p
 

@@ -2,14 +2,29 @@
 
 Sampling both sides of a ring identity at points on the circles
 u^2 = 1 - x^2 and v^2 = 1 - y^2 is an oracle that does not rest on the
-ring's canonical form.
+ring's canonical form.  :func:`pythagorean_point` gives those points.
 """
 
 from fractions import Fraction
 from typing import Mapping
 
-from polyident.errors import RelationViolationError
+from polyident.errors import PolyidentError
 from polyident.exact import SURD_VARS, SurdPoly
+
+
+class RelationViolationError(PolyidentError):
+    """Variable bindings do not satisfy the quotient-ring relations."""
+
+
+def pythagorean_point(s: Fraction | int) -> tuple[Fraction, Fraction]:
+    """Rational point (x, u) on u^2 = 1 - x^2 with x in [-1, 1].
+
+    x = (1-s^2)/(1+s^2), u = 2s/(1+s^2); every rational s works and s = 0, 1
+    give the endpoints (1, 0) and (0, 1).
+    """
+    s = Fraction(s)
+    d = 1 + s * s
+    return (1 - s * s) / d, 2 * s / d
 
 
 def substitute(p: SurdPoly, bindings: Mapping[str, Fraction | int]) -> Fraction:

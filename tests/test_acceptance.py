@@ -12,8 +12,10 @@ import mpmath as mp
 import pytest
 
 from polyident import addition, classical, continuous, dual_addition, hermite_limit, racah
-from polyident.exact import pythagorean_point, terminating_hyp
+from polyident.exact import terminating_hyp
 from polyident.suites import EQ7_POINTS, SuiteConfig, racah_systems
+
+from surd_values import pythagorean_point
 
 GRID_ALPHAS = (Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 3))
 HALF = Fraction(1, 2)
@@ -108,12 +110,11 @@ def test_criterion_5_classical_addition_product():
     failures = []
     for alpha in GRID_ALPHAS:
         for n in range(9):
-            inst = addition.AdditionInstance(n, alpha)
-            if not addition.addition_residual(inst).is_zero:
+            if not addition.addition_residual(n, alpha).is_zero:
                 failures.append(("addition", str(alpha), n))
-            if not addition.product_formula_residual(inst).is_zero:
+            if not addition.product_formula_residual(n, alpha).is_zero:
                 failures.append(("product", str(alpha), n))
-            if not addition.t_one_residual(inst).is_zero:
+            if not addition.t_one_residual(n, alpha).is_zero:
                 failures.append(("t-one", str(alpha), n))
             if not addition.sum_of_squares_residual(n, alpha).is_zero:
                 failures.append(("squares", str(alpha), n))

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from polyident import addition, suites
 from polyident.addition import (
-    AdditionInstance,
     addition_coefficient,
     addition_lhs,
     addition_residual,
@@ -22,9 +21,9 @@ from polyident.addition import (
 )
 from polyident.classical import gegenbauer_r, jacobi_r
 from polyident.errors import DomainError
-from polyident.exact import SurdPoly, format_rational, pythagorean_point
+from polyident.exact import SurdPoly, format_rational
 
-from surd_values import substitute
+from surd_values import pythagorean_point, substitute
 
 HALF = Fraction(1, 2)
 GRID_ALPHAS = [Fraction(0), HALF, Fraction(1), Fraction(7, 3)]
@@ -35,11 +34,10 @@ addition_alphas = st.fractions(
 ).filter(lambda a: a > -HALF)
 
 
-def chain_rhs(inst: AdditionInstance, with_t_factor: bool) -> SurdPoly:
+def chain_rhs(n: int, alpha: Fraction, with_t_factor: bool) -> SurdPoly:
     """The expansion side as a chain of SurdPoly products per term,
     u^k and v^k reduced by the ring: the reference that the integer
     kernel behind addition_rhs and t_one_rhs is pinned to."""
-    n, alpha = inst.n, inst.alpha
     u, v = SurdPoly.variable("u"), SurdPoly.variable("v")
     total = SurdPoly.zero()
     for k in range(n + 1):
@@ -61,26 +59,38 @@ def identify_y_with_x(p: SurdPoly) -> SurdPoly:
     return SurdPoly(out)
 
 
+#: every entry point of addition that takes (n, alpha)
+ENTRY_POINTS = (addition_lhs, addition_rhs, addition_residual, product_formula_residual,
+                t_one_rhs, t_one_residual, sum_of_squares_residual,
+                addition.sum_of_squares_terms)
+
+
 class TestInstanceValidation:
+    # each entry point checks (n, alpha) itself, with the same messages
     def test_alpha_domain(self):
-        with pytest.raises(DomainError):
-            AdditionInstance(2, Fraction(-1, 2))
+        for fn in ENTRY_POINTS:
+            for alpha, text in ((Fraction(-1, 2), "-1/2"), (Fraction(-3, 4), "-3/4"), (-1, "-1")):
+                with pytest.raises(DomainError, match=f"^alpha must exceed -1/2, got {text}$"):
+                    fn(2, alpha)
 
     def test_negative_degree(self):
-        with pytest.raises(DomainError):
-            AdditionInstance(-1, Fraction(0))
+        # the degree is checked before alpha
+        for fn in ENTRY_POINTS:
+            for alpha in (Fraction(0), Fraction(-1, 2)):
+                with pytest.raises(DomainError, match="^degree must be >= 0, got -1$"):
+                    fn(-1, alpha)
 
 
 class TestAdditionLhs:
     def test_degree_zero(self):
-        assert addition_lhs(AdditionInstance(0, Fraction(2))) == SurdPoly.one()
+        assert addition_lhs(0, Fraction(2)) == SurdPoly.one()
 
     def test_degree_one_is_the_argument(self):
-        assert addition_lhs(AdditionInstance(1, Fraction(3, 4))) == mixed_argument()
+        assert addition_lhs(1, Fraction(3, 4)) == mixed_argument()
 
     def test_degree_two_reduction(self):
         # -1/2 + 3/2 (xy + uvt)^2 with u^2, v^2 eliminated
-        lhs = addition_lhs(AdditionInstance(2, Fraction(0)))
+        lhs = addition_lhs(2, Fraction(0))
         expected = mixed_argument().substitute_into(gegenbauer_r(2, Fraction(0)))
         assert lhs == expected
         assert all(e <= 1 and f <= 1 for (_, _, _, e, f) in lhs.terms)
@@ -92,24 +102,22 @@ class TestAdditionRhs:
             assert addition_coefficient(1, 1, alpha) == 1
 
     def test_degree_one_total(self):
-        inst = AdditionInstance(1, Fraction(5, 3))
-        assert addition_rhs(inst) == mixed_argument()
+        assert addition_rhs(1, Fraction(5, 3)) == mixed_argument()
 
     @pytest.mark.parametrize("n,alpha", [(2, Fraction(0)), (4, Fraction(3, 2))])
     def test_equals_lhs(self, n, alpha):
-        assert addition_residual(AdditionInstance(n, alpha)).is_zero
+        assert addition_residual(n, alpha).is_zero
 
     def test_full_grid(self):
         for alpha in GRID_ALPHAS:
             for n in range(9):
-                assert addition_residual(AdditionInstance(n, alpha)).is_zero
+                assert addition_residual(n, alpha).is_zero
 
     def test_pythagorean_point_oracle(self):
         # independent of canonical-form equality: sample both sides at
         # random rational circle points
         rng = random.Random(20260810)
-        inst = AdditionInstance(4, HALF)
-        lhs, rhs = addition_lhs(inst), addition_rhs(inst)
+        lhs, rhs = addition_lhs(4, HALF), addition_rhs(4, HALF)
         for _ in range(1000):
             s1 = Fraction(rng.randint(-200, 200), 201)
             s2 = Fraction(rng.randint(-200, 200), 201)
@@ -127,9 +135,8 @@ class TestIntegerExpansion:
     @example(n=7, alpha=Fraction(3))
     @settings(max_examples=40, deadline=None)
     def test_matches_the_product_chain(self, n, alpha):
-        inst = AdditionInstance(n, alpha)
-        assert addition_rhs(inst) == chain_rhs(inst, with_t_factor=True)
-        assert t_one_rhs(inst) == chain_rhs(inst, with_t_factor=False)
+        assert addition_rhs(n, alpha) == chain_rhs(n, alpha, with_t_factor=True)
+        assert t_one_rhs(n, alpha) == chain_rhs(n, alpha, with_t_factor=False)
 
     @pytest.mark.parametrize("n,alpha,k", [(4, HALF, 2), (3, Fraction(-1, 3), 3),
                                            (6, Fraction(13, 5), 0)])
@@ -139,8 +146,7 @@ class TestIntegerExpansion:
         coefficient = addition.addition_coefficient
         monkeypatch.setattr(addition, "addition_coefficient", lambda n_, k_, a: (
             coefficient(n_, k_, a) * (Fraction(1001, 1000) if k_ == k else 1)))
-        inst = AdditionInstance(n, alpha)
-        expected = addition_lhs(inst) - chain_rhs(inst, with_t_factor=True)
+        expected = addition_lhs(n, alpha) - chain_rhs(n, alpha, with_t_factor=True)
         assert not expected.is_zero
         result = suites.run_task(
             "eq42", {"n": str(n), "alpha": format_rational(alpha)}, suites.SuiteConfig())
@@ -150,30 +156,29 @@ class TestIntegerExpansion:
 
 class TestProductFormula:
     def test_degree_one_odd_moment_vanishes(self):
-        assert product_formula_residual(AdditionInstance(1, Fraction(2))).is_zero
+        assert product_formula_residual(1, Fraction(2)).is_zero
 
     @pytest.mark.parametrize("n,alpha", [(2, Fraction(0)), (5, Fraction(1))])
     def test_zero_residual(self, n, alpha):
-        assert product_formula_residual(AdditionInstance(n, alpha)).is_zero
+        assert product_formula_residual(n, alpha).is_zero
 
     def test_full_grid(self):
         for alpha in GRID_ALPHAS:
             for n in range(9):
-                assert product_formula_residual(AdditionInstance(n, alpha)).is_zero
+                assert product_formula_residual(n, alpha).is_zero
 
 
 class TestTOne:
     def test_degree_zero(self):
-        assert t_one_residual(AdditionInstance(0, Fraction(1))).is_zero
+        assert t_one_residual(0, Fraction(1)).is_zero
 
     @pytest.mark.parametrize("n,alpha", [(2, Fraction(0)), (5, Fraction(7, 3))])
     def test_zero_residual(self, n, alpha):
-        assert t_one_residual(AdditionInstance(n, alpha)).is_zero
+        assert t_one_residual(n, alpha).is_zero
 
     def test_lhs_is_cosine_difference(self):
         # at x = cos a, y = cos b the t = 1 argument is cos(a - b)
-        inst = AdditionInstance(5, HALF)
-        value_poly = addition_lhs(inst).set_t(1)
+        value_poly = addition_lhs(5, HALF).set_t(1)
         for s1, s2 in ((Fraction(1, 3), Fraction(1, 7)), (Fraction(2, 5), Fraction(-3, 4))):
             x, u = pythagorean_point(s1)
             y, v = pythagorean_point(s2)
@@ -185,10 +190,9 @@ class TestTOne:
         # substituting y -> x, v -> u turns the t = 1 expansion into the
         # sum-of-squares identity with left side 1
         for n, alpha in ((3, Fraction(0)), (5, Fraction(1))):
-            inst = AdditionInstance(n, alpha)
-            collapsed_lhs = identify_y_with_x(addition_lhs(inst).set_t(1))
+            collapsed_lhs = identify_y_with_x(addition_lhs(n, alpha).set_t(1))
             assert collapsed_lhs == SurdPoly.one()
-            collapsed_rhs = identify_y_with_x(t_one_rhs(inst))
+            collapsed_rhs = identify_y_with_x(t_one_rhs(n, alpha))
             assert collapsed_rhs == SurdPoly.one()
 
 

@@ -20,7 +20,9 @@ from polyident.classical import (
 )
 from polyident import suites
 from polyident.errors import DomainError
-from polyident.exact import UniPoly, format_rational, pochhammer, pythagorean_point
+from polyident.exact import UniPoly, format_rational, pochhammer
+
+from surd_values import pythagorean_point
 
 ALPHAS = [Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 3)]
 

@@ -66,7 +66,7 @@ def integral_identity_fractions(n: int, s: DualSetting) -> list[Fraction]:
     reduced, the closed value w(j) (h_{l+m-2j}/h_0) R_n(j) a Fraction
     product, and their difference; the reference that the integer
     cross-multiplication is pinned to."""
-    sys = specialized_racah(s)
+    sys = specialized_racah(s.alpha, s.l, s.m)
     product = dual_addition.s_direct(n, s)
     return [
         inner_product(product, gegenbauer_r(s.l + s.m - 2 * j, s.alpha), s.alpha)
@@ -87,7 +87,7 @@ class TestDualSetting:
         for alpha in GRID_ALPHAS:
             for l in range(9):
                 for m in range(l + 1):
-                    specialized_racah(DualSetting(alpha, l, m))
+                    specialized_racah(alpha, l, m)
 
 
 class TestLinearizationCoeff:
@@ -140,7 +140,7 @@ class TestCoeffAsRacahWeight:
         # w(0) = 1, so the j = 0 coefficient must be exactly 1/h0
         for alpha, l, m in [(HALF, 3, 2), (Fraction(1), 5, 5)]:
             s = DualSetting(alpha, l, m)
-            sys = specialized_racah(s)
+            sys = specialized_racah(s.alpha, s.l, s.m)
             assert linearization_coeff(0, s) == 1 / racah_h0(sys)
             assert coeff_as_racah_weight_residual(0, s) == 0
 
@@ -149,7 +149,7 @@ class TestSumS:
     def test_degree_zero_is_scaled_product(self):
         for alpha, l, m in [(Fraction(0), 1, 1), (HALF, 3, 2)]:
             s = DualSetting(alpha, l, m)
-            sys = specialized_racah(s)
+            sys = specialized_racah(s.alpha, s.l, s.m)
             product = (gegenbauer_r(l, alpha) * gegenbauer_r(m, alpha)).scale(
                 racah_h0(sys)
             )
@@ -197,7 +197,7 @@ class TestDualAdditionFormula:
         # recovers the expansion of R_{l+m-2j} exactly
         for alpha, l, m in [(HALF, 3, 2), (Fraction(0), 4, 3)]:
             s = DualSetting(alpha, l, m)
-            sys = specialized_racah(s)
+            sys = specialized_racah(s.alpha, s.l, s.m)
             h0 = racah_h0(sys)
             for j in range(m + 1):
                 recovered = UniPoly.zero()
@@ -245,7 +245,7 @@ class TestIntegralIdentity:
         # no j can zero out the right-hand side for admissible settings
         for alpha in GRID_ALPHAS:
             s = DualSetting(alpha, 6, 4)
-            sys = specialized_racah(s)
+            sys = specialized_racah(s.alpha, s.l, s.m)
             assert all(racah_weight(j, sys) > 0 for j in range(5))
 
     def test_grid(self):
@@ -288,7 +288,7 @@ class TestWhipple:
         s = DualSetting(Fraction(1), 5, 3)
         nums, den = second_hyp_form(s)
         assert nums[2][2] == 0 and den != 0
-        assert racah_eval(2, 2, specialized_racah(s)) == 0
+        assert racah_eval(2, 2, specialized_racah(s.alpha, s.l, s.m)) == 0
         whipple_proportionality(s)
 
     def test_twofold_whipple_prefactor_identity(self):
@@ -296,7 +296,7 @@ class TestWhipple:
         for alpha in GRID_ALPHAS:
             for l, m in ((3, 2), (5, 5), (6, 1)):
                 s = DualSetting(alpha, l, m)
-                sys = specialized_racah(s)
+                sys = specialized_racah(s.alpha, s.l, s.m)
                 nums, den = second_hyp_form(s)
                 n_independent = (
                     lambda n: pochhammerq(HALF - alpha - n, n)
@@ -338,7 +338,7 @@ class TestWhipple:
         # factors and each 4F3, in Fractions, at the first j where it is defined
         for l, m in ((3, 2), (5, 3), (6, 4)):
             s = DualSetting(alpha, l, m)
-            sys = specialized_racah(s)
+            sys = specialized_racah(s.alpha, s.l, s.m)
             nums, den = second_hyp_form(s)
             expected = []
             for n in range(m + 1):
@@ -401,8 +401,7 @@ class TestCaches:
         alphas = (Fraction(0), Fraction(1, 2), Fraction(7, 3))
         dual_settings = [DualSetting(alpha, l, m) for alpha in alphas for l, m in ((3, 2), (6, 4))]
         cases = (
-            (addition.addition_lhs,
-             [(addition.AdditionInstance(n, alpha),) for n in range(7) for alpha in alphas]),
+            (addition.addition_lhs, [(n, alpha) for n in range(7) for alpha in alphas]),
             (linearization_coeff, [(j, s) for s in dual_settings for j in range(s.m + 1)]),
             (hermite_limit._hermite_at_mixed_argument, [(n,) for n in range(9)]),
             (hermite_limit._kernel, [(a, b) for a in range(9) for b in range(9)]),
@@ -531,7 +530,7 @@ class TestCacheKeys:
         a = format_rational(alpha - HALF)
         d = format_rational(-l - alpha - HALF)
         system = RacahSystem.parse(f"{a},{a},{-m - 1},{d}", m)
-        for left, right in ((setting, parsed), (specialized_racah(setting), system)):
+        for left, right in ((setting, parsed), (specialized_racah(alpha, l, m), system)):
             assert left == right
             assert hash(left) == hash(right)
             for value in (left, pickle.loads(pickle.dumps(left))):
@@ -541,21 +540,6 @@ class TestCacheKeys:
                 assert hash(value) == hash(_key(value))
         # both routes reach the one kept system, whose key is its
         # parameters over their least common denominator
-        assert specialized_racah(setting) is system
+        assert specialized_racah(alpha, l, m) is system
         D, numerators = racah._over_common_denominator(system.as_tuple())
         assert dual_addition.racah_form(alpha, l, m) == (D, *numerators)
-
-    @given(alpha=setting_alphas, n=st.integers(0, 8))
-    @settings(max_examples=30, deadline=None)
-    def test_addition_instances_hash_their_integer_key(self, alpha, n):
-        # from a Fraction, from its "p/q" string and, for an integer alpha,
-        # from an int: equal, hash-equal, and so after pickling
-        inst = addition.AdditionInstance(n, alpha)
-        routes = [addition.AdditionInstance(n, parse_rational(format_rational(alpha)))]
-        if alpha.denominator == 1:
-            routes.append(addition.AdditionInstance(n, alpha.numerator))
-        for other in routes:
-            for value in (other, pickle.loads(pickle.dumps(other))):
-                assert value == inst
-                assert hash(value) == hash(inst) == hash((n, alpha.numerator, alpha.denominator))
-        assert inst != addition.AdditionInstance(n + 1, alpha)

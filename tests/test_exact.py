@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from polyident import addition, exact, hermite_limit, suites
 from polyident.classical import gegenbauer_r, hermite, jacobi_r
-from polyident.errors import DegenerateParameterError, DomainError, RelationViolationError
+from polyident.errors import DegenerateParameterError, DomainError
 from polyident.exact import (
     SURD_VARS,
     SurdPoly,
@@ -20,13 +20,12 @@ from polyident.exact import (
     parse_rational,
     poch_quotient,
     pochhammer,
-    pythagorean_point,
     rising_product,
     terminating_hyp,
     terminating_hyp_grid,
 )
 
-from surd_values import substitute
+from surd_values import RelationViolationError, pythagorean_point, substitute
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12

@@ -238,8 +238,7 @@ class TestSuites:
         # specializations come from one constructor keyed by integers: a
         # tuple that two suites use is one system, validated once, whose
         # grids both read
-        for cache in (racah.system_over, dual_addition.specialized_racah):
-            cache.cache_clear()
+        racah.system_over.cache_clear()
         validated = []
         validate = racah._validate
         monkeypatch.setattr(racah, "_validate", lambda sys: (
@@ -250,12 +249,15 @@ class TestSuites:
         # the racah suite's specializations at each default alpha are also
         # dual-addition settings
         config = SuiteConfig()
+        systems = list(suites.racah_systems(config))
         for alpha in config.alphas:
             for l, m in ((1, 1), (3, 2), (5, 5), (8, 4)):
-                parameters = dual_addition.racah_specialization(alpha, l, m)
-                text = ",".join(map(format_rational, parameters))
+                # (alpha - 1/2, alpha - 1/2, -m - 1, -l - alpha - 1/2), N = m
+                a = format_rational(alpha - Fraction(1, 2))
+                text = f"{a},{a},{-m - 1},{format_rational(-l - alpha - Fraction(1, 2))}"
+                assert {"system": text, "N": str(m)} in systems
                 assert racah.RacahSystem.parse(text, m) is dual_addition.specialized_racah(
-                    dual_addition.DualSetting(alpha, l, m))
+                    alpha, l, m)
         # and looking them up validates nothing more
         assert len(validated) == 288
 
@@ -886,14 +888,16 @@ class TestEvalFuzz:
 #: malformed, empty, negative, extreme and huge flag text, each refused
 #: with exit 2 before any work
 REFUSED_FLAG_TEXT = st.sampled_from(["x", "", "-1", "1.5", "1e3", "1/0", "nan", "9" * 5000])
+#: one alpha more than suites.ALPHA_CEILINGS admits
+TOO_MANY_ALPHAS = ",".join(map(str, range(suites.ALPHA_CEILINGS["len(alphas)"] + 1)))
 #: `verify` flag -> (text it takes, text it refuses): a grid at its floor
 #: and at most two jobs; values just and far past each grid ceiling, alphas
-#: past the digit bound, and each flag's malformed, empty, negative,
-#: extreme and huge text
+#: past the digit bound and the count bound, and each flag's malformed,
+#: empty, negative, extreme and huge text
 VERIFY_FLAG_TEXT = {
     "--alphas": (st.sampled_from(["0", "1/2,7/3", "-1/3", "-1", "1.5", "1e99"]),
                  st.sampled_from(["1,1", "1e100", "1e4300", "9" * 4000, "9" * 5000, ",", "0,x",
-                                  "", "x", "1/0", "nan"])),
+                                  "", "x", "1/0", "nan", TOO_MANY_ALPHAS])),
     **{"--" + name.replace("_", "-"): (st.just("0"),
                                       st.sampled_from([str(ceiling + 1), str(10**9)])
                                       | REFUSED_FLAG_TEXT)
@@ -963,6 +967,27 @@ class TestVerifyFuzz:
         assert getattr(SuiteConfig(**{name: ceiling}), name) == ceiling
         # CI's larger grids stay in reach
         assert ceiling >= {"l_max": 16, "hermite_lm_max": 24, "limit_lm_max": 8}[name]
+
+    def test_too_many_alphas_exit_2_at_once_naming_the_bound(self, capsys):
+        # the count bound, at l_max 0, and the cells bound at l_max 8 and 32
+        count, cells = suites.ALPHA_CEILINGS.values()
+        cases = (
+            (count + 1, 0, f"len(alphas) must be <= {count}, got {count + 1}"),
+            (cells // 81 + 1, 8,
+             f"len(alphas) * (l_max + 1)^2 must be <= {cells}, got {81 * (cells // 81 + 1)}"),
+            (5, 32, f"len(alphas) * (l_max + 1)^2 must be <= {cells}, got {5 * 33**2}"),
+        )
+        for n_alphas, l_max, message in cases:
+            alphas = ",".join(map(str, range(n_alphas)))
+            started = time.perf_counter()
+            assert main(["verify", "classical-addition", f"--alphas={alphas}",
+                         "--l-max", str(l_max), "--jobs", "1"]) == 2
+            assert time.perf_counter() - started < 1
+            assert capsys.readouterr().err.startswith(f"error: {message}\n")
+        # at each bound a config is still accepted
+        for n_alphas, l_max in ((count, 0), (cells // 81, 8), (4, suites.GRID_CEILINGS["l_max"])):
+            config = SuiteConfig(alphas=tuple(map(Fraction, range(n_alphas))), l_max=l_max)
+            assert len(config.alphas) == n_alphas
 
     def test_an_alpha_of_too_many_digits_exits_2(self, capsys):
         # past 4,300 digits an alpha could not even be written into a record
@@ -1076,6 +1101,33 @@ class TestCli:
             text = record["parameters"]["error"]
             assert "Fraction(" not in text
             assert f"degenerate Racah parameters {record['parameters']['system']}: " in text
+
+    @pytest.mark.parametrize("suite,errors_per_alpha,passes", [
+        ("classical-addition", {"eq41": 9, "eq42": 9, "eq44": 9, "eq49": 9}, 108),
+        # 408 errors per alpha
+        ("dual-addition", {"eq17": 45, "eq18": 45, "eq40": 165, "eq43": 9, "eq43-eq49": 9,
+                           "eq45": 45, "eq58": 45, "whipple": 45}, 0),
+    ])
+    def test_alphas_outside_the_domain_are_domain_error_records(self, suite, errors_per_alpha,
+                                                                passes, capsys):
+        # alpha <= -1/2 is outside the addition and dual-addition domains:
+        # every task there is one DomainError record naming alpha, every
+        # other record passes, and the run exits 2
+        assert main(["verify", suite, "--alphas=-1/2,-3/4", "--jobs", "1",
+                     "--format", "json-lines"]) == 2
+        errors, passed = {}, 0
+        for record in map(json.loads, capsys.readouterr().out.splitlines()):
+            if record["status"] == "pass":
+                passed += 1
+                continue
+            params = record["parameters"]
+            assert record["status"] == "error", record
+            assert params["error"] == f"DomainError: alpha must exceed -1/2, got {params['alpha']}"
+            key = (record["identity_id"], params["alpha"])
+            errors[key] = errors.get(key, 0) + 1
+        assert errors == {(identity, alpha): count for identity, count in errors_per_alpha.items()
+                          for alpha in ("-1/2", "-3/4")}
+        assert passed == passes
 
     def test_eval_hermite(self, capsys):
         assert main(["eval", "hermite", "2"]) == 0
