@@ -12,57 +12,26 @@ orthogonality gives the dual addition formula: R_{l+m-2j} as a sum over n
 of (x^2-1)^n R_{l-n}^{(alpha+n)} R_{m-n}^{(alpha+n)} times Racah values.
 Everything here is exact; identity checks compare canonical coefficient
 vectors, not samples.
+
+A setting is its values (alpha, l, m), passed last to every function of
+it; each function checks alpha > -1/2 and then l >= m >= 0 itself.  The
+values that several checks or indices of one setting share are memoised
+once per setting, as a tuple over their index, by the integers
+(a, b, l, m) of alpha = a/b, l and m.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from .classical import X2M1, addition_weight, gegenbauer_pairing, gegenbauer_r, norm_ratio
-from .errors import DomainError, IdentityViolationError, check_index
+from .errors import DomainError, IdentityViolationError, check_index, check_lm
 from .exact import UniPoly, rising_product, terminating_hyp_numerators
 from .racah import RacahSystem, racah_h0, racah_weight, system_over
 
 _HALF = Fraction(1, 2)
-
-
-@dataclass(frozen=True, eq=False)
-class DualSetting:
-    """Parameter triple (alpha, l, m) with alpha > -1/2 and l >= m >= 0.
-
-    Compared and hashed by the integers (a, b, l, m), alpha = a/b, formed
-    once at construction: the setting keys the memoised evaluations below,
-    and a ``Fraction`` key costs a modular inverse per hash and
-    ``numbers.Rational`` checks per comparison.  An int tuple hashes alike
-    in every process, so a pickled setting keys the same entries in a pool
-    worker.  Its Racah system is kept by :func:`~polyident.racah.system_over`.
-    """
-
-    alpha: Fraction
-    l: int
-    m: int
-    _key: tuple[int, int, int, int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        alpha = Fraction(self.alpha)
-        a, b = alpha.numerator, alpha.denominator
-        if 2 * a + b <= 0:
-            raise DomainError(f"alpha must exceed -1/2, got {alpha}")
-        if not 0 <= self.m <= self.l:
-            raise DomainError(f"need l >= m >= 0, got l={self.l}, m={self.m}")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "_key", (a, b, self.l, self.m))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key == other._key
-
-    def __hash__(self) -> int:
-        return hash(self._key)
 
 
 def racah_form(alpha: Fraction | int, l: int, m: int) -> tuple[int, int, int, int, int]:
@@ -92,17 +61,42 @@ def specialized_racah(alpha: Fraction | int, l: int, m: int) -> RacahSystem:
     return system_over(*racah_form(alpha, l, m), m)
 
 
-def _twice_alpha_plus_one(alpha: Fraction) -> tuple[int, int]:
-    """(b, c) with 2 alpha + 1 = c/b, that is b the denominator of alpha =
-    a/b and c = 2a + b.  Then alpha + 1/2 = c/(2b) and alpha + 3/2 =
-    (c + 2b)/(2b), so the shifted factorials of the closed forms here are
-    rising products of integers (:func:`~polyident.exact.rising_product`)
-    over powers of b and 2b, and those powers cancel."""
-    return alpha.denominator, 2 * alpha.numerator + alpha.denominator
+def _checked(alpha: Fraction | int, l: int, m: int) -> tuple[int, int, int, int]:
+    """The memo key (a, b, l, m), alpha = a/b, after checking the domain of
+    every function here: alpha > -1/2, then l >= m >= 0."""
+    a, b = alpha.numerator, alpha.denominator
+    if 2 * a + b <= 0:
+        raise DomainError(f"alpha must exceed -1/2, got {alpha}")
+    check_lm(l, m)
+    return a, b, l, m
+
+
+def _lm_pochhammer(k: int, l: int, m: int) -> int:
+    """(-l)_k (-m)_k."""
+    return rising_product(-l, 1, k) * rising_product(-m, 1, k)
+
+
+# The closed forms below are integer quotients: with alpha = a/b and
+# c = 2a + b, 2 alpha + 1 = c/b, alpha + 1/2 = c/(2b) and alpha + 3/2 =
+# (c + 2b)/(2b), so each shifted factorial is a rising product of integers
+# (:func:`~polyident.exact.rising_product`) over a power of b or 2b, and
+# those powers cancel.
 
 
 @lru_cache(maxsize=None)
-def linearization_coeff(j: int, s: DualSetting) -> Fraction:
+def _linearization_coeffs(a: int, b: int, l: int, m: int) -> tuple[Fraction, ...]:
+    f = math.factorial
+    c = 2 * a + b
+    return tuple(Fraction(
+        f(l) * f(m) * (2 * b * (l + m - 2 * j) + c)
+        * rising_product(c, 2 * b, j) * rising_product(c, 2 * b, l - j)
+        * rising_product(c, 2 * b, m - j) * rising_product(c, b, l + m - j) * b**j,
+        rising_product(c, b, l) * rising_product(c, b, m) * c * f(j) * f(l - j) * f(m - j)
+        * rising_product(c + 2 * b, 2 * b, l + m - j),
+    ) for j in range(m + 1))
+
+
+def linearization_coeff(j: int, alpha: Fraction | int, l: int, m: int) -> Fraction:
     """Coefficient of R_{l+m-2j} in the expansion of R_l R_m.
 
     Computed from the explicit product-formula coefficients
@@ -112,50 +106,53 @@ def linearization_coeff(j: int, s: DualSetting) -> Fraction:
         / ((2 alpha+1)_l (2 alpha+1)_m (alpha+1/2) j! (l-j)! (m-j)!
            (alpha+3/2)_{l+m-j}),
 
-    as one integer quotient (:func:`_twice_alpha_plus_one`); strictly positive
-    for alpha > -1/2.  Memoised: eq17 and eq18 both read every coefficient
-    of a setting.
+    as one integer quotient; strictly positive for alpha > -1/2.  The m+1
+    coefficients of a setting are memoised together: eq17 and eq18 both
+    read every one.
     """
-    check_index(j, s.m, "index")
-    l, m = s.l, s.m
-    b, c = _twice_alpha_plus_one(s.alpha)
-    f = math.factorial
-    return Fraction(
-        f(l) * f(m) * (2 * b * (l + m - 2 * j) + c)
-        * rising_product(c, 2 * b, j) * rising_product(c, 2 * b, l - j)
-        * rising_product(c, 2 * b, m - j) * rising_product(c, b, l + m - j) * b**j,
-        rising_product(c, b, l) * rising_product(c, b, m) * c * f(j) * f(l - j) * f(m - j)
-        * rising_product(c + 2 * b, 2 * b, l + m - j),
-    )
+    key = _checked(alpha, l, m)
+    check_index(j, m, "index")
+    return _linearization_coeffs(*key)[j]
 
 
-def coeff_as_racah_weight_residual(j: int, s: DualSetting) -> Fraction:
+def coeff_as_racah_weight_residual(j: int, alpha: Fraction | int, l: int, m: int) -> Fraction:
     """linearization_coeff minus w(j)/h0 of the specialized system; must be 0."""
-    check_index(j, s.m, "index")
-    sys = specialized_racah(s.alpha, s.l, s.m)
-    return linearization_coeff(j, s) - racah_weight(j, sys) / racah_h0(sys)
+    coeff = linearization_coeff(j, alpha, l, m)
+    sys = specialized_racah(alpha, l, m)
+    return coeff - racah_weight(j, sys) / racah_h0(sys)
 
 
 @lru_cache(maxsize=None)
-def s_direct(n: int, s: DualSetting) -> UniPoly:
-    """The weighted sum S: over j, w(j) R_{l+m-2j} times the Racah value at j.
-
-    The m+1 terms are summed in one integer pass (:meth:`UniPoly.combination`).
-    """
-    check_index(n, s.m, "index")
-    sys = specialized_racah(s.alpha, s.l, s.m)
-    return UniPoly.combination(
-        (racah_weight(j, sys) * value, gegenbauer_r(s.l + s.m - 2 * j, s.alpha))
-        for j, value in enumerate(sys.values[n])
+def _s_sums(a: int, b: int, l: int, m: int) -> tuple[UniPoly, ...]:
+    alpha = Fraction(a, b)
+    sys = specialized_racah(alpha, l, m)
+    return tuple(
+        UniPoly.combination(
+            (racah_weight(j, sys) * value, gegenbauer_r(l + m - 2 * j, alpha))
+            for j, value in enumerate(values)
+        )
+        for values in sys.values
     )
 
 
-def s_closed_prefactor(n: int, s: DualSetting) -> Fraction:
+def s_direct(n: int, alpha: Fraction | int, l: int, m: int) -> UniPoly:
+    """The weighted sum S: over j, w(j) R_{l+m-2j} times the Racah value at j.
+
+    The m+1 terms are summed in one integer pass (:meth:`UniPoly.combination`);
+    the m+1 sums of a setting are memoised together, since eq45 and eq58
+    read every one.
+    """
+    key = _checked(alpha, l, m)
+    check_index(n, m, "index")
+    return _s_sums(*key)[n]
+
+
+def s_closed_prefactor(n: int, alpha: Fraction | int, l: int, m: int) -> Fraction:
     """(2 alpha+1)_{l+n} (2 alpha+1)_{m+n} (alpha+1/2)_{l+m}
     / (2^{2n} (alpha+1/2)_l (alpha+1/2)_m (2 alpha+1)_{l+m} (alpha+1)_n^2),
     as one integer quotient."""
-    l, m, a = s.l, s.m, s.alpha.numerator
-    b, c = _twice_alpha_plus_one(s.alpha)
+    a, b, l, m = _checked(alpha, l, m)
+    c = 2 * a + b
     return Fraction(
         rising_product(c, b, l + n) * rising_product(c, b, m + n)
         * rising_product(c, 2 * b, l + m),
@@ -165,63 +162,68 @@ def s_closed_prefactor(n: int, s: DualSetting) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _product_basis(n: int, s: DualSetting) -> UniPoly:
-    """(x^2-1)^n R_{l-n}^{(alpha+n)}(x) R_{m-n}^{(alpha+n)}(x)."""
-    al = s.alpha
-    return gegenbauer_r(s.l - n, al + n) * gegenbauer_r(s.m - n, al + n) * X2M1.pow(n)
+def _product_bases(a: int, b: int, l: int, m: int) -> tuple[UniPoly, ...]:
+    """(x^2-1)^n R_{l-n}^{(alpha+n)}(x) R_{m-n}^{(alpha+n)}(x) for n = 0..m."""
+    alpha = Fraction(a, b)
+    return tuple(gegenbauer_r(l - n, alpha + n) * gegenbauer_r(m - n, alpha + n) * X2M1.pow(n)
+                 for n in range(m + 1))
 
 
-def s_closed(n: int, s: DualSetting) -> UniPoly:
+def s_closed(n: int, alpha: Fraction | int, l: int, m: int) -> UniPoly:
     """Closed form of the sum S: prefactor times the n-th product basis
     polynomial (x^2-1)^n R_{l-n}^{(alpha+n)}(x) R_{m-n}^{(alpha+n)}(x).
 
     Must equal s_direct coefficientwise.
     """
-    check_index(n, s.m, "index")
-    return _product_basis(n, s).scale(s_closed_prefactor(n, s))
-
-
-def dual_addition_coeffs(j: int, s: DualSetting) -> tuple[Fraction, ...]:
-    """The coefficients of the product basis polynomials, n = 0..m, in the
-    dual addition expansion of R_{l+m-2j}: one look-up of the Racah values
-    for the whole column."""
-    check_index(j, s.m, "index")
-    values = specialized_racah(s.alpha, s.l, s.m).values
-    return tuple(_coeff_factor(n, s) * values[n][j] for n in range(s.m + 1))
+    key = _checked(alpha, l, m)
+    check_index(n, m, "index")
+    return _product_bases(*key)[n].scale(s_closed_prefactor(n, alpha, l, m))
 
 
 @lru_cache(maxsize=None)
-def _coeff_factor(n: int, s: DualSetting) -> Fraction:
+def _coeff_factors(a: int, b: int, l: int, m: int) -> tuple[Fraction, ...]:
     """:func:`~polyident.classical.addition_weight` (n, alpha) times
-    (-l)_n (-m)_n / n!, the j-independent factor of
-    :func:`dual_addition_coeffs`.  Memoised, since every j of a setting
-    needs it."""
-    return addition_weight(n, s.alpha) * Fraction(
-        rising_product(-s.l, 1, n) * rising_product(-s.m, 1, n), math.factorial(n)
-    )
+    (-l)_n (-m)_n / n! for n = 0..m, the j-independent factors of
+    :func:`dual_addition_coeffs`, which every j of a setting needs."""
+    alpha = Fraction(a, b)
+    return tuple(addition_weight(n, alpha) * Fraction(_lm_pochhammer(n, l, m), math.factorial(n))
+                 for n in range(m + 1))
 
 
-def dual_addition_term(n: int, j: int, s: DualSetting) -> UniPoly:
+def dual_addition_coeffs(j: int, alpha: Fraction | int, l: int, m: int) -> tuple[Fraction, ...]:
+    """The coefficients of the product basis polynomials, n = 0..m, in the
+    dual addition expansion of R_{l+m-2j}: one look-up of the Racah values
+    for the whole column."""
+    key = _checked(alpha, l, m)
+    check_index(j, m, "index")
+    values = specialized_racah(alpha, l, m).values
+    return tuple(factor * values[n][j] for n, factor in enumerate(_coeff_factors(*key)))
+
+
+def dual_addition_term(n: int, j: int, alpha: Fraction | int, l: int, m: int) -> UniPoly:
     """The degree-n term of the dual addition expansion of R_{l+m-2j}."""
-    check_index(n, s.m, "index")
-    return _product_basis(n, s).scale(dual_addition_coeffs(j, s)[n])
+    key = _checked(alpha, l, m)
+    check_index(n, m, "index")
+    return _product_bases(*key)[n].scale(dual_addition_coeffs(j, alpha, l, m)[n])
 
 
-def dual_addition_residual(j: int, s: DualSetting) -> UniPoly:
+def dual_addition_residual(j: int, alpha: Fraction | int, l: int, m: int) -> UniPoly:
     """R_{l+m-2j} minus its dual addition expansion; must be zero.
 
     At l = m and j = m the left side is R_0 = 1, and the expansion is the
     constant-function expansion (a partition of unity).
     """
-    check_index(j, s.m, "index")
+    key = _checked(alpha, l, m)
+    coeffs = dual_addition_coeffs(j, alpha, l, m)
     # summed as expansion - R and negated, sparing a Fraction negation per term
     return -UniPoly.combination((
-        (-1, gegenbauer_r(s.l + s.m - 2 * j, s.alpha)),
-        *((c, _product_basis(n, s)) for n, c in enumerate(dual_addition_coeffs(j, s))),
+        (-1, gegenbauer_r(l + m - 2 * j, alpha)),
+        *zip(coeffs, _product_bases(*key)),
     ))
 
 
-def integral_identity_residuals(n: int, s: DualSetting) -> list[Fraction | int]:
+def integral_identity_residuals(n: int, alpha: Fraction | int, l: int,
+                                m: int) -> list[Fraction | int]:
     """Fourier coefficients of S_n against every R_{l+m-2j}, j = 0..m,
     minus their closed values; each must be 0.
 
@@ -232,14 +234,13 @@ def integral_identity_residuals(n: int, s: DualSetting) -> list[Fraction | int]:
     cross-multiplying, as in :func:`whipple_proportionality`; a residual
     is formed as a ``Fraction`` only where they differ.
     """
-    check_index(n, s.m, "index")
-    sys = specialized_racah(s.alpha, s.l, s.m)
-    pairing = gegenbauer_pairing(s_direct(n, s), s.alpha, s.l + s.m)
+    pairing = gegenbauer_pairing(s_direct(n, alpha, l, m), alpha, l + m)
+    sys = specialized_racah(alpha, l, m)
     residuals: list[Fraction | int] = []
     for j, value in enumerate(sys.values[n]):
-        deg = s.l + s.m - 2 * j
-        num, den = pairing.unreduced(gegenbauer_r(deg, s.alpha))
-        weight, ratio = racah_weight(j, sys), norm_ratio(deg, s.alpha)
+        deg = l + m - 2 * j
+        num, den = pairing.unreduced(gegenbauer_r(deg, alpha))
+        weight, ratio = racah_weight(j, sys), norm_ratio(deg, alpha)
         if (num * weight.denominator * ratio.denominator * value.denominator
                 == den * weight.numerator * ratio.numerator * value.numerator):
             residuals.append(0)
@@ -248,7 +249,7 @@ def integral_identity_residuals(n: int, s: DualSetting) -> list[Fraction | int]:
     return residuals
 
 
-def second_hyp_form(s: DualSetting) -> tuple[list[list[int]], int]:
+def second_hyp_form(alpha: Fraction | int, l: int, m: int) -> tuple[list[list[int]], int]:
     """The second terminating 4F3 representation of the triple-product
     integral at every (n, j) of a setting, as one grid of integer
     numerators indexed [n][j] over its one common denominator (nonzero, of
@@ -258,16 +259,16 @@ def second_hyp_form(s: DualSetting) -> tuple[list[list[int]], int]:
     parameters j-m and l-j+alpha+1/2; each series ends after min(m-n, m-j)
     terms, where n-m or j-m stops it.
     """
-    al, l, m = s.alpha, s.l, s.m
+    _checked(alpha, l, m)
     return terminating_hyp_numerators(
-        [(Fraction(n - m), -m - n - 2 * al) for n in range(m + 1)],
-        [(Fraction(j - m), l - j + al + _HALF) for j in range(m + 1)],
-        [Fraction(-m), -m - al + _HALF, Fraction(l - m + 1)],
+        [(Fraction(n - m), -m - n - 2 * alpha) for n in range(m + 1)],
+        [(Fraction(j - m), l - j + alpha + _HALF) for j in range(m + 1)],
+        [Fraction(-m), -m - alpha + _HALF, Fraction(l - m + 1)],
         m,
     )
 
 
-def whipple_factor(j: int, s: DualSetting) -> Fraction:
+def whipple_factor(j: int, alpha: Fraction | int, l: int, m: int) -> Fraction:
     """j-dependent elementary factor linking the two 4F3 forms.
 
     A twofold Whipple transformation turns the Racah-value 4F3 into the
@@ -280,16 +281,17 @@ def whipple_factor(j: int, s: DualSetting) -> Fraction:
 
     as one integer quotient.
     """
-    check_index(j, s.m, "index")
-    l, k = s.l, s.m - j
-    b, c = _twice_alpha_plus_one(s.alpha)
+    a, b, l, m = _checked(alpha, l, m)
+    check_index(j, m, "index")
+    k, c = m - j, 2 * a + b
     return Fraction(
         rising_product(j - l, 1, k) * rising_product(c + 2 * b * j, 2 * b, k) * b**k,
         rising_product(c, 2 * b, k) * rising_product(c + b * l, b, k),
     )
 
 
-def whipple_proportionality(s: DualSetting) -> list[tuple[Fraction, Fraction]]:
+def whipple_proportionality(alpha: Fraction | int, l: int,
+                            m: int) -> list[tuple[Fraction, Fraction]]:
     """Common proportionality constants of the triple-product integral.
 
     For each n and j, the normalized integral of
@@ -315,20 +317,19 @@ def whipple_proportionality(s: DualSetting) -> list[tuple[Fraction, Fraction]]:
     Raises IdentityViolationError if a ratio fails to be constant or a
     zero fails to pair.
     """
-    al, l, m = s.alpha, s.l, s.m
-    a, b = al.numerator, al.denominator
-    sys = specialized_racah(s.alpha, s.l, s.m)
-    values, (second, second_den) = sys.values, second_hyp_form(s)
+    a, b, l, m = key = _checked(alpha, l, m)
+    sys = specialized_racah(alpha, l, m)
+    values, (second, second_den) = sys.values, second_hyp_form(alpha, l, m)
     # the j-only factors, formed once per setting: R_{l+m-2j}, the weight
     # w(j) h_{l+m-2j}/h_0 and that weight times the Whipple factor
-    polys = [gegenbauer_r(l + m - 2 * j, al) for j in range(m + 1)]
-    bases = [racah_weight(j, sys) * norm_ratio(l + m - 2 * j, al) for j in range(m + 1)]
-    whipple_bases = [base * whipple_factor(j, s) for j, base in enumerate(bases)]
+    polys = [gegenbauer_r(l + m - 2 * j, alpha) for j in range(m + 1)]
+    bases = [racah_weight(j, sys) * norm_ratio(l + m - 2 * j, alpha) for j in range(m + 1)]
+    whipple_bases = [base * whipple_factor(j, alpha, l, m) for j, base in enumerate(bases)]
     constants = []
-    for n in range(m + 1):
+    for n, basis in enumerate(_product_bases(*key)):
         # each ratio integral/(scale * value) as an unreduced integer pair
         ratios: tuple[list[tuple[int, int]], list[tuple[int, int]]] = ([], [])
-        pairing = gegenbauer_pairing(_product_basis(n, s), al, l + m)
+        pairing = gegenbauer_pairing(basis, alpha, l + m)
         for j in range(m + 1):
             num, den = pairing.unreduced(polys[j])
             value = values[n][j]

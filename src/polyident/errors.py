@@ -1,4 +1,4 @@
-"""Exception hierarchy shared by all modules, and the index range check."""
+"""Exception hierarchy shared by all modules, and the index range checks."""
 
 
 class PolyidentError(Exception):
@@ -37,3 +37,10 @@ def check_index(value: int, hi: int, what: str) -> None:
     """Raise DomainError unless 0 <= value <= hi."""
     if not 0 <= value <= hi:
         raise DomainError(f"{what} must lie in 0..{hi}, got {value}")
+
+
+def check_lm(l: int, m: int) -> None:
+    """Raise DomainError unless l >= m >= 0: the index pair of a dual
+    addition setting and of its Hermite limit."""
+    if not 0 <= m <= l:
+        raise DomainError(f"need l >= m >= 0, got l={l}, m={m}")

@@ -695,6 +695,14 @@ def _surd(nums: dict[Monomial, int], den: int) -> SurdPoly:
     return _store(SurdPoly.__new__(SurdPoly), nums, den)
 
 
+def magnitude(value: UniPoly | SurdPoly | Fraction | int) -> Fraction:
+    """The largest |coefficient| of a ``UniPoly`` or ``SurdPoly``, the
+    absolute value of a rational: how far an exact residual is from 0."""
+    if isinstance(value, (UniPoly, SurdPoly)):
+        return value.max_abs_coeff()
+    return abs(value)
+
+
 def _accumulate_reduced(out: dict[Monomial, int], mono: Monomial, n: int) -> None:
     """Add n * mono to ``out``, rewriting u^2 -> 1-x^2 and v^2 -> 1-y^2."""
     a, b, c, e, f = mono

@@ -15,6 +15,10 @@ pair's numerator or denominator, the scaled Gegenbauer polynomials scale
 their integer numerators, and the pairing of eq30-limit is one integer dot
 product over a common denominator.
 
+The Hermite expansions take their index pair (l, m) last and check
+l >= m >= 0 themselves; their m+1 product and m+1 linearized blocks are
+memoised by (l, m), a tuple of each kind per pair.
+
 The biorthogonality kernel is implemented in two variants: the historical
 printed form, which fails (pinned regression: value -1 at (n, k) = (2, 1)),
 and the corrected form, which both yields delta_{n,k} and is the literal
@@ -24,52 +28,17 @@ matrix composition of the two Hermite expansion formulas.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Callable, Mapping, NamedTuple
 
 from .classical import gegenbauer_r, hermite
-from .dual_addition import DualSetting, dual_addition_coeffs, specialized_racah
-from .errors import DomainError, check_index
-from .exact import SurdPoly, UniPoly, limit_at_infinity, pochhammer, rising_product
+from .dual_addition import _lm_pochhammer, dual_addition_coeffs, specialized_racah
+from .errors import DomainError, check_index, check_lm
+from .exact import SurdPoly, UniPoly, limit_at_infinity, magnitude, pochhammer, rising_product
 from .racah import racah_h0, racah_norm_ratio, racah_weight
 
 _HALF = Fraction(1, 2)
-
-
-@dataclass(frozen=True)
-class HermiteSetting:
-    """Index pair (l, m) with l >= m >= 0.
-
-    The setting builds its m+1 product blocks and m+1 linearized blocks on
-    first use and keeps them, so a check that runs every index of one
-    setting forms each block once.  The checks take their setting from
-    :func:`hermite_setting`, which keeps one per (l, m) for the process, so
-    every check at one (l, m) reads the same blocks.
-    """
-
-    l: int
-    m: int
-
-    def __post_init__(self):
-        if not 0 <= self.m <= self.l:
-            raise DomainError(f"need l >= m >= 0, got l={self.l}, m={self.m}")
-
-    @cached_property
-    def product_blocks(self) -> tuple[UniPoly, ...]:
-        return tuple(_product_block(n, self) for n in range(self.m + 1))
-
-    @cached_property
-    def linearized_blocks(self) -> tuple[UniPoly, ...]:
-        return tuple(_linearized_block(j, self) for j in range(self.m + 1))
-
-
-@lru_cache(maxsize=None)
-def hermite_setting(l: int, m: int) -> HermiteSetting:
-    """The one setting of (l, m) in this process: eq46, eq47 and the limit
-    checks at (l, m) share it, and so form each of its blocks once."""
-    return HermiteSetting(l, m)
 
 
 @lru_cache(maxsize=None)
@@ -114,32 +83,36 @@ def hermite_product_residual(n: int) -> SurdPoly:
     return target - integral
 
 
-def _lm_pochhammer(s: HermiteSetting, k: int) -> int:
-    """(-l)_k (-m)_k."""
-    return rising_product(-s.l, 1, k) * rising_product(-s.m, 1, k)
-
-
 @lru_cache(maxsize=None)
 def _kernel(a: int, b: int) -> Fraction:
     """(-a)_b / a!, the entry of the dual addition kernel and its inverse."""
     return pochhammer(Fraction(-a), b) / math.factorial(a)
 
 
-def _linearized_block(j: int, s: HermiteSetting) -> UniPoly:
-    """2^j (-l)_j (-m)_j H_{l+m-2j}."""
-    return hermite(s.l + s.m - 2 * j).scale(2**j * _lm_pochhammer(s, j))
+# The blocks of (l, m) are formed once per process, m+1 of each kind, so
+# eq46, eq47 and eq40-to-eq46 at one (l, m) read the same blocks.
 
 
-def _product_block(n: int, s: HermiteSetting) -> UniPoly:
-    """(-2)^n (-l)_n (-m)_n H_{l-n} H_{m-n}."""
-    return (hermite(s.l - n) * hermite(s.m - n)).scale((-2) ** n * _lm_pochhammer(s, n))
+@lru_cache(maxsize=None)
+def _linearized_blocks(l: int, m: int) -> tuple[UniPoly, ...]:
+    """2^j (-l)_j (-m)_j H_{l+m-2j} for j = 0..m."""
+    return tuple(hermite(l + m - 2 * j).scale(2**j * _lm_pochhammer(j, l, m))
+                 for j in range(m + 1))
 
 
-def hermite_dual_addition_term(n: int, j: int, s: HermiteSetting) -> UniPoly:
-    return s.product_blocks[n].scale(_kernel(n, j))
+@lru_cache(maxsize=None)
+def _product_blocks(l: int, m: int) -> tuple[UniPoly, ...]:
+    """(-2)^n (-l)_n (-m)_n H_{l-n} H_{m-n} for n = 0..m."""
+    return tuple((hermite(l - n) * hermite(m - n)).scale((-2) ** n * _lm_pochhammer(n, l, m))
+                 for n in range(m + 1))
 
 
-def hermite_dual_addition_residual(j: int, s: HermiteSetting) -> UniPoly:
+def hermite_dual_addition_term(n: int, j: int, l: int, m: int) -> UniPoly:
+    check_lm(l, m)
+    return _product_blocks(l, m)[n].scale(_kernel(n, j))
+
+
+def hermite_dual_addition_residual(j: int, l: int, m: int) -> UniPoly:
     """Dual addition formula for Hermite polynomials; residual must be zero.
 
         2^j (-l)_j (-m)_j H_{l+m-2j} = sum_{n=j}^m [(-n)_j/n!] (-2)^n
@@ -147,17 +120,19 @@ def hermite_dual_addition_residual(j: int, s: HermiteSetting) -> UniPoly:
 
     The j = 0 case is the classical linearization formula read backwards.
     """
-    check_index(j, s.m, "index j")
+    check_lm(l, m)
+    check_index(j, m, "index j")
+    products = _product_blocks(l, m)
     # summed as rhs - lhs and negated: negating one UniPoly costs less than
     # negating each Fraction kernel
     return -UniPoly.combination((
-        (-1, s.linearized_blocks[j]),
+        (-1, _linearized_blocks(l, m)[j]),
         # the kernel (-n)_j/n! is 0 for n < j
-        *((_kernel(n, j), s.product_blocks[n]) for n in range(j, s.m + 1)),
+        *((_kernel(n, j), products[n]) for n in range(j, m + 1)),
     ))
 
 
-def hermite_dual_inverse_residual(n: int, s: HermiteSetting) -> UniPoly:
+def hermite_dual_inverse_residual(n: int, l: int, m: int) -> UniPoly:
     """Inverse expansion; residual must be zero.
 
         sum_{j=n}^m [(-j)_n/j!] 2^j (-l)_j (-m)_j H_{l+m-2j}
@@ -165,11 +140,13 @@ def hermite_dual_inverse_residual(n: int, s: HermiteSetting) -> UniPoly:
 
     The n = 0 case is the Hermite linearization formula.
     """
-    check_index(n, s.m, "index n")
+    check_lm(l, m)
+    check_index(n, m, "index n")
+    linearized = _linearized_blocks(l, m)
     return UniPoly.combination((
         # the kernel (-j)_n/j! is 0 for j < n
-        *((_kernel(j, n), s.linearized_blocks[j]) for j in range(n, s.m + 1)),
-        (-1, s.product_blocks[n]),
+        *((_kernel(j, n), linearized[j]) for j in range(n, m + 1)),
+        (-1, _product_blocks(l, m)[n]),
     ))
 
 
@@ -225,24 +202,19 @@ class LimitClaim(NamedTuple):
     assemble: Callable[[tuple[Fraction, ...]], tuple] = tuple
 
 
-def _gap(value, claimed) -> Fraction:
-    """|value - claimed|, the largest coefficient gap for polynomials."""
-    diff = value - claimed
-    return diff.max_abs_coeff() if isinstance(diff, UniPoly) else abs(diff)
-
-
 def _point(x: Fraction | None, target: str) -> Fraction:
     if x is None:
         raise DomainError(f"{target} needs an evaluation point x")
     return x
 
 
-def _setting(idx: Mapping[str, int], *names: str) -> HermiteSetting:
-    """The setting of (l, m), after checking each named index lies in 0..m."""
-    s = hermite_setting(idx["l"], idx["m"])
+def _lm(idx: Mapping[str, int], *names: str) -> tuple[int, int]:
+    """(l, m), after checking l >= m >= 0 and each named index lies in 0..m."""
+    l, m = idx["l"], idx["m"]
+    check_lm(l, m)
     for name in names:
-        check_index(idx[name], s.m, f"index {name}")
-    return s
+        check_index(idx[name], m, f"index {name}")
+    return l, m
 
 
 def _budget(*indices: int) -> int:
@@ -281,13 +253,13 @@ def _eq54(scaled: str):
     ``scaled`` index (j or n) and b the other one."""
 
     def build(idx, x) -> LimitClaim:
-        s = _setting(idx, "n", "j")
+        l, m = _lm(idx, "n", "j")
         n, j = idx["n"], idx["j"]
         a, b = (j, n) if scaled == "j" else (n, j)
-        claimed = Fraction(2**a * rising_product(-b, 1, a), _lm_pochhammer(s, a))
+        claimed = Fraction(2**a * rising_product(-b, 1, a), _lm_pochhammer(a, l, m))
 
         def quantity(alpha):
-            value = specialized_racah(alpha, s.l, s.m).values[n][j]
+            value = specialized_racah(alpha, l, m).values[n][j]
             return ((value.numerator, value.denominator * alpha**a),)
 
         return LimitClaim(quantity, (claimed,))
@@ -296,42 +268,42 @@ def _eq54(scaled: str):
 
 
 def _eq55(idx, x) -> LimitClaim:
-    s, j = _setting(idx, "j"), idx["j"]
-    claimed = Fraction(_lm_pochhammer(s, j), 2**j * math.factorial(j))
+    (l, m), j = _lm(idx, "j"), idx["j"]
+    claimed = Fraction(_lm_pochhammer(j, l, m), 2**j * math.factorial(j))
 
     def quantity(alpha):
-        weight = racah_weight(j, specialized_racah(alpha, s.l, s.m))
+        weight = racah_weight(j, specialized_racah(alpha, l, m))
         return ((weight.numerator * alpha**j, weight.denominator),)
 
     return LimitClaim(quantity, (claimed,))
 
 
-def _norm_limit(n: int, s: HermiteSetting) -> Fraction:
+def _norm_limit(n: int, l: int, m: int) -> Fraction:
     """2^n n!/((-l)_n (-m)_n), the limit of alpha^{-n} h_n."""
-    return Fraction(2**n * math.factorial(n), _lm_pochhammer(s, n))
+    return Fraction(2**n * math.factorial(n), _lm_pochhammer(n, l, m))
 
 
 def _eq56(idx, x) -> LimitClaim:
-    s, n = _setting(idx, "n"), idx["n"]
+    (l, m), n = _lm(idx, "n"), idx["n"]
 
     def quantity(alpha):
-        sys = specialized_racah(alpha, s.l, s.m)
+        sys = specialized_racah(alpha, l, m)
         h0, ratio = racah_h0(sys), racah_norm_ratio(n, sys)
         return ((h0.numerator * ratio.numerator, h0.denominator * ratio.denominator * alpha**n),)
 
-    return LimitClaim(quantity, (_norm_limit(n, s),))
+    return LimitClaim(quantity, (_norm_limit(n, l, m),))
 
 
 def _eq30_limit(idx, x) -> LimitClaim:
     """alpha^{-n} sum_j [w(j)/h_0] R_n(j) R_k(j) -> delta_{n,k} 2^n n!/((-l)_n (-m)_n),
     the diagonal of the corrected-kernel pairing."""
-    s = _setting(idx, "n", "k")
+    l, m = _lm(idx, "n", "k")
     n, k = idx["n"], idx["k"]
 
     def quantity(alpha):
         # sum_j w(j) R_n(j) R_k(j) as one integer dot product over the lcm of
         # its terms' denominators
-        sys = specialized_racah(alpha, s.l, s.m)
+        sys = specialized_racah(alpha, l, m)
         values, h0 = sys.values, racah_h0(sys)
         terms = []
         for j, (u, v) in enumerate(zip(values[n], values[k])):
@@ -342,7 +314,7 @@ def _eq30_limit(idx, x) -> LimitClaim:
         num = sum(t * (den // d) for t, d in terms)
         return ((num * h0.denominator, den * h0.numerator * alpha**n),)
 
-    return LimitClaim(quantity, (_norm_limit(n, s) if n == k else Fraction(0),))
+    return LimitClaim(quantity, (_norm_limit(n, l, m) if n == k else Fraction(0),))
 
 
 @lru_cache(maxsize=None)
@@ -366,12 +338,11 @@ def _eq40_to_eq46(idx, x) -> LimitClaim:
     Gegenbauer polynomials with parameter alpha + n, reconstructed once,
     and (x^2/alpha - 1)^n -> (-1)^n.
     """
-    s = _setting(idx, "j")
-    j, l, m = idx["j"], s.l, s.m
-    rescale = 2 ** (l + m - j) * _lm_pochhammer(s, j)
+    (l, m), j = _lm(idx, "j"), idx["j"]
+    rescale = 2 ** (l + m - j) * _lm_pochhammer(j, l, m)
 
     def scalars(alpha):
-        coeffs = dual_addition_coeffs(j, DualSetting(alpha=alpha, l=l, m=m))
+        coeffs = dual_addition_coeffs(j, alpha, l, m)
         return tuple((rescale * c.numerator * alpha ** max(n - j, 0),
                       c.denominator * alpha ** max(j - n, 0)) for n, c in enumerate(coeffs))
 
@@ -381,8 +352,8 @@ def _eq40_to_eq46(idx, x) -> LimitClaim:
                  for n, c in enumerate(limits))
         return (factor(l + m - 2 * j, 0).scale(rescale), *terms)
 
-    hermite_terms = (hermite_dual_addition_term(n, j, s) for n in range(m + 1))
-    return LimitClaim(scalars, (s.linearized_blocks[j], *hermite_terms), assemble)
+    hermite_terms = (hermite_dual_addition_term(n, j, l, m) for n in range(m + 1))
+    return LimitClaim(scalars, (_linearized_blocks(l, m)[j], *hermite_terms), assemble)
 
 
 #: target id -> (description of the limit, builder of its claim)
@@ -419,7 +390,7 @@ def limit_rate_check(
     claim = build(dict(indices), x)
     limits, points = limit_at_infinity(claim.quantity, _budget(*indices.values()))
     residual = max(
-        _gap(value, claimed)
+        magnitude(value - claimed)
         for value, claimed in zip(claim.assemble(limits), claim.claimed, strict=True)
     )
     return residual, points, description

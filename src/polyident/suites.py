@@ -26,9 +26,9 @@ import mpmath as mp
 from . import addition, classical, continuous, dual_addition, hermite_limit, racah
 from .errors import ConfigError, DomainError
 from .exact import (
-    SurdPoly,
     UniPoly,
     format_rational,
+    magnitude,
     parse_rational,
     pochhammer,
     terminating_hyp,
@@ -68,6 +68,16 @@ ALPHA_CEILINGS = {"len(alphas)": 64, "len(alphas) * (l_max + 1)^2": 4 * 33**2}
 #: one grid at 4,000, and past 4,300 digits an alpha cannot be written
 #: into a record.
 ALPHA_DIGITS_CEILING = 100
+
+#: the most alpha-by-(l, m) cells, each alpha weighed by its digits (those
+#: of the longer of its numerator and denominator), at least 2: twice the
+#: cells ceiling, so alphas of one or two digits meet the cells ceiling
+#: first.  The digits cost more at larger l: at --jobs 2 on a 2-vCPU host,
+#: dual-addition with one alpha takes 5.7 s at l_max 32 with 1 or 2 digits,
+#: 8.3 s with 4 and 18.6 s with 8, 20.7 s with 9 digits at 30, 15.0 s with
+#: 10 at 28, 10.6 s with 12 at 25, 8.1 s with 16 at 22, 2.4 s with 50 at 12
+#: and 1.5 s with 100 at 8; two alphas of 4 digits take 17.6 s at 32.
+DIGIT_CELLS_CEILING = 2 * 4 * 33**2
 
 #: eq48-corrected checks each n in 0..BIORTHOGONALITY_MAX against every k
 #: in the same range
@@ -115,6 +125,10 @@ class SuiteConfig:
         if any(abs(a.numerator) >= bound or a.denominator >= bound for a in self.alphas):
             raise ConfigError(f"alphas must have numerators and denominators of at most "
                               f"{ALPHA_DIGITS_CEILING} digits")
+        digits = sum(max(2, len(str(max(abs(a.numerator), a.denominator)))) for a in self.alphas)
+        if digits * (self.l_max + 1) ** 2 > DIGIT_CELLS_CEILING:
+            raise ConfigError(f"sum(max(2, digits(alpha))) * (l_max + 1)^2 must be <= "
+                              f"{DIGIT_CELLS_CEILING}, got {digits * (self.l_max + 1) ** 2}")
         # a repeated alpha would run, and report, the same tasks twice
         repeated = sorted({a for a in self.alphas if self.alphas.count(a) > 1})
         if repeated:
@@ -318,16 +332,9 @@ class TaskResult:
     extra: dict[str, str] = field(default_factory=dict)
 
 
-def _magnitude(value) -> Fraction:
-    """|value| of a Fraction; the largest |coefficient| of a UniPoly/SurdPoly."""
-    if isinstance(value, (UniPoly, SurdPoly)):
-        return value.max_abs_coeff()
-    return abs(value)
-
-
 def _exact_result(*values) -> TaskResult:
     """Result for an exact check: the residual is the largest magnitude."""
-    residual = max(map(_magnitude, values), default=Fraction(0))
+    residual = max(map(magnitude, values), default=Fraction(0))
     return TaskResult(residual=format_rational(residual), passed=residual == 0)
 
 
@@ -433,34 +440,32 @@ def _task_eq21(p, config):
 @identity("eq45", "dual-addition", "weighted Racah sum equals its closed product form",
           _alpha_lm)
 def _task_eq45(p, config):
-    s = dual_addition.DualSetting(p["alpha"], p["l"], p["m"])
+    setting = p["alpha"], p["l"], p["m"]
     return _exact_result(*(
-        dual_addition.s_direct(n, s) - dual_addition.s_closed(n, s)
-        for n in range(s.m + 1)
+        dual_addition.s_direct(n, *setting) - dual_addition.s_closed(n, *setting)
+        for n in range(p["m"] + 1)
     ))
 
 
 @identity("eq40", "dual-addition", "dual addition formula (Racah expansion of R_{l+m-2j})",
           _alpha_lmj)
 def _task_eq40(p, config):
-    s = dual_addition.DualSetting(p["alpha"], p["l"], p["m"])
-    return _exact_result(dual_addition.dual_addition_residual(p["j"], s))
+    return _exact_result(dual_addition.dual_addition_residual(p["j"], p["alpha"], p["l"], p["m"]))
 
 
 @identity("eq17", "dual-addition", "linearization coefficients are normalized Racah weights",
           _alpha_lm)
 def _task_eq17(p, config):
-    s = dual_addition.DualSetting(p["alpha"], p["l"], p["m"])
-    return _exact_result(
-        *(dual_addition.coeff_as_racah_weight_residual(j, s) for j in range(s.m + 1))
-    )
+    setting = p["alpha"], p["l"], p["m"]
+    return _exact_result(*(dual_addition.coeff_as_racah_weight_residual(j, *setting)
+                           for j in range(p["m"] + 1)))
 
 
 @identity("eq18", "dual-addition", "linearization coefficients: positivity and unit sum",
           _alpha_lm)
 def _task_eq18(p, config):
-    s = dual_addition.DualSetting(p["alpha"], p["l"], p["m"])
-    coeffs = [dual_addition.linearization_coeff(j, s) for j in range(s.m + 1)]
+    setting = p["alpha"], p["l"], p["m"]
+    coeffs = [dual_addition.linearization_coeff(j, *setting) for j in range(p["m"] + 1)]
     positivity = 0 if all(c > 0 for c in coeffs) else 1  # strict positivity required
     return _exact_result(Fraction(positivity), sum(coeffs) - 1)
 
@@ -470,8 +475,8 @@ def _task_eq18(p, config):
 def _task_eq43(p, config):
     # the constant-function expansion is the dual addition formula at l = m
     # and j = m, where the left side R_{l+m-2j} is R_0 = 1
-    s = dual_addition.DualSetting(p["alpha"], p["m"], p["m"])
-    return _exact_result(dual_addition.dual_addition_residual(s.m, s))
+    m = p["m"]
+    return _exact_result(dual_addition.dual_addition_residual(m, p["alpha"], m, m))
 
 
 @identity(
@@ -479,29 +484,26 @@ def _task_eq43(p, config):
     "term-by-term match of the two partition-of-unity expansions", _alpha_m,
 )
 def _task_eq43_eq49(p, config):
-    s = dual_addition.DualSetting(p["alpha"], p["m"], p["m"])
-    square_terms = addition.sum_of_squares_terms(s.m, s.alpha)
-    return _exact_result(*(
-        dual_addition.dual_addition_term(n, s.m, s) - square_terms[n]
-        for n in range(s.m + 1)
-    ))
+    alpha, m = p["alpha"], p["m"]
+    terms = [dual_addition.dual_addition_term(n, m, alpha, m, m) for n in range(m + 1)]
+    square_terms = addition.sum_of_squares_terms(m, alpha)
+    return _exact_result(*(term - square for term, square in zip(terms, square_terms)))
 
 
 @identity("eq58", "dual-addition", "Fourier coefficient integral of the weighted sum", _alpha_lm)
 def _task_eq58(p, config):
-    s = dual_addition.DualSetting(p["alpha"], p["l"], p["m"])
+    setting = p["alpha"], p["l"], p["m"]
     return _exact_result(*(
         residual
-        for n in range(s.m + 1)
-        for residual in dual_addition.integral_identity_residuals(n, s)
+        for n in range(p["m"] + 1)
+        for residual in dual_addition.integral_identity_residuals(n, *setting)
     ))
 
 
 @identity("whipple", "dual-addition", "triple-product integral proportional to both 4F3 forms",
           _alpha_lm)
 def _task_whipple(p, config):
-    s = dual_addition.DualSetting(p["alpha"], p["l"], p["m"])
-    dual_addition.whipple_proportionality(s)  # raises on violation
+    dual_addition.whipple_proportionality(p["alpha"], p["l"], p["m"])  # raises on violation
     return _exact_result(Fraction(0))
 
 
@@ -632,17 +634,17 @@ def _task_hermite_product(p, config):
 
 @identity("eq46", "hermite", "dual addition formula for Hermite polynomials", _hermite_lm)
 def _task_eq46(p, config):
-    s = hermite_limit.hermite_setting(p["l"], p["m"])
+    l, m = p["l"], p["m"]
     return _exact_result(
-        *(hermite_limit.hermite_dual_addition_residual(j, s) for j in range(s.m + 1))
+        *(hermite_limit.hermite_dual_addition_residual(j, l, m) for j in range(m + 1))
     )
 
 
 @identity("eq47", "hermite", "inverse (Fourier-type) Hermite expansion", _hermite_lm)
 def _task_eq47(p, config):
-    s = hermite_limit.hermite_setting(p["l"], p["m"])
+    l, m = p["l"], p["m"]
     return _exact_result(
-        *(hermite_limit.hermite_dual_inverse_residual(n, s) for n in range(s.m + 1))
+        *(hermite_limit.hermite_dual_inverse_residual(n, l, m) for n in range(m + 1))
     )
 
 

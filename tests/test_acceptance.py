@@ -32,37 +32,37 @@ def dual_grid():
     for alpha in GRID_ALPHAS:
         for l in range(9):
             for m in range(l + 1):
-                yield dual_addition.DualSetting(alpha, l, m)
+                yield alpha, l, m
 
 
 def test_criterion_1_dual_addition_formula():
     start = time.monotonic()
     failures = []
-    for s in dual_grid():
-        for j in range(s.m + 1):
-            if not dual_addition.dual_addition_residual(j, s).is_zero:
-                failures.append((str(s.alpha), s.l, s.m, j))
+    for alpha, l, m in dual_grid():
+        for j in range(m + 1):
+            if not dual_addition.dual_addition_residual(j, alpha, l, m).is_zero:
+                failures.append((str(alpha), l, m, j))
     conclude(1, "dual addition formula, exact grid", failures,
              time.monotonic() - start)
 
 
 def test_criterion_2_sum_evaluation():
     failures = []
-    for s in dual_grid():
-        for n in range(s.m + 1):
-            if dual_addition.s_direct(n, s) != dual_addition.s_closed(n, s):
-                failures.append((str(s.alpha), s.l, s.m, n))
+    for alpha, l, m in dual_grid():
+        for n in range(m + 1):
+            if dual_addition.s_direct(n, alpha, l, m) != dual_addition.s_closed(n, alpha, l, m):
+                failures.append((str(alpha), l, m, n))
     conclude(2, "weighted Racah sum equals closed form", failures)
 
 
 def test_criterion_3_linearization_weights():
     failures = []
-    for s in dual_grid():
-        for j in range(s.m + 1):
-            if dual_addition.coeff_as_racah_weight_residual(j, s) != 0:
-                failures.append((str(s.alpha), s.l, s.m, j))
+    for alpha, l, m in dual_grid():
+        for j in range(m + 1):
+            if dual_addition.coeff_as_racah_weight_residual(j, alpha, l, m) != 0:
+                failures.append((str(alpha), l, m, j))
     # brute-force expansion oracle at the Legendre corner
-    s11 = dual_addition.DualSetting(Fraction(0), 1, 1)
+    s11 = (Fraction(0), 1, 1)
     product = classical.gegenbauer_r(1, Fraction(0)) * classical.gegenbauer_r(1, Fraction(0))
     oracle = [
         classical.inner_product(product, classical.gegenbauer_r(2 - 2 * j, Fraction(0)), Fraction(0))
@@ -71,7 +71,7 @@ def test_criterion_3_linearization_weights():
     ]
     if oracle != [Fraction(2, 3), Fraction(1, 3)]:
         failures.append(("oracle", oracle))
-    if [dual_addition.linearization_coeff(j, s11) for j in (0, 1)] != oracle:
+    if [dual_addition.linearization_coeff(j, *s11) for j in (0, 1)] != oracle:
         failures.append(("coeff-vs-oracle",))
     conclude(3, "linearization coefficients are Racah weights", failures)
 
@@ -130,12 +130,11 @@ def test_criterion_6_hermite_suite():
             failures.append(("product", n))
     for l in range(13):
         for m in range(l + 1):
-            s = hermite_limit.HermiteSetting(l, m)
             for j in range(m + 1):
-                if not hermite_limit.hermite_dual_addition_residual(j, s).is_zero:
+                if not hermite_limit.hermite_dual_addition_residual(j, l, m).is_zero:
                     failures.append(("dual", l, m, j))
             for n in range(m + 1):
-                if not hermite_limit.hermite_dual_inverse_residual(n, s).is_zero:
+                if not hermite_limit.hermite_dual_inverse_residual(n, l, m).is_zero:
                     failures.append(("inverse", l, m, n))
     for n in range(21):
         for k in range(21):

@@ -18,9 +18,8 @@ from polyident.classical import (
     norm_ratio,
 )
 from polyident.dual_addition import (
-    DualSetting,
-    _product_basis,
     coeff_as_racah_weight_residual,
+    dual_addition_coeffs,
     dual_addition_residual,
     dual_addition_term,
     integral_identity_residuals,
@@ -61,26 +60,48 @@ def brute_force_expansion(l: int, m: int, alpha: Fraction) -> list[Fraction]:
     return coeffs
 
 
-def integral_identity_fractions(n: int, s: DualSetting) -> list[Fraction]:
+def integral_identity_fractions(n: int, alpha: Fraction, l: int, m: int) -> list[Fraction]:
     """integral_identity_residuals as a Fraction loop: each pairing of S_n
     reduced, the closed value w(j) (h_{l+m-2j}/h_0) R_n(j) a Fraction
     product, and their difference; the reference that the integer
     cross-multiplication is pinned to."""
-    sys = specialized_racah(s.alpha, s.l, s.m)
-    product = dual_addition.s_direct(n, s)
+    sys = specialized_racah(alpha, l, m)
+    product = dual_addition.s_direct(n, alpha, l, m)
     return [
-        inner_product(product, gegenbauer_r(s.l + s.m - 2 * j, s.alpha), s.alpha)
-        - racah_weight(j, sys) * norm_ratio(s.l + s.m - 2 * j, s.alpha) * value
+        inner_product(product, gegenbauer_r(l + m - 2 * j, alpha), alpha)
+        - racah_weight(j, sys) * norm_ratio(l + m - 2 * j, alpha) * value
         for j, value in enumerate(sys.values[n])
     ]
 
 
+def _key(alpha, l, m):
+    """The integers (a, b, l, m) of alpha = a/b, l and m that key a setting's memos."""
+    return alpha.numerator, alpha.denominator, l, m
+
+
+#: every public function of a setting, called at index 0 where it takes one
+ENTRY_POINTS = (
+    linearization_coeff, coeff_as_racah_weight_residual, s_direct, s_closed_prefactor,
+    s_closed, dual_addition_coeffs, dual_addition_residual, integral_identity_residuals,
+    whipple_factor,
+    lambda index, *setting: dual_addition_term(index, index, *setting),
+    lambda index, *setting: second_hyp_form(*setting),
+    lambda index, *setting: whipple_proportionality(*setting),
+)
+
+
 class TestDualSetting:
     def test_validation(self):
-        with pytest.raises(DomainError):
-            DualSetting(Fraction(-1, 2), 1, 1)
-        with pytest.raises(DomainError):
-            DualSetting(Fraction(0), 1, 2)
+        # each entry point checks (alpha, l, m) itself: alpha first, then the
+        # index pair, with the messages a setting has always had
+        for fn in ENTRY_POINTS:
+            for alpha, text in ((Fraction(-1, 2), "-1/2"), (Fraction(-3, 4), "-3/4"), (-1, "-1")):
+                with pytest.raises(DomainError, match=f"^alpha must exceed -1/2, got {text}$"):
+                    fn(0, alpha, 1, 2)
+            with pytest.raises(DomainError, match="^need l >= m >= 0, got l=1, m=2$"):
+                fn(0, Fraction(0), 1, 2)
+            with pytest.raises(DomainError, match="^need l >= m >= 0, got l=1, m=-1$"):
+                fn(0, Fraction(0), 1, -1)
 
     def test_specialized_system_always_validates(self):
         # a checked claim: every admissible setting yields a valid system
@@ -92,8 +113,8 @@ class TestDualSetting:
 
 class TestLinearizationCoeff:
     def test_legendre_product_of_degree_ones(self):
-        s = DualSetting(Fraction(0), 1, 1)
-        assert [linearization_coeff(j, s) for j in (0, 1)] == [
+        s = (Fraction(0), 1, 1)
+        assert [linearization_coeff(j, *s) for j in (0, 1)] == [
             Fraction(2, 3),
             Fraction(1, 3),
         ]
@@ -105,56 +126,56 @@ class TestLinearizationCoeff:
             (Fraction(1), 4, 2),
             (Fraction(7, 3), 5, 4),
         ]:
-            s = DualSetting(alpha, l, m)
+            s = (alpha, l, m)
             oracle = brute_force_expansion(l, m, alpha)
-            assert [linearization_coeff(j, s) for j in range(m + 1)] == oracle
+            assert [linearization_coeff(j, *s) for j in range(m + 1)] == oracle
 
     def test_sum_to_one(self):
         # evaluate the expansion at the right endpoint, where every factor is 1
         for alpha in GRID_ALPHAS:
             for l, m in ((2, 2), (5, 3), (8, 8)):
-                s = DualSetting(alpha, l, m)
-                assert sum(linearization_coeff(j, s) for j in range(m + 1)) == 1
+                s = (alpha, l, m)
+                assert sum(linearization_coeff(j, *s) for j in range(m + 1)) == 1
 
     def test_strict_positivity(self):
         for alpha in GRID_ALPHAS:
             for l in range(9):
                 for m in range(l + 1):
-                    s = DualSetting(alpha, l, m)
+                    s = (alpha, l, m)
                     assert all(
-                        linearization_coeff(j, s) > 0 for j in range(m + 1)
+                        linearization_coeff(j, *s) > 0 for j in range(m + 1)
                     )
 
 
 class TestCoeffAsRacahWeight:
     def test_legendre_case(self):
-        s = DualSetting(Fraction(0), 1, 1)
-        assert coeff_as_racah_weight_residual(0, s) == 0
+        s = (Fraction(0), 1, 1)
+        assert coeff_as_racah_weight_residual(0, *s) == 0
 
     def test_larger_setting_all_j(self):
-        s = DualSetting(Fraction(3, 2), 4, 3)
+        s = (Fraction(3, 2), 4, 3)
         for j in range(4):
-            assert coeff_as_racah_weight_residual(j, s) == 0
+            assert coeff_as_racah_weight_residual(j, *s) == 0
 
     def test_j_zero_pins_inverse_mass(self):
         # w(0) = 1, so the j = 0 coefficient must be exactly 1/h0
         for alpha, l, m in [(HALF, 3, 2), (Fraction(1), 5, 5)]:
-            s = DualSetting(alpha, l, m)
-            sys = specialized_racah(s.alpha, s.l, s.m)
-            assert linearization_coeff(0, s) == 1 / racah_h0(sys)
-            assert coeff_as_racah_weight_residual(0, s) == 0
+            s = (alpha, l, m)
+            sys = specialized_racah(*s)
+            assert linearization_coeff(0, *s) == 1 / racah_h0(sys)
+            assert coeff_as_racah_weight_residual(0, *s) == 0
 
 
 class TestSumS:
     def test_degree_zero_is_scaled_product(self):
         for alpha, l, m in [(Fraction(0), 1, 1), (HALF, 3, 2)]:
-            s = DualSetting(alpha, l, m)
-            sys = specialized_racah(s.alpha, s.l, s.m)
+            s = (alpha, l, m)
+            sys = specialized_racah(*s)
             product = (gegenbauer_r(l, alpha) * gegenbauer_r(m, alpha)).scale(
                 racah_h0(sys)
             )
-            assert s_direct(0, s) == product
-            assert s_closed_prefactor(0, s) == racah_h0(sys)
+            assert s_direct(0, *s) == product
+            assert s_closed_prefactor(0, *s) == racah_h0(sys)
 
     @pytest.mark.parametrize(
         "alpha,l,m,n",
@@ -162,48 +183,48 @@ class TestSumS:
          (Fraction(7, 3), 2, 2, 1)],
     )
     def test_direct_equals_closed(self, alpha, l, m, n):
-        s = DualSetting(alpha, l, m)
-        assert s_direct(n, s) == s_closed(n, s)
+        s = (alpha, l, m)
+        assert s_direct(n, *s) == s_closed(n, *s)
 
     def test_highest_case_still_polynomial(self):
-        s = DualSetting(Fraction(1), 5, 5)
-        assert s_direct(5, s) == s_closed(5, s)
+        s = (Fraction(1), 5, 5)
+        assert s_direct(5, *s) == s_closed(5, *s)
 
 
 class TestDualAdditionFormula:
     def test_hand_expanded_legendre_case(self):
         # two-term expansion: x^2 + (x^2-1)/2 = (3x^2-1)/2
-        s = DualSetting(Fraction(0), 1, 1)
-        assert dual_addition_residual(0, s).is_zero
+        s = (Fraction(0), 1, 1)
+        assert dual_addition_residual(0, *s).is_zero
         assert gegenbauer_r(2, Fraction(0)) == UniPoly(
             [Fraction(-1, 2), 0, Fraction(3, 2)]
         )
 
     def test_j_m_corollary(self):
         # j = m uses the endpoint evaluation of the Racah factor
-        s = DualSetting(Fraction(1), 3, 2)
-        assert dual_addition_residual(2, s).is_zero
+        s = (Fraction(1), 3, 2)
+        assert dual_addition_residual(2, *s).is_zero
 
     def test_full_grid(self):
         for alpha in GRID_ALPHAS:
             for l in range(9):
                 for m in range(l + 1):
-                    s = DualSetting(alpha, l, m)
+                    s = (alpha, l, m)
                     for j in range(m + 1):
-                        assert dual_addition_residual(j, s).is_zero
+                        assert dual_addition_residual(j, *s).is_zero
 
     def test_fourier_racah_consistency(self):
         # expanding the sums S back through the discrete orthogonality
         # recovers the expansion of R_{l+m-2j} exactly
         for alpha, l, m in [(HALF, 3, 2), (Fraction(0), 4, 3)]:
-            s = DualSetting(alpha, l, m)
-            sys = specialized_racah(s.alpha, s.l, s.m)
+            s = (alpha, l, m)
+            sys = specialized_racah(*s)
             h0 = racah_h0(sys)
             for j in range(m + 1):
                 recovered = UniPoly.zero()
                 for n in range(m + 1):
                     c = racah_eval(n, j, sys) / (h0 * racah_norm_ratio(n, sys))
-                    recovered = recovered + s_direct(n, s).scale(c)
+                    recovered = recovered + s_direct(n, *s).scale(c)
                 assert recovered == gegenbauer_r(l + m - 2 * j, alpha)
 
 
@@ -211,25 +232,25 @@ class TestSelfDual:
     """The constant-function expansion: the dual addition formula at l = m, j = m."""
 
     def test_trivial_case(self):
-        assert dual_addition_residual(0, DualSetting(Fraction(0), 0, 0)).is_zero
+        assert dual_addition_residual(0, Fraction(0), 0, 0).is_zero
 
     def test_hand_case(self):
         # 1 = x^2 + (1 - x^2)
-        assert dual_addition_residual(1, DualSetting(Fraction(0), 1, 1)).is_zero
+        assert dual_addition_residual(1, Fraction(0), 1, 1).is_zero
 
     @pytest.mark.parametrize("m,alpha", [(3, HALF), (5, Fraction(7, 3)), (8, Fraction(1))])
     def test_zero_residual(self, m, alpha):
-        assert dual_addition_residual(m, DualSetting(alpha, m, m)).is_zero
+        assert dual_addition_residual(m, alpha, m, m).is_zero
 
     def test_terms_match_partition_of_unity_termwise(self):
         # not just equal sums: the term sequences are identical
         for alpha in GRID_ALPHAS:
             for m in range(9):
-                s = DualSetting(alpha, m, m)
+                s = (alpha, m, m)
                 square_terms = sum_of_squares_terms(m, alpha)
                 assert len(square_terms) == m + 1
                 for n, square in enumerate(square_terms):
-                    assert dual_addition_term(n, m, s) == square
+                    assert dual_addition_term(n, m, *s) == square
 
 
 class TestIntegralIdentity:
@@ -239,21 +260,21 @@ class TestIntegralIdentity:
          (2, 1, HALF, 3, 2), (3, 2, Fraction(1), 5, 3)],
     )
     def test_zero_residual(self, n, j, alpha, l, m):
-        assert integral_identity_residuals(n, DualSetting(alpha, l, m))[j] == 0
+        assert integral_identity_residuals(n, alpha, l, m)[j] == 0
 
     def test_weights_strictly_positive(self):
         # no j can zero out the right-hand side for admissible settings
         for alpha in GRID_ALPHAS:
-            s = DualSetting(alpha, 6, 4)
-            sys = specialized_racah(s.alpha, s.l, s.m)
+            s = (alpha, 6, 4)
+            sys = specialized_racah(*s)
             assert all(racah_weight(j, sys) > 0 for j in range(5))
 
     def test_grid(self):
         for alpha in GRID_ALPHAS:
             for l, m in ((2, 2), (4, 3), (6, 2)):
-                s = DualSetting(alpha, l, m)
+                s = (alpha, l, m)
                 for n in range(m + 1):
-                    assert integral_identity_residuals(n, s) == [0] * (m + 1)
+                    assert integral_identity_residuals(n, *s) == [0] * (m + 1)
 
     @given(alpha=st.fractions(min_value=-HALF, max_value=3, max_denominator=13).filter(
                lambda a: a > -HALF),
@@ -265,39 +286,39 @@ class TestIntegralIdentity:
         # residuals too, not only the zeros
         m = data.draw(st.integers(0, l))
         n = data.draw(st.integers(0, m))
-        s = DualSetting(alpha, l, m)
+        s = (alpha, l, m)
         direct = dual_addition.s_direct
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(dual_addition, "s_direct", lambda n_, s_: direct(n_, s_).scale(scale))
-            assert integral_identity_residuals(n, s) == integral_identity_fractions(n, s)
+            patch.setattr(dual_addition, "s_direct", lambda n_, *s_: direct(n_, *s_).scale(scale))
+            assert integral_identity_residuals(n, *s) == integral_identity_fractions(n, *s)
 
 
 class TestWhipple:
     def test_degree_zero_ratio_constant(self):
-        s = DualSetting(HALF, 3, 2)
-        first, second = whipple_proportionality(s)[0]
+        s = (HALF, 3, 2)
+        first, second = whipple_proportionality(*s)[0]
         assert first == second  # degree zero: both 4F3 forms are 1 termwise
 
     def test_spec_point(self):
-        s = DualSetting(HALF, 3, 2)
-        first, second = whipple_proportionality(s)[1]
+        s = (HALF, 3, 2)
+        first, second = whipple_proportionality(*s)[1]
         assert first == Fraction(-3, 10)
 
     def test_zero_values_pair_up(self):
         # at this setting one j zeroes both the 4F3 and the integral
-        s = DualSetting(Fraction(1), 5, 3)
-        nums, den = second_hyp_form(s)
+        s = (Fraction(1), 5, 3)
+        nums, den = second_hyp_form(*s)
         assert nums[2][2] == 0 and den != 0
-        assert racah_eval(2, 2, specialized_racah(s.alpha, s.l, s.m)) == 0
-        whipple_proportionality(s)
+        assert racah_eval(2, 2, specialized_racah(*s)) == 0
+        whipple_proportionality(*s)
 
     def test_twofold_whipple_prefactor_identity(self):
         # the Racah-value 4F3 equals the second form times elementary factors
         for alpha in GRID_ALPHAS:
             for l, m in ((3, 2), (5, 5), (6, 1)):
-                s = DualSetting(alpha, l, m)
-                sys = specialized_racah(s.alpha, s.l, s.m)
-                nums, den = second_hyp_form(s)
+                s = (alpha, l, m)
+                sys = specialized_racah(*s)
+                nums, den = second_hyp_form(*s)
                 n_independent = (
                     lambda n: pochhammerq(HALF - alpha - n, n)
                     * pochhammerq(-l - n - 2 * alpha, n)
@@ -308,7 +329,7 @@ class TestWhipple:
                         lhs = racah_eval(n, j, sys)
                         rhs = (
                             n_independent(n)
-                            * whipple_factor(j, s)
+                            * whipple_factor(j, *s)
                             * Fraction(nums[n][j], den)
                         )
                         assert lhs == rhs
@@ -316,8 +337,8 @@ class TestWhipple:
     def test_grid_constancy(self):
         for alpha in GRID_ALPHAS:
             for l, m in ((4, 3), (6, 2)):
-                s = DualSetting(alpha, l, m)
-                assert len(whipple_proportionality(s)) == m + 1
+                s = (alpha, l, m)
+                assert len(whipple_proportionality(*s)) == m + 1
 
     @pytest.mark.parametrize("alpha", [Fraction(0), HALF, Fraction(7, 3)], ids=str)
     def test_weight_change_of_the_pairing(self, alpha):
@@ -329,7 +350,8 @@ class TestWhipple:
             factor = (-1) ** n * pochhammer(alpha + 1, n) / pochhammer(alpha + 3 * HALF, n)
             for j in range(m + 1):
                 poly = gegenbauer_r(l + m - 2 * j, alpha)
-                assert inner_product(_product_basis(n, DualSetting(alpha, l, m)), poly, alpha) == (
+                basis = dual_addition._product_bases(*_key(alpha, l, m))[n]
+                assert inner_product(basis, poly, alpha) == (
                     factor * inner_product(product, poly, alpha + n))
 
     @pytest.mark.parametrize("alpha", [Fraction(0), HALF, Fraction(7, 3)], ids=str)
@@ -337,9 +359,9 @@ class TestWhipple:
         # the oracle: the integral at weight alpha + n over the j-dependent
         # factors and each 4F3, in Fractions, at the first j where it is defined
         for l, m in ((3, 2), (5, 3), (6, 4)):
-            s = DualSetting(alpha, l, m)
-            sys = specialized_racah(s.alpha, s.l, s.m)
-            nums, den = second_hyp_form(s)
+            s = (alpha, l, m)
+            sys = specialized_racah(*s)
+            nums, den = second_hyp_form(*s)
             expected = []
             for n in range(m + 1):
                 product = gegenbauer_r(l - n, alpha + n) * gegenbauer_r(m - n, alpha + n)
@@ -350,13 +372,13 @@ class TestWhipple:
                     base = racah_weight(j, sys) * norm_ratio(l + m - 2 * j, alpha)
                     for value, scale, acc in (
                         (sys.values[n][j], base, ratios[0]),
-                        (Fraction(nums[n][j], den), base * whipple_factor(j, s), ratios[1]),
+                        (Fraction(nums[n][j], den), base * whipple_factor(j, *s), ratios[1]),
                     ):
                         if value:
                             acc.append(integral / (scale * value))
                 assert all(len(set(acc)) == 1 for acc in ratios)
                 expected.append((ratios[0][0], ratios[1][0]))
-            assert whipple_proportionality(s) == expected
+            assert whipple_proportionality(*s) == expected
 
 
 def pochhammerq(a: Fraction, n: int) -> Fraction:
@@ -373,10 +395,11 @@ class TestCaches:
         # the default (l, m, n) grid and the shifted alphas whipple uses
         config = SuiteConfig()
         for m, l in itertools.combinations_with_replacement(range(config.l_max + 1), 2):
-            s = DualSetting(alpha, l, m)
-            for n in range(m + 1):
-                assert s_direct(n, s) == s_direct.__wrapped__(n, s)
-                assert _product_basis(n, s) == _product_basis.__wrapped__(n, s)
+            key = _key(alpha, l, m)
+            for memo in (dual_addition._s_sums, dual_addition._product_bases):
+                assert memo(*key) == memo.__wrapped__(*key)
+            assert [s_direct(n, alpha, l, m) for n in range(m + 1)] == list(
+                dual_addition._s_sums.__wrapped__(*key))
         for shift in range(config.l_max + 1):
             for k in range(2 * config.l_max + 1):
                 cached = even_moment(k, alpha + shift)
@@ -399,10 +422,14 @@ class TestCaches:
         # each memoised closed form, recomputed from an empty cache, equals
         # an uncached call, and a second call returns the stored value
         alphas = (Fraction(0), Fraction(1, 2), Fraction(7, 3))
-        dual_settings = [DualSetting(alpha, l, m) for alpha in alphas for l, m in ((3, 2), (6, 4))]
+        dual_keys = [_key(alpha, l, m) for alpha in alphas for l, m in ((3, 2), (6, 4))]
         cases = (
             (addition.addition_lhs, [(n, alpha) for n in range(7) for alpha in alphas]),
-            (linearization_coeff, [(j, s) for s in dual_settings for j in range(s.m + 1)]),
+            *((memo, dual_keys) for memo in (
+                dual_addition._linearization_coeffs, dual_addition._s_sums,
+                dual_addition._product_bases, dual_addition._coeff_factors)),
+            *((memo, [(l, m) for l in range(7) for m in range(l + 1)]) for memo in (
+                hermite_limit._product_blocks, hermite_limit._linearized_blocks)),
             (hermite_limit._hermite_at_mixed_argument, [(n,) for n in range(9)]),
             (hermite_limit._kernel, [(a, b) for a in range(9) for b in range(9)]),
         )
@@ -415,10 +442,11 @@ class TestCaches:
 
     def test_closed_form_is_not_the_cached_sum(self):
         # s_closed shares a cache with dual_addition_term, never with s_direct
-        s = DualSetting(Fraction(1, 2), 4, 3)
-        for n in range(s.m + 1):
-            assert s_closed(n, s) is not s_direct(n, s)
-            assert s_closed(n, s) == s_direct.__wrapped__(n, s)
+        s = (Fraction(1, 2), 4, 3)
+        fresh = dual_addition._s_sums.__wrapped__(*_key(*s))
+        for n in range(s[2] + 1):
+            assert s_closed(n, *s) is not s_direct(n, *s)
+            assert s_closed(n, *s) == fresh[n]
 
 
 # The four closed forms as products and quotients of Fraction shifted
@@ -426,8 +454,7 @@ class TestCaches:
 # quotients.
 
 
-def _linearization_coeff_fractions(j, s):
-    al, l, m = s.alpha, s.l, s.m
+def _linearization_coeff_fractions(j, al, l, m):
     pre = Fraction(math.factorial(l) * math.factorial(m)) / (
         pochhammer(2 * al + 1, l) * pochhammer(2 * al + 1, m)
     )
@@ -448,8 +475,7 @@ def _linearization_coeff_fractions(j, s):
     )
 
 
-def _s_closed_prefactor_fractions(n, s):
-    al, l, m = s.alpha, s.l, s.m
+def _s_closed_prefactor_fractions(n, al, l, m):
     return (
         pochhammer(2 * al + 1, l + n)
         * pochhammer(2 * al + 1, m + n)
@@ -464,8 +490,7 @@ def _s_closed_prefactor_fractions(n, s):
     )
 
 
-def _whipple_factor_fractions(j, s):
-    al, l, m = s.alpha, s.l, s.m
+def _whipple_factor_fractions(j, al, l, m):
     return (
         pochhammer(Fraction(j - l), m - j)
         * pochhammer(j + al + HALF, m - j)
@@ -473,15 +498,14 @@ def _whipple_factor_fractions(j, s):
     )
 
 
-def _coeff_factor_fractions(n, s):
-    al = s.alpha
+def _coeff_factor_fractions(n, al, l, m):
     ratio = 1 if n == 0 else (al + n) / (al + Fraction(n, 2))
     return (
         ratio
         * pochhammer(2 * al + 1, n)
         / (Fraction(2 ** (2 * n)) * pochhammer(al + 1, n) ** 2)
-        * pochhammer(Fraction(-s.l), n)
-        * pochhammer(Fraction(-s.m), n)
+        * pochhammer(Fraction(-l), n)
+        * pochhammer(Fraction(-m), n)
         / math.factorial(n)
     )
 
@@ -491,26 +515,18 @@ class TestIntegerClosedForms:
     def test_integer_quotients_equal_their_fraction_forms(self, alpha):
         alpha = parse_rational(alpha)
         forms = (
-            (linearization_coeff.__wrapped__, _linearization_coeff_fractions),
+            (linearization_coeff, _linearization_coeff_fractions),
             (s_closed_prefactor, _s_closed_prefactor_fractions),
             (whipple_factor, _whipple_factor_fractions),
-            (dual_addition._coeff_factor.__wrapped__, _coeff_factor_fractions),
+            (lambda n, *s: dual_addition._coeff_factors(*_key(*s))[n], _coeff_factor_fractions),
         )
         for m, l in itertools.combinations_with_replacement(range(11), 2):
-            s = DualSetting(alpha, l, m)
+            s = (alpha, l, m)
             for index in range(m + 1):
                 for integer_form, fraction_form in forms:
-                    value = integer_form(index, s)
+                    value = integer_form(index, *s)
                     assert type(value) is Fraction
-                    assert value == fraction_form(index, s), (integer_form, index, s)
-
-
-def _key(value):
-    """The tuple a value hashes as: a Racah system its fields, a setting the
-    integers (a, b, l, m) of alpha = a/b, l and m."""
-    if isinstance(value, RacahSystem):
-        return (value.alpha, value.beta, value.gamma, value.delta, value.N)
-    return (value.alpha.numerator, value.alpha.denominator, value.l, value.m)
+                    assert value == fraction_form(index, *s), (integer_form, index, s)
 
 
 setting_alphas = st.fractions(min_value=-HALF, max_value=10, max_denominator=12).filter(
@@ -522,24 +538,24 @@ class TestCacheKeys:
     @given(alpha=setting_alphas, l=st.integers(0, 8), m=st.integers(0, 8))
     @settings(max_examples=60, deadline=None)
     def test_equal_values_hash_equal_across_construction_and_pickle(self, alpha, l, m):
-        # a setting from a Fraction and from its "p/q" string, and its Racah
-        # system by arithmetic and by parsing the string the racah suite uses
+        # an alpha from a Fraction, from its "p/q" string and through pickle
+        # keys the same memo entries; the Racah system by arithmetic and by
+        # parsing the string the racah suite uses is one kept system
         l, m = max(l, m), min(l, m)
-        setting = DualSetting(alpha, l, m)
-        parsed = DualSetting(parse_rational(format_rational(alpha)), l, m)
+        for other in (parse_rational(format_rational(alpha)), pickle.loads(pickle.dumps(alpha))):
+            assert _key(other, l, m) == _key(alpha, l, m)
+            assert s_direct(m, other, l, m) is s_direct(m, alpha, l, m)
         a = format_rational(alpha - HALF)
         d = format_rational(-l - alpha - HALF)
         system = RacahSystem.parse(f"{a},{a},{-m - 1},{d}", m)
-        for left, right in ((setting, parsed), (specialized_racah(alpha, l, m), system)):
-            assert left == right
-            assert hash(left) == hash(right)
-            for value in (left, pickle.loads(pickle.dumps(left))):
-                assert value == right
-                # the hash is the integer key's (the field tuple's for a
-                # system), N and m included
-                assert hash(value) == hash(_key(value))
+        left = specialized_racah(alpha, l, m)
+        for value in (left, pickle.loads(pickle.dumps(left))):
+            assert value == system
+            # the hash is the field tuple's, N included
+            assert hash(value) == hash(system) == hash(
+                (system.alpha, system.beta, system.gamma, system.delta, system.N))
         # both routes reach the one kept system, whose key is its
         # parameters over their least common denominator
-        assert specialized_racah(alpha, l, m) is system
+        assert left is system
         D, numerators = racah._over_common_denominator(system.as_tuple())
         assert dual_addition.racah_form(alpha, l, m) == (D, *numerators)

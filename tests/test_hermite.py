@@ -8,11 +8,10 @@ import pytest
 
 from polyident import exact, hermite_limit, suites
 from polyident.classical import gegenbauer_r, hermite
-from polyident.dual_addition import DualSetting, dual_addition_term
+from polyident.dual_addition import dual_addition_term
 from polyident.errors import DomainError
 from polyident.exact import UniPoly, pochhammer
 from polyident.hermite_limit import (
-    HermiteSetting,
     biorthogonality_value,
     hermite_addition_residual,
     hermite_dual_addition_residual,
@@ -57,26 +56,22 @@ class TestHermiteSurdIdentities:
 class TestDualAdditionHermite:
     def test_l_m_one_j_zero(self):
         # H_2 = H_1^2 - 2 H_0^2 = 4x^2 - 2
-        s = HermiteSetting(1, 1)
-        assert hermite_dual_addition_residual(0, s).is_zero
+        assert hermite_dual_addition_residual(0, 1, 1).is_zero
         assert hermite(2) == UniPoly([-2, 0, 4])
 
     def test_l_m_one_j_one(self):
-        s = HermiteSetting(1, 1)
-        assert hermite_dual_addition_residual(1, s).is_zero
+        assert hermite_dual_addition_residual(1, 1, 1).is_zero
 
     def test_specific_setting(self):
-        s = HermiteSetting(3, 2)
-        assert hermite_dual_addition_residual(1, s).is_zero
+        assert hermite_dual_addition_residual(1, 3, 2).is_zero
 
     def test_inverse_l_m_one(self):
-        s = HermiteSetting(1, 1)
         # n = 0: H_2 + 2 H_0 = 4x^2 = H_1^2
-        assert hermite_dual_inverse_residual(0, s).is_zero
-        assert hermite_dual_inverse_residual(1, s).is_zero
+        assert hermite_dual_inverse_residual(0, 1, 1).is_zero
+        assert hermite_dual_inverse_residual(1, 1, 1).is_zero
 
     def test_inverse_specific(self):
-        assert hermite_dual_inverse_residual(2, HermiteSetting(4, 3)).is_zero
+        assert hermite_dual_inverse_residual(2, 4, 3).is_zero
 
     def test_linearization_specialization(self):
         # the n = 0 inverse is the classical linearization formula
@@ -95,11 +90,10 @@ class TestDualAdditionHermite:
     def test_full_grid_to_twelve(self):
         for l in range(13):
             for m in range(l + 1):
-                s = HermiteSetting(l, m)
                 for j in range(m + 1):
-                    assert hermite_dual_addition_residual(j, s).is_zero
+                    assert hermite_dual_addition_residual(j, l, m).is_zero
                 for n in range(m + 1):
-                    assert hermite_dual_inverse_residual(n, s).is_zero
+                    assert hermite_dual_inverse_residual(n, l, m).is_zero
 
 
 #: the checks that read the blocks of a Hermite setting
@@ -115,48 +109,38 @@ def _tasks_at(identity, l, m):
     return [base]
 
 
+#: the two block memos of a Hermite setting
+BLOCKS = (hermite_limit._product_blocks, hermite_limit._linearized_blocks)
+
+
 class TestBlocksOncePerTask:
     @pytest.mark.parametrize("identity", BLOCK_READERS)
-    def test_each_block_is_formed_once(self, identity, monkeypatch):
+    def test_each_block_is_formed_once(self, identity):
         # the m+1 product and m+1 linearized blocks of (l, m) are formed
         # once per process, by whichever check reaches them first: the
         # other checks at (l, m) read the same blocks
-        formed = {"product": 0, "linearized": 0}
-
-        def counting(kind, build):
-            def wrapped(i, s):
-                formed[kind] += 1
-                return build(i, s)
-
-            return wrapped
-
-        for kind in formed:
-            name = f"_{kind}_block"
-            monkeypatch.setattr(hermite_limit, name, counting(kind, getattr(hermite_limit, name)))
-        hermite_limit.hermite_setting.cache_clear()
+        for memo in BLOCKS:
+            memo.cache_clear()
         l, m = 6, 4
         order = [identity, *(other for other in BLOCK_READERS if other != identity)]
         for reader in order:
             for params in _tasks_at(reader, l, m):
                 assert suites.run_task(reader, params, suites.SuiteConfig()).passed
-            assert formed == {"product": m + 1, "linearized": m + 1}, reader
-        hermite_limit.hermite_setting.cache_clear()
+            assert [memo.cache_info().misses for memo in BLOCKS] == [1, 1], reader
+            assert [len(memo(l, m)) for memo in BLOCKS] == [m + 1, m + 1]
+        for memo in BLOCKS:
+            memo.cache_clear()
 
     def test_blocks_are_kept_by_their_setting(self):
-        # one setting per (l, m) per process, keeping its blocks; a setting
-        # built directly forms its own, equal blocks
-        hermite_limit.hermite_setting.cache_clear()
-        shared = hermite_limit.hermite_setting(6, 4)
-        assert hermite_limit.hermite_setting(6, 4) is shared
-        assert shared.product_blocks is hermite_limit.hermite_setting(6, 4).product_blocks
-        assert hermite_limit.hermite_setting(4, 4) is not shared
-        direct = HermiteSetting(6, 4)
-        assert direct == shared
-        assert direct.product_blocks is not shared.product_blocks
-        for i in range(shared.m + 1):
-            assert shared.product_blocks[i] == hermite_limit._product_block(i, direct)
-            assert shared.linearized_blocks[i] == hermite_limit._linearized_block(i, direct)
-        assert hermite_limit.hermite_setting.cache_info().misses == 2
+        # one tuple of blocks per (l, m) per process; an uncached build
+        # forms equal blocks
+        for memo in BLOCKS:
+            memo.cache_clear()
+            shared = memo(6, 4)
+            assert memo(6, 4) is shared
+            assert memo(4, 4) is not shared
+            assert memo.__wrapped__(6, 4) == shared
+            assert memo.cache_info().misses == 2
 
 
 class TestBiorthogonality:
@@ -311,14 +295,13 @@ class TestBiorthogonalityLimit:
 def _coefficientwise_terms(l, m, j):
     """The rescaled dual addition terms of eq40-to-eq46, one component per
     coefficient, in place of the factor-by-factor route."""
-    s = HermiteSetting(l, m)
-    rescale = 2 ** (l + m - j) * hermite_limit._lm_pochhammer(s, j)
+    rescale = 2 ** (l + m - j) * hermite_limit._lm_pochhammer(j, l, m)
 
     def quantity(alpha):
         alpha = Fraction(alpha)
-        dual = DualSetting(alpha=alpha, l=l, m=m)
         terms = (
-            alpha_scaled(dual_addition_term(n, j, dual), l + m, alpha).scale(rescale * alpha**-j)
+            alpha_scaled(dual_addition_term(n, j, alpha, l, m), l + m, alpha)
+            .scale(rescale * alpha**-j)
             for n in range(m + 1)
         )
         return as_pairs(term.coeff(i) for term in terms for i in range(l + m + 1))
@@ -352,9 +335,8 @@ class TestDualAdditionLimit:
         # tail on the way to 1/alpha = 0; the limits still are the Hermite
         # terms the factor-by-factor route compares with
         limits, _points = exact.limit_at_infinity(_coefficientwise_terms(l, m, j), 100)
-        s = HermiteSetting(l, m)
         assert limits == tuple(
-            hermite_dual_addition_term(n, j, s).coeff(i)
+            hermite_dual_addition_term(n, j, l, m).coeff(i)
             for n in range(m + 1) for i in range(l + m + 1)
         )
         assert _passes("eq40-to-eq46", {"j": j, "l": l, "m": m})
@@ -456,7 +438,7 @@ def _dyadic_deviation(target, idx, x, alpha):
     if target != "eq40-to-eq46":
         return max(abs(Fraction(*q) - c) for q, c in zip(claim.quantity(alpha), claim.claimed))
     l, m, j = idx["l"], idx["m"], idx["j"]
-    rescale = 2 ** (l + m - j) * hermite_limit._lm_pochhammer(HermiteSetting(l, m), j)
+    rescale = 2 ** (l + m - j) * hermite_limit._lm_pochhammer(j, l, m)
     degree = l + m - 2 * j
     lhs = alpha_scaled(gegenbauer_r(degree, alpha), degree, Fraction(alpha)).scale(rescale)
     terms = [Fraction(*pair) for pair in _coefficientwise_terms(l, m, j)(alpha)]

@@ -188,7 +188,7 @@ class TestSuites:
         caches = {
             "addition_lhs": addition.addition_lhs,
             "_hermite_at_mixed_argument": hermite_limit._hermite_at_mixed_argument,
-            "hermite_setting": hermite_limit.hermite_setting,
+            "_product_blocks": hermite_limit._product_blocks,
         }
         ordered = suites.suite_tasks
 
@@ -211,7 +211,7 @@ class TestSuites:
         assert shuffled == built
         assert hashlib.sha256(built.encode()).hexdigest() == EXACT_SUITES_SHA256
         assert built_misses == shuffled_misses == {
-            "addition_lhs": 36, "_hermite_at_mixed_argument": 13, "hermite_setting": 91}
+            "addition_lhs": 36, "_hermite_at_mixed_argument": 13, "_product_blocks": 91}
         # a memo the exact suites fill but never read costs its keys and
         # buys nothing
         assert [name for name, info in traffic.items() if info.misses and not info.hits] == []
@@ -988,6 +988,32 @@ class TestVerifyFuzz:
         for n_alphas, l_max in ((count, 0), (cells // 81, 8), (4, suites.GRID_CEILINGS["l_max"])):
             config = SuiteConfig(alphas=tuple(map(Fraction, range(n_alphas))), l_max=l_max)
             assert len(config.alphas) == n_alphas
+
+    def test_alphas_weighed_by_their_digits_exit_2_at_once_naming_the_bound(self, capsys):
+        # the digits of an alpha cost more at larger grids: four 100-digit
+        # alphas at l_max 32 would run for minutes, and one of 9 digits at
+        # 32 outgrows the budget that sized the ceilings
+        ceiling = suites.DIGIT_CELLS_CEILING
+        name = "sum(max(2, digits(alpha))) * (l_max + 1)^2"
+        for alphas, l_max, weighted in (("1e99,2e99,3e99,4e99", 32, 400 * 33**2),
+                                        ("123456789/7", 32, 9 * 33**2),
+                                        ("1e99", 9, 100 * 10**2),
+                                        ("10/7,1e19", 19, 22 * 20**2)):
+            started = time.perf_counter()
+            assert main(["verify", "dual-addition", f"--alphas={alphas}",
+                         "--l-max", str(l_max), "--jobs", "1"]) == 2
+            assert time.perf_counter() - started < 1
+            assert capsys.readouterr().err.startswith(
+                f"error: {name} must be <= {ceiling}, got {weighted}\n")
+        # alphas of one or two digits meet the cells ceiling first, and at
+        # its edge the weighted ceiling still accepts: four such alphas at
+        # l_max 32, one of 8 digits at 32, one of 100 digits at 8
+        assert ceiling == 2 * suites.ALPHA_CEILINGS["len(alphas) * (l_max + 1)^2"]
+        for alphas, l_max in (((Fraction(0), Fraction(1, 2), Fraction(1), Fraction(7, 3)), 32),
+                              ((Fraction(10), Fraction(11, 13), Fraction(99, 7), Fraction(-1, 97)),
+                               32),
+                              ((Fraction(12345678, 7),), 32), ((Fraction(10**99),), 8)):
+            assert SuiteConfig(alphas=alphas, l_max=l_max).alphas == alphas
 
     def test_an_alpha_of_too_many_digits_exits_2(self, capsys):
         # past 4,300 digits an alpha could not even be written into a record
