@@ -20,13 +20,14 @@ import typing
 from fractions import Fraction
 from pathlib import Path
 
-import mpmath as mp
-
 from . import classical, continuous, racah
 from .errors import ConfigError, DomainError, PolyidentError
 from .exact import format_rational, parse_rational
+from .lazy import lazy_import
 from .report import emit, exit_status
 from .suites import PRECISION_CEILING, REGISTRY, SUITE_NAMES, SuiteConfig, run_suite
+
+mp = lazy_import("mpmath")
 
 
 def _parse_alphas(text: str) -> tuple[Fraction, ...]:
@@ -136,19 +137,22 @@ def _eval_racah(n, x, alpha, beta, gamma, delta, *, prec) -> str:
 
 
 def _eval_phi(lam, alpha, beta, t, *, prec) -> str:
-    value = continuous.phi(continuous.to_mpf(lam), alpha, beta, t)
-    if abs(mp.im(value)) < continuous.agreement_bound() * (1 + abs(value)):
-        value = mp.re(value)
-    return mp.nstr(value, prec)
+    with continuous.working_precision(prec):
+        value = continuous.phi(continuous.to_mpf(lam), alpha, beta, t)
+        if abs(mp.im(value)) < continuous.agreement_bound() * (1 + abs(value)):
+            value = mp.re(value)
+        return mp.nstr(value, prec)
 
 
 def _eval_wilson(n, xsq, lam, mu, alpha, *, prec) -> str:
-    params = continuous.WilsonParams.from_spectral(lam, mu, alpha)
-    return mp.nstr(continuous.wilson_poly(n, xsq, params), prec)
+    with continuous.working_precision(prec):
+        params = continuous.WilsonParams.from_spectral(lam, mu, alpha)
+        return mp.nstr(continuous.wilson_poly(n, xsq, params), prec)
 
 
 #: eval function -> (names of its positional arguments, evaluator of their
-#: parsed values to a number of digits, which runs at that working precision)
+#: parsed values to a number of digits; phi and wilson compute at that
+#: working precision, the exact ones load no mpmath)
 _EVALUATORS = {
     "gegenbauer": (("n", "alpha"), _eval_gegenbauer),
     "hermite": (("n",), _eval_hermite),
@@ -212,8 +216,7 @@ def _eval_arguments(args) -> tuple[list, int]:
 
 def cmd_eval(args) -> tuple[int, str]:
     values, prec = _eval_arguments(args)
-    with continuous.working_precision(prec):
-        return 0, _EVALUATORS[args.fn][1](*values, prec=prec) + "\n"
+    return 0, _EVALUATORS[args.fn][1](*values, prec=prec) + "\n"
 
 
 def cmd_list(args) -> tuple[int, str]:

@@ -12,6 +12,11 @@ conical function here is a Gauss function 2F1 at an argument
 -sinh^2 t <= 0, evaluated by ``mpmath.hyp2f1`` (DLMF 15.8 argument
 transformations with adaptive internal precision).
 
+``mp`` is bound through :func:`polyident.lazy.lazy_import`: mpmath loads
+on the first numeric call, not with this module, so ``polyident list``,
+``eval`` of an exact function and the exact suites never load it.  A
+module-level expression here may therefore use no mpmath value.
+
 Two printed closed forms are handled in both a "printed" and a
 "corrected" variant: the Wilson norm and the closed form of the
 phi-weighted Wilson integral.  Quadrature shows the printed prefactor
@@ -22,15 +27,16 @@ silently fixing it.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, NamedTuple
 
-import mpmath as mp
-from mpmath.libmp import NoConvergence
-
 from .errors import DomainError, PrecisionError
+from .lazy import lazy_import
 from .quadrature import self_refining_integral
+
+mp = lazy_import("mpmath")
 
 _GUARD = 10
 
@@ -47,7 +53,13 @@ def working_precision(digits: int):
 
 def agreement_bound() -> mp.mpf:
     """10^{-P+10} inside ``working_precision(P)``: how closely two
-    evaluations of one value must agree."""
+    evaluations of one value must agree.  Formed once per precision."""
+    return _agreement_bound(mp.mp.prec)
+
+
+@functools.lru_cache(maxsize=None)
+def _agreement_bound(prec: int) -> mp.mpf:
+    # prec fixes the context's dps, and the power is rounded at prec
     return mp.mpf(10) ** (10 + _GUARD - mp.mp.dps)
 
 
@@ -97,7 +109,7 @@ def gauss_2f1(a, b, c, z):
     raises PrecisionError at once: the terms then grow for thousands of
     terms at arguments of order one, and at |a| = 10^400 a few hundred
     terms alone take seconds.  Within these bounds a series that fails
-    fails in about a second.
+    fails in about a second.  At z = 0 it returns 1, as ``hyp2f1`` would.
     """
     z = mp.mpf(z)
     if z > 0:
@@ -109,9 +121,11 @@ def gauss_2f1(a, b, c, z):
             f"2F1 parameters out of reach: |a| or |b| exceeds {MAX_PARAMETER} "
             f"(a = {mp.nstr(a, 8)}, b = {mp.nstr(b, 8)})"
         )
+    if not z:
+        return mp.mpf(1)
     try:
         return mp.hyp2f1(a, b, c, z, maxterms=MAX_SERIES_TERMS)
-    except NoConvergence as exc:
+    except mp.libmp.NoConvergence as exc:
         raise PrecisionError(
             f"2F1 at z = {mp.nstr(z, 8)} did not converge: {exc}"
         ) from exc
@@ -125,7 +139,9 @@ def phi(lam, alpha, beta, t):
     t = to_mpf(t)
     z = -mp.sinh(t) ** 2
     s = (alpha + beta + 1) / 2
-    return gauss_2f1(s + lam * 1j / 2, s - lam * 1j / 2, alpha + 1, z)
+    # s +- i lam / 2 from the parts of lam, without a complex product
+    x, y = lam.real / 2, lam.imag / 2
+    return gauss_2f1(mp.mpc(s - y, x), mp.mpc(s + y, -x), alpha + 1, z)
 
 
 def contiguous_residual(lam, alpha, beta, t):
@@ -168,7 +184,7 @@ def conical_routes(g, r, k, log_prefactor=None):
     pre = mp.e ** log_prefactor / 2
     route_phi = pre * phi(k, g - mp.mpf(1) / 2, -mp.mpf(1) / 2, r)
     route_gauss = pre * gauss_2f1(
-        g + 1j * k, g - 1j * k, g + mp.mpf(1) / 2, -mp.sinh(r / 2) ** 2
+        mp.mpc(g, k), mp.mpc(g, -k), g + mp.mpf(1) / 2, -mp.sinh(r / 2) ** 2
     )
     return route_phi, route_gauss
 
@@ -223,9 +239,12 @@ def _wilson_sum(n: int, x, params: WilsonParams):
     estimated to a bit from the binary exponents; all of them when the sum
     is exactly 0."""
     a, b, c, d = params
-    x = mp.mpc(x)
+    ix = 1j * mp.mpc(x)
+    # each factor's sum but its "+ k", formed once
+    ab, ac, ad, top = a + b, a + c, a + d, n + a + b + c + d - 1
+    plus, minus = a + ix, a - ix
     pre = mp.mpc(1)
-    for p in (a + b, a + c, a + d):
+    for p in (ab, ac, ad):
         for i in range(n):
             pre *= p + i
     total = mp.mpc(1)
@@ -234,10 +253,10 @@ def _wilson_sum(n: int, x, params: WilsonParams):
     for k in range(n):
         term *= (
             (-n + k)
-            * (n + a + b + c + d - 1 + k)
-            * (a + 1j * x + k)
-            * (a - 1j * x + k)
-            / ((a + b + k) * (a + c + k) * (a + d + k) * (k + 1))
+            * (top + k)
+            * (plus + k)
+            * (minus + k)
+            / ((ab + k) * (ac + k) * (ad + k) * (k + 1))
         )
         total += term
         largest = max(largest, mp.mag(term))
@@ -273,10 +292,12 @@ def wilson_poly(n: int, xsq, params: WilsonParams) -> mp.mpf:
 
     For conjugate-pair parameters the value at real x^2 >= 0 is real; the
     imaginary part of the computed value is checked against 10^{-P+10}
-    inside ``working_precision(P)``.
+    inside ``working_precision(P)``.  W_0 is 1, the value the sum gives.
     """
     if n < 0:
         raise DomainError(f"degree must be >= 0, got {n}")
+    if n == 0:
+        return mp.mpf(1)
     x = mp.sqrt(to_mpf(xsq))
     value = _wilson_poly_complex(n, x, params)
     scale = max(mp.mpf(1), abs(value))

@@ -29,9 +29,10 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import mpmath as mp
-
 from .errors import DomainError, PrecisionError
+from .lazy import lazy_import
+
+mp = lazy_import("mpmath")
 
 
 #: points per unit of s on the first level, whose step 1/POINTS_PER_UNIT
@@ -45,8 +46,10 @@ MAX_DOUBLINGS = 16
 #: the strip stop returns once the predicted error is below this share of
 #: the tolerance: on the continuous suite's integrals at 46 to 100 digits,
 #: the error at a level whose rate guard held was up to 8.1 times its
-#: prediction, and at a share of 1/10 eq13 keeps under four digits of margin
-STRIP_STOP_SHARE = mp.mpf(1) / 100
+#: prediction, and at a share of 1/10 eq13 keeps under four digits of margin.
+#: A float, so that importing this module loads no mpmath: 0.01 is the
+#: double nearest 1/100, the value mpf(1)/100 rounds to at 53 bits.
+STRIP_STOP_SHARE = 0.01
 
 
 def self_refining_integral(f: Callable[[mp.mpf], mp.mpf], tolerance, pole) -> mp.mpf:

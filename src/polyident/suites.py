@@ -16,12 +16,13 @@ import itertools
 import os
 import random
 import time
+# Imported eagerly although only a pool run uses it: deferred, its import
+# (about 17 ms) moved into the verify time of every pooled run, and every
+# CLI run at the default --jobs forks a pool.
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
-
-import mpmath as mp
 
 from . import addition, classical, continuous, dual_addition, hermite_limit, racah
 from .errors import ConfigError, DomainError
@@ -33,7 +34,10 @@ from .exact import (
     pochhammer,
     terminating_hyp,
 )
+from .lazy import lazy_import
 from .report import VerificationReport
+
+mp = lazy_import("mpmath")
 
 SUITE_NAMES = ("dual-addition", "classical-addition", "racah", "hermite", "continuous")
 

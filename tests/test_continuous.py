@@ -5,15 +5,19 @@ the whole file stays fast; the acceptance module repeats the headline
 checks at the full 60 digits.
 """
 
+import math
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polyident import continuous
+from polyident import continuous, quadrature
 from polyident.continuous import (
     WilsonContext,
     WilsonParams,
+    _wilson_sum,
     conical_f,
     conical_routes,
     contiguous_residual,
@@ -685,3 +689,133 @@ class TestDualAdditionFunction:
                 Fraction(1, 2), tolerance=tol(18),
             )
         assert result.residual < tol(15)
+
+
+# -- the trimmed kernels against the expressions they replaced.  Each oracle
+# keeps the replaced expression as it was written, and each comparison is
+# ==, so a trim that moves a single bit fails.
+
+#: the working digits the suites run at: the precision floor, the default
+#: and a deeper one
+working_digits = st.sampled_from([46, 60, 100])
+#: Jacobi and Wilson parameters alpha, beta >= -1/2, as the suites pass them
+parameters = st.fractions(min_value=Fraction(-1, 2), max_value=3, max_denominator=12)
+spectral = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+#: arguments t >= 0, the origin drawn on its own
+arguments = st.just(Fraction(0)) | st.fractions(min_value=0, max_value=2, max_denominator=12)
+
+
+def _phi_oracle(lam, alpha, beta, t):
+    """phi with its parameters s +- i lam/2 formed through a complex product,
+    and hyp2f1 called at every argument, z = 0 included."""
+    lam = mp.mpc(lam)
+    alpha, beta, t = to_mpf(alpha), to_mpf(beta), to_mpf(t)
+    z = -mp.sinh(t) ** 2
+    s = (alpha + beta + 1) / 2
+    return mp.hyp2f1(s + lam * 1j / 2, s - lam * 1j / 2, alpha + 1, z,
+                     maxterms=continuous.MAX_SERIES_TERMS)
+
+
+def _wilson_sum_oracle(n, x, params):
+    """_wilson_sum with i x formed anew in every factor of every term."""
+    a, b, c, d = params
+    x = mp.mpc(x)
+    pre = mp.mpc(1)
+    for p in (a + b, a + c, a + d):
+        for i in range(n):
+            pre *= p + i
+    total = mp.mpc(1)
+    term = mp.mpc(1)
+    largest = 1
+    for k in range(n):
+        term *= (
+            (-n + k)
+            * (n + a + b + c + d - 1 + k)
+            * (a + 1j * x + k)
+            * (a - 1j * x + k)
+            / ((a + b + k) * (a + c + k) * (a + d + k) * (k + 1))
+        )
+        total += term
+        largest = max(largest, mp.mag(term))
+    lost = (largest - mp.mag(total)) * math.log10(2) if total else mp.mp.dps
+    return pre * total, lost
+
+
+class TestTrimmedKernelOracles:
+    @given(digits=working_digits, lam=spectral, shift=st.sampled_from([0, 1, -1]),
+           alpha=parameters, beta=parameters, t=arguments)
+    @settings(max_examples=80, deadline=None)
+    def test_phi_matches_the_complex_product_form(self, digits, lam, shift, alpha, beta, t):
+        # real lam, and lam +- i as contiguous_residual passes it
+        with working_precision(digits):
+            lam = to_mpf(lam) + shift * 1j
+            assert phi(lam, alpha, beta, t) == _phi_oracle(lam, alpha, beta, t)
+
+    @given(digits=working_digits, g=st.fractions(min_value=0, max_value=3, max_denominator=12)
+           .filter(lambda g: g > 0), r=arguments, k=spectral)
+    @settings(max_examples=60, deadline=None)
+    def test_conical_routes_match_the_complex_product_form(self, digits, g, r, k):
+        with working_precision(digits):
+            g, r, k = to_mpf(g), to_mpf(r), to_mpf(k)
+            pre = mp.e ** (2 * mp.re(log_gamma(mp.mpc(g, k))) - log_gamma(2 * g)) / 2
+            expected = (
+                pre * _phi_oracle(k, g - mp.mpf(1) / 2, -mp.mpf(1) / 2, r),
+                pre * mp.hyp2f1(g + 1j * k, g - 1j * k, g + mp.mpf(1) / 2,
+                                -mp.sinh(r / 2) ** 2, maxterms=continuous.MAX_SERIES_TERMS),
+            )
+            assert conical_routes(g, r, k) == expected
+
+    @given(digits=working_digits, n=st.integers(min_value=0, max_value=6),
+           x=st.fractions(min_value=0, max_value=4, max_denominator=12),
+           offset=st.sampled_from([0, 0.5j, -0.5j]),
+           lam=spectral, mu=spectral, alpha=parameters.filter(lambda a: a > Fraction(-1, 2)),
+           shifted=st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_wilson_sum_matches_the_loop_with_i_x_inside(self, digits, n, x, offset, lam,
+                                                        mu, alpha, shifted):
+        # real x, and x +- i/2 as the backward shift passes it, on the
+        # spectral parameters and on their half-shift
+        with working_precision(digits):
+            params = WilsonParams.from_spectral(lam, mu, alpha)
+            if shifted:
+                params = params.shifted()
+            x = to_mpf(x) + offset
+            assert _wilson_sum(n, x, params) == _wilson_sum_oracle(n, x, params)
+
+    @given(digits=working_digits, xsq=st.fractions(min_value=0, max_value=16, max_denominator=12),
+           lam=spectral, mu=spectral, alpha=parameters.filter(lambda a: a > Fraction(-1, 2)))
+    @settings(max_examples=40, deadline=None)
+    def test_wilson_poly_of_degree_zero_is_what_the_sum_gives(self, digits, xsq, lam, mu, alpha):
+        with working_precision(digits):
+            params = WilsonParams.from_spectral(lam, mu, alpha)
+            value = wilson_poly(0, xsq, params)
+            expected = mp.re(+_wilson_sum_oracle(0, mp.sqrt(to_mpf(xsq)), params)[0])
+            assert value == expected == 1 and type(value) is type(expected)
+
+    @given(digits=working_digits, a=spectral, b=spectral, im=spectral,
+           c=st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    @settings(max_examples=60, deadline=None)
+    def test_gauss_2f1_is_exactly_one_at_the_origin(self, digits, a, b, c, im):
+        with working_precision(digits):
+            a, b = mp.mpc(to_mpf(a), to_mpf(im)), mp.mpc(to_mpf(b), -to_mpf(im))
+            c = to_mpf(c)
+            if c <= 0 and mp.isint(c):
+                with pytest.raises(DomainError):
+                    gauss_2f1(a, b, c, 0)
+                return
+            value = gauss_2f1(a, b, c, 0)
+            assert value == 1 and value == mp.hyp2f1(a, b, c, 0)
+            assert type(value) is type(mp.hyp2f1(a, b, c, 0))
+
+    @pytest.mark.parametrize("c", [0, -1, -7])
+    def test_gauss_2f1_at_the_origin_still_rejects_a_lower_pole(self, c):
+        with pytest.raises(DomainError):
+            gauss_2f1(1, 1, c, 0)
+
+    def test_gauss_2f1_at_the_origin_still_rejects_parameters_out_of_reach(self):
+        with pytest.raises(PrecisionError, match="out of reach"):
+            gauss_2f1(continuous.MAX_PARAMETER + 1, 1, 2, 0)
+
+    def test_strip_stop_share_is_the_53_bit_hundredth(self):
+        with mp.workprec(53):
+            assert mp.mpf(quadrature.STRIP_STOP_SHARE) == mp.mpf(1) / 100

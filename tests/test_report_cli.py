@@ -1173,6 +1173,40 @@ class TestCli:
         assert main(["eval", "wilson", "1", "1/16", "0", "0", "0"]) == 0
         assert capsys.readouterr().out.strip() == "0.0"
 
+    #: runs each command line through cli.main in one fresh interpreter, then
+    #: prints whether mpmath's context module was ever executed
+    _MPMATH_PROBE = (
+        "import contextlib, io, json, sys\n"
+        "from polyident import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert cli.main(argv) == 0, argv\n"
+        "print('mpmath.ctx_mp' in sys.modules)\n"
+    )
+
+    def _mpmath_loaded(self, commands) -> bool:
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", self._MPMATH_PROBE, json.dumps(commands)],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip() == "True"
+
+    def test_exact_commands_load_no_mpmath(self):
+        # the exact side never executes mpmath, so a module-level use of it
+        # anywhere in the package fails here
+        small = ["--jobs", "1", "--alphas", "0,1/2", "--l-max", "2",
+                 "--hermite-lm-max", "3", "--limit-lm-max", "2"]
+        commands = [["list"], ["eval", "racah", "2", "3", "1/2", "1/3", "-5", "1/4"],
+                    ["eval", "gegenbauer", "3", "1/2"], ["eval", "hermite", "4"]]
+        commands += [["verify", suite, *small]
+                     for suite in ("racah", "classical-addition", "hermite", "dual-addition")]
+        assert not self._mpmath_loaded(commands)
+
+    def test_numeric_eval_loads_mpmath(self):
+        assert self._mpmath_loaded([["eval", "wilson", "1", "1/4", "1/5", "2/5", "1"]])
+
     def test_python_dash_m_runs_the_cli(self):
         src = Path(__file__).resolve().parent.parent / "src"
         done = subprocess.run(
