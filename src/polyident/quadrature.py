@@ -39,7 +39,7 @@ mp = lazy_import("mpmath")
 #: every integral halves: integrals at one precision share their nodes,
 #: whatever their cutoffs
 POINTS_PER_UNIT = 4
-#: largest cutoff S tried, in unit steps: the last with |x| = sinh S <= 256
+#: largest cutoff S tried: the last integer with |x| = sinh S <= 256
 MAX_S = int(math.asinh(256))
 #: step halvings before the refinement budget is exhausted
 MAX_DOUBLINGS = 16
@@ -61,10 +61,12 @@ def self_refining_integral(f: Callable[[mp.mpf], mp.mpf], tolerance, pole) -> mp
     The integral is taken in s, x = sinh s, on the strip of half-width
     d_s = Im asinh(pole); DomainError if that is not positive.
 
-    The cutoff S is the first integer with |f(sinh S) cosh S| <
-    tolerance * 1e-5.  The step h starts at 1/POINTS_PER_UNIT (4S points
-    on (0, S]) and is halved, reusing previous nodes and f(0), until one of
-    two stops holds:
+    The cutoff S is the first node k/POINTS_PER_UNIT of the first level
+    at which g(s) = f(sinh s) cosh s has |g(S)| < tolerance * 1e-5 and
+    |g(S + 1/POINTS_PER_UNIT)| too: the second node, evaluated but not
+    summed, keeps an isolated zero of g from cutting the integral short.
+    The step h starts at 1/POINTS_PER_UNIT (k points on (0, S]) and is
+    halved, reusing previous nodes and f(0), until one of two stops holds:
 
     - difference stop: |T(h) - T(2h)| < tolerance;
     - strip stop: |T(h) - T(2h)| exp(-pi d_s / h) < STRIP_STOP_SHARE *
@@ -87,20 +89,19 @@ def self_refining_integral(f: Callable[[mp.mpf], mp.mpf], tolerance, pole) -> mp
     def g(s):
         return f(mp.sinh(s)) * mp.cosh(s)
 
-    # the probes at integer s are nodes of the first level, kept for its sum
-    probes = [g(mp.mpf(1))]
-    while abs(probes[-1]) >= tolerance * mp.mpf(10) ** -5:
-        if len(probes) == MAX_S:
+    # the probes are the first level's nodes, outward, and one node past S
+    threshold = tolerance * mp.mpf(10) ** -5
+    h = mp.mpf(1) / POINTS_PER_UNIT
+    probes = [g(h), g(2 * h)]
+    while not (abs(probes[-2]) < threshold and abs(probes[-1]) < threshold):
+        if len(probes) > MAX_S * POINTS_PER_UNIT:
             raise PrecisionError(
                 f"integrand does not decay below {tolerance}*1e-5 by s = {MAX_S}"
             )
-        probes.append(g(mp.mpf(len(probes) + 1)))
-    h = mp.mpf(1) / POINTS_PER_UNIT
-    n = len(probes) * POINTS_PER_UNIT
+        probes.append(g((len(probes) + 1) * h))
+    n = len(probes) - 1
     # interior sum of g on (0, S]; g(0)/2 enters the trapezoid weightings
-    total = mp.fsum(probes) + mp.fsum(
-        g(k * h) for k in range(1, n + 1) if k % POINTS_PER_UNIT
-    )
+    total = mp.fsum(probes[:-1])
     half_g0 = f(mp.mpf(0)) / 2  # cosh 0 = 1
     estimate = refined = 2 * h * (half_g0 + total)
     difference = None

@@ -16,10 +16,6 @@ import itertools
 import os
 import random
 import time
-# Imported eagerly although only a pool run uses it: deferred, its import
-# (about 17 ms) moved into the verify time of every pooled run, and every
-# CLI run at the default --jobs forks a pool.
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -38,6 +34,8 @@ from .lazy import lazy_import
 from .report import VerificationReport
 
 mp = lazy_import("mpmath")
+#: loaded by the first run that forks a pool, not by one that runs in-process
+futures = lazy_import("concurrent.futures")
 
 SUITE_NAMES = ("dual-addition", "classical-addition", "racah", "hermite", "continuous")
 
@@ -139,8 +137,10 @@ class SuiteConfig:
             raise ConfigError(
                 f"bad value for alphas: {', '.join(map(str, repeated))} repeated"
             )
-        # An explicit tolerance must parse and be no looser than its default
-        # at the floor.
+        # An explicit tolerance must parse, be no looser than its default at
+        # the floor and no finer than 10^-P: finer ones ask more than
+        # precision_digits resolve, and checks that pass read as failures.
+        finest = f"1e-{self.precision_digits}"
         for kind, offset in _TOLERANCE_OFFSETS.items():
             name = f"{kind}_tolerance"
             value = getattr(self, name)
@@ -154,6 +154,11 @@ class SuiteConfig:
             if not (mp.isfinite(tolerance) and 0 < tolerance <= mp.mpf(loosest)):
                 raise ConfigError(
                     f"{name} must be finite, positive and at most {loosest}, got {value!r}"
+                )
+            if tolerance < mp.mpf(finest):
+                raise ConfigError(
+                    f"{name} must be at least {finest} at precision_digits "
+                    f"{self.precision_digits}, got {value!r}"
                 )
 
     def tolerance(self, kind: str) -> mp.mpf:
@@ -1056,6 +1061,6 @@ def run_suite(name: str, config: SuiteConfig) -> list[VerificationReport]:
     batches = sorted(numeric.values(), key=len, reverse=True)
     size = max(1, -(-len(exact) // (4 * workers)))
     batches += [exact[i:i + size] for i in range(0, len(exact), size)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with futures.ProcessPoolExecutor(max_workers=workers) as pool:
         done = pool.map(_execute_batch, [(batch, config) for batch in batches])
         return [report for reports in done for report in reports]

@@ -38,7 +38,7 @@ from polyident.continuous import (
 )
 from polyident.errors import DomainError, PrecisionError
 from polyident.exact import pochhammer, terminating_hyp
-from polyident.quadrature import self_refining_integral
+from polyident.quadrature import POINTS_PER_UNIT, self_refining_integral
 
 
 def tol(digits: int) -> mp.mpf:
@@ -417,6 +417,18 @@ class TestQuadrature:
         with pytest.raises(PrecisionError):
             self_refining_integral(lambda x: mp.mpf(1), tol(10), 1j)
 
+    @pytest.mark.parametrize("zero", [1, mp.mpf(1) / 2], ids=["s=1", "s=1/2"])
+    def test_an_isolated_zero_on_a_node_does_not_cut_the_integral(self, zero):
+        # (x^2 - a^2)^2 sech(pi x / 2) with a = sinh(zero) vanishes at the
+        # node s = zero, well before it decays; the moments of sech(pi x / 2)
+        # are 2, 2 and 10, so it integrates to 10 - 4 a^2 + 2 a^4
+        with working_precision(40):
+            a = mp.sinh(zero)
+            value = self_refining_integral(
+                lambda x: (x * x - a * a) ** 2 / mp.cosh(mp.pi * x / 2), tol(30), 1j
+            )
+            assert abs(value - (10 - 4 * a**2 + 2 * a**4)) < tol(30)
+
     def test_precision_is_not_a_parameter(self):
         # the integral computes at the context precision; a fourth argument is an error
         with pytest.raises(TypeError):
@@ -500,31 +512,38 @@ class TestQuadrature:
         monkeypatch.setattr(continuous, "self_refining_integral", counting)
         params = {"m": "0", "n": "0", "lambda": "1/5", "mu": "2/5", "alpha": "1"}
         assert suites.run_task("eq8", params, suites.SuiteConfig()).passed
-        assert len(counts) <= 136  # 129; 259 with the trapezoid in nu
+        assert len(counts) <= 120  # 114; 129 probing whole units of s, 259 in nu
 
-    def test_eq8_printed_after_eq8_computes_no_new_weights(self, monkeypatch):
+    def test_eq8_printed_after_eq8_computes_no_weight_twice(self, monkeypatch):
         # every integral on one context lands on the same ladder of nodes,
-        # whatever its cutoff, so the weight cache serves the second check
+        # whatever its cutoff, so the weight cache gives the second check
+        # every node eq8 computed; eq8-printed's n = 2 integrand decays more
+        # slowly, so the weights it adds all lie beyond eq8's cutoff
         import functools
 
         from polyident import continuous, suites
 
         fresh = functools.lru_cache(maxsize=None)(suites._cached_wilson_context.__wrapped__)
         monkeypatch.setattr(suites, "_cached_wilson_context", fresh)
-        params = {"lambda": "1/5", "mu": "2/5", "alpha": "1"}
-        config = suites.SuiteConfig()
-        assert suites.run_task("eq8", dict(params, m="0", n="0"), config).passed
         computed = []
         original = continuous.wilson_weight
 
-        def counting(*args):
-            computed.append(args)
-            return original(*args)
+        def counting(nu, *args):
+            computed.append(nu)
+            return original(nu, *args)
 
         monkeypatch.setattr(continuous, "wilson_weight", counting)
+        params = {"lambda": "1/5", "mu": "2/5", "alpha": "1"}
+        config = suites.SuiteConfig()
+        assert suites.run_task("eq8", dict(params, m="0", n="0"), config).passed
+        first = list(computed)
         assert suites.run_task("eq8-printed", dict(params, n="2"), config).passed
+        added = computed[len(first):]
         assert fresh.cache_info().currsize == 1
-        assert computed == []
+        assert len(set(computed)) == len(computed)
+        # eq8's last node is the check one step past its cutoff, not summed
+        step = mp.mpf(1) / POINTS_PER_UNIT
+        assert added and min(added) > mp.sinh(mp.asinh(max(first)) - step)
 
 
 class TestAbsoluteGegenbauerNorm:

@@ -13,6 +13,7 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import mpmath as mp
 import pytest
@@ -601,6 +602,10 @@ class RecordingPool:
         return iter(batches)
 
 
+#: stands in for suites.futures, the pool module a forking run loads
+RECORDING_FUTURES = SimpleNamespace(ProcessPoolExecutor=RecordingPool)
+
+
 def wilson_key(task):
     """The _wilson_context key of a numeric task, or None if it has none."""
     params = task[1]
@@ -620,7 +625,7 @@ WILSON_TASKS = [
 class TestPoolScheduling:
     @pytest.mark.parametrize("cores", [2, 3])
     def test_batches_share_cached_state(self, cores, monkeypatch):
-        monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(suites, "futures", RECORDING_FUTURES)
         monkeypatch.setattr(suites.os, "cpu_count", lambda: cores)
         RecordingPool.calls = []
         config = SuiteConfig(**dict(SMALL, jobs=cores))
@@ -656,7 +661,7 @@ class TestPoolScheduling:
         assert len(exact) <= 4 * cores
 
     def test_one_core_runs_in_process(self, monkeypatch):
-        monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(suites, "futures", RECORDING_FUTURES)
         monkeypatch.setattr(suites.os, "cpu_count", lambda: 1)
         monkeypatch.setattr(suites, "suite_tasks", lambda name, config: MIXED_TASKS)
         RecordingPool.max_workers = None
@@ -684,7 +689,7 @@ class TestPoolScheduling:
     @pytest.mark.parametrize("cores", [2, 64])
     def test_workers_capped_by_cores_and_tasks(self, cores, monkeypatch):
         # the pool forks every worker at once: never more than cores or tasks
-        monkeypatch.setattr(suites, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(suites, "futures", RECORDING_FUTURES)
         monkeypatch.setattr(suites.os, "cpu_count", lambda: cores)
         monkeypatch.setattr(suites, "suite_tasks", lambda name, config: MIXED_TASKS)
         RecordingPool.max_workers = None
@@ -1174,24 +1179,29 @@ class TestCli:
         assert capsys.readouterr().out.strip() == "0.0"
 
     #: runs each command line through cli.main in one fresh interpreter, then
-    #: prints whether mpmath's context module was ever executed
-    _MPMATH_PROBE = (
+    #: prints which of the modules named in the second argument were loaded
+    _LOAD_PROBE = (
         "import contextlib, io, json, sys\n"
         "from polyident import cli\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert cli.main(argv) == 0, argv\n"
-        "print('mpmath.ctx_mp' in sys.modules)\n"
+        "print(json.dumps([name for name in json.loads(sys.argv[2]) if name in sys.modules]))\n"
     )
 
-    def _mpmath_loaded(self, commands) -> bool:
+    def _loaded(self, commands, modules) -> list[str]:
         src = Path(__file__).resolve().parent.parent / "src"
         done = subprocess.run(
-            [sys.executable, "-c", self._MPMATH_PROBE, json.dumps(commands)],
+            [sys.executable, "-c", self._LOAD_PROBE, json.dumps(commands), json.dumps(modules)],
             env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
         )
         assert done.returncode == 0, done.stderr
-        return done.stdout.strip() == "True"
+        return json.loads(done.stdout)
+
+    def _mpmath_loaded(self, commands) -> bool:
+        # mpmath's context module: a lazily bound mpmath sits in sys.modules
+        # before it is executed
+        return self._loaded(commands, ["mpmath.ctx_mp"]) != []
 
     def test_exact_commands_load_no_mpmath(self):
         # the exact side never executes mpmath, so a module-level use of it
@@ -1203,6 +1213,36 @@ class TestCli:
         commands += [["verify", suite, *small]
                      for suite in ("racah", "classical-addition", "hermite", "dual-addition")]
         assert not self._mpmath_loaded(commands)
+
+    #: what the pool machinery executes: concurrent.futures itself sits in
+    #: sys.modules, bound lazily, until its first attribute is read
+    _POOL_MODULES = ["concurrent.futures._base", "concurrent.futures.process",
+                     "multiprocessing"]
+
+    def test_commands_that_do_not_fork_load_no_pool(self):
+        small = ["--alphas", "0,1/2", "--l-max", "2"]
+        commands = [["list"], ["eval", "racah", "2", "3", "1/2", "1/3", "-5", "1/4"],
+                    ["verify", "racah", "--jobs", "1", *small]]
+        assert self._loaded([], self._POOL_MODULES) == []  # import polyident.cli alone
+        assert self._loaded(commands, self._POOL_MODULES) == []
+
+    def test_a_run_that_forks_loads_the_pool(self):
+        # on one core the pool never forks, so nothing is loaded there
+        loaded = self._loaded([["verify", "racah", "--jobs", "2", "--alphas", "0,1/2",
+                                "--l-max", "2"]], self._POOL_MODULES)
+        assert loaded == (self._POOL_MODULES if (os.cpu_count() or 1) > 1 else [])
+
+    def test_a_later_import_gets_the_lazily_bound_pool_module(self):
+        # asyncio imports concurrent.futures and reads it off its parent package
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-c", "import polyident.cli, asyncio, concurrent.futures as f\n"
+                                   "from polyident import suites\n"
+                                   "print(f is suites.futures, f.FIRST_COMPLETED)"],
+            env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "True FIRST_COMPLETED\n"
 
     def test_numeric_eval_loads_mpmath(self):
         assert self._mpmath_loaded([["eval", "wilson", "1", "1/4", "1/5", "2/5", "1"]])
@@ -1337,6 +1377,24 @@ class TestCli:
         cfg.write_text(f"precision_digits = {suites.PRECISION_CEILING + 1}\n")
         assert main(["verify", "racah", "--config", str(cfg)]) == 2
         assert SuiteConfig(precision_digits=suites.PRECISION_CEILING).precision_digits == 200
+
+    @pytest.mark.parametrize("digits", [46, 60, 200])
+    @pytest.mark.parametrize("kind", ["integral", "pointwise"])
+    def test_a_tolerance_finer_than_the_precision_exits_two_naming_the_bound(
+            self, kind, digits, capsys):
+        # finer than 10^-P, checks that pass would read as failures
+        name, flag = f"{kind}_tolerance", f"--{kind}-tolerance"
+        for value in (f"1e-{digits + 1}", f"9.9e-{digits + 1}", "1e-80000"):
+            started = time.perf_counter()
+            assert main(["verify", "continuous", "--precision-digits", str(digits),
+                         flag, value]) == 2
+            assert time.perf_counter() - started < 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error: {name} must be at least 1e-{digits} at "
+                                           f"precision_digits {digits}, got {value!r}\n")
+        config = SuiteConfig(precision_digits=digits, **{name: f"1e-{digits}"})
+        assert config.tolerance(kind) == mp.mpf(f"1e-{digits}")
 
     def test_eval_precision_error_exits_two(self, capsys):
         assert main(["eval", "phi", "4000", "3/2", "1/2", "22/25"]) == 2
